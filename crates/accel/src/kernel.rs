@@ -4,8 +4,10 @@
 //! many FLOPs it issues on the tensor pipes and the CUDA pipes (per
 //! precision), how many bytes it moves to/from global memory, its
 //! shared-memory footprint, threadblock geometry, ILP efficiency and
-//! bank-conflict factor. The [`CostModel`] converts a profile into simulated
-//! time with a roofline rule:
+//! bank-conflict factor. A profile is plain `Copy` data — a static stage name
+//! and one FLOP slot per pipe — so building and pricing one never touches the
+//! heap; the tuner prices ~10² of them per sweep. The [`CostModel`] converts
+//! a profile into simulated time with a roofline rule:
 //!
 //! ```text
 //! t = launches · t_launch + max(t_compute, t_memory)
@@ -23,14 +25,15 @@ use mako_precision::Precision;
 
 /// Work issued by one simulated kernel launch (or one batch of identical
 /// launches).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelProfile {
-    /// Human-readable label ("mmd_fused_dddd", "libintx_pq_stage", …).
-    pub name: String,
-    /// FLOPs executed on tensor cores, per precision.
-    pub tensor_flops: Vec<(Precision, f64)>,
-    /// FLOPs executed on CUDA cores, per precision.
-    pub cuda_flops: Vec<(Precision, f64)>,
+    /// Stage label ("fused_eri", "transpose_r", …). The ERI class a launch
+    /// belongs to is the caller's to report (trace spans carry it).
+    pub name: &'static str,
+    /// FLOPs executed on tensor cores and the precision they are issued at.
+    pub tensor_flops: Option<(Precision, f64)>,
+    /// FLOPs executed on CUDA cores and the precision they are issued at.
+    pub cuda_flops: Option<(Precision, f64)>,
     /// Bytes read from global memory.
     pub global_read: f64,
     /// Bytes written to global memory.
@@ -52,11 +55,11 @@ pub struct KernelProfile {
 
 impl KernelProfile {
     /// A minimal profile with sane defaults (fully efficient, no traffic).
-    pub fn named(name: impl Into<String>) -> KernelProfile {
+    pub const fn named(name: &'static str) -> KernelProfile {
         KernelProfile {
-            name: name.into(),
-            tensor_flops: Vec::new(),
-            cuda_flops: Vec::new(),
+            name,
+            tensor_flops: None,
+            cuda_flops: None,
             global_read: 0.0,
             global_write: 0.0,
             smem_per_block: 0,
@@ -69,8 +72,7 @@ impl KernelProfile {
 
     /// Total FLOPs across all pipes and precisions.
     pub fn total_flops(&self) -> f64 {
-        self.tensor_flops.iter().map(|&(_, f)| f).sum::<f64>()
-            + self.cuda_flops.iter().map(|&(_, f)| f).sum::<f64>()
+        self.tensor_flops.map_or(0.0, |(_, f)| f) + self.cuda_flops.map_or(0.0, |(_, f)| f)
     }
 
     /// Total global-memory traffic in bytes.
@@ -121,7 +123,7 @@ impl CostModel {
 
         let mut compute = 0.0f64;
         if tput > 0.0 {
-            for &(prec, flops) in &p.tensor_flops {
+            if let Some((prec, flops)) = p.tensor_flops {
                 let peak = self.device.tensor_peak(prec);
                 // Work routed to tensor cores on a device that lacks them
                 // falls back to the CUDA pipes (what CUTLASS does on Volta
@@ -133,7 +135,7 @@ impl CostModel {
                 };
                 compute += flops / (rate * tput);
             }
-            for &(prec, flops) in &p.cuda_flops {
+            if let Some((prec, flops)) = p.cuda_flops {
                 let rate = self.device.cuda_peak(prec);
                 let eff = p.ilp_efficiency.clamp(1e-3, 1.0);
                 compute += flops * p.bank_conflict_factor / (rate * tput * eff);
@@ -250,7 +252,7 @@ mod tests {
 
     fn gemm_profile(flops: f64, prec: Precision, bytes: f64) -> KernelProfile {
         let mut p = KernelProfile::named("test_gemm");
-        p.tensor_flops.push((prec, flops));
+        p.tensor_flops = Some((prec, flops));
         p.global_read = bytes * 0.75;
         p.global_write = bytes * 0.25;
         p.smem_per_block = 32 * 1024;
@@ -301,7 +303,7 @@ mod tests {
     fn bank_conflicts_slow_cuda_work_only() {
         let m = CostModel::new(DeviceSpec::a100());
         let mut p = KernelProfile::named("transpose");
-        p.cuda_flops.push((Precision::Fp64, 1e11));
+        p.cuda_flops = Some((Precision::Fp64, 1e11));
         p.smem_per_block = 32 * 1024;
         let fast = m.evaluate(&p).compute_s;
         p.bank_conflict_factor = 8.0;
@@ -313,7 +315,7 @@ mod tests {
     fn ilp_efficiency_scales_cuda_time() {
         let m = CostModel::new(DeviceSpec::a100());
         let mut p = KernelProfile::named("pq_integrals");
-        p.cuda_flops.push((Precision::Fp64, 1e11));
+        p.cuda_flops = Some((Precision::Fp64, 1e11));
         let full = m.evaluate(&p).compute_s;
         p.ilp_efficiency = 0.25;
         let degraded = m.evaluate(&p).compute_s;

@@ -13,6 +13,8 @@
 //! simultaneous accesses hitting one bank within a warp), which the cost
 //! model turns into a shared-memory stage slowdown for unswizzled kernels.
 
+use std::sync::OnceLock;
+
 /// The XOR swizzle bijection of Eq. (10): logical `(x, y)` → physical
 /// `(x ⊕ y, y)`. `width` must be a power of two; the XOR is taken modulo the
 /// row width so the mapping stays within the tile.
@@ -31,12 +33,32 @@ pub enum SmemLayout {
     Swizzled,
 }
 
+impl SmemLayout {
+    /// Slowdown of the r→pq transpose stage under this layout relative to
+    /// the swizzled one — the cost model's `bank_conflict_factor`. Defined by
+    /// [`avg_column_conflict`] on the 32×32 f64 tile a warp transposes over
+    /// 32 banks; that simulation runs once per process, so pricing a launch
+    /// never repeats it.
+    pub fn conflict_ratio(self) -> f64 {
+        static RATIOS: OnceLock<[f64; 2]> = OnceLock::new();
+        let degree = |layout| avg_column_conflict(layout, 32, 32, 8, 32).max(1.0);
+        RATIOS.get_or_init(|| {
+            [SmemLayout::Linear, SmemLayout::Swizzled]
+                .map(|layout| degree(layout) / degree(SmemLayout::Swizzled))
+        })[self as usize]
+    }
+}
+
+/// Most banks [`bank_conflict_degree`] models (NVIDIA hardware has 32).
+pub const MAX_BANKS: usize = 64;
+
 /// Conflict degree for a warp of `warp` threads accessing *column* `col` of a
 /// `width`-wide tile of `elem_bytes`-sized elements under the given layout,
 /// on hardware with `banks` 4-byte banks.
 ///
 /// Returns the maximum number of threads mapped to the same bank — 1 means
-/// conflict-free, `warp` means fully serialized.
+/// conflict-free, `warp` means fully serialized. Panics if `banks` exceeds
+/// [`MAX_BANKS`] (the counts live on the stack).
 pub fn bank_conflict_degree(
     layout: SmemLayout,
     width: usize,
@@ -45,8 +67,9 @@ pub fn bank_conflict_degree(
     elem_bytes: usize,
     banks: usize,
 ) -> usize {
+    assert!(banks <= MAX_BANKS, "{banks} banks exceed the modeled {MAX_BANKS}");
     let words_per_elem = elem_bytes.div_ceil(4);
-    let mut counts = vec![0usize; banks];
+    let mut counts = [0usize; MAX_BANKS];
     for row in 0..warp {
         let (x, y) = match layout {
             SmemLayout::Linear => (col, row),
@@ -152,6 +175,19 @@ mod tests {
             swz * 4.0 < lin,
             "swizzle should slash conflicts: linear {lin}, swizzled {swz}"
         );
+    }
+
+    #[test]
+    fn conflict_ratio_is_the_column_simulation_bit_for_bit() {
+        // The hoisted per-layout constant against its definition: the ratio
+        // `batch_profiles` used to recompute on every call.
+        for layout in [SmemLayout::Linear, SmemLayout::Swizzled] {
+            let oracle = avg_column_conflict(layout, 32, 32, 8, 32).max(1.0)
+                / avg_column_conflict(SmemLayout::Swizzled, 32, 32, 8, 32).max(1.0);
+            assert_eq!(layout.conflict_ratio().to_bits(), oracle.to_bits(), "{layout:?}");
+        }
+        assert_eq!(SmemLayout::Swizzled.conflict_ratio(), 1.0);
+        assert!(SmemLayout::Linear.conflict_ratio() > 4.0);
     }
 
     #[test]

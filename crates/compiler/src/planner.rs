@@ -9,7 +9,7 @@
 
 use mako_accel::{CostModel, SmemLayout};
 use mako_eri::batch::EriClass;
-use mako_kernels::pipeline::{simulate_batch_cost, smem_footprint, FusionStrategy, PipelineConfig};
+use mako_kernels::pipeline::{BatchTerms, FusionStrategy, PipelineConfig};
 use mako_precision::{Precision, ScalePolicy};
 
 /// The outcome of planning one ERI class.
@@ -27,16 +27,12 @@ pub struct FusionPlan {
 }
 
 /// Candidate strategies in preference order (most fused first).
-fn candidates(class: &EriClass) -> Vec<FusionStrategy> {
-    let mut v = Vec::new();
-    if class.kab == 1 && class.kcd == 1 {
-        v.push(FusionStrategy::FuseAllCoalesced);
-    }
-    v.push(FusionStrategy::FuseAll);
-    v.push(FusionStrategy::FuseRPq);
-    v.push(FusionStrategy::Unfused);
-    v
-}
+const CANDIDATES: [FusionStrategy; 4] = [
+    FusionStrategy::FuseAllCoalesced,
+    FusionStrategy::FuseAll,
+    FusionStrategy::FuseRPq,
+    FusionStrategy::Unfused,
+];
 
 /// The threadblock shape a plan is made for. The shape couples to the
 /// live-tensor footprint (`S(F)` depends on the N-dim tile edge), so fusion
@@ -84,11 +80,19 @@ pub fn plan_fusion_with(
     probe_batch: usize,
     shape: BlockShape,
 ) -> FusionPlan {
+    plan_fusion_terms(&BatchTerms::new(class, probe_batch, precision), model, shape)
+}
+
+/// [`plan_fusion_with`] on class terms derived by the caller — the tuner
+/// plans nine shapes per sweep from one [`BatchTerms`].
+pub(crate) fn plan_fusion_terms(terms: &BatchTerms, model: &CostModel, shape: BlockShape) -> FusionPlan {
+    let precision = terms.precision();
     let budget = model.device.smem_per_sm / 2; // Eq. (13)
     let mut rejected = Vec::new();
     let mut best: Option<(FusionStrategy, usize, f64)> = None;
 
-    for strategy in candidates(class) {
+    // Coalescing is offered only where it is legal (K_AB = K_CD = 1).
+    for &strategy in &CANDIDATES[usize::from(!terms.coalescible())..] {
         let cfg = PipelineConfig {
             fusion: strategy,
             layout: SmemLayout::Swizzled,
@@ -102,12 +106,12 @@ pub fn plan_fusion_with(
             },
             tile: shape.tile,
         };
-        let smem = smem_footprint(class, &cfg);
+        let smem = terms.smem_footprint(strategy, shape.tile);
         if smem > budget {
             rejected.push((strategy, smem));
             continue;
         }
-        let cost = simulate_batch_cost(class, probe_batch, &cfg, model);
+        let cost = terms.cost(&cfg, model);
         if !cost.is_finite() {
             rejected.push((strategy, smem));
             continue;

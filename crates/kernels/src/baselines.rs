@@ -52,8 +52,8 @@ pub fn quick_like_cost(class: &EriClass, n: usize, model: &CostModel) -> Option<
     let kprod = (class.kab * class.kcd) as f64;
     let flops = n as f64 * kprod * cart * (l_sum + 1.0) * 48.0;
 
-    let mut p = KernelProfile::named(format!("quick_like {}", class.label()));
-    p.cuda_flops.push((Precision::Fp64, flops));
+    let mut p = KernelProfile::named("quick_like");
+    p.cuda_flops = Some((Precision::Fp64, flops));
     // Register pressure and branch divergence worsen with angular momentum.
     p.ilp_efficiency = (0.6 / (1.0 + 0.35 * l_sum)).clamp(0.05, 1.0);
     p.global_read = n as f64 * 128.0;
@@ -71,10 +71,8 @@ pub fn gpu4pyscf_like_cost(class: &EriClass, n: usize, model: &CostModel) -> f64
     let mut total = 0.0;
 
     let l_sum = (class.l_bra() + class.l_ket()) as f64;
-    let mut stages = KernelProfile::named(format!("gpu4pyscf_rpq {}", class.label()));
-    stages
-        .cuda_flops
-        .push((Precision::Fp64, class.rpq_flops() * nf));
+    let mut stages = KernelProfile::named("gpu4pyscf_rpq");
+    stages.cuda_flops = Some((Precision::Fp64, class.rpq_flops() * nf));
     // Production CUDA-core ERI kernels fall well below the compute roofline
     // as angular momentum raises register pressure and divergence (the gap
     // the paper measures against GPU4PySCF's high-l kernels).
@@ -86,11 +84,9 @@ pub fn gpu4pyscf_like_cost(class: &EriClass, n: usize, model: &CostModel) -> f64
     stages.threads_per_block = 256;
     total += model.evaluate(&stages).total_s;
 
-    let mut gemms = KernelProfile::named(format!("gpu4pyscf_transform {}", class.label()));
+    let mut gemms = KernelProfile::named("gpu4pyscf_transform");
     // Same GEMM FLOPs, but issued to the CUDA FP64 pipes.
-    gemms
-        .cuda_flops
-        .push((Precision::Fp64, class.transform_flops() * nf));
+    gemms.cuda_flops = Some((Precision::Fp64, class.transform_flops() * nf));
     gemms.ilp_efficiency = (0.85 / (1.0 + 0.25 * l_sum)).clamp(0.05, 1.0);
     gemms.global_read = pq_bytes;
     gemms.global_write = nf * class.out_size() as f64 * 8.0;

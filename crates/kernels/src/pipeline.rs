@@ -3,9 +3,7 @@
 
 use crate::mixed_gemm::{round_into, round_into_extend};
 use std::cell::RefCell;
-use mako_accel::{
-    avg_column_conflict, CostModel, KernelProfile, SmemLayout,
-};
+use mako_accel::{CostModel, KernelProfile, SmemLayout};
 use mako_eri::batch::{EriClass, QuartetBatch};
 use mako_eri::mmd::{pq_geometry, pq_matrix_from_boys_geom, pq_matrix_into, PqIndex, PqScratch};
 use mako_eri::screening::ScreenedPair;
@@ -109,6 +107,184 @@ pub fn ilp_efficiency(fusion: FusionStrategy, ilp: usize) -> f64 {
     }
 }
 
+/// Everything the kernel profiles of a batch need that the swept tunables do
+/// not move: the dimensions of `class` and the FLOP and byte counts of `n`
+/// of its quartets at `precision`. The tuner derives these once per sweep
+/// and prices every (shape, layout, ILP) candidate from them.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchTerms {
+    precision: Precision,
+    /// `K_AB = K_CD = 1`: back-to-back GEMM coalescing is legal (§3.1.3).
+    coalescible: bool,
+    hb: usize,
+    hk: usize,
+    nab: usize,
+    ncd: usize,
+    /// The always-resident r tensor, bytes (FP64: numerically fragile).
+    r_tile: usize,
+    t_flops: f64,
+    r_flops: f64,
+    pq_flops: f64,
+    input_bytes: f64,
+    out_bytes: f64,
+    r_bytes: f64,
+    pq_bytes: f64,
+    abq_bytes: f64,
+}
+
+impl BatchTerms {
+    /// Terms of `n` quartets of `class` with `precision` transform inputs.
+    pub fn new(class: &EriClass, n: usize, precision: Precision) -> BatchTerms {
+        let nf = n as f64;
+        let (hb, hk) = class.herm_dims();
+        let nab = nsph(class.la) * nsph(class.lb);
+        let ncd = nsph(class.lc) * nsph(class.ld);
+        let l_sum = class.l_bra() + class.l_ket();
+        let in_size = precision.size_bytes() as f64;
+        let kprod = (class.kab * class.kcd) as f64;
+        BatchTerms {
+            precision,
+            coalescible: class.kab == 1 && class.kcd == 1,
+            hb,
+            hk,
+            nab,
+            ncd,
+            r_tile: nherm(l_sum) * 8,
+            t_flops: class.transform_flops() * nf,
+            r_flops: class.rpq_flops() * nf * 0.6,
+            pq_flops: class.rpq_flops() * nf * 0.4,
+            input_bytes: nf * ((class.kab * nab * hb + class.kcd * ncd * hk) as f64 * in_size + 96.0),
+            out_bytes: nf * class.out_size() as f64 * 8.0,
+            r_bytes: nf * kprod * nherm(l_sum) as f64 * 8.0,
+            pq_bytes: nf * kprod * (hb * hk) as f64 * in_size,
+            abq_bytes: nf * class.kcd as f64 * (nab * hk) as f64 * 4.0,
+        }
+    }
+
+    /// The transform-input precision the terms were derived for.
+    pub fn precision(&self) -> Precision {
+        self.precision
+    }
+
+    /// Whether `FuseAllCoalesced` may be offered for this class.
+    pub fn coalescible(&self) -> bool {
+        self.coalescible
+    }
+
+    /// [`smem_footprint`] of `fusion` at GEMM tile edge `tile`.
+    pub fn smem_footprint(&self, fusion: FusionStrategy, tile: usize) -> usize {
+        let (nab, ncd) = (self.nab, self.ncd);
+        let in_size = self.precision.size_bytes();
+        let kt = self.hb.min(tile); // K-dim tile over bra Hermite
+        let nt = self.hk.min(tile); // N-dim tile over ket Hermite
+        // First GEMM tiles: E_AB (nab×kt), [p|q] (kt×nt), (ab|q] (nab×nt, FP32).
+        let gemm1 = (nab * kt + kt * nt) * in_size + nab * nt * 4;
+        // Second GEMM tile: E_CDᵀ (nt×ncd).
+        let gemm2 = nt * ncd * in_size;
+        // Output accumulator spans all n-tiles: nab×ncd in FP32.
+        let out_tile = nab * ncd * 4;
+        match fusion {
+            FusionStrategy::Unfused => 0, // streaming stages, negligible SMEM
+            FusionStrategy::FuseRPq => self.r_tile + (kt * nt) * in_size,
+            FusionStrategy::FuseAll => self.r_tile + gemm1 + gemm2 + out_tile,
+            // Coalescing keeps (ab|q] in registers instead of SMEM.
+            FusionStrategy::FuseAllCoalesced => {
+                self.r_tile + gemm1 - nab * nt * 4 + gemm2 + out_tile
+            }
+        }
+    }
+
+    /// The kernel profiles the batch emits under `cfg` (whose precision must
+    /// be the one the terms were derived for), in launch order, held inline.
+    /// Multiple profiles = multiple kernel launches whose times add.
+    pub fn profiles(&self, cfg: &PipelineConfig) -> impl Iterator<Item = KernelProfile> {
+        debug_assert_eq!(cfg.precision, self.precision);
+        let conflict = cfg.layout.conflict_ratio();
+        let mut base = KernelProfile::named("");
+        base.threads_per_block = cfg.threads_per_block;
+        base.smem_per_block = self.smem_footprint(cfg.fusion, cfg.tile);
+        base.ilp_efficiency = ilp_efficiency(cfg.fusion, cfg.ilp);
+        let stage = |name, smem_per_block| KernelProfile {
+            name,
+            smem_per_block,
+            ..base
+        };
+
+        let (stages, launches) = match cfg.fusion {
+            FusionStrategy::Unfused => {
+                // Four streaming kernels; intermediates round-trip global
+                // memory, and the r→pq transpose is an explicit extra pass.
+                let mut r = stage("r_integrals", 0);
+                r.cuda_flops = Some((Precision::Fp64, self.r_flops));
+                r.global_read = self.input_bytes * 0.3;
+                r.global_write = self.r_bytes;
+
+                let mut transpose = stage("transpose_r", 32 * 1024);
+                transpose.cuda_flops = Some((Precision::Fp64, self.r_bytes / 8.0));
+                transpose.global_read = self.r_bytes;
+                transpose.global_write = self.r_bytes;
+                transpose.bank_conflict_factor = conflict;
+
+                let mut pq = stage("pq_integrals", 0);
+                pq.cuda_flops = Some((Precision::Fp64, self.pq_flops));
+                pq.global_read = self.r_bytes;
+                pq.global_write = self.pq_bytes;
+
+                let mut gemm1 = stage("transform_1", 48 * 1024);
+                gemm1.tensor_flops = Some((cfg.precision, self.t_flops * 0.7));
+                gemm1.global_read = self.pq_bytes + self.input_bytes * 0.35;
+                gemm1.global_write = self.abq_bytes;
+
+                let mut gemm2 = stage("transform_2", 48 * 1024);
+                gemm2.tensor_flops = Some((cfg.precision, self.t_flops * 0.3));
+                gemm2.global_read = self.abq_bytes + self.input_bytes * 0.35;
+                gemm2.global_write = self.out_bytes;
+
+                ([r, transpose, pq, gemm1, gemm2], 5)
+            }
+            FusionStrategy::FuseRPq => {
+                let mut rpq = stage("fused_r_pq", base.smem_per_block);
+                rpq.cuda_flops = Some((Precision::Fp64, self.r_flops + self.pq_flops));
+                rpq.global_read = self.input_bytes * 0.3;
+                rpq.global_write = self.pq_bytes;
+                rpq.bank_conflict_factor = conflict;
+
+                let mut gemms = stage("transforms", 48 * 1024);
+                gemms.tensor_flops = Some((cfg.precision, self.t_flops));
+                gemms.global_read = self.pq_bytes + self.input_bytes * 0.7;
+                gemms.global_write = self.out_bytes + self.abq_bytes;
+                ([rpq, gemms, base, base, base], 2)
+            }
+            FusionStrategy::FuseAll | FusionStrategy::FuseAllCoalesced => {
+                let mut fused = stage("fused_eri", base.smem_per_block);
+                fused.tensor_flops = Some((cfg.precision, self.t_flops));
+                fused.cuda_flops = Some((Precision::Fp64, self.r_flops + self.pq_flops));
+                fused.global_read = self.input_bytes;
+                fused.global_write = self.out_bytes;
+                fused.bank_conflict_factor = conflict;
+                ([fused, base, base, base, base], 1)
+            }
+        };
+        stages.into_iter().take(launches)
+    }
+
+    /// [`simulate_batch_cost`] of the batch under `cfg`.
+    pub fn cost(&self, cfg: &PipelineConfig, model: &CostModel) -> f64 {
+        if cfg.fusion == FusionStrategy::FuseAllCoalesced && !self.coalescible {
+            return f64::INFINITY;
+        }
+        let mut total = 0.0;
+        for p in self.profiles(cfg) {
+            let rec = model.evaluate(&p);
+            if !rec.total_s.is_finite() {
+                return f64::INFINITY;
+            }
+            total += rec.total_s;
+        }
+        total
+    }
+}
+
 /// Live shared-memory footprint per threadblock (one quartet in flight),
 /// bytes — the `S(F)` of CompilerMako's Eq. (12).
 ///
@@ -118,144 +294,23 @@ pub fn ilp_efficiency(fusion: FusionStrategy, ilp: usize) -> f64 {
 /// always-resident r tensor and the output accumulator — which is what
 /// keeps even (gg|gg) fusable.
 pub fn smem_footprint(class: &EriClass, cfg: &PipelineConfig) -> usize {
-    let (hb, hk) = class.herm_dims();
-    let nab = nsph(class.la) * nsph(class.lb);
-    let ncd = nsph(class.lc) * nsph(class.ld);
-    let in_size = cfg.precision.size_bytes();
-    let l_sum = class.l_bra() + class.l_ket();
-    let kt = hb.min(cfg.tile); // K-dim tile over bra Hermite
-    let nt = hk.min(cfg.tile); // N-dim tile over ket Hermite
-    let r_tile = nherm(l_sum) * 8; // r stays FP64 (numerically fragile)
-    // First GEMM tiles: E_AB (nab×kt), [p|q] (kt×nt), (ab|q] (nab×nt, FP32).
-    let gemm1 = (nab * kt + kt * nt) * in_size + nab * nt * 4;
-    // Second GEMM tile: E_CDᵀ (nt×ncd).
-    let gemm2 = nt * ncd * in_size;
-    // Output accumulator spans all n-tiles: nab×ncd in FP32.
-    let out_tile = nab * ncd * 4;
-    match cfg.fusion {
-        FusionStrategy::Unfused => 0, // streaming stages, negligible SMEM
-        FusionStrategy::FuseRPq => r_tile + (kt * nt) * in_size,
-        FusionStrategy::FuseAll => r_tile + gemm1 + gemm2 + out_tile,
-        // Coalescing keeps (ab|q] in registers instead of SMEM.
-        FusionStrategy::FuseAllCoalesced => r_tile + gemm1 - nab * nt * 4 + gemm2 + out_tile,
-    }
+    BatchTerms::new(class, 0, cfg.precision).smem_footprint(cfg.fusion, cfg.tile)
 }
 
-/// The kernel profiles one batch emits under a configuration. Multiple
-/// profiles = multiple kernel launches whose times add.
-pub fn batch_profiles(class: &EriClass, n: usize, cfg: &PipelineConfig) -> Vec<KernelProfile> {
-    let nf = n as f64;
-    let (hb, hk) = class.herm_dims();
-    let nab = nsph(class.la) * nsph(class.lb);
-    let l_sum = class.l_bra() + class.l_ket();
-    let in_size = cfg.precision.size_bytes() as f64;
-    let kprod = (class.kab * class.kcd) as f64;
-
-    let t_flops = class.transform_flops() * nf;
-    let r_flops = class.rpq_flops() * nf * 0.6;
-    let pq_flops = class.rpq_flops() * nf * 0.4;
-
-    let input_bytes = nf
-        * ((class.kab * nab * hb + class.kcd * nsph(class.lc) * nsph(class.ld) * hk) as f64 * in_size
-            + 96.0);
-    let out_bytes = nf * class.out_size() as f64 * 8.0;
-    let r_bytes = nf * kprod * nherm(l_sum) as f64 * 8.0;
-    let pq_bytes = nf * kprod * (hb * hk) as f64 * in_size;
-    let abq_bytes = nf * class.kcd as f64 * (nab * hk) as f64 * 4.0;
-
-    let ilp_eff = ilp_efficiency(cfg.fusion, cfg.ilp);
-    let conflict = avg_column_conflict(cfg.layout, 32, 32, 8, 32).max(1.0)
-        / avg_column_conflict(SmemLayout::Swizzled, 32, 32, 8, 32).max(1.0);
-    let smem = smem_footprint(class, cfg);
-    let base = |name: &str| {
-        let mut p = KernelProfile::named(format!("{name} {}", class.label()));
-        p.threads_per_block = cfg.threads_per_block;
-        p.smem_per_block = smem;
-        p.ilp_efficiency = ilp_eff;
-        p
-    };
-
-    match cfg.fusion {
-        FusionStrategy::Unfused => {
-            // Four streaming kernels; intermediates round-trip global
-            // memory, and the r→pq transpose is an explicit extra pass.
-            let mut r = base("r_integrals");
-            r.cuda_flops.push((Precision::Fp64, r_flops));
-            r.global_read = input_bytes * 0.3;
-            r.global_write = r_bytes;
-            r.smem_per_block = 0;
-
-            let mut transpose = base("transpose_r");
-            transpose.cuda_flops.push((Precision::Fp64, r_bytes / 8.0));
-            transpose.global_read = r_bytes;
-            transpose.global_write = r_bytes;
-            transpose.bank_conflict_factor = conflict;
-            transpose.smem_per_block = 32 * 1024;
-
-            let mut pq = base("pq_integrals");
-            pq.cuda_flops.push((Precision::Fp64, pq_flops));
-            pq.global_read = r_bytes;
-            pq.global_write = pq_bytes;
-            pq.smem_per_block = 0;
-
-            let mut gemm1 = base("transform_1");
-            gemm1.tensor_flops.push((cfg.precision, t_flops * 0.7));
-            gemm1.global_read = pq_bytes + input_bytes * 0.35;
-            gemm1.global_write = abq_bytes;
-            gemm1.smem_per_block = 48 * 1024;
-
-            let mut gemm2 = base("transform_2");
-            gemm2.tensor_flops.push((cfg.precision, t_flops * 0.3));
-            gemm2.global_read = abq_bytes + input_bytes * 0.35;
-            gemm2.global_write = out_bytes;
-            gemm2.smem_per_block = 48 * 1024;
-
-            vec![r, transpose, pq, gemm1, gemm2]
-        }
-        FusionStrategy::FuseRPq => {
-            let mut rpq = base("fused_r_pq");
-            rpq.cuda_flops.push((Precision::Fp64, r_flops + pq_flops));
-            rpq.global_read = input_bytes * 0.3;
-            rpq.global_write = pq_bytes;
-            rpq.bank_conflict_factor = conflict;
-
-            let mut gemms = base("transforms");
-            gemms.tensor_flops.push((cfg.precision, t_flops));
-            gemms.global_read = pq_bytes + input_bytes * 0.7;
-            gemms.global_write = out_bytes + abq_bytes;
-            gemms.smem_per_block = 48 * 1024;
-            vec![rpq, gemms]
-        }
-        FusionStrategy::FuseAll | FusionStrategy::FuseAllCoalesced => {
-            let mut fused = base("fused_eri");
-            fused.tensor_flops.push((cfg.precision, t_flops));
-            fused
-                .cuda_flops
-                .push((Precision::Fp64, r_flops + pq_flops));
-            fused.global_read = input_bytes;
-            fused.global_write = out_bytes;
-            fused.bank_conflict_factor = conflict;
-            vec![fused]
-        }
-    }
+/// The kernel profiles one batch emits under a configuration.
+pub fn batch_profiles(
+    class: &EriClass,
+    n: usize,
+    cfg: &PipelineConfig,
+) -> impl Iterator<Item = KernelProfile> {
+    BatchTerms::new(class, n, cfg.precision).profiles(cfg)
 }
 
 /// Simulated seconds to run a batch of `n` quartets of `class` under `cfg`
 /// on the device of `model`. Returns `f64::INFINITY` when the configuration
 /// cannot launch (SMEM footprint exceeds the device).
 pub fn simulate_batch_cost(class: &EriClass, n: usize, cfg: &PipelineConfig, model: &CostModel) -> f64 {
-    if cfg.fusion == FusionStrategy::FuseAllCoalesced && (class.kab != 1 || class.kcd != 1) {
-        return f64::INFINITY;
-    }
-    let mut total = 0.0;
-    for p in batch_profiles(class, n, cfg) {
-        let rec = model.evaluate(&p);
-        if !rec.total_s.is_finite() {
-            return f64::INFINITY;
-        }
-        total += rec.total_s;
-    }
-    total
+    BatchTerms::new(class, n, cfg.precision).cost(cfg, model)
 }
 
 /// Sweep the fusion strategies and ILP factors for a class at the given
@@ -277,6 +332,7 @@ pub fn best_config_cost(
     model: &CostModel,
 ) -> (PipelineConfig, f64) {
     let budget = model.device.smem_per_sm / 2; // Eq. (13)
+    let terms = BatchTerms::new(class, n, precision);
     let mut best = (PipelineConfig::kernel_mako_fp64(), f64::INFINITY);
     for fusion in [
         FusionStrategy::FuseAllCoalesced,
@@ -294,10 +350,10 @@ pub fn best_config_cost(
                 scale_policy,
                 tile: 16,
             };
-            if smem_footprint(class, &cfg) > budget {
+            if terms.smem_footprint(cfg.fusion, cfg.tile) > budget {
                 continue;
             }
-            let cost = simulate_batch_cost(class, n, &cfg, model);
+            let cost = terms.cost(&cfg, model);
             if cost < best.1 {
                 best = (cfg, cost);
             }
@@ -318,8 +374,7 @@ pub fn batch_device_seconds(
     model: &CostModel,
 ) -> f64 {
     batch_profiles(class, n, cfg)
-        .iter()
-        .map(|p| model.evaluate(p).total_s)
+        .map(|p| model.evaluate(&p).total_s)
         .sum()
 }
 
@@ -519,8 +574,6 @@ pub struct BatchOutput {
     pub tensors: Vec<Tensor4>,
     /// Simulated device seconds for the batch.
     pub seconds: f64,
-    /// The emitted kernel profiles (for SimTimer aggregation).
-    pub profiles: Vec<KernelProfile>,
 }
 
 /// Execute a quartet batch: real ERI numerics under the configured
@@ -534,14 +587,10 @@ pub fn run_batch(
     let class = batch.class;
     let mut tensors = Vec::new();
     run_batch_tensors_into(batch, pairs, cfg, &mut tensors);
-    let profiles = batch_profiles(&class, batch.len(), cfg);
-    let seconds: f64 = profiles.iter().map(|p| model.evaluate(p).total_s).sum();
-
     BatchOutput {
         class,
         tensors,
-        seconds,
-        profiles,
+        seconds: batch_device_seconds(&class, batch.len(), cfg, model),
     }
 }
 

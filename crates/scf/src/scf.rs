@@ -504,8 +504,8 @@ impl ScfDriver {
         let local_flops = 200.0 * npts as f64;
         let bytes = (npts as f64 * nao * 8.0) * 2.0;
         let mut p = mako_accel::KernelProfile::named("xc_quadrature");
-        p.tensor_flops.push((Precision::Fp64, gemm_flops));
-        p.cuda_flops.push((Precision::Fp64, local_flops));
+        p.tensor_flops = Some((Precision::Fp64, gemm_flops));
+        p.cuda_flops = Some((Precision::Fp64, local_flops));
         p.global_read = bytes;
         p.global_write = bytes * 0.1;
         p.smem_per_block = 32 * 1024;

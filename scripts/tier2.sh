@@ -113,4 +113,12 @@ MAKO_BENCH_MAX_QUARTETS=2000 MAKO_THREADS=1,2 \
     cargo run --release -p mako-bench --bin host_fock_bench
 cargo run --release -p mako-bench --bin trace_validate -- target/trace_smoke.jsonl
 
+echo "== tier2: mako-benchmark (unit tests + --smoke: all seven workloads at toy size) =="
+# benchmark/ is its own workspace, so neither tier-1 nor the legs above build
+# it: without this leg an API change under crates/ can break BENCHMARK.json's
+# command unnoticed. --smoke verifies every workload's outputs and result
+# schema, untraced and traced, and exits non-zero on any problem.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "== tier2: OK =="
