@@ -1,0 +1,203 @@
+//! Pins the exchange-correlation layer: the functional stencil bit for bit,
+//! one `evaluate_xc` call on a fixed density, and the Becke-partitioned grid.
+//!
+//! The constants below were generated on the code *before* `evaluate_xc`
+//! became the two-GEMM `Z` assembly and before the central-difference
+//! stencil was split into a ρ-only and a γ-dependent half, so a host-side
+//! optimisation of this layer passes only if every functional value keeps
+//! its floating-point operations in their order (`energy`/`n_electrons`
+//! included) and `V_xc` moves by summation order alone. A legitimate change
+//! of a functional or of the grid must regenerate the constants (failure
+//! messages print the new values) and say so in CHANGES.md.
+//!
+//! The variational-identity test is not a pin: it checks the assembled
+//! matrix against an independent quantity, the directional derivative of
+//! the energy it is supposed to be the gradient of.
+
+use mako_chem::basis::sto3g::sto3g;
+use mako_chem::builders;
+use mako_linalg::Matrix;
+use mako_scf::grid::MolecularGrid;
+use mako_scf::xc::{b3lyp, evaluate_aos, evaluate_xc, svwn, AoOnGrid, XcFunctional};
+
+const B3LYP_STENCIL_DIGEST: u64 = 0x29c8_379f_3636_7cb1;
+const SVWN_STENCIL_DIGEST: u64 = 0x9ff9_a3b4_2222_fd99;
+const TRIMER_GRID_DIGEST: u64 = 0xa3fe_b96e_e9e7_4c4d;
+const TRIMER_GRID_POINTS: usize = 101_132;
+
+/// `evaluate_xc` on water/STO-3G, grid (35, 12), density [`pin_density`]:
+/// `energy` bits, `n_electrons` bits, upper triangle of `V_xc` row by row.
+const B3LYP_ENERGY_BITS: u64 = 0xc004_a692_512d_2a30;
+const B3LYP_N_ELECTRONS_BITS: u64 = 0x4013_cfad_c5e7_7b98;
+#[rustfmt::skip]
+const B3LYP_VXC: [f64; 28] = [
+    -1.8416236936737294, -0.26273814501309367, -0.012821502474781608, -0.00946819264198306,
+    -0.00779095954477627, -0.0621373361047349, -0.06109068524187408, -0.4991113653587923,
+    -0.042639703898359346, -0.04872744930965765, -0.031101565527397596, -0.2185781459815559,
+    -0.19935806990156985, -0.4834037379708864, -0.021558111310293407, -0.011202604484620744,
+    -0.015970677368355564, -0.013615101120523273, -0.5005440756661987, -0.02489286910920675,
+    -0.12432445111039399, -0.10963902662958984, -0.5048109506468571, -0.14795479576670117,
+    0.1118437338380883, -0.38513205579023324, -0.09131492880791953, -0.34357577801164685,
+];
+const SVWN_ENERGY_BITS: u64 = 0xc007_a743_0a92_be3e;
+const SVWN_N_ELECTRONS_BITS: u64 = 0x4013_cfad_c5e7_7b98;
+#[rustfmt::skip]
+const SVWN_VXC: [f64; 28] = [
+    -2.053270733304532, -0.30779298930852983, -0.014804064976044924, -0.011595935927565647,
+    -0.009502254982712538, -0.07262238733348388, -0.07142330015311679, -0.6123680984298734,
+    -0.04863414237581021, -0.06011867103449205, -0.036568941057233004, -0.2675462173881782,
+    -0.24526674479713112, -0.5947560029866298, -0.01991209237085474, -0.010812233350895189,
+    -0.018102589546213, -0.015405362989716866, -0.6135428920072543, -0.023286489494419832,
+    -0.15155602398610896, -0.13517254600152992, -0.6202441095888029, -0.17970732326349767,
+    0.13811762664185834, -0.46408448241173794, -0.11210962942904702, -0.41103200738065426,
+];
+
+/// FNV-1a over little-endian u64 words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// ρ = 10^(−13…2) in 160 steps (16 of them below the 1e-12 floor), plus the
+/// floor itself and the band just above it where `ρ − h` falls below it.
+fn rho_lattice() -> Vec<f64> {
+    let mut v: Vec<f64> = (0..=160).map(|i| 10f64.powf(-13.0 + 15.0 * i as f64 / 160.0)).collect();
+    v.extend([0.999e-12, 1e-12, 1.005e-12, 1.02e-12]);
+    v
+}
+
+/// γ ∈ {0} ∪ 10^(−20…4), one per decade.
+fn gamma_lattice() -> Vec<f64> {
+    let mut v = vec![0.0];
+    v.extend((-20..=4).map(|k| 10f64.powi(k)));
+    v
+}
+
+fn stencil_digest(f: &XcFunctional) -> u64 {
+    let mut d = Digest::new();
+    for &rho in &rho_lattice() {
+        for &gamma in &gamma_lattice() {
+            d.word(f.energy_density(rho, gamma).to_bits());
+            d.word(f.vrho(rho, gamma).to_bits());
+            d.word(f.vgamma(rho, gamma).to_bits());
+        }
+    }
+    d.0
+}
+
+#[test]
+fn functional_stencil_is_bit_identical_to_the_pinned_one() {
+    let got = [stencil_digest(&b3lyp()), stencil_digest(&svwn())];
+    assert_eq!(
+        got,
+        [B3LYP_STENCIL_DIGEST, SVWN_STENCIL_DIGEST],
+        "(e, vρ, vγ) of B3LYP / SVWN5 moved: new digests {:#018x} / {:#018x}",
+        got[0],
+        got[1]
+    );
+}
+
+fn water_on_grid() -> (MolecularGrid, AoOnGrid) {
+    let mol = builders::water();
+    let shells = sto3g().shells_for(&mol);
+    let grid = MolecularGrid::build(&mol, 35, 12);
+    let aos = evaluate_aos(&shells, &grid);
+    (grid, aos)
+}
+
+/// A fixed non-diagonal, symmetric, positive-definite density.
+fn pin_density(nao: usize) -> Matrix {
+    Matrix::from_fn(nao, nao, |i, j| 0.3 / (1.0 + (i as f64 - j as f64).abs()))
+}
+
+#[test]
+fn evaluate_xc_matches_the_pinned_call() {
+    let (grid, aos) = water_on_grid();
+    let nao = aos.phi.cols();
+    assert_eq!(nao, 7);
+    let d = pin_density(nao);
+    for (f, e_bits, n_bits, vxc) in [
+        (b3lyp(), B3LYP_ENERGY_BITS, B3LYP_N_ELECTRONS_BITS, &B3LYP_VXC),
+        (svwn(), SVWN_ENERGY_BITS, SVWN_N_ELECTRONS_BITS, &SVWN_VXC),
+    ] {
+        let res = evaluate_xc(&f, &aos, &grid, &d);
+        let upper: Vec<f64> = (0..nao)
+            .flat_map(|i| (i..nao).map(move |j| (i, j)))
+            .map(|ij| res.matrix[ij])
+            .collect();
+        let report = format!(
+            "{}: energy {:#018x} n_electrons {:#018x} V_xc {upper:?}",
+            f.name,
+            res.energy.to_bits(),
+            res.n_electrons.to_bits()
+        );
+        assert_eq!(res.energy.to_bits(), e_bits, "energy moved — {report}");
+        assert_eq!(res.n_electrons.to_bits(), n_bits, "n_electrons moved — {report}");
+        assert!(res.matrix.asymmetry() == 0.0, "V_xc is not exactly symmetric");
+        for (got, want) in upper.iter().zip(vxc) {
+            assert!((got - want).abs() < 1e-12, "V_xc entry {got:e} vs {want:e} — {report}");
+        }
+    }
+}
+
+#[test]
+fn becke_grid_is_bit_identical_to_the_pinned_one() {
+    let grid = MolecularGrid::build(&builders::water_cluster(3), 40, 12);
+    let mut d = Digest::new();
+    for p in &grid.points {
+        for x in p.position {
+            d.word(x.to_bits());
+        }
+        d.word(p.weight.to_bits());
+    }
+    assert_eq!(
+        (grid.len(), d.0),
+        (TRIMER_GRID_POINTS, TRIMER_GRID_DIGEST),
+        "grid points or weights moved: {} points, new digest {:#018x}",
+        grid.len(),
+        d.0
+    );
+}
+
+/// `F = ½ ∂E/∂D`: for a symmetric direction Δ,
+/// `[E_xc(D + εΔ) − E_xc(D − εΔ)] / 2ε = 2 Σ_μν V_μν Δ_μν`.
+#[test]
+fn xc_matrix_is_half_the_energy_gradient() {
+    let (grid, aos) = water_on_grid();
+    let nao = aos.phi.cols();
+    let d = pin_density(nao);
+    let eps = 1e-4;
+    for f in [b3lyp(), svwn()] {
+        let v = evaluate_xc(&f, &aos, &grid, &d).matrix;
+        for seed in [1u64, 2, 3] {
+            // Seeded symmetric direction with entries in [−1, 1).
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut delta = Matrix::from_fn(nao, nao, |_, _| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            });
+            delta.symmetrize();
+            let energy_at = |sign: f64| {
+                let mut shifted = d.clone();
+                shifted.axpy(sign * eps, &delta);
+                evaluate_xc(&f, &aos, &grid, &shifted).energy
+            };
+            let slope = (energy_at(1.0) - energy_at(-1.0)) / (2.0 * eps);
+            let projected = 2.0 * v.dot(&delta);
+            assert!(
+                (slope - projected).abs() < 1e-6 * projected.abs(),
+                "{} seed {seed}: dE/dε = {slope:.12e} but 2·tr(VΔ) = {projected:.12e}",
+                f.name
+            );
+        }
+    }
+}

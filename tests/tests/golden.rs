@@ -18,12 +18,19 @@
 use mako::accel::fault::FaultPlan;
 use mako::chem::basis::sto3g::sto3g;
 use mako::chem::builders;
-use mako::scf::{DistributedScf, RescueConfig, RescueStage, ScfConfig, ScfDriver, ScfResult};
+use mako::scf::{
+    b3lyp, DistributedScf, RescueConfig, RescueStage, ScfConfig, ScfDriver, ScfMethod, ScfResult,
+};
 
 /// Converged RHF/STO-3G total energy of the water monomer (Hartree).
 const E_WATER: f64 = -74.962_928_418_750;
 /// Converged RHF/STO-3G total energy of the water trimer (Hartree).
 const E_WATER3: f64 = -224.883_558_801_398;
+/// Converged B3LYP/STO-3G total energy of the water monomer on the (35, 12)
+/// grid (Hartree) — the one pin that runs the grid, the AO tabulation and
+/// `evaluate_xc`. Generated before `evaluate_xc` became the two-GEMM
+/// assembly.
+const E_WATER_B3LYP: f64 = -75.275_061_372_847;
 /// Converged RHF/STO-3G energy of 3.5×-stretched water, reachable only
 /// through the full rescue ladder (`e_tol = 1e-8`). Re-pinned (3× → 3.5×)
 /// when the packed-microkernel GEMM regrouped FP64 summation: the 1-ulp
@@ -107,6 +114,37 @@ fn golden_energies_identical_across_thread_counts() {
                 "{label} device clock changed bits at {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn golden_b3lyp_water_monomer_energy_and_thread_identity() {
+    let config = ScfConfig {
+        method: ScfMethod::Rks(b3lyp()),
+        grid: (35, 12),
+        ..tight_config()
+    };
+    let driver = ScfDriver::new(&builders::water(), &sto3g(), config);
+    let base = driver.run().expect("scf run");
+    assert!(base.converged, "golden run failed to converge");
+    assert!(
+        (base.energy - E_WATER_B3LYP).abs() < TOL,
+        "B3LYP water monomer drifted from golden reference: {:.12} vs {:.12} (Δ = {:.3e} Ha)",
+        base.energy,
+        E_WATER_B3LYP,
+        base.energy - E_WATER_B3LYP
+    );
+    for threads in [1usize, 2, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build thread pool");
+        let res = pool.install(|| driver.run().expect("scf run"));
+        assert_eq!(
+            (res.energy.to_bits(), res.iterations, res.total_seconds.to_bits()),
+            (base.energy.to_bits(), base.iterations, base.total_seconds.to_bits()),
+            "B3LYP energy, iteration count or device clock changed at {threads} threads"
+        );
     }
 }
 

@@ -20,6 +20,7 @@ use mako::linalg::Matrix;
 use mako::prelude::*;
 use mako::quant::QuantSchedule;
 use mako::scf::fock::{build_jk, JkMatrices};
+use mako::scf::{b3lyp, ScfDriver};
 
 fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
     a.as_slice().len() == b.as_slice().len()
@@ -61,6 +62,19 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     let scf_ref = MakoEngine::new()
         .run_rhf(&mol, BasisFamily::Sto3g)
         .expect("untraced scf run");
+    // The B3LYP golden configuration (tests/tests/golden.rs): the one run
+    // that crosses the grid, the AO tabulation and `evaluate_xc`.
+    let dft = ScfDriver::new(
+        &mako::chem::builders::water(),
+        &sto3g(),
+        ScfConfig {
+            method: ScfMethod::Rks(b3lyp()),
+            e_tol: 1e-10,
+            grid: (35, 12),
+            ..ScfConfig::default()
+        },
+    );
+    let dft_ref = dft.run().expect("untraced B3LYP run");
 
     // ---- Phase 2: collector on; traced replicas at 1/2/4/8 threads. ----
     mako::trace::enable_with_capacity(1 << 18);
@@ -100,6 +114,12 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         "traced SCF energy is not bitwise identical to the untraced run"
     );
     assert_eq!(scf_traced.iterations, scf_ref.iterations);
+    let dft_traced = dft.run().expect("traced B3LYP run");
+    assert_eq!(
+        (dft_traced.energy.to_bits(), dft_traced.iterations),
+        (dft_ref.energy.to_bits(), dft_ref.iterations),
+        "traced B3LYP energy is not bitwise identical to the untraced run"
+    );
 
     // ---- Phase 3: the captured events carry the documented schema. ----
     let dump = mako::trace::drain();
