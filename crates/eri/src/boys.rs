@@ -70,9 +70,9 @@ pub struct BoysTable {
     m_max: usize,
     h: f64,
     t_max: f64,
-    /// `values[i]` = F_{m_max+1}(i·h)? No — F at grid point i for order
-    /// `m_max + 3` (headroom so interpolation error is attenuated by the
-    /// downward recursion before reaching the requested orders).
+    /// `values[i]` = `F_order(i·h)` with `order = m_max + 3`: headroom so the
+    /// interpolation error is attenuated by the downward recursion before it
+    /// reaches the requested orders.
     values: Vec<f64>,
     order: usize,
 }

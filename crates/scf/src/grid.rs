@@ -37,6 +37,13 @@ impl MolecularGrid {
     /// this reproduction; tests use smaller grids.
     pub fn build(mol: &Molecule, n_radial: usize, n_theta: usize) -> MolecularGrid {
         let angular = angular_rule(n_theta);
+        // Becke partition inputs: atom–atom distances tabulated once, and one
+        // reused buffer each for a point's atom distances and cell products.
+        let n = mol.atoms.len();
+        let rij: Vec<f64> = (0..n * n)
+            .map(|k| dist(mol.atoms[k / n].position, mol.atoms[k % n].position))
+            .collect();
+        let (mut dists, mut cell) = (vec![0.0f64; n], vec![0.0f64; n]);
         let mut points = Vec::new();
         for (ai, atom) in mol.atoms.iter().enumerate() {
             // Bragg-Slater-ish size parameter: covalent radius in Bohr.
@@ -48,8 +55,10 @@ impl MolecularGrid {
                         atom.position[1] + r * v,
                         atom.position[2] + r * w,
                     ];
-                    let becke = becke_weight(mol, ai, p);
-                    let weight = wr * wa * becke;
+                    for (d, other) in dists.iter_mut().zip(&mol.atoms) {
+                        *d = dist(p, other.position);
+                    }
+                    let weight = wr * wa * becke_weight(&rij, &dists, &mut cell, ai);
                     if weight > 1e-16 {
                         points.push(GridPoint {
                             position: p,
@@ -158,19 +167,17 @@ fn legendre_and_derivative(n: usize, x: f64) -> (f64, f64) {
     (p1, dp)
 }
 
-/// Becke partition weight for point `p` relative to atom `ai`.
-fn becke_weight(mol: &Molecule, ai: usize, p: [f64; 3]) -> f64 {
-    let n = mol.atoms.len();
+/// Becke partition weight relative to atom `ai` of the point at distances
+/// `r[i]` from the atoms, given the row-major atom–atom table `rij`.
+fn becke_weight(rij: &[f64], r: &[f64], cell: &mut [f64], ai: usize) -> f64 {
+    let n = r.len();
     if n == 1 {
         return 1.0;
     }
-    let mut cell = vec![1.0f64; n];
+    cell.fill(1.0);
     for i in 0..n {
         for j in 0..i {
-            let ri = dist(p, mol.atoms[i].position);
-            let rj = dist(p, mol.atoms[j].position);
-            let rij = dist(mol.atoms[i].position, mol.atoms[j].position);
-            let mu = (ri - rj) / rij;
+            let mu = (r[i] - r[j]) / rij[i * n + j];
             // k = 3 iterations of the Becke smoothing polynomial.
             let mut f = mu;
             for _ in 0..3 {
@@ -252,7 +259,10 @@ mod tests {
     fn becke_weights_partition_unity() {
         let mol = builders::water();
         let p = [0.5, 0.3, 0.7];
-        let total: f64 = (0..3).map(|ai| becke_weight(&mol, ai, p)).sum();
+        let pos: Vec<[f64; 3]> = mol.atoms.iter().map(|a| a.position).collect();
+        let rij: Vec<f64> = (0..9).map(|k| dist(pos[k / 3], pos[k % 3])).collect();
+        let r: Vec<f64> = pos.iter().map(|&a| dist(p, a)).collect();
+        let total: f64 = (0..3).map(|ai| becke_weight(&rij, &r, &mut [0.0; 3], ai)).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 }

@@ -498,6 +498,9 @@ impl ScfDriver {
 
     /// Simulated device time of the XC quadrature: three `npts × nao × nao`
     /// GEMMs (FP64 tensor pipes) plus grid-local functional evaluation.
+    /// Deliberately still the three-GEMM price: the host now assembles V_xc
+    /// with two GEMMs, but the device clock is a pinned output (goldens,
+    /// `accel.device_s`) and a host-side rewrite must not move it.
     fn xc_device_seconds(&self, npts: usize) -> f64 {
         let nao = self.layout.nao as f64;
         let gemm_flops = 3.0 * 2.0 * npts as f64 * nao * nao;
@@ -977,7 +980,14 @@ impl<'a> ScfSession<'a> {
         // Exchange-correlation (DFT only).
         let (e_xc, v_xc, xc_seconds) = match (&self.driver.grid, &self.driver.aos) {
             (Some(grid), Some(aos)) => {
+                let mut span = mako_trace::span("scf", "xc");
                 let res = evaluate_xc(&self.functional, aos, grid, &self.d);
+                span.add_field("npts", grid.len());
+                span.add_field("nao", self.driver.layout.nao);
+                span.add_field("below_floor", res.below_floor);
+                span.add_field("n_electrons", res.n_electrons);
+                span.add_field("e_xc", res.energy);
+                span.end();
                 let secs = self.driver.xc_device_seconds(grid.len());
                 (res.energy, Some(res.matrix), secs)
             }

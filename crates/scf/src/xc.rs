@@ -9,11 +9,18 @@
 //!
 //! Potentials (`∂e/∂ρ`, `∂e/∂γ` with `γ = |∇ρ|²`) are obtained by accurate
 //! central differences of the energy density — one code path for every
-//! functional, immune to hand-derived-derivative bugs.
+//! functional, immune to hand-derived-derivative bugs. The five stencil
+//! points `(ρ, γ)`, `(ρ ± h, γ)`, `(ρ, γ ± h')` share three distinct
+//! densities, so every formula is written as a ρ-only half (`RhoHalf`:
+//! the `powf`/`exp`/`ln`/`atan` work) evaluated three times and a cheap
+//! γ-dependent half evaluated five times ([`XcFunctional::eval`]).
 //!
 //! The XC *matrix* is assembled as the paper prescribes (triple-product
-//! projection, §1): `V_xc = Φᵀ diag(w·vρ) Φ + 2 Σ_d [Φᵀ diag(w·vγ·∂_dρ) ∂_dΦ
-//! + h.c.]` — three dense GEMMs over the grid.
+//! projection, §1), `V_xc = Φᵀ diag(w·vρ) Φ + 2 Σ_d [Φᵀ diag(w·vγ·∂_dρ) ∂_dΦ
+//! + h.c.]`, folded into two dense GEMMs over the grid and one `npts × nao`
+//! workspace: `P = Φ·D`, then row by row `P_g` is consumed for `ρ`, `∇ρ` and
+//! overwritten with `Z_g = ½·w·vρ·φ_g + Σ_d (2·w·vγ·∂_dρ)·∂_dφ_g`, then
+//! `V_xc = ΦᵀZ + (ΦᵀZ)ᵀ`.
 
 use crate::grid::MolecularGrid;
 use mako_chem::Shell;
@@ -74,53 +81,83 @@ pub fn hartree_fock() -> XcFunctional {
     }
 }
 
+/// The part of every component's energy density that depends on ρ alone;
+/// fields of components the functional does not mix stay zero.
+#[derive(Clone, Copy, Default)]
+struct RhoHalf {
+    slater: f64,
+    vwn: f64,
+    b88: B88Rho,
+    lyp: LypRho,
+}
+
 impl XcFunctional {
-    /// Energy density per volume, `e(ρ, γ)` with `γ = |∇ρ|²` (closed
-    /// shell). Zero below the density floor.
-    pub fn energy_density(&self, rho: f64, gamma: f64) -> f64 {
+    /// ρ-only half of `e(ρ, ·)`; `None` below the density floor.
+    fn rho_half(&self, rho: f64) -> Option<RhoHalf> {
         if rho < 1e-12 {
-            return 0.0;
+            return None;
         }
+        let mut t = RhoHalf::default();
+        for &(_, c) in &self.components {
+            match c {
+                Component::SlaterX => t.slater = slater_x(rho),
+                Component::Vwn5C => t.vwn = vwn5_c(rho),
+                Component::B88X => t.b88 = B88Rho::new(rho),
+                Component::LypC => t.lyp = LypRho::new(rho),
+            }
+        }
+        Some(t)
+    }
+
+    /// γ-dependent half: the weighted component sum at `(ρ of t, γ)`.
+    fn gamma_half(&self, t: &Option<RhoHalf>, gamma: f64) -> f64 {
+        let Some(t) = t else { return 0.0 };
         let gamma = gamma.max(0.0);
         self.components
             .iter()
             .map(|&(w, c)| {
                 w * match c {
-                    Component::SlaterX => slater_x(rho),
-                    Component::Vwn5C => vwn5_c(rho),
-                    Component::B88X => b88_x(rho, gamma),
-                    Component::LypC => lyp_c(rho, gamma),
+                    Component::SlaterX => t.slater,
+                    Component::Vwn5C => t.vwn,
+                    Component::B88X => t.b88.energy(gamma),
+                    Component::LypC => t.lyp.energy(gamma),
                 }
             })
             .sum()
     }
 
-    /// `∂e/∂ρ` at fixed γ (central difference).
-    pub fn vrho(&self, rho: f64, gamma: f64) -> f64 {
-        if rho < 1e-12 {
-            return 0.0;
+    /// `(e, ∂e/∂ρ, ∂e/∂γ)` at `(ρ, γ)` with `γ = |∇ρ|²` (closed shell): the
+    /// energy density per volume and its two central differences, all zero
+    /// below the density floor.
+    pub fn eval(&self, rho: f64, gamma: f64) -> (f64, f64, f64) {
+        let mid = self.rho_half(rho);
+        if mid.is_none() {
+            return (0.0, 0.0, 0.0);
         }
         let h = (1e-6 * rho).max(1e-14);
-        (self.energy_density(rho + h, gamma) - self.energy_density(rho - h, gamma)) / (2.0 * h)
+        let vrho = (self.gamma_half(&self.rho_half(rho + h), gamma)
+            - self.gamma_half(&self.rho_half(rho - h), gamma))
+            / (2.0 * h);
+        let h = (1e-6 * gamma).max(1e-14);
+        let up = self.gamma_half(&mid, gamma + h);
+        let lo = self.gamma_half(&mid, (gamma - h).max(0.0));
+        let span = gamma + h - (gamma - h).max(0.0);
+        (self.gamma_half(&mid, gamma), vrho, (up - lo) / span)
+    }
+
+    /// Energy density per volume, `e(ρ, γ)`. Zero below the density floor.
+    pub fn energy_density(&self, rho: f64, gamma: f64) -> f64 {
+        self.gamma_half(&self.rho_half(rho), gamma)
+    }
+
+    /// `∂e/∂ρ` at fixed γ (central difference).
+    pub fn vrho(&self, rho: f64, gamma: f64) -> f64 {
+        self.eval(rho, gamma).1
     }
 
     /// `∂e/∂γ` at fixed ρ (central difference).
     pub fn vgamma(&self, rho: f64, gamma: f64) -> f64 {
-        if rho < 1e-12 {
-            return 0.0;
-        }
-        let h = (1e-6 * gamma).max(1e-14);
-        let up = self.energy_density(rho, gamma + h);
-        let lo = self.energy_density(rho, (gamma - h).max(0.0));
-        let span = gamma + h - (gamma - h).max(0.0);
-        (up - lo) / span
-    }
-
-    /// True if any component consumes the density gradient.
-    pub fn is_gga(&self) -> bool {
-        self.components
-            .iter()
-            .any(|&(_, c)| matches!(c, Component::B88X | Component::LypC))
+        self.eval(rho, gamma).2
     }
 }
 
@@ -141,60 +178,91 @@ fn vwn5_c(rho: f64) -> f64 {
     let x = rs.sqrt();
     let xx = |t: f64| t * t + B * t + C;
     let q = (4.0 * C - B * B).sqrt();
+    let atan = (q / (2.0 * x + B)).atan();
     let eps = A
-        * ((x * x / xx(x)).ln() + 2.0 * B / q * (q / (2.0 * x + B)).atan()
+        * ((x * x / xx(x)).ln() + 2.0 * B / q * atan
             - B * X0 / xx(X0)
-                * (((x - X0) * (x - X0) / xx(x)).ln()
-                    + 2.0 * (B + 2.0 * X0) / q * (q / (2.0 * x + B)).atan()));
+                * (((x - X0) * (x - X0) / xx(x)).ln() + 2.0 * (B + 2.0 * X0) / q * atan));
     rho * eps
 }
 
 /// Becke-88 exchange energy density (closed shell): spin-resolved LDA plus
 /// the gradient correction `−β ρσ^{4/3} xσ²/(1 + 6βxσ asinh(xσ))` with
-/// `xσ = |∇ρσ|/ρσ^{4/3}`.
-fn b88_x(rho: f64, gamma: f64) -> f64 {
-    const BETA: f64 = 0.0042;
-    let rho_s = 0.5 * rho;
-    let grad_s = (gamma.max(0.0)).sqrt() * 0.5;
-    let r43 = rho_s.powf(4.0 / 3.0);
-    let x = if r43 > 0.0 { grad_s / r43 } else { 0.0 };
-    let lda_s = -1.5 * (3.0 / (4.0 * PI)).powf(1.0 / 3.0) * r43;
-    let corr = -BETA * r43 * x * x / (1.0 + 6.0 * BETA * x * x.asinh());
-    2.0 * (lda_s + corr)
+/// `xσ = |∇ρσ|/ρσ^{4/3}`. ρ-half: `ρσ^{4/3}` and the LDA term.
+#[derive(Clone, Copy, Default)]
+struct B88Rho {
+    r43: f64,
+    lda_s: f64,
+}
+
+impl B88Rho {
+    fn new(rho: f64) -> B88Rho {
+        let r43 = (0.5 * rho).powf(4.0 / 3.0);
+        let lda_s = -1.5 * (3.0 / (4.0 * PI)).powf(1.0 / 3.0) * r43;
+        B88Rho { r43, lda_s }
+    }
+
+    fn energy(&self, gamma: f64) -> f64 {
+        const BETA: f64 = 0.0042;
+        let r43 = self.r43;
+        let grad_s = (gamma.max(0.0)).sqrt() * 0.5;
+        let x = if r43 > 0.0 { grad_s / r43 } else { 0.0 };
+        let corr = -BETA * r43 * x * x / (1.0 + 6.0 * BETA * x * x.asinh());
+        2.0 * (self.lda_s + corr)
+    }
 }
 
 /// Lee–Yang–Parr correlation energy density in the Miehlich (gradient-only)
 /// form, specialized to the closed shell (`ρα = ρβ = ρ/2`,
-/// `γαα = γββ = γαβ = γ/4`).
-fn lyp_c(rho: f64, gamma: f64) -> f64 {
-    const AA: f64 = 0.04918;
-    const BB: f64 = 0.132;
-    const CC: f64 = 0.2533;
-    const DD: f64 = 0.349;
-    let cf = 0.3 * (3.0 * PI * PI).powf(2.0 / 3.0);
+/// `γαα = γββ = γαβ = γ/4`). ρ-half: the γ-free first term, `ω`, `δ` and the
+/// `ρσ^{8/3}` kinetic term of the bracket.
+#[derive(Clone, Copy, Default)]
+struct LypRho {
+    rho: f64,
+    first: f64,
+    omega: f64,
+    delta: f64,
+    kinetic: f64,
+}
 
-    let ra = 0.5 * rho;
-    let rb = 0.5 * rho;
-    let gaa = 0.25 * gamma;
-    let gbb = 0.25 * gamma;
-    let gab = 0.25 * gamma;
-    let gtot = gaa + gbb + 2.0 * gab; // = |∇ρ|²
+const LYP_A: f64 = 0.04918;
+const LYP_B: f64 = 0.132;
 
-    let rho_m13 = rho.powf(-1.0 / 3.0);
-    let denom = 1.0 + DD * rho_m13;
-    let omega = (-CC * rho_m13).exp() / denom * rho.powf(-11.0 / 3.0);
-    let delta = CC * rho_m13 + DD * rho_m13 / denom;
+impl LypRho {
+    fn new(rho: f64) -> LypRho {
+        const CC: f64 = 0.2533;
+        const DD: f64 = 0.349;
+        let cf = 0.3 * (3.0 * PI * PI).powf(2.0 / 3.0);
+        let ra = 0.5 * rho;
+        let rho_m13 = rho.powf(-1.0 / 3.0);
+        let denom = 1.0 + DD * rho_m13;
+        let r83 = ra.powf(8.0 / 3.0);
+        LypRho {
+            rho,
+            first: -LYP_A * 4.0 / denom * ra * ra / rho,
+            omega: (-CC * rho_m13).exp() / denom * rho.powf(-11.0 / 3.0),
+            delta: CC * rho_m13 + DD * rho_m13 / denom,
+            kinetic: 2f64.powf(11.0 / 3.0) * cf * (r83 + r83),
+        }
+    }
 
-    let first = -AA * 4.0 / denom * ra * rb / rho;
-    let bracket = ra * rb
-        * (2f64.powf(11.0 / 3.0) * cf * (ra.powf(8.0 / 3.0) + rb.powf(8.0 / 3.0))
-            + (47.0 / 18.0 - 7.0 * delta / 18.0) * gtot
-            - (2.5 - delta / 18.0) * (gaa + gbb)
-            - (delta - 11.0) / 9.0 * (ra * gaa + rb * gbb) / rho)
-        - 2.0 / 3.0 * rho * rho * gtot
-        + (2.0 / 3.0 * rho * rho - ra * ra) * gbb
-        + (2.0 / 3.0 * rho * rho - rb * rb) * gaa;
-    first - AA * BB * omega * bracket
+    fn energy(&self, gamma: f64) -> f64 {
+        let LypRho { rho, delta, .. } = *self;
+        let ra = 0.5 * rho;
+        let rb = 0.5 * rho;
+        let gaa = 0.25 * gamma;
+        let gbb = 0.25 * gamma;
+        let gab = 0.25 * gamma;
+        let gtot = gaa + gbb + 2.0 * gab; // = |∇ρ|²
+        let bracket = ra * rb
+            * (self.kinetic + (47.0 / 18.0 - 7.0 * delta / 18.0) * gtot
+                - (2.5 - delta / 18.0) * (gaa + gbb)
+                - (delta - 11.0) / 9.0 * (ra * gaa + rb * gbb) / rho)
+            - 2.0 / 3.0 * rho * rho * gtot
+            + (2.0 / 3.0 * rho * rho - ra * ra) * gbb
+            + (2.0 / 3.0 * rho * rho - rb * rb) * gaa;
+        self.first - LYP_A * LYP_B * self.omega * bracket
+    }
 }
 
 /// AO values and Cartesian gradients on a batch of grid points:
@@ -239,8 +307,7 @@ pub fn evaluate_aos(shells: &[Shell], grid: &MolecularGrid) -> AoOnGrid {
                 continue;
             }
             // Monomials and their derivatives.
-            for (mi, m) in (0..c2s.rows()).map(|m| (m, m)) {
-                let _ = m;
+            for mi in 0..c2s.rows() {
                 let mut val = 0.0;
                 let mut dvx = 0.0;
                 let mut dvy = 0.0;
@@ -298,10 +365,22 @@ pub struct XcResult {
     pub matrix: Matrix,
     /// Integrated electron count (grid-quality diagnostic).
     pub n_electrons: f64,
+    /// Grid points whose density is under the 1e-12 floor (they contribute
+    /// nothing to `energy` or `matrix`).
+    pub below_floor: usize,
+}
+
+#[inline]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        s += x * y;
+    }
+    s
 }
 
 /// Evaluate `E_xc[ρ]` and `V_xc` for density matrix `d` via the
-/// triple-product MatMul assembly.
+/// triple-product MatMul assembly (module docs).
 pub fn evaluate_xc(
     functional: &XcFunctional,
     aos: &AoOnGrid,
@@ -311,81 +390,46 @@ pub fn evaluate_xc(
     let npts = grid.len();
     let nao = aos.phi.cols();
 
-    // ρ(g) and ∇ρ(g) via Φ·D — the first MatMul of the projection.
-    let mut phi_d = Matrix::zeros(npts, nao);
-    gemm_tiled(1.0, &aos.phi, Transpose::No, d, Transpose::No, 0.0, &mut phi_d);
-
-    let mut rho = vec![0.0f64; npts];
-    let mut grad_rho = vec![[0.0f64; 3]; npts];
-    for g in 0..npts {
-        let pd = phi_d.row(g);
-        let p = aos.phi.row(g);
-        let mut r = 0.0;
-        for (a, b) in pd.iter().zip(p) {
-            r += a * b;
-        }
-        // Density matrix convention: D = Σ_occ C Cᵀ (per spin), total
-        // density ρ = 2 Σ D φφ.
-        rho[g] = 2.0 * r;
-        for (dim, gm) in aos.grad.iter().enumerate() {
-            let gr = gm.row(g);
-            let mut s = 0.0;
-            for (a, b) in pd.iter().zip(gr) {
-                s += a * b;
-            }
-            grad_rho[g][dim] = 4.0 * s; // 2 (from D) × 2 (product rule)
-        }
-    }
+    // GEMM 1: P = Φ·D. The workspace holds P on the way into the grid pass
+    // and Z on the way out.
+    let mut z = Matrix::zeros(npts, nao);
+    gemm_tiled(1.0, &aos.phi, Transpose::No, d, Transpose::No, 0.0, &mut z);
 
     let mut energy = 0.0;
     let mut n_el = 0.0;
-    let mut wv = vec![0.0f64; npts];
-    let mut wg = vec![[0.0f64; 3]; npts];
-    for g in 0..npts {
-        let w = grid.points[g].weight;
-        let r = rho[g];
-        let gamma = grad_rho[g][0] * grad_rho[g][0]
-            + grad_rho[g][1] * grad_rho[g][1]
-            + grad_rho[g][2] * grad_rho[g][2];
-        energy += w * functional.energy_density(r, gamma);
-        n_el += w * r;
-        wv[g] = w * functional.vrho(r, gamma);
-        let vg = functional.vgamma(r, gamma);
-        for dim in 0..3 {
-            wg[g][dim] = 2.0 * w * vg * grad_rho[g][dim];
+    let mut below_floor = 0;
+    for (g, point) in grid.points.iter().enumerate() {
+        let row = z.row_mut(g);
+        let phi = aos.phi.row(g);
+        let dphi = [aos.grad[0].row(g), aos.grad[1].row(g), aos.grad[2].row(g)];
+        // Density matrix convention: D = Σ_occ C Cᵀ (per spin), total
+        // density ρ = 2 Σ D φφ; ∇ρ carries another 2 from the product rule.
+        let rho = 2.0 * dot(row, phi);
+        let grad_rho = dphi.map(|dp| 4.0 * dot(row, dp));
+        let gamma =
+            grad_rho[0] * grad_rho[0] + grad_rho[1] * grad_rho[1] + grad_rho[2] * grad_rho[2];
+        let (e, vrho, vgamma) = functional.eval(rho, gamma);
+        let w = point.weight;
+        energy += w * e;
+        n_el += w * rho;
+        below_floor += usize::from(rho < 1e-12);
+        // Z_g = ½·w·vρ·φ_g + Σ_d (2·w·vγ·∂_dρ)·∂_dφ_g, over P_g.
+        let a = 0.5 * w * vrho;
+        let b = grad_rho.map(|dr| 2.0 * w * vgamma * dr);
+        for (j, zj) in row.iter_mut().enumerate() {
+            *zj = a * phi[j] + b[0] * dphi[0][j] + b[1] * dphi[1][j] + b[2] * dphi[2][j];
         }
     }
 
-    // V = Φᵀ diag(w vρ) Φ + Σ_d [Φᵀ diag(wg_d) ∂_dΦ + (∂_dΦ)ᵀ diag(wg_d) Φ].
-    let mut scaled = aos.phi.clone();
-    for (g, &f) in wv.iter().enumerate() {
-        for x in scaled.row_mut(g) {
-            *x *= f;
-        }
-    }
+    // GEMM 2: V = ΦᵀZ + (ΦᵀZ)ᵀ.
     let mut v = Matrix::zeros(nao, nao);
-    gemm_tiled(1.0, &aos.phi, Transpose::Yes, &scaled, Transpose::No, 0.0, &mut v);
-
-    if functional.is_gga() {
-        for (dim, grad) in aos.grad.iter().enumerate() {
-            let mut gscaled = grad.clone();
-            for (g, wrow) in wg.iter().enumerate() {
-                let f = wrow[dim];
-                for x in gscaled.row_mut(g) {
-                    *x *= f;
-                }
-            }
-            let mut term = Matrix::zeros(nao, nao);
-            gemm_tiled(1.0, &aos.phi, Transpose::Yes, &gscaled, Transpose::No, 0.0, &mut term);
-            v = v.add(&term).add(&term.transpose());
-        }
-    }
-    v.symmetrize();
+    gemm_tiled(1.0, &aos.phi, Transpose::Yes, &z, Transpose::No, 0.0, &mut v);
 
     XcResult {
         energy,
-        matrix: v,
+        matrix: v.add(&v.transpose()),
         n_electrons: n_el,
+        below_floor,
     }
 }
 
@@ -394,6 +438,14 @@ mod tests {
     use super::*;
     use crate::grid::MolecularGrid;
     use mako_chem::builders;
+
+    fn b88_x(rho: f64, gamma: f64) -> f64 {
+        B88Rho::new(rho).energy(gamma)
+    }
+
+    fn lyp_c(rho: f64, gamma: f64) -> f64 {
+        LypRho::new(rho).energy(gamma)
+    }
 
     #[test]
     fn slater_uniform_gas_value() {

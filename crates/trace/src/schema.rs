@@ -261,6 +261,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 pub const KNOWN_EVENTS: &[&str] = &[
     "scf.setup",
     "scf.iteration",
+    "scf.xc",
     "scf.rescue",
     "scf.non_finite",
     "fock.screen",
@@ -444,7 +445,7 @@ mod tests {
 
     #[test]
     fn known_event_registry_covers_the_rescue_events() {
-        for name in ["scf.setup", "scf.rescue", "scf.non_finite", "scf.iteration"] {
+        for name in ["scf.setup", "scf.rescue", "scf.non_finite", "scf.iteration", "scf.xc"] {
             assert!(is_known_event(name), "{name} missing from KNOWN_EVENTS");
         }
         assert!(!is_known_event("scf.unheard_of"));

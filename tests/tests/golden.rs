@@ -83,14 +83,25 @@ fn golden_water_trimer_energy() {
 
 #[test]
 fn golden_energies_identical_across_thread_counts() {
-    for (mol, golden, label) in [
-        (builders::water(), E_WATER, "water"),
-        (builders::water_cluster(3), E_WATER3, "water trimer"),
+    let b3lyp_config = ScfConfig {
+        method: ScfMethod::Rks(b3lyp()),
+        grid: (35, 12),
+        ..tight_config()
+    };
+    for (mol, config, golden, label) in [
+        (builders::water(), tight_config(), E_WATER, "water"),
+        (builders::water_cluster(3), tight_config(), E_WATER3, "water trimer"),
+        (builders::water(), b3lyp_config, E_WATER_B3LYP, "B3LYP water"),
     ] {
-        let driver = ScfDriver::new(&mol, &sto3g(), tight_config());
+        let driver = ScfDriver::new(&mol, &sto3g(), config);
         let base = driver.run().expect("scf run");
         assert!(base.converged);
-        assert!((base.energy - golden).abs() < TOL, "{label} drifted");
+        assert!(
+            (base.energy - golden).abs() < TOL,
+            "{label} drifted from golden reference: {:.12} vs {golden:.12} (Δ = {:.3e} Ha)",
+            base.energy,
+            base.energy - golden
+        );
         for threads in [1usize, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -114,37 +125,6 @@ fn golden_energies_identical_across_thread_counts() {
                 "{label} device clock changed bits at {threads} threads"
             );
         }
-    }
-}
-
-#[test]
-fn golden_b3lyp_water_monomer_energy_and_thread_identity() {
-    let config = ScfConfig {
-        method: ScfMethod::Rks(b3lyp()),
-        grid: (35, 12),
-        ..tight_config()
-    };
-    let driver = ScfDriver::new(&builders::water(), &sto3g(), config);
-    let base = driver.run().expect("scf run");
-    assert!(base.converged, "golden run failed to converge");
-    assert!(
-        (base.energy - E_WATER_B3LYP).abs() < TOL,
-        "B3LYP water monomer drifted from golden reference: {:.12} vs {:.12} (Δ = {:.3e} Ha)",
-        base.energy,
-        E_WATER_B3LYP,
-        base.energy - E_WATER_B3LYP
-    );
-    for threads in [1usize, 2, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("build thread pool");
-        let res = pool.install(|| driver.run().expect("scf run"));
-        assert_eq!(
-            (res.energy.to_bits(), res.iterations, res.total_seconds.to_bits()),
-            (base.energy.to_bits(), base.iterations, base.total_seconds.to_bits()),
-            "B3LYP energy, iteration count or device clock changed at {threads} threads"
-        );
     }
 }
 

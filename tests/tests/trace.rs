@@ -129,6 +129,7 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         .unwrap_or_else(|e| panic!("emitted JSONL violates its own schema: {e}"));
     for name in [
         "scf.iteration",
+        "scf.xc",
         "fock.screen",
         "fock.launch",
         "fock.assemble",
