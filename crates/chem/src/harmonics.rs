@@ -153,6 +153,18 @@ pub fn cart_to_sph(l: usize) -> Matrix {
     m
 }
 
+/// Cached, shared [`cart_to_sph`]: the solid harmonics are rebuilt through
+/// polynomial maps on every uncached call, which per-shell-pair callers
+/// cannot afford. Built lazily once per `l`.
+pub fn cart_to_sph_cached(l: usize) -> &'static Matrix {
+    use std::sync::OnceLock;
+    /// Beyond any shell angular momentum a basis here carries.
+    const L_CAP: usize = 8;
+    static CACHE: [OnceLock<Matrix>; L_CAP + 1] = [const { OnceLock::new() }; L_CAP + 1];
+    assert!(l <= L_CAP, "angular momentum beyond cache capacity");
+    CACHE[l].get_or_init(|| cart_to_sph(l))
+}
+
 /// Single-center overlap of two Cartesian monomial Gaussians with the same
 /// exponent α: `∫ x^(a+a') y^(b+b') z^(c+c') e^(−2αr²) d³r`.
 ///

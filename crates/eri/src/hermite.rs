@@ -9,7 +9,7 @@ use mako_chem::cart::{cart_components, hermite_components, nherm};
 ///
 /// Returned as a flat table indexed by `[i][j][t]` with `i ≤ la`, `j ≤ lb`,
 /// `t ≤ i + j` (entries with `t > i + j` are zero).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ETable {
     la: usize,
     lb: usize,
@@ -25,12 +25,23 @@ impl ETable {
     /// E_t^{i,j+1}  = E_{t−1}^{ij}/(2p) + X_PB E_t^{ij} + (t+1) E_{t+1}^{ij}
     /// ```
     pub fn new(la: usize, lb: usize, a: f64, b: f64, x_ab: f64) -> ETable {
+        let mut e = ETable::default();
+        e.fill(la, lb, a, b, x_ab);
+        e
+    }
+
+    /// [`ETable::new`] into this table's storage: no heap traffic once the
+    /// buffer has grown to the largest `(la, lb)` it has held.
+    pub fn fill(&mut self, la: usize, lb: usize, a: f64, b: f64, x_ab: f64) {
         let p = a + b;
         let mu = a * b / p;
         let x_pa = -b * x_ab / p; // P − A
         let x_pb = a * x_ab / p; // P − B
         let tdim = la + lb + 1;
-        let mut t_buf = vec![0.0f64; (la + 1) * (lb + 1) * (tdim + 1)];
+        // The recursions read never-written entries as zero.
+        self.data.clear();
+        self.data.resize((la + 1) * (lb + 1) * (tdim + 1), 0.0);
+        let t_buf = &mut self.data;
         let idx = |i: usize, j: usize, t: usize| (i * (lb + 1) + j) * (tdim + 1) + t;
 
         t_buf[idx(0, 0, 0)] = (-mu * x_ab * x_ab).exp();
@@ -62,11 +73,7 @@ impl ETable {
                 }
             }
         }
-        ETable {
-            la,
-            lb,
-            data: t_buf,
-        }
+        (self.la, self.lb) = (la, lb);
     }
 
     /// `E_t^{i,j}` (zero outside the valid triangle).

@@ -36,7 +36,9 @@ pub use mmd::{
     eri_quartet_mmd, eri_quartet_mmd_with, pq_geometry, pq_matrix, pq_matrix_from_boys,
     pq_matrix_into, shell_pair, PqIndex, PqScratch, PrimPair, ShellPairData,
 };
-pub use one_electron::{kinetic_block, nuclear_block, one_electron_matrices, overlap_block};
+pub use one_electron::{
+    kinetic_block, nuclear_block, one_electron_matrices, one_electron_prim_pairs, overlap_block,
+};
 pub use os::{eri_quartet_os, EriError, OS_MAX_L};
 pub use rij::{aux_shell_pair, three_center_block, two_center_metric, AuxBasis};
 pub use screening::{

@@ -13,7 +13,11 @@ use mako_linalg::Matrix;
 pub fn oracle_matrices(shells: &[Shell], mol: &Molecule) -> (Matrix, Matrix, Matrix) {
     let layout = AoLayout::new(shells);
     let n = layout.nao;
-    let mut out = (Matrix::zeros(n, n), Matrix::zeros(n, n), Matrix::zeros(n, n));
+    let mut out = (
+        Matrix::zeros(n, n),
+        Matrix::zeros(n, n),
+        Matrix::zeros(n, n),
+    );
     for i in 0..shells.len() {
         for j in 0..=i {
             let (oi, oj) = (layout.shell_offsets[i], layout.shell_offsets[j]);
@@ -41,14 +45,24 @@ pub fn oracle_matrices(shells: &[Shell], mol: &Molecule) -> (Matrix, Matrix, Mat
 /// nuclei that sit on none of the shell centers.
 pub fn synthetic_system() -> (Vec<Shell>, Molecule) {
     let shell = |l, center, exps: &[f64], coefs: &[f64]| {
-        ShellDef { l, exps: exps.to_vec(), coefs: coefs.to_vec() }.at(usize::MAX, center)
+        ShellDef {
+            l,
+            exps: exps.to_vec(),
+            coefs: coefs.to_vec(),
+        }
+        .at(usize::MAX, center)
     };
     let shells = vec![
         shell(0, [0.31, -0.27, 0.43], &[5.2, 1.1, 0.35], &[0.2, 0.5, 0.4]),
         shell(1, [-0.52, 0.61, 0.18], &[2.3, 0.6], &[0.45, 0.65]),
         shell(2, [0.74, 0.39, -0.66], &[1.4], &[1.0]),
         shell(3, [-0.23, -0.81, -0.37], &[0.9, 0.4], &[0.6, 0.5]),
-        shell(1, [1.12, -0.44, 0.93], &[3.1, 0.8, 0.25], &[0.15, 0.55, 0.45]),
+        shell(
+            1,
+            [1.12, -0.44, 0.93],
+            &[3.1, 0.8, 0.25],
+            &[0.15, 0.55, 0.45],
+        ),
         shell(2, [-0.95, 0.12, -1.07], &[1.9, 0.5], &[0.35, 0.75]),
     ];
     let mut mol = Molecule::new("synthetic");

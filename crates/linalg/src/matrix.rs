@@ -7,7 +7,7 @@ use crate::LinalgError;
 /// Element `(i, j)` lives at `data[i * cols + j]`. The type is deliberately
 /// simple — a length-checked `Vec` with shape — because the performance-
 /// critical paths (GEMM, eigensolver) operate on the raw slice directly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -23,7 +23,7 @@ use mako_accel::{CostModel, DeviceClock, DeviceSpec, IterationLedger};
 use mako_chem::{AoLayout, BasisSet, Molecule, Shell};
 use mako_compiler::KernelCache;
 use mako_eri::batch::{batch_quartets, QuartetBatch};
-use mako_eri::one_electron::one_electron_matrices;
+use mako_eri::one_electron::{one_electron_matrices, one_electron_prim_pairs};
 use mako_eri::screening::{build_screened_pairs, ScreenedPair};
 use mako_kernels::pipeline::PipelineConfig;
 use mako_linalg::{eigh, gemm, sym_inv_sqrt_diag, LinalgError, Matrix, Transpose};
@@ -622,7 +622,18 @@ impl<'a> ScfSession<'a> {
             ScfMethod::Rks(f) => f.clone(),
         };
 
+        // Counted before the span opens, so its duration is the integrals alone.
+        let prim_pairs = mako_trace::enabled().then(|| one_electron_prim_pairs(&driver.shells));
+        let mut one_electron = mako_trace::span("eri", "one_electron");
         let (s, t, v) = one_electron_matrices(&driver.shells, &driver.mol);
+        if let Some((total, cut)) = prim_pairs {
+            let n = driver.shells.len();
+            one_electron.add_field("shell_pairs", n * (n + 1) / 2);
+            one_electron.add_field("prim_pairs", total);
+            one_electron.add_field("prim_pairs_cut", cut);
+            one_electron.add_field("atoms", driver.mol.atoms.len());
+        }
+        one_electron.end();
         let h = t.add(&v);
         let orth_factor = sym_inv_sqrt_diag(&s, driver.config.orth_threshold)
             .map_err(|source| ScfError::OverlapNotPositiveDefinite { source })?;

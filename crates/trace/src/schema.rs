@@ -264,6 +264,7 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "scf.xc",
     "scf.rescue",
     "scf.non_finite",
+    "eri.one_electron",
     "fock.screen",
     "fock.launch",
     "fock.assemble",
@@ -445,7 +446,14 @@ mod tests {
 
     #[test]
     fn known_event_registry_covers_the_rescue_events() {
-        for name in ["scf.setup", "scf.rescue", "scf.non_finite", "scf.iteration", "scf.xc"] {
+        for name in [
+            "scf.setup",
+            "scf.rescue",
+            "scf.non_finite",
+            "scf.iteration",
+            "scf.xc",
+            "eri.one_electron",
+        ] {
             assert!(is_known_event(name), "{name} missing from KNOWN_EVENTS");
         }
         assert!(!is_known_event("scf.unheard_of"));

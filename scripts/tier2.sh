@@ -113,11 +113,11 @@ MAKO_BENCH_MAX_QUARTETS=2000 MAKO_THREADS=1,2 \
     cargo run --release -p mako-bench --bin host_fock_bench
 cargo run --release -p mako-bench --bin trace_validate -- target/trace_smoke.jsonl
 
-echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace, scf.xc required) =="
+echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace, scf.xc and eri.one_electron required) =="
 cargo run --release -p mako --bin mako-cli -- \
     --mol sample/water.xyz --method b3lyp --trace target/xc_trace_smoke.jsonl
 cargo run --release -p mako-bench --bin trace_validate -- target/xc_trace_smoke.jsonl \
-    --require scf.xc
+    --require scf.xc --require eri.one_electron
 
 echo "== tier2: mako-benchmark (unit tests + --smoke: all seven workloads at toy size) =="
 # benchmark/ is its own workspace, so neither tier-1 nor the legs above build
