@@ -1,0 +1,243 @@
+//! Pins the Fock seam: J/K bits, `FockBuildStats` and the device clock of the
+//! solo engine and of the multi-rank build, fault-free and under a seeded
+//! chaotic fault plan.
+//!
+//! The constants below were generated on the code that still had seven
+//! `build_jk*` entry points: `SOLO_*` from `build_jk_with_configs`,
+//! `DIST_QUIET` from the old fault-free `build_jk_distributed` (its own copy
+//! of the spawn and merge phases) and `DIST_CHAOS` from
+//! `build_jk_distributed_ft`. A refactor of the seam passes only if the
+//! surviving entry points reproduce every one of them; a deliberate change of
+//! summation order, scheduling or pricing must regenerate them (failure
+//! messages print the new values) and say so in CHANGES.md.
+
+use mako_accel::fault::{FaultConfig, FaultPlan, RecoveryLedger};
+use mako_accel::{CostModel, DeviceSpec};
+use mako_chem::basis::sto3g::sto3g;
+use mako_chem::{builders, AoLayout};
+use mako_eri::batch::batch_quartets;
+use mako_eri::screening::build_screened_pairs;
+use mako_eri::{QuartetBatch, ScreenedPair};
+use mako_kernels::pipeline::PipelineConfig;
+use mako_linalg::Matrix;
+use mako_quant::QuantSchedule;
+use mako_scf::fock::{build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices};
+use mako_scf::parallel::{build_jk_distributed, build_jk_distributed_ft, FaultToleranceOptions};
+
+const RANKS: usize = 3;
+
+/// (J/K digest, stats + clocks digest) per pinned build.
+const SOLO_DEFAULT: (u64, u64) = (0xa27a_7690_c183_9b7b, 0xbac7_fb07_f1a2_8224);
+const SOLO_DELTA_TAU: (u64, u64) = (0x7a9b_b82e_6aa6_7e30, 0x5f84_e3d4_ceb7_5fcc);
+const DIST_QUIET: (u64, u64) = (0x8d66_5391_4c5c_f020, 0x8ab7_5961_3ecc_135a);
+const DIST_CHAOS: (u64, u64) = (0x8d66_5391_4c5c_f020, 0xd599_5b30_87b2_40ca);
+
+/// FNV-1a over little-endian u64 words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn floats(&mut self, values: &[f64]) {
+        self.word(values.len() as u64);
+        for v in values {
+            self.word(v.to_bits());
+        }
+    }
+
+    fn stats(&mut self, st: &FockBuildStats) {
+        for count in [
+            st.fp64_quartets,
+            st.quantized_quartets,
+            st.pruned_quartets,
+            st.skipped_quartets,
+        ] {
+            self.word(count as u64);
+        }
+        self.floats(&[st.skipped_bound, st.device_seconds]);
+    }
+
+    fn ledger(&mut self, l: &RecoveryLedger) {
+        for count in [
+            l.transient_retries,
+            l.straggler_ranks,
+            l.stolen_batches,
+            l.rerun_batches,
+            l.ranks_lost,
+            l.allreduce_retries,
+            l.checkpoint_saves,
+            l.checkpoint_loads,
+        ] {
+            self.word(count as u64);
+        }
+        self.floats(&[l.backoff_seconds, l.fault_free_seconds, l.degraded_seconds]);
+    }
+}
+
+fn jk_digest(jk: &JkMatrices) -> u64 {
+    let mut d = Digest::new();
+    d.floats(jk.j.as_slice());
+    d.floats(jk.k.as_slice());
+    d.0
+}
+
+/// Water/STO-3G, a synthetic symmetric density, and the early-SCF schedule,
+/// which splits the 120 quartets between the FP64 (5) and the quantized (115)
+/// pipeline.
+struct Fixture {
+    density: Matrix,
+    pairs: Vec<ScreenedPair>,
+    batches: Vec<QuartetBatch>,
+    layout: AoLayout,
+    schedule: QuantSchedule,
+    fp64: PipelineConfig,
+    quant: PipelineConfig,
+    model: CostModel,
+}
+
+fn fixture() -> Fixture {
+    let shells = sto3g().shells_for(&builders::water());
+    let layout = AoLayout::new(&shells);
+    let pairs = build_screened_pairs(&shells, 1e-12);
+    let batches = batch_quartets(&pairs, 1e-14);
+    let mut density = Matrix::from_fn(layout.nao, layout.nao, |i, j| {
+        0.5 / (1.0 + (i as f64 - j as f64).abs())
+    });
+    density.symmetrize();
+    Fixture {
+        density,
+        pairs,
+        batches,
+        layout,
+        schedule: QuantSchedule::for_iteration(1.0, 1e-7),
+        fp64: PipelineConfig::kernel_mako_fp64(),
+        quant: PipelineConfig::quant_mako(),
+        model: CostModel::new(DeviceSpec::a100()),
+    }
+}
+
+/// One solo build on the fixture density times `density_scale`.
+fn solo(density_scale: f64, opts: FockEngineOptions) -> (u64, u64) {
+    let f = fixture();
+    let (jk, st) = build_jk_with_configs(
+        &f.density.scale(density_scale),
+        &f.pairs,
+        &f.batches,
+        &f.layout,
+        &f.schedule,
+        |_| (f.fp64, f.quant),
+        &f.model,
+        opts,
+    );
+    let mut d = Digest::new();
+    d.stats(&st);
+    (jk_digest(&jk), d.0)
+}
+
+fn distributed(plan: FaultPlan) -> (u64, u64) {
+    let f = fixture();
+    let out = build_jk_distributed_ft(
+        &f.density,
+        &f.pairs,
+        &f.batches,
+        &f.layout,
+        &f.schedule,
+        &|_| (f.fp64, f.quant),
+        &f.model,
+        RANKS,
+        FockEngineOptions::default(),
+        &FaultToleranceOptions::new(plan),
+    )
+    .expect("distributed build");
+    let mut d = Digest::new();
+    d.stats(&out.stats);
+    d.floats(&out.rank_seconds);
+    d.ledger(&out.recovery);
+    (jk_digest(&out.jk), d.0)
+}
+
+#[track_caller]
+fn assert_pinned(got: (u64, u64), want: (u64, u64), name: &str) {
+    assert_eq!(
+        got, want,
+        "{name} moved: const {name}: (u64, u64) = ({:#018x}, {:#018x});",
+        got.0, got.1
+    );
+}
+
+#[test]
+fn solo_build_at_default_options_is_pinned() {
+    assert_pinned(solo(1.0, FockEngineOptions::default()), SOLO_DEFAULT, "SOLO_DEFAULT");
+}
+
+/// The incremental screen at τ = 1e-9 on a late-SCF difference density
+/// (the fixture density × 1e-7): 14 of the 120 quartets fall under τ and are
+/// skipped; at the full density none does and the build is `SOLO_DEFAULT`'s.
+#[test]
+fn solo_build_with_the_delta_screen_is_pinned() {
+    let opts = FockEngineOptions {
+        delta_tau: Some(1e-9),
+        ..FockEngineOptions::default()
+    };
+    assert_pinned(solo(1e-7, opts), SOLO_DELTA_TAU, "SOLO_DELTA_TAU");
+    assert_pinned(solo(1.0, opts), SOLO_DEFAULT, "SOLO_DEFAULT (τ = 1e-9, nothing under it)");
+}
+
+/// The fault-free multi-rank build, through the entry point that is about to
+/// be deleted: J/K, merged stats, per-rank seconds. The recovery ledger of a
+/// fault-free build is the quiet plan's, which `distributed` digests after
+/// the per-rank seconds; the old entry point has none, so the quiet ledger
+/// is taken from the FT driver here and pinned with the rest.
+#[test]
+fn fault_free_three_rank_build_is_pinned() {
+    let f = fixture();
+    let (jk, seconds, stats) = build_jk_distributed(
+        &f.density,
+        &f.pairs,
+        &f.batches,
+        &f.layout,
+        &f.schedule,
+        &f.fp64,
+        &f.quant,
+        &f.model,
+        RANKS,
+    )
+    .expect("fault-free build");
+    let quiet = build_jk_distributed_ft(
+        &f.density,
+        &f.pairs,
+        &f.batches,
+        &f.layout,
+        &f.schedule,
+        &|_| (f.fp64, f.quant),
+        &f.model,
+        RANKS,
+        FockEngineOptions::default(),
+        &FaultToleranceOptions::new(FaultPlan::quiet(RANKS)),
+    )
+    .expect("quiet build");
+    assert!(quiet.recovery.quiet());
+    let mut d = Digest::new();
+    d.stats(&stats);
+    d.floats(&seconds);
+    d.ledger(&quiet.recovery);
+    assert_pinned((jk_digest(&jk), d.0), DIST_QUIET, "DIST_QUIET");
+    assert_pinned(distributed(FaultPlan::quiet(RANKS)), DIST_QUIET, "DIST_QUIET (quiet plan)");
+}
+
+#[test]
+fn chaotic_three_rank_build_is_pinned() {
+    let plan = FaultPlan::seeded(6, RANKS, &FaultConfig::chaotic());
+    let got = distributed(plan);
+    assert_pinned(got, DIST_CHAOS, "DIST_CHAOS");
+    // Faults change who executes, never the numbers.
+    assert_eq!(got.0, DIST_QUIET.0, "faulted J/K differ from the fault-free build");
+}
