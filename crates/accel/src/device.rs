@@ -127,15 +127,6 @@ impl DeviceSpec {
         self.cuda_tflops[idx(p)]
     }
 
-    /// Peak int8 tensor-core throughput (OP/s). Datasheets across Turing,
-    /// Ampere, and Hopper list INT8 IMMA at exactly twice the FP16 tensor
-    /// rate (A100: 624 TOPS vs 312 TFLOPS), so the model derives it rather
-    /// than carrying a sixth column; 0.0 where the architecture has no
-    /// tensor path at all.
-    pub fn int8_tensor_peak(&self) -> f64 {
-        2.0 * self.tensor_peak(Precision::Fp16)
-    }
-
     /// Tensor-over-CUDA speedup factor for a precision (Table 1's last
     /// column).
     pub fn tensor_speedup(&self, p: Precision) -> f64 {
@@ -196,17 +187,6 @@ mod tests {
         assert!((d.tensor_peak(Precision::Tf32) / d.cuda_peak(Precision::Fp32) - 8.0).abs() < 1e-9);
         assert!((d.tensor_speedup(Precision::Fp16) - 4.0).abs() < 1e-9);
         assert!((d.tensor_speedup(Precision::Bf16) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn int8_peak_doubles_fp16() {
-        // A100 datasheet: 624 TOPS INT8 = 2 × 312 TFLOPS FP16.
-        assert_eq!(DeviceSpec::a100().int8_tensor_peak(), 624.0e12);
-        // H100 dense: 1979 TOPS ≈ 2 × 989 TFLOPS.
-        assert_eq!(DeviceSpec::new(DeviceKind::H100).int8_tensor_peak(), 1978.0e12);
-        // V100 has no IMMA path worth modeling beyond its FP16 cores, but
-        // the derived ratio still holds (2 × 125).
-        assert_eq!(DeviceSpec::new(DeviceKind::V100).int8_tensor_peak(), 250.0e12);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use mako_bench::random_class_batch;
 use mako_eri::batch::EriClass;
 use mako_eri::{boys_reference, eri_quartet_mmd, BoysTable};
 use mako_kernels::pipeline::{run_batch, PipelineConfig};
-use mako_linalg::{gemm_naive, gemm_par, gemm_tiled, Matrix, Transpose};
+use mako_linalg::{gemm_into, gemm_naive, Matrix, Transpose};
 
 fn bench_boys(c: &mut Criterion) {
     let mut group = c.benchmark_group("boys");
@@ -47,13 +47,9 @@ fn bench_gemm(c: &mut Criterion) {
             let mut out = Matrix::zeros(n, n);
             bench.iter(|| gemm_naive(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut out))
         });
-        group.bench_with_input(BenchmarkId::new("tiled", n), &n, |bench, _| {
+        group.bench_with_input(BenchmarkId::new("engine", n), &n, |bench, _| {
             let mut out = Matrix::zeros(n, n);
-            bench.iter(|| gemm_tiled(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut out))
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |bench, _| {
-            let mut out = Matrix::zeros(n, n);
-            bench.iter(|| gemm_par(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut out))
+            bench.iter(|| gemm_into(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut out))
         });
     }
     group.finish();

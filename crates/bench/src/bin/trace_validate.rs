@@ -9,7 +9,7 @@
 //! or drift to an undocumented name.
 //!
 //! ```sh
-//! MAKO_TRACE=target/trace.jsonl cargo run --release -p mako-bench --bin host_fock_bench
+//! cargo run --release -p mako --bin mako-cli -- --mol sample/water.xyz --trace target/trace.jsonl
 //! cargo run --release -p mako-bench --bin trace_validate -- target/trace.jsonl \
 //!     --require scf.iteration --require fock.launch
 //! ```

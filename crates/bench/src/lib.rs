@@ -20,9 +20,6 @@
 //! (CPU-executed) numerical kernels.
 #![deny(rust_2018_idioms)]
 
-
-pub mod gemm_bench;
-
 use mako_chem::basis::ShellDef;
 use mako_chem::Shell;
 use mako_eri::batch::EriClass;

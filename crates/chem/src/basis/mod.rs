@@ -9,11 +9,9 @@
 //! and with the contracted AO normalized to unit self-overlap, so downstream
 //! integral code never worries about conventions.
 
-pub mod aux;
 pub mod families;
 pub mod sto3g;
 
-pub use aux::rij_universal;
 pub use families::BasisFamily;
 
 use crate::cart::{double_factorial, nsph};

@@ -15,8 +15,7 @@
 //! Supporting machinery: the Boys function with a Gill-style lookup table
 //! ([`boys`]), Hermite expansion coefficients and Coulomb integrals
 //! ([`hermite`]), one-electron integrals ([`one_electron`]), Schwarz
-//! screening ([`screening`]), ERI-class batching ([`batch`]), and the
-//! 3-/2-center RI-J integrals via the dummy-shell reduction ([`rij`]).
+//! screening ([`screening`]) and ERI-class batching ([`batch`]).
 #![deny(rust_2018_idioms)]
 
 
@@ -26,7 +25,6 @@ pub mod hermite;
 pub mod mmd;
 pub mod one_electron;
 pub mod os;
-pub mod rij;
 pub mod screening;
 pub mod tensor;
 
@@ -40,7 +38,6 @@ pub use one_electron::{
     kinetic_block, nuclear_block, one_electron_matrices, one_electron_prim_pairs, overlap_block,
 };
 pub use os::{eri_quartet_os, EriError, OS_MAX_L};
-pub use rij::{aux_shell_pair, three_center_block, two_center_metric, AuxBasis};
 pub use screening::{
     build_screened_pairs, classify, schwarz_bound, schwarz_estimate, DensityBlockMax,
     ImportanceClass, ScreenedPair,

@@ -25,7 +25,7 @@ use crate::tensor::Tensor4;
 use mako_chem::cart::{hermite_components, hermite_index_map, ncart, nherm, nsph};
 use mako_chem::harmonics::cart_to_sph;
 use mako_chem::Shell;
-use mako_linalg::{gemm_tiled, Matrix, Transpose};
+use mako_linalg::{gemm_into, Matrix, Transpose};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -140,7 +140,7 @@ pub fn shell_pair(sa: &Shell, sb: &Shell) -> ShellPairData {
             ];
             let e_cart = Matrix::from_vec(ncart_pair, nh, e_matrix(la, lb, a, b, ab));
             let mut e_sph = Matrix::zeros(transform.rows(), nh);
-            gemm_tiled(coef, transform, Transpose::No, &e_cart, Transpose::No, 0.0, &mut e_sph);
+            gemm_into(coef, transform, Transpose::No, &e_cart, Transpose::No, 0.0, &mut e_sph);
             prims.push(PrimPair { p, center, e_sph });
         }
     }
@@ -328,9 +328,9 @@ pub fn eri_quartet_mmd_with(pab: &ShellPairData, pcd: &ShellPairData, idx: &PqIn
         }
         for bra in &pab.prims {
             pq_matrix_into(bra, ket, pab.l_total(), pcd.l_total(), idx, &mut scratch, &mut pq);
-            gemm_tiled(1.0, &bra.e_sph, Transpose::No, &pq, Transpose::No, 1.0, &mut abq);
+            gemm_into(1.0, &bra.e_sph, Transpose::No, &pq, Transpose::No, 1.0, &mut abq);
         }
-        gemm_tiled(1.0, &abq, Transpose::No, &ket.e_sph, Transpose::Yes, 1.0, &mut out);
+        gemm_into(1.0, &abq, Transpose::No, &ket.e_sph, Transpose::Yes, 1.0, &mut out);
     }
 
     let mut t = Tensor4::zeros([na, nb, nc, nd]);

@@ -1,23 +1,17 @@
-//! Precision-parameterized GEMM: the numerical model of a tensor-core MMA.
+//! Operand rounding: the "load into tensor-core registers" half of the
+//! numerical model of a tensor-core MMA.
 //!
 //! A tensor core rounds its *operands* to the input format (FP16/BF16/TF32)
-//! and accumulates the products in FP32 (or FP64 for the FP64 MMA). That is
-//! exactly what [`gemm_rounded`] does in software: inputs pass through
-//! [`mako_precision::Precision::round`] (optionally pre-scaled per
-//! QuantMako's fine-grained quantization), products accumulate in the
-//! accumulator precision, and the result is de-scaled back — the first stage
-//! of the paper's Dual-Stage Accumulation.
+//! and accumulates the products in FP32 (or FP64 for the FP64 MMA). The
+//! pipelines model that in two steps: operands pass through
+//! [`mako_precision::Precision::round`] here (pre-scaled per QuantMako's
+//! fine-grained quantization, loop-invariant operands once per pair rather
+//! than once per product), and the rounded slices go to
+//! [`mako_linalg::gemm_rounded_engine`], which accumulates in the accumulator
+//! precision and de-scales the result — the first stage of the paper's
+//! Dual-Stage Accumulation.
 
-use mako_linalg::Matrix;
 use mako_precision::Precision;
-use std::cell::RefCell;
-
-thread_local! {
-    /// Per-thread rounded-operand buffers so the quartet hot loop never
-    /// allocates inside [`gemm_rounded`].
-    static ROUND_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
 
 /// Round `src`, pre-scaled by `scale`, into `dst` (overwritten) — the
 /// "load into tensor-core registers" step, split out so pipelines can
@@ -33,245 +27,4 @@ pub fn round_into(input: Precision, scale: f64, src: &[f64], dst: &mut Vec<f64>)
 /// hosts that have it, bit-identical to the scalar path).
 pub fn round_into_extend(input: Precision, scale: f64, src: &[f64], dst: &mut Vec<f64>) {
     input.round_scaled_extend(scale, src, dst);
-}
-
-/// How a quantized GEMM treats its operands.
-#[derive(Debug, Clone, Copy)]
-pub struct QuantizedGemmSpec {
-    /// Operand storage precision.
-    pub input: Precision,
-    /// Accumulator precision (FP32 for FP16/BF16/TF32 MMAs, FP64 for FP64).
-    pub accumulate: Precision,
-    /// Scale applied to the A operand before rounding (1.0 = none).
-    pub scale_a: f64,
-    /// Scale applied to the B operand before rounding.
-    pub scale_b: f64,
-}
-
-impl QuantizedGemmSpec {
-    /// Full-precision FP64 MMA.
-    pub fn fp64() -> QuantizedGemmSpec {
-        QuantizedGemmSpec {
-            input: Precision::Fp64,
-            accumulate: Precision::Fp64,
-            scale_a: 1.0,
-            scale_b: 1.0,
-        }
-    }
-
-    /// Unscaled reduced-precision MMA (the "Baseline FP16/FP32" rows of
-    /// Table 2).
-    pub fn unscaled(input: Precision) -> QuantizedGemmSpec {
-        QuantizedGemmSpec {
-            input,
-            accumulate: if input == Precision::Fp64 {
-                Precision::Fp64
-            } else {
-                Precision::Fp32
-            },
-            scale_a: 1.0,
-            scale_b: 1.0,
-        }
-    }
-
-    /// Scaled FP16 MMA with FP32 accumulation — QuantMako's quantized
-    /// kernel.
-    pub fn quantized_fp16(scale_a: f64, scale_b: f64) -> QuantizedGemmSpec {
-        QuantizedGemmSpec {
-            input: Precision::Fp16,
-            accumulate: Precision::Fp32,
-            scale_a,
-            scale_b,
-        }
-    }
-}
-
-/// `C += de-scale( round(A·sa) × round(B·sb) )` with the accumulation carried
-/// in the spec's accumulator precision. `C` stays FP64 (the second stage of
-/// dual-stage accumulation happens at the caller's Fock buffer).
-pub fn gemm_rounded(a: &Matrix, b: &Matrix, spec: &QuantizedGemmSpec, c: &mut Matrix) {
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    assert_eq!(b.rows(), k, "gemm_rounded inner dimension");
-    assert_eq!((c.rows(), c.cols()), (m, n), "gemm_rounded output shape");
-
-    if spec.input == Precision::Fp64 {
-        // Exact path — no rounding, plain FP64 MMA.
-        mako_linalg::gemm_tiled(
-            1.0,
-            a,
-            mako_linalg::Transpose::No,
-            b,
-            mako_linalg::Transpose::No,
-            1.0,
-            c,
-        );
-        return;
-    }
-
-    // Round operands once (as the load into tensor-core registers does),
-    // then hand the rounded slices to the packed microkernel engine. For
-    // FP32 accumulation each product is rounded to f32 and summed in f32
-    // per element in ascending k (products of two ≤11-bit-mantissa values
-    // are exact in f32; accumulation rounds per step, as hardware does).
-    let descale = 1.0 / (spec.scale_a * spec.scale_b);
-    let fp32_acc = spec.accumulate == Precision::Fp32;
-    ROUND_SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        let (ra, rb) = &mut *s;
-        round_into(spec.input, spec.scale_a, a.as_slice(), ra);
-        round_into(spec.input, spec.scale_b, b.as_slice(), rb);
-        mako_linalg::gemm_rounded_engine(
-            m,
-            k,
-            n,
-            ra,
-            rb,
-            mako_linalg::Transpose::No,
-            fp32_acc,
-            descale,
-            c.as_mut_slice(),
-        );
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut s = seed | 1;
-        Matrix::from_fn(rows, cols, |_, _| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        })
-    }
-
-    #[test]
-    fn fp64_path_is_exact() {
-        let a = mat(9, 13, 1);
-        let b = mat(13, 7, 2);
-        let mut c1 = Matrix::zeros(9, 7);
-        let mut c2 = Matrix::zeros(9, 7);
-        gemm_rounded(&a, &b, &QuantizedGemmSpec::fp64(), &mut c1);
-        mako_linalg::gemm_tiled(
-            1.0,
-            &a,
-            mako_linalg::Transpose::No,
-            &b,
-            mako_linalg::Transpose::No,
-            0.0,
-            &mut c2,
-        );
-        assert!(c1.sub(&c2).max_abs() < 1e-15);
-    }
-
-    #[test]
-    fn fp16_error_is_bounded_and_nonzero() {
-        let a = mat(16, 16, 3);
-        let b = mat(16, 16, 4);
-        let mut exact = Matrix::zeros(16, 16);
-        let mut quant = Matrix::zeros(16, 16);
-        gemm_rounded(&a, &b, &QuantizedGemmSpec::fp64(), &mut exact);
-        gemm_rounded(&a, &b, &QuantizedGemmSpec::unscaled(Precision::Fp16), &mut quant);
-        let err = exact.sub(&quant).max_abs();
-        assert!(err > 0.0, "fp16 must actually lose bits");
-        // Inputs in [−1,1], k=16: worst case ≈ k · 2⁻¹¹ ≈ 8e-3.
-        assert!(err < 1e-2, "err = {err}");
-    }
-
-    #[test]
-    fn precision_ladder_orders_errors() {
-        let a = mat(24, 24, 5);
-        let b = mat(24, 24, 6);
-        let mut exact = Matrix::zeros(24, 24);
-        gemm_rounded(&a, &b, &QuantizedGemmSpec::fp64(), &mut exact);
-        let err_of = |p: Precision| {
-            let mut c = Matrix::zeros(24, 24);
-            gemm_rounded(&a, &b, &QuantizedGemmSpec::unscaled(p), &mut c);
-            exact.sub(&c).norm_fro()
-        };
-        let e32 = err_of(Precision::Fp32);
-        let etf = err_of(Precision::Tf32);
-        let e16 = err_of(Precision::Fp16);
-        let eb16 = err_of(Precision::Bf16);
-        assert!(e32 < etf && etf <= e16 && e16 < eb16, "{e32} {etf} {e16} {eb16}");
-    }
-
-    #[test]
-    fn scaling_rescues_small_magnitudes() {
-        // Data around 1e-6 underflows f16 subnormals badly; scaling by 1e6
-        // recovers full relative accuracy.
-        let a = mat(8, 8, 7).scale(1e-6);
-        let b = mat(8, 8, 8).scale(1e-6);
-        let mut exact = Matrix::zeros(8, 8);
-        gemm_rounded(&a, &b, &QuantizedGemmSpec::fp64(), &mut exact);
-
-        let mut raw = Matrix::zeros(8, 8);
-        gemm_rounded(&a, &b, &QuantizedGemmSpec::unscaled(Precision::Fp16), &mut raw);
-        let mut scaled = Matrix::zeros(8, 8);
-        gemm_rounded(
-            &a,
-            &b,
-            &QuantizedGemmSpec::quantized_fp16(1e6, 1e6),
-            &mut scaled,
-        );
-        let err_raw = exact.sub(&raw).norm_fro() / exact.norm_fro();
-        let err_scaled = exact.sub(&scaled).norm_fro() / exact.norm_fro();
-        assert!(
-            err_scaled * 10.0 < err_raw,
-            "scaled {err_scaled} vs raw {err_raw}"
-        );
-    }
-
-    /// The engine-backed quantized path must reproduce the pre-engine
-    /// scalar loop bit for bit (k ≤ KC, which covers every ERI transform).
-    #[test]
-    fn engine_path_matches_scalar_loop_bitwise() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 4, 4), (9, 10, 10), (16, 33, 12)] {
-            let a = mat(m, k, 11);
-            let b = mat(k, n, 12);
-            for spec in [
-                QuantizedGemmSpec::quantized_fp16(4.0, 0.5),
-                QuantizedGemmSpec::unscaled(Precision::Bf16),
-                QuantizedGemmSpec::unscaled(Precision::Tf32),
-            ] {
-                let ra: Vec<f64> = a.as_slice().iter().map(|&x| spec.input.round(x * spec.scale_a)).collect();
-                let rb: Vec<f64> = b.as_slice().iter().map(|&x| spec.input.round(x * spec.scale_b)).collect();
-                let descale = 1.0 / (spec.scale_a * spec.scale_b);
-                let mut c_ref = mat(m, n, 13);
-                let mut c_new = c_ref.clone();
-                for i in 0..m {
-                    for j in 0..n {
-                        let mut acc: f32 = 0.0;
-                        for kk in 0..k {
-                            acc += (ra[i * k + kk] * rb[kk * n + j]) as f32;
-                        }
-                        c_ref[(i, j)] += acc as f64 * descale;
-                    }
-                }
-                gemm_rounded(&a, &b, &spec, &mut c_new);
-                assert_eq!(c_ref.as_slice(), c_new.as_slice(), "({m},{k},{n}) {:?}", spec.input);
-            }
-        }
-    }
-
-    #[test]
-    fn accumulates_into_c() {
-        let a = mat(4, 4, 9);
-        let b = mat(4, 4, 10);
-        let mut c = Matrix::identity(4);
-        gemm_rounded(&a, &b, &QuantizedGemmSpec::fp64(), &mut c);
-        let mut expect = Matrix::identity(4);
-        mako_linalg::gemm_tiled(
-            1.0,
-            &a,
-            mako_linalg::Transpose::No,
-            &b,
-            mako_linalg::Transpose::No,
-            1.0,
-            &mut expect,
-        );
-        assert!(c.sub(&expect).max_abs() < 1e-15);
-    }
 }

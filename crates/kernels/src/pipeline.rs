@@ -9,7 +9,7 @@ use mako_eri::mmd::{pq_geometry, pq_matrix_from_boys_geom, pq_matrix_into, PqInd
 use mako_eri::screening::ScreenedPair;
 use mako_eri::tensor::Tensor4;
 use mako_chem::cart::{nherm, nsph};
-use mako_linalg::{gemm_rounded_engine, gemm_tiled, Matrix, Transpose};
+use mako_linalg::{gemm_into, gemm_rounded_engine, Matrix, Transpose};
 use mako_precision::{Precision, ScalePolicy};
 use rayon::prelude::*;
 
@@ -707,9 +707,9 @@ fn quartet_numerics_into(
                 }
                 for bra in &ab.prims {
                     pq_matrix_into(bra, ket, ab.l_total(), cd.l_total(), idx, pqs, pq);
-                    gemm_tiled(1.0, &bra.e_sph, Transpose::No, pq, Transpose::No, 1.0, abq);
+                    gemm_into(1.0, &bra.e_sph, Transpose::No, pq, Transpose::No, 1.0, abq);
                 }
-                gemm_tiled(1.0, abq, Transpose::No, &ket.e_sph, Transpose::Yes, 1.0, out);
+                gemm_into(1.0, abq, Transpose::No, &ket.e_sph, Transpose::Yes, 1.0, out);
             }
         } else {
             // Quantized path. Three hoists keep the per-combination work to

@@ -1,16 +1,16 @@
 //! General matrix multiplication: naive reference plus the packed-tile
 //! microkernel engine ([`crate::microkernel`]).
 //!
-//! [`gemm_tiled`] and [`gemm_par`] are thin entries into the BLIS-style
-//! 5-loop driver; `gemm_naive` stays as the obviously-correct accuracy
-//! oracle every other variant is tested against. The historical scalar
-//! tiled loops (including their data-dependent `aik == 0.0` skip, which
-//! defeated vectorization and made FLOP cost input-dependent) are gone:
-//! sparsity belongs to the screening layer, not the GEMM.
+//! The GEMM seam is four functions. [`gemm_into`] (α/β into the caller's
+//! `C`) is the entry into the BLIS-style 5-loop driver and [`gemm`] its
+//! allocating form; [`crate::gemm_rounded_engine`] is the rounded-operand
+//! mode the quartet hot loop calls; [`gemm_naive`] stays as the
+//! obviously-correct accuracy oracle the engine is tested against. Sparsity
+//! belongs to the screening layer, not the GEMM: the engine's FLOP cost
+//! never depends on the operand values.
 
-use crate::microkernel::{self, View, MC};
+use crate::microkernel::{self, View};
 use crate::Matrix;
-use rayon::prelude::*;
 
 /// Whether an operand participates transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,8 +23,7 @@ pub enum Transpose {
 
 /// Naive triple-loop reference GEMM: `C = alpha * op(A) op(B) + beta * C`.
 ///
-/// Kept simple and obviously correct; every other variant is tested against
-/// it.
+/// Kept simple and obviously correct; the engine is tested against it.
 pub fn gemm_naive(
     alpha: f64,
     a: &Matrix,
@@ -49,13 +48,12 @@ pub fn gemm_naive(
     }
 }
 
-/// Serial packed-tile GEMM: `C = alpha * op(A) op(B) + beta * C` through the
-/// microkernel engine (AVX2 or generic, selected at startup — see
-/// [`crate::microkernel::selected_kernel`]).
-///
-/// The name survives from the pre-engine cache-tiled kernel; all callers
-/// (SCF, ERI transforms, the simulated tensor-core pipelines) route here.
-pub fn gemm_tiled(
+/// Packed-tile GEMM into the caller's `C`:
+/// `C = alpha * op(A) op(B) + beta * C` through the microkernel engine (AVX2
+/// or generic, selected at startup — see
+/// [`crate::microkernel::selected_kernel`]). All callers (SCF, XC assembly,
+/// ERI transforms, the simulated tensor-core pipelines) route here.
+pub fn gemm_into(
     alpha: f64,
     a: &Matrix,
     ta: Transpose,
@@ -79,55 +77,12 @@ pub fn gemm_tiled(
     microkernel::gemm_engine(alpha, av, bv, c.as_mut_slice(), n);
 }
 
-/// Rayon-parallel GEMM: rows of `C` are distributed across the thread pool
-/// in `MC`-row bands, each worker running the packed engine over its band.
-///
-/// Bitwise identical to [`gemm_tiled`] at every thread count: each output
-/// element's reduction sequence depends only on the fixed `KC` panel
-/// schedule, never on which band (or thread) owns its row.
-pub fn gemm_par(
-    alpha: f64,
-    a: &Matrix,
-    ta: Transpose,
-    b: &Matrix,
-    tb: Transpose,
-    beta: f64,
-    c: &mut Matrix,
-) {
-    let (m, kk) = op_shape(a, ta);
-    let (k2, n) = op_shape(b, tb);
-    assert_eq!(kk, k2, "gemm inner dimension mismatch");
-    assert_eq!((c.rows(), c.cols()), (m, n), "gemm output shape mismatch");
-
-    // Small problems are not worth the fork/join overhead.
-    if m * n * kk < 64 * 64 * 64 {
-        gemm_tiled(alpha, a, ta, b, tb, beta, c);
-        return;
-    }
-
-    let av = View::of(a, ta);
-    let bv = View::of(b, tb);
-    c.as_mut_slice()
-        .par_chunks_mut(MC * n)
-        .enumerate()
-        .for_each(|(band, c_band)| {
-            let i0 = band * MC;
-            let ib = MC.min(m - i0);
-            if beta != 1.0 {
-                for x in c_band.iter_mut() {
-                    *x *= beta;
-                }
-            }
-            microkernel::run_band_dispatch(&av, &bv, c_band, n, i0, ib, alpha, 1.0);
-        });
-}
-
-/// Convenience wrapper: `op(A) op(B)` as a fresh matrix via the engine.
+/// `op(A) op(B)` as a fresh matrix: [`gemm_into`] with α = 1, β = 0.
 pub fn gemm(a: &Matrix, ta: Transpose, b: &Matrix, tb: Transpose) -> Matrix {
     let (m, _) = op_shape(a, ta);
     let (_, n) = op_shape(b, tb);
     let mut c = Matrix::zeros(m, n);
-    gemm_tiled(1.0, a, ta, b, tb, 0.0, &mut c);
+    gemm_into(1.0, a, ta, b, tb, 0.0, &mut c);
     c
 }
 
@@ -181,33 +136,11 @@ mod tests {
                     let mut c1 = deterministic(m, n, 3);
                     let mut c2 = c1.clone();
                     gemm_naive(1.3, &a, ta, &b, tb, 0.7, &mut c1);
-                    gemm_tiled(1.3, &a, ta, &b, tb, 0.7, &mut c2);
+                    gemm_into(1.3, &a, ta, &b, tb, 0.7, &mut c2);
                     assert_close(&c1, &c2, 1e-10);
                 }
             }
         }
-    }
-
-    #[test]
-    fn par_matches_naive() {
-        let a = deterministic(130, 90, 11);
-        let b = deterministic(90, 70, 12);
-        let mut c1 = Matrix::zeros(130, 70);
-        let mut c2 = Matrix::zeros(130, 70);
-        gemm_naive(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c1);
-        gemm_par(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c2);
-        assert_close(&c1, &c2, 1e-10);
-    }
-
-    #[test]
-    fn par_matches_tiled_bitwise() {
-        let a = deterministic(260, 100, 13);
-        let b = deterministic(100, 80, 14);
-        let mut c1 = deterministic(260, 80, 15);
-        let mut c2 = c1.clone();
-        gemm_tiled(0.9, &a, Transpose::No, &b, Transpose::No, 1.1, &mut c1);
-        gemm_par(0.9, &a, Transpose::No, &b, Transpose::No, 1.1, &mut c2);
-        assert_eq!(c1.as_slice(), c2.as_slice());
     }
 
     #[test]
@@ -235,7 +168,7 @@ mod tests {
         let b = deterministic(8, 8, 32);
         let mut c = Matrix::identity(8);
         // C = 0*AB + 2*I
-        gemm_tiled(0.0, &a, Transpose::No, &b, Transpose::No, 2.0, &mut c);
+        gemm_into(0.0, &a, Transpose::No, &b, Transpose::No, 2.0, &mut c);
         assert_close(&c, &Matrix::identity(8).scale(2.0), 1e-14);
     }
 
@@ -245,6 +178,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(4, 5);
         let mut c = Matrix::zeros(2, 5);
-        gemm_tiled(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c);
+        gemm_into(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c);
     }
 }

@@ -10,26 +10,26 @@
 //! diagonalization), Cholesky factorization, and symmetric matrix functions
 //! (Löwdin orthogonalization `S^{-1/2}`).
 //!
-//! Everything operates on the row-major [`Matrix`] type. GEMMs come in
-//! naive, serial packed-tile, and Rayon-parallel flavors; the packed-tile
-//! [`microkernel`] engine (BLIS-style 5-loop blocking around an `MR × NR`
-//! register tile, AVX2 or generic kernel selected at startup) is also the
-//! numerical executor behind the simulated tensor-core GEMMs in
-//! `mako-kernels` (with operand rounding applied by the caller).
+//! Everything operates on the row-major [`Matrix`] type. The GEMM seam is
+//! four functions: [`gemm`] (allocating) and [`gemm_into`] (α/β into the
+//! caller's `C`) run the packed-tile [`microkernel`] engine (BLIS-style
+//! 5-loop blocking around an `MR × NR` register tile, AVX2 or generic kernel
+//! selected at startup); [`gemm_rounded_engine`] is the same engine's
+//! rounded-operand mode, the numerical executor behind the simulated
+//! tensor-core GEMMs in `mako-kernels` (operand rounding applied by the
+//! caller); [`gemm_naive`] is the oracle.
 
 pub mod cholesky;
 pub mod eigen;
 pub mod funcs;
 pub mod gemm;
-pub mod lobpcg;
 pub mod matrix;
 pub mod microkernel;
 
 pub use cholesky::{cholesky, solve_cholesky};
 pub use eigen::{eigh, EigenDecomposition};
 pub use funcs::{sym_func, sym_inv_sqrt, sym_inv_sqrt_diag, sym_sqrt, OrthFactor};
-pub use gemm::{gemm, gemm_naive, gemm_par, gemm_tiled, Transpose};
-pub use lobpcg::{lobpcg, LobpcgResult};
+pub use gemm::{gemm, gemm_into, gemm_naive, Transpose};
 pub use matrix::Matrix;
 pub use microkernel::{gemm_rounded_engine, kernel_name, selected_kernel, KernelId};
 

@@ -46,8 +46,6 @@
 //! * K-panels are accumulated into `C` in ascending `pc` order; the panel
 //!   boundaries (`KC`) are compile-time constants, so the grouping of the
 //!   reduction is independent of shape, threads, and kernel.
-//! * Row-band parallelism (see [`crate::gemm::gemm_par`]) only partitions
-//!   which *elements* a thread owns, never the per-element sequence.
 //!
 //! # Dispatch
 //!
@@ -74,7 +72,7 @@ pub const NR: usize = 8;
 /// K-panel depth (Loop 4 step): bounds the reduction chunk accumulated per
 /// writeback, and is therefore part of the determinism contract.
 pub const KC: usize = 256;
-/// Row-block height (Loop 3 step); also the row-band granule of `gemm_par`.
+/// Row-block height (Loop 3 step).
 pub const MC: usize = 128;
 /// Column-panel width (Loop 5 step).
 pub const NC: usize = 512;
@@ -742,31 +740,10 @@ fn small_direct_offset(
     }
 }
 
-/// Dispatch `run_band` to the selected kernel.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_band_dispatch(
-    a: &View<'_>,
-    b: &View<'_>,
-    c: &mut [f64],
-    ldc: usize,
-    row0: usize,
-    m_band: usize,
-    alpha: f64,
-    scale_f64: f64,
-) {
-    let mode = Acc::F64 { scale: scale_f64 };
-    match selected_kernel() {
-        KernelId::Generic => run_band::<GenericKernel>(a, b, c, ldc, row0, m_band, alpha, mode),
-        #[cfg(target_arch = "x86_64")]
-        KernelId::Avx2 => run_band::<Avx2Kernel>(a, b, c, ldc, row0, m_band, alpha, mode),
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelId::Avx2 => run_band::<GenericKernel>(a, b, c, ldc, row0, m_band, alpha, mode),
-    }
-}
-
-/// Full-matrix engine entry: `C += op(A)·op(B)` with `alpha` folded into the
-/// packed A panels (bit-compatible with multiplying each A element first).
-/// `beta` pre-scaling is the caller's job (see [`crate::gemm::gemm_tiled`]).
+/// Full-matrix engine entry: `C += op(A)·op(B)` on the selected kernel, with
+/// `alpha` folded into the packed A panels (bit-compatible with multiplying
+/// each A element first). `beta` pre-scaling is the caller's job (see
+/// [`crate::gemm::gemm_into`]).
 pub(crate) fn gemm_engine(
     alpha: f64,
     a: View<'_>,
@@ -775,7 +752,14 @@ pub(crate) fn gemm_engine(
     ldc: usize,
 ) {
     let m = a.rows();
-    run_band_dispatch(&a, &b, c, ldc, 0, m, alpha, 1.0);
+    let mode = Acc::F64 { scale: 1.0 };
+    match selected_kernel() {
+        KernelId::Generic => run_band::<GenericKernel>(&a, &b, c, ldc, 0, m, alpha, mode),
+        #[cfg(target_arch = "x86_64")]
+        KernelId::Avx2 => run_band::<Avx2Kernel>(&a, &b, c, ldc, 0, m, alpha, mode),
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelId::Avx2 => run_band::<GenericKernel>(&a, &b, c, ldc, 0, m, alpha, mode),
+    }
 }
 
 /// Quantized-emulation engine entry over raw slices (operands are already
@@ -787,7 +771,7 @@ pub(crate) fn gemm_engine(
 ///
 /// For `k ≤ KC` (every ERI transform shape) the f32 path reproduces, bit for
 /// bit, a scalar `acc_f32 += (a·b) as f32` loop followed by
-/// `c += acc as f64 · descale` — the pre-engine `gemm_rounded` semantics.
+/// `c += acc as f64 · descale` — the scalar loop this entry replaced.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_rounded_engine(
     m: usize,
@@ -879,8 +863,10 @@ pub fn gemm_rounded_engine(
 }
 
 /// Run one full GEMM with an explicitly chosen kernel — test-only hook for
-/// the generic-vs-AVX2 bitwise identity suite. Returns `false` (doing
-/// nothing) if the requested kernel is unavailable on this host.
+/// the generic-vs-AVX2 bitwise identity suite (`tests/microkernel_oracle.rs`),
+/// not part of the GEMM seam. Returns `false` (doing nothing) if the
+/// requested kernel is unavailable on this host.
+#[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_with_kernel(
     id: KernelId,
@@ -933,7 +919,7 @@ pub fn gemm_with_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm_naive, gemm_par};
+    use crate::gemm::gemm_naive;
 
     fn deterministic(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -1048,8 +1034,8 @@ mod tests {
         }
     }
 
-    /// The f32-accumulation engine must reproduce the scalar pre-engine
-    /// `gemm_rounded` loop bit for bit (for k ≤ KC).
+    /// The f32-accumulation engine must reproduce the scalar rounded-GEMM
+    /// loop it replaced bit for bit (for k ≤ KC).
     #[test]
     fn f32_engine_matches_scalar_reference_bitwise() {
         for &(m, k, n) in SHAPES {
@@ -1118,32 +1104,6 @@ mod tests {
             c2.as_mut_slice(),
         );
         assert_eq!(c1.as_slice(), c2.as_slice());
-    }
-
-    /// Serial engine vs rayon row-band parallel GEMM: bitwise identical at
-    /// every pool size (the per-element reduction order is band-invariant).
-    #[test]
-    fn parallel_bands_bitwise_identical() {
-        let (m, k, n) = (300, 129, 200);
-        let a = deterministic(m, k, 60);
-        let b = deterministic(k, n, 61);
-        let mut c_serial = Matrix::zeros(m, n);
-        crate::gemm::gemm_tiled(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c_serial);
-        for threads in [1usize, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut c_par = Matrix::zeros(m, n);
-            pool.install(|| {
-                gemm_par(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c_par);
-            });
-            assert_eq!(
-                c_serial.as_slice(),
-                c_par.as_slice(),
-                "thread count {threads} changed bits"
-            );
-        }
     }
 
     /// Pack-then-unpack round trip: packed panels reproduce the source block

@@ -14,7 +14,7 @@
 use mako_linalg::microkernel::{
     gemm_with_kernel, pack_a_block, pack_b_block, selected_kernel, View, KC, MR, NR,
 };
-use mako_linalg::{gemm_naive, gemm_tiled, KernelId, Matrix, Transpose};
+use mako_linalg::{gemm_naive, gemm_into, KernelId, Matrix, Transpose};
 use proptest::prelude::*;
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -73,7 +73,7 @@ proptest! {
         let mut want = c0.clone();
         gemm_naive(alpha, &a, ta, &b, tb, beta, &mut want);
         let mut got = c0.clone();
-        gemm_tiled(alpha, &a, ta, &b, tb, beta, &mut got);
+        gemm_into(alpha, &a, ta, &b, tb, beta, &mut got);
 
         // Different summation grouping ⇒ 1-ulp-scale drift, bounded by the
         // usual k·eps·|a|·|b| envelope (inputs and alpha are O(1)).
@@ -192,7 +192,7 @@ fn engine_matches_naive_at_blocking_boundaries() {
         let mut want = mat(m, n, 9);
         let mut got = want.clone();
         gemm_naive(1.0, &a, Transpose::No, &b, Transpose::No, 1.0, &mut want);
-        gemm_tiled(1.0, &a, Transpose::No, &b, Transpose::No, 1.0, &mut got);
+        gemm_into(1.0, &a, Transpose::No, &b, Transpose::No, 1.0, &mut got);
         let tol = 4.0 * (k as f64) * f64::EPSILON;
         for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
             assert!((w - g).abs() <= tol, "({m},{k},{n}): naive {w} vs engine {g}");

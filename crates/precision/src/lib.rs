@@ -20,14 +20,12 @@
 
 pub mod bf16;
 pub mod f16;
-pub mod int8;
 pub mod quantize;
 pub mod stats;
 pub mod tf32;
 
 pub use bf16::Bf16;
 pub use f16::F16;
-pub use int8::{dot_i8, Int8Tile, INT8_MAX_TILE_ELEMS, INT8_QMAX};
 pub use quantize::{GroupQuantizer, QuantizedBlock, ScalePolicy};
 pub use stats::{mae, max_abs_err, rmse, ErrorStats};
 pub use tf32::{tf32_round, Tf32};
@@ -135,124 +133,6 @@ impl std::fmt::Display for Precision {
     }
 }
 
-/// Storage format of one tile in the adaptive-precision RI-J contraction
-/// path: the tensor-core tiers of [`Precision`] plus the per-tile-scaled
-/// [`int8::Int8Tile`] mode.
-///
-/// Variants are declared in **walk order** — cheapest (highest simulated
-/// tensor throughput) first — which is the order the error-budget picker in
-/// `mako-quant::picker` tries them. Note this is *not* an accuracy ordering
-/// (fp16 rounds more finely than bf16 but has less range; tf32 has fp16's
-/// mantissa with fp32's range), which is exactly why each tier earns a
-/// distinct niche under the picker's error-and-range test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TilePrecision {
-    /// Per-tile symmetric int8 with an FP64 scale, i32 accumulation.
-    Int8,
-    /// IEEE binary16, FP32 accumulation.
-    Fp16,
-    /// bfloat16, FP32 accumulation.
-    Bf16,
-    /// NVIDIA TF32, FP32 accumulation.
-    Tf32,
-    /// Full double precision (no quantization).
-    Fp64,
-}
-
-impl TilePrecision {
-    /// All tiers in picker walk order: cheapest first, [`TilePrecision::Fp64`]
-    /// as the unconditional fallback.
-    pub const ALL: [TilePrecision; 5] = [
-        TilePrecision::Int8,
-        TilePrecision::Fp16,
-        TilePrecision::Bf16,
-        TilePrecision::Tf32,
-        TilePrecision::Fp64,
-    ];
-
-    /// Worst-case **relative** representation error factor used by the
-    /// error-budget picker: rounding *both* operands of a product through
-    /// this format multiplies the result by at most `(1 ± factor)`.
-    ///
-    /// Float tiers are `2 · 2^-(mantissa_bits+1)` (two half-ulp roundings);
-    /// int8 is `1/127` — but note the int8 tile error is absolute w.r.t. the
-    /// tile max-norm, so the picker pairs this factor with a max-norm-based
-    /// weight rather than an elementwise one (see `mako-quant::picker`).
-    pub fn err_factor(self) -> f64 {
-        match self {
-            TilePrecision::Int8 => 1.0 / 127.0,
-            TilePrecision::Fp16 => (2.0f64).powi(-10),
-            TilePrecision::Bf16 => (2.0f64).powi(-7),
-            TilePrecision::Tf32 => (2.0f64).powi(-10),
-            TilePrecision::Fp64 => (2.0f64).powi(-52),
-        }
-    }
-
-    /// Largest magnitude the stored operand can represent. Int8 adapts its
-    /// scale to the tile, so (like FP64) it never overflows.
-    pub fn max_finite(self) -> f64 {
-        match self {
-            TilePrecision::Int8 | TilePrecision::Fp64 => f64::MAX,
-            TilePrecision::Fp16 => Precision::Fp16.max_finite(),
-            TilePrecision::Bf16 => Precision::Bf16.max_finite(),
-            TilePrecision::Tf32 => Precision::Tf32.max_finite(),
-        }
-    }
-
-    /// Bytes per stored element (int8 amortizes its FP64 scale over the
-    /// tile, so the per-element cost is the 1-byte payload).
-    pub const fn storage_bytes(self) -> usize {
-        match self {
-            TilePrecision::Int8 => 1,
-            TilePrecision::Fp16 | TilePrecision::Bf16 => 2,
-            TilePrecision::Tf32 => 4,
-            TilePrecision::Fp64 => 8,
-        }
-    }
-
-    /// Position in the picker walk order (0 = cheapest = int8). A larger
-    /// rank never has lower accuracy *eligibility*: tightening the error
-    /// budget can only move the picked rank upward.
-    pub fn rank(self) -> usize {
-        match self {
-            TilePrecision::Int8 => 0,
-            TilePrecision::Fp16 => 1,
-            TilePrecision::Bf16 => 2,
-            TilePrecision::Tf32 => 3,
-            TilePrecision::Fp64 => 4,
-        }
-    }
-
-    /// The corresponding tensor-core [`Precision`], if this tier is one of
-    /// the float formats ([`TilePrecision::Int8`] has no float counterpart).
-    pub const fn as_precision(self) -> Option<Precision> {
-        match self {
-            TilePrecision::Int8 => None,
-            TilePrecision::Fp16 => Some(Precision::Fp16),
-            TilePrecision::Bf16 => Some(Precision::Bf16),
-            TilePrecision::Tf32 => Some(Precision::Tf32),
-            TilePrecision::Fp64 => Some(Precision::Fp64),
-        }
-    }
-
-    /// Short lowercase name used in benchmark output rows.
-    pub const fn name(self) -> &'static str {
-        match self {
-            TilePrecision::Int8 => "int8",
-            TilePrecision::Fp16 => "fp16",
-            TilePrecision::Bf16 => "bf16",
-            TilePrecision::Tf32 => "tf32",
-            TilePrecision::Fp64 => "fp64",
-        }
-    }
-}
-
-impl std::fmt::Display for TilePrecision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,33 +171,5 @@ mod tests {
         let m = Precision::Fp16.max_finite();
         assert!(Precision::Fp16.round(m).is_finite());
         assert!(Precision::Fp16.round(m * 1.01).is_infinite());
-    }
-
-    #[test]
-    fn tile_precision_walk_order_is_cost_order() {
-        // ALL is declared cheapest-first and rank() must agree with it.
-        for (i, t) in TilePrecision::ALL.iter().enumerate() {
-            assert_eq!(t.rank(), i);
-        }
-        // Fp64 is the last (unconditional fallback) entry.
-        assert_eq!(TilePrecision::ALL[4], TilePrecision::Fp64);
-        // Storage narrows monotonically toward the cheap end.
-        assert!(TilePrecision::Int8.storage_bytes() < TilePrecision::Fp16.storage_bytes());
-        assert!(TilePrecision::Tf32.storage_bytes() < TilePrecision::Fp64.storage_bytes());
-    }
-
-    #[test]
-    fn tile_precision_err_factors() {
-        // Two half-ulp roundings per product for the float tiers.
-        assert_eq!(TilePrecision::Fp16.err_factor(), 2.0f64.powi(-10));
-        assert_eq!(TilePrecision::Tf32.err_factor(), 2.0f64.powi(-10));
-        assert_eq!(TilePrecision::Bf16.err_factor(), 2.0f64.powi(-7));
-        assert_eq!(TilePrecision::Fp64.err_factor(), 2.0f64.powi(-52));
-        // Int8: half-step of the 127-level symmetric grid on both operands.
-        assert_eq!(TilePrecision::Int8.err_factor(), 1.0 / 127.0);
-        // Range: only fp16 has a meaningfully small max (gives bf16/tf32
-        // their niche under the picker).
-        assert_eq!(TilePrecision::Fp16.max_finite(), 65504.0);
-        assert!(TilePrecision::Bf16.max_finite() > 1e38);
     }
 }

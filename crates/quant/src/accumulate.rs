@@ -2,7 +2,7 @@
 //!
 //! Stage 1: the FP16 basis-transformation outputs accumulate in FP32 and are
 //! rescaled by the inverse quantization factors (this happens inside
-//! `mako_kernels::gemm_rounded`).
+//! `mako_linalg::gemm_rounded_engine`).
 //!
 //! Stage 2: integral contributions accumulate into **FP64** Fock buffers —
 //! the Fock matrix is maintained at full double precision throughout the

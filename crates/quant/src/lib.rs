@@ -17,21 +17,11 @@
 //!   density-weighted Schwarz classification of quartet batches into
 //!   FP64 / quantized / pruned, with thresholds that relax in early SCF
 //!   iterations and tighten as the DIIS residual shrinks.
-//!
-//! The RI-J density-fitting path adds a fourth component:
-//!
-//! * **Error-budgeted tile picking** — [`picker::RijSchedule`]: per-tile
-//!   fp64/tf32/bf16/fp16/int8 selection from block norms of the 3-center
-//!   tensor against an absolute error budget (Huang/Shao/Hammond int8
-//!   density fitting + Dawson et al. error budgeting), tightening with SCF
-//!   convergence exactly like [`scheduler::QuantSchedule`].
 
 pub mod accumulate;
-pub mod picker;
 pub mod scheduler;
 
 pub use accumulate::DualStageAccumulator;
-pub use picker::{tile_error_bound, RijSchedule, TileStats};
 pub use scheduler::{ExecClass, QuantSchedule, SchedulePhase};
 
 pub use mako_precision::{GroupQuantizer, QuantizedBlock, ScalePolicy};

@@ -207,7 +207,7 @@ impl EnsembleDriver {
             .unwrap_or_else(|| FaultPlan::quiet(self.config.ranks));
         let ranks = fault_plan.ranks();
         // Rank loss is persistent: a rank that dies stays dead for the rest
-        // of the run (unlike the per-call model of `build_jk_distributed_ft`,
+        // of the run (unlike the per-call model of `build_jk_distributed`,
         // the ensemble run IS the lifetime of the simulated job).
         let mut dead = vec![false; ranks];
         // Global fused-launch counter: the coordinate of the fault plan's

@@ -11,7 +11,13 @@
 //!
 //! # The engine
 //!
-//! [`build_jk`] runs in three phases (plus an optional phase 0):
+//! There are two entry points. [`build_jk_with_configs`] is the single-device
+//! build; [`crate::parallel::build_jk_distributed`] partitions the batches
+//! over ranks, runs this same engine on every share and merges in rank order.
+//! Solo, rank-share and ensemble builds all evaluate their quartets in one
+//! place, `FockPlan::assemble`.
+//!
+//! [`build_jk_with_configs`] runs in three phases (plus an optional phase 0):
 //!
 //! 0. **incremental screen** (serial, cheap, optional): with
 //!    [`FockEngineOptions::delta_tau`] set, quartets whose density-weighted
@@ -37,8 +43,9 @@
 //! waves are cut. The scatter stage then replays every FP64 addition in
 //! exactly the order the serial single-buffer pass uses. Parallelism only
 //! changes *when* a tensor is computed, never the order of additions, so
-//! `build_jk` matches [`build_jk_serial`] bitwise for every
-//! `RAYON_NUM_THREADS` and every wave size.
+//! the build matches the serial one-pass oracle (`build_jk_serial`, kept in
+//! this module's tests) bitwise for every `RAYON_NUM_THREADS` and every wave
+//! size.
 //!
 //! (The obvious alternative — per-thread partial J/K buffers merged in a
 //! fixed order — is deterministic for a *fixed* chunk partition, but can
@@ -59,7 +66,7 @@ use mako_eri::batch::{EriClass, QuartetBatch};
 use mako_eri::screening::{DensityBlockMax, ScreenedPair};
 use mako_eri::tensor::Tensor4;
 use mako_kernels::pipeline::{
-    batch_device_seconds, batch_group_scale, run_batch, PipelineConfig, QuartetRunner,
+    batch_device_seconds, batch_group_scale, PipelineConfig, QuartetRunner,
 };
 use mako_linalg::Matrix;
 use mako_quant::{ExecClass, QuantSchedule};
@@ -103,27 +110,22 @@ impl FockBuildStats {
         self.fp64_quartets + self.quantized_quartets
     }
 
-    /// Merge another build's counters (the distributed rank reduction). The
-    /// device clock is summed — callers modelling concurrent ranks take the
-    /// max separately.
-    pub fn absorb(&mut self, other: &FockBuildStats) {
-        self.fp64_quartets += other.fp64_quartets;
-        self.quantized_quartets += other.quantized_quartets;
-        self.pruned_quartets += other.pruned_quartets;
-        self.skipped_quartets += other.skipped_quartets;
-        self.skipped_bound += other.skipped_bound;
-        self.device_seconds += other.device_seconds;
+    /// Fold one rank's share into the distributed reduction: counters and
+    /// the skipped bound add up; ranks run concurrently, so the build costs
+    /// what the slowest rank costs and the device clock takes the max.
+    pub(crate) fn merge_rank(&mut self, rank: &FockBuildStats) {
+        self.fp64_quartets += rank.fp64_quartets;
+        self.quantized_quartets += rank.quantized_quartets;
+        self.pruned_quartets += rank.pruned_quartets;
+        self.skipped_quartets += rank.skipped_quartets;
+        self.skipped_bound += rank.skipped_bound;
+        self.device_seconds = self.device_seconds.max(rank.device_seconds);
     }
 }
 
 /// Options for the parallel Fock assembly engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FockEngineOptions {
-    /// Quartet tensors evaluated (and buffered) per parallel wave; `None`
-    /// picks a size adaptive to the current rayon pool. The wave size bounds
-    /// scratch memory and sets the parallel granularity; it never changes
-    /// the result (see the module docs).
-    pub chunk_quartets: Option<usize>,
     /// Incremental (direct-SCF) screen: with `Some(τ)`, any quartet whose
     /// density-weighted Schwarz estimate `Q_ab·Q_cd·max|D_block|` falls
     /// below τ is skipped before scheduling (phase 0). Pass the *difference*
@@ -158,7 +160,6 @@ pub(crate) struct SubUnit {
 pub(crate) struct FockPlan {
     pub(crate) units: Vec<SubUnit>,
     pub(crate) stats: FockBuildStats,
-    chunk_quartets: Option<usize>,
 }
 
 /// Phases 0–1 of the engine: the incremental ΔD Schwarz screen and the
@@ -247,11 +248,7 @@ pub(crate) fn plan_jk(
     }
     screen_span.end();
 
-    FockPlan {
-        units,
-        stats,
-        chunk_quartets: opts.chunk_quartets,
-    }
+    FockPlan { units, stats }
 }
 
 impl FockPlan {
@@ -311,13 +308,23 @@ impl FockPlan {
         pairs: &[ScreenedPair],
         layout: &AoLayout,
     ) -> JkMatrices {
+        let threads = rayon::current_num_threads().max(1);
+        self.assemble_in_waves(density, pairs, layout, (threads * 64).clamp(64, 4096))
+    }
+
+    /// [`FockPlan::assemble`] with the wave cut given: `wave_len` quartet
+    /// tensors are evaluated (and buffered) per parallel wave. The wave length
+    /// bounds scratch memory and sets the parallel granularity; it never
+    /// changes the result (module docs, `chunk_size_never_changes_bits`).
+    fn assemble_in_waves(
+        &self,
+        density: &Matrix,
+        pairs: &[ScreenedPair],
+        layout: &AoLayout,
+        wave_len: usize,
+    ) -> JkMatrices {
         let n = layout.nao;
         let trace_on = mako_trace::enabled();
-        let threads = rayon::current_num_threads().max(1);
-        let wave_len = self
-            .chunk_quartets
-            .unwrap_or_else(|| (threads * 64).clamp(64, 4096))
-            .max(1);
 
         let mut j = Matrix::zeros(n, n);
         let mut k = Matrix::zeros(n, n);
@@ -370,42 +377,18 @@ impl FockPlan {
     }
 }
 
-/// Build J and K for density `D` from pre-batched quartets.
+/// Build J and K for density `D` from pre-batched quartets — the
+/// single-device entry point of the engine (module docs).
 ///
 /// * `schedule` decides per batch sub-population whether to run FP64,
 ///   quantized, or prune (QuantMako's convergence-aware scheduling);
-/// * `fp64_cfg` / `quant_cfg` are the tuned pipeline configurations
-///   (typically from `mako-compiler`'s kernel cache);
+/// * `cfg_for(bi)` returns the tuned (FP64, quantized) pipeline
+///   configurations of batch `bi` (typically from `mako-compiler`'s kernel
+///   cache);
 /// * the returned stats carry the simulated device time.
 ///
 /// Assembly runs across the current rayon pool; the result is bitwise
-/// identical to [`build_jk_serial`] for any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn build_jk(
-    density: &Matrix,
-    pairs: &[ScreenedPair],
-    batches: &[QuartetBatch],
-    layout: &AoLayout,
-    schedule: &QuantSchedule,
-    fp64_cfg: &PipelineConfig,
-    quant_cfg: &PipelineConfig,
-    model: &CostModel,
-) -> (JkMatrices, FockBuildStats) {
-    build_jk_with_configs(
-        density,
-        pairs,
-        batches,
-        layout,
-        schedule,
-        |_| (*fp64_cfg, *quant_cfg),
-        model,
-        FockEngineOptions::default(),
-    )
-}
-
-/// The assembly engine with per-batch pipeline configurations: `cfg_for(bi)`
-/// returns the (FP64, quantized) configs for batch `bi` — the form the SCF
-/// driver and the distributed cluster driver share.
+/// identical for any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn build_jk_with_configs(
     density: &Matrix,
@@ -421,72 +404,6 @@ pub fn build_jk_with_configs(
     plan.price(pairs, model);
     let jk = plan.assemble(density, pairs, layout);
     (jk, plan.stats)
-}
-
-/// The serial reference assembly: one thread, one pass, one J/K buffer —
-/// the pre-engine implementation, kept as the determinism oracle and the
-/// benchmark baseline. [`build_jk`] must match it bitwise.
-#[allow(clippy::too_many_arguments)]
-pub fn build_jk_serial(
-    density: &Matrix,
-    pairs: &[ScreenedPair],
-    batches: &[QuartetBatch],
-    layout: &AoLayout,
-    schedule: &QuantSchedule,
-    fp64_cfg: &PipelineConfig,
-    quant_cfg: &PipelineConfig,
-    model: &CostModel,
-) -> (JkMatrices, FockBuildStats) {
-    let n = layout.nao;
-    let mut j = Matrix::zeros(n, n);
-    let mut k = Matrix::zeros(n, n);
-    let mut stats = FockBuildStats::default();
-    let d_max = density.max_abs();
-    let max_bound = pairs.iter().map(|p| p.bound).fold(0.0f64, f64::max);
-    let scale = max_bound * max_bound * d_max.max(1e-30);
-
-    for batch in batches {
-        let mut fp64_batch = QuartetBatch {
-            class: batch.class,
-            quartets: Vec::new(),
-        };
-        let mut quant_batch = QuartetBatch {
-            class: batch.class,
-            quartets: Vec::new(),
-        };
-        for &(pi, qi) in &batch.quartets {
-            match schedule.decide(pairs[pi].bound, pairs[qi].bound, d_max, scale) {
-                ExecClass::Pruned => stats.pruned_quartets += 1,
-                ExecClass::Fp64 => fp64_batch.quartets.push((pi, qi)),
-                ExecClass::Quantized => quant_batch.quartets.push((pi, qi)),
-            }
-        }
-        stats.fp64_quartets += fp64_batch.len();
-        stats.quantized_quartets += quant_batch.len();
-
-        for (sub, cfg) in [(&fp64_batch, fp64_cfg), (&quant_batch, quant_cfg)] {
-            if sub.is_empty() {
-                continue;
-            }
-            let out = run_batch(sub, pairs, cfg, model);
-            stats.device_seconds += out.seconds;
-            for (t, &(pi, qi)) in out.tensors.iter().zip(&sub.quartets) {
-                scatter_quartet(
-                    t,
-                    &pairs[pi],
-                    &pairs[qi],
-                    density,
-                    layout,
-                    &mut j,
-                    &mut k,
-                );
-            }
-        }
-    }
-
-    j.symmetrize();
-    k.symmetrize();
-    (JkMatrices { j, k }, stats)
 }
 
 /// For an arrangement produced by the three swaps, gives for each
@@ -635,40 +552,6 @@ fn scatter_quartet(
     }
 }
 
-/// Reference J/K build: dense full AO ERI contraction via the FP64 MMD
-/// engine with no symmetry tricks — O(N⁴) memory-free quadruple loop over
-/// shell quartets in all orders. Only usable for small systems; the unit
-/// tests validate [`build_jk`] against it.
-pub fn build_jk_reference(density: &Matrix, pairs_full: &[ScreenedPair], layout: &AoLayout) -> JkMatrices {
-    use mako_eri::mmd::eri_quartet_mmd;
-    let n = layout.nao;
-    let mut j = Matrix::zeros(n, n);
-    let mut k = Matrix::zeros(n, n);
-    for pab in pairs_full {
-        for pcd in pairs_full {
-            let t = eri_quartet_mmd(&pab.data, &pcd.data);
-            let (oa, ob, oc, od) = (
-                layout.shell_offsets[pab.i],
-                layout.shell_offsets[pab.j],
-                layout.shell_offsets[pcd.i],
-                layout.shell_offsets[pcd.j],
-            );
-            for a in 0..t.dims[0] {
-                for b in 0..t.dims[1] {
-                    for c in 0..t.dims[2] {
-                        for dd in 0..t.dims[3] {
-                            let v = t.get(a, b, c, dd);
-                            j[(oa + a, ob + b)] += density[(oc + c, od + dd)] * v;
-                            k[(oa + a, oc + c)] += density[(ob + b, od + dd)] * v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    JkMatrices { j, k }
-}
-
 /// Where a non-finite Fock build came from: the input density itself, or
 /// the first quartet whose ERI tensor evaluates to NaN/Inf.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -729,7 +612,108 @@ mod tests {
     use mako_chem::builders;
     use mako_eri::batch::batch_quartets;
     use mako_eri::screening::build_screened_pairs;
+    use mako_kernels::pipeline::run_batch;
     use std::collections::HashSet;
+
+    /// The serial reference assembly: one thread, one pass, one J/K buffer —
+    /// the pre-engine implementation, kept as the determinism oracle.
+    /// [`build_jk_with_configs`] must match it bitwise.
+    #[allow(clippy::too_many_arguments)]
+    fn build_jk_serial(
+        density: &Matrix,
+        pairs: &[ScreenedPair],
+        batches: &[QuartetBatch],
+        layout: &AoLayout,
+        schedule: &QuantSchedule,
+        fp64_cfg: &PipelineConfig,
+        quant_cfg: &PipelineConfig,
+        model: &CostModel,
+    ) -> (JkMatrices, FockBuildStats) {
+        let n = layout.nao;
+        let mut j = Matrix::zeros(n, n);
+        let mut k = Matrix::zeros(n, n);
+        let mut stats = FockBuildStats::default();
+        let d_max = density.max_abs();
+        let max_bound = pairs.iter().map(|p| p.bound).fold(0.0f64, f64::max);
+        let scale = max_bound * max_bound * d_max.max(1e-30);
+
+        for batch in batches {
+            let mut fp64_batch = QuartetBatch {
+                class: batch.class,
+                quartets: Vec::new(),
+            };
+            let mut quant_batch = QuartetBatch {
+                class: batch.class,
+                quartets: Vec::new(),
+            };
+            for &(pi, qi) in &batch.quartets {
+                match schedule.decide(pairs[pi].bound, pairs[qi].bound, d_max, scale) {
+                    ExecClass::Pruned => stats.pruned_quartets += 1,
+                    ExecClass::Fp64 => fp64_batch.quartets.push((pi, qi)),
+                    ExecClass::Quantized => quant_batch.quartets.push((pi, qi)),
+                }
+            }
+            stats.fp64_quartets += fp64_batch.len();
+            stats.quantized_quartets += quant_batch.len();
+
+            for (sub, cfg) in [(&fp64_batch, fp64_cfg), (&quant_batch, quant_cfg)] {
+                if sub.is_empty() {
+                    continue;
+                }
+                let out = run_batch(sub, pairs, cfg, model);
+                stats.device_seconds += out.seconds;
+                for (t, &(pi, qi)) in out.tensors.iter().zip(&sub.quartets) {
+                    scatter_quartet(
+                        t,
+                        &pairs[pi],
+                        &pairs[qi],
+                        density,
+                        layout,
+                        &mut j,
+                        &mut k,
+                    );
+                }
+            }
+        }
+
+        j.symmetrize();
+        k.symmetrize();
+        (JkMatrices { j, k }, stats)
+    }
+
+    /// Reference J/K build: dense full AO ERI contraction via the FP64 MMD
+    /// engine with no symmetry tricks — O(N⁴) memory-free quadruple loop over
+    /// shell quartets in all orders. Only usable for small systems; the dense
+    /// oracle [`build_jk_with_configs`] is validated against.
+    fn build_jk_reference(density: &Matrix, pairs_full: &[ScreenedPair], layout: &AoLayout) -> JkMatrices {
+        use mako_eri::mmd::eri_quartet_mmd;
+        let n = layout.nao;
+        let mut j = Matrix::zeros(n, n);
+        let mut k = Matrix::zeros(n, n);
+        for pab in pairs_full {
+            for pcd in pairs_full {
+                let t = eri_quartet_mmd(&pab.data, &pcd.data);
+                let (oa, ob, oc, od) = (
+                    layout.shell_offsets[pab.i],
+                    layout.shell_offsets[pab.j],
+                    layout.shell_offsets[pcd.i],
+                    layout.shell_offsets[pcd.j],
+                );
+                for a in 0..t.dims[0] {
+                    for b in 0..t.dims[1] {
+                        for c in 0..t.dims[2] {
+                            for dd in 0..t.dims[3] {
+                                let v = t.get(a, b, c, dd);
+                                j[(oa + a, ob + b)] += density[(oc + c, od + dd)] * v;
+                                k[(oa + a, oc + c)] += density[(ob + b, od + dd)] * v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        JkMatrices { j, k }
+    }
 
     /// All ordered shell pairs (for the reference build).
     fn full_ordered_pairs(shells: &[mako_chem::Shell]) -> Vec<ScreenedPair> {
@@ -845,8 +829,9 @@ mod tests {
         let schedule = QuantSchedule::fp64_reference(0.0);
         let model = CostModel::new(DeviceSpec::a100());
         let cfg = PipelineConfig::kernel_mako_fp64();
-        let (jk, stats) = build_jk(
-            &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model,
+        let (jk, stats) = build_jk_with_configs(
+            &d, &pairs, &batches, &layout, &schedule, |_| (cfg, cfg), &model,
+            FockEngineOptions::default(),
         );
 
         let reference = build_jk_reference(&d, &full_ordered_pairs(&shells), &layout);
@@ -894,14 +879,16 @@ mod tests {
         let quant = PipelineConfig::quant_mako();
 
         let reference_schedule = QuantSchedule::fp64_reference(0.0);
-        let (jk_ref, _) = build_jk(
-            &d, &pairs, &batches, &layout, &reference_schedule, &fp64, &quant, &model,
+        let (jk_ref, _) = build_jk_with_configs(
+            &d, &pairs, &batches, &layout, &reference_schedule, |_| (fp64, quant), &model,
+            FockEngineOptions::default(),
         );
 
         // Early-SCF schedule: quantize everything moderate.
         let early = QuantSchedule::for_iteration(1.0, 1e-7);
-        let (jk_q, stats) = build_jk(
-            &d, &pairs, &batches, &layout, &early, &fp64, &quant, &model,
+        let (jk_q, stats) = build_jk_with_configs(
+            &d, &pairs, &batches, &layout, &early, |_| (fp64, quant), &model,
+            FockEngineOptions::default(),
         );
         assert!(stats.quantized_quartets > 0, "schedule must quantize work");
         let dj = jk_ref.j.sub(&jk_q.j).max_abs() / jk_ref.j.max_abs();
@@ -920,8 +907,9 @@ mod tests {
         let model = CostModel::new(DeviceSpec::a100());
         let cfg = PipelineConfig::kernel_mako_fp64();
         let schedule = QuantSchedule::fp64_reference(0.0);
-        let (jk, _) = build_jk(
-            &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model,
+        let (jk, _) = build_jk_with_configs(
+            &d, &pairs, &batches, &layout, &schedule, |_| (cfg, cfg), &model,
+            FockEngineOptions::default(),
         );
         assert!(jk.j.asymmetry() < 1e-12);
         assert!(jk.k.asymmetry() < 1e-12);
@@ -1012,7 +1000,10 @@ mod tests {
                 .build()
                 .unwrap();
             let (jk, st) = pool.install(|| {
-                build_jk(&d, &pairs, &batches, &layout, &schedule, &fp64, &quant, &model)
+                build_jk_with_configs(
+                    &d, &pairs, &batches, &layout, &schedule, |_| (fp64, quant), &model,
+                    FockEngineOptions::default(),
+                )
             });
             assert!(
                 bits_equal(&jk.j, &jk_serial.j),
@@ -1053,7 +1044,7 @@ mod tests {
                 &schedule,
                 |_| (cfg, cfg),
                 &model,
-                FockEngineOptions { chunk_quartets: None, delta_tau: tau },
+                FockEngineOptions { delta_tau: tau },
             )
         };
         let (base, st_base) = run(None);
@@ -1088,7 +1079,7 @@ mod tests {
                 &schedule,
                 |_| (cfg, cfg),
                 &model,
-                FockEngineOptions { chunk_quartets: None, delta_tau: tau },
+                FockEngineOptions { delta_tau: tau },
             )
         };
         let (full, st_full) = run(Some(0.0));
@@ -1130,7 +1121,7 @@ mod tests {
         let model = CostModel::new(DeviceSpec::a100());
         let cfg = PipelineConfig::kernel_mako_fp64();
         let schedule = QuantSchedule::fp64_reference(0.0);
-        let opts = FockEngineOptions { chunk_quartets: None, delta_tau: Some(1e-12) };
+        let opts = FockEngineOptions { delta_tau: Some(1e-12) };
         let run = || {
             build_jk_with_configs(
                 &d, &pairs, &batches, &layout, &schedule, |_| (cfg, cfg), &model, opts,
@@ -1162,24 +1153,17 @@ mod tests {
         let cfg = PipelineConfig::kernel_mako_fp64();
         let schedule = QuantSchedule::fp64_reference(0.0);
 
-        let run = |chunk: Option<usize>| {
-            build_jk_with_configs(
-                &d,
-                &pairs,
-                &batches,
-                &layout,
-                &schedule,
-                |_| (cfg, cfg),
-                &model,
-                FockEngineOptions { chunk_quartets: chunk, delta_tau: None },
-            )
-        };
-        let (base, st_base) = run(None);
+        let opts = FockEngineOptions::default();
+        let (base, st_base) = build_jk_with_configs(
+            &d, &pairs, &batches, &layout, &schedule, |_| (cfg, cfg), &model, opts,
+        );
         for chunk in [1usize, 3, 17, 100_000] {
-            let (jk, st) = run(Some(chunk));
+            let mut plan = plan_jk(&d, &pairs, &batches, &schedule, |_| (cfg, cfg), &layout, opts);
+            plan.price(&pairs, &model);
+            let jk = plan.assemble_in_waves(&d, &pairs, &layout, chunk);
             assert!(bits_equal(&jk.j, &base.j), "chunk {chunk} changed J bits");
             assert!(bits_equal(&jk.k, &base.k), "chunk {chunk} changed K bits");
-            assert_eq!(st, st_base);
+            assert_eq!(plan.stats, st_base);
         }
     }
 }

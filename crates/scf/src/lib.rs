@@ -26,10 +26,6 @@
 //!   deterministic staged rescue ladder (DIIS reset → damping → level
 //!   shift → quantization backoff → rollback), and non-finite containment,
 //!   all provably inert on healthy runs;
-//! * [`rij`] — adaptive-precision RI-J density fitting: the Coulomb matrix
-//!   via two tiled O(N³) contractions against a fitted auxiliary basis,
-//!   each tile independently stored in int8/fp16/bf16/tf32/fp64 under a
-//!   rigorous per-element error budget, bitwise thread-invariant;
 //! * [`ensemble`] — the lockstep fleet driver: N independent molecules
 //!   whose same-class quartet sub-batches are fused into shared kernel
 //!   launches (pricing only — every member stays bitwise identical to its
@@ -44,11 +40,9 @@ pub mod ensemble;
 pub mod error;
 pub mod fock;
 pub mod grid;
-pub mod mp2;
 pub mod properties;
 pub mod parallel;
 pub mod rescue;
-pub mod rij;
 pub mod scf;
 pub mod xc;
 
@@ -57,19 +51,15 @@ pub use diis::{Diis, DiisSnapshot, DiisStats};
 pub use ensemble::{EnsembleConfig, EnsembleDriver, EnsembleResult};
 pub use error::{CheckpointError, FockBuildError, NonFiniteStage, ScfError};
 pub use fock::{
-    attribute_non_finite, build_jk, FockBuildStats, FockEngineOptions, JkMatrices, NonFiniteSite,
+    attribute_non_finite, build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices,
+    NonFiniteSite,
 };
 pub use grid::MolecularGrid;
-pub use mp2::{mp2_from_orbitals, Mp2Result};
-pub use parallel::{
-    build_jk_distributed, build_jk_distributed_ft, build_jk_distributed_with_options,
-    FaultToleranceOptions, FtFockOutcome,
-};
+pub use parallel::{build_jk_distributed, FaultToleranceOptions, FtFockOutcome};
 pub use properties::{dipole_moment, mulliken_charges, Dipole};
 pub use rescue::{
     classify, RescueConfig, RescueEvent, RescueLedger, RescueStage, TrajectoryClass,
 };
-pub use rij::{RijConfig, RijEngine, RijJStats};
 pub use scf::{
     CheckpointPolicy, DistributedScf, IncrementalPolicy, OrthDiagnostics, ScfConfig, ScfDriver,
     ScfMethod, ScfResult, ScfRunOptions,

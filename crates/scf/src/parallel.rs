@@ -9,6 +9,11 @@
 //! overlap decay (the same quantity Schwarz screening keys on), per-class
 //! quartet counts follow from pair-class populations, and per-batch costs
 //! come from the architecture-tuned kernel configurations.
+//!
+//! Beside the model sits the real multi-rank Fock build,
+//! [`build_jk_distributed`]: LPT-partitioned shares evaluated by the
+//! single-device engine ([`build_jk_with_configs`]), merged in rank order,
+//! under a seeded fault plan (quiet for the fault-free build).
 
 use crate::error::FockBuildError;
 use crate::fock::{build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices};
@@ -144,49 +149,6 @@ pub fn batch_costs(
     costs
 }
 
-/// A genuinely multi-threaded distributed Fock build: quartet batches are
-/// partitioned over `ranks` worker threads by LPT on their modeled device
-/// cost (one thread standing in for one GPU's host rank), each worker runs
-/// the **same parallel assembly engine as the single-device path**
-/// ([`build_jk_with_configs`]) on its share, and the partial J/K matrices
-/// are merged in rank order — the software analogue of the per-rank Fock
-/// build + deterministic allreduce.
-///
-/// Returns the merged matrices, per-rank simulated device seconds, and the
-/// summed scheduler statistics. For a fixed rank count the result is
-/// bitwise reproducible: each rank's build is deterministic (engine
-/// guarantee) and the merge order is the rank order.
-///
-/// Errors with [`FockBuildError::NoRanks`] on an empty cluster and
-/// [`FockBuildError::RankPanicked`] if a worker thread dies (a software
-/// bug, as opposed to an *injected* fault, which
-/// [`build_jk_distributed_ft`] recovers from).
-#[allow(clippy::too_many_arguments)]
-pub fn build_jk_distributed(
-    density: &mako_linalg::Matrix,
-    pairs: &[mako_eri::ScreenedPair],
-    batches: &[mako_eri::QuartetBatch],
-    layout: &mako_chem::AoLayout,
-    schedule: &mako_quant::QuantSchedule,
-    fp64_cfg: &PipelineConfig,
-    quant_cfg: &PipelineConfig,
-    model: &CostModel,
-    ranks: usize,
-) -> Result<(JkMatrices, Vec<f64>, FockBuildStats), FockBuildError> {
-    build_jk_distributed_with_options(
-        density,
-        pairs,
-        batches,
-        layout,
-        schedule,
-        fp64_cfg,
-        quant_cfg,
-        model,
-        ranks,
-        FockEngineOptions::default(),
-    )
-}
-
 /// Per-batch LPT weights: the modeled FP64 cost of every batch, the common
 /// load model of the static partition, the straggler detector, and the
 /// recovery ledger's two clocks.
@@ -252,74 +214,6 @@ fn run_rank_share(
     )
 }
 
-/// [`build_jk_distributed`] with explicit engine options — the incremental
-/// SCF driver passes its ΔD screen threshold through here so every rank
-/// applies the same phase-0 screen to its share of the batches (the screen
-/// is a pure per-quartet function of the density and the Schwarz bounds, so
-/// partitioning does not change what is skipped).
-#[allow(clippy::too_many_arguments)]
-pub fn build_jk_distributed_with_options(
-    density: &mako_linalg::Matrix,
-    pairs: &[mako_eri::ScreenedPair],
-    batches: &[mako_eri::QuartetBatch],
-    layout: &mako_chem::AoLayout,
-    schedule: &mako_quant::QuantSchedule,
-    fp64_cfg: &PipelineConfig,
-    quant_cfg: &PipelineConfig,
-    model: &CostModel,
-    ranks: usize,
-    opts: FockEngineOptions,
-) -> Result<(JkMatrices, Vec<f64>, FockBuildStats), FockBuildError> {
-    if ranks == 0 {
-        return Err(FockBuildError::NoRanks);
-    }
-    let cfg_for = |_bi: usize| (*fp64_cfg, *quant_cfg);
-    let weights = batch_weights(batches, &|_| *fp64_cfg, model);
-    let shares = lpt_shares(&weights, ranks);
-
-    let results: Vec<Result<(JkMatrices, FockBuildStats), FockBuildError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shares
-                .iter()
-                .map(|share| {
-                    scope.spawn(|| {
-                        run_rank_share(
-                            density, pairs, batches, share, layout, schedule, &cfg_for,
-                            model, opts,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(rank, h)| h.join().map_err(|_| FockBuildError::RankPanicked { rank }))
-                .collect()
-        });
-
-    let n = layout.nao;
-    let mut j = mako_linalg::Matrix::zeros(n, n);
-    let mut k = mako_linalg::Matrix::zeros(n, n);
-    let mut seconds = Vec::with_capacity(ranks);
-    let mut stats = FockBuildStats::default();
-    for res in results {
-        let (jk, st) = res?;
-        j.axpy(1.0, &jk.j);
-        k.axpy(1.0, &jk.k);
-        seconds.push(st.device_seconds);
-        stats.fp64_quartets += st.fp64_quartets;
-        stats.quantized_quartets += st.quantized_quartets;
-        stats.pruned_quartets += st.pruned_quartets;
-        stats.skipped_quartets += st.skipped_quartets;
-        stats.skipped_bound += st.skipped_bound;
-        // Ranks run concurrently: the iteration costs what the slowest rank
-        // costs, not the sum (unlike [`FockBuildStats::absorb`], which sums
-        // sequential shares of one device's work).
-        stats.device_seconds = stats.device_seconds.max(st.device_seconds);
-    }
-    Ok((JkMatrices { j, k }, seconds, stats))
-}
-
 /// Recovery policy of the fault-tolerant distributed build.
 #[derive(Debug, Clone)]
 pub struct FaultToleranceOptions {
@@ -370,9 +264,16 @@ pub struct FtFockOutcome {
     pub recovery: RecoveryLedger,
 }
 
-/// Fault-tolerant distributed Fock build: executes the same LPT-partitioned
-/// build as [`build_jk_distributed_with_options`] while *simulating* the
-/// fault schedule of `ft.plan` and recovering from every injected anomaly:
+/// The multi-rank Fock build: quartet batches are partitioned over `ranks`
+/// worker threads by LPT on their modeled device cost (one thread standing in
+/// for one GPU's host rank), each worker runs the **same assembly engine as
+/// the single-device path** ([`build_jk_with_configs`]) on its share, and the
+/// partial J/K matrices are merged in rank order — the software analogue of
+/// the per-rank Fock build + deterministic allreduce. This is the one
+/// multi-rank entry point: the fault-free build is `ft.plan` =
+/// [`FaultPlan::quiet`], under which no recovery fires. Under any other plan
+/// the build *simulates* the fault schedule and recovers from every injected
+/// anomaly:
 ///
 /// * **transient launch failures** — retried in place with capped
 ///   exponential backoff (wasted attempts and backoff delays are charged to
@@ -398,8 +299,17 @@ pub struct FtFockOutcome {
 /// change is the execution timeline, which is simulated on the LPT
 /// load-model clock and reported in [`RecoveryLedger`]
 /// (`fault_free_seconds` vs `degraded_seconds`).
+///
+/// Every rank applies `opts` to its share (the incremental driver's ΔD
+/// screen is a pure per-quartet function of the density and the Schwarz
+/// bounds, so partitioning does not change what is skipped). Errors with
+/// [`FockBuildError::NoRanks`] on an empty cluster,
+/// [`FockBuildError::PlanMismatch`] when the plan was drawn for another rank
+/// count, [`FockBuildError::AllRanksLost`] when no rank survives, and
+/// [`FockBuildError::RankPanicked`] if a worker thread dies (a software bug,
+/// as opposed to an *injected* fault, which is recovered from).
 #[allow(clippy::too_many_arguments)]
-pub fn build_jk_distributed_ft(
+pub fn build_jk_distributed(
     density: &mako_linalg::Matrix,
     pairs: &[mako_eri::ScreenedPair],
     batches: &[mako_eri::QuartetBatch],
@@ -571,7 +481,7 @@ pub fn build_jk_distributed_ft(
         ledger.degraded_seconds += comm;
     }
 
-    // ---- Phase 5: rank-ordered merge — identical to the fault-free path.
+    // ---- Phase 5: rank-ordered merge — no fault reaches it.
     let n = layout.nao;
     let mut j = mako_linalg::Matrix::zeros(n, n);
     let mut k = mako_linalg::Matrix::zeros(n, n);
@@ -582,12 +492,7 @@ pub fn build_jk_distributed_ft(
         j.axpy(1.0, &jk.j);
         k.axpy(1.0, &jk.k);
         rank_seconds.push(st.device_seconds);
-        stats.fp64_quartets += st.fp64_quartets;
-        stats.quantized_quartets += st.quantized_quartets;
-        stats.pruned_quartets += st.pruned_quartets;
-        stats.skipped_quartets += st.skipped_quartets;
-        stats.skipped_bound += st.skipped_bound;
-        stats.device_seconds = stats.device_seconds.max(st.device_seconds);
+        stats.merge_rank(&st);
     }
     if dist_span.is_recording() {
         dist_span.add_field("transient_retries", ledger.transient_retries);
@@ -722,103 +627,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn distributed_fock_matches_serial() {
-        use mako_chem::basis::sto3g::sto3g;
-        use mako_eri::batch::batch_quartets;
-        use mako_eri::screening::build_screened_pairs;
-        use mako_kernels::pipeline::PipelineConfig;
-        use mako_quant::QuantSchedule;
-
-        let mol = builders::water();
-        let shells = sto3g().shells_for(&mol);
-        let layout = mako_chem::AoLayout::new(&shells);
-        let pairs = build_screened_pairs(&shells, 1e-12);
-        let batches = batch_quartets(&pairs, 1e-14);
-        let d = mako_linalg::Matrix::from_fn(layout.nao, layout.nao, |i, j| {
-            0.4 / (1.0 + (i as f64 - j as f64).abs())
-        });
-        let model = CostModel::new(DeviceSpec::a100());
-        let cfg = PipelineConfig::kernel_mako_fp64();
-        let schedule = QuantSchedule::fp64_reference(0.0);
-
-        let (serial, _) = crate::fock::build_jk(
-            &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model,
-        );
-        for ranks in [1usize, 2, 4] {
-            let (dist, seconds, stats) = build_jk_distributed(
-                &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model, ranks,
-            )
-            .expect("distributed build");
-            assert_eq!(seconds.len(), ranks);
-            assert!(stats.fp64_quartets > 0);
-            assert!(
-                dist.j.sub(&serial.j).max_abs() < 1e-11,
-                "ranks={ranks} J mismatch"
-            );
-            assert!(
-                dist.k.sub(&serial.k).max_abs() < 1e-11,
-                "ranks={ranks} K mismatch"
-            );
-        }
-    }
-
-    #[test]
-    fn distributed_fock_balances_load() {
-        use mako_chem::basis::sto3g::sto3g;
-        use mako_eri::batch::batch_quartets;
-        use mako_eri::screening::build_screened_pairs;
-        use mako_kernels::pipeline::PipelineConfig;
-        use mako_quant::QuantSchedule;
-
-        let mol = builders::water_cluster(2);
-        let shells = sto3g().shells_for(&mol);
-        let layout = mako_chem::AoLayout::new(&shells);
-        let pairs = build_screened_pairs(&shells, 1e-12);
-        let batches = batch_quartets(&pairs, 1e-14);
-        let d = mako_linalg::Matrix::identity(layout.nao).scale(0.5);
-        let model = CostModel::new(DeviceSpec::a100());
-        let cfg = PipelineConfig::kernel_mako_fp64();
-        let schedule = QuantSchedule::fp64_reference(0.0);
-        let (_, seconds, _) = build_jk_distributed(
-            &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model, 2,
-        )
-        .expect("distributed build");
-        let max = seconds.iter().cloned().fold(0.0f64, f64::max);
-        let min = seconds.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(max > 0.0 && min > 0.0, "both ranks got work: {seconds:?}");
-        assert!(min / max > 0.2, "load imbalance too large: {seconds:?}");
-    }
-
-    // Shared fixture for the fault-tolerance tests: a water-dimer Fock
-    // build with a synthetic density.
-    fn ft_fixture() -> (
+    type FockFixture = (
         mako_linalg::Matrix,
         Vec<mako_eri::ScreenedPair>,
         Vec<mako_eri::QuartetBatch>,
         mako_chem::AoLayout,
         mako_quant::QuantSchedule,
-        mako_kernels::pipeline::PipelineConfig,
+        PipelineConfig,
         CostModel,
-    ) {
+    );
+
+    /// An FP64 Fock build of `mol`/STO-3G with a synthetic density.
+    fn fock_fixture(mol: &Molecule, density: impl Fn(usize, usize) -> f64) -> FockFixture {
         use mako_chem::basis::sto3g::sto3g;
         use mako_eri::batch::batch_quartets;
         use mako_eri::screening::build_screened_pairs;
-        use mako_kernels::pipeline::PipelineConfig;
         use mako_quant::QuantSchedule;
 
-        let mol = builders::water_cluster(2);
-        let shells = sto3g().shells_for(&mol);
+        let shells = sto3g().shells_for(mol);
         let layout = mako_chem::AoLayout::new(&shells);
         let pairs = build_screened_pairs(&shells, 1e-12);
         let batches = batch_quartets(&pairs, 1e-14);
-        let d = mako_linalg::Matrix::from_fn(layout.nao, layout.nao, |i, j| {
-            0.4 / (1.0 + (i as f64 - j as f64).abs())
-        });
+        let d = mako_linalg::Matrix::from_fn(layout.nao, layout.nao, density);
         let model = CostModel::new(DeviceSpec::a100());
         let cfg = PipelineConfig::kernel_mako_fp64();
         let schedule = QuantSchedule::fp64_reference(0.0);
         (d, pairs, batches, layout, schedule, cfg, model)
+    }
+
+    // Shared fixture for the fault-tolerance tests: a water-dimer Fock
+    // build with a synthetic density.
+    fn ft_fixture() -> FockFixture {
+        fock_fixture(&builders::water_cluster(2), |i, j| {
+            0.4 / (1.0 + (i as f64 - j as f64).abs())
+        })
+    }
+
+    /// The build of `fx` over `ft.plan.ranks()` ranks under `ft`.
+    fn build_under(fx: &FockFixture, ft: &FaultToleranceOptions) -> FtFockOutcome {
+        let (d, pairs, batches, layout, schedule, cfg, model) = fx;
+        build_jk_distributed(
+            d,
+            pairs,
+            batches,
+            layout,
+            schedule,
+            &|_| (*cfg, *cfg),
+            model,
+            ft.plan.ranks(),
+            FockEngineOptions::default(),
+            ft,
+        )
+        .expect("distributed build")
+    }
+
+    /// The fault-free build: the quiet plan.
+    fn fault_free(fx: &FockFixture, ranks: usize) -> FtFockOutcome {
+        build_under(fx, &FaultToleranceOptions::new(FaultPlan::quiet(ranks)))
+    }
+
+    /// The single-device engine on the same fixture.
+    fn solo(fx: &FockFixture) -> (JkMatrices, FockBuildStats) {
+        let (d, pairs, batches, layout, schedule, cfg, model) = fx;
+        build_jk_with_configs(
+            d,
+            pairs,
+            batches,
+            layout,
+            schedule,
+            |_| (*cfg, *cfg),
+            model,
+            FockEngineOptions::default(),
+        )
     }
 
     fn assert_bitwise_jk(a: &JkMatrices, b: &JkMatrices, what: &str) {
@@ -839,29 +719,64 @@ mod tests {
     }
 
     #[test]
+    fn distributed_fock_matches_serial() {
+        let fx = fock_fixture(&builders::water(), |i, j| {
+            0.4 / (1.0 + (i as f64 - j as f64).abs())
+        });
+        let (serial, _) = solo(&fx);
+        for ranks in [1usize, 2, 4] {
+            let dist = fault_free(&fx, ranks);
+            assert_eq!(dist.rank_seconds.len(), ranks);
+            assert!(dist.stats.fp64_quartets > 0);
+            assert!(
+                dist.jk.j.sub(&serial.j).max_abs() < 1e-11,
+                "ranks={ranks} J mismatch"
+            );
+            assert!(
+                dist.jk.k.sub(&serial.k).max_abs() < 1e-11,
+                "ranks={ranks} K mismatch"
+            );
+        }
+    }
+
+    #[test]
+    fn distributed_fock_balances_load() {
+        let fx = fock_fixture(&builders::water_cluster(2), |i, j| {
+            if i == j {
+                0.5
+            } else {
+                0.0
+            }
+        });
+        let seconds = fault_free(&fx, 2).rank_seconds;
+        let max = seconds.iter().cloned().fold(0.0f64, f64::max);
+        let min = seconds.iter().cloned().fold(f64::INFINITY, f64::min);
+        assert!(max > 0.0 && min > 0.0, "both ranks got work: {seconds:?}");
+        assert!(min / max > 0.2, "load imbalance too large: {seconds:?}");
+    }
+
+    #[test]
     fn ft_quiet_plan_matches_fault_free_exactly() {
-        let (d, pairs, batches, layout, schedule, cfg, model) = ft_fixture();
-        let ranks = 3;
-        let (ff, ff_seconds, ff_stats) = build_jk_distributed(
-            &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model, ranks,
-        )
-        .expect("fault-free build");
-        let ft = build_jk_distributed_ft(
-            &d,
-            &pairs,
-            &batches,
-            &layout,
-            &schedule,
-            &|_| (cfg, cfg),
-            &model,
-            ranks,
-            FockEngineOptions::default(),
-            &FaultToleranceOptions::new(FaultPlan::quiet(ranks)),
-        )
-        .expect("ft build");
-        assert_bitwise_jk(&ft.jk, &ff, "quiet plan");
-        assert_eq!(ft.rank_seconds, ff_seconds);
-        assert_eq!(ft.stats, ff_stats);
+        // The fault-free build is the quiet plan. On one rank it is the solo
+        // engine to the bit (one share holding every batch in order, merged
+        // into zeros); on three, the counters add up to the solo build's,
+        // the clock is the slowest rank's, and no recovery fires.
+        let fx = ft_fixture();
+        let (solo_jk, solo_stats) = solo(&fx);
+        let one = fault_free(&fx, 1);
+        assert_bitwise_jk(&one.jk, &solo_jk, "one quiet rank");
+        assert_eq!(one.rank_seconds, [solo_stats.device_seconds]);
+        assert_eq!(one.stats, solo_stats);
+
+        let ft = fault_free(&fx, 3);
+        assert_eq!(ft.rank_seconds.len(), 3);
+        assert_eq!(
+            ft.stats,
+            FockBuildStats {
+                device_seconds: ft.rank_seconds.iter().cloned().fold(0.0, f64::max),
+                ..solo_stats
+            }
+        );
         assert!(ft.recovery.quiet(), "quiet plan fired recovery: {:?}", ft.recovery);
         // Quiet degraded timeline equals the fault-free plan exactly.
         assert_eq!(
@@ -872,12 +787,9 @@ mod tests {
 
     #[test]
     fn ft_rank_loss_recovers_bitwise() {
-        let (d, pairs, batches, layout, schedule, cfg, model) = ft_fixture();
+        let fx = ft_fixture();
         let ranks = 4;
-        let (ff, ff_seconds, ff_stats) = build_jk_distributed(
-            &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model, ranks,
-        )
-        .expect("fault-free build");
+        let ff = fault_free(&fx, ranks);
         // Kill all but one rank — the strongest recovery case the issue
         // demands — plus a straggler and transients on the survivor.
         let plan = FaultPlan::quiet(ranks)
@@ -886,22 +798,10 @@ mod tests {
             .kill_rank(3, 0.9)
             .slow_rank(2, 4.0)
             .with_transients(0.2);
-        let ft = build_jk_distributed_ft(
-            &d,
-            &pairs,
-            &batches,
-            &layout,
-            &schedule,
-            &|_| (cfg, cfg),
-            &model,
-            ranks,
-            FockEngineOptions::default(),
-            &FaultToleranceOptions::new(plan),
-        )
-        .expect("ft build");
-        assert_bitwise_jk(&ft.jk, &ff, "3-of-4 rank loss");
-        assert_eq!(ft.rank_seconds, ff_seconds);
-        assert_eq!(ft.stats, ff_stats);
+        let ft = build_under(&fx, &FaultToleranceOptions::new(plan));
+        assert_bitwise_jk(&ft.jk, &ff.jk, "3-of-4 rank loss");
+        assert_eq!(ft.rank_seconds, ff.rank_seconds);
+        assert_eq!(ft.stats, ff.stats);
         assert_eq!(ft.recovery.ranks_lost, 3);
         assert!(ft.recovery.rerun_batches > 0, "dead shares must be re-run");
         assert!(ft.recovery.transient_retries > 0, "20% transients must fire");
@@ -915,27 +815,12 @@ mod tests {
 
     #[test]
     fn ft_straggler_tail_is_stolen() {
-        let (d, pairs, batches, layout, schedule, cfg, model) = ft_fixture();
+        let fx = ft_fixture();
         let ranks = 4;
-        let (ff, _, _) = build_jk_distributed(
-            &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model, ranks,
-        )
-        .expect("fault-free build");
+        let ff = fault_free(&fx, ranks);
         let plan = FaultPlan::quiet(ranks).slow_rank(1, 8.0);
-        let ft = build_jk_distributed_ft(
-            &d,
-            &pairs,
-            &batches,
-            &layout,
-            &schedule,
-            &|_| (cfg, cfg),
-            &model,
-            ranks,
-            FockEngineOptions::default(),
-            &FaultToleranceOptions::new(plan),
-        )
-        .expect("ft build");
-        assert_bitwise_jk(&ft.jk, &ff, "straggler");
+        let ft = build_under(&fx, &FaultToleranceOptions::new(plan));
+        assert_bitwise_jk(&ft.jk, &ff.jk, "straggler");
         assert_eq!(ft.recovery.straggler_ranks, 1);
         assert!(ft.recovery.stolen_batches > 0, "8× straggler must lose its tail");
         assert_eq!(ft.recovery.ranks_lost, 0);
@@ -950,7 +835,8 @@ mod tests {
 
     #[test]
     fn ft_allreduce_timeouts_are_charged() {
-        let (d, pairs, batches, layout, schedule, cfg, model) = ft_fixture();
+        let fx = ft_fixture();
+        let nao = fx.3.nao;
         let ranks = 2;
         // Timeout stream with a high rate: some call index in 0..20 draws a
         // timeout deterministically.
@@ -964,24 +850,15 @@ mod tests {
         );
         let mut saw_retry = false;
         for call in 0..20 {
-            let ft = build_jk_distributed_ft(
-                &d,
-                &pairs,
-                &batches,
-                &layout,
-                &schedule,
-                &|_| (cfg, cfg),
-                &model,
-                ranks,
-                FockEngineOptions::default(),
+            let ft = build_under(
+                &fx,
                 &FaultToleranceOptions {
                     cluster: Some(ClusterSpec::azure_nd_a100_v4()),
-                    allreduce_bytes: 2.0 * (layout.nao * layout.nao) as f64 * 8.0,
+                    allreduce_bytes: 2.0 * (nao * nao) as f64 * 8.0,
                     collective_call: call,
                     ..FaultToleranceOptions::new(plan.clone())
                 },
-            )
-            .expect("ft build");
+            );
             assert!(ft.recovery.fault_free_seconds > 0.0, "comm must be priced");
             if ft.recovery.allreduce_retries > 0 {
                 saw_retry = true;
@@ -999,27 +876,26 @@ mod tests {
     #[test]
     fn ft_rejects_bad_configurations() {
         let (d, pairs, batches, layout, schedule, cfg, model) = ft_fixture();
-        let err = build_jk_distributed_ft(
-            &d,
-            &pairs,
-            &batches,
-            &layout,
-            &schedule,
-            &|_| (cfg, cfg),
-            &model,
-            3,
-            FockEngineOptions::default(),
-            &FaultToleranceOptions::new(FaultPlan::quiet(2)),
-        )
-        .expect_err("plan/ranks mismatch must be rejected");
+        let build = |ranks: usize, plan_ranks: usize| {
+            build_jk_distributed(
+                &d,
+                &pairs,
+                &batches,
+                &layout,
+                &schedule,
+                &|_| (cfg, cfg),
+                &model,
+                ranks,
+                FockEngineOptions::default(),
+                &FaultToleranceOptions::new(FaultPlan::quiet(plan_ranks)),
+            )
+        };
+        let err = build(3, 2).expect_err("plan/ranks mismatch must be rejected");
         assert_eq!(
             err,
             crate::error::FockBuildError::PlanMismatch { plan_ranks: 2, ranks: 3 }
         );
-        let err = build_jk_distributed(
-            &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model, 0,
-        )
-        .expect_err("zero ranks must be rejected");
+        let err = build(0, 0).expect_err("zero ranks must be rejected");
         assert_eq!(err, crate::error::FockBuildError::NoRanks);
     }
 

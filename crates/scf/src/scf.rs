@@ -14,7 +14,7 @@ use crate::fock::{
     attribute_non_finite, build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices,
 };
 use crate::grid::MolecularGrid;
-use crate::parallel::{build_jk_distributed_ft, FaultToleranceOptions};
+use crate::parallel::{build_jk_distributed, FaultToleranceOptions};
 use crate::rescue::{RescueConfig, RescueLedger, RescueStage, RescueState, TrajectoryClass};
 use crate::xc::{evaluate_aos, evaluate_xc, hartree_fock, AoOnGrid, XcFunctional};
 use mako_accel::cluster::ClusterSpec;
@@ -78,14 +78,13 @@ impl Default for IncrementalPolicy {
 
 /// Distributed execution of the per-iteration Fock build: the work is
 /// LPT-partitioned over simulated GPU ranks and recovered under an optional
-/// fault plan (see [`build_jk_distributed_ft`]).
+/// fault plan (see [`build_jk_distributed`]).
 #[derive(Debug, Clone)]
 pub struct DistributedScf {
     /// Simulated GPU ranks (worker threads).
     pub ranks: usize,
-    /// Fault schedule to inject and recover from; `None` runs a quiet
-    /// cluster (still through the fault-tolerant driver, which then must
-    /// behave exactly like the fault-free one).
+    /// Fault schedule to inject and recover from; `None` runs the quiet
+    /// plan, which is the fault-free build.
     pub fault_plan: Option<FaultPlan>,
     /// Cluster geometry for the per-iteration allreduce accounting.
     pub cluster: Option<ClusterSpec>,
@@ -466,7 +465,7 @@ impl ScfDriver {
                     allreduce_bytes: 2.0 * (nao * nao) as f64 * 8.0,
                     collective_call: iter as u64,
                 };
-                let out = build_jk_distributed_ft(
+                let out = build_jk_distributed(
                     &prep.build_density,
                     &self.pairs,
                     &self.batches,
@@ -849,7 +848,6 @@ impl<'a> ScfSession<'a> {
         // incremental path.
         let opts = FockEngineOptions {
             delta_tau: if cfg.incremental { Some(self.policy.tau) } else { None },
-            ..FockEngineOptions::default()
         };
         PreparedIteration {
             schedule,

@@ -24,7 +24,7 @@
 
 use crate::grid::MolecularGrid;
 use mako_chem::Shell;
-use mako_linalg::{gemm_tiled, Matrix, Transpose};
+use mako_linalg::{gemm_into, Matrix, Transpose};
 
 const PI: f64 = std::f64::consts::PI;
 
@@ -393,7 +393,7 @@ pub fn evaluate_xc(
     // GEMM 1: P = Φ·D. The workspace holds P on the way into the grid pass
     // and Z on the way out.
     let mut z = Matrix::zeros(npts, nao);
-    gemm_tiled(1.0, &aos.phi, Transpose::No, d, Transpose::No, 0.0, &mut z);
+    gemm_into(1.0, &aos.phi, Transpose::No, d, Transpose::No, 0.0, &mut z);
 
     let mut energy = 0.0;
     let mut n_el = 0.0;
@@ -423,7 +423,7 @@ pub fn evaluate_xc(
 
     // GEMM 2: V = ΦᵀZ + (ΦᵀZ)ᵀ.
     let mut v = Matrix::zeros(nao, nao);
-    gemm_tiled(1.0, &aos.phi, Transpose::Yes, &z, Transpose::No, 0.0, &mut v);
+    gemm_into(1.0, &aos.phi, Transpose::Yes, &z, Transpose::No, 0.0, &mut v);
 
     XcResult {
         energy,

@@ -4,12 +4,14 @@
 //!
 //! The constants below were generated on the code that still had seven
 //! `build_jk*` entry points: `SOLO_*` from `build_jk_with_configs`,
-//! `DIST_QUIET` from the old fault-free `build_jk_distributed` (its own copy
-//! of the spawn and merge phases) and `DIST_CHAOS` from
-//! `build_jk_distributed_ft`. A refactor of the seam passes only if the
-//! surviving entry points reproduce every one of them; a deliberate change of
-//! summation order, scheduling or pricing must regenerate them (failure
-//! messages print the new values) and say so in CHANGES.md.
+//! `DIST_QUIET` from the then separate fault-free `build_jk_distributed` (its
+//! own copy of the spawn and merge phases) and `DIST_CHAOS` from
+//! `build_jk_distributed_ft`. The two entry points that survive —
+//! `build_jk_with_configs` and `build_jk_distributed`, the renamed FT driver,
+//! whose fault-free build is the quiet plan — must reproduce every one of
+//! them; a deliberate change of summation order, scheduling or pricing must
+//! regenerate them (failure messages print the new values) and say so in
+//! CHANGES.md.
 
 use mako_accel::fault::{FaultConfig, FaultPlan, RecoveryLedger};
 use mako_accel::{CostModel, DeviceSpec};
@@ -22,7 +24,7 @@ use mako_kernels::pipeline::PipelineConfig;
 use mako_linalg::Matrix;
 use mako_quant::QuantSchedule;
 use mako_scf::fock::{build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices};
-use mako_scf::parallel::{build_jk_distributed, build_jk_distributed_ft, FaultToleranceOptions};
+use mako_scf::parallel::{build_jk_distributed, FaultToleranceOptions};
 
 const RANKS: usize = 3;
 
@@ -144,7 +146,7 @@ fn solo(density_scale: f64, opts: FockEngineOptions) -> (u64, u64) {
 
 fn distributed(plan: FaultPlan) -> (u64, u64) {
     let f = fixture();
-    let out = build_jk_distributed_ft(
+    let out = build_jk_distributed(
         &f.density,
         &f.pairs,
         &f.batches,
@@ -185,52 +187,16 @@ fn solo_build_at_default_options_is_pinned() {
 fn solo_build_with_the_delta_screen_is_pinned() {
     let opts = FockEngineOptions {
         delta_tau: Some(1e-9),
-        ..FockEngineOptions::default()
     };
     assert_pinned(solo(1e-7, opts), SOLO_DELTA_TAU, "SOLO_DELTA_TAU");
     assert_pinned(solo(1.0, opts), SOLO_DEFAULT, "SOLO_DEFAULT (τ = 1e-9, nothing under it)");
 }
 
-/// The fault-free multi-rank build, through the entry point that is about to
-/// be deleted: J/K, merged stats, per-rank seconds. The recovery ledger of a
-/// fault-free build is the quiet plan's, which `distributed` digests after
-/// the per-rank seconds; the old entry point has none, so the quiet ledger
-/// is taken from the FT driver here and pinned with the rest.
+/// The fault-free multi-rank build — J/K, merged stats, per-rank seconds, a
+/// quiet ledger — is the quiet plan's.
 #[test]
 fn fault_free_three_rank_build_is_pinned() {
-    let f = fixture();
-    let (jk, seconds, stats) = build_jk_distributed(
-        &f.density,
-        &f.pairs,
-        &f.batches,
-        &f.layout,
-        &f.schedule,
-        &f.fp64,
-        &f.quant,
-        &f.model,
-        RANKS,
-    )
-    .expect("fault-free build");
-    let quiet = build_jk_distributed_ft(
-        &f.density,
-        &f.pairs,
-        &f.batches,
-        &f.layout,
-        &f.schedule,
-        &|_| (f.fp64, f.quant),
-        &f.model,
-        RANKS,
-        FockEngineOptions::default(),
-        &FaultToleranceOptions::new(FaultPlan::quiet(RANKS)),
-    )
-    .expect("quiet build");
-    assert!(quiet.recovery.quiet());
-    let mut d = Digest::new();
-    d.stats(&stats);
-    d.floats(&seconds);
-    d.ledger(&quiet.recovery);
-    assert_pinned((jk_digest(&jk), d.0), DIST_QUIET, "DIST_QUIET");
-    assert_pinned(distributed(FaultPlan::quiet(RANKS)), DIST_QUIET, "DIST_QUIET (quiet plan)");
+    assert_pinned(distributed(FaultPlan::quiet(RANKS)), DIST_QUIET, "DIST_QUIET");
 }
 
 #[test]

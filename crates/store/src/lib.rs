@@ -21,7 +21,7 @@
 //! The crash-consistency contract, pinned by `durability_bench` and the
 //! recovery proptests, is: after a crash at *any* injected point, recovery
 //! reconstructs the serve and every completed job's numerics are bitwise
-//! identical to an uninterrupted run. See DESIGN.md §17.
+//! identical to an uninterrupted run. See DESIGN.md §16.
 #![deny(rust_2018_idioms)]
 
 pub mod artifact;

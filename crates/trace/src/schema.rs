@@ -268,10 +268,6 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "fock.screen",
     "fock.launch",
     "fock.assemble",
-    "rij.build",
-    "rij.pick",
-    "rij.solve",
-    "rij.contract",
     "dist.build_jk_ft",
     "ensemble.run",
     "ensemble.iteration",
@@ -495,14 +491,6 @@ mod tests {
             assert!(is_known_event(name), "{name} missing from KNOWN_EVENTS");
         }
         assert!(!is_known_event("store.unheard_of"));
-    }
-
-    #[test]
-    fn known_event_registry_covers_the_rij_events() {
-        for name in ["rij.build", "rij.pick", "rij.solve", "rij.contract"] {
-            assert!(is_known_event(name), "{name} missing from KNOWN_EVENTS");
-        }
-        assert!(!is_known_event("rij.unheard_of"));
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! H₂ dissociation curve with RHF and MP2 — a property-style workload using
-//! the full stack (integrals → SCF → AO→MO transformation), plus the dipole
-//! machinery on water for good measure.
+//! H₂ dissociation curve with RHF — a property-style workload using the full
+//! stack (integrals → SCF), plus the dipole machinery on water for good
+//! measure.
 //!
 //! ```sh
 //! cargo run --release -p mako --example h2_dissociation
 //! ```
 
 use mako::chem::basis::sto3g::sto3g;
-use mako::linalg::{eigh, gemm, sym_inv_sqrt, Transpose};
 use mako::prelude::*;
-use mako::scf::mp2::mp2_from_orbitals;
 use mako::scf::properties::dipole_moment;
 
 fn h2(r: f64) -> Molecule {
@@ -26,71 +24,22 @@ fn h2(r: f64) -> Molecule {
 }
 
 fn main() {
-    println!("H2 dissociation, RHF + MP2 / STO-3G (distances in Bohr)\n");
-    println!("{:>6} {:>14} {:>12} {:>14}", "r", "E(RHF)/Ha", "E(2)/Ha", "E(MP2)/Ha");
+    println!("H2 dissociation, RHF / STO-3G (distances in Bohr)\n");
+    println!("{:>6} {:>14}", "r", "E(RHF)/Ha");
     let engine = MakoEngine::new();
-    let basis = sto3g();
     let mut min = (0.0f64, f64::INFINITY);
     for step in 0..12 {
         let r = 0.9 + 0.2 * step as f64;
-        let mol = h2(r);
-        let res = engine.run_rhf(&mol, BasisFamily::Sto3g).expect("scf run");
-        // MO coefficients from one clean rediagonalization of H_core-based
-        // machinery at the converged density (small dense system).
-        let shells = basis.shells_for(&mol);
-        let (s, t, v) = mako::eri::one_electron_matrices(&shells, &mol);
-        let h = t.add(&v);
-        let x = sym_inv_sqrt(&s, 1e-10).unwrap();
-        // Dense Fock from the converged density.
-        let layout = mako::chem::AoLayout::new(&shells);
-        let n = layout.nao;
-        let mut f = h.clone();
-        for (si, sh_i) in shells.iter().enumerate() {
-            for (sj, sh_j) in shells.iter().enumerate() {
-                let pab = mako::eri::shell_pair(sh_i, sh_j);
-                for (sk, sh_k) in shells.iter().enumerate() {
-                    for (sl, sh_l) in shells.iter().enumerate() {
-                        let pcd = mako::eri::shell_pair(sh_k, sh_l);
-                        let tq = mako::eri::eri_quartet_mmd(&pab, &pcd);
-                        let (oi, oj, ok, ol) = (
-                            layout.shell_offsets[si],
-                            layout.shell_offsets[sj],
-                            layout.shell_offsets[sk],
-                            layout.shell_offsets[sl],
-                        );
-                        for a in 0..tq.dims[0] {
-                            for b in 0..tq.dims[1] {
-                                for c in 0..tq.dims[2] {
-                                    for d in 0..tq.dims[3] {
-                                        let val = tq.get(a, b, c, d);
-                                        f[(oi + a, oj + b)] +=
-                                            2.0 * res.density[(ok + c, ol + d)] * val;
-                                        f[(oi + a, ok + c)] -=
-                                            res.density[(oj + b, ol + d)] * val;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        let res = engine.run_rhf(&h2(r), BasisFamily::Sto3g).expect("scf run");
+        if res.energy < min.1 {
+            min = (r, res.energy);
         }
-        f.symmetrize();
-        let fp = gemm(&gemm(&x, Transpose::Yes, &f, Transpose::No), Transpose::No, &x, Transpose::No);
-        let ed = eigh(&fp).unwrap();
-        let c = gemm(&x, Transpose::No, &ed.vectors, Transpose::No);
-        let mp2 = mp2_from_orbitals(&shells, &mol, &c, &ed.values);
-        let total = res.energy + mp2.e_corr;
-        if total < min.1 {
-            min = (r, total);
-        }
-        println!("{r:>6.2} {:>14.8} {:>12.6} {:>14.8}", res.energy, mp2.e_corr, total);
-        let _ = n;
+        println!("{r:>6.2} {:>14.8}", res.energy);
     }
-    println!("\nMP2 minimum near r = {:.2} Bohr (experimental r_e ≈ 1.40)", min.0);
+    println!("\nRHF minimum near r = {:.2} Bohr (experimental r_e ≈ 1.40)", min.0);
 
     let water = mako::chem::builders::water();
-    let shells = basis.shells_for(&water);
+    let shells = sto3g().shells_for(&water);
     let res = engine.run_rhf(&water, BasisFamily::Sto3g).expect("scf run");
     let mu = dipole_moment(&water, &shells, &res.density);
     println!(

@@ -27,4 +27,10 @@ cargo test -q
 echo "== tier1: cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
+# benchmark/ is its own workspace, so nothing above compiles it: without this
+# a change to a public name it imports breaks BENCHMARK.json's command and is
+# only caught by tier-2.
+echo "== tier1: cargo check benchmark/ =="
+cargo check --offline --manifest-path benchmark/Cargo.toml
+
 echo "== tier1: OK =="

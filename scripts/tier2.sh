@@ -16,17 +16,6 @@ cargo test --release -p mako-integration-tests --test golden
 
 # Smoke runs write to scratch paths so they never clobber the committed
 # full-workload BENCH_*.json artifacts.
-echo "== tier2: host_fock_bench (smoke: reduced workload, 1/2 threads) =="
-MAKO_BENCH_MAX_QUARTETS=2000 MAKO_THREADS=1,2 \
-    MAKO_BENCH_OUT=target/BENCH_fock_smoke.json \
-    cargo run --release -p mako-bench --bin host_fock_bench
-
-echo "== tier2: gemm_microbench (smoke: spliced into the smoke BENCH doc) =="
-MAKO_SMOKE=1 MAKO_BENCH_OUT=target/BENCH_fock_smoke.json \
-    cargo run --release -p mako-bench --bin gemm_microbench
-grep -q '"gemm":' target/BENCH_fock_smoke.json \
-    || { echo "gemm_microbench did not splice a gemm section" >&2; exit 1; }
-
 echo "== tier2: microkernel determinism (full linalg suite under MAKO_KERNEL=generic) =="
 MAKO_KERNEL=generic cargo test --release -q -p mako-linalg
 
@@ -78,18 +67,6 @@ grep -q '"completed_bitwise_vs_solo": true' target/BENCH_serve_smoke.json \
 grep -q '"threads_bitwise_identical": true' target/BENCH_serve_smoke.json \
     || { echo "server smoke lost cross-thread determinism" >&2; exit 1; }
 
-echo "== tier2: rij_bench (smoke: water2 fit + scale, adaptive tiles, traced) =="
-MAKO_SMOKE=1 MAKO_THREADS=1,2 \
-    MAKO_BENCH_OUT=target/BENCH_rij_smoke.json \
-    MAKO_TRACE=target/rij_trace_smoke.jsonl \
-    cargo run --release -p mako-bench --bin rij_bench
-# The rij.* events must validate against the documented schema AND actually
-# appear — the build/pick/solve/contract spans are part of the contract.
-cargo run --release -p mako-bench --bin trace_validate -- target/rij_trace_smoke.jsonl \
-    --require rij.build --require rij.pick --require rij.solve --require rij.contract
-grep -q '"bitwise_identical_all": true' target/BENCH_rij_smoke.json \
-    || { echo "rij smoke lost cross-thread bitwise identity" >&2; exit 1; }
-
 echo "== tier2: durability_bench (smoke: strided crash-point sweep + corruption, traced) =="
 MAKO_SMOKE=1 MAKO_FAULT_SEED=23 \
     MAKO_BENCH_OUT=target/BENCH_durability_smoke.json \
@@ -106,23 +83,16 @@ grep -q '"recovered_bitwise_vs_quiet": true' target/BENCH_durability_smoke.json 
 grep -q '"double_recovery_idempotent": true' target/BENCH_durability_smoke.json \
     || { echo "durability smoke lost double-recovery idempotence" >&2; exit 1; }
 
-echo "== tier2: trace smoke (host_fock_bench under MAKO_TRACE + schema check) =="
-MAKO_BENCH_MAX_QUARTETS=2000 MAKO_THREADS=1,2 \
-    MAKO_BENCH_OUT=target/BENCH_fock_trace_smoke.json \
-    MAKO_TRACE=target/trace_smoke.jsonl \
-    cargo run --release -p mako-bench --bin host_fock_bench
-cargo run --release -p mako-bench --bin trace_validate -- target/trace_smoke.jsonl
-
-echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace, scf.xc and eri.one_electron required) =="
+echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace; scf.xc, eri.one_electron and the Fock-engine events required) =="
 cargo run --release -p mako --bin mako-cli -- \
     --mol sample/water.xyz --method b3lyp --trace target/xc_trace_smoke.jsonl
 cargo run --release -p mako-bench --bin trace_validate -- target/xc_trace_smoke.jsonl \
-    --require scf.xc --require eri.one_electron
+    --require scf.xc --require eri.one_electron \
+    --require scf.iteration --require fock.screen --require fock.launch --require fock.assemble
 
 echo "== tier2: mako-benchmark (unit tests + --smoke: all seven workloads at toy size) =="
-# benchmark/ is its own workspace, so neither tier-1 nor the legs above build
-# it: without this leg an API change under crates/ can break BENCHMARK.json's
-# command unnoticed. --smoke verifies every workload's outputs and result
+# benchmark/ is its own workspace: tier-1 only type-checks it, no leg above
+# runs it. --smoke verifies every workload's outputs and result
 # schema, untraced and traced, and exits non-zero on any problem.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke

@@ -27,15 +27,13 @@ use mako::linalg::Matrix;
 use mako::quant::QuantSchedule;
 use mako::scf::fock::{FockEngineOptions, JkMatrices};
 use mako::scf::{
-    build_jk_distributed, build_jk_distributed_ft, CheckpointError, CheckpointPolicy,
-    DistributedScf, FaultToleranceOptions, ScfCheckpoint, ScfConfig, ScfDriver, ScfError,
+    build_jk_distributed, CheckpointError, CheckpointPolicy, DistributedScf,
+    FaultToleranceOptions, FtFockOutcome, ScfCheckpoint, ScfConfig, ScfDriver, ScfError,
     ScfRunOptions,
 };
 use std::path::PathBuf;
 
-/// Water-monomer Fock fixture with a synthetic (non-idempotent) density —
-/// cheap enough to rebuild inside every proptest case.
-fn fock_fixture() -> (
+type FockFixture = (
     Matrix,
     Vec<mako::eri::ScreenedPair>,
     Vec<mako::eri::QuartetBatch>,
@@ -43,7 +41,11 @@ fn fock_fixture() -> (
     QuantSchedule,
     PipelineConfig,
     CostModel,
-) {
+);
+
+/// Water-monomer Fock fixture with a synthetic (non-idempotent) density —
+/// cheap enough to rebuild inside every proptest case.
+fn fock_fixture() -> FockFixture {
     let mol = builders::water();
     let shells = sto3g().shells_for(&mol);
     let layout = AoLayout::new(&shells);
@@ -56,6 +58,25 @@ fn fock_fixture() -> (
     let cfg = PipelineConfig::kernel_mako_fp64();
     let schedule = QuantSchedule::fp64_reference(0.0);
     (d, pairs, batches, layout, schedule, cfg, model)
+}
+
+/// The multi-rank build of the fixture under `plan`; the fault-free build is
+/// the quiet plan.
+fn build_under(fx: &FockFixture, plan: FaultPlan) -> FtFockOutcome {
+    let (d, pairs, batches, layout, schedule, cfg, model) = fx;
+    build_jk_distributed(
+        d,
+        pairs,
+        batches,
+        layout,
+        schedule,
+        &|_| (*cfg, *cfg),
+        model,
+        plan.ranks(),
+        FockEngineOptions::default(),
+        &FaultToleranceOptions::new(plan),
+    )
+    .expect("distributed build")
 }
 
 fn assert_bitwise_jk(a: &JkMatrices, b: &JkMatrices, what: &str) {
@@ -95,11 +116,8 @@ proptest! {
         straggler_rate in 0.0f64..1.0,
         loss_rate in 0.0f64..0.9,
     ) {
-        let (d, pairs, batches, layout, schedule, cfg, model) = fock_fixture();
-        let (ff, ff_seconds, ff_stats) = build_jk_distributed(
-            &d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model, ranks,
-        )
-        .expect("fault-free build");
+        let fx = fock_fixture();
+        let ff = build_under(&fx, FaultPlan::quiet(ranks));
 
         let plan = FaultPlan::seeded(
             seed,
@@ -117,23 +135,11 @@ proptest! {
             .count();
         prop_assert!(dead < ranks, "seeded plan must leave a survivor");
 
-        let ft = build_jk_distributed_ft(
-            &d,
-            &pairs,
-            &batches,
-            &layout,
-            &schedule,
-            &|_| (cfg, cfg),
-            &model,
-            ranks,
-            FockEngineOptions::default(),
-            &FaultToleranceOptions::new(plan),
-        )
-        .expect("ft build");
+        let ft = build_under(&fx, plan);
 
-        assert_bitwise_jk(&ft.jk, &ff, "seeded plan");
-        prop_assert_eq!(&ft.rank_seconds, &ff_seconds);
-        prop_assert_eq!(&ft.stats, &ff_stats);
+        assert_bitwise_jk(&ft.jk, &ff.jk, "seeded plan");
+        prop_assert_eq!(&ft.rank_seconds, &ff.rank_seconds);
+        prop_assert_eq!(&ft.stats, &ff.stats);
         prop_assert_eq!(ft.recovery.ranks_lost, dead);
         prop_assert!(
             ft.recovery.degraded_seconds >= ft.recovery.fault_free_seconds,
@@ -149,25 +155,10 @@ proptest! {
     /// a pure function of (seed, topology).
     #[test]
     fn fault_replay_is_deterministic(seed in any::<u64>(), ranks in 2usize..5) {
-        let (d, pairs, batches, layout, schedule, cfg, model) = fock_fixture();
+        let fx = fock_fixture();
         let mk = || FaultPlan::seeded(seed, ranks, &FaultConfig::chaotic());
-        let run = |plan: FaultPlan| {
-            build_jk_distributed_ft(
-                &d,
-                &pairs,
-                &batches,
-                &layout,
-                &schedule,
-                &|_| (cfg, cfg),
-                &model,
-                ranks,
-                FockEngineOptions::default(),
-                &FaultToleranceOptions::new(plan),
-            )
-            .expect("ft build")
-        };
-        let a = run(mk());
-        let b = run(mk());
+        let a = build_under(&fx, mk());
+        let b = build_under(&fx, mk());
         assert_bitwise_jk(&a.jk, &b.jk, "replay");
         prop_assert_eq!(a.recovery, b.recovery);
         prop_assert_eq!(
@@ -181,31 +172,17 @@ proptest! {
 fn targeted_loss_of_all_but_one_rank_recovers_bitwise() {
     // The issue's strongest acceptance case as a targeted (non-sampled)
     // pin: 3 of 4 ranks die at different points of their shares.
-    let (d, pairs, batches, layout, schedule, cfg, model) = fock_fixture();
+    let fx = fock_fixture();
     let ranks = 4;
-    let (ff, ff_seconds, ff_stats) =
-        build_jk_distributed(&d, &pairs, &batches, &layout, &schedule, &cfg, &cfg, &model, ranks)
-            .expect("fault-free build");
+    let ff = build_under(&fx, FaultPlan::quiet(ranks));
     let plan = FaultPlan::quiet(ranks)
         .kill_rank(0, 0.0)
         .kill_rank(2, 0.5)
         .kill_rank(3, 0.99);
-    let ft = build_jk_distributed_ft(
-        &d,
-        &pairs,
-        &batches,
-        &layout,
-        &schedule,
-        &|_| (cfg, cfg),
-        &model,
-        ranks,
-        FockEngineOptions::default(),
-        &FaultToleranceOptions::new(plan),
-    )
-    .expect("ft build");
-    assert_bitwise_jk(&ft.jk, &ff, "3-of-4 loss");
-    assert_eq!(ft.rank_seconds, ff_seconds);
-    assert_eq!(ft.stats, ff_stats);
+    let ft = build_under(&fx, plan);
+    assert_bitwise_jk(&ft.jk, &ff.jk, "3-of-4 loss");
+    assert_eq!(ft.rank_seconds, ff.rank_seconds);
+    assert_eq!(ft.stats, ff.stats);
     assert_eq!(ft.recovery.ranks_lost, 3);
     assert!(ft.recovery.rerun_batches > 0);
 }

@@ -340,7 +340,7 @@ fn chaos_ensemble_members_bitwise_match_fault_free() {
     );
 
     // Seeded chaos: a transient storm plus one permanent rank loss, the
-    // same shape `build_jk_distributed_ft`'s suite injects per-call.
+    // same shape `build_jk_distributed`'s suite injects per-call.
     let chaotic = EnsembleDriver::try_new(
         &mols,
         &sto3g(),

@@ -252,7 +252,7 @@ proptest! {
                 &schedule,
                 |_| (cfg, cfg),
                 &model,
-                FockEngineOptions { chunk_quartets: None, delta_tau: Some(tau) },
+                FockEngineOptions { delta_tau: Some(tau) },
             )
         };
 
@@ -448,93 +448,6 @@ proptest! {
         let (k, class) = fired.unwrap();
         prop_assert!(class == TrajectoryClass::Oscillating, "fired with the wrong class: {class:?}");
         prop_assert!(k < cfg.window + cfg.min_history, "fired only at step {k}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn int8_roundtrip_error_bounded_by_half_scale(
-        block in prop::collection::vec(small_f64(), 1..256),
-    ) {
-        // Symmetric per-tile quantization: every element round-trips within
-        // half a quantization step of the tile max.
-        use mako::precision::Int8Tile;
-        let t = Int8Tile::quantize(&block);
-        let max = block.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-        prop_assert!((t.scale - max / 127.0).abs() <= 1e-15 * max);
-        for (x, xh) in block.iter().zip(t.dequantize()) {
-            prop_assert!(
-                (x - xh).abs() <= t.scale / 2.0 + 1e-300,
-                "x={x} xh={xh} scale={}", t.scale
-            );
-        }
-    }
-
-    #[test]
-    fn int8_dot_is_integer_exact(
-        pair in prop::collection::vec((small_f64(), small_f64()), 1..256),
-    ) {
-        // The i32 accumulation is exact, so the tile dot must equal the
-        // FP64 dot of the dequantized payloads up to the final two scale
-        // multiplies — and the raw i32 sum must match an i64 recomputation
-        // (no silent wraparound at any size the quantizer admits).
-        use mako::precision::{dot_i8, Int8Tile};
-        let (a, b): (Vec<f64>, Vec<f64>) = pair.into_iter().unzip();
-        let qa = Int8Tile::quantize(&a);
-        let qb = Int8Tile::quantize(&b);
-        let raw = dot_i8(&qa.data, &qb.data);
-        let raw64: i64 = qa.data.iter().zip(&qb.data)
-            .map(|(&x, &y)| x as i64 * y as i64)
-            .sum();
-        prop_assert!(raw as i64 == raw64, "i32 accumulator wrapped: {raw} vs {raw64}");
-        let via_deq: f64 = qa.dequantize().iter().zip(qb.dequantize())
-            .map(|(x, y)| x * y)
-            .sum();
-        let via_dot = qa.dot(&qb);
-        prop_assert!(
-            (via_dot - via_deq).abs() <= 1e-12 * via_deq.abs().max(1.0),
-            "dot {via_dot} vs dequantized {via_deq}"
-        );
-    }
-
-    #[test]
-    fn rij_picker_is_monotone_in_the_budget(
-        norm in small_f64().prop_map(f64::abs),
-        l1 in small_f64().prop_map(f64::abs),
-        vmax in small_f64().prop_map(f64::abs),
-        len in 1usize..512,
-        b_lo in -14i32..4, db in 0i32..10,
-    ) {
-        // Tightening the budget can never pick a *cheaper* tier for the
-        // same tile, and the picked tier's rigorous bound always fits the
-        // tile's share of the budget (FP64 excepted — it is the
-        // unconditional fallback, not a budget-holder).
-        use mako::precision::TilePrecision;
-        use mako::quant::{tile_error_bound, RijSchedule, TileStats};
-        let s = TileStats {
-            block_norm: norm,
-            vec_l1: l1.max(vmax),
-            vec_max: vmax.min(l1.max(vmax)),
-            vec_len: len,
-        };
-        let loose = 10f64.powi(b_lo + db);
-        let tight = 10f64.powi(b_lo);
-        let t_loose = RijSchedule::with_budget(loose).pick(&s, 7);
-        let t_tight = RijSchedule::with_budget(tight).pick(&s, 7);
-        prop_assert!(
-            t_tight.rank() >= t_loose.rank(),
-            "budget {tight:e} picked {t_tight} but {loose:e} picked {t_loose}"
-        );
-        for (budget, tier) in [(loose, t_loose), (tight, t_tight)] {
-            if tier != TilePrecision::Fp64 {
-                prop_assert!(
-                    tile_error_bound(tier, &s) <= budget / 7.0,
-                    "{tier} bound exceeds its share of budget {budget:e}"
-                );
-            }
-        }
     }
 }
 

@@ -19,7 +19,7 @@ use mako::kernels::pipeline::PipelineConfig;
 use mako::linalg::Matrix;
 use mako::prelude::*;
 use mako::quant::QuantSchedule;
-use mako::scf::fock::{build_jk, JkMatrices};
+use mako::scf::fock::{build_jk_with_configs, FockEngineOptions, JkMatrices};
 use mako::scf::{b3lyp, ScfDriver};
 
 fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
@@ -50,14 +50,25 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     let mut density = Matrix::from_fn(n, n, |i, j| 0.3 / (1.0 + (i as f64 - j as f64).abs()));
     density.symmetrize();
 
+    let build = || {
+        build_jk_with_configs(
+            &density,
+            &pairs,
+            &batches,
+            &layout,
+            &schedule,
+            |_| (fp64_cfg, quant_cfg),
+            &model,
+            FockEngineOptions::default(),
+        )
+    };
+
     // ---- Phase 1: untraced baselines (collector still off). ----
     assert!(
         !mako::trace::enabled(),
         "trace collector must start disabled in this test binary"
     );
-    let (jk_ref, st_ref) = build_jk(
-        &density, &pairs, &batches, &layout, &schedule, &fp64_cfg, &quant_cfg, &model,
-    );
+    let (jk_ref, st_ref) = build();
     let e2_ref = two_electron_energy(&density, &jk_ref);
     let scf_ref = MakoEngine::new()
         .run_rhf(&mol, BasisFamily::Sto3g)
@@ -83,11 +94,7 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
             .num_threads(threads)
             .build()
             .expect("build thread pool");
-        let (jk, st) = pool.install(|| {
-            build_jk(
-                &density, &pairs, &batches, &layout, &schedule, &fp64_cfg, &quant_cfg, &model,
-            )
-        });
+        let (jk, st) = pool.install(build);
         assert!(
             bits_equal(&jk.j, &jk_ref.j) && bits_equal(&jk.k, &jk_ref.k),
             "traced J/K drifted from the untraced baseline at {threads} threads"
