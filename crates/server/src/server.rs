@@ -1704,19 +1704,30 @@ mod tests {
             "persisted artifacts change nothing"
         );
 
-        // Rot the screen artifact: a third process quarantines and
-        // recomputes — a corrupt artifact is never consumed.
+        // Rot the screen artifact and the kernel table: a third process
+        // quarantines and recomputes — a corrupt artifact is never consumed.
         let key = ArtifactKey::for_job(&specs[0]).content_hash();
-        let screen_path = second.artifact_store().unwrap().path_for("screen", key);
-        assert!(vfs.corrupt(&screen_path, 40, 0x10), "artifact exists to rot");
+        let store = second.artifact_store().unwrap();
+        for path in [
+            store.path_for("screen", key),
+            store.path_for("kernels", crate::persist::KERNELS_KEY),
+        ] {
+            assert!(vfs.corrupt(&path, 40, 0x10), "artifact exists to rot: {path:?}");
+        }
         let third = MakoServer::with_store(
             tmp_config(),
             vfs.clone() as Arc<dyn Vfs>,
             PathBuf::from("/srv"),
         )
         .expect("store");
+        assert_eq!(
+            third.artifact_store().unwrap().quarantined(),
+            1,
+            "the rotted kernel table is quarantined at open"
+        );
+        assert!(third.kernels.snapshot().is_empty(), "and seeds nothing");
         let healed = third.serve_quiet(&specs);
-        assert!(third.artifact_store().unwrap().quarantined() >= 1, "rot quarantined");
+        assert_eq!(third.artifact_store().unwrap().quarantined(), 2, "screen rot quarantined");
         assert_eq!(
             energy(&cold.outcomes[0]).to_bits(),
             energy(&healed.outcomes[0]).to_bits(),

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 
 use mako::accel::fault::{FaultConfig, FaultPlan};
-use mako::accel::{CostModel, DeviceSpec};
+use mako::accel::{ClusterSpec, CostModel, DeviceSpec, RecoveryLedger};
 use mako::chem::basis::sto3g::sto3g;
 use mako::chem::{builders, AoLayout};
 use mako::eri::batch::batch_quartets;
@@ -94,6 +94,17 @@ fn assert_bitwise_jk(a: &JkMatrices, b: &JkMatrices, what: &str) {
             .all(|(x, y)| x.to_bits() == y.to_bits()),
         "{what}: K not bitwise identical"
     );
+}
+
+/// The seeded "bad day" on a priced two-rank cluster: seed 6 draws a rank
+/// loss, transients and allreduce timeouts, and the cluster geometry makes
+/// the collective retries part of every iteration's recovery ledger.
+fn chaotic_cluster() -> DistributedScf {
+    DistributedScf {
+        fault_plan: Some(FaultPlan::seeded(6, 2, &FaultConfig::chaotic())),
+        cluster: Some(ClusterSpec::azure_nd_a100_v4()),
+        ..DistributedScf::new(2)
+    }
 }
 
 /// Scratch checkpoint path unique to this test process.
@@ -189,41 +200,55 @@ fn targeted_loss_of_all_but_one_rank_recovers_bitwise() {
 
 #[test]
 fn scf_under_faults_matches_quiet_scf_bitwise() {
-    // End-to-end: a full SCF trajectory on a faulted 2-rank cluster
-    // converges to the bit-identical energy of the quiet 2-rank cluster,
+    // End-to-end: a full SCF trajectory on a faulted 2-rank cluster — one
+    // targeted plan, one seeded chaotic plan — converges to the
+    // bit-identical energy and device clock of the quiet 2-rank cluster,
     // while the recovery ledgers record the injected anomalies.
     let mol = builders::water();
-    let mk_cfg = |plan: Option<FaultPlan>| ScfConfig {
+    let mk_cfg = |distributed: DistributedScf| ScfConfig {
         e_tol: 1e-8,
-        distributed: Some(DistributedScf {
-            fault_plan: plan,
-            ..DistributedScf::new(2)
-        }),
+        distributed: Some(distributed),
         ..ScfConfig::default()
     };
-    let quiet = ScfDriver::new(&mol, &sto3g(), mk_cfg(None))
+    let quiet = ScfDriver::new(&mol, &sto3g(), mk_cfg(DistributedScf::new(2)))
         .run()
         .expect("quiet distributed scf");
     assert!(quiet.converged);
-
-    let plan = FaultPlan::quiet(2).kill_rank(1, 0.4).with_transients(0.15);
-    let chaos = ScfDriver::new(&mol, &sto3g(), mk_cfg(Some(plan)))
-        .run()
-        .expect("faulted distributed scf");
-    assert!(chaos.converged);
-    assert_eq!(
-        chaos.energy.to_bits(),
-        quiet.energy.to_bits(),
-        "faults changed the converged energy: {:.15} vs {:.15}",
-        chaos.energy,
-        quiet.energy
-    );
-    assert_eq!(chaos.iterations, quiet.iterations);
-    let recovered = chaos.clock.total_recovery();
-    assert_eq!(recovered.ranks_lost, chaos.iterations, "one loss per iteration");
-    assert!(recovered.transient_retries > 0);
-    assert!(recovered.overhead_seconds() > 0.0);
     assert!(quiet.clock.total_recovery().quiet());
+
+    let targeted = DistributedScf {
+        fault_plan: Some(FaultPlan::quiet(2).kill_rank(1, 0.4).with_transients(0.15)),
+        ..DistributedScf::new(2)
+    };
+    // Each plan with the recovery action only it exercises: the targeted
+    // one retries transients, the seeded one steals from its straggler.
+    let plans: [(&str, DistributedScf, fn(&RecoveryLedger) -> usize); 2] = [
+        ("targeted", targeted, |l| l.transient_retries),
+        ("seeded chaotic", chaotic_cluster(), |l| l.stolen_batches),
+    ];
+    for (label, distributed, exercised) in plans {
+        let chaos = ScfDriver::new(&mol, &sto3g(), mk_cfg(distributed))
+            .run()
+            .expect("faulted distributed scf");
+        assert!(chaos.converged, "{label}");
+        assert_eq!(
+            chaos.energy.to_bits(),
+            quiet.energy.to_bits(),
+            "{label}: faults changed the converged energy: {:.15} vs {:.15}",
+            chaos.energy,
+            quiet.energy
+        );
+        assert_eq!(chaos.iterations, quiet.iterations, "{label}");
+        assert_eq!(
+            chaos.total_seconds.to_bits(),
+            quiet.total_seconds.to_bits(),
+            "{label}: faults leaked into the device clock"
+        );
+        let recovered = chaos.clock.total_recovery();
+        assert_eq!(recovered.ranks_lost, chaos.iterations, "{label}: one loss per iteration");
+        assert!(exercised(&recovered) > 0, "{label}: {recovered:?}");
+        assert!(recovered.overhead_seconds() > 0.0, "{label}");
+    }
 }
 
 #[test]
@@ -244,52 +269,72 @@ fn checkpoint_restart_reproduces_trajectory_bitwise() {
     // Kill the trajectory at several different depths; every resume must
     // land on the uninterrupted run's energy, iteration count, and device
     // clock to the bit (acceptance bar: 1e-12 Ha — bitwise is stricter).
+    // The second driver is the seeded chaotic cluster, so a non-quiet
+    // `RecoveryLedger` crosses the checkpoint format as well.
     let mol = builders::water();
-    let config = ScfConfig {
+    let solo = ScfConfig {
         e_tol: 1e-9,
         ..ScfConfig::default()
     };
-    let driver = ScfDriver::new(&mol, &sto3g(), config);
-    let full = driver.run().expect("uninterrupted run");
-    assert!(full.converged);
+    let chaotic = ScfConfig {
+        distributed: Some(chaotic_cluster()),
+        ..solo.clone()
+    };
+    for (label, config) in [("solo", solo), ("chaotic cluster", chaotic)] {
+        let driver = ScfDriver::new(&mol, &sto3g(), config);
+        let full = driver.run().expect("uninterrupted run");
+        assert!(full.converged);
 
-    for kill_after in [1usize, 2, 5] {
-        let path = scratch_ckpt(&format!("restart_{kill_after}"));
-        let policy = CheckpointPolicy::new(1, path.clone());
-        let err = driver
-            .run_with(ScfRunOptions {
-                checkpoint: Some(policy.clone()),
-                kill_after: Some(kill_after),
-                ..ScfRunOptions::default()
-            })
-            .expect_err("interrupted run must die");
-        assert_eq!(err, ScfError::Killed { iterations: kill_after });
+        for kill_after in [1usize, 2, 5] {
+            let path = scratch_ckpt(&format!("restart_{kill_after}"));
+            let policy = CheckpointPolicy::new(1, path.clone());
+            let err = driver
+                .run_with(ScfRunOptions {
+                    checkpoint: Some(policy.clone()),
+                    kill_after: Some(kill_after),
+                    ..ScfRunOptions::default()
+                })
+                .expect_err("interrupted run must die");
+            assert_eq!(err, ScfError::Killed { iterations: kill_after });
 
-        let ck = ScfCheckpoint::load(&path).expect("load checkpoint");
-        assert_eq!(ck.next_iteration, kill_after);
-        let resumed = driver
-            .run_with(ScfRunOptions {
-                resume: Some(ck),
-                ..ScfRunOptions::default()
-            })
-            .expect("resumed run");
-        assert!(resumed.converged);
-        assert_eq!(
-            resumed.energy.to_bits(),
-            full.energy.to_bits(),
-            "kill@{kill_after}: resumed energy drifted: {:.15} vs {:.15} (Δ = {:.3e})",
-            resumed.energy,
-            full.energy,
-            (resumed.energy - full.energy).abs()
-        );
-        assert_eq!(resumed.iterations, full.iterations, "kill@{kill_after}");
-        assert_eq!(
-            resumed.total_seconds.to_bits(),
-            full.total_seconds.to_bits(),
-            "kill@{kill_after}: device clock diverged across restart"
-        );
-        assert_eq!(resumed.clock.total_recovery().checkpoint_loads, 1);
-        let _ = std::fs::remove_file(&path);
+            let ck = ScfCheckpoint::load(&path).expect("load checkpoint");
+            assert_eq!(ck.next_iteration, kill_after);
+            let resumed = driver
+                .run_with(ScfRunOptions {
+                    resume: Some(ck),
+                    ..ScfRunOptions::default()
+                })
+                .expect("resumed run");
+            assert!(resumed.converged);
+            assert_eq!(
+                resumed.energy.to_bits(),
+                full.energy.to_bits(),
+                "{label} kill@{kill_after}: resumed energy drifted: {:.15} vs {:.15} (Δ = {:.3e})",
+                resumed.energy,
+                full.energy,
+                (resumed.energy - full.energy).abs()
+            );
+            assert_eq!(resumed.iterations, full.iterations, "{label} kill@{kill_after}");
+            assert_eq!(
+                resumed.total_seconds.to_bits(),
+                full.total_seconds.to_bits(),
+                "{label} kill@{kill_after}: device clock diverged across restart"
+            );
+            // The recovery ledger rides the checkpoint: what the faults cost
+            // before the kill is still on the resumed run's books.
+            let recovered = resumed.clock.total_recovery();
+            assert_eq!(recovered.checkpoint_loads, 1);
+            assert_eq!(
+                RecoveryLedger {
+                    checkpoint_saves: 0,
+                    checkpoint_loads: 0,
+                    ..recovered
+                },
+                full.clock.total_recovery(),
+                "{label} kill@{kill_after}: recovery ledger changed across restart"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }
 

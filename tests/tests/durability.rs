@@ -21,7 +21,7 @@ use mako::server::{
 };
 use mako::store::{read_all_framed, FaultProfile, FaultVfs, Vfs};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Once, OnceLock};
 
 const ROOT: &str = "/srv";
 const SEED: u64 = 7;
@@ -84,57 +84,89 @@ fn crashed_serve(crash_op: u64) -> (Arc<FaultVfs>, MakoServer, bool) {
     (vfs, server, crashed)
 }
 
+/// Kill the serve at storage op `crash_op`, then hold the two halves of the
+/// crash-consistency contract: the journal is a prefix, recovery is bitwise.
+fn check_crash_point(crash_op: u64) {
+    let quiet = quiet_ref();
+    let (vfs, server, _crashed) = crashed_serve(crash_op);
+
+    // Prefix consistency: every valid byte of the crashed journal is a
+    // literal prefix of the quiet journal — a crash may lose the tail,
+    // never reorder or invent records.
+    if let Some(bytes) = vfs.raw(Path::new("/srv/serve.wal")) {
+        let (_, _, valid_len) = read_all_framed(&bytes);
+        assert!(valid_len <= quiet.journal.len());
+        assert!(
+            bytes[..valid_len] == quiet.journal[..valid_len],
+            "crash point {crash_op}: journal diverged from the quiet run's"
+        );
+    }
+
+    // Recovery finishes the serve bitwise.
+    let recovered = server
+        .recover(&workload(), &ServerChaos::quiet(server.config().workers))
+        .expect("recover");
+    assert!(!recovered.crashed);
+    assert_eq!(recovered.ledger.completed, 2);
+    assert!(
+        energies(&recovered) == quiet.energies,
+        "crash point {crash_op}: recovered energies diverged"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn any_crash_point_leaves_a_journal_prefix_and_recovers_bitwise(frac in 0.0f64..1.0) {
-        let quiet = quiet_ref();
-        let crash_op = ((frac * quiet.domain as f64) as u64).min(quiet.domain - 1);
-        let (vfs, server, _crashed) = crashed_serve(crash_op);
-
-        // Prefix consistency: every valid byte of the crashed journal is a
-        // literal prefix of the quiet journal — a crash may lose the tail,
-        // never reorder or invent records.
-        if let Some(bytes) = vfs.raw(Path::new("/srv/serve.wal")) {
-            let (_, _, valid_len) = read_all_framed(&bytes);
-            prop_assert!(valid_len <= quiet.journal.len());
-            prop_assert!(
-                bytes[..valid_len] == quiet.journal[..valid_len],
-                "crash point {}: journal diverged from the quiet run's",
-                crash_op
-            );
-        }
-
-        // Recovery finishes the serve bitwise.
-        let recovered = server
-            .recover(&workload(), &ServerChaos::quiet(server.config().workers))
-            .expect("recover");
-        prop_assert!(!recovered.crashed);
-        prop_assert_eq!(recovered.ledger.completed, 2);
-        prop_assert!(
-            energies(&recovered) == quiet.energies,
-            "crash point {}: recovered energies diverged",
-            crash_op
-        );
+        let domain = quiet_ref().domain;
+        // Ahead of the samples, once: a fixed stride over the whole domain
+        // plus its two ends, so the startup crash (op 0) and the last op
+        // are checked on every run, not when a sample lands there.
+        static SWEEP: Once = Once::new();
+        SWEEP.call_once(|| {
+            (0..domain)
+                .step_by((domain / 12).max(1) as usize)
+                .chain([domain - 1])
+                .for_each(check_crash_point);
+        });
+        check_crash_point(((frac * domain as f64) as u64).min(domain - 1));
     }
 }
 
 #[test]
 fn double_recovery_is_idempotent() {
     let quiet = quiet_ref();
-    let (_vfs, server, crashed) = crashed_serve(quiet.domain / 2);
-    assert!(crashed, "the mid-point crash must fire");
-    let chaos = ServerChaos::quiet(server.config().workers);
-    let first = server.recover(&workload(), &chaos).expect("first recovery");
-    let second = server.recover(&workload(), &chaos).expect("second recovery");
-    assert_eq!(energies(&first), quiet.energies);
-    // The second recovery replays terminal records instead of re-running:
-    // identical outcomes, identical reports, zero quanta executed.
-    for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "recoveries disagree");
+    // The whole crash → recover → recover sequence runs under a 1- and a
+    // 4-thread host pool: the recovered outcomes may not depend on it.
+    let mut narrow: Option<Vec<String>> = None;
+    for threads in [1usize, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build thread pool");
+        let outcomes: Vec<String> = pool.install(|| {
+            let (_vfs, server, crashed) = crashed_serve(quiet.domain / 2);
+            assert!(crashed, "the mid-point crash must fire");
+            let chaos = ServerChaos::quiet(server.config().workers);
+            let first = server.recover(&workload(), &chaos).expect("first recovery");
+            let second = server.recover(&workload(), &chaos).expect("second recovery");
+            assert_eq!(energies(&first), quiet.energies);
+            // The second recovery replays terminal records instead of
+            // re-running: identical outcomes, identical reports, zero
+            // quanta executed.
+            for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "recoveries disagree");
+            }
+            assert_eq!(second.ledger.quanta, 0, "a full journal leaves nothing to re-run");
+            first.outcomes.iter().map(|o| format!("{o:?}")).collect()
+        });
+        assert_eq!(
+            narrow.get_or_insert_with(|| outcomes.clone()),
+            &outcomes,
+            "host thread count leaked into a recovered outcome at {threads} threads"
+        );
     }
-    assert_eq!(second.ledger.quanta, 0, "a full journal leaves nothing to re-run");
 }
 
 /// Job ids with a terminal record in the journal at `path` — those are

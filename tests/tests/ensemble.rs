@@ -95,6 +95,9 @@ fn batched_members_bitwise_match_solo_across_threads_and_sizes() {
             EnsembleConfig::default(),
         )
         .expect("ensemble driver");
+        // Fused pricing changes the device clock relative to solo, but not
+        // with the host pool: the 1-thread run's clock is the reference.
+        let mut fused_clock: Option<Vec<u64>> = None;
         for threads in [1usize, 2, 4, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -102,6 +105,7 @@ fn batched_members_bitwise_match_solo_across_threads_and_sizes() {
                 .expect("build thread pool");
             let batch = pool.install(|| driver.run());
             assert!(batch.all_converged(), "size {size} at {threads} threads");
+            let mut clock = vec![batch.ledger.fused_device_seconds.to_bits()];
             for (m, member) in batch.members.iter().enumerate() {
                 let got = member.as_ref().expect("member result");
                 assert_member_bitwise(
@@ -109,7 +113,13 @@ fn batched_members_bitwise_match_solo_across_threads_and_sizes() {
                     &solo[m],
                     &format!("member {m} of {size} at {threads} threads"),
                 );
+                clock.push(got.total_seconds.to_bits());
             }
+            assert_eq!(
+                fused_clock.get_or_insert_with(|| clock.clone()),
+                &clock,
+                "size {size}: fused device clock changed bits at {threads} threads"
+            );
         }
     }
 }

@@ -88,10 +88,15 @@ fn golden_energies_identical_across_thread_counts() {
         grid: (35, 12),
         ..tight_config()
     };
+    let incremental_config = ScfConfig {
+        incremental: true,
+        ..tight_config()
+    };
     for (mol, config, golden, label) in [
         (builders::water(), tight_config(), E_WATER, "water"),
         (builders::water_cluster(3), tight_config(), E_WATER3, "water trimer"),
         (builders::water(), b3lyp_config, E_WATER_B3LYP, "B3LYP water"),
+        (builders::water_cluster(3), incremental_config, E_WATER3, "incremental trimer"),
     ] {
         let driver = ScfDriver::new(&mol, &sto3g(), config);
         let base = driver.run().expect("scf run");
@@ -123,6 +128,13 @@ fn golden_energies_identical_across_thread_counts() {
                 res.total_seconds.to_bits(),
                 base.total_seconds.to_bits(),
                 "{label} device clock changed bits at {threads} threads"
+            );
+            // The whole trajectory, not just its end: quartets evaluated,
+            // skipped and pruned, skip bound and rebuild flag per iteration.
+            assert_eq!(
+                res.clock.iterations(),
+                base.clock.iterations(),
+                "{label} iteration ledgers changed at {threads} threads"
             );
         }
     }

@@ -148,29 +148,42 @@ fn admission_quota_and_shedding_through_facade() {
 
 #[test]
 fn chaos_serve_contains_faults_and_stays_bitwise() {
-    // A worker dies mid-quantum, another straggles 20×, one job's Fock
-    // build is poisoned, and every fifth checkpoint write fails. None of
-    // this may panic, and whatever completes must match solo to the bit.
+    // A worker dies mid-quantum, another straggles 24× — past the attempt
+    // timeout — one job's Fock build is poisoned, and every fifth
+    // checkpoint write fails. None of this may panic, and whatever
+    // completes must match solo to the bit.
+    let jobs = workload();
+    let quiet = MakoServer::default();
+    let solos: Vec<_> = jobs.iter().map(|s| quiet.run_solo(s).expect("solo run")).collect();
+    // Straggler bar: generous for healthy attempts, fatal for the 24×
+    // straggler. Derived from the heaviest solo job so it scales with the
+    // workload.
+    let max_solo_seconds = solos.iter().map(|r| r.total_seconds).fold(0.0f64, f64::max);
     let server = MakoServer::new(ServerConfig {
-        workers: 2,
+        workers: 3,
+        attempt_timeout: 3.0 * max_solo_seconds,
         ..ServerConfig::default()
     });
-    let jobs = workload();
-    let chaos = ServerChaos::seeded(23, 2)
-        .kill_worker(1, 0.3)
-        .with_poison(2, 1)
+    let chaos = ServerChaos::seeded(23, 3)
+        .kill_worker(1, 0.1)
+        .slow_worker(2, 24.0)
+        .with_poison(1, 2)
         .with_ckpt_io_rate(0.2);
     let report = server.serve(&jobs, &chaos);
 
     assert_eq!(report.outcomes.len(), jobs.len());
     assert!(
         report.ledger.completed >= 1,
-        "a 2-worker serve losing one worker must still finish work: {:?}",
+        "a 3-worker serve losing one worker must still finish work: {:?}",
         report.ledger
     );
-    for (spec, outcome) in jobs.iter().zip(&report.outcomes) {
+    assert!(
+        report.ledger.timeouts >= 1,
+        "the straggler never tripped the attempt timeout: {:?}",
+        report.ledger
+    );
+    for ((spec, solo), outcome) in jobs.iter().zip(&solos).zip(&report.outcomes) {
         if let Some(job) = outcome.report() {
-            let solo = server.run_solo(spec).expect("solo run");
             assert_eq!(
                 job.energy.to_bits(),
                 solo.energy.to_bits(),

@@ -9,6 +9,8 @@
 //! function with a strict phase order: all untraced baselines run first,
 //! then the collector is switched on (it cannot be switched back off), then
 //! the traced replicas run and the captured events are schema-validated.
+//! That also makes this the one place that can require an event family to
+//! appear: the fleet, serving and durability layers each run once traced.
 
 use mako::accel::{CostModel, DeviceSpec};
 use mako::chem::basis::sto3g::sto3g;
@@ -20,7 +22,11 @@ use mako::linalg::Matrix;
 use mako::prelude::*;
 use mako::quant::QuantSchedule;
 use mako::scf::fock::{build_jk_with_configs, FockEngineOptions, JkMatrices};
-use mako::scf::{b3lyp, ScfDriver};
+use mako::scf::{b3lyp, EnsembleConfig, EnsembleDriver, ScfDriver};
+use mako::server::{Journal, ServeReport, ServerConfig};
+use mako::store::{FaultProfile, FaultVfs, Vfs};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
     a.as_slice().len() == b.as_slice().len()
@@ -32,6 +38,15 @@ fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
 
 fn two_electron_energy(d: &Matrix, jk: &JkMatrices) -> f64 {
     d.dot(&jk.j) - 0.5 * d.dot(&jk.k)
+}
+
+fn energy_bits(report: &ServeReport) -> Vec<Option<u64>> {
+    report.outcomes.iter().map(|o| o.energy().map(f64::to_bits)).collect()
+}
+
+fn store_backed(vfs: &Arc<FaultVfs>) -> MakoServer {
+    MakoServer::with_store(ServerConfig::default(), vfs.clone() as Arc<dyn Vfs>, PathBuf::from("/srv"))
+        .expect("open store-backed server")
 }
 
 #[test]
@@ -87,6 +102,51 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     );
     let dft_ref = dft.run().expect("untraced B3LYP run");
 
+    // Fleet, serving and durability baselines: a 4-member ensemble, a serve
+    // that loses a worker, and a store-backed serve to crash and recover.
+    let fleet: Vec<_> =
+        (0..4).map(|seed| mako::chem::builders::perturbed_water(seed, 0.02)).collect();
+    let ensemble =
+        EnsembleDriver::try_new(&fleet, &sto3g(), ScfConfig::default(), EnsembleConfig::default())
+            .expect("ensemble driver");
+    let fleet_bits = |res: &mako::scf::EnsembleResult| -> Vec<u64> {
+        let members = res.members.iter().map(|m| m.as_ref().expect("member").energy.to_bits());
+        members.chain([res.ledger.fused_device_seconds.to_bits()]).collect()
+    };
+    let fleet_ref = fleet_bits(&ensemble.run());
+    let jobs = vec![
+        JobSpec::new("alice", PriorityClass::Interactive, mako::chem::builders::water()),
+        JobSpec::new("bob", PriorityClass::Batch, mako::chem::builders::methane()).at(1e-4),
+    ];
+    let chaos = ServerChaos::seeded(11, 2).kill_worker(1, 0.4);
+    let serve = || {
+        let report = MakoServer::new(ServerConfig { workers: 2, ..ServerConfig::default() })
+            .serve(&jobs, &chaos);
+        (energy_bits(&report), format!("{:?}", report.ledger), report.makespan.to_bits())
+    };
+    let serve_ref = serve();
+    let quiet_vfs = Arc::new(FaultVfs::quiet());
+    let stored_ref = energy_bits(&store_backed(&quiet_vfs).serve_quiet(&jobs));
+    // The latest crash point that leaves the batch job unresolved in the
+    // journal with a checkpoint on disk — what recovery will salvage.
+    let crashed_at = |k: u64| {
+        let vfs = Arc::new(FaultVfs::new(FaultProfile::crash_at(7, k)));
+        let crashed = store_backed(&vfs).serve_quiet(&jobs).crashed;
+        vfs.recover_crash();
+        (vfs, crashed)
+    };
+    let crash_op = (quiet_vfs.ops() / 2..quiet_vfs.ops())
+        .rev()
+        .find(|&k| {
+            let (vfs, crashed) = crashed_at(k);
+            let (records, _) = Journal::new(vfs.clone() as Arc<dyn Vfs>, "/srv/serve.wal".into())
+                .replay()
+                .expect("replay");
+            let batch_done = records.iter().any(|r| r.job() == Some(1) && r.outcome(&jobs[1]).is_some());
+            crashed && !batch_done && vfs.raw(Path::new("/srv/job1.ckpt")).is_some()
+        })
+        .expect("some crash point leaves a salvageable checkpoint");
+
     // ---- Phase 2: collector on; traced replicas at 1/2/4/8 threads. ----
     mako::trace::enable_with_capacity(1 << 18);
     for threads in [1usize, 2, 4, 8] {
@@ -127,10 +187,23 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         (dft_ref.energy.to_bits(), dft_ref.iterations),
         "traced B3LYP energy is not bitwise identical to the untraced run"
     );
+    assert_eq!(fleet_bits(&ensemble.run()), fleet_ref, "traced ensemble drifted");
+    assert_eq!(serve(), serve_ref, "traced chaos serve drifted");
+    // Crash → rot every persisted artifact → recover in a new process: the
+    // checkpoint is salvaged, the rot quarantined, the energies untouched.
+    let (vfs, _) = crashed_at(crash_op);
+    for artifact in vfs.list(Path::new("/srv/artifacts")).expect("artifacts persisted") {
+        assert!(vfs.corrupt(&artifact, 30, 0x40));
+    }
+    let recovered = store_backed(&vfs)
+        .recover(&jobs, &ServerChaos::quiet(ServerConfig::default().workers))
+        .expect("recover");
+    assert_eq!(energy_bits(&recovered), stored_ref, "traced crash recovery drifted");
 
     // ---- Phase 3: the captured events carry the documented schema. ----
     let dump = mako::trace::drain();
     assert!(dump.recorded > 0, "no events recorded");
+    assert_eq!(dump.dropped, 0, "the ring overflowed: a missing name below would be ambiguous");
     let jsonl = dump.to_jsonl();
     let summary = mako::trace::schema::validate_jsonl(&jsonl)
         .unwrap_or_else(|e| panic!("emitted JSONL violates its own schema: {e}"));
@@ -142,6 +215,22 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         "fock.assemble",
         "clock.iteration",
         "compiler.tune_class",
+        "ensemble.run",
+        "ensemble.iteration",
+        "ensemble.launch",
+        "ensemble.member",
+        "server.run",
+        "server.admission",
+        "server.quantum",
+        "job.submit",
+        "job.start",
+        "job.outcome",
+        "store.append",
+        "store.crash",
+        "store.quarantine",
+        "recover.replay",
+        "recover.salvage",
+        "recover.serve",
     ] {
         assert!(
             summary.names.contains(name),
