@@ -11,10 +11,10 @@
 //!
 //! [`DeviceClock`] records that trajectory: one [`IterationLedger`] per SCF
 //! iteration with the simulated seconds actually charged and the
-//! evaluated / skipped / pruned quartet populations, so benchmarks
-//! (`incremental_scf_bench` → `BENCH_scf.json`) can report quartets per
-//! iteration alongside the clock, and tests can assert the two stay
-//! consistent (no seconds charged for skipped work).
+//! evaluated / skipped / pruned quartet populations, so the benchmark's
+//! `scf.quartets_*` metrics can report quartets per iteration alongside the
+//! clock, and tests can assert the two stay consistent (no seconds charged
+//! for skipped work).
 
 /// What one SCF iteration cost on the simulated device, and how much quartet
 /// work it actually ran.
@@ -136,28 +136,6 @@ impl DeviceClock {
     pub fn total_skipped(&self) -> usize {
         self.iterations.iter().map(|l| l.skipped_quartets).sum()
     }
-
-    /// Whether evaluated-quartet counts decline monotonically (weakly) from
-    /// iteration `from` on — the signature of a converging incremental SCF.
-    /// Full-rebuild iterations restart the accumulators but still ride the
-    /// shrinking ΔD of the *screen* only when the build density is ΔD; they
-    /// are excluded from the monotonicity check.
-    pub fn monotone_decline_from(&self, from: usize) -> bool {
-        let mut prev: Option<usize> = None;
-        for l in self.iterations.iter().skip(from) {
-            if l.rebuild {
-                prev = None;
-                continue;
-            }
-            if let Some(p) = prev {
-                if l.evaluated_quartets > p {
-                    return false;
-                }
-            }
-            prev = Some(l.evaluated_quartets);
-        }
-        true
-    }
 }
 
 /// Fleet-level accounting of an ensemble (lockstep multi-molecule) run.
@@ -224,22 +202,5 @@ mod tests {
         assert_eq!(c.total_evaluated(), 190);
         assert_eq!(c.total_skipped(), 30);
         assert!((c.total_seconds() - 6e-3).abs() < 1e-15);
-    }
-
-    #[test]
-    fn monotone_decline_detection() {
-        let mut c = DeviceClock::new();
-        c.push(ledger(100, true));
-        c.push(ledger(60, false));
-        c.push(ledger(30, false));
-        c.push(ledger(90, true)); // rebuild resets the baseline
-        c.push(ledger(20, false));
-        assert!(c.monotone_decline_from(0));
-        let mut bad = DeviceClock::new();
-        bad.push(ledger(10, false));
-        bad.push(ledger(50, false));
-        assert!(!bad.monotone_decline_from(0));
-        // But ignored when the rise is before `from`.
-        assert!(bad.monotone_decline_from(1));
     }
 }

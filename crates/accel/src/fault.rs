@@ -295,7 +295,7 @@ impl FaultPlan {
 /// build (or one SCF iteration), and what it cost on the simulated clock.
 ///
 /// Surfaced next to [`crate::IterationLedger`] by the SCF driver and
-/// serialized into `BENCH_chaos.json`. All counters are additive so
+/// serialized into its checkpoints. All counters are additive so
 /// per-iteration ledgers roll up into a run total via [`Self::absorb`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecoveryLedger {

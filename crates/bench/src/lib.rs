@@ -16,8 +16,12 @@
 //! | `fig10_scalability` | Figure 10 (1–64 GPU strong scaling) |
 //!
 //! Run one with `cargo run --release -p mako-bench --bin <target>`.
-//! The `benches/` directory adds Criterion microbenchmarks of the real
-//! (CPU-executed) numerical kernels.
+//! Two utilities ride along: `gen_sample` (rewrites the `sample/` inputs) and
+//! `trace_validate` (schema-checks a `mako-trace` JSONL file). The
+//! `benches/` directory adds Criterion microbenchmarks of the real
+//! (CPU-executed) numerical kernels. How long the system itself takes —
+//! SCF, ensemble, serving, recovery — is measured by `benchmark/`
+//! (`BENCHMARK.json`), not here.
 #![deny(rust_2018_idioms)]
 
 use mako_chem::basis::ShellDef;

@@ -114,7 +114,6 @@ pub struct EnsembleDriver {
     config: EnsembleConfig,
     cache_tunes: usize,
     cache_hits: usize,
-    cache_duplicates_avoided: usize,
 }
 
 impl EnsembleDriver {
@@ -144,7 +143,6 @@ impl EnsembleDriver {
             config: ensemble,
             cache_tunes: cache.tunes_performed(),
             cache_hits: cache.hits(),
-            cache_duplicates_avoided: cache.duplicates_avoided(),
         })
     }
 
@@ -169,12 +167,6 @@ impl EnsembleDriver {
     /// a sweep a solo run would have paid.
     pub fn cache_hits(&self) -> usize {
         self.cache_hits
-    }
-
-    /// Redundant sweeps additionally avoided by the cache's write-lock
-    /// double-check when members are built concurrently.
-    pub fn cache_duplicates_avoided(&self) -> usize {
-        self.cache_duplicates_avoided
     }
 
     /// Run every member to completion in lockstep. Never fails as a whole:

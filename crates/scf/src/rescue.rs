@@ -24,8 +24,8 @@
 //! `scf.rescue` span via `mako-trace`. The whole subsystem is **provably
 //! inert on healthy runs**: the watchdog only *reads* the trajectory, and
 //! until a stage fires no floating-point operation of the driver changes,
-//! so enabled-vs-disabled runs are bitwise identical (DESIGN.md §12, the
-//! golden inertness suite, and `rescue_scf_bench` all pin this).
+//! so enabled-vs-disabled runs are bitwise identical (DESIGN.md §12 and
+//! the golden inertness suite pin this).
 
 use crate::checkpoint::ScfCheckpoint;
 

@@ -18,10 +18,11 @@
 //! (journals tolerate torn tails, detect bit rot) and the keyed
 //! [`ArtifactStore`] (validate-on-read, quarantine-on-corruption).
 //!
-//! The crash-consistency contract, pinned by `durability_bench` and the
-//! recovery proptests, is: after a crash at *any* injected point, recovery
-//! reconstructs the serve and every completed job's numerics are bitwise
-//! identical to an uninterrupted run. See DESIGN.md §16.
+//! The crash-consistency contract, pinned by `tests/tests/durability.rs`
+//! (a fixed crash-point sweep plus sampled points), is: after a crash at
+//! *any* injected point, recovery reconstructs the serve and every
+//! completed job's numerics are bitwise identical to an uninterrupted run.
+//! See DESIGN.md §16.
 #![deny(rust_2018_idioms)]
 
 pub mod artifact;

@@ -155,11 +155,12 @@ fn double_recovery_is_idempotent() {
             // The second recovery replays terminal records instead of
             // re-running: identical outcomes, identical reports, zero
             // quanta executed.
-            for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "recoveries disagree");
-            }
+            let debug = |report: &ServeReport| -> Vec<String> {
+                report.outcomes.iter().map(|o| format!("{o:?}")).collect()
+            };
+            assert_eq!(debug(&first), debug(&second), "recoveries disagree");
             assert_eq!(second.ledger.quanta, 0, "a full journal leaves nothing to re-run");
-            first.outcomes.iter().map(|o| format!("{o:?}")).collect()
+            debug(&first)
         });
         assert_eq!(
             narrow.get_or_insert_with(|| outcomes.clone()),

@@ -164,7 +164,7 @@ fn chaos_serve_contains_faults_and_stays_bitwise() {
         attempt_timeout: 3.0 * max_solo_seconds,
         ..ServerConfig::default()
     });
-    let chaos = ServerChaos::seeded(23, 3)
+    let chaos = ServerChaos::seeded(11, 3)
         .kill_worker(1, 0.1)
         .slow_worker(2, 24.0)
         .with_poison(1, 2)

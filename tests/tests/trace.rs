@@ -45,7 +45,8 @@ fn energy_bits(report: &ServeReport) -> Vec<Option<u64>> {
 }
 
 fn store_backed(vfs: &Arc<FaultVfs>) -> MakoServer {
-    MakoServer::with_store(ServerConfig::default(), vfs.clone() as Arc<dyn Vfs>, PathBuf::from("/srv"))
+    let vfs = vfs.clone() as Arc<dyn Vfs>;
+    MakoServer::with_store(ServerConfig::default(), vfs, PathBuf::from("/srv"))
         .expect("open store-backed server")
 }
 
@@ -142,7 +143,8 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
             let (records, _) = Journal::new(vfs.clone() as Arc<dyn Vfs>, "/srv/serve.wal".into())
                 .replay()
                 .expect("replay");
-            let batch_done = records.iter().any(|r| r.job() == Some(1) && r.outcome(&jobs[1]).is_some());
+            let batch_done =
+                records.iter().any(|r| r.job() == Some(1) && r.outcome(&jobs[1]).is_some());
             crashed && !batch_done && vfs.raw(Path::new("/srv/job1.ckpt")).is_some()
         })
         .expect("some crash point leaves a salvageable checkpoint");
@@ -236,6 +238,10 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
             summary.names.contains(name),
             "expected event {name} missing; saw {:?}",
             summary.names
+        );
+        assert!(
+            mako::trace::schema::is_known_event(name),
+            "{name} is not in the documented schema (KNOWN_EVENTS)"
         );
     }
     assert!(summary.spans > 0 && summary.instants > 0);
