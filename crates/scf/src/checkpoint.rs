@@ -576,6 +576,11 @@ mod tests {
         assert_eq!(back, ck);
         // Serialization is deterministic.
         assert_eq!(back.to_bytes(), bytes);
+        // The MAKOCKPT v3 byte image is pinned (FNV-1a, generated at c1572ca).
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (1098, 0x06f1_c06e_e956_a023), "checkpoint byte image moved");
     }
 
     #[test]

@@ -647,10 +647,18 @@ mod tests {
 
     #[test]
     fn every_record_roundtrips() {
+        let mut image = Vec::new();
         for rec in all_records() {
-            let back = JournalRecord::decode(&rec.encode()).expect("decode");
+            let bytes = rec.encode();
+            let back = JournalRecord::decode(&bytes).expect("decode");
             assert_eq!(back, rec);
+            image.extend_from_slice(&bytes);
         }
+        // The WAL payload byte images are pinned (FNV-1a, generated at c1572ca).
+        let fnv = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((image.len(), fnv), (271, 0x2764_0d62_661d_2f1e), "journal record byte images moved");
     }
 
     #[test]

@@ -374,6 +374,11 @@ mod tests {
         let pairs = water_pairs();
         assert!(!pairs.is_empty());
         let bytes = encode_pairs(&pairs);
+        // The "screen" artifact byte image is pinned (FNV-1a, generated at c1572ca).
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (18104, 0xdf00_48ba_a7c7_1862), "screen artifact byte image moved");
         let back = decode_pairs(&bytes).expect("decode");
         assert_eq!(back.len(), pairs.len());
         for (a, b) in pairs.iter().zip(&back) {

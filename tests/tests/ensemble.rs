@@ -322,6 +322,22 @@ fn golden_ensemble_with_rescued_member() {
 // Chaos: faults hit the fleet ledger, never the members.
 // ---------------------------------------------------------------------------
 
+/// `stormy.ledger.recovery` of the test below, field by field in declaration
+/// order.
+const CHAOS_RECOVERY_LEDGER: [u64; 11] = [
+    11,                    // transient_retries
+    0x3f86_872b_020c_49bc, // backoff_seconds
+    0,                     // straggler_ranks
+    0,                     // stolen_batches
+    3,                     // rerun_batches
+    1,                     // ranks_lost
+    0,                     // allreduce_retries
+    0,                     // checkpoint_saves
+    0,                     // checkpoint_loads
+    0x3f22_9487_9662_cc36, // fault_free_seconds
+    0x3f7d_5ac3_b705_c842, // degraded_seconds
+];
+
 #[test]
 fn chaos_ensemble_members_bitwise_match_fault_free() {
     let config = ScfConfig::default();
@@ -386,6 +402,22 @@ fn chaos_ensemble_members_bitwise_match_fault_free() {
         rec.degraded_seconds,
         rec.fault_free_seconds
     );
+    // The fault timeline itself is pinned to the bit: all eleven ledger
+    // fields (counts, then `f64::to_bits`), generated at c1572ca.
+    let got = [
+        rec.transient_retries as u64,
+        rec.backoff_seconds.to_bits(),
+        rec.straggler_ranks as u64,
+        rec.stolen_batches as u64,
+        rec.rerun_batches as u64,
+        rec.ranks_lost as u64,
+        rec.allreduce_retries as u64,
+        rec.checkpoint_saves as u64,
+        rec.checkpoint_loads as u64,
+        rec.fault_free_seconds.to_bits(),
+        rec.degraded_seconds.to_bits(),
+    ];
+    assert_eq!(got, CHAOS_RECOVERY_LEDGER, "ensemble fault timeline moved: {got:#x?}");
     // The fused launch population is a function of the trajectories, which
     // chaos must not touch.
     assert_eq!(stormy.ledger.fused_launches, baseline.ledger.fused_launches);
