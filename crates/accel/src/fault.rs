@@ -289,6 +289,105 @@ impl FaultPlan {
     pub fn allreduce_timeout_seconds(&self) -> f64 {
         self.allreduce_timeout_seconds
     }
+
+    /// Walk one dispatch through this plan on the load-model clock, adding
+    /// what recovery did and what it cost into `ledger`. Accounting only:
+    /// the work's numerical results never depend on the timeline.
+    ///
+    /// `shares[r]` is rank `r`'s work in execution order as `(id, cost)`:
+    /// `id` is the coordinate of the transient stream, `cost` the modeled
+    /// seconds of one healthy execution. Every item is retried in place
+    /// with capped exponential backoff until it succeeds. A rank with
+    /// `alive[r]` false on entry sits the walk out; a rank that reaches its
+    /// death point pays for its prefix, is marked dead in `alive` (callers
+    /// that keep `alive` across walks make loss persistent), and has its
+    /// whole share re-run. With `straggler_threshold` set, a live rank that
+    /// has burned that multiple (≥ 1) of its fault-free share budget with
+    /// items still pending loses the pending tail. Displaced items — stolen
+    /// tails first, then dead ranks' shares — go one by one to the
+    /// least-loaded live rank (`total_cmp`, ties to the lowest rank). The
+    /// caller guarantees a survivor.
+    pub fn walk(
+        &self,
+        shares: &[Vec<(usize, f64)>],
+        alive: &mut [bool],
+        straggler_threshold: Option<f64>,
+        ledger: &mut RecoveryLedger,
+    ) {
+        let budgets: Vec<f64> = shares
+            .iter()
+            .map(|s| s.iter().map(|&(_, c)| c).sum())
+            .collect();
+        ledger.fault_free_seconds += budgets.iter().fold(0.0f64, |a, &b| a.max(b));
+
+        // Wasted attempts before one successful execution, charged to the
+        // executor's degraded clock. Capped as a safety valve; rates are
+        // clamped < 1 so the cap is unreachable in expectation.
+        let charge = |executor: usize,
+                      (id, cost): (usize, f64),
+                      degraded: &mut f64,
+                      ledger: &mut RecoveryLedger| {
+            let slowdown = self.slowdown(executor);
+            let mut attempt = 0u32;
+            while attempt < 1000 && self.transient_fails(executor, id, attempt) {
+                *degraded += cost * slowdown; // the failed launch
+                let pause = self.backoff_seconds(attempt);
+                *degraded += pause;
+                ledger.transient_retries += 1;
+                ledger.backoff_seconds += pause;
+                attempt += 1;
+            }
+            *degraded += cost * slowdown; // the successful launch
+        };
+
+        let mut degraded = vec![0.0f64; shares.len()];
+        let mut stolen: Vec<(usize, f64)> = Vec::new(); // straggler tails (owner alive)
+        let mut rerun: Vec<(usize, f64)> = Vec::new(); // dead ranks' full shares
+        for (r, share) in shares.iter().enumerate() {
+            if !alive[r] {
+                continue;
+            }
+            if let Some(die_at) = self.death_point(r, share.len()) {
+                // The rank executes (and pays for) its prefix, then
+                // vanishes; everything it did is lost with its device
+                // memory, so the full share is re-run on survivors.
+                for &item in &share[..die_at] {
+                    charge(r, item, &mut degraded[r], ledger);
+                }
+                alive[r] = false;
+                ledger.ranks_lost += 1;
+                ledger.rerun_batches += share.len();
+                rerun.extend_from_slice(share);
+                continue;
+            }
+            let bar = straggler_threshold.map(|t| t.max(1.0) * budgets[r]);
+            for (i, &item) in share.iter().enumerate() {
+                if bar.is_some_and(|bar| degraded[r] >= bar) && i + 1 < share.len() {
+                    ledger.straggler_ranks += 1;
+                    ledger.stolen_batches += share.len() - i;
+                    stolen.extend_from_slice(&share[i..]);
+                    break;
+                }
+                charge(r, item, &mut degraded[r], ledger);
+            }
+        }
+        // Thieves *evaluate*; results remain attributed to the owner.
+        for item in stolen.into_iter().chain(rerun) {
+            let (thief, _) = degraded
+                .iter()
+                .enumerate()
+                .filter(|&(r, _)| alive[r])
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .expect("the caller guarantees a survivor");
+            charge(thief, item, &mut degraded[thief], ledger);
+        }
+        ledger.degraded_seconds += degraded
+            .iter()
+            .enumerate()
+            .filter(|&(r, _)| alive[r])
+            .map(|(_, &t)| t)
+            .fold(0.0f64, f64::max);
+    }
 }
 
 /// What the recovery machinery actually did during one fault-tolerant

@@ -193,12 +193,6 @@ impl SimTimer {
         rec
     }
 
-    /// Add a raw amount of simulated seconds (e.g. host-side or
-    /// communication time computed elsewhere).
-    pub fn add_seconds(&mut self, s: f64) {
-        self.total_s += s;
-    }
-
     /// Merge another timer (parallel reduction across worker threads).
     pub fn merge(&mut self, other: &SimTimer) {
         self.total_s += other.total_s;
@@ -213,16 +207,6 @@ impl SimTimer {
     /// Total simulated seconds.
     pub fn total_seconds(&self) -> f64 {
         self.total_s
-    }
-
-    /// Seconds attributable to arithmetic.
-    pub fn compute_seconds(&self) -> f64 {
-        self.compute_s
-    }
-
-    /// Seconds attributable to global-memory traffic.
-    pub fn memory_seconds(&self) -> f64 {
-        self.memory_s
     }
 
     /// Seconds of launch overhead.

@@ -2,7 +2,7 @@
 //!
 //! The paper compares Mako's converged B3LYP energies against four external
 //! packages (Psi4, PySCF, QUICK, GPU4PySCF) and finds MAEs of 0.004–0.086
-//! mHartree — all within the 1 mHartree chemical-accuracy criterion. No
+//! mHartree — all within the 1 mHartree chemical-accuracy bar. No
 //! external package exists offline, so this reproduction substitutes (per
 //! DESIGN.md):
 //!
@@ -134,7 +134,7 @@ fn main() {
             (mako_e - os_e).abs() * 1e3
         );
     }
-    println!("MAE vs independent implementation: {:.4} mHa (criterion: < 1 mHa)\n", st_ref.mae() * 1e3);
+    println!("MAE vs independent implementation: {:.4} mHa (bar: < 1 mHa)\n", st_ref.mae() * 1e3);
 
     // -----------------------------------------------------------------
     // Part 2: QuantMako vs FP64 over the 200-molecule accuracy suite.

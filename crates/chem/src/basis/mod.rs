@@ -73,11 +73,6 @@ impl Shell {
     pub fn nfunc(&self) -> usize {
         nsph(self.l)
     }
-
-    /// Largest primitive exponent (used by screening estimates).
-    pub fn max_exp(&self) -> f64 {
-        self.exps.iter().cloned().fold(0.0, f64::max)
-    }
 }
 
 /// Shell definition before placement on an atom.

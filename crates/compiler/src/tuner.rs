@@ -8,8 +8,8 @@
 //! Class-only terms are derived once per sweep ([`BatchTerms`]) and every
 //! candidate is priced from `Copy` [`mako_accel::KernelProfile`]s: a sweep
 //! is ~150 roofline evaluations and next to no heap traffic.
-//! Winners are memoized in a process-wide [`KernelCache`], the analogue of
-//! CUTLASS Profiler's best-kernel database.
+//! Winners are memoized in a process-wide [`KernelCache`] — a plain,
+//! unbounded map — the analogue of CUTLASS Profiler's best-kernel database.
 
 use crate::planner::{plan_fusion_terms, BlockShape};
 use mako_accel::{CostModel, DeviceKind, SmemLayout};
@@ -18,7 +18,7 @@ use mako_kernels::pipeline::{smem_footprint, BatchTerms, PipelineConfig};
 use mako_precision::{Precision, ScalePolicy};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A tuned kernel configuration with its modeled performance.
 #[derive(Debug, Clone, Copy)]
@@ -123,57 +123,25 @@ pub fn tune_class(class: &EriClass, precision: Precision, model: &CostModel) -> 
     }
 }
 
-/// One memoized tuner winner plus its LRU recency stamp. The stamp is
-/// atomic so a read-lock hit can refresh it without upgrading to the write
-/// lock — hits stay concurrent even when the cache is bounded.
-struct CacheEntry {
-    kernel: TunedKernel,
-    last_used: AtomicU64,
-}
-
-/// Process-wide cache of tuned kernels keyed by (class, precision, device).
+/// Process-wide memo of tuned kernels keyed by (class, precision, device).
 ///
-/// By default the cache is unbounded — correct for a single workstation
-/// process, where the key population is small. A serving process that sees
-/// many (class, precision, device) combinations across tenants bounds it
-/// with [`KernelCache::with_capacity`]: inserts beyond the capacity evict
-/// the least-recently-used entry (counted in [`KernelCache::evictions`] and
-/// the `compiler.kernel_cache.evictions` trace counter). Eviction only
-/// costs re-tuning wall time — `tune_class` is deterministic, so a re-tuned
-/// entry is identical to the evicted one and cached results never change —
-/// and a sweep is 5–10 µs of host time, so even a thrashing cache (one
-/// eviction per miss) is cheap.
+/// Unbounded: keys range over l ≤ 4 and the contraction degrees of the
+/// built-in basis families (a few thousand at most), a [`TunedKernel`] is
+/// `Copy` and under 100 B, and `tune_class` is deterministic, so an entry
+/// never goes stale and nothing needs rationing or persisting — a sweep is
+/// 5–10 µs of allocation-free host time.
 #[derive(Default)]
 pub struct KernelCache {
-    map: RwLock<HashMap<(EriClass, Precision, DeviceKind), CacheEntry>>,
-    /// Maximum entries; 0 = unbounded.
-    capacity: usize,
-    /// Monotonic recency clock; each touch takes a unique tick, so the LRU
-    /// minimum is unique and eviction order is deterministic.
-    tick: AtomicU64,
+    map: RwLock<HashMap<(EriClass, Precision, DeviceKind), TunedKernel>>,
     hits: AtomicUsize,
     tunes: AtomicUsize,
     duplicates_avoided: AtomicUsize,
-    evictions: AtomicUsize,
 }
 
 impl KernelCache {
-    /// Empty, unbounded cache.
+    /// Empty cache.
     pub fn new() -> KernelCache {
         KernelCache::default()
-    }
-
-    /// Empty cache bounded to at most `capacity` entries (0 = unbounded).
-    pub fn with_capacity(capacity: usize) -> KernelCache {
-        KernelCache {
-            capacity,
-            ..KernelCache::default()
-        }
-    }
-
-    /// The configured bound (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Fetch the tuned kernel for a class, tuning on a miss.
@@ -181,87 +149,29 @@ impl KernelCache {
     /// Race-free: a read-lock miss is re-checked under the write lock
     /// before tuning, so concurrent callers of the same key never run the
     /// sweep twice (the loser of the lock race finds the entry and counts a
-    /// `duplicates_avoided`) — including when the cache is full and the
-    /// insert must evict. Tuning holds the write lock, so misses on
-    /// *different* keys serialize. The sweep does NOT run once per key per
-    /// process — a bounded cache re-tunes a key after every eviction (1 773
-    /// sweeps in one 60-job serve at capacity 64) — but it is 5–10 µs of
-    /// allocation-free host time (788 sweeps in 4–8 ms on the benchmark's
-    /// `scf_eri`), less than releasing the lock around it and tracking
-    /// in-flight keys would cost.
+    /// `duplicates_avoided`). Tuning holds the write lock, so misses on
+    /// *different* keys serialize — cheaper, at 5–10 µs a sweep, than
+    /// releasing the lock around it and tracking in-flight keys would be.
     pub fn get_or_tune(&self, class: &EriClass, precision: Precision, model: &CostModel) -> TunedKernel {
         let key = (*class, precision, model.device.kind);
-        if let Some(hit) = self.map.read().get(&key) {
-            hit.last_used
-                .store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+        if let Some(&hit) = self.map.read().get(&key) {
             let hits = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
             mako_trace::counter("compiler", "kernel_cache.hits", hits as f64);
-            return hit.kernel;
+            return hit;
         }
         let mut map = self.map.write();
-        if let Some(hit) = map.get(&key) {
+        if let Some(&hit) = map.get(&key) {
             // Another caller tuned this key between our read miss and the
             // write acquisition.
-            hit.last_used
-                .store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
             let avoided = self.duplicates_avoided.fetch_add(1, Ordering::Relaxed) + 1;
             mako_trace::counter("compiler", "kernel_cache.duplicates_avoided", avoided as f64);
-            return hit.kernel;
+            return hit;
         }
         let tuned = tune_class(class, precision, model);
         let tunes = self.tunes.fetch_add(1, Ordering::Relaxed) + 1;
         mako_trace::counter("compiler", "kernel_cache.tunes", tunes as f64);
-        if self.capacity > 0 && map.len() >= self.capacity {
-            // Evict the least-recently-used entry. Ticks are unique, so the
-            // minimum is unique and the victim deterministic.
-            if let Some(victim) = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k)
-            {
-                map.remove(&victim);
-                let ev = self.evictions.fetch_add(1, Ordering::Relaxed) + 1;
-                mako_trace::counter("compiler", "kernel_cache.evictions", ev as f64);
-            }
-        }
-        map.insert(
-            key,
-            CacheEntry {
-                kernel: tuned,
-                last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
-            },
-        );
+        map.insert(key, tuned);
         tuned
-    }
-
-    /// Snapshot every cached entry (unordered — callers that persist the
-    /// table sort by their own stable key codes). Only clones; the sweep
-    /// never re-runs.
-    pub fn snapshot(&self) -> Vec<((EriClass, Precision, DeviceKind), TunedKernel)> {
-        self.map
-            .read()
-            .iter()
-            .map(|(k, e)| (*k, e.kernel))
-            .collect()
-    }
-
-    /// Seed entries without running the tuner — e.g. from a persisted
-    /// table. Existing keys win (the in-process entry is authoritative) and
-    /// seeding stops at the capacity bound rather than evicting: a stale
-    /// table must never push out entries live traffic is using. Safe
-    /// because `tune_class` is deterministic — a seeded entry is identical
-    /// to what the sweep would produce.
-    pub fn seed(&self, entries: Vec<((EriClass, Precision, DeviceKind), TunedKernel)>) {
-        let mut map = self.map.write();
-        for (key, kernel) in entries {
-            if self.capacity > 0 && map.len() >= self.capacity && !map.contains_key(&key) {
-                continue;
-            }
-            map.entry(key).or_insert_with(|| CacheEntry {
-                kernel,
-                last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
-            });
-        }
     }
 
     /// Number of cached entries.
@@ -279,7 +189,7 @@ impl KernelCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Tuning sweeps actually run: one per miss, never two at once for a key.
+    /// Tuning sweeps actually run: one per distinct key.
     pub fn tunes_performed(&self) -> usize {
         self.tunes.load(Ordering::Relaxed)
     }
@@ -289,9 +199,11 @@ impl KernelCache {
         self.duplicates_avoided.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted by the LRU bound (0 while unbounded).
+    /// Always 0: nothing is evicted. Kept only because
+    /// `benchmark/src/{replay.rs:224, workloads.rs:578}` call it; the next
+    /// `[benchmark]` PR removes those calls and this with them.
     pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
+        0
     }
 }
 
@@ -441,94 +353,26 @@ mod tests {
         // clobbered each other's insert. The write-lock double-check must
         // collapse that to exactly one sweep.
         let model = CostModel::new(DeviceSpec::a100());
+        // An occupied cache, so the contested insert is not the first.
         let cache = KernelCache::new();
+        cache.get_or_tune(&class(0, 1), Precision::Fp64, &model);
         let c = class(2, 5);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| cache.get_or_tune(&c, Precision::Fp64, &model));
             }
         });
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.len(), 2);
         assert_eq!(
             cache.tunes_performed(),
-            1,
+            2,
             "exactly one sweep may run for one key"
         );
         assert_eq!(
             cache.tunes_performed() + cache.duplicates_avoided() + cache.hits(),
-            8,
+            9,
             "every caller is accounted as tune, avoided duplicate, or hit"
         );
-    }
-
-    #[test]
-    fn bounded_cache_evicts_lru_and_retains_hot_keys() {
-        let model = CostModel::new(DeviceSpec::a100());
-        let cache = KernelCache::with_capacity(2);
-        let (a, b, c) = (class(0, 1), class(1, 1), class(2, 1));
-        cache.get_or_tune(&a, Precision::Fp64, &model);
-        cache.get_or_tune(&b, Precision::Fp64, &model);
-        // Touch A so B becomes the LRU victim.
-        cache.get_or_tune(&a, Precision::Fp64, &model);
-        cache.get_or_tune(&c, Precision::Fp64, &model);
-        assert_eq!(cache.len(), 2, "bound holds");
-        assert_eq!(cache.evictions(), 1);
-        // A stayed (hot), B was evicted: re-requesting A is a hit, B re-tunes.
-        let tunes_before = cache.tunes_performed();
-        cache.get_or_tune(&a, Precision::Fp64, &model);
-        assert_eq!(cache.tunes_performed(), tunes_before, "hot key survived");
-        cache.get_or_tune(&b, Precision::Fp64, &model);
-        assert_eq!(cache.tunes_performed(), tunes_before + 1, "LRU key was evicted");
-    }
-
-    #[test]
-    fn full_cache_still_dedupes_concurrent_tunes() {
-        // Regression: a cache at capacity must keep the write-lock
-        // double-check intact — N concurrent callers of one *new* key run
-        // exactly one sweep plus exactly one eviction, never N of either.
-        let model = CostModel::new(DeviceSpec::a100());
-        let cache = KernelCache::with_capacity(1);
-        cache.get_or_tune(&class(0, 1), Precision::Fp64, &model);
-        assert_eq!(cache.len(), 1, "premise: cache is full");
-        let tunes_before = cache.tunes_performed();
-        let fresh = class(2, 5);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| cache.get_or_tune(&fresh, Precision::Fp64, &model));
-            }
-        });
-        assert_eq!(cache.len(), 1, "bound holds under concurrency");
-        assert_eq!(
-            cache.tunes_performed(),
-            tunes_before + 1,
-            "exactly one sweep for the contested key"
-        );
-        assert_eq!(cache.evictions(), 1, "exactly one eviction");
-    }
-
-    #[test]
-    fn seeded_cache_serves_without_retuning() {
-        let model = CostModel::new(DeviceSpec::a100());
-        let warm = KernelCache::new();
-        warm.get_or_tune(&class(1, 1), Precision::Fp64, &model);
-        warm.get_or_tune(&class(2, 1), Precision::Fp16, &model);
-        let cold = KernelCache::new();
-        cold.seed(warm.snapshot());
-        assert_eq!(cold.len(), 2);
-        let before = cold.tunes_performed();
-        let a = cold.get_or_tune(&class(1, 1), Precision::Fp64, &model);
-        assert_eq!(cold.tunes_performed(), before, "seeded key must be a hit");
-        let b = warm.get_or_tune(&class(1, 1), Precision::Fp64, &model);
-        assert_eq!(
-            a.cost_s.to_bits(),
-            b.cost_s.to_bits(),
-            "a seeded entry is bitwise the tuned one"
-        );
-        // Seeding respects the capacity bound and never evicts.
-        let bounded = KernelCache::with_capacity(1);
-        bounded.seed(warm.snapshot());
-        assert_eq!(bounded.len(), 1);
-        assert_eq!(bounded.evictions(), 0);
     }
 
     #[test]

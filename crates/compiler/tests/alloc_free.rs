@@ -96,7 +96,7 @@ fn pricing_is_allocation_free_and_a_sweep_is_nearly_so() {
     }
 
     // A cache hit hands back a `Copy` kernel under the read lock.
-    let cache = KernelCache::with_capacity(64);
+    let cache = KernelCache::new();
     cache.get_or_tune(&c, Precision::Fp16, &model);
     assert_eq!(
         allocations(|| cache.get_or_tune(&c, Precision::Fp16, &model)),

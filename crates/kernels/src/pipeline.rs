@@ -585,32 +585,18 @@ pub fn run_batch(
     model: &CostModel,
 ) -> BatchOutput {
     let class = batch.class;
-    let mut tensors = Vec::new();
-    run_batch_tensors_into(batch, pairs, cfg, &mut tensors);
+    let e_scale = batch_group_scale(&batch.quartets, pairs, cfg);
+    let runner = QuartetRunner::for_pairs(&class, cfg, e_scale, pairs.len());
+    let mut tensors: Vec<Tensor4> = (0..batch.len()).map(|_| Tensor4::zeros([0; 4])).collect();
+    tensors
+        .par_iter_mut()
+        .zip(batch.quartets.par_iter())
+        .for_each(|(t, &(pi, qi))| runner.run_indexed(pairs, pi, qi, t));
     BatchOutput {
         class,
         tensors,
         seconds: batch_device_seconds(&class, batch.len(), cfg, model),
     }
-}
-
-/// Execute a quartet batch's numerics into a caller-owned tensor vector,
-/// reusing both the vector and (where shapes match) the individual tensor
-/// allocations — the buffer-reuse path for drivers that rebuild the same
-/// batches every SCF iteration.
-pub fn run_batch_tensors_into(
-    batch: &QuartetBatch,
-    pairs: &[ScreenedPair],
-    cfg: &PipelineConfig,
-    out: &mut Vec<Tensor4>,
-) {
-    let e_scale = batch_group_scale(&batch.quartets, pairs, cfg);
-    let runner = QuartetRunner::for_pairs(&batch.class, cfg, e_scale, pairs.len());
-    out.truncate(batch.len());
-    out.resize_with(batch.len(), || Tensor4::zeros([0; 4]));
-    out.par_iter_mut()
-        .zip(batch.quartets.par_iter())
-        .for_each(|(t, &(pi, qi))| runner.run_indexed(pairs, pi, qi, t));
 }
 
 /// Per-thread workspace for [`quartet_numerics_into`]: every matrix,

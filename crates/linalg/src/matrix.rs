@@ -1,7 +1,5 @@
 //! Row-major dense matrix of `f64`.
 
-use crate::LinalgError;
-
 /// A dense, row-major matrix of `f64`.
 ///
 /// Element `(i, j)` lives at `data[i * cols + j]`. The type is deliberately
@@ -83,11 +81,6 @@ impl Matrix {
     /// Mutable view of the backing row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consume into the backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Row `i` as a slice.
@@ -251,15 +244,6 @@ impl Matrix {
     pub fn block(&self, row0: usize, col0: usize, nr: usize, nc: usize) -> Matrix {
         assert!(row0 + nr <= self.rows && col0 + nc <= self.cols);
         Matrix::from_fn(nr, nc, |i, j| self[(row0 + i, col0 + j)])
-    }
-
-    /// Check shapes are equal, producing a [`LinalgError`] otherwise.
-    pub fn require_same_shape(&self, other: &Matrix, context: &'static str) -> Result<(), LinalgError> {
-        if (self.rows, self.cols) == (other.rows, other.cols) {
-            Ok(())
-        } else {
-            Err(LinalgError::ShapeMismatch { context })
-        }
     }
 }
 

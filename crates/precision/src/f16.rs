@@ -26,8 +26,6 @@ impl F16 {
     pub const MAX: F16 = F16(0x7BFF);
     /// Smallest positive normal value, 2^-14.
     pub const MIN_POSITIVE: F16 = F16(0x0400);
-    /// Smallest positive subnormal value, 2^-24.
-    pub const MIN_POSITIVE_SUBNORMAL: F16 = F16(0x0001);
     /// Positive zero.
     pub const ZERO: F16 = F16(0x0000);
     /// One.
@@ -78,11 +76,6 @@ impl F16 {
     /// True for zero, subnormal, or normal values.
     pub const fn is_finite(self) -> bool {
         (self.0 & EXP_MASK) != EXP_MASK
-    }
-
-    /// True for nonzero values with a zero exponent field.
-    pub const fn is_subnormal(self) -> bool {
-        (self.0 & EXP_MASK) == 0 && (self.0 & MAN_MASK) != 0
     }
 }
 

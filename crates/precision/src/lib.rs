@@ -61,17 +61,6 @@ impl Precision {
         }
     }
 
-    /// Number of explicit mantissa bits carried by the format.
-    pub const fn mantissa_bits(self) -> u32 {
-        match self {
-            Precision::Fp64 => 52,
-            Precision::Fp32 => 23,
-            Precision::Tf32 => 10,
-            Precision::Fp16 => 10,
-            Precision::Bf16 => 7,
-        }
-    }
-
     /// Largest finite representable magnitude.
     pub fn max_finite(self) -> f64 {
         match self {

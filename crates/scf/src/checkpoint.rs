@@ -65,7 +65,7 @@ use crate::error::CheckpointError;
 use crate::fock::FockBuildStats;
 use mako_accel::{DeviceClock, IterationLedger, RecoveryLedger};
 use mako_linalg::Matrix;
-use mako_store::{crc32, write_durable, RealVfs, Vfs, VfsError};
+use mako_store::{crc32, write_durable, ByteReader, ByteWriter, RealVfs, Vfs, VfsError};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MAKOCKPT";
@@ -150,66 +150,64 @@ impl ScfCheckpoint {
 
     /// Serialize to the version-3 binary format (payload CRC included).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.density.as_slice().len() * 8 * 4);
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, CHECKPOINT_VERSION);
-        put_u32(&mut out, 0); // CRC placeholder, patched below
-        put_u64(&mut out, self.nao as u64);
-        put_u64(&mut out, self.n_batches as u64);
-        put_u64(&mut out, self.n_quartets as u64);
-        put_u64(&mut out, self.problem_hash);
-        put_u64(&mut out, self.next_iteration as u64);
-        put_f64(&mut out, self.e_prev);
-        put_f64(&mut out, self.energy);
-        put_f64(&mut out, self.residual);
-        put_f64(&mut out, self.residual_prev);
-        put_f64(&mut out, self.drift_bound);
-        put_u64(&mut out, self.since_rebuild as u64);
-        let flags =
-            (self.was_quantized_phase as u8) | ((self.force_rebuild as u8) << 1);
-        out.push(flags);
-        put_matrix(&mut out, &self.density);
-        put_matrix(&mut out, &self.j_acc);
-        put_matrix(&mut out, &self.k_acc);
-        put_matrix(&mut out, &self.d_ref);
-        put_u64(&mut out, self.diis.max_vectors as u64);
-        put_u64(&mut out, self.diis.focks.len() as u64);
+        let mut out = ByteWriter::with_capacity(64 + self.density.as_slice().len() * 8 * 4);
+        out.bytes(MAGIC);
+        out.u32(CHECKPOINT_VERSION);
+        out.u32(0); // CRC placeholder, patched below
+        out.u64(self.nao as u64);
+        out.u64(self.n_batches as u64);
+        out.u64(self.n_quartets as u64);
+        out.u64(self.problem_hash);
+        out.u64(self.next_iteration as u64);
+        out.f64(self.e_prev);
+        out.f64(self.energy);
+        out.f64(self.residual);
+        out.f64(self.residual_prev);
+        out.f64(self.drift_bound);
+        out.u64(self.since_rebuild as u64);
+        out.u8((self.was_quantized_phase as u8) | ((self.force_rebuild as u8) << 1));
+        for m in [&self.density, &self.j_acc, &self.k_acc, &self.d_ref] {
+            put_matrix(&mut out, m);
+        }
+        out.u64(self.diis.max_vectors as u64);
+        out.u64(self.diis.focks.len() as u64);
         for (f, e) in self.diis.focks.iter().zip(&self.diis.errors) {
             put_matrix(&mut out, f);
             put_matrix(&mut out, e);
         }
-        put_f64_vec(&mut out, &self.orbital_energies);
-        put_f64_vec(&mut out, &self.iteration_seconds);
-        put_u64(&mut out, self.stats.fp64_quartets as u64);
-        put_u64(&mut out, self.stats.quantized_quartets as u64);
-        put_u64(&mut out, self.stats.pruned_quartets as u64);
-        put_u64(&mut out, self.stats.skipped_quartets as u64);
-        put_f64(&mut out, self.stats.skipped_bound);
-        put_f64(&mut out, self.stats.device_seconds);
-        put_u64(&mut out, self.ledgers.len() as u64);
+        out.f64s(&self.orbital_energies);
+        out.f64s(&self.iteration_seconds);
+        out.u64(self.stats.fp64_quartets as u64);
+        out.u64(self.stats.quantized_quartets as u64);
+        out.u64(self.stats.pruned_quartets as u64);
+        out.u64(self.stats.skipped_quartets as u64);
+        out.f64(self.stats.skipped_bound);
+        out.f64(self.stats.device_seconds);
+        out.u64(self.ledgers.len() as u64);
         for l in &self.ledgers {
-            put_f64(&mut out, l.eri_seconds);
-            put_f64(&mut out, l.total_seconds);
-            put_u64(&mut out, l.evaluated_quartets as u64);
-            put_u64(&mut out, l.skipped_quartets as u64);
-            put_u64(&mut out, l.pruned_quartets as u64);
-            put_f64(&mut out, l.skipped_bound);
-            out.push(l.rebuild as u8);
+            out.f64(l.eri_seconds);
+            out.f64(l.total_seconds);
+            out.u64(l.evaluated_quartets as u64);
+            out.u64(l.skipped_quartets as u64);
+            out.u64(l.pruned_quartets as u64);
+            out.f64(l.skipped_bound);
+            out.u8(l.rebuild as u8);
         }
-        put_u64(&mut out, self.recoveries.len() as u64);
+        out.u64(self.recoveries.len() as u64);
         for r in &self.recoveries {
-            put_u64(&mut out, r.transient_retries as u64);
-            put_f64(&mut out, r.backoff_seconds);
-            put_u64(&mut out, r.straggler_ranks as u64);
-            put_u64(&mut out, r.stolen_batches as u64);
-            put_u64(&mut out, r.rerun_batches as u64);
-            put_u64(&mut out, r.ranks_lost as u64);
-            put_u64(&mut out, r.allreduce_retries as u64);
-            put_u64(&mut out, r.checkpoint_saves as u64);
-            put_u64(&mut out, r.checkpoint_loads as u64);
-            put_f64(&mut out, r.fault_free_seconds);
-            put_f64(&mut out, r.degraded_seconds);
+            out.u64(r.transient_retries as u64);
+            out.f64(r.backoff_seconds);
+            out.u64(r.straggler_ranks as u64);
+            out.u64(r.stolen_batches as u64);
+            out.u64(r.rerun_batches as u64);
+            out.u64(r.ranks_lost as u64);
+            out.u64(r.allreduce_retries as u64);
+            out.u64(r.checkpoint_saves as u64);
+            out.u64(r.checkpoint_loads as u64);
+            out.f64(r.fault_free_seconds);
+            out.f64(r.degraded_seconds);
         }
+        let mut out = out.into_bytes();
         let crc = crc32(&out[CRC_REGION_AT..]);
         out[12..16].copy_from_slice(&crc.to_le_bytes());
         out
@@ -217,124 +215,26 @@ impl ScfCheckpoint {
 
     /// Parse a version-3 checkpoint.
     pub fn from_bytes(bytes: &[u8]) -> Result<ScfCheckpoint, CheckpointError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        let magic = r.take(8)?;
-        if magic != MAGIC {
+        let mut r = ByteReader::new(bytes);
+        if r.take(8).ok_or(CheckpointError::Truncated)? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        let version = r.u32()?;
+        let version = r.u32().ok_or(CheckpointError::Truncated)?;
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion { found: version });
         }
-        let expected = r.u32()?;
+        let expected = r.u32().ok_or(CheckpointError::Truncated)?;
         let actual = crc32(&bytes[CRC_REGION_AT..]);
         if expected != actual {
             // Checked before any structural parsing: truncation and bit rot
             // both land here, and neither may be half-interpreted.
             return Err(CheckpointError::Corrupt { expected, actual });
         }
-        let nao = r.u64()? as usize;
-        let n_batches = r.u64()? as usize;
-        let n_quartets = r.u64()? as usize;
-        let problem_hash = r.u64()?;
-        let next_iteration = r.u64()? as usize;
-        let e_prev = r.f64()?;
-        let energy = r.f64()?;
-        let residual = r.f64()?;
-        let residual_prev = r.f64()?;
-        let drift_bound = r.f64()?;
-        let since_rebuild = r.u64()? as usize;
-        let flags = r.take(1)?[0];
-        let density = r.matrix()?;
-        let j_acc = r.matrix()?;
-        let k_acc = r.matrix()?;
-        let d_ref = r.matrix()?;
-        let max_vectors = r.u64()? as usize;
-        let m = r.u64()? as usize;
-        if m > 1 << 20 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut focks = Vec::with_capacity(m);
-        let mut errors = Vec::with_capacity(m);
-        for _ in 0..m {
-            focks.push(r.matrix()?);
-            errors.push(r.matrix()?);
-        }
-        let orbital_energies = r.f64_vec()?;
-        let iteration_seconds = r.f64_vec()?;
-        let stats = FockBuildStats {
-            fp64_quartets: r.u64()? as usize,
-            quantized_quartets: r.u64()? as usize,
-            pruned_quartets: r.u64()? as usize,
-            skipped_quartets: r.u64()? as usize,
-            skipped_bound: r.f64()?,
-            device_seconds: r.f64()?,
-        };
-        let n_iters = r.u64()? as usize;
-        if n_iters > 1 << 24 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut ledgers = Vec::with_capacity(n_iters);
-        for _ in 0..n_iters {
-            ledgers.push(IterationLedger {
-                eri_seconds: r.f64()?,
-                total_seconds: r.f64()?,
-                evaluated_quartets: r.u64()? as usize,
-                skipped_quartets: r.u64()? as usize,
-                pruned_quartets: r.u64()? as usize,
-                skipped_bound: r.f64()?,
-                rebuild: r.take(1)?[0] != 0,
-            });
-        }
-        let n_recov = r.u64()? as usize;
-        if n_recov > 1 << 24 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut recoveries = Vec::with_capacity(n_recov);
-        for _ in 0..n_recov {
-            recoveries.push(RecoveryLedger {
-                transient_retries: r.u64()? as usize,
-                backoff_seconds: r.f64()?,
-                straggler_ranks: r.u64()? as usize,
-                stolen_batches: r.u64()? as usize,
-                rerun_batches: r.u64()? as usize,
-                ranks_lost: r.u64()? as usize,
-                allreduce_retries: r.u64()? as usize,
-                checkpoint_saves: r.u64()? as usize,
-                checkpoint_loads: r.u64()? as usize,
-                fault_free_seconds: r.f64()?,
-                degraded_seconds: r.f64()?,
-            });
-        }
-        Ok(ScfCheckpoint {
-            nao,
-            n_batches,
-            n_quartets,
-            problem_hash,
-            next_iteration,
-            density,
-            e_prev,
-            energy,
-            residual,
-            residual_prev,
-            was_quantized_phase: flags & 1 != 0,
-            j_acc,
-            k_acc,
-            d_ref,
-            since_rebuild,
-            drift_bound,
-            force_rebuild: flags & 2 != 0,
-            diis: DiisSnapshot {
-                max_vectors,
-                focks,
-                errors,
-            },
-            orbital_energies,
-            iteration_seconds,
-            stats,
-            ledgers,
-            recoveries,
-        })
+        // A CRC-valid payload that runs short, declares a length it cannot
+        // hold, or leaves bytes over is not what `to_bytes` wrote.
+        read_payload(&mut r)
+            .filter(|_| r.done())
+            .ok_or(CheckpointError::Truncated)
     }
 
     /// Write to the real filesystem durably and atomically — see
@@ -426,86 +326,113 @@ impl ScfCheckpoint {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_matrix(out: &mut ByteWriter, m: &Matrix) {
+    out.matrix(m.rows(), m.cols(), m.as_slice());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn read_matrix(r: &mut ByteReader<'_>) -> Option<Matrix> {
+    let (rows, cols, data) = r.matrix()?;
+    Some(Matrix::from_vec(rows, cols, data))
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        put_f64(out, x);
+/// Everything after the magic/version/CRC header. Every count is checked
+/// against the bytes that remain (two empty matrices, one
+/// `IterationLedger`, one `RecoveryLedger` are 32, 49 and 88 bytes) before
+/// anything is allocated.
+fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
+    let nao = r.usize()?;
+    let n_batches = r.usize()?;
+    let n_quartets = r.usize()?;
+    let problem_hash = r.u64()?;
+    let next_iteration = r.usize()?;
+    let e_prev = r.f64()?;
+    let energy = r.f64()?;
+    let residual = r.f64()?;
+    let residual_prev = r.f64()?;
+    let drift_bound = r.f64()?;
+    let since_rebuild = r.usize()?;
+    let flags = r.u8()?;
+    let density = read_matrix(r)?;
+    let j_acc = read_matrix(r)?;
+    let k_acc = read_matrix(r)?;
+    let d_ref = read_matrix(r)?;
+    let max_vectors = r.usize()?;
+    let m = r.count(32)?;
+    let mut focks = Vec::with_capacity(m);
+    let mut errors = Vec::with_capacity(m);
+    for _ in 0..m {
+        focks.push(read_matrix(r)?);
+        errors.push(read_matrix(r)?);
     }
-}
-
-fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
-    put_u64(out, m.rows() as u64);
-    put_u64(out, m.cols() as u64);
-    for &x in m.as_slice() {
-        put_f64(out, x);
+    let orbital_energies = r.f64s()?;
+    let iteration_seconds = r.f64s()?;
+    let stats = FockBuildStats {
+        fp64_quartets: r.usize()?,
+        quantized_quartets: r.usize()?,
+        pruned_quartets: r.usize()?,
+        skipped_quartets: r.usize()?,
+        skipped_bound: r.f64()?,
+        device_seconds: r.f64()?,
+    };
+    let n_iters = r.count(49)?;
+    let mut ledgers = Vec::with_capacity(n_iters);
+    for _ in 0..n_iters {
+        ledgers.push(IterationLedger {
+            eri_seconds: r.f64()?,
+            total_seconds: r.f64()?,
+            evaluated_quartets: r.usize()?,
+            skipped_quartets: r.usize()?,
+            pruned_quartets: r.usize()?,
+            skipped_bound: r.f64()?,
+            rebuild: r.u8()? != 0,
+        });
     }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    let n_recov = r.count(88)?;
+    let mut recoveries = Vec::with_capacity(n_recov);
+    for _ in 0..n_recov {
+        recoveries.push(RecoveryLedger {
+            transient_retries: r.usize()?,
+            backoff_seconds: r.f64()?,
+            straggler_ranks: r.usize()?,
+            stolen_batches: r.usize()?,
+            rerun_batches: r.usize()?,
+            ranks_lost: r.usize()?,
+            allreduce_retries: r.usize()?,
+            checkpoint_saves: r.usize()?,
+            checkpoint_loads: r.usize()?,
+            fault_free_seconds: r.f64()?,
+            degraded_seconds: r.f64()?,
+        });
     }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        let n = self.u64()? as usize;
-        if n > 1 << 28 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64()?);
-        }
-        Ok(v)
-    }
-
-    fn matrix(&mut self) -> Result<Matrix, CheckpointError> {
-        let rows = self.u64()? as usize;
-        let cols = self.u64()? as usize;
-        if rows.saturating_mul(cols) > 1 << 28 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            data.push(self.f64()?);
-        }
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
+    Some(ScfCheckpoint {
+        nao,
+        n_batches,
+        n_quartets,
+        problem_hash,
+        next_iteration,
+        density,
+        e_prev,
+        energy,
+        residual,
+        residual_prev,
+        was_quantized_phase: flags & 1 != 0,
+        j_acc,
+        k_acc,
+        d_ref,
+        since_rebuild,
+        drift_bound,
+        force_rebuild: flags & 2 != 0,
+        diis: DiisSnapshot {
+            max_vectors,
+            focks,
+            errors,
+        },
+        orbital_energies,
+        iteration_seconds,
+        stats,
+        ledgers,
+        recoveries,
+    })
 }
 
 #[cfg(test)]

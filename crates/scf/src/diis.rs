@@ -175,14 +175,6 @@ impl Diis {
     pub fn is_empty(&self) -> bool {
         self.focks.is_empty()
     }
-
-    /// RMS of the latest error vector (convergence measure).
-    pub fn last_error_norm(&self) -> f64 {
-        self.errors
-            .last()
-            .map(|e| e.norm_fro() / (e.rows() as f64))
-            .unwrap_or(f64::INFINITY)
-    }
 }
 
 /// The serializable state of a [`Diis`] accelerator: everything needed to

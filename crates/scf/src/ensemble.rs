@@ -201,7 +201,7 @@ impl EnsembleDriver {
         // Rank loss is persistent: a rank that dies stays dead for the rest
         // of the run (unlike the per-call model of `build_jk_distributed`,
         // the ensemble run IS the lifetime of the simulated job).
-        let mut dead = vec![false; ranks];
+        let mut alive = vec![true; ranks];
         // Global fused-launch counter: the coordinate of the fault plan's
         // per-(rank, launch, attempt) transient stream, so a plan replays
         // bit-for-bit regardless of how launches group into super-iterations.
@@ -301,13 +301,18 @@ impl EnsembleDriver {
             }
 
             // ---- Stage: fault timeline of the fused dispatch. ----
-            self.chaos_pass(
-                &fault_plan,
-                &mut dead,
-                &mut launch_counter,
-                &launch_costs,
-                &mut ledger.recovery,
-            );
+            // Round-robin over surviving ranks (the plan guarantees one),
+            // then the shared walk: in-place transient retries, persistent
+            // rank loss, the dead rank's launches re-run on the least-loaded
+            // survivor. Accounting only — the assembly stage below computes
+            // the launches' results regardless of the timeline.
+            let survivors: Vec<usize> = (0..ranks).filter(|&r| alive[r]).collect();
+            let mut shares: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ranks];
+            for (i, &cost) in launch_costs.iter().enumerate() {
+                shares[survivors[i % survivors.len()]].push((launch_counter + i, cost));
+            }
+            launch_counter += launch_costs.len();
+            fault_plan.walk(&shares, &mut alive, None, &mut ledger.recovery);
 
             // ---- Stage: per-member assembly + trajectory advance. ----
             // Strict member order; each session's advance is exactly the
@@ -375,95 +380,5 @@ impl EnsembleDriver {
                 .collect(),
             ledger,
         }
-    }
-
-    /// Walk one super-iteration's fused launches through the fault plan:
-    /// round-robin dispatch over surviving ranks, in-place transient
-    /// retries with capped exponential backoff, and persistent rank loss
-    /// with the dead rank's launches re-run on the least-loaded survivor.
-    /// Accounting only — the launches' numerical results are computed by
-    /// the (deterministic) assembly stage regardless of the timeline.
-    fn chaos_pass(
-        &self,
-        plan: &FaultPlan,
-        dead: &mut [bool],
-        launch_counter: &mut usize,
-        launch_costs: &[f64],
-        recovery: &mut RecoveryLedger,
-    ) {
-        let ranks = dead.len();
-        let survivors: Vec<usize> = (0..ranks).filter(|&r| !dead[r]).collect();
-        // The plan guarantees at least one survivor.
-        let mut shares: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ranks];
-        for (i, &cost) in launch_costs.iter().enumerate() {
-            let r = survivors[i % survivors.len()];
-            shares[r].push((*launch_counter + i, cost));
-        }
-        *launch_counter += launch_costs.len();
-
-        // Fault-free makespan of this super-iteration: the heaviest rank.
-        let budget = shares
-            .iter()
-            .map(|s| s.iter().map(|&(_, c)| c).sum::<f64>())
-            .fold(0.0f64, f64::max);
-        recovery.fault_free_seconds += budget;
-
-        // Wasted attempts before one successful execution, charged to the
-        // executor's degraded clock. Capped as a safety valve; rates are
-        // clamped < 1 so the cap is unreachable in expectation.
-        let charge = |executor: usize,
-                      launch: usize,
-                      cost: f64,
-                      degraded: &mut f64,
-                      recovery: &mut RecoveryLedger| {
-            let slowdown = plan.slowdown(executor);
-            let mut attempt = 0u32;
-            while attempt < 1000 && plan.transient_fails(executor, launch, attempt) {
-                *degraded += cost * slowdown; // the failed launch
-                let pause = plan.backoff_seconds(attempt);
-                *degraded += pause;
-                recovery.transient_retries += 1;
-                recovery.backoff_seconds += pause;
-                attempt += 1;
-            }
-            *degraded += cost * slowdown; // the successful launch
-        };
-
-        let mut degraded = vec![0.0f64; ranks];
-        let mut rerun: Vec<(usize, f64)> = Vec::new();
-        for &r in &survivors {
-            let share = std::mem::take(&mut shares[r]);
-            if let Some(die_at) = plan.death_point(r, share.len()) {
-                // The rank executes (and pays for) its prefix, then
-                // vanishes; its device memory goes with it, so the full
-                // share re-runs on survivors.
-                for &(li, cost) in &share[..die_at] {
-                    charge(r, li, cost, &mut degraded[r], recovery);
-                }
-                dead[r] = true;
-                recovery.ranks_lost += 1;
-                recovery.rerun_batches += share.len();
-                rerun.extend_from_slice(&share);
-                continue;
-            }
-            for &(li, cost) in &share {
-                charge(r, li, cost, &mut degraded[r], recovery);
-            }
-        }
-        for (li, cost) in rerun {
-            let (thief, _) = degraded
-                .iter()
-                .enumerate()
-                .filter(|&(r, _)| !dead[r])
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .expect("the plan leaves at least one survivor");
-            charge(thief, li, cost, &mut degraded[thief], recovery);
-        }
-        recovery.degraded_seconds += degraded
-            .iter()
-            .enumerate()
-            .filter(|&(r, _)| !dead[r])
-            .map(|(_, &t)| t)
-            .fold(0.0f64, f64::max);
     }
 }

@@ -29,7 +29,7 @@ use mako_chem::{BasisSet, Molecule};
 use mako_compiler::KernelCache;
 use mako_eri::batch::EriClass;
 use mako_precision::Precision;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Statistical workload: per ERI class, the number of surviving quartets.
 #[derive(Debug, Clone)]
@@ -53,8 +53,10 @@ pub fn build_workload(mol: &Molecule, basis: &BasisSet) -> WorkloadModel {
     let nao = shells.iter().map(|s| s.nfunc()).sum();
 
     // Count significant pairs per (la, lb, kab) pair class, tracking the
-    // prefactor distribution coarsely (strong vs weak pairs).
-    let mut pair_classes: HashMap<(usize, usize, usize), (f64, f64)> = HashMap::new();
+    // prefactor distribution coarsely (strong vs weak pairs). Ordered map:
+    // bra/ket assignment below follows key order, which must not depend on
+    // the process's hash seed.
+    let mut pair_classes: BTreeMap<(usize, usize, usize), (f64, f64)> = BTreeMap::new();
     let mut n_pairs = 0usize;
     for i in 0..shells.len() {
         for j in 0..=i {
@@ -379,94 +381,24 @@ pub fn build_jk_distributed(
                 .collect()
         });
 
-    // ---- Phase 2: fault timeline on the load-model clock. ----
-    // Each rank walks its share batch by batch; transient failures retry in
-    // place, a doomed rank executes up to its death point, and a straggler
-    // keeps only the prefix it can finish within its fault-free budget.
-    let live: Vec<bool> = (0..ranks)
-        .map(|r| plan.death_point(r, shares[r].len()).is_none())
-        .collect();
-    if live.iter().all(|&l| !l) {
+    // ---- Phases 2–3: fault timeline on the load-model clock. ----
+    // Transient failures retry in place, a doomed rank executes up to its
+    // death point, a straggler keeps only the prefix it can finish within
+    // its budget, and displaced batches land on the least-loaded live rank
+    // — all in `FaultPlan::walk`, keyed by batch index, costed by weight.
+    if (0..ranks).all(|r| plan.death_point(r, shares[r].len()).is_some()) {
         return Err(FockBuildError::AllRanksLost { ranks });
     }
-    let share_budget: Vec<f64> = shares
+    let costed: Vec<Vec<(usize, f64)>> = shares
         .iter()
-        .map(|s| s.iter().map(|&bi| weights[bi]).sum())
+        .map(|s| s.iter().map(|&bi| (bi, weights[bi])).collect())
         .collect();
-    ledger.fault_free_seconds = share_budget.iter().fold(0.0f64, |a, &b| a.max(b));
-
-    // Wasted attempts before one successful execution of `batch` by
-    // `executor`, charging retries and backoff to the ledger. Capped as a
-    // safety valve; rates are clamped < 1 so the cap is unreachable in
-    // expectation.
-    let charge_transients =
-        |executor: usize, batch: usize, degraded: &mut f64, ledger: &mut RecoveryLedger| {
-            let slowdown = plan.slowdown(executor);
-            let mut attempt = 0u32;
-            while attempt < 1000 && plan.transient_fails(executor, batch, attempt) {
-                *degraded += weights[batch] * slowdown; // the failed launch
-                let pause = plan.backoff_seconds(attempt);
-                *degraded += pause;
-                ledger.transient_retries += 1;
-                ledger.backoff_seconds += pause;
-                attempt += 1;
-            }
-            *degraded += weights[batch] * slowdown; // the successful launch
-        };
-
-    // Per-rank degraded clock and the batches displaced onto other ranks.
-    let mut degraded: Vec<f64> = vec![0.0; ranks];
-    let mut stolen: Vec<usize> = Vec::new(); // straggler tails (owner alive)
-    let mut rerun: Vec<usize> = Vec::new(); // dead ranks' full shares
-    for r in 0..ranks {
-        let share = &shares[r];
-        if let Some(die_at) = plan.death_point(r, share.len()) {
-            // The rank executes (and pays for) its prefix, then vanishes;
-            // everything it did is lost with its device memory, so the full
-            // share is re-run on survivors.
-            for &bi in &share[..die_at] {
-                charge_transients(r, bi, &mut degraded[r], &mut ledger);
-            }
-            ledger.ranks_lost += 1;
-            ledger.rerun_batches += share.len();
-            rerun.extend(share.iter().copied());
-            continue;
-        }
-        // Live rank: execute until done or until the detector fires. The
-        // detector compares progress against the LPT plan — once the rank
-        // has burned `threshold ×` its fault-free budget with batches still
-        // pending, the pending tail is stolen.
-        let budget = ft.straggler_threshold.max(1.0) * share_budget[r];
-        for (i, &bi) in share.iter().enumerate() {
-            if degraded[r] >= budget && i + 1 < share.len() {
-                let tail = &share[i..];
-                ledger.straggler_ranks += 1;
-                ledger.stolen_batches += tail.len();
-                stolen.extend(tail.iter().copied());
-                break;
-            }
-            charge_transients(r, bi, &mut degraded[r], &mut ledger);
-        }
-    }
-
-    // ---- Phase 3: re-place displaced batches on live ranks, greedily on
-    // the least-loaded (deterministic: total_cmp, ties to the lowest
-    // rank). Thieves *evaluate*; results remain attributed to the owner.
-    for bi in stolen.into_iter().chain(rerun) {
-        let (thief, _) = degraded
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| live[*r])
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("at least one live rank (checked above)");
-        charge_transients(thief, bi, &mut degraded[thief], &mut ledger);
-    }
-    ledger.degraded_seconds = degraded
-        .iter()
-        .enumerate()
-        .filter(|(r, _)| live[*r])
-        .map(|(_, &t)| t)
-        .fold(0.0f64, f64::max);
+    plan.walk(
+        &costed,
+        &mut vec![true; ranks],
+        Some(ft.straggler_threshold),
+        &mut ledger,
+    );
 
     // ---- Phase 4: the collective, with timeout retries. ----
     if let Some(cluster) = &ft.cluster {
@@ -592,6 +524,12 @@ mod tests {
         assert!(large.n_pairs > small.n_pairs);
         let total = |w: &WorkloadModel| w.classes.iter().map(|&(_, c)| c).sum::<f64>();
         assert!(total(&large) > 5.0 * total(&small));
+        // Class order (bra/ket assignment) repeats call to call.
+        let again = build_workload(&builders::water_cluster(10), &basis10.basis_for(&[
+            mako_chem::Element::H,
+            mako_chem::Element::O,
+        ]));
+        assert_eq!(again.classes, large.classes);
     }
 
     #[test]

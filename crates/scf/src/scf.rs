@@ -29,6 +29,7 @@ use mako_kernels::pipeline::PipelineConfig;
 use mako_linalg::{eigh, gemm, sym_inv_sqrt_diag, LinalgError, Matrix, Transpose};
 use mako_precision::Precision;
 use mako_quant::QuantSchedule;
+use mako_store::mix;
 use std::path::PathBuf;
 
 /// Electronic-structure method.
@@ -1335,13 +1336,6 @@ impl<'a> ScfSession<'a> {
 /// folded over every input bit; `f64` values are hashed through `to_bits`
 /// so the hash is as exact as the trajectory it guards.
 fn problem_hash(mol: &Molecule, shells: &[Shell], config: &ScfConfig) -> u64 {
-    #[inline]
-    fn mix(h: u64, v: u64) -> u64 {
-        let mut z = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
     let mut h = 0x4D41_4B4F_5343_4646u64; // b"MAKOSCFF"
     for atom in &mol.atoms {
         h = mix(h, atom.element.z() as u64);
@@ -1480,7 +1474,7 @@ mod tests {
 
     #[test]
     fn quantized_scf_matches_fp64_within_chemical_accuracy() {
-        // The paper's accuracy criterion: quantized and FP64 total energies
+        // The paper's accuracy bar: quantized and FP64 total energies
         // agree within 1 mHartree.
         let mol = builders::water();
         let fp64 = ScfDriver::new(&mol, &sto3g(), ScfConfig::default()).run().expect("scf run");

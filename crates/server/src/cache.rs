@@ -5,7 +5,7 @@
 //! systems). Two driver-construction artifacts are worth promoting across
 //! requests:
 //!
-//! * tuned kernel configurations — handled by the (now size-bounded)
+//! * tuned kernel configurations — memoized by the
 //!   [`mako_compiler::KernelCache`] the server owns;
 //! * the screened shell-pair list — a pure function of (shells, screening
 //!   threshold), cached here keyed by the problem inputs that determine it.
@@ -18,6 +18,7 @@ use crate::job::JobSpec;
 use mako_accel::DeviceKind;
 use mako_chem::BasisFamily;
 use mako_eri::screening::ScreenedPair;
+use mako_store::mix;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,15 +82,6 @@ impl ArtifactKey {
         h = mix(h, basis);
         mix(h, device)
     }
-}
-
-/// SplitMix64 finalizer — the repo's standard content-hash mixer.
-#[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    let mut z = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 struct ScreenMap {

@@ -21,6 +21,7 @@
 //! solo run") be a hard assertion rather than a statistical claim.
 
 use mako_accel::fault::{FaultConfig, FaultPlan};
+use mako_store::mix;
 use std::collections::BTreeMap;
 
 use crate::job::JobId;
@@ -150,15 +151,6 @@ impl ServerChaos {
     pub fn poison_for(&self, job: JobId) -> Option<usize> {
         self.poison.get(&job).copied()
     }
-}
-
-/// SplitMix64 finalizer (independent stream from `FaultPlan`'s).
-#[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    let mut z = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

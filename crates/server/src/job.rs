@@ -96,18 +96,6 @@ impl JobSpec {
         self.deadline = Some(deadline);
         self
     }
-
-    /// Replace the SCF configuration.
-    pub fn with_config(mut self, config: ScfConfig) -> JobSpec {
-        self.config = config;
-        self
-    }
-
-    /// Replace the basis family.
-    pub fn with_basis(mut self, basis: BasisFamily) -> JobSpec {
-        self.basis = basis;
-        self
-    }
 }
 
 /// Why admission control turned a job away.

@@ -33,8 +33,7 @@
 
 use crate::job::{JobError, JobOutcome, JobReport, JobSpec, RejectReason};
 use mako_store::records::{frame, read_all_framed, Tail};
-use mako_store::write_durable;
-use mako_store::{Vfs, VfsError};
+use mako_store::{mix, write_durable, ByteReader, ByteWriter, Vfs, VfsError};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -154,39 +153,39 @@ pub enum JournalRecord {
 impl JournalRecord {
     /// Encode to the tagged little-endian payload (one CRC frame's worth).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = ByteWriter::with_capacity(64);
         match self {
             JournalRecord::ServeBegin { jobs, workload } => {
-                out.push(0);
-                put_u64(&mut out, *jobs);
-                put_u64(&mut out, *workload);
+                out.u8(0);
+                out.u64(*jobs);
+                out.u64(*workload);
             }
             JournalRecord::Admitted { job, degraded } => {
-                out.push(1);
-                put_u64(&mut out, *job);
-                out.push(*degraded as u8);
+                out.u8(1);
+                out.u64(*job);
+                out.u8(*degraded as u8);
             }
             JournalRecord::Rejected { job, code, a, b } => {
-                out.push(2);
-                put_u64(&mut out, *job);
-                out.push(*code);
-                put_u64(&mut out, *a);
-                put_u64(&mut out, *b);
+                out.u8(2);
+                out.u64(*job);
+                out.u8(*code);
+                out.u64(*a);
+                out.u64(*b);
             }
             JournalRecord::Started { job, at } => {
-                out.push(3);
-                put_u64(&mut out, *job);
-                put_u64(&mut out, *at);
+                out.u8(3);
+                out.u64(*job);
+                out.u64(*at);
             }
             JournalRecord::Checkpointed { job, next_iteration } => {
-                out.push(4);
-                put_u64(&mut out, *job);
-                put_u64(&mut out, *next_iteration);
+                out.u8(4);
+                out.u64(*job);
+                out.u64(*next_iteration);
             }
             JournalRecord::Yielded { job, iteration } => {
-                out.push(5);
-                put_u64(&mut out, *job);
-                put_u64(&mut out, *iteration);
+                out.u8(5);
+                out.u64(*job);
+                out.u64(*iteration);
             }
             JournalRecord::Completed {
                 job,
@@ -201,29 +200,28 @@ impl JournalRecord {
                 preemptions,
                 quanta,
             } => {
-                out.push(6);
-                put_u64(&mut out, *job);
-                put_u64(&mut out, *energy);
-                out.push(*converged as u8);
-                put_u64(&mut out, *iterations);
-                put_u64(&mut out, *device_seconds);
-                put_u64(&mut out, *submitted_at);
-                put_u64(&mut out, *started_at);
-                put_u64(&mut out, *finished_at);
-                out.extend_from_slice(&retries.to_le_bytes());
-                put_u64(&mut out, *preemptions);
-                put_u64(&mut out, *quanta);
+                out.u8(6);
+                out.u64(*job);
+                out.u64(*energy);
+                out.u8(*converged as u8);
+                out.u64(*iterations);
+                out.u64(*device_seconds);
+                out.u64(*submitted_at);
+                out.u64(*started_at);
+                out.u64(*finished_at);
+                out.u32(*retries);
+                out.u64(*preemptions);
+                out.u64(*quanta);
             }
             JournalRecord::Failed {
                 job,
                 retries,
                 description,
             } => {
-                out.push(7);
-                put_u64(&mut out, *job);
-                out.extend_from_slice(&retries.to_le_bytes());
-                put_u64(&mut out, description.len() as u64);
-                out.extend_from_slice(description.as_bytes());
+                out.u8(7);
+                out.u64(*job);
+                out.u32(*retries);
+                out.len_bytes(description.as_bytes());
             }
             JournalRecord::DeadlineExceeded {
                 job,
@@ -231,29 +229,30 @@ impl JournalRecord {
                 completed_iterations,
                 retries,
             } => {
-                out.push(8);
-                put_u64(&mut out, *job);
-                put_u64(&mut out, *deadline_seconds);
-                put_u64(&mut out, *completed_iterations);
-                out.extend_from_slice(&retries.to_le_bytes());
+                out.u8(8);
+                out.u64(*job);
+                out.u64(*deadline_seconds);
+                out.u64(*completed_iterations);
+                out.u32(*retries);
             }
             JournalRecord::RecoveryMark { generation } => {
-                out.push(9);
-                out.extend_from_slice(&generation.to_le_bytes());
+                out.u8(9);
+                out.u32(*generation);
             }
             JournalRecord::ServeEnd { makespan } => {
-                out.push(10);
-                put_u64(&mut out, *makespan);
+                out.u8(10);
+                out.u64(*makespan);
             }
         }
-        out
+        out.into_bytes()
     }
 
-    /// Decode a payload. `None` on an unknown tag or short payload — the
-    /// caller treats it like a corrupt frame and stops replaying.
+    /// Decode a payload. `None` on an unknown tag, a short payload, a length
+    /// field the payload cannot hold, or trailing bytes — the caller treats
+    /// it like a corrupt frame and stops replaying.
     pub fn decode(payload: &[u8]) -> Option<JournalRecord> {
-        let mut r = Rd { buf: payload, pos: 1 };
-        let rec = match *payload.first()? {
+        let mut r = ByteReader::new(payload);
+        let rec = match r.u8()? {
             0 => JournalRecord::ServeBegin {
                 jobs: r.u64()?,
                 workload: r.u64()?,
@@ -296,12 +295,10 @@ impl JournalRecord {
             7 => {
                 let job = r.u64()?;
                 let retries = r.u32()?;
-                let n = r.u64()? as usize;
-                let bytes = r.take(n)?;
                 JournalRecord::Failed {
                     job,
                     retries,
-                    description: String::from_utf8_lossy(bytes).into_owned(),
+                    description: String::from_utf8_lossy(r.len_bytes()?).into_owned(),
                 }
             }
             8 => JournalRecord::DeadlineExceeded {
@@ -316,7 +313,7 @@ impl JournalRecord {
             10 => JournalRecord::ServeEnd { makespan: r.u64()? },
             _ => return None,
         };
-        Some(rec)
+        r.done().then_some(rec)
     }
 
     /// The terminal record for a finished job's outcome (`None` for
@@ -564,43 +561,6 @@ pub fn workload_hash(specs: &[JobSpec]) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer (the repo's standard mixer).
-fn mix(h: u64, v: u64) -> u64 {
-    let mut z = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,6 +619,26 @@ mod tests {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!((image.len(), fnv), (271, 0x2764_0d62_661d_2f1e), "journal record byte images moved");
+    }
+
+    #[test]
+    fn malformed_payloads_decode_to_none() {
+        // A `Failed` record whose description length is u64::MAX: `pos + n`
+        // used to overflow (a panic in debug builds); the contract is `None`.
+        let mut inflated = vec![7u8];
+        inflated.extend_from_slice(&2u64.to_le_bytes());
+        inflated.extend_from_slice(&3u32.to_le_bytes());
+        inflated.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(inflated.len(), 21);
+        assert_eq!(JournalRecord::decode(&inflated), None);
+        // Every record cut short or padded by a byte, and the empty payload.
+        for rec in all_records() {
+            let mut bytes = rec.encode();
+            assert_eq!(JournalRecord::decode(&bytes[..bytes.len() - 1]), None, "{rec:?} cut");
+            bytes.push(0);
+            assert_eq!(JournalRecord::decode(&bytes), None, "{rec:?} padded");
+        }
+        assert_eq!(JournalRecord::decode(&[]), None);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   exponential backoff. Every failure mode is a typed
 //!   [`JobOutcome`] / [`JobError`] — the serving layer never panics on a
 //!   tenant's job.
-//! * **Cross-request caches** ([`cache`]) — tuned-kernel and screening-pair
-//!   artifacts are promoted across requests (size-bounded, LRU, eviction
-//!   counters), amortizing cold-start wall time without touching results.
+//! * **Cross-request caches** ([`cache`]) — screening-pair artifacts are
+//!   promoted across requests (size-bounded, LRU, eviction counter) and
+//!   tuned kernels memoized, amortizing cold-start wall time without
+//!   touching results.
 //! * **Chaos harness** ([`chaos`]) — seeded worker deaths, checkpoint-write
 //!   failures, straggler slowdowns, and poisoned Fock builds, with the
 //!   pinned invariant that every *completed* job's energy is bitwise

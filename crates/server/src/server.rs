@@ -71,8 +71,6 @@ pub struct ServerConfig {
     pub attempt_timeout: f64,
     /// Screening-pair cache bound, entries (0 = unbounded).
     pub screen_cache_capacity: usize,
-    /// Kernel cache bound, entries (0 = unbounded).
-    pub kernel_cache_capacity: usize,
     /// Directory for preemption checkpoints.
     pub checkpoint_dir: PathBuf,
     /// Admission control knobs.
@@ -90,7 +88,6 @@ impl Default for ServerConfig {
             retry_backoff_cap: 0.25,
             attempt_timeout: f64::INFINITY,
             screen_cache_capacity: 64,
-            kernel_cache_capacity: 64,
             checkpoint_dir: std::env::temp_dir().join("mako-server"),
             admission: AdmissionConfig::default(),
         }
@@ -183,11 +180,10 @@ impl Default for MakoServer {
 impl MakoServer {
     /// A server with the given configuration and empty caches.
     pub fn new(config: ServerConfig) -> MakoServer {
-        let kernels = KernelCache::with_capacity(config.kernel_cache_capacity);
         let screens = ScreenCache::with_capacity(config.screen_cache_capacity);
         MakoServer {
             config,
-            kernels,
+            kernels: KernelCache::new(),
             screens,
             serve_seq: AtomicUsize::new(0),
             store: None,
@@ -206,39 +202,20 @@ impl MakoServer {
     ) -> Result<MakoServer, VfsError> {
         vfs.create_dir_all(&root)?;
         let artifacts = ArtifactStore::open(vfs.clone(), root.join("artifacts"))?;
-        let mut server = MakoServer::new(config);
-        // Warm the kernel cache from the persisted tuner table: corrupt or
-        // truncated images are quarantined by the artifact store / decoder
-        // and simply re-tuned — never consumed.
-        match artifacts.load("kernels", crate::persist::KERNELS_KEY) {
-            Ok(Some(bytes)) => match crate::persist::decode_kernels(&bytes) {
-                Some(entries) => server.kernels.seed(entries),
-                None => {
-                    let _ = artifacts
-                        .quarantine_undecodable("kernels", crate::persist::KERNELS_KEY);
-                }
-            },
-            Ok(None) => {}
-            Err(e) => return Err(e),
-        }
-        server.store = Some(StoreCtx {
-            vfs,
-            root,
-            artifacts,
-        });
-        Ok(server)
+        Ok(MakoServer {
+            store: Some(StoreCtx {
+                vfs,
+                root,
+                artifacts,
+            }),
+            ..MakoServer::new(config)
+        })
     }
 
     /// The persistent artifact cache, when the server was opened
     /// [`with_store`](MakoServer::with_store).
     pub fn artifact_store(&self) -> Option<&ArtifactStore> {
         self.store.as_ref().map(|c| &c.artifacts)
-    }
-
-    /// The durable-store root, when the server was opened
-    /// [`with_store`](MakoServer::with_store).
-    pub fn store_root(&self) -> Option<&PathBuf> {
-        self.store.as_ref().map(|c| &c.root)
     }
 
     /// The configuration.
@@ -293,9 +270,6 @@ impl MakoServer {
         }
         sim.run();
         let report = sim.into_report();
-        if !report.crashed {
-            self.persist_kernels();
-        }
         if run_span.is_recording() {
             run_span.add_field("completed", report.ledger.completed);
             run_span.add_field("makespan", report.makespan);
@@ -468,11 +442,7 @@ impl MakoServer {
             ],
         );
         sim.run();
-        let report = sim.into_report();
-        if !report.crashed {
-            self.persist_kernels();
-        }
-        Ok(report)
+        Ok(sim.into_report())
     }
 
     fn build_driver(&self, spec: &JobSpec) -> Result<ScfDriver, ScfError> {
@@ -524,21 +494,6 @@ impl MakoServer {
             self.screens.insert(key, driver.screened_pairs().to_vec());
         }
         Ok(driver)
-    }
-
-    /// Persist the tuned-kernel table (no-op without a store; best-effort —
-    /// a failed store only costs re-tuning wall time on the next open).
-    fn persist_kernels(&self) {
-        if let Some(ctx) = self.store.as_ref() {
-            let snapshot = self.kernels.snapshot();
-            if !snapshot.is_empty() {
-                let _ = ctx.artifacts.store(
-                    "kernels",
-                    crate::persist::KERNELS_KEY,
-                    &crate::persist::encode_kernels(&snapshot),
-                );
-            }
-        }
     }
 }
 
@@ -1678,8 +1633,8 @@ mod tests {
         let cold = first.serve_quiet(&specs);
         assert_eq!(cold.ledger.completed, 1);
         assert!(
-            first.artifact_store().unwrap().stored() >= 2,
-            "a cold serve persists its screen artifact and kernel table"
+            first.artifact_store().unwrap().stored() >= 1,
+            "a cold serve persists its screen artifact"
         );
 
         // A "new process": same storage, fresh in-memory caches.
@@ -1689,10 +1644,6 @@ mod tests {
             PathBuf::from("/srv"),
         )
         .expect("store");
-        assert!(
-            !second.kernels.snapshot().is_empty(),
-            "the tuned-kernel table is seeded from disk at open"
-        );
         let warm = second.serve_quiet(&specs);
         assert!(
             second.artifact_store().unwrap().loaded() >= 1,
@@ -1704,30 +1655,20 @@ mod tests {
             "persisted artifacts change nothing"
         );
 
-        // Rot the screen artifact and the kernel table: a third process
-        // quarantines and recomputes — a corrupt artifact is never consumed.
+        // Rot the screen artifact: a third process quarantines and
+        // recomputes — a corrupt artifact is never consumed.
         let key = ArtifactKey::for_job(&specs[0]).content_hash();
-        let store = second.artifact_store().unwrap();
-        for path in [
-            store.path_for("screen", key),
-            store.path_for("kernels", crate::persist::KERNELS_KEY),
-        ] {
-            assert!(vfs.corrupt(&path, 40, 0x10), "artifact exists to rot: {path:?}");
-        }
+        let path = second.artifact_store().unwrap().path_for("screen", key);
+        assert!(vfs.corrupt(&path, 40, 0x10), "artifact exists to rot: {path:?}");
         let third = MakoServer::with_store(
             tmp_config(),
             vfs.clone() as Arc<dyn Vfs>,
             PathBuf::from("/srv"),
         )
         .expect("store");
-        assert_eq!(
-            third.artifact_store().unwrap().quarantined(),
-            1,
-            "the rotted kernel table is quarantined at open"
-        );
-        assert!(third.kernels.snapshot().is_empty(), "and seeds nothing");
+        assert_eq!(third.artifact_store().unwrap().quarantined(), 0, "nothing is read at open");
         let healed = third.serve_quiet(&specs);
-        assert_eq!(third.artifact_store().unwrap().quarantined(), 2, "screen rot quarantined");
+        assert_eq!(third.artifact_store().unwrap().quarantined(), 1, "screen rot quarantined");
         assert_eq!(
             energy(&cold.outcomes[0]).to_bits(),
             energy(&healed.outcomes[0]).to_bits(),

@@ -1,5 +1,5 @@
 //! The persistent artifact store: a keyed blob store for expensive
-//! derived state (screened shell pairs, tuned-kernel tables) that must
+//! derived state (screened shell pairs) that must
 //! survive restarts but may *never* be trusted blindly.
 //!
 //! Every artifact file is
@@ -16,6 +16,7 @@
 //! reports a miss. The caller recomputes and overwrites; a corrupt artifact
 //! is therefore an efficiency event, never a correctness event.
 
+use crate::codec::{ByteReader, ByteWriter};
 use crate::crc::crc32;
 use crate::vfs::{write_durable, Vfs, VfsError};
 use std::path::{Path, PathBuf};
@@ -103,13 +104,13 @@ impl ArtifactStore {
 
     /// Durably store `payload` under `(kind, key)`.
     pub fn store(&self, kind: &str, key: u64, payload: &[u8]) -> Result<(), VfsError> {
-        let mut bytes = Vec::with_capacity(24 + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&key.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        write_durable(self.vfs.as_ref(), &self.path_for(kind, key), &bytes)?;
+        let mut out = ByteWriter::with_capacity(24 + payload.len());
+        out.bytes(MAGIC);
+        out.u64(key);
+        out.u32(payload.len() as u32);
+        out.u32(crc32(payload));
+        out.bytes(payload);
+        write_durable(self.vfs.as_ref(), &self.path_for(kind, key), &out.into_bytes())?;
         self.stored.fetch_add(1, Ordering::Relaxed);
         mako_trace::instant(
             "store",
@@ -198,22 +199,19 @@ impl ArtifactStore {
 /// Validate raw artifact bytes against the expected key; returns the
 /// payload slice on success.
 pub fn validate(bytes: &[u8], key: u64) -> Result<&[u8], ArtifactFault> {
-    if bytes.len() < 24 {
+    let mut r = ByteReader::new(bytes);
+    let (Some(magic), Some(stored_key), Some(len), Some(crc)) =
+        (r.take(8), r.u64(), r.u32(), r.u32())
+    else {
         return Err(ArtifactFault::Truncated);
-    }
-    if &bytes[..8] != MAGIC {
+    };
+    if magic != MAGIC {
         return Err(ArtifactFault::BadMagic);
     }
-    let stored_key = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     if stored_key != key {
         return Err(ArtifactFault::WrongKey);
     }
-    let len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-    if bytes.len() < 24 + len {
-        return Err(ArtifactFault::ShortPayload);
-    }
-    let payload = &bytes[24..24 + len];
+    let payload = r.take(len as usize).ok_or(ArtifactFault::ShortPayload)?;
     if crc32(payload) != crc {
         return Err(ArtifactFault::Corrupt);
     }

@@ -107,9 +107,11 @@ impl std::fmt::Debug for FaultVfs {
     }
 }
 
-/// SplitMix64 finalizer — the repo's standard deterministic mixer.
+/// SplitMix64 finalizer folded over `h ^ v` — the one mixer behind every
+/// content hash and seeded fault stream of the serving stack (`mako-accel`
+/// has no edge to this crate and keeps its own `splitmix64`).
 #[inline]
-fn mix(h: u64, v: u64) -> u64 {
+pub fn mix(h: u64, v: u64) -> u64 {
     let mut z = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -2,7 +2,7 @@
 //! stack.
 //!
 //! Everything the server persists (SCF checkpoints, the write-ahead job
-//! journal, cached screening/tuning artifacts) flows through the [`Vfs`]
+//! journal, cached screening artifacts) flows through the [`Vfs`]
 //! trait, with two backends:
 //!
 //! * [`RealVfs`] — `std::fs`, with the fsync-then-rename discipline in
@@ -14,7 +14,9 @@
 //!   point across every syscall of a serve* and replay any failure
 //!   bit-for-bit.
 //!
-//! On top of the trait sit the CRC-framed append-only [`records`] format
+//! Every persisted format is written and parsed through the one bounded
+//! little-endian [`ByteWriter`]/[`ByteReader`] pair in [`codec`]. On top of
+//! the trait sit the CRC-framed append-only [`records`] format
 //! (journals tolerate torn tails, detect bit rot) and the keyed
 //! [`ArtifactStore`] (validate-on-read, quarantine-on-corruption).
 //!
@@ -26,13 +28,15 @@
 #![deny(rust_2018_idioms)]
 
 pub mod artifact;
+pub mod codec;
 pub mod crc;
 pub mod fault;
 pub mod records;
 pub mod vfs;
 
 pub use artifact::{ArtifactFault, ArtifactStore};
+pub use codec::{ByteReader, ByteWriter};
 pub use crc::crc32;
-pub use fault::{FaultProfile, FaultVfs};
+pub use fault::{mix, FaultProfile, FaultVfs};
 pub use records::{frame, read_all, read_all_framed, Tail, MAX_RECORD_LEN};
 pub use vfs::{tmp_path, write_durable, RealVfs, Vfs, VfsError};

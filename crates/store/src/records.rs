@@ -25,6 +25,7 @@
 //! content of a journal is always a *prefix* of the records appended — the
 //! property the recovery proptest pins.
 
+use crate::codec::{ByteReader, ByteWriter};
 use crate::crc::crc32;
 
 /// Hard sanity bound on a single record (16 MiB). A length field above
@@ -45,11 +46,11 @@ pub enum Tail {
 
 /// Frame `payload` into `[len][crc][payload]` bytes ready to append.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut out = ByteWriter::with_capacity(8 + payload.len());
+    out.u32(payload.len() as u32);
+    out.u32(crc32(payload));
+    out.bytes(payload);
+    out.into_bytes()
 }
 
 /// Decode a record stream: every valid record up to the first bad frame,
@@ -65,29 +66,24 @@ pub fn read_all(bytes: &[u8]) -> (Vec<Vec<u8>>, Tail) {
 /// garbage makes them unreachable to every future reader.
 pub fn read_all_framed(bytes: &[u8]) -> (Vec<Vec<u8>>, Tail, usize) {
     let mut records = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        let rest = &bytes[at..];
-        if rest.len() < 8 {
+    let mut r = ByteReader::new(bytes);
+    while !r.done() {
+        let at = r.pos();
+        let (Some(len), Some(crc)) = (r.u32(), r.u32()) else {
             return (records, Tail::Torn, at);
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
+        };
         if len > MAX_RECORD_LEN {
             return (records, Tail::Corrupt, at);
         }
-        let len = len as usize;
-        if rest.len() < 8 + len {
+        let Some(payload) = r.take(len as usize) else {
             return (records, Tail::Torn, at);
-        }
-        let payload = &rest[8..8 + len];
+        };
         if crc32(payload) != crc {
             return (records, Tail::Corrupt, at);
         }
         records.push(payload.to_vec());
-        at += 8 + len;
     }
-    (records, Tail::Clean, at)
+    (records, Tail::Clean, r.pos())
 }
 
 #[cfg(test)]

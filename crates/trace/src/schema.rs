@@ -277,7 +277,6 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "compiler.kernel_cache.hits",
     "compiler.kernel_cache.tunes",
     "compiler.kernel_cache.duplicates_avoided",
-    "compiler.kernel_cache.evictions",
     "server.run",
     "server.admission",
     "server.state",
@@ -470,7 +469,6 @@ mod tests {
             "job.start",
             "job.retry",
             "job.outcome",
-            "compiler.kernel_cache.evictions",
         ] {
             assert!(is_known_event(name), "{name} missing from KNOWN_EVENTS");
         }

@@ -5,6 +5,10 @@
 //!   bytes of the crashed journal are a *literal prefix* of the quiet
 //!   run's journal, and recovery finishes the serve with every completed
 //!   job's energy bitwise identical to the quiet run.
+//! * **Composed faults** — the same fixed sweep under a schedule that also
+//!   kills a worker, poisons a Fock build and fails checkpoint writes:
+//!   completed energies stay bitwise, everything else is typed, and a
+//!   second recovery runs nothing.
 //! * **Double recovery** — recovering a recovered store changes nothing.
 //! * **Checkpoint quarantine** — a salvaged checkpoint that fails
 //!   validation is moved aside and the job re-runs; the rot is never
@@ -16,8 +20,8 @@ use proptest::prelude::*;
 
 use mako::chem::builders;
 use mako::server::{
-    JobSpec, Journal, JournalRecord, MakoServer, PriorityClass, ServeReport, ServerChaos,
-    ServerConfig,
+    JobError, JobOutcome, JobSpec, Journal, JournalRecord, MakoServer, PriorityClass,
+    ServeReport, ServerChaos, ServerConfig,
 };
 use mako::store::{read_all_framed, FaultProfile, FaultVfs, Vfs};
 use std::path::{Path, PathBuf};
@@ -69,9 +73,19 @@ fn quiet_ref() -> &'static QuietRef {
     })
 }
 
-/// Run one crash-point trial (startup crashes restart, like a real
-/// process) and return `(vfs, server, crashed)` after the serve.
-fn crashed_serve(crash_op: u64) -> (Arc<FaultVfs>, MakoServer, bool) {
+/// The composed schedule: on top of the storage crash, a worker dies in its
+/// third quantum, the batch job's Fock build is poisoned once and a fifth of
+/// the checkpoint writes fail — under which both jobs still complete.
+fn composed_chaos() -> ServerChaos {
+    ServerChaos::seeded(SEED, 2)
+        .kill_worker(0, 0.13)
+        .with_poison(1, 2)
+        .with_ckpt_io_rate(0.2)
+}
+
+/// Run one crash-point trial under `chaos` (startup crashes restart, like a
+/// real process) and return `(vfs, server, crashed)` after the serve.
+fn crashed_serve(crash_op: u64, chaos: &ServerChaos) -> (Arc<FaultVfs>, MakoServer, bool) {
     let vfs = Arc::new(FaultVfs::new(FaultProfile::crash_at(SEED, crash_op)));
     let (server, mut crashed) = match open_server(vfs.clone()) {
         Ok(server) => (server, false),
@@ -80,38 +94,64 @@ fn crashed_serve(crash_op: u64) -> (Arc<FaultVfs>, MakoServer, bool) {
             (open_server(vfs.clone()).expect("reopen after startup crash"), true)
         }
     };
-    crashed |= server.serve_quiet(&workload()).crashed;
+    crashed |= server.serve(&workload(), chaos).crashed;
     (vfs, server, crashed)
 }
 
-/// Kill the serve at storage op `crash_op`, then hold the two halves of the
-/// crash-consistency contract: the journal is a prefix, recovery is bitwise.
-fn check_crash_point(crash_op: u64) {
+/// Kill a serve under `chaos` at storage op `crash_op`, recover it under the
+/// same schedule, and hold the crash-consistency contract: the journal is a
+/// prefix (quiet schedules only — a chaotic journal is legitimately a
+/// different one), recovery is bitwise, every job that did not complete
+/// carries a typed outcome, and a second recovery has nothing left to run.
+fn check_crash_point(crash_op: u64, chaos: &ServerChaos) {
     let quiet = quiet_ref();
-    let (vfs, server, _crashed) = crashed_serve(crash_op);
+    let (vfs, server, _crashed) = crashed_serve(crash_op, chaos);
 
-    // Prefix consistency: every valid byte of the crashed journal is a
-    // literal prefix of the quiet journal — a crash may lose the tail,
-    // never reorder or invent records.
-    if let Some(bytes) = vfs.raw(Path::new("/srv/serve.wal")) {
-        let (_, _, valid_len) = read_all_framed(&bytes);
-        assert!(valid_len <= quiet.journal.len());
-        assert!(
-            bytes[..valid_len] == quiet.journal[..valid_len],
-            "crash point {crash_op}: journal diverged from the quiet run's"
-        );
+    if chaos.is_quiet() {
+        // Prefix consistency: every valid byte of the crashed journal is a
+        // literal prefix of the quiet journal — a crash may lose the tail,
+        // never reorder or invent records.
+        if let Some(bytes) = vfs.raw(Path::new("/srv/serve.wal")) {
+            let (_, _, valid_len) = read_all_framed(&bytes);
+            assert!(valid_len <= quiet.journal.len());
+            assert!(
+                bytes[..valid_len] == quiet.journal[..valid_len],
+                "crash point {crash_op}: journal diverged from the quiet run's"
+            );
+        }
     }
 
     // Recovery finishes the serve bitwise.
-    let recovered = server
-        .recover(&workload(), &ServerChaos::quiet(server.config().workers))
-        .expect("recover");
-    assert!(!recovered.crashed);
-    assert_eq!(recovered.ledger.completed, 2);
-    assert!(
-        energies(&recovered) == quiet.energies,
-        "crash point {crash_op}: recovered energies diverged"
+    let recovered = server.recover(&workload(), chaos).expect("recover");
+    assert!(!recovered.crashed, "crash point {crash_op}: recovery crashed");
+    for (job, (outcome, want)) in recovered.outcomes.iter().zip(&quiet.energies).enumerate() {
+        match outcome {
+            JobOutcome::Completed(r) => assert_eq!(
+                Some(r.energy.to_bits()),
+                *want,
+                "crash point {crash_op}: job {job} recovered to a different energy"
+            ),
+            JobOutcome::Failed { error: JobError::Crashed, .. } => {
+                panic!("crash point {crash_op}: job {job} left unresolved by recovery")
+            }
+            _ => assert!(!chaos.is_quiet(), "crash point {crash_op}: job {job}: {outcome:?}"),
+        }
+    }
+    let again = server.recover(&workload(), chaos).expect("second recovery");
+    assert_eq!(again.ledger.quanta, 0, "crash point {crash_op}: a recovered serve re-ran work");
+    assert_eq!(
+        format!("{:?}", again.outcomes),
+        format!("{:?}", recovered.outcomes),
+        "crash point {crash_op}: the second recovery disagrees with the first"
     );
+}
+
+/// [`check_crash_point`] at a fixed stride over `0..domain` plus both ends.
+fn sweep_crash_points(domain: u64, chaos: &ServerChaos) {
+    (0..domain)
+        .step_by((domain / 12).max(1) as usize)
+        .chain([domain - 1])
+        .for_each(|k| check_crash_point(k, chaos));
 }
 
 proptest! {
@@ -122,15 +162,27 @@ proptest! {
         let domain = quiet_ref().domain;
         // Ahead of the samples, once: a fixed stride over the whole domain
         // plus its two ends, so the startup crash (op 0) and the last op
-        // are checked on every run, not when a sample lands there.
+        // are checked on every run, not when a sample lands there — first
+        // quiet, then composed with worker death, a poisoned Fock build and
+        // checkpoint-write failures over that schedule's own op count.
         static SWEEP: Once = Once::new();
         SWEEP.call_once(|| {
-            (0..domain)
-                .step_by((domain / 12).max(1) as usize)
-                .chain([domain - 1])
-                .for_each(check_crash_point);
+            let quiet = ServerChaos::quiet(ServerConfig::default().workers);
+            sweep_crash_points(domain, &quiet);
+
+            let chaos = composed_chaos();
+            let vfs = Arc::new(FaultVfs::quiet());
+            let uncrashed = open_server(vfs.clone()).expect("open").serve(&workload(), &chaos);
+            assert_eq!(energies(&uncrashed), quiet_ref().energies, "both jobs complete under chaos");
+            let l = &uncrashed.ledger;
+            assert!(
+                l.worker_deaths == 1 && l.ckpt_write_faults >= 1 && l.retries >= 3,
+                "death, checkpoint-write failure and poison must all fire: {l:?}"
+            );
+            sweep_crash_points(vfs.ops(), &chaos);
         });
-        check_crash_point(((frac * domain as f64) as u64).min(domain - 1));
+        let quiet = ServerChaos::quiet(ServerConfig::default().workers);
+        check_crash_point(((frac * domain as f64) as u64).min(domain - 1), &quiet);
     }
 }
 
@@ -146,7 +198,7 @@ fn double_recovery_is_idempotent() {
             .build()
             .expect("build thread pool");
         let outcomes: Vec<String> = pool.install(|| {
-            let (_vfs, server, crashed) = crashed_serve(quiet.domain / 2);
+            let (_vfs, server, crashed) = crashed_serve(quiet.domain / 2, &ServerChaos::quiet(2));
             assert!(crashed, "the mid-point crash must fire");
             let chaos = ServerChaos::quiet(server.config().workers);
             let first = server.recover(&workload(), &chaos).expect("first recovery");
@@ -197,7 +249,7 @@ fn a_corrupt_salvaged_checkpoint_is_quarantined_not_consumed() {
     // what recovery will try to salvage.
     let mut found = None;
     for k in (0..quiet.domain).rev() {
-        let (vfs, server, crashed) = crashed_serve(k);
+        let (vfs, server, crashed) = crashed_serve(k, &ServerChaos::quiet(2));
         if !crashed {
             continue;
         }
@@ -275,7 +327,7 @@ fn a_quiet_serve_leaves_no_temp_files() {
 
 #[test]
 fn journal_replay_refuses_a_mismatched_workload_end_to_end() {
-    let (_vfs, server, crashed) = crashed_serve(quiet_ref().domain / 2);
+    let (_vfs, server, crashed) = crashed_serve(quiet_ref().domain / 2, &ServerChaos::quiet(2));
     assert!(crashed);
     let mut other = workload();
     other.push(JobSpec::new("mallory", PriorityClass::Batch, builders::ammonia()));
