@@ -160,6 +160,7 @@ proptest! {
     #[test]
     fn any_crash_point_leaves_a_journal_prefix_and_recovers_bitwise(frac in 0.0f64..1.0) {
         let domain = quiet_ref().domain;
+        let quiet = ServerChaos::quiet(ServerConfig::default().workers);
         // Ahead of the samples, once: a fixed stride over the whole domain
         // plus its two ends, so the startup crash (op 0) and the last op
         // are checked on every run, not when a sample lands there — first
@@ -167,7 +168,6 @@ proptest! {
         // checkpoint-write failures over that schedule's own op count.
         static SWEEP: Once = Once::new();
         SWEEP.call_once(|| {
-            let quiet = ServerChaos::quiet(ServerConfig::default().workers);
             sweep_crash_points(domain, &quiet);
 
             let chaos = composed_chaos();
@@ -181,7 +181,6 @@ proptest! {
             );
             sweep_crash_points(vfs.ops(), &chaos);
         });
-        let quiet = ServerChaos::quiet(ServerConfig::default().workers);
         check_crash_point(((frac * domain as f64) as u64).min(domain - 1), &quiet);
     }
 }
