@@ -167,7 +167,6 @@ pub struct MakoServer {
     config: ServerConfig,
     kernels: KernelCache,
     screens: ScreenCache,
-    serve_seq: AtomicUsize,
     store: Option<StoreCtx>,
 }
 
@@ -185,7 +184,6 @@ impl MakoServer {
             config,
             kernels: KernelCache::new(),
             screens,
-            serve_seq: AtomicUsize::new(0),
             store: None,
         }
     }
@@ -250,14 +248,13 @@ impl MakoServer {
     /// same `(specs, config, chaos)` triple reproduces every scheduling
     /// decision and every number bit-for-bit.
     pub fn serve(&self, specs: &[JobSpec], chaos: &ServerChaos) -> ServeReport {
-        let seq = self.serve_seq.fetch_add(1, Ordering::Relaxed);
         let mut run_span = mako_trace::span("server", "run");
         if run_span.is_recording() {
             run_span.add_field("jobs", specs.len());
             run_span.add_field("workers", self.config.workers);
         }
         let _ = std::fs::create_dir_all(&self.config.checkpoint_dir);
-        let mut sim = Sim::new(self, chaos, specs, seq);
+        let mut sim = Sim::new(self, chaos, specs);
         if let Some(ctx) = self.store.as_ref() {
             // A fresh serve owns the journal: forget any previous run's.
             let wal = ctx.root.join("serve.wal");
@@ -297,7 +294,6 @@ impl MakoServer {
             VfsError::Io("recover requires a server opened with_store".to_string())
         })?;
         ctx.vfs.recover_crash();
-        let seq = self.serve_seq.fetch_add(1, Ordering::Relaxed);
         let journal = Journal::new(ctx.vfs.clone(), ctx.root.join("serve.wal"));
         let mut replay_span = mako_trace::span("recover", "replay");
         let (records, tail) = journal.replay_and_repair()?;
@@ -346,7 +342,7 @@ impl MakoServer {
         }
         drop(replay_span);
 
-        let mut sim = Sim::new(self, chaos, specs, seq);
+        let mut sim = Sim::new(self, chaos, specs);
         sim.journal = Some(journal);
         sim.jappend(&JournalRecord::RecoveryMark { generation });
 
@@ -597,7 +593,12 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn new(server: &'a MakoServer, chaos: &'a ServerChaos, specs: &[JobSpec], seq: usize) -> Sim<'a> {
+    fn new(server: &'a MakoServer, chaos: &'a ServerChaos, specs: &[JobSpec]) -> Sim<'a> {
+        // Process-wide, not per server: two servers in one process share
+        // `checkpoint_dir`, and a serve adopts (and deletes) any checkpoint
+        // at its job's path whose fingerprint matches.
+        static SERVE_SEQ: AtomicUsize = AtomicUsize::new(0);
+        let seq = SERVE_SEQ.fetch_add(1, Ordering::Relaxed);
         let pid = std::process::id();
         let jobs: Vec<JobState> = specs
             .iter()
@@ -1416,6 +1417,15 @@ mod tests {
 
     fn energy(outcome: &JobOutcome) -> f64 {
         outcome.energy().expect("completed job")
+    }
+
+    #[test]
+    fn fresh_servers_in_one_process_get_disjoint_checkpoint_paths() {
+        let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
+        let chaos = ServerChaos::quiet(1);
+        let (a, b) = (MakoServer::new(tmp_config()), MakoServer::new(tmp_config()));
+        let (sim_a, sim_b) = (Sim::new(&a, &chaos, &specs), Sim::new(&b, &chaos, &specs));
+        assert_ne!(sim_a.jobs[0].ckpt_path, sim_b.jobs[0].ckpt_path);
     }
 
     #[test]

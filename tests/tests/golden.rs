@@ -17,7 +17,7 @@
 
 use mako::accel::fault::FaultPlan;
 use mako::chem::basis::sto3g::sto3g;
-use mako::chem::builders;
+use mako::chem::{builders, BasisFamily, Molecule};
 use mako::scf::{
     b3lyp, DistributedScf, RescueConfig, RescueStage, ScfConfig, ScfDriver, ScfMethod, ScfResult,
 };
@@ -37,6 +37,11 @@ const E_WATER_B3LYP: f64 = -75.275_061_372_847;
 /// Fock shifts nudged the 3× fixture off the edge of chaos and plain DIIS
 /// started converging on it, so it no longer exercised the ladder.
 const E_STRETCH3_RESCUED: f64 = -74.257_552_560_520;
+/// Converged RHF total energy of the water monomer in the def2-TZVP-like
+/// family (f shells on oxygen) at the default `e_tol = 1e-7` — what
+/// `mako-cli --mol sample/water.xyz --basis def2-tzvp` prints. The first pin
+/// above l = 1; quartet tensors reach 7⁴ = 2 401 doubles.
+const E_WATER_TZVP: f64 = -60.453_593_948_5;
 /// Conformance window around the pinned references.
 const TOL: f64 = 1e-9;
 
@@ -50,7 +55,7 @@ fn tight_config() -> ScfConfig {
     }
 }
 
-fn run(mol: &mako::chem::Molecule) -> ScfResult {
+fn run(mol: &Molecule) -> ScfResult {
     let driver = ScfDriver::new(mol, &sto3g(), tight_config());
     let res = driver.run().expect("scf run");
     assert!(res.converged, "golden run failed to converge");
@@ -79,6 +84,53 @@ fn golden_water_trimer_energy() {
         E_WATER3,
         res.energy - E_WATER3
     );
+}
+
+fn tzvp_water_driver() -> ScfDriver {
+    // The sample file's 8-digit geometry, not `builders::water()`: the two
+    // differ by 1.2e-9 Ha, more than the window.
+    let mol = Molecule::from_xyz(include_str!("../../sample/water.xyz")).expect("sample xyz");
+    let basis = BasisFamily::Def2TzvpLike.basis_for(&mol.elements());
+    ScfDriver::new(&mol, &basis, ScfConfig::default())
+}
+
+#[test]
+fn golden_water_tzvp_like_energy() {
+    let res = tzvp_water_driver().run().expect("scf run");
+    assert!(res.converged);
+    assert!(
+        (res.energy - E_WATER_TZVP).abs() < TOL,
+        "TZVP-like water drifted from golden reference: {:.12} vs {E_WATER_TZVP:.12} (Δ = {:.3e} Ha)",
+        res.energy,
+        res.energy - E_WATER_TZVP
+    );
+    assert_eq!(res.iterations, 10);
+    assert_eq!(
+        (res.stats.fp64_quartets, res.stats.quantized_quartets),
+        (181_450, 0)
+    );
+}
+
+/// Three more 181 450-quartet runs: 30 s in a debug build, so tier-2's
+/// release leg runs it.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn golden_water_tzvp_like_energy_identical_across_thread_counts() {
+    let driver = tzvp_water_driver();
+    let base = driver.run().expect("scf run");
+    for threads in [1usize, 2, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build thread pool");
+        let res = pool.install(|| driver.run().expect("scf run"));
+        assert_eq!(
+            res.energy.to_bits(),
+            base.energy.to_bits(),
+            "TZVP-like water energy changed bits at {threads} threads"
+        );
+        assert_eq!(res.clock.iterations(), base.clock.iterations());
+    }
 }
 
 #[test]
