@@ -157,6 +157,11 @@ fn main() -> ExitCode {
         "quartets: {} FP64 / {} quantized / {} pruned",
         result.stats.fp64_quartets, result.stats.quantized_quartets, result.stats.pruned_quartets
     );
+    println!(
+        "host tensor store: {:.1} MiB held, {} evaluations reused",
+        result.tensor_store_bytes as f64 / (1 << 20) as f64,
+        result.evaluations_reused
+    );
     if result.orth.n_dropped > 0 {
         println!(
             "orthogonalization dropped {} near-dependent AO direction(s) \

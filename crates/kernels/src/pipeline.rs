@@ -412,7 +412,7 @@ pub fn fused_batch_device_seconds(
 /// quartet list for host parallelism must compute it once over the full list
 /// and pass it to every chunk, or the numerics would depend on the chunking.
 pub fn batch_group_scale(
-    quartets: &[(usize, usize)],
+    quartets: impl IntoIterator<Item = (usize, usize)>,
     pairs: &[ScreenedPair],
     cfg: &PipelineConfig,
 ) -> f64 {
@@ -420,7 +420,7 @@ pub fn batch_group_scale(
     match cfg.scale_policy {
         ScalePolicy::PerGroup => {
             let mut m = 0.0f64;
-            for &(pi, qi) in quartets {
+            for (pi, qi) in quartets {
                 for pp in &pairs[pi].data.prims {
                     m = m.max(pp.e_sph.max_abs());
                 }
@@ -585,7 +585,7 @@ pub fn run_batch(
     model: &CostModel,
 ) -> BatchOutput {
     let class = batch.class;
-    let e_scale = batch_group_scale(&batch.quartets, pairs, cfg);
+    let e_scale = batch_group_scale(batch.quartets.iter().copied(), pairs, cfg);
     let runner = QuartetRunner::for_pairs(&class, cfg, e_scale, pairs.len());
     let mut tensors: Vec<Tensor4> = (0..batch.len()).map(|_| Tensor4::zeros([0; 4])).collect();
     tensors

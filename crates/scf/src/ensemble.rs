@@ -40,7 +40,7 @@
 //! super-iteration).
 
 use crate::error::ScfError;
-use crate::fock::{plan_jk, FockPlan};
+use crate::fock::{plan_jk, FockPlan, TENSOR_STORE_BYTES};
 use crate::scf::{PreparedIteration, ScfConfig, ScfDriver, ScfResult, ScfRunOptions, ScfSession};
 use mako_accel::fault::{FaultPlan, RecoveryLedger};
 use mako_accel::EnsembleLedger;
@@ -172,6 +172,12 @@ impl EnsembleDriver {
     /// Run every member to completion in lockstep. Never fails as a whole:
     /// per-member failures drain into [`EnsembleResult::members`].
     pub fn run(&self) -> EnsembleResult {
+        self.run_with_store_budget(TENSOR_STORE_BYTES)
+    }
+
+    /// [`EnsembleDriver::run`] with the fleet's tensor-store byte budget
+    /// given; every member gets an equal share.
+    fn run_with_store_budget(&self, store_budget_bytes: usize) -> EnsembleResult {
         let n = self.drivers.len();
         let mut run_span = mako_trace::span("ensemble", "run");
         if run_span.is_recording() {
@@ -182,8 +188,9 @@ impl EnsembleDriver {
         let mut outcomes: Vec<Option<Result<ScfResult, ScfError>>> =
             (0..n).map(|_| None).collect();
         let mut sessions: Vec<Option<ScfSession<'_>>> = Vec::with_capacity(n);
+        let share = store_budget_bytes / n.max(1);
         for (m, drv) in self.drivers.iter().enumerate() {
-            match ScfSession::new(drv, ScfRunOptions::default()) {
+            match ScfSession::with_store_budget(drv, ScfRunOptions::default(), share) {
                 Ok(s) => sessions.push(Some(s)),
                 Err(e) => {
                     outcomes[m] = Some(Err(e));
@@ -243,7 +250,7 @@ impl EnsembleDriver {
                     &drv.layout,
                     prep.opts,
                 );
-                plan.freeze_scales(&drv.pairs);
+                plan.freeze_scales(&drv.pairs, &drv.batches);
                 staged.push((m, prep, plan));
             }
             if iter_span.is_recording() {
@@ -272,7 +279,7 @@ impl EnsembleDriver {
             for ((class, cfg), members) in &groups {
                 let counts: Vec<usize> = members
                     .iter()
-                    .map(|&(si, ui)| staged[si].2.units[ui].quartets.len())
+                    .map(|&(si, ui)| staged[si].2.units[ui].positions.len())
                     .collect();
                 let (fused, solo) = fused_batch_device_seconds(class, &counts, cfg, model);
                 let total: usize = counts.iter().sum();
@@ -321,8 +328,14 @@ impl EnsembleDriver {
             for ((m, prep, mut plan), share) in staged.into_iter().zip(member_share) {
                 plan.set_device_seconds(share);
                 let drv = &self.drivers[m];
-                let jk = plan.assemble(&prep.build_density, &drv.pairs, &drv.layout);
                 let sess = sessions[m].as_mut().expect("staged implies live");
+                let jk = plan.assemble(
+                    &prep.build_density,
+                    &drv.pairs,
+                    &drv.batches,
+                    &drv.layout,
+                    Some(sess.tensors_mut()),
+                );
                 match sess.advance(prep, jk, plan.stats, RecoveryLedger::default()) {
                     Ok(()) => {
                         if mako_trace::enabled() {
@@ -379,6 +392,45 @@ impl EnsembleDriver {
                 .map(|o| o.expect("every member drained"))
                 .collect(),
             ledger,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fock::TensorStore;
+    use mako_chem::basis::sto3g::sto3g;
+    use mako_chem::builders;
+
+    #[test]
+    fn members_sharing_one_members_store_budget_match_their_solo_runs_bitwise() {
+        let mols: Vec<Molecule> = (0..12)
+            .map(|seed| builders::perturbed_water_cluster(2, seed, 0.05))
+            .collect();
+        let ensemble =
+            EnsembleDriver::try_new(&mols, &sto3g(), ScfConfig::default(), EnsembleConfig::default())
+                .expect("ensemble");
+        // What one member would need to hold every tensor: each member gets
+        // a twelfth of it, so every store cuts off mid-way.
+        let budget = TensorStore::new(&ensemble.drivers[0].batches, usize::MAX).capacity_bytes();
+        let run = ensemble.run_with_store_budget(budget);
+        for (mol, member) in mols.iter().zip(&run.members) {
+            let member = member.as_ref().expect("member run");
+            let solo = ScfDriver::new(mol, &sto3g(), ScfConfig::default())
+                .run()
+                .expect("solo run");
+            assert!(0 < member.tensor_store_bytes && member.tensor_store_bytes <= budget / 12);
+            assert!(member.tensor_store_bytes < solo.tensor_store_bytes);
+            assert_eq!(member.energy.to_bits(), solo.energy.to_bits());
+            assert_eq!(member.iterations, solo.iterations);
+            assert_eq!(member.orbital_energies, solo.orbital_energies);
+            assert!(member
+                .density
+                .as_slice()
+                .iter()
+                .zip(solo.density.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }

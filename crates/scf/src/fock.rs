@@ -11,13 +11,16 @@
 //!
 //! # The engine
 //!
-//! There are two entry points. [`build_jk_with_configs`] is the single-device
-//! build; [`crate::parallel::build_jk_distributed`] partitions the batches
-//! over ranks, runs this same engine on every share and merges in rank order.
-//! Solo, rank-share and ensemble builds all evaluate their quartets in one
-//! place, `FockPlan::assemble`.
+//! There are two stateless entry points. [`build_jk_with_configs`] is the
+//! single-device build; [`crate::parallel::build_jk_distributed`] partitions
+//! the batches over ranks, runs this same engine on every share and merges in
+//! rank order. Both are integral-direct: every call evaluates every quartet
+//! it schedules. An SCF session (solo or ensemble member) runs the same three
+//! calls with its `TensorStore` handed to the last one. Solo, rank-share
+//! and ensemble builds all evaluate their quartets in one place,
+//! `FockPlan::assemble`.
 //!
-//! [`build_jk_with_configs`] runs in three phases (plus an optional phase 0):
+//! A build runs in three phases (plus an optional phase 0):
 //!
 //! 0. **incremental screen** (serial, cheap, optional): with
 //!    [`FockEngineOptions::delta_tau`] set, quartets whose density-weighted
@@ -30,17 +33,53 @@
 //! 2. **device clock** (serial, cheap): each non-empty sub-batch is priced
 //!    as one batched launch via the cost model, and its group scale is
 //!    frozen over the *full* sub-batch;
-//! 3. **assembly** (parallel evaluate, ordered scatter): quartet tensors —
-//!    the expensive stage — are evaluated across the rayon pool in bounded
-//!    waves, then scattered into a single J/K buffer **strictly in
-//!    canonical quartet order**.
+//! 3. **assembly** (evaluate what is missing in parallel, scatter all in
+//!    order): in bounded waves, the quartet tensors the store does not hold
+//!    yet — all of them, without a store — are evaluated across the rayon
+//!    pool and the FP64 ones copied into the arena; then every quartet of the
+//!    wave is scattered into a single J/K buffer **strictly in canonical
+//!    quartet order**, from the arena or from the wave's scratch.
+//!
+//! # The tensor store
+//!
+//! A quartet tensor does not depend on the density, so a session that builds
+//! J/K eight times need not evaluate it eight times. `TensorStore` is one
+//! exactly-sized `f64` arena per session, keyed by *(batch, position in
+//! `batches[bi].quartets`)* — the key a `SubUnit` already carries — so the
+//! scheduler may prune, skip or quantize a different set every iteration and
+//! a quartet is still evaluated at most once in FP64: whenever it first
+//! appears in an FP64 sub-unit.
+//!
+//! * **Stored FP64 tensors are configuration- and scale-independent.** The
+//!   FP64 pipeline reads only the pair data: the tuned `PipelineConfig`
+//!   (fusion, layout, ILP, tile) prices the launch and never touches the
+//!   numerics, and the group scale is 1.0 and unused. The stored bits are
+//!   exactly what any later FP64 evaluation of the quartet would produce.
+//! * **Quantized tensors are not stored (yet).** Their bits depend on the
+//!   sub-unit's group scale, which is frozen over whichever quartets the
+//!   schedule put in the sub-unit *this* iteration; a tensor kept from one
+//!   iteration is not the tensor the next would compute. Quantized sub-units
+//!   neither read nor write the store. (A compressed tier keyed by the group
+//!   scale is ROADMAP item 11's follow-up.)
+//! * **Memory is bounded by a constant**, `TENSOR_STORE_BYTES`: per-batch
+//!   prefixes are admitted in ascending tensor length until it is spent, the
+//!   arena is zero-allocated and touched only where a tensor lands, and every
+//!   quartet past the budget stays integral-direct through the same loop.
+//! * **The device clock does not know.** Phase 2 prices every scheduled
+//!   quartet as launched, stored or not: the modeled accelerator recomputes
+//!   a quartet faster than it could fetch one, and `device_seconds`,
+//!   `FockBuildStats` and the ledgers describe that device. The host's reuse
+//!   shows in the `fock.assemble` event (`stored`, `reused`, `store_bytes`).
+//! * **Checkpoints do not carry it.** It is recomputable; a resumed session
+//!   refills it on its first build.
 //!
 //! # Why the result is bitwise deterministic
 //!
 //! Quartet evaluation is a pure function of `(pair data, config, group
 //! scale)`; the group scale is frozen over the full sub-batch in phase 2,
-//! so a tensor's bits cannot depend on which thread computes it or how the
-//! waves are cut. The scatter stage then replays every FP64 addition in
+//! so a tensor's bits cannot depend on which thread computes it, how the
+//! waves are cut, or whether it was computed this build or kept from an
+//! earlier one. The scatter stage then replays every FP64 addition in
 //! exactly the order the serial single-buffer pass uses. Parallelism only
 //! changes *when* a tensor is computed, never the order of additions, so
 //! the build matches the serial one-pass oracle (`build_jk_serial`, kept in
@@ -69,6 +108,7 @@ use mako_kernels::pipeline::{
     batch_device_seconds, batch_group_scale, PipelineConfig, QuartetRunner,
 };
 use mako_linalg::Matrix;
+use mako_precision::Precision;
 use mako_quant::{ExecClass, QuantSchedule};
 use rayon::prelude::*;
 use std::sync::OnceLock;
@@ -140,11 +180,125 @@ pub struct FockEngineOptions {
 
 /// One schedulable sub-batch: the quartets of one batch that share an
 /// execution class (FP64 or quantized) and therefore one pipeline config.
+/// Holds ascending positions into `batches[batch].quartets`, not a copy of
+/// the pairs: plans are rebuilt every iteration (twelve staged at once in an
+/// ensemble), and the position is also the quartet's [`TensorStore`] key.
 pub(crate) struct SubUnit {
     pub(crate) class: EriClass,
     pub(crate) cfg: PipelineConfig,
-    pub(crate) quartets: Vec<(usize, usize)>,
+    pub(crate) batch: usize,
+    pub(crate) positions: Vec<u32>,
     pub(crate) e_scale: f64,
+}
+
+impl SubUnit {
+    /// The `(bra pair, ket pair)` indices of the sub-unit's quartets, in
+    /// canonical order.
+    fn quartets<'a>(
+        &'a self,
+        batches: &'a [QuartetBatch],
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let quartets = &batches[self.batch].quartets;
+        self.positions.iter().map(move |&p| quartets[p as usize])
+    }
+}
+
+/// Byte budget of one session's [`TensorStore`] (an [`EnsembleDriver`]
+/// splits one budget across its members). A constant, not a knob: below it
+/// the host is in-core, past it the same loop stays integral-direct.
+///
+/// [`EnsembleDriver`]: crate::ensemble::EnsembleDriver
+pub(crate) const TENSOR_STORE_BYTES: usize = 64 << 20;
+
+/// Where one batch's stored tensors live: position `p < admitted` owns
+/// `arena[base + p·len ..][..len]` and bit `first_bit + p` of `filled`.
+#[derive(Clone, Copy)]
+struct StoreSlot {
+    base: usize,
+    first_bit: usize,
+    len: usize,
+    admitted: usize,
+}
+
+/// The FP64 quartet tensors of one SCF session, kept across Fock builds
+/// (module docs, "The tensor store"). Keyed by *(batch, position in
+/// `batches[bi].quartets`)*, so it is indifferent to which quartets a build
+/// prunes, skips or quantizes.
+pub(crate) struct TensorStore {
+    /// One exactly-sized allocation for every admitted tensor. Zeroed by the
+    /// allocator and written only when a tensor is stored, so pages a run
+    /// never fills are never resident.
+    arena: Vec<f64>,
+    slots: Vec<StoreSlot>,
+    filled: Vec<u64>,
+    /// Tensors evaluated and kept, over the store's lifetime.
+    pub(crate) stored: usize,
+    /// Evaluations avoided: quartets scattered from the arena.
+    pub(crate) reused: usize,
+    /// Arena bytes holding an evaluated tensor.
+    pub(crate) held_bytes: usize,
+}
+
+impl TensorStore {
+    /// Lay out a store for `batches` under `budget_bytes`: per-batch
+    /// *prefixes* are admitted greedily in ascending tensor length — at equal
+    /// contraction depth the smallest tensors cost the most evaluation per
+    /// stored byte — until the budget is spent. Nothing is evaluated here.
+    pub(crate) fn new(batches: &[QuartetBatch], budget_bytes: usize) -> TensorStore {
+        let mut order: Vec<usize> = (0..batches.len()).collect();
+        order.sort_by_key(|&bi| batches[bi].class.out_size());
+        let mut slots = vec![
+            StoreSlot { base: 0, first_bit: 0, len: 0, admitted: 0 };
+            batches.len()
+        ];
+        let (mut doubles, mut bits) = (0usize, 0usize);
+        for bi in order {
+            let len = batches[bi].class.out_size();
+            let admitted = batches[bi].len().min((budget_bytes / 8 - doubles) / len);
+            slots[bi] = StoreSlot { base: doubles, first_bit: bits, len, admitted };
+            doubles += admitted * len;
+            bits += admitted;
+        }
+        TensorStore {
+            arena: vec![0.0; doubles],
+            slots,
+            filled: vec![0; bits.div_ceil(64)],
+            stored: 0,
+            reused: 0,
+            held_bytes: 0,
+        }
+    }
+
+    /// Quartets the budget admitted (whether or not evaluated yet).
+    pub(crate) fn admitted_quartets(&self) -> usize {
+        self.slots.iter().map(|s| s.admitted).sum()
+    }
+
+    /// Bytes the admitted tensors occupy once all are evaluated.
+    #[cfg(test)]
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.arena.len() * 8
+    }
+
+    /// The stored tensor of `(batch, pos)`, if it has been evaluated.
+    fn get(&self, batch: usize, pos: u32) -> Option<&[f64]> {
+        let (slot, pos) = (self.slots[batch], pos as usize);
+        let bit = slot.first_bit + pos;
+        (pos < slot.admitted && self.filled[bit / 64] >> (bit % 64) & 1 == 1)
+            .then(|| &self.arena[slot.base + pos * slot.len..][..slot.len])
+    }
+
+    /// Keep a freshly evaluated tensor when the budget admitted its slot.
+    fn put(&mut self, batch: usize, pos: u32, data: &[f64]) {
+        let (slot, pos) = (self.slots[batch], pos as usize);
+        if pos < slot.admitted {
+            let bit = slot.first_bit + pos;
+            self.arena[slot.base + pos * slot.len..][..slot.len].copy_from_slice(data);
+            self.filled[bit / 64] |= 1 << (bit % 64);
+            self.stored += 1;
+            self.held_bytes += slot.len * 8;
+        }
+    }
 }
 
 /// A scheduled-but-not-yet-executed Fock build: the output of phases 0–1
@@ -192,9 +346,11 @@ pub(crate) fn plan_jk(
     let mut units: Vec<SubUnit> = Vec::new();
     for (bi, batch) in batches.iter().enumerate() {
         let (fp64_cfg, quant_cfg) = cfg_for(bi);
-        let mut fp64_q = Vec::new();
-        let mut quant_q = Vec::new();
-        for &(pi, qi) in &batch.quartets {
+        assert!(batch.len() <= u32::MAX as usize, "batch positions are u32");
+        let mut fp64_q: Vec<u32> = Vec::new();
+        let mut quant_q: Vec<u32> = Vec::new();
+        for (pos, &(pi, qi)) in batch.quartets.iter().enumerate() {
+            let pos = pos as u32;
             if let (Some(tau), Some(bm)) = (opts.delta_tau, &block_max) {
                 let (pab, pcd) = (&pairs[pi], &pairs[qi]);
                 // Shared estimate definition (incl. the 1e-30 density floor)
@@ -220,18 +376,19 @@ pub(crate) fn plan_jk(
             }
             match schedule.decide(pairs[pi].bound, pairs[qi].bound, d_max, scale) {
                 ExecClass::Pruned => stats.pruned_quartets += 1,
-                ExecClass::Fp64 => fp64_q.push((pi, qi)),
-                ExecClass::Quantized => quant_q.push((pi, qi)),
+                ExecClass::Fp64 => fp64_q.push(pos),
+                ExecClass::Quantized => quant_q.push(pos),
             }
         }
         stats.fp64_quartets += fp64_q.len();
         stats.quantized_quartets += quant_q.len();
-        for (quartets, cfg) in [(fp64_q, fp64_cfg), (quant_q, quant_cfg)] {
-            if !quartets.is_empty() {
+        for (positions, cfg) in [(fp64_q, fp64_cfg), (quant_q, quant_cfg)] {
+            if !positions.is_empty() {
                 units.push(SubUnit {
                     class: batch.class,
                     cfg,
-                    quartets,
+                    batch: bi,
+                    positions,
                     e_scale: 1.0,
                 });
             }
@@ -256,21 +413,26 @@ impl FockPlan {
     /// device launch (fixed sub-batch order, so the clock is byte-identical
     /// for any host parallelism), freeze the group scales, and emit the
     /// `fock.launch` instants. Sets `stats.device_seconds`.
-    pub(crate) fn price(&mut self, pairs: &[ScreenedPair], model: &CostModel) {
+    pub(crate) fn price(
+        &mut self,
+        pairs: &[ScreenedPair],
+        batches: &[QuartetBatch],
+        model: &CostModel,
+    ) {
         let trace_on = mako_trace::enabled();
         let mut device_seconds = 0.0;
         for u in &mut self.units {
             let launch_seconds =
-                batch_device_seconds(&u.class, u.quartets.len(), &u.cfg, model);
+                batch_device_seconds(&u.class, u.positions.len(), &u.cfg, model);
             device_seconds += launch_seconds;
-            u.e_scale = batch_group_scale(&u.quartets, pairs, &u.cfg);
+            u.e_scale = batch_group_scale(u.quartets(batches), pairs, &u.cfg);
             if trace_on {
                 mako_trace::instant(
                     "fock",
                     "launch",
                     vec![
                         mako_trace::field("class", u.class.label()),
-                        mako_trace::field("quartets", u.quartets.len()),
+                        mako_trace::field("quartets", u.positions.len()),
                         mako_trace::field("precision", format!("{:?}", u.cfg.precision)),
                         mako_trace::field("device_seconds", launch_seconds),
                     ],
@@ -286,9 +448,9 @@ impl FockPlan {
     /// [`FockPlan::set_device_seconds`]). The scales are per-molecule
     /// sub-batch properties and never fuse: a neighbor's operand magnitudes
     /// must not change this molecule's rounding.
-    pub(crate) fn freeze_scales(&mut self, pairs: &[ScreenedPair]) {
+    pub(crate) fn freeze_scales(&mut self, pairs: &[ScreenedPair], batches: &[QuartetBatch]) {
         for u in &mut self.units {
-            u.e_scale = batch_group_scale(&u.quartets, pairs, &u.cfg);
+            u.e_scale = batch_group_scale(u.quartets(batches), pairs, &u.cfg);
         }
     }
 
@@ -299,28 +461,35 @@ impl FockPlan {
         self.stats.device_seconds = seconds;
     }
 
-    /// Phase 3: parallel evaluation, ordered scatter (module docs). Requires
-    /// the group scales to be frozen ([`FockPlan::price`] or
-    /// [`FockPlan::freeze_scales`]). Emits the `fock.assemble` instant.
+    /// Phase 3: evaluate what `store` does not hold yet in parallel, scatter
+    /// everything in order (module docs). Requires the group scales to be
+    /// frozen ([`FockPlan::price`] or [`FockPlan::freeze_scales`]); `store`
+    /// must have been laid out for `batches`. Emits the `fock.assemble`
+    /// instant.
     pub(crate) fn assemble(
         &self,
         density: &Matrix,
         pairs: &[ScreenedPair],
+        batches: &[QuartetBatch],
         layout: &AoLayout,
+        store: Option<&mut TensorStore>,
     ) -> JkMatrices {
         let threads = rayon::current_num_threads().max(1);
-        self.assemble_in_waves(density, pairs, layout, (threads * 64).clamp(64, 4096))
+        let wave_len = (threads * 64).clamp(64, 4096);
+        self.assemble_in_waves(density, pairs, batches, layout, store, wave_len)
     }
 
-    /// [`FockPlan::assemble`] with the wave cut given: `wave_len` quartet
-    /// tensors are evaluated (and buffered) per parallel wave. The wave length
-    /// bounds scratch memory and sets the parallel granularity; it never
-    /// changes the result (module docs, `chunk_size_never_changes_bits`).
+    /// [`FockPlan::assemble`] with the wave cut given: at most `wave_len`
+    /// quartet tensors are evaluated (and buffered) per parallel wave. The
+    /// wave length bounds scratch memory and sets the parallel granularity;
+    /// it never changes the result (module docs, `chunk_size_never_changes_bits`).
     fn assemble_in_waves(
         &self,
         density: &Matrix,
         pairs: &[ScreenedPair],
+        batches: &[QuartetBatch],
         layout: &AoLayout,
+        mut store: Option<&mut TensorStore>,
         wave_len: usize,
     ) -> JkMatrices {
         let n = layout.nao;
@@ -329,29 +498,71 @@ impl FockPlan {
         let mut j = Matrix::zeros(n, n);
         let mut k = Matrix::zeros(n, n);
         let mut scratch: Vec<Tensor4> = Vec::new();
+        // The wave's positions that have to be evaluated, in wave order.
+        let mut missing: Vec<u32> = Vec::new();
+        let (stored_before, reused_before) =
+            store.as_deref().map_or((0, 0), |s| (s.stored, s.reused));
         // Host-side wall timers for the evaluate/scatter phases. Only
         // sampled when tracing is on, so the untraced hot path pays zero
         // clock reads.
         let (mut evaluate_seconds, mut scatter_seconds) = (0.0f64, 0.0f64);
         for u in &self.units {
+            let quartets = &batches[u.batch].quartets;
+            let dims = [
+                nsph(u.class.la),
+                nsph(u.class.lb),
+                nsph(u.class.lc),
+                nsph(u.class.ld),
+            ];
             // `for_pairs` carries the sub-unit's rounded-operand cache: each
             // screened pair's E blocks are rounded at the group scale once
             // and shared across every quartet (and wave) of the sub-unit.
             let runner = QuartetRunner::for_pairs(&u.class, &u.cfg, u.e_scale, pairs.len());
-            for wave in u.quartets.chunks(wave_len) {
-                scratch.truncate(wave.len());
-                scratch.resize_with(wave.len(), || Tensor4::zeros([0; 4]));
+            // A quantized tensor's bits depend on the sub-unit's group scale,
+            // which moves with the sub-unit's membership: never stored, and
+            // never served from the FP64 arena.
+            let mut held = store
+                .as_deref_mut()
+                .filter(|_| u.cfg.precision == Precision::Fp64);
+            for wave in u.positions.chunks(wave_len) {
                 let t_eval = trace_on.then(std::time::Instant::now);
+                missing.clear();
+                missing.extend(wave.iter().copied().filter(|&pos| {
+                    held.as_deref().and_then(|s| s.get(u.batch, pos)).is_none()
+                }));
+                scratch.truncate(missing.len());
+                scratch.resize_with(missing.len(), || Tensor4::zeros([0; 4]));
                 scratch
                     .par_iter_mut()
-                    .zip(wave.par_iter())
-                    .for_each(|(t, &(pi, qi))| runner.run_indexed(pairs, pi, qi, t));
+                    .zip(missing.par_iter())
+                    .for_each(|(t, &pos)| {
+                        let (pi, qi) = quartets[pos as usize];
+                        runner.run_indexed(pairs, pi, qi, t)
+                    });
+                if let Some(s) = held.as_deref_mut() {
+                    for (t, &pos) in scratch.iter().zip(&missing) {
+                        s.put(u.batch, pos, &t.data);
+                    }
+                    s.reused += wave.len() - missing.len();
+                }
                 if let Some(t0) = t_eval {
                     evaluate_seconds += t0.elapsed().as_secs_f64();
                 }
                 let t_scatter = trace_on.then(std::time::Instant::now);
-                for (t, &(pi, qi)) in scratch.iter().zip(wave) {
-                    scatter_quartet(t, &pairs[pi], &pairs[qi], density, layout, &mut j, &mut k);
+                let mut fresh = scratch.iter().zip(&missing).peekable();
+                for &pos in wave {
+                    let data = match fresh.next_if(|&(_, &m)| m == pos) {
+                        Some((t, _)) => {
+                            debug_assert_eq!(t.dims, dims);
+                            &t.data[..]
+                        }
+                        None => held
+                            .as_deref()
+                            .and_then(|s| s.get(u.batch, pos))
+                            .expect("a position not evaluated this wave is held"),
+                    };
+                    let (pi, qi) = quartets[pos as usize];
+                    scatter_quartet(dims, data, &pairs[pi], &pairs[qi], density, layout, &mut j, &mut k);
                 }
                 if let Some(t0) = t_scatter {
                     scatter_seconds += t0.elapsed().as_secs_f64();
@@ -359,6 +570,9 @@ impl FockPlan {
             }
         }
         if trace_on {
+            let (stored, reused, store_bytes) = store.as_deref().map_or((0, 0, 0), |s| {
+                (s.stored - stored_before, s.reused - reused_before, s.held_bytes)
+            });
             mako_trace::instant(
                 "fock",
                 "assemble",
@@ -367,6 +581,9 @@ impl FockPlan {
                     mako_trace::field("scatter_seconds", scatter_seconds),
                     mako_trace::field("device_seconds", self.stats.device_seconds),
                     mako_trace::field("wave_len", wave_len),
+                    mako_trace::field("stored", stored),
+                    mako_trace::field("reused", reused),
+                    mako_trace::field("store_bytes", store_bytes),
                 ],
             );
         }
@@ -401,8 +618,8 @@ pub fn build_jk_with_configs(
     opts: FockEngineOptions,
 ) -> (JkMatrices, FockBuildStats) {
     let mut plan = plan_jk(density, pairs, batches, schedule, cfg_for, layout, opts);
-    plan.price(pairs, model);
-    let jk = plan.assemble(density, pairs, layout);
+    plan.price(pairs, batches, model);
+    let jk = plan.assemble(density, pairs, batches, layout, None);
     (jk, plan.stats)
 }
 
@@ -496,8 +713,10 @@ pub fn arrangement_tables() -> &'static [ArrangementTable; 16] {
 /// allocation, no hashing in the hot loop — and is traversed in the same
 /// order as the original dedup, so accumulation order (and hence every bit)
 /// is preserved.
+#[allow(clippy::too_many_arguments)]
 fn scatter_quartet(
-    t: &Tensor4,
+    dims: [usize; 4],
+    data: &[f64],
     pab: &ScreenedPair,
     pcd: &ScreenedPair,
     d: &Matrix,
@@ -506,7 +725,6 @@ fn scatter_quartet(
     k: &mut Matrix,
 ) {
     let (sa, sb, sc, sd) = (pab.i, pab.j, pcd.i, pcd.j);
-    let dims = t.dims;
     let strides = [
         dims[1] * dims[2] * dims[3],
         dims[2] * dims[3],
@@ -519,7 +737,6 @@ fn scatter_quartet(
         layout.shell_offsets[sc],
         layout.shell_offsets[sd],
     ];
-    let data = &t.data;
 
     for axes in arrangement_tables()[symmetry_case(sa, sb, sc, sd)].iter() {
         let (m1, m2, m3, m4) = (dims[axes[0]], dims[axes[1]], dims[axes[2]], dims[axes[3]]);
@@ -664,7 +881,8 @@ mod tests {
                 stats.device_seconds += out.seconds;
                 for (t, &(pi, qi)) in out.tensors.iter().zip(&sub.quartets) {
                     scatter_quartet(
-                        t,
+                        t.dims,
+                        &t.data,
                         &pairs[pi],
                         &pairs[qi],
                         density,
@@ -966,7 +1184,7 @@ mod tests {
             for pcd in pairs.iter().take(pi + 1) {
                 let t = mako_eri::mmd::eri_quartet_mmd(&pab.data, &pcd.data);
                 cases_seen.insert(symmetry_case(pab.i, pab.j, pcd.i, pcd.j));
-                scatter_quartet(&t, pab, pcd, &d, &layout, &mut j_new, &mut k_new);
+                scatter_quartet(t.dims, &t.data, pab, pcd, &d, &layout, &mut j_new, &mut k_new);
                 scatter_quartet_hashset(&t, pab, pcd, &d, &layout, &mut j_old, &mut k_old);
             }
         }
@@ -1159,11 +1377,167 @@ mod tests {
         );
         for chunk in [1usize, 3, 17, 100_000] {
             let mut plan = plan_jk(&d, &pairs, &batches, &schedule, |_| (cfg, cfg), &layout, opts);
-            plan.price(&pairs, &model);
-            let jk = plan.assemble_in_waves(&d, &pairs, &layout, chunk);
+            plan.price(&pairs, &batches, &model);
+            let jk = plan.assemble_in_waves(&d, &pairs, &batches, &layout, None, chunk);
             assert!(bits_equal(&jk.j, &base.j), "chunk {chunk} changed J bits");
             assert!(bits_equal(&jk.k, &base.k), "chunk {chunk} changed K bits");
             assert_eq!(plan.stats, st_base);
         }
+    }
+    /// Water dimer / STO-3G: pairs, batches, layout and a family of distinct
+    /// symmetric densities — the fixture of the tensor-store tests.
+    struct StoreFixture {
+        pairs: Vec<ScreenedPair>,
+        batches: Vec<QuartetBatch>,
+        layout: AoLayout,
+        model: CostModel,
+    }
+
+    impl StoreFixture {
+        fn new() -> StoreFixture {
+            let shells = sto3g().shells_for(&builders::water_cluster(2));
+            let pairs = build_screened_pairs(&shells, 1e-12);
+            StoreFixture {
+                batches: batch_quartets(&pairs, 1e-14),
+                layout: AoLayout::new(&shells),
+                pairs,
+                model: CostModel::new(DeviceSpec::a100()),
+            }
+        }
+
+        fn density(&self, k: usize) -> Matrix {
+            let mut d = Matrix::from_fn(self.layout.nao, self.layout.nao, |i, j| {
+                (0.5 + 0.1 * k as f64) / (1.0 + (i as f64 - j as f64).abs() * (1.0 + k as f64))
+            });
+            d.symmetrize();
+            d
+        }
+
+        /// Bytes a store needs to hold every tensor of the fixture.
+        fn full_need(&self) -> usize {
+            TensorStore::new(&self.batches, usize::MAX).capacity_bytes()
+        }
+
+        fn plan(&self, d: &Matrix, schedule: &QuantSchedule) -> FockPlan {
+            let (fp64, quant) = (PipelineConfig::kernel_mako_fp64(), PipelineConfig::quant_mako());
+            let opts = FockEngineOptions::default();
+            let mut plan =
+                plan_jk(d, &self.pairs, &self.batches, schedule, |_| (fp64, quant), &self.layout, opts);
+            plan.price(&self.pairs, &self.batches, &self.model);
+            plan
+        }
+
+        fn assemble(
+            &self,
+            plan: &FockPlan,
+            d: &Matrix,
+            store: Option<&mut TensorStore>,
+            wave_len: usize,
+        ) -> JkMatrices {
+            plan.assemble_in_waves(d, &self.pairs, &self.batches, &self.layout, store, wave_len)
+        }
+    }
+
+    /// The `(batch, position)` keys of a plan's FP64 quartets.
+    fn fp64_keys(plan: &FockPlan) -> impl Iterator<Item = (usize, u32)> + '_ {
+        plan.units
+            .iter()
+            .filter(|u| u.cfg.precision == Precision::Fp64)
+            .flat_map(|u| u.positions.iter().map(move |&p| (u.batch, p)))
+    }
+
+    #[test]
+    fn store_never_changes_bits_and_evaluates_each_quartet_once() {
+        let f = StoreFixture::new();
+        let need = f.full_need();
+        // A mid-SCF schedule prunes a density-dependent set and keeps the
+        // rest FP64, so the builds below do not all see the same quartets.
+        let schedule = QuantSchedule::fp64_reference(1e-7);
+        for budget in [0, need / 2, usize::MAX] {
+            for wave_len in [1usize, 7, 4096] {
+                let mut store = TensorStore::new(&f.batches, budget);
+                if budget == need / 2 {
+                    let cut = f.batches.iter().zip(&store.slots);
+                    assert!(
+                        cut.clone().any(|(b, s)| 0 < s.admitted && s.admitted < b.len()),
+                        "the half budget must cut a batch mid-prefix"
+                    );
+                }
+                assert!(store.capacity_bytes() <= budget);
+                let mut seen = HashSet::new();
+                let mut fp64_total = 0;
+                for k in 0..5 {
+                    let d = f.density(k);
+                    let plan = f.plan(&d, &schedule);
+                    assert!(plan.stats.pruned_quartets > 0);
+                    seen.extend(fp64_keys(&plan));
+                    fp64_total += plan.stats.fp64_quartets;
+                    let direct = f.assemble(&plan, &d, None, wave_len);
+                    let kept = f.assemble(&plan, &d, Some(&mut store), wave_len);
+                    let label = format!("budget {budget}, wave {wave_len}, density {k}");
+                    assert!(bits_equal(&kept.j, &direct.j), "J moved: {label}");
+                    assert!(bits_equal(&kept.k, &direct.k), "K moved: {label}");
+                }
+                assert!(store.held_bytes <= store.capacity_bytes());
+                match budget {
+                    0 => assert_eq!((store.stored, store.reused), (0, 0)),
+                    usize::MAX => {
+                        assert_eq!(store.stored, seen.len(), "each distinct quartet stored once");
+                        assert_eq!(store.reused, fp64_total - seen.len());
+                        assert!(seen.len() < fp64_total);
+                    }
+                    _ => assert!(0 < store.stored && store.stored < seen.len()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quartet_pruned_early_is_stored_when_first_admitted_and_reused_after() {
+        let f = StoreFixture::new();
+        let d = f.density(0);
+        let mut store = TensorStore::new(&f.batches, usize::MAX);
+        let pruning = QuantSchedule::fp64_reference(1e-5);
+        let full = QuantSchedule::fp64_reference(0.0);
+        let mut deltas = Vec::new();
+        for schedule in [&pruning, &pruning, &full, &full] {
+            let plan = f.plan(&d, schedule);
+            let before = (store.stored, store.reused);
+            let kept = f.assemble(&plan, &d, Some(&mut store), 64);
+            let direct = f.assemble(&plan, &d, None, 64);
+            assert!(bits_equal(&kept.j, &direct.j) && bits_equal(&kept.k, &direct.k));
+            deltas.push((store.stored - before.0, store.reused - before.1));
+        }
+        let total: usize = f.batches.iter().map(|b| b.len()).sum();
+        let first = deltas[0].0;
+        assert!(0 < first && first < total, "build 1 must prune some quartets: {deltas:?}");
+        assert_eq!(
+            deltas,
+            vec![(first, 0), (0, first), (total - first, first), (0, total)]
+        );
+    }
+
+    #[test]
+    fn quantized_sub_units_bypass_the_store() {
+        let f = StoreFixture::new();
+        let d = f.density(0);
+        let early = QuantSchedule::for_iteration(1.0, 1e-7);
+        let plan = f.plan(&d, &early);
+        assert!(plan.stats.quantized_quartets > 0 && plan.stats.fp64_quartets > 0);
+        let direct = f.assemble(&plan, &d, None, 64);
+
+        // A store that already holds the FP64 tensor of every quartet.
+        let mut store = TensorStore::new(&f.batches, usize::MAX);
+        let fp64_plan = f.plan(&d, &QuantSchedule::fp64_reference(0.0));
+        let fp64 = f.assemble(&fp64_plan, &d, Some(&mut store), 64);
+        let (stored, reused) = (store.stored, store.reused);
+        let held = store.arena.clone();
+
+        let kept = f.assemble(&plan, &d, Some(&mut store), 64);
+        assert!(bits_equal(&kept.j, &direct.j) && bits_equal(&kept.k, &direct.k));
+        assert!(!bits_equal(&kept.j, &fp64.j), "quantized quartets were served FP64 tensors");
+        assert_eq!(store.stored, stored, "a quantized tensor was stored");
+        assert_eq!(store.reused, reused + plan.stats.fp64_quartets);
+        assert!(store.arena.iter().zip(&held).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 }

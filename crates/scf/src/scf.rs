@@ -11,7 +11,8 @@ use crate::checkpoint::ScfCheckpoint;
 use crate::diis::Diis;
 use crate::error::{NonFiniteStage, ScfError};
 use crate::fock::{
-    attribute_non_finite, build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices,
+    attribute_non_finite, plan_jk, FockBuildStats, FockEngineOptions, JkMatrices, TensorStore,
+    TENSOR_STORE_BYTES,
 };
 use crate::grid::MolecularGrid;
 use crate::parallel::{build_jk_distributed, FaultToleranceOptions};
@@ -265,6 +266,13 @@ pub struct ScfResult {
     pub rescue: RescueLedger,
     /// Linear-dependence diagnostics of the orthogonalizer.
     pub orth: OrthDiagnostics,
+    /// Bytes of FP64 quartet tensors the host held at the end of the run
+    /// (the last session's, for a resumed run).
+    pub tensor_store_bytes: usize,
+    /// Quartet evaluations the host served from held tensors instead of
+    /// recomputing. Host-side only: `stats` and `clock` still count every
+    /// quartet, as the integral-direct device executes it.
+    pub evaluations_reused: usize,
 }
 
 /// The SCF driver: owns the basis instantiation, screened pairs, quartet
@@ -433,7 +441,8 @@ impl ScfDriver {
         let mut session = ScfSession::new(self, run_opts)?;
         while session.active() {
             let prep = session.prepare();
-            let (jk, st, recovery) = self.execute_build(&prep, session.iteration())?;
+            let (jk, st, recovery) =
+                self.execute_build(&prep, session.iteration(), session.tensors_mut())?;
             session.advance(prep, jk, st, recovery)?;
         }
         Ok(session.finish())
@@ -448,6 +457,7 @@ impl ScfDriver {
         &self,
         prep: &PreparedIteration,
         iter: usize,
+        tensors: &mut TensorStore,
     ) -> Result<(JkMatrices, FockBuildStats, RecoveryLedger), ScfError> {
         let nao = self.layout.nao;
         match &self.config.distributed {
@@ -481,17 +491,26 @@ impl ScfDriver {
                 Ok((out.jk, out.stats, out.recovery))
             }
             None => {
-                let (jk, st) = build_jk_with_configs(
+                // `build_jk_with_configs`'s three calls, with the session's
+                // tensors in place of its integral-direct `None`.
+                let mut plan = plan_jk(
+                    &prep.build_density,
+                    &self.pairs,
+                    &self.batches,
+                    &prep.schedule,
+                    |bi| (self.fp64_cfgs[bi], self.quant_cfgs[bi]),
+                    &self.layout,
+                    prep.opts,
+                );
+                plan.price(&self.pairs, &self.batches, &self.model);
+                let jk = plan.assemble(
                     &prep.build_density,
                     &self.pairs,
                     &self.batches,
                     &self.layout,
-                    &prep.schedule,
-                    |bi| (self.fp64_cfgs[bi], self.quant_cfgs[bi]),
-                    &self.model,
-                    prep.opts,
+                    Some(tensors),
                 );
-                Ok((jk, st, RecoveryLedger::default()))
+                Ok((jk, plan.stats, RecoveryLedger::default()))
             }
         }
     }
@@ -602,6 +621,9 @@ pub(crate) struct ScfSession<'a> {
     d: Matrix,
     iter: usize,
     finished: bool,
+    // FP64 quartet tensors kept across this session's Fock builds. Not part
+    // of a checkpoint: a resumed session refills it.
+    tensors: TensorStore,
 }
 
 impl<'a> ScfSession<'a> {
@@ -609,7 +631,17 @@ impl<'a> ScfSession<'a> {
     /// resumption, one-electron matrices, orthogonalizer, rescue engine.
     pub(crate) fn new(
         driver: &'a ScfDriver,
+        run_opts: ScfRunOptions,
+    ) -> Result<ScfSession<'a>, ScfError> {
+        ScfSession::with_store_budget(driver, run_opts, TENSOR_STORE_BYTES)
+    }
+
+    /// [`ScfSession::new`] with the tensor store's byte budget given (the
+    /// ensemble hands each member its share; tests shrink it).
+    pub(crate) fn with_store_budget(
+        driver: &'a ScfDriver,
         mut run_opts: ScfRunOptions,
+        store_budget_bytes: usize,
     ) -> Result<ScfSession<'a>, ScfError> {
         if !driver.mol.n_electrons().is_multiple_of(2) {
             return Err(ScfError::OpenShell {
@@ -643,6 +675,12 @@ impl<'a> ScfSession<'a> {
             threshold: driver.config.orth_threshold,
         };
         let x = orth_factor.matrix;
+        // The multi-rank build is stateless and stays integral-direct.
+        let store_budget_bytes = match driver.config.distributed {
+            Some(_) => 0,
+            None => store_budget_bytes,
+        };
+        let tensors = TensorStore::new(&driver.batches, store_budget_bytes);
         {
             let mut setup = mako_trace::span("scf", "setup");
             if setup.is_recording() {
@@ -652,6 +690,8 @@ impl<'a> ScfSession<'a> {
                     setup.add_field("orth_smallest_kept", orth.smallest_kept);
                 }
                 setup.add_field("orth_threshold", orth.threshold);
+                setup.add_field("store_budget_bytes", store_budget_bytes);
+                setup.add_field("store_admitted_quartets", tensors.admitted_quartets());
             }
             setup.end();
         }
@@ -764,7 +804,13 @@ impl<'a> ScfSession<'a> {
             d,
             iter: start_iter,
             finished: false,
+            tensors,
         })
+    }
+
+    /// The session's tensor store, for the execution path's `assemble`.
+    pub(crate) fn tensors_mut(&mut self) -> &mut TensorStore {
+        &mut self.tensors
     }
 
     /// True while the trajectory has iterations left to run: not yet
@@ -1327,6 +1373,8 @@ impl<'a> ScfSession<'a> {
             clock: self.clock,
             rescue: self.rescue.map(RescueState::into_ledger).unwrap_or_default(),
             orth: self.orth,
+            tensor_store_bytes: self.tensors.held_bytes,
+            evaluations_reused: self.tensors.reused,
         }
     }
 }

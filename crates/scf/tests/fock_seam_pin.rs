@@ -13,7 +13,7 @@
 //! regenerate them (failure messages print the new values) and say so in
 //! CHANGES.md.
 
-use mako_accel::fault::{FaultConfig, FaultPlan, RecoveryLedger};
+use mako_accel::fault::{FaultConfig, FaultPlan};
 use mako_accel::{CostModel, DeviceSpec};
 use mako_chem::basis::sto3g::sto3g;
 use mako_chem::{builders, AoLayout};
@@ -23,8 +23,11 @@ use mako_eri::{QuartetBatch, ScreenedPair};
 use mako_kernels::pipeline::PipelineConfig;
 use mako_linalg::Matrix;
 use mako_quant::QuantSchedule;
-use mako_scf::fock::{build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices};
+use mako_scf::fock::{build_jk_with_configs, FockEngineOptions, JkMatrices};
 use mako_scf::parallel::{build_jk_distributed, FaultToleranceOptions};
+
+mod digest;
+use digest::Digest;
 
 const RANKS: usize = 3;
 
@@ -33,56 +36,6 @@ const SOLO_DEFAULT: (u64, u64) = (0xa27a_7690_c183_9b7b, 0xbac7_fb07_f1a2_8224);
 const SOLO_DELTA_TAU: (u64, u64) = (0x7a9b_b82e_6aa6_7e30, 0x5f84_e3d4_ceb7_5fcc);
 const DIST_QUIET: (u64, u64) = (0x8d66_5391_4c5c_f020, 0x8ab7_5961_3ecc_135a);
 const DIST_CHAOS: (u64, u64) = (0x8d66_5391_4c5c_f020, 0xd599_5b30_87b2_40ca);
-
-/// FNV-1a over little-endian u64 words.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn floats(&mut self, values: &[f64]) {
-        self.word(values.len() as u64);
-        for v in values {
-            self.word(v.to_bits());
-        }
-    }
-
-    fn stats(&mut self, st: &FockBuildStats) {
-        for count in [
-            st.fp64_quartets,
-            st.quantized_quartets,
-            st.pruned_quartets,
-            st.skipped_quartets,
-        ] {
-            self.word(count as u64);
-        }
-        self.floats(&[st.skipped_bound, st.device_seconds]);
-    }
-
-    fn ledger(&mut self, l: &RecoveryLedger) {
-        for count in [
-            l.transient_retries,
-            l.straggler_ranks,
-            l.stolen_batches,
-            l.rerun_batches,
-            l.ranks_lost,
-            l.allreduce_retries,
-            l.checkpoint_saves,
-            l.checkpoint_loads,
-        ] {
-            self.word(count as u64);
-        }
-        self.floats(&[l.backoff_seconds, l.fault_free_seconds, l.degraded_seconds]);
-    }
-}
 
 fn jk_digest(jk: &JkMatrices) -> u64 {
     let mut d = Digest::new();

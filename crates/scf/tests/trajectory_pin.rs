@@ -17,7 +17,6 @@
 //! scheduling or pricing must regenerate them (failure messages print the
 //! new values) and say so in CHANGES.md.
 
-use mako_accel::fault::RecoveryLedger;
 use mako_chem::basis::sto3g::sto3g;
 use mako_chem::{builders, Molecule};
 use mako_scf::{
@@ -25,48 +24,13 @@ use mako_scf::{
     ScfRunOptions,
 };
 
+mod digest;
+use digest::Digest;
+
 const RHF_TRIMER: u64 = 0x9d19_0435_8e3f_9540;
 const QUANT_B3LYP_WATER: u64 = 0xdbd0_fced_3f21_1826;
 const INCREMENTAL_TRIMER: u64 = 0xb350_e2e8_867a_316b;
 const RESUMED_WATER: u64 = 0x482a_7b5a_fcf8_f980;
-
-/// FNV-1a over little-endian u64 words (`fock_seam_pin.rs`'s digest).
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn floats(&mut self, values: &[f64]) {
-        self.word(values.len() as u64);
-        for v in values {
-            self.word(v.to_bits());
-        }
-    }
-
-    fn recovery(&mut self, l: &RecoveryLedger) {
-        for count in [
-            l.transient_retries,
-            l.straggler_ranks,
-            l.stolen_batches,
-            l.rerun_batches,
-            l.ranks_lost,
-            l.allreduce_retries,
-            l.checkpoint_saves,
-            l.checkpoint_loads,
-        ] {
-            self.word(count as u64);
-        }
-        self.floats(&[l.backoff_seconds, l.fault_free_seconds, l.degraded_seconds]);
-    }
-}
 
 fn digest(res: &ScfResult) -> u64 {
     let mut d = Digest::new();
@@ -81,16 +45,7 @@ fn digest(res: &ScfResult) -> u64 {
     d.floats(&res.orbital_energies);
     d.floats(res.density.as_slice());
     d.floats(&res.iteration_seconds);
-    let st = &res.stats;
-    for count in [
-        st.fp64_quartets,
-        st.quantized_quartets,
-        st.pruned_quartets,
-        st.skipped_quartets,
-    ] {
-        d.word(count as u64);
-    }
-    d.floats(&[st.skipped_bound, st.device_seconds]);
+    d.stats(&res.stats);
     d.word(res.clock.iterations().len() as u64);
     for l in res.clock.iterations() {
         d.floats(&[l.eri_seconds, l.total_seconds, l.skipped_bound]);
@@ -101,7 +56,7 @@ fn digest(res: &ScfResult) -> u64 {
     }
     d.word(res.clock.recoveries().len() as u64);
     for r in res.clock.recoveries() {
-        d.recovery(r);
+        d.ledger(r);
     }
     d.0
 }

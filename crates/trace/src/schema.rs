@@ -209,10 +209,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar: validate at most its four
+                    // bytes, not the rest of the document per character.
+                    let end = (self.pos + 4).min(self.bytes.len());
+                    let chunk = &self.bytes[self.pos..end];
+                    let valid = match std::str::from_utf8(chunk) {
+                        Ok(s) => s,
+                        Err(e) => std::str::from_utf8(&chunk[..e.valid_up_to()])
+                            .expect("validated prefix"),
+                    };
+                    let ch = valid.chars().next().ok_or_else(|| self.err("invalid UTF-8"))?;
                     if (ch as u32) < 0x20 {
                         return Err(self.err("raw control character in string"));
                     }

@@ -111,10 +111,7 @@ fn golden_water_tzvp_like_energy() {
     );
 }
 
-/// Three more 181 450-quartet runs: 30 s in a debug build, so tier-2's
-/// release leg runs it.
 #[test]
-#[cfg_attr(debug_assertions, ignore)]
 fn golden_water_tzvp_like_energy_identical_across_thread_counts() {
     let driver = tzvp_water_driver();
     let base = driver.run().expect("scf run");

@@ -172,17 +172,24 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
             e2_ref.to_bits(),
             "two-electron energy drifted at {threads} threads"
         );
+        // A whole SCF: every build after the first scatters held tensors.
+        let scf_traced = pool
+            .install(|| MakoEngine::new().run_rhf(&mol, BasisFamily::Sto3g))
+            .expect("traced scf run");
+        assert_eq!(
+            scf_traced.energy.to_bits(),
+            scf_ref.energy.to_bits(),
+            "traced SCF energy is not bitwise identical to the untraced run at {threads} threads"
+        );
+        assert_eq!(scf_traced.iterations, scf_ref.iterations);
+        assert!(scf_ref.evaluations_reused > 0, "the reference run never reused a tensor");
+        assert_eq!(
+            (scf_traced.evaluations_reused, scf_traced.tensor_store_bytes),
+            (scf_ref.evaluations_reused, scf_ref.tensor_store_bytes),
+            "tensor reuse drifted at {threads} threads"
+        );
     }
 
-    let scf_traced = MakoEngine::new()
-        .run_rhf(&mol, BasisFamily::Sto3g)
-        .expect("traced scf run");
-    assert_eq!(
-        scf_traced.energy.to_bits(),
-        scf_ref.energy.to_bits(),
-        "traced SCF energy is not bitwise identical to the untraced run"
-    );
-    assert_eq!(scf_traced.iterations, scf_ref.iterations);
     let dft_traced = dft.run().expect("traced B3LYP run");
     assert_eq!(
         (dft_traced.energy.to_bits(), dft_traced.iterations),
@@ -245,6 +252,20 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         );
     }
     assert!(summary.spans > 0 && summary.instants > 0);
+    // `fock.assemble` shows the host's reuse; the stateless `build` above
+    // and every quantized sub-unit report none.
+    let assemble_sum = |key: &str| -> u64 {
+        let assembles = dump.events.iter().filter(|e| (e.cat, e.name) == ("fock", "assemble"));
+        assembles
+            .filter_map(|e| e.fields.iter().find(|f| f.key == key))
+            .map(|f| match f.value {
+                mako::trace::FieldValue::U64(v) => v,
+                _ => panic!("fock.assemble {key} is not a count"),
+            })
+            .sum()
+    };
+    assert!(assemble_sum("stored") > 0 && assemble_sum("store_bytes") > 0);
+    assert!(assemble_sum("reused") >= 4 * scf_ref.evaluations_reused as u64);
 
     // Chrome export of the same dump must be valid JSON too.
     let chrome = dump.to_chrome();
