@@ -1,6 +1,13 @@
 //! FNV-1a digest shared by the pin suites (`fock_seam_pin.rs`,
 //! `trajectory_pin.rs`): every pinned value goes in as little-endian `u64`
 //! words, floats through `to_bits`.
+//!
+//! Every pinned row is a [`Pin`]: an *exact* half — counts, device-clock
+//! seconds, ledgers; functions of the schedule and the pricing model alone —
+//! and a *float* half — whatever is computed from integral values (J, K,
+//! densities, energies, and the Schwarz-bound sums `skipped_bound`). A change
+//! of FP64 summation order or of the Boys evaluator regenerates the float
+//! half and may not touch the exact one.
 #![allow(dead_code)]
 
 use mako_accel::fault::RecoveryLedger;
@@ -26,6 +33,8 @@ impl Digest {
         }
     }
 
+    /// The exact part of `st`: everything but `skipped_bound`, which is a sum
+    /// of Schwarz-bound products and belongs to the float half.
     pub fn stats(&mut self, st: &FockBuildStats) {
         for count in [
             st.fp64_quartets,
@@ -35,7 +44,7 @@ impl Digest {
         ] {
             self.word(count as u64);
         }
-        self.floats(&[st.skipped_bound, st.device_seconds]);
+        self.floats(&[st.device_seconds]);
     }
 
     pub fn ledger(&mut self, l: &RecoveryLedger) {
@@ -52,5 +61,27 @@ impl Digest {
             self.word(count as u64);
         }
         self.floats(&[l.backoff_seconds, l.fault_free_seconds, l.degraded_seconds]);
+    }
+}
+
+/// One pinned row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pin {
+    /// Counts, device seconds, ledgers.
+    pub exact: u64,
+    /// Values computed from the integrals.
+    pub float: u64,
+}
+
+impl Pin {
+    /// Fails naming the half that moved and printing the replacement row.
+    #[track_caller]
+    pub fn assert_eq(self, want: Pin, name: &str) {
+        let row = format!(
+            "const {name}: Pin = Pin {{ exact: {:#018x}, float: {:#018x} }};",
+            self.exact, self.float
+        );
+        assert_eq!(self.exact, want.exact, "{name}: the EXACT half moved: {row}");
+        assert_eq!(self.float, want.float, "{name}: the float half moved: {row}");
     }
 }

@@ -12,6 +12,12 @@
 //! them; a deliberate change of summation order, scheduling or pricing must
 //! regenerate them (failure messages print the new values) and say so in
 //! CHANGES.md.
+//!
+//! Each row is a [`Pin`] (`digest/mod.rs`): the *exact* half holds the quartet
+//! counts, `device_seconds`, per-rank seconds and the recovery ledger; the
+//! *float* half holds J, K and `skipped_bound`. The halves were split on the
+//! per-primitive `boys_reference` engine (`b9cece2`), before the FP64 quartet
+//! was rewritten: that rewrite regenerates the float halves only.
 
 use mako_accel::fault::{FaultConfig, FaultPlan};
 use mako_accel::{CostModel, DeviceSpec};
@@ -27,20 +33,33 @@ use mako_scf::fock::{build_jk_with_configs, FockEngineOptions, JkMatrices};
 use mako_scf::parallel::{build_jk_distributed, FaultToleranceOptions};
 
 mod digest;
-use digest::Digest;
+use digest::{Digest, Pin};
 
 const RANKS: usize = 3;
 
-/// (J/K digest, stats + clocks digest) per pinned build.
-const SOLO_DEFAULT: (u64, u64) = (0xa27a_7690_c183_9b7b, 0xbac7_fb07_f1a2_8224);
-const SOLO_DELTA_TAU: (u64, u64) = (0x7a9b_b82e_6aa6_7e30, 0x5f84_e3d4_ceb7_5fcc);
-const DIST_QUIET: (u64, u64) = (0x8d66_5391_4c5c_f020, 0x8ab7_5961_3ecc_135a);
-const DIST_CHAOS: (u64, u64) = (0x8d66_5391_4c5c_f020, 0xd599_5b30_87b2_40ca);
+const SOLO_DEFAULT: Pin = Pin {
+    exact: 0x5c1c_20dc_08f8_8eef,
+    float: 0x9e10_ca8b_47ff_e9fa,
+};
+const SOLO_DELTA_TAU: Pin = Pin {
+    exact: 0x6e6d_215f_3a1e_77cd,
+    float: 0xa90e_560a_cea4_cba3,
+};
+const DIST_QUIET: Pin = Pin {
+    exact: 0x1f85_1817_eda9_c63d,
+    float: 0xb973_4f47_3fd1_1061,
+};
+const DIST_CHAOS: Pin = Pin {
+    exact: 0x7d9c_27ec_2105_d05d,
+    float: 0xb973_4f47_3fd1_1061,
+};
 
-fn jk_digest(jk: &JkMatrices) -> u64 {
+/// The float half of a build: J, K and the skipped-bound sum.
+fn float_digest(jk: &JkMatrices, skipped_bound: f64) -> u64 {
     let mut d = Digest::new();
     d.floats(jk.j.as_slice());
     d.floats(jk.k.as_slice());
+    d.floats(&[skipped_bound]);
     d.0
 }
 
@@ -80,7 +99,7 @@ fn fixture() -> Fixture {
 }
 
 /// One solo build on the fixture density times `density_scale`.
-fn solo(density_scale: f64, opts: FockEngineOptions) -> (u64, u64) {
+fn solo(density_scale: f64, opts: FockEngineOptions) -> Pin {
     let f = fixture();
     let (jk, st) = build_jk_with_configs(
         &f.density.scale(density_scale),
@@ -94,10 +113,13 @@ fn solo(density_scale: f64, opts: FockEngineOptions) -> (u64, u64) {
     );
     let mut d = Digest::new();
     d.stats(&st);
-    (jk_digest(&jk), d.0)
+    Pin {
+        exact: d.0,
+        float: float_digest(&jk, st.skipped_bound),
+    }
 }
 
-fn distributed(plan: FaultPlan) -> (u64, u64) {
+fn distributed(plan: FaultPlan) -> Pin {
     let f = fixture();
     let out = build_jk_distributed(
         &f.density,
@@ -116,21 +138,15 @@ fn distributed(plan: FaultPlan) -> (u64, u64) {
     d.stats(&out.stats);
     d.floats(&out.rank_seconds);
     d.ledger(&out.recovery);
-    (jk_digest(&out.jk), d.0)
-}
-
-#[track_caller]
-fn assert_pinned(got: (u64, u64), want: (u64, u64), name: &str) {
-    assert_eq!(
-        got, want,
-        "{name} moved: const {name}: (u64, u64) = ({:#018x}, {:#018x});",
-        got.0, got.1
-    );
+    Pin {
+        exact: d.0,
+        float: float_digest(&out.jk, out.stats.skipped_bound),
+    }
 }
 
 #[test]
 fn solo_build_at_default_options_is_pinned() {
-    assert_pinned(solo(1.0, FockEngineOptions::default()), SOLO_DEFAULT, "SOLO_DEFAULT");
+    solo(1.0, FockEngineOptions::default()).assert_eq(SOLO_DEFAULT, "SOLO_DEFAULT");
 }
 
 /// The incremental screen at τ = 1e-9 on a late-SCF difference density
@@ -141,22 +157,22 @@ fn solo_build_with_the_delta_screen_is_pinned() {
     let opts = FockEngineOptions {
         delta_tau: Some(1e-9),
     };
-    assert_pinned(solo(1e-7, opts), SOLO_DELTA_TAU, "SOLO_DELTA_TAU");
-    assert_pinned(solo(1.0, opts), SOLO_DEFAULT, "SOLO_DEFAULT (τ = 1e-9, nothing under it)");
+    solo(1e-7, opts).assert_eq(SOLO_DELTA_TAU, "SOLO_DELTA_TAU");
+    solo(1.0, opts).assert_eq(SOLO_DEFAULT, "SOLO_DEFAULT (τ = 1e-9, nothing under it)");
 }
 
 /// The fault-free multi-rank build — J/K, merged stats, per-rank seconds, a
 /// quiet ledger — is the quiet plan's.
 #[test]
 fn fault_free_three_rank_build_is_pinned() {
-    assert_pinned(distributed(FaultPlan::quiet(RANKS)), DIST_QUIET, "DIST_QUIET");
+    distributed(FaultPlan::quiet(RANKS)).assert_eq(DIST_QUIET, "DIST_QUIET");
 }
 
 #[test]
 fn chaotic_three_rank_build_is_pinned() {
     let plan = FaultPlan::seeded(6, RANKS, &FaultConfig::chaotic());
     let got = distributed(plan);
-    assert_pinned(got, DIST_CHAOS, "DIST_CHAOS");
+    got.assert_eq(DIST_CHAOS, "DIST_CHAOS");
     // Faults change who executes, never the numbers.
-    assert_eq!(got.0, DIST_QUIET.0, "faulted J/K differ from the fault-free build");
+    assert_eq!(got.float, DIST_QUIET.float, "faulted J/K differ from the fault-free build");
 }

@@ -16,6 +16,14 @@
 //! builds must reproduce them; a deliberate change of summation order,
 //! scheduling or pricing must regenerate them (failure messages print the
 //! new values) and say so in CHANGES.md.
+//!
+//! Each row is a [`Pin`] (`digest/mod.rs`): the *exact* half holds iteration
+//! and quartet counts, `iteration_seconds`, the device-clock totals and every
+//! ledger field that is a count or a device second; the *float* half holds
+//! energies, orbital energies, the density and the `skipped_bound`s. The
+//! halves were split on the per-primitive `boys_reference` engine
+//! (`b9cece2`), before the FP64 quartet was rewritten: that rewrite
+//! regenerates the float halves only.
 
 use mako_chem::basis::sto3g::sto3g;
 use mako_chem::{builders, Molecule};
@@ -25,40 +33,56 @@ use mako_scf::{
 };
 
 mod digest;
-use digest::Digest;
+use digest::{Digest, Pin};
 
-const RHF_TRIMER: u64 = 0x9d19_0435_8e3f_9540;
-const QUANT_B3LYP_WATER: u64 = 0xdbd0_fced_3f21_1826;
-const INCREMENTAL_TRIMER: u64 = 0xb350_e2e8_867a_316b;
-const RESUMED_WATER: u64 = 0x482a_7b5a_fcf8_f980;
+const RHF_TRIMER: Pin = Pin {
+    exact: 0x4dda_04e1_56de_432b,
+    float: 0xaf33_c7d1_79ce_72a4,
+};
+const QUANT_B3LYP_WATER: Pin = Pin {
+    exact: 0xc266_c279_6212_bead,
+    float: 0xd10a_5e47_d3e5_60e0,
+};
+const INCREMENTAL_TRIMER: Pin = Pin {
+    exact: 0xc2fb_b5d7_48e5_7990,
+    float: 0x3f8a_7b95_881f_0fe0,
+};
+const RESUMED_WATER: Pin = Pin {
+    exact: 0xb7da_a7af_be34_a102,
+    float: 0x7164_a457_6e5c_36b1,
+};
 
-fn digest(res: &ScfResult) -> u64 {
-    let mut d = Digest::new();
-    d.floats(&[
-        res.energy,
-        res.e_nuclear,
-        res.avg_iteration_seconds,
-        res.total_seconds,
-    ]);
-    d.word(res.converged as u64);
-    d.word(res.iterations as u64);
-    d.floats(&res.orbital_energies);
-    d.floats(res.density.as_slice());
-    d.floats(&res.iteration_seconds);
-    d.stats(&res.stats);
-    d.word(res.clock.iterations().len() as u64);
+fn digest(res: &ScfResult) -> Pin {
+    let mut exact = Digest::new();
+    exact.floats(&[res.e_nuclear, res.avg_iteration_seconds, res.total_seconds]);
+    exact.word(res.converged as u64);
+    exact.word(res.iterations as u64);
+    exact.floats(&res.iteration_seconds);
+    exact.stats(&res.stats);
+    exact.word(res.clock.iterations().len() as u64);
     for l in res.clock.iterations() {
-        d.floats(&[l.eri_seconds, l.total_seconds, l.skipped_bound]);
+        exact.floats(&[l.eri_seconds, l.total_seconds]);
         for count in [l.evaluated_quartets, l.skipped_quartets, l.pruned_quartets] {
-            d.word(count as u64);
+            exact.word(count as u64);
         }
-        d.word(l.rebuild as u64);
+        exact.word(l.rebuild as u64);
     }
-    d.word(res.clock.recoveries().len() as u64);
+    exact.word(res.clock.recoveries().len() as u64);
     for r in res.clock.recoveries() {
-        d.ledger(r);
+        exact.ledger(r);
     }
-    d.0
+
+    let mut float = Digest::new();
+    float.floats(&[res.energy, res.stats.skipped_bound]);
+    float.floats(&res.orbital_energies);
+    float.floats(res.density.as_slice());
+    for l in res.clock.iterations() {
+        float.floats(&[l.skipped_bound]);
+    }
+    Pin {
+        exact: exact.0,
+        float: float.0,
+    }
 }
 
 fn driver(mol: &Molecule, config: ScfConfig) -> ScfDriver {
@@ -66,10 +90,9 @@ fn driver(mol: &Molecule, config: ScfConfig) -> ScfDriver {
 }
 
 #[track_caller]
-fn assert_pinned(res: &ScfResult, want: u64, name: &str) {
+fn assert_pinned(res: &ScfResult, want: Pin, name: &str) {
     assert!(res.converged, "{name} did not converge");
-    let got = digest(res);
-    assert_eq!(got, want, "{name} moved: const {name}: u64 = {got:#018x};");
+    digest(res).assert_eq(want, name);
 }
 
 #[test]
