@@ -4,11 +4,14 @@
 //! evaluators are provided:
 //!
 //! * [`boys_reference`] — series seed + stable downward recursion (small T)
-//!   and asymptotic + upward recursion (large T); accurate to ~1e-14 and used
-//!   wherever FP64 integrals are produced;
-//! * [`BoysTable`] — the Gill-style pre-tabulated interpolation path the
-//!   paper uses on the GPU (cubic interpolation on a dense T grid with
-//!   downward recursion), accurate to ~1e-10 and much cheaper per call.
+//!   and asymptotic + upward recursion (large T), a data-dependent number of
+//!   series terms per call; the oracle the table is built from and tested
+//!   against, and the evaluator of the one-electron nuclear-attraction path;
+//! * [`BoysTable`] — the pre-tabulated evaluator the paper uses (§3.1): a
+//!   Taylor expansion about the nearest node of a uniform `T` grid, then the
+//!   downward recursion, every trip count fixed. Accurate to a few ulp
+//!   (≤ 5e-14 relative is what the tests hold) and the evaluator of every
+//!   two-electron quartet, FP64 and quantized alike.
 
 /// Largest Boys order the engine ever needs: (gg|gg) quartets require
 /// `m ≤ 4·4 = 16`; +4 headroom for derivatives/tests.
@@ -61,79 +64,66 @@ pub fn boys_single(m: usize, t: f64) -> f64 {
     buf[m]
 }
 
-/// Pre-tabulated Boys evaluator: dense grid + 4-point (cubic Lagrange)
-/// interpolation of `F_{m_max}`, then downward recursion for the lower
-/// orders — the structure of the Gill et al. lookup-table scheme the paper
-/// adopts (§3.1, "improved cubic Chebyshev interpolation … stored in a
-/// lookup table").
+/// Grid step of [`BoysTable`]: nodes at `T₀ = i/8`.
+const STEP: f64 = 0.125;
+/// Taylor terms per evaluation. With `|T₀ − T| ≤ STEP/2 = 1/16` the first
+/// neglected term is at most `(1/16)⁹/9! ≈ 4e-17` of the value.
+const TERMS: usize = 9;
+/// Values per grid node: `e^{−T₀}`, then `F_0(T₀) ..= F_{M_MAX+TERMS−1}(T₀)`.
+const ROW: usize = 1 + M_MAX + TERMS;
+/// Grid nodes covering `[0, T_LARGE]`.
+const NODES: usize = (T_LARGE / STEP) as usize + 1;
+// The whole table stays within two L1 caches' worth of memory.
+const _: () = assert!(NODES * ROW * 8 <= 128 * 1024);
+/// `1/k` for the Taylor coefficients `(T₀ − T)^k / k!`.
+const INV_K: [f64; TERMS] = {
+    let mut inv = [1.0; TERMS];
+    let mut k = 1;
+    while k < TERMS {
+        inv[k] = 1.0 / k as f64;
+        k += 1;
+    }
+    inv
+};
+
+/// Pre-tabulated Boys evaluator (the paper's lookup table, §3.1): one table
+/// of `NODES × ROW` doubles (66 KiB) serves every order `0..=M_MAX`.
+///
+/// `d/dT F_m = −F_{m+1}`, so about the nearest node `T₀`
+///
+/// ```text
+/// F_m(T)  = Σ_{k<TERMS} F_{m+k}(T₀) · (T₀−T)^k / k!
+/// e^{−T}  = e^{−T₀} · Σ_{k<TERMS} (T₀−T)^k / k!
+/// F_{j}   = (2T · F_{j+1} + e^{−T}) / (2j+1)        j = m−1 … 0
+/// ```
+///
+/// — a fixed trip count in every loop, no transcendental call, and all terms
+/// of the recursion positive, so the top order's few-ulp error never grows.
+/// Arguments beyond the grid (`T > 35`) take [`boys_reference`]'s asymptotic
+/// branch: the two evaluators switch at the same `T`.
 pub struct BoysTable {
-    m_max: usize,
-    h: f64,
-    t_max: f64,
-    /// `values[i]` = `F_order(i·h)` with `order = m_max + 3`: headroom so the
-    /// interpolation error is attenuated by the downward recursion before it
-    /// reaches the requested orders.
-    values: Vec<f64>,
-    order: usize,
+    rows: Vec<f64>,
 }
 
 impl BoysTable {
-    /// Build a table serving orders `0..=m_max` for arguments in
-    /// `[0, t_max]`; larger arguments transparently use the asymptotic
-    /// branch.
-    pub fn new(m_max: usize) -> BoysTable {
-        let order = m_max + 3;
-        let h = 1.0 / 64.0;
-        let t_max = T_LARGE;
-        let n = (t_max / h) as usize + 8;
-        let mut values = Vec::with_capacity(n);
-        let mut buf = vec![0.0f64; order + 1];
-        for i in 0..n {
-            boys_reference(order, i as f64 * h, &mut buf);
-            values.push(buf[order]);
+    fn build() -> BoysTable {
+        let top = ROW - 2;
+        let mut rows = vec![0.0f64; NODES * ROW];
+        for (i, row) in rows.chunks_exact_mut(ROW).enumerate() {
+            let t0 = i as f64 * STEP;
+            row[0] = (-t0).exp();
+            boys_reference(top, t0, &mut row[1..]);
         }
-        BoysTable {
-            m_max,
-            h,
-            t_max,
-            values,
-            order,
-        }
+        BoysTable { rows }
     }
 
-    /// Evaluate `F_0..=F_m` (m ≤ m_max) into `out`.
-    pub fn eval(&self, m: usize, t: f64, out: &mut [f64]) {
-        assert!(m <= self.m_max, "order exceeds table");
-        self.eval_one(m, t, out);
-    }
-
-    /// Evaluate `F_0..=F_m` for a batch of arguments: row `i` of `out`
-    /// (stride `m + 1`) receives `F_0..=F_m` at `ts[i]`.
-    ///
-    /// This is the vectorizable hot-loop entry: unlike [`boys_reference`],
-    /// whose series loop runs a data-dependent number of iterations, every
-    /// trip count here is fixed by `(m, self.order)` — the in-table branch
-    /// is a cubic interpolation plus a fixed-length downward recursion, the
-    /// out-of-table branch a closed-form asymptotic seed plus a fixed-length
-    /// upward recursion, and the split between them is a single predictable
-    /// comparison against the grid edge.
-    pub fn eval_batch(&self, m: usize, ts: &[f64], out: &mut Vec<f64>) {
-        assert!(m <= self.m_max, "order exceeds table");
-        let stride = m + 1;
-        out.clear();
-        out.resize(ts.len() * stride, 0.0);
-        for (row, &t) in out.chunks_exact_mut(stride).zip(ts) {
-            self.eval_one(m, t, row);
-        }
-    }
-
-    /// Shared per-argument core of [`BoysTable::eval`] / `eval_batch`.
+    /// Evaluate `F_0..=F_m` (`m ≤ M_MAX`) into `out[0..=m]`.
     #[inline]
-    fn eval_one(&self, m: usize, t: f64, out: &mut [f64]) {
-        if t > self.t_max - 4.0 * self.h {
-            // Beyond the grid: asymptotic F_0 plus upward recursion (the
-            // same fixed-trip branch `boys_reference` uses for large T; at
-            // the grid edge T ≈ 35 the neglected erfc tail is ~1e-16).
+    pub fn eval(&self, m: usize, t: f64, out: &mut [f64]) {
+        assert!(m <= M_MAX, "order exceeds table");
+        debug_assert!(t >= 0.0, "Boys argument must be non-negative");
+        let out = &mut out[..=m];
+        if t > T_LARGE {
             let et = (-t).exp();
             out[0] = 0.5 * (std::f64::consts::PI / t).sqrt();
             for k in 0..m {
@@ -141,51 +131,45 @@ impl BoysTable {
             }
             return;
         }
-        // Cubic Lagrange on the 4 nearest grid points.
-        let x = t / self.h;
-        let i1 = (x.floor() as usize).clamp(1, self.values.len() - 3);
-        let f = x - i1 as f64; // in [-?, 1+?] near [0,1]
-        let (fm1, f0, f1, f2) = (
-            self.values[i1 - 1],
-            self.values[i1],
-            self.values[i1 + 1],
-            self.values[i1 + 2],
-        );
-        let top = {
-            // Lagrange weights for nodes -1, 0, 1, 2 at offset f.
-            let a = -f * (f - 1.0) * (f - 2.0) / 6.0;
-            let b = (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0;
-            let c = -(f + 1.0) * f * (f - 2.0) / 2.0;
-            let d = (f + 1.0) * f * (f - 1.0) / 6.0;
-            a * fm1 + b * f0 + c * f1 + d * f2
-        };
-        // Downward recursion from the headroom order to the requested range.
-        let et = (-t).exp();
-        let two_t = 2.0 * t;
-        let mut cur = top;
-        for k in (m..self.order).rev() {
-            cur = (two_t * cur + et) / (2 * k + 1) as f64;
+        let node = (t / STEP + 0.5) as usize;
+        let row = &self.rows[node * ROW..(node + 1) * ROW];
+        let d = node as f64 * STEP - t;
+        let mut c = [1.0f64; TERMS];
+        for k in 1..TERMS {
+            c[k] = c[k - 1] * d * INV_K[k];
         }
-        out[m] = cur;
+        // Smallest terms first.
+        let f = &row[1 + m..1 + m + TERMS];
+        let (mut top, mut ed) = (0.0, 0.0);
+        for k in (0..TERMS).rev() {
+            top += c[k] * f[k];
+            ed += c[k];
+        }
+        out[m] = top;
+        let et = row[0] * ed;
+        let two_t = 2.0 * t;
         for k in (0..m).rev() {
             out[k] = (two_t * out[k + 1] + et) / (2 * k + 1) as f64;
         }
     }
+
+    /// Evaluate `F_0..=F_m` for a batch of arguments: row `i` of `out`
+    /// (stride `m + 1`) receives `F_0..=F_m` at `ts[i]`.
+    pub fn eval_batch(&self, m: usize, ts: &[f64], out: &mut Vec<f64>) {
+        let stride = m + 1;
+        out.clear();
+        out.resize(ts.len() * stride, 0.0);
+        for (row, &t) in out.chunks_exact_mut(stride).zip(ts) {
+            self.eval(m, t, row);
+        }
+    }
 }
 
-/// Process-wide shared [`BoysTable`] for orders `0..=m_max`, built lazily
-/// per `m_max` so low-angular-momentum classes pay only a short downward
-/// recursion (the table's headroom order is `m_max + 3`).
-///
-/// The quantized ERI pipeline routes every quartet's Boys batch through
-/// this; the FP64 reference path keeps [`boys_reference`] so golden
-/// energies are untouched by the ~1e-10 interpolation error.
-pub fn shared_table(m_max: usize) -> &'static BoysTable {
-    use std::sync::OnceLock;
-    static TABLES: OnceLock<Vec<OnceLock<BoysTable>>> = OnceLock::new();
-    assert!(m_max <= M_MAX, "order exceeds table capacity");
-    let slots = TABLES.get_or_init(|| (0..=M_MAX).map(|_| OnceLock::new()).collect());
-    slots[m_max].get_or_init(|| BoysTable::new(m_max))
+/// The process-wide [`BoysTable`], built on first use (281 calls of
+/// [`boys_reference`]).
+pub fn shared_table() -> &'static BoysTable {
+    static TABLE: std::sync::OnceLock<BoysTable> = std::sync::OnceLock::new();
+    TABLE.get_or_init(BoysTable::build)
 }
 
 #[cfg(test)]
@@ -211,12 +195,15 @@ mod tests {
     fn matches_quadrature() {
         for &m in &[0usize, 1, 2, 5, 10, 16] {
             for &t in &[0.0, 0.01, 0.5, 1.0, 5.0, 20.0, 34.0] {
-                let v = boys_single(m, t);
                 let q = boys_quadrature(m, t);
-                assert!(
-                    (v - q).abs() < 1e-11,
-                    "m={m} t={t}: {v} vs quadrature {q}"
-                );
+                let mut tab = [0.0; M_MAX + 1];
+                shared_table().eval(m, t, &mut tab);
+                for v in [boys_single(m, t), tab[m]] {
+                    assert!(
+                        (v - q).abs() < 1e-11,
+                        "m={m} t={t}: {v} vs quadrature {q}"
+                    );
+                }
             }
         }
     }
@@ -271,27 +258,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn table_matches_reference() {
-        let table = BoysTable::new(16);
+    /// Worst relative deviation of the table from [`boys_reference`] over
+    /// orders `0..=M_MAX` at `t`.
+    fn table_rel_err(t: f64) -> f64 {
         let mut fast = [0.0f64; M_MAX + 1];
         let mut refv = [0.0f64; M_MAX + 1];
-        let mut worst = 0.0f64;
-        let mut t = 0.0;
-        while t < 60.0 {
-            table.eval(16, t, &mut fast);
-            boys_reference(16, t, &mut refv);
-            for m in 0..=16 {
-                worst = worst.max((fast[m] - refv[m]).abs());
-            }
-            t += 0.0371;
+        shared_table().eval(M_MAX, t, &mut fast);
+        boys_reference(M_MAX, t, &mut refv);
+        (0..=M_MAX)
+            .map(|m| ((fast[m] - refv[m]) / refv[m]).abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn table_matches_reference() {
+        let ulp = |t: f64, up: bool| f64::from_bits(if up { t.to_bits() + 1 } else { t.to_bits() - 1 });
+        // T = 0, every grid node and its two neighbours, the midpoints (the
+        // largest Taylor step), both sides of the asymptotic crossover, and a
+        // sweep that is incommensurate with the grid out to T = 60.
+        let mut ts = vec![0.0, f64::MIN_POSITIVE, T_LARGE, ulp(T_LARGE, true), ulp(T_LARGE, false)];
+        for i in 1..NODES {
+            let t0 = i as f64 * STEP;
+            ts.extend([ulp(t0, false), t0, ulp(t0, true), t0 - 0.5 * STEP, ulp(t0 - 0.5 * STEP, false)]);
         }
-        assert!(worst < 5e-10, "table worst-case error {worst}");
+        ts.extend((0..1617).map(|i| i as f64 * 0.0371));
+        assert!(*ts.last().unwrap() > 59.9);
+        let (worst, at) = ts
+            .iter()
+            .map(|&t| (table_rel_err(t), t))
+            .fold((0.0, 0.0), |a, b| if b.0 > a.0 { b } else { a });
+        assert!(worst <= 5e-14, "table worst relative error {worst:e} at T = {at}");
     }
 
     #[test]
     fn batch_matches_eval_bitwise() {
-        let table = shared_table(10);
+        let table = shared_table();
         let ts: Vec<f64> = (0..600).map(|i| i as f64 * 0.1).collect();
         let mut batch = Vec::new();
         table.eval_batch(10, &ts, &mut batch);
@@ -315,18 +316,17 @@ mod tests {
         /// interior, grid edge, and asymptotic tail) at every order.
         #[test]
         fn batch_matches_reference(
-            m in 0usize..17,
+            m in 0usize..M_MAX + 1,
             ts in proptest::collection::vec(0.0f64..80.0, 1..40)
         ) {
-            let table = shared_table(16);
             let mut batch = Vec::new();
-            table.eval_batch(m, &ts, &mut batch);
+            shared_table().eval_batch(m, &ts, &mut batch);
             let mut refv = [0.0f64; M_MAX + 1];
             for (row, &t) in batch.chunks_exact(m + 1).zip(&ts) {
                 boys_reference(m, t, &mut refv);
                 for k in 0..=m {
                     prop_assert!(
-                        (row[k] - refv[k]).abs() < 5e-10,
+                        (row[k] - refv[k]).abs() <= 5e-14 * refv[k],
                         "t={} m={} k={}: {} vs {}", t, m, k, row[k], refv[k]
                     );
                 }
@@ -336,10 +336,9 @@ mod tests {
 
     #[test]
     fn table_rejects_orders_beyond_capacity() {
-        let table = BoysTable::new(4);
-        let mut out = [0.0f64; 8];
+        let mut out = [0.0f64; M_MAX + 2];
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            table.eval(6, 1.0, &mut out)
+            shared_table().eval(M_MAX + 1, 1.0, &mut out)
         }));
         assert!(r.is_err());
     }

@@ -4,43 +4,43 @@
 //! Per shell pair, the Hermite expansion matrices `E` are precomputed for
 //! every surviving primitive pair, with the Cartesian→spherical transform
 //! *folded in* so the two basis-transformation GEMMs emit spherical-AO
-//! integrals directly. A shell quartet is then evaluated as
+//! integrals directly, and stored once, stacked over the pair's primitives.
+//! A shell quartet is then two GEMMs with the contraction inside them:
 //!
 //! ```text
-//! for each ket primitive pair i:
-//!     (ab|q]   = Σ_j  E_AB^(j) · [p|q]^(ji)      // GEMM accumulate
-//!     (ab|cd) += (ab|q] · (E_CD^(i))ᵀ            // GEMM
+//! (ab|Q]  = E_AB · [P|Q]        (nab × K_AB·h_bra) · (K_AB·h_bra × K_CD·h_ket)
+//! (ab|cd) = (ab|Q] · E_CDᵀ      (nab × K_CD·h_ket) · (K_CD·h_ket × ncd)
 //! ```
 //!
-//! where `[p|q]_{tuv,τνφ} = (−1)^{τ+ν+φ} · 2π^{5/2}/(pq√(p+q)) ·
-//! R^{(0)}_{t+τ, u+ν, v+φ}` and the `R` tensor comes from the Boys-seeded
-//! recursion in [`crate::hermite`].
+//! where `[P|Q]` stacks the `K_AB × K_CD` primitive blocks
+//! `[p|q]_{tuv,τνφ} = (−1)^{τ+ν+φ} · 2π^{5/2}/(pq√(p+q)) ·
+//! R^{(0)}_{t+τ, u+ν, v+φ}`, the `R` tensor comes from the Boys-seeded
+//! recursion in [`crate::hermite`] and the Boys values from the shared
+//! [`crate::boys::BoysTable`].
 //!
 //! This module is the *numerical* engine; `mako-kernels` wraps the same
 //! math in simulated-device pipelines (fused/unfused, quantized, batched).
 
-use crate::boys::boys_reference;
+use crate::boys::{shared_table, M_MAX};
 use crate::hermite::{e_matrix, r_integrals_into};
 use crate::tensor::Tensor4;
 use mako_chem::cart::{hermite_components, hermite_index_map, ncart, nherm, nsph};
 use mako_chem::harmonics::cart_to_sph;
 use mako_chem::Shell;
 use mako_linalg::{gemm_into, Matrix, Transpose};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-/// Primitive-pair data of a shell pair: composite exponent, Gaussian-product
-/// center, and the spherical-folded Hermite expansion matrix (contraction
-/// coefficients included).
+/// Geometry of one primitive pair of a shell pair: composite exponent and
+/// Gaussian-product center. Its `E` matrix is a block of
+/// [`ShellPairData::e`].
 #[derive(Debug, Clone)]
 pub struct PrimPair {
     /// Composite exponent p = a + b.
     pub p: f64,
     /// Gaussian product center P = (aA + bB)/p.
     pub center: [f64; 3],
-    /// `(nsph_a · nsph_b) × nherm(la+lb)` spherical E matrix with the
-    /// contraction coefficient folded in.
-    pub e_sph: Matrix,
 }
 
 /// Precomputed shell-pair data — the static intermediate CompilerMako's
@@ -53,6 +53,12 @@ pub struct ShellPairData {
     pub lb: usize,
     /// Surviving primitive pairs.
     pub prims: Vec<PrimPair>,
+    /// The pair's spherical E matrices (contraction coefficients folded in),
+    /// transposed and stacked over `prims`: `(K · nherm) × nsph_pair`, row
+    /// `i · nherm + h` holding primitive `i`'s Hermite component `h`. Read
+    /// transposed it is the bra operand `E_AB` of the first transform, as
+    /// stored the ket operand `E_CDᵀ` of the second.
+    pub e: Matrix,
     /// Spherical pair dimension `nsph(la)·nsph(lb)`.
     pub nsph_pair: usize,
     /// Hermite dimension `nherm(la+lb)`.
@@ -69,10 +75,29 @@ impl ShellPairData {
     pub fn degree(&self) -> usize {
         self.prims.len()
     }
+
+    /// Primitive `i`'s block of [`ShellPairData::e`]: its `nsph_pair × nherm`
+    /// E matrix, transposed (`nherm × nsph_pair`, row-major).
+    pub fn e_block(&self, i: usize) -> &[f64] {
+        let len = self.nherm * self.nsph_pair;
+        &self.e.as_slice()[i * len..(i + 1) * len]
+    }
 }
+
+/// Version of the FP64 quartet's numerics: bumped whenever its bits move (the
+/// Boys evaluator, the summation order of the transforms). Whatever persists
+/// values computed from quartets across processes — the server's "screen"
+/// artifact holds Schwarz bounds — keys them by it.
+///
+/// 1: table Boys values, primitives contracted inside two stacked GEMMs
+/// (0, implicit: series Boys values, one GEMM pair per primitive pair).
+pub const QUARTET_NUMERICS_VERSION: u64 = 1;
 
 /// Negligibility threshold for primitive-pair prefactors.
 const PRIM_SCREEN: f64 = 1e-16;
+
+/// `2π^{5/2}`, the Coulomb prefactor of `[p|q]`.
+pub const TWO_PI_POW_2_5: f64 = 34.986_836_655_249_725;
 
 /// Cached Kronecker products `C_a ⊗ C_b` of the cart→sph matrices, shared
 /// by every engine that folds the spherical transform into its GEMMs.
@@ -124,7 +149,10 @@ pub fn shell_pair(sa: &Shell, sb: &Shell) -> ShellPairData {
     let ncart_pair = ncart(la) * ncart(lb);
     let nh = nherm(la + lb);
     let transform = sph_pair_transform(la, lb);
+    let nsph_pair = transform.rows();
     let mut prims = Vec::new();
+    let mut stack = Vec::new();
+    let mut e_sph = Matrix::zeros(nsph_pair, nh);
     for (i, &a) in sa.exps.iter().enumerate() {
         for (j, &b) in sb.exps.iter().enumerate() {
             let coef = sa.coefs[i] * sb.coefs[j];
@@ -139,16 +167,19 @@ pub fn shell_pair(sa: &Shell, sb: &Shell) -> ShellPairData {
                 (a * sa.center[2] + b * sb.center[2]) / p,
             ];
             let e_cart = Matrix::from_vec(ncart_pair, nh, e_matrix(la, lb, a, b, ab));
-            let mut e_sph = Matrix::zeros(transform.rows(), nh);
             gemm_into(coef, transform, Transpose::No, &e_cart, Transpose::No, 0.0, &mut e_sph);
-            prims.push(PrimPair { p, center, e_sph });
+            for h in 0..nh {
+                stack.extend((0..nsph_pair).map(|s| e_sph[(s, h)]));
+            }
+            prims.push(PrimPair { p, center });
         }
     }
     ShellPairData {
         la,
         lb,
+        e: Matrix::from_vec(prims.len() * nh, nsph_pair, stack),
         prims,
-        nsph_pair: nsph(la) * nsph(lb),
+        nsph_pair,
         nherm: nh,
     }
 }
@@ -162,12 +193,10 @@ pub struct PqIndex {
     pub combined: Vec<usize>,
     /// `(−1)^{τ+ν+φ}` per ket index.
     pub ket_sign: Vec<f64>,
-    nherm_ket: usize,
 }
 
 impl PqIndex {
-    /// Build the table for the given bra/ket Hermite orders.
-    pub fn new(l_bra: usize, l_ket: usize) -> PqIndex {
+    fn build(l_bra: usize, l_ket: usize) -> PqIndex {
         let bra = hermite_components(l_bra);
         let ket = hermite_components(l_ket);
         let map: HashMap<(usize, usize, usize), usize> = hermite_index_map(l_bra + l_ket);
@@ -181,25 +210,28 @@ impl PqIndex {
             .iter()
             .map(|&(t, u, v)| if (t + u + v) % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        PqIndex {
-            combined,
-            ket_sign,
-            nherm_ket: ket.len(),
-        }
+        PqIndex { combined, ket_sign }
     }
 }
 
-/// Reusable workspace for repeated `[p|q]` assembly: Boys values, the
-/// Hermite recursion buffer, and the `R_tuv` result. One instance per
-/// worker thread amortizes every allocation in the per-primitive hot loop.
+/// The process-wide [`PqIndex`] of a `(l_bra, l_ket)` class, built on first
+/// use: a lock-free read afterwards, so the per-quartet routine looks it up
+/// itself instead of having every caller build and thread one through.
+pub fn pq_index(l_bra: usize, l_ket: usize) -> &'static PqIndex {
+    /// Pair orders up to g + g.
+    const L_PAIR: usize = 8;
+    static TABLES: [[OnceLock<PqIndex>; L_PAIR + 1]; L_PAIR + 1] =
+        [const { [const { OnceLock::new() }; L_PAIR + 1] }; L_PAIR + 1];
+    TABLES[l_bra][l_ket].get_or_init(|| PqIndex::build(l_bra, l_ket))
+}
+
+/// Reusable workspace of the Hermite recursion behind one `[p|q]` block.
 #[derive(Default)]
 pub struct PqScratch {
-    /// `F_0..F_l` for the current primitive pair.
-    pub boys: Vec<f64>,
     /// Hermite `R` recursion workspace (see [`r_integrals_into`]).
-    pub rbuf: Vec<f64>,
+    rbuf: Vec<f64>,
     /// Hermite Coulomb integrals `R_tuv` in component order.
-    pub r: Vec<f64>,
+    r: Vec<f64>,
 }
 
 /// Geometric precursors of one primitive-pair combination: the reduced
@@ -217,139 +249,190 @@ pub fn pq_geometry(bra: &PrimPair, ket: &PrimPair) -> (f64, [f64; 3], f64) {
     (alpha, pq, t)
 }
 
-/// Assemble the `[p|q]` matrix for one primitive-pair × primitive-pair
-/// combination.
-pub fn pq_matrix(bra: &PrimPair, ket: &PrimPair, l_bra: usize, l_ket: usize, idx: &PqIndex) -> Matrix {
-    let mut scratch = PqScratch::default();
-    let mut m = Matrix::zeros(nherm(l_bra), nherm(l_ket));
-    pq_matrix_into(bra, ket, l_bra, l_ket, idx, &mut scratch, &mut m);
-    m
-}
-
-/// Allocation-free [`pq_matrix`]: full-precision Boys values via
-/// [`boys_reference`], result written into `out` (reshaped in place). This
-/// is the FP64-path workhorse.
-pub fn pq_matrix_into(
-    bra: &PrimPair,
-    ket: &PrimPair,
-    l_bra: usize,
-    l_ket: usize,
-    idx: &PqIndex,
-    scratch: &mut PqScratch,
-    out: &mut Matrix,
-) {
-    let l_tot = l_bra + l_ket;
-    let (_, _, t) = pq_geometry(bra, ket);
-    scratch.boys.clear();
-    scratch.boys.resize(l_tot + 1, 0.0);
-    boys_reference(l_tot, t, &mut scratch.boys);
-    let boys = std::mem::take(&mut scratch.boys);
-    pq_matrix_from_boys(bra, ket, l_bra, l_ket, idx, &boys, scratch, out);
-    scratch.boys = boys;
-}
-
-/// Assemble `[p|q]` from caller-provided Boys values `F_0..F_{l_bra+l_ket}`
-/// — the quantized pipeline evaluates them in bulk per quartet through
-/// [`crate::boys::BoysTable::eval_batch`] and feeds each row here.
+/// Assemble the `h_bra × h_ket` block `[p|q]` of one primitive-pair
+/// combination from its Boys values `F_0..=F_{l_bra+l_ket}` and its
+/// [`pq_geometry`] precursors into `out`, whose rows are `ld` apart — `h_ket`
+/// for a matrix of its own (the quantized pipeline rounds each block
+/// separately), the stacked operand's width inside [`eri_quartet_mmd_into`].
 #[allow(clippy::too_many_arguments)]
-pub fn pq_matrix_from_boys(
+#[inline]
+pub fn pq_block_into(
     bra: &PrimPair,
     ket: &PrimPair,
-    l_bra: usize,
-    l_ket: usize,
-    idx: &PqIndex,
-    boys: &[f64],
-    scratch: &mut PqScratch,
-    out: &mut Matrix,
-) {
-    let (alpha, pq, _) = pq_geometry(bra, ket);
-    pq_matrix_from_boys_geom(bra, ket, l_bra, l_ket, idx, alpha, pq, boys, scratch, out);
-}
-
-/// [`pq_matrix_from_boys`] with the [`pq_geometry`] precursors supplied by
-/// the caller — the quantized pipeline already computes them while gathering
-/// the quartet's Boys arguments, so the hot loop passes them back in instead
-/// of re-deriving the same `(α, P−Q)` per combination.
-#[allow(clippy::too_many_arguments)]
-pub fn pq_matrix_from_boys_geom(
-    bra: &PrimPair,
-    ket: &PrimPair,
-    l_bra: usize,
-    l_ket: usize,
     idx: &PqIndex,
     alpha: f64,
     pq: [f64; 3],
     boys: &[f64],
     scratch: &mut PqScratch,
-    out: &mut Matrix,
+    out: &mut [f64],
+    ld: usize,
 ) {
-    let p = bra.p;
-    let q = ket.p;
-    let l_tot = l_bra + l_ket;
-    r_integrals_into(l_tot, alpha, pq, boys, &mut scratch.rbuf, &mut scratch.r);
-
-    let prefac = 2.0 * std::f64::consts::PI.powf(2.5) / (p * q * (p + q).sqrt());
-    let nb = nherm(l_bra);
-    let nk = nherm(l_ket);
-    debug_assert_eq!(idx.nherm_ket, nk);
-    out.reset(nb, nk);
-    let data = out.as_mut_slice();
+    let (p, q) = (bra.p, ket.p);
+    r_integrals_into(boys.len() - 1, alpha, pq, boys, &mut scratch.rbuf, &mut scratch.r);
+    let prefac = TWO_PI_POW_2_5 / (p * q * (p + q).sqrt());
+    let nk = idx.ket_sign.len();
     let r = &scratch.r;
-    for (flat, &ci) in idx.combined.iter().enumerate() {
-        let kj = flat % nk;
-        data[flat] = prefac * idx.ket_sign[kj] * r[ci];
+    for (row, combined) in idx.combined.chunks_exact(nk).enumerate() {
+        let dst = &mut out[row * ld..row * ld + nk];
+        for ((x, &ci), &sign) in dst.iter_mut().zip(combined).zip(&idx.ket_sign) {
+            *x = prefac * sign * r[ci];
+        }
     }
+}
+
+/// Per-thread workspace of [`eri_quartet_mmd_into`], sized by the class of
+/// the last quartet alone.
+#[derive(Default)]
+struct QuartetScratch {
+    /// The stacked `[P|Q]` operand.
+    pq: Matrix,
+    /// The half-transformed `(ab|Q]`.
+    abq: Matrix,
+    hermite: PqScratch,
+}
+
+thread_local! {
+    static QSCRATCH: RefCell<QuartetScratch> = RefCell::new(QuartetScratch::default());
 }
 
 /// Evaluate a shell quartet `(ab|cd)` in the spherical AO basis via the
 /// matrix-aligned MMD pipeline. This is the FP64 reference every other
 /// pipeline (quantized, fused, baseline) is validated against.
 pub fn eri_quartet_mmd(pab: &ShellPairData, pcd: &ShellPairData) -> Tensor4 {
-    let idx = PqIndex::new(pab.l_total(), pcd.l_total());
-    eri_quartet_mmd_with(pab, pcd, &idx)
+    let mut t = Tensor4::zeros([0; 4]);
+    eri_quartet_mmd_into(pab, pcd, &mut t);
+    t
 }
 
-/// Same as [`eri_quartet_mmd`] but with a caller-provided [`PqIndex`]
-/// (batched pipelines reuse it across every quartet of an ERI class).
-pub fn eri_quartet_mmd_with(pab: &ShellPairData, pcd: &ShellPairData, idx: &PqIndex) -> Tensor4 {
-    let na = nsph(pab.la);
-    let nb = nsph(pab.lb);
-    let nc = nsph(pcd.la);
-    let nd = nsph(pcd.lb);
-    let mut out = Matrix::zeros(pab.nsph_pair, pcd.nsph_pair);
-
-    let mut abq = Matrix::zeros(pab.nsph_pair, pcd.nherm);
-    let mut scratch = PqScratch::default();
-    let mut pq = Matrix::zeros(nherm(pab.l_total()), nherm(pcd.l_total()));
-    for ket in &pcd.prims {
-        // Reset the (ab|q] accumulator for this ket primitive.
-        for x in abq.as_mut_slice() {
-            *x = 0.0;
-        }
-        for bra in &pab.prims {
-            pq_matrix_into(bra, ket, pab.l_total(), pcd.l_total(), idx, &mut scratch, &mut pq);
-            gemm_into(1.0, &bra.e_sph, Transpose::No, &pq, Transpose::No, 1.0, &mut abq);
-        }
-        gemm_into(1.0, &abq, Transpose::No, &ket.e_sph, Transpose::Yes, 1.0, &mut out);
-    }
-
-    let mut t = Tensor4::zeros([na, nb, nc, nd]);
-    for ia in 0..na {
-        for ib in 0..nb {
-            for ic in 0..nc {
-                for id in 0..nd {
-                    t.set(ia, ib, ic, id, out[(ia * nb + ib, ic * nd + id)]);
-                }
+/// [`eri_quartet_mmd`] into the caller's tensor (reshaped, its allocation
+/// reused) — the one FP64 quartet routine of the tree: every `[p|q]` block of
+/// the quartet goes into one stacked operand, and two GEMMs against the
+/// pairs' E stacks contract primitives and Hermite components together, the
+/// second writing straight into `t`.
+pub fn eri_quartet_mmd_into(pab: &ShellPairData, pcd: &ShellPairData, t: &mut Tensor4) {
+    let (l_bra, l_ket) = (pab.l_total(), pcd.l_total());
+    let l_tot = l_bra + l_ket;
+    let idx = pq_index(l_bra, l_ket);
+    let table = shared_table();
+    let (hb, hk) = (pab.nherm, pcd.nherm);
+    let cols = pcd.degree() * hk;
+    t.reset([nsph(pab.la), nsph(pab.lb), nsph(pcd.la), nsph(pcd.lb)]);
+    QSCRATCH.with(|s| {
+        let mut s = s.borrow_mut();
+        let QuartetScratch { pq, abq, hermite } = &mut *s;
+        // Every element is written below.
+        pq.reshape(pab.degree() * hb, cols);
+        let stacked = pq.as_mut_slice();
+        let mut boys = [0.0f64; M_MAX + 1];
+        for (bi, bra) in pab.prims.iter().enumerate() {
+            for (ki, ket) in pcd.prims.iter().enumerate() {
+                let (alpha, sep, t_arg) = pq_geometry(bra, ket);
+                table.eval(l_tot, t_arg, &mut boys);
+                let block = &mut stacked[bi * hb * cols + ki * hk..];
+                pq_block_into(bra, ket, idx, alpha, sep, &boys[..=l_tot], hermite, block, cols);
             }
         }
-    }
-    t
+        abq.reset(pab.nsph_pair, cols);
+        gemm_into(1.0, &pab.e, Transpose::Yes, pq, Transpose::No, 1.0, abq);
+        // `t` is row-major over `(ia·nb + ib, ic·nd + id)`: GEMM 2's `C`.
+        let mut out = Matrix::from_vec(pab.nsph_pair, pcd.nsph_pair, std::mem::take(&mut t.data));
+        gemm_into(1.0, abq, Transpose::No, &pcd.e, Transpose::No, 1.0, &mut out);
+        t.data = out.into_vec();
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boys::boys_reference;
     use mako_chem::Shell;
+    use proptest::prelude::*;
+
+    #[test]
+    fn coulomb_prefactor_constant_is_the_computed_one() {
+        let computed = 2.0 * std::f64::consts::PI.powf(2.5);
+        assert_eq!(TWO_PI_POW_2_5.to_bits(), computed.to_bits());
+    }
+
+    #[test]
+    fn pq_index_is_built_once_per_class() {
+        assert!(std::ptr::eq(pq_index(2, 1), pq_index(2, 1)));
+        assert_eq!(pq_index(2, 1).combined.len(), nherm(2) * nherm(1));
+        assert_eq!(pq_index(1, 2).ket_sign.len(), nherm(2));
+    }
+
+    /// The formula this module evaluated before it stacked primitives, with
+    /// the series Boys values and plain loops: per ket primitive,
+    /// `(ab|q] = Σ_bra E_AB · [p|q]`, then `(ab|cd) += (ab|q] · E_CDᵀ`.
+    fn per_primitive_quartet(pab: &ShellPairData, pcd: &ShellPairData) -> Vec<f64> {
+        let (l_bra, l_ket) = (pab.l_total(), pcd.l_total());
+        let idx = pq_index(l_bra, l_ket);
+        let (nab, ncd, hb, hk) = (pab.nsph_pair, pcd.nsph_pair, pab.nherm, pcd.nherm);
+        let mut scratch = PqScratch::default();
+        let mut boys = vec![0.0; l_bra + l_ket + 1];
+        let mut pq = vec![0.0; hb * hk];
+        let mut out = vec![0.0; nab * ncd];
+        for (ki, ket) in pcd.prims.iter().enumerate() {
+            let e_cd = pcd.e_block(ki);
+            let mut abq = vec![0.0; nab * hk];
+            for (bi, bra) in pab.prims.iter().enumerate() {
+                let e_ab = pab.e_block(bi);
+                let (alpha, sep, t) = pq_geometry(bra, ket);
+                boys_reference(l_bra + l_ket, t, &mut boys);
+                pq_block_into(bra, ket, idx, alpha, sep, &boys, &mut scratch, &mut pq, hk);
+                for s in 0..nab {
+                    for k in 0..hk {
+                        abq[s * hk + k] += (0..hb).map(|h| e_ab[h * nab + s] * pq[h * hk + k]).sum::<f64>();
+                    }
+                }
+            }
+            for s in 0..nab {
+                for c in 0..ncd {
+                    out[s * ncd + c] += (0..hk).map(|k| abq[s * hk + k] * e_cd[k * ncd + c]).sum::<f64>();
+                }
+            }
+        }
+        out
+    }
+
+    /// A contracted shell of 1..=`max_prims` primitives from six unit draws.
+    fn random_shell(l: usize, max_prims: usize, u: &[f64; 6]) -> Shell {
+        let n = 1 + (u[0] * max_prims as f64) as usize % max_prims;
+        mako_chem::basis::ShellDef {
+            l,
+            exps: (0..n).map(|i| (0.3 + 2.5 * u[1]) * 2.7f64.powi(i as i32)).collect(),
+            coefs: (0..n).map(|i| 0.3 + u[2] + 0.2 * i as f64).collect(),
+        }
+        .at(0, [2.0 * u[3] - 1.0, 2.0 * u[4] - 1.0, 2.0 * u[5] - 1.0])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Stacking the primitives into two GEMMs (and the table Boys values)
+        /// moves a quartet by rounding only: contraction degrees up to 6 a
+        /// pair, shells up to f.
+        #[test]
+        fn stacked_quartet_matches_the_per_primitive_formula(
+            ls in proptest::collection::vec(0usize..4, 4..5),
+            draws in proptest::collection::vec(0.0f64..1.0, 24..25),
+        ) {
+            let shell = |i: usize, max_prims| {
+                random_shell(ls[i], max_prims, draws[6 * i..6 * i + 6].try_into().unwrap())
+            };
+            let pab = shell_pair(&shell(0, 3), &shell(1, 2));
+            let pcd = shell_pair(&shell(2, 2), &shell(3, 3));
+            let stacked = eri_quartet_mmd(&pab, &pcd);
+            let reference = per_primitive_quartet(&pab, &pcd);
+            let scale = 1.0 + stacked.max_abs();
+            for (i, (&a, &b)) in stacked.data.iter().zip(&reference).enumerate() {
+                prop_assert!(
+                    (a - b).abs() <= 1e-13 * scale,
+                    "({}{}|{}{}) K = {}x{}, element {}: {} vs {}",
+                    ls[0], ls[1], ls[2], ls[3], pab.degree(), pcd.degree(), i, a, b
+                );
+            }
+        }
+    }
 
     fn s_shell(center: [f64; 3], exp: f64) -> Shell {
         let def = mako_chem::basis::ShellDef {

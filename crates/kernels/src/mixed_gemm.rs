@@ -15,16 +15,10 @@ use mako_precision::Precision;
 
 /// Round `src`, pre-scaled by `scale`, into `dst` (overwritten) — the
 /// "load into tensor-core registers" step, split out so pipelines can
-/// pre-round loop-invariant operands once per quartet.
+/// pre-round loop-invariant operands once per pair. Delegates to the batched
+/// converter in `mako-precision` (hardware F16C on hosts that have it,
+/// bit-identical to the scalar path).
 pub fn round_into(input: Precision, scale: f64, src: &[f64], dst: &mut Vec<f64>) {
     dst.clear();
-    round_into_extend(input, scale, src, dst);
-}
-
-/// [`round_into`] that appends to `dst` instead of overwriting — used to
-/// concatenate the pre-rounded per-primitive operand blocks of a quartet.
-/// Delegates to the batched converter in `mako-precision` (hardware F16C on
-/// hosts that have it, bit-identical to the scalar path).
-pub fn round_into_extend(input: Precision, scale: f64, src: &[f64], dst: &mut Vec<f64>) {
     input.round_scaled_extend(scale, src, dst);
 }

@@ -1,15 +1,18 @@
 //! The KernelMako execution pipelines: real quartet numerics + simulated
 //! device cost, per ERI-class batch.
 
-use crate::mixed_gemm::{round_into, round_into_extend};
+use crate::mixed_gemm::round_into;
 use std::cell::RefCell;
 use mako_accel::{CostModel, KernelProfile, SmemLayout};
 use mako_eri::batch::{EriClass, QuartetBatch};
-use mako_eri::mmd::{pq_geometry, pq_matrix_from_boys_geom, pq_matrix_into, PqIndex, PqScratch};
+use mako_eri::mmd::{
+    eri_quartet_mmd_into, pq_block_into, pq_geometry, pq_index, PqIndex, PqScratch,
+    TWO_PI_POW_2_5,
+};
 use mako_eri::screening::ScreenedPair;
 use mako_eri::tensor::Tensor4;
 use mako_chem::cart::{nherm, nsph};
-use mako_linalg::{gemm_into, gemm_rounded_engine, Matrix, Transpose};
+use mako_linalg::{gemm_rounded_engine, Matrix, Transpose};
 use mako_precision::{Precision, ScalePolicy};
 use rayon::prelude::*;
 
@@ -421,12 +424,8 @@ pub fn batch_group_scale(
         ScalePolicy::PerGroup => {
             let mut m = 0.0f64;
             for (pi, qi) in quartets {
-                for pp in &pairs[pi].data.prims {
-                    m = m.max(pp.e_sph.max_abs());
-                }
-                for pp in &pairs[qi].data.prims {
-                    m = m.max(pp.e_sph.max_abs());
-                }
+                m = m.max(pairs[pi].data.e.max_abs());
+                m = m.max(pairs[qi].data.e.max_abs());
             }
             if m > 0.0 {
                 target / m
@@ -438,27 +437,35 @@ pub fn batch_group_scale(
     }
 }
 
-/// A reusable per-class quartet evaluator: owns the `[p|q]` index table, the
-/// pipeline configuration, and the frozen group scale, so chunked callers
-/// (the parallel Fock assembly engine) evaluate quartets without rebuilding
-/// per-class state.
+/// A reusable per-class quartet evaluator: owns the pipeline configuration,
+/// the frozen group scale and (quantized configurations) the rounded-operand
+/// cache, so chunked callers (the parallel Fock assembly engine) evaluate
+/// quartets without rebuilding per-class state.
 pub struct QuartetRunner {
-    idx: PqIndex,
+    idx: &'static PqIndex,
     cfg: PipelineConfig,
     e_scale: f64,
     target: f64,
+    /// `None` for FP64, which never rounds.
     rounded: Option<RoundedPairCache>,
 }
 
 /// One shell pair's `E` matrices rounded at the frozen group scale: the
-/// per-primitive `round(e_sph · e_scale)` blocks, concatenated, with
-/// `off[i]` the start of primitive `i`'s block. A quartet reads its bra's
-/// entry as the A operand of the first transform and its ket's per-primitive
-/// blocks as the (transposed) B operand of the second — both consume the
-/// same rounded data, so a single entry serves a pair in either role.
+/// per-primitive `round(E · e_scale)` blocks, each `nsph_pair × nherm`
+/// row-major, concatenated. A quartet reads its bra's entry as the A operand
+/// of the first transform and its ket's per-primitive blocks as the
+/// (transposed) B operand of the second — both consume the same rounded
+/// data, so a single entry serves a pair in either role.
 struct RoundedPair {
     flat: Vec<f64>,
-    off: Vec<usize>,
+    /// Length of one primitive's block.
+    block: usize,
+}
+
+impl RoundedPair {
+    fn block(&self, i: usize) -> &[f64] {
+        &self.flat[i * self.block..(i + 1) * self.block]
+    }
 }
 
 /// Lazily-initialized per-batch cache of [`RoundedPair`]s, indexed by
@@ -487,59 +494,49 @@ impl RoundedPairCache {
 
     fn get(&self, i: usize, pair: &ScreenedPair) -> &RoundedPair {
         self.slots[i].get_or_init(|| {
-            let mut flat = Vec::new();
-            let mut off = Vec::with_capacity(pair.data.prims.len());
-            for prim in &pair.data.prims {
-                off.push(flat.len());
-                round_into_extend(self.precision, self.e_scale, prim.e_sph.as_slice(), &mut flat);
+            // The pair stores its blocks transposed (`nherm × nsph_pair`):
+            // round the whole stack in one batch, then lay each block out the
+            // way the per-primitive transforms read it.
+            let data = &pair.data;
+            let (nh, ns) = (data.nherm, data.nsph_pair);
+            let mut stacked = Vec::new();
+            round_into(self.precision, self.e_scale, data.e.as_slice(), &mut stacked);
+            let mut flat = Vec::with_capacity(stacked.len());
+            for block in stacked.chunks_exact(nh * ns) {
+                for s in 0..ns {
+                    flat.extend((0..nh).map(|h| block[h * ns + s]));
+                }
             }
-            RoundedPair { flat, off }
+            RoundedPair { flat, block: nh * ns }
         })
     }
 }
 
 impl QuartetRunner {
-    /// Build a runner for one ERI class. `e_scale` must come from
-    /// [`batch_group_scale`] over the *full* quartet population the runner
-    /// will serve (see there).
-    pub fn new(class: &EriClass, cfg: &PipelineConfig, e_scale: f64) -> QuartetRunner {
-        QuartetRunner {
-            idx: PqIndex::new(class.l_bra(), class.l_ket()),
-            cfg: *cfg,
-            e_scale,
-            target: Precision::Fp16.max_finite().sqrt() / 4.0,
-            rounded: None,
-        }
-    }
-
-    /// [`QuartetRunner::new`] plus a rounded-operand cache over a screened
-    /// pair population of `npairs` — quartets submitted through
-    /// [`QuartetRunner::run_indexed`] then share each pair's rounded `E`
-    /// blocks instead of re-rounding them per quartet. (The FP64 pipeline
-    /// never rounds, so it skips the cache entirely.)
+    /// Build a runner for one ERI class over a screened pair population of
+    /// `npairs`. `e_scale` must come from [`batch_group_scale`] over the
+    /// *full* quartet population the runner will serve (see there); quartets
+    /// of a quantized configuration then share each pair's rounded `E` blocks
+    /// instead of re-rounding them per quartet.
     pub fn for_pairs(
         class: &EriClass,
         cfg: &PipelineConfig,
         e_scale: f64,
         npairs: usize,
     ) -> QuartetRunner {
-        let mut runner = QuartetRunner::new(class, cfg, e_scale);
-        if cfg.precision != Precision::Fp64 {
-            runner.rounded = Some(RoundedPairCache::new(cfg, e_scale, npairs));
+        QuartetRunner {
+            idx: pq_index(class.l_bra(), class.l_ket()),
+            cfg: *cfg,
+            e_scale,
+            target: Precision::Fp16.max_finite().sqrt() / 4.0,
+            rounded: (cfg.precision != Precision::Fp64)
+                .then(|| RoundedPairCache::new(cfg, e_scale, npairs)),
         }
-        runner
     }
 
-    /// Evaluate one quartet into `out`, reusing its allocation.
-    pub fn run_into(&self, pab: &ScreenedPair, pcd: &ScreenedPair, out: &mut Tensor4) {
-        quartet_numerics_into(
-            pab, pcd, &self.idx, &self.cfg, self.e_scale, self.target, None, out,
-        );
-    }
-
-    /// [`QuartetRunner::run_into`] by screened-pair index, hitting the
-    /// rounded-operand cache of [`QuartetRunner::for_pairs`] (identical
-    /// bits either way — the cache only memoizes a pure function).
+    /// Evaluate the quartet of screened pairs `(pi, qi)` into `out`, reusing
+    /// its allocation: the FP64 routine of `mako-eri`, or the quantized
+    /// per-primitive pipeline on the cached rounded operands.
     pub fn run_indexed(
         &self,
         pairs: &[ScreenedPair],
@@ -548,20 +545,13 @@ impl QuartetRunner {
         out: &mut Tensor4,
     ) {
         let (pab, pcd) = (&pairs[pi], &pairs[qi]);
-        let rounded = self
-            .rounded
-            .as_ref()
-            .map(|c| (c.get(pi, pab), c.get(qi, pcd)));
-        quartet_numerics_into(
-            pab, pcd, &self.idx, &self.cfg, self.e_scale, self.target, rounded, out,
-        );
-    }
-
-    /// Evaluate one quartet into a fresh tensor.
-    pub fn run(&self, pab: &ScreenedPair, pcd: &ScreenedPair) -> Tensor4 {
-        let mut t = Tensor4::zeros([0; 4]);
-        self.run_into(pab, pcd, &mut t);
-        t
+        match &self.rounded {
+            None => eri_quartet_mmd_into(&pab.data, &pcd.data, out),
+            Some(cache) => {
+                let rounded = (cache.get(pi, pab), cache.get(qi, pcd));
+                quantized_quartet_into(self, pab, pcd, rounded, out);
+            }
+        }
     }
 }
 
@@ -599,17 +589,16 @@ pub fn run_batch(
     }
 }
 
-/// Per-thread workspace for [`quartet_numerics_into`]: every matrix,
+/// Per-thread workspace for [`quantized_quartet_into`]: every matrix,
 /// Boys batch, and rounded-operand buffer of the per-quartet hot loop is
 /// reused across the (tens of thousands of) quartets a worker evaluates.
+#[derive(Default)]
 struct QuartetScratch {
-    /// `(ab|cd)` spherical-pair accumulator.
-    out: Matrix,
     /// `(ab|q]` half-transformed accumulator.
     abq: Matrix,
     /// `[p|q]` matrix of the current primitive-pair combination.
     pq: Matrix,
-    /// Hermite/Boys workspace for `[p|q]` assembly.
+    /// Hermite workspace for `[p|q]` assembly.
     pqs: PqScratch,
     /// Boys arguments for every (ket, bra) combination of the quartet.
     ts: Vec<f64>,
@@ -618,235 +607,141 @@ struct QuartetScratch {
     geom: Vec<(f64, [f64; 3])>,
     /// Batched Boys rows (stride `l_tot + 1`).
     boys: Vec<f64>,
-    /// Pre-rounded bra `E_AB` operands, concatenated per primitive.
-    ra: Vec<f64>,
-    /// Start offset of each bra primitive's block in `ra`.
-    ra_off: Vec<usize>,
     /// Rounded `[p|q]` of the current combination.
     rb: Vec<f64>,
     /// Rounded `(ab|q]` for the second transform.
     rabq: Vec<f64>,
-    /// Rounded ket `E_CD` (untransposed; the engine reads it transposed).
-    rcd: Vec<f64>,
 }
 
 thread_local! {
-    static QSCRATCH: RefCell<QuartetScratch> = RefCell::new(QuartetScratch {
-        out: Matrix::zeros(0, 0),
-        abq: Matrix::zeros(0, 0),
-        pq: Matrix::zeros(0, 0),
-        pqs: PqScratch::default(),
-        ts: Vec::new(),
-        geom: Vec::new(),
-        boys: Vec::new(),
-        ra: Vec::new(),
-        ra_off: Vec::new(),
-        rb: Vec::new(),
-        rabq: Vec::new(),
-        rcd: Vec::new(),
-    });
+    static QSCRATCH: RefCell<QuartetScratch> = RefCell::new(QuartetScratch::default());
 }
 
-#[allow(clippy::too_many_arguments)]
-fn quartet_numerics_into(
+/// The quantized quartet: per primitive-pair combination, assemble `[p|q]`,
+/// round it at its own group scale, one packed small-GEMM — the per-block
+/// scales are why this path does not stack primitives the way the FP64
+/// routine does. Three hoists keep the per-combination work to that:
+///  1. Boys values for the whole quartet go through the shared lookup table
+///     in one batch at the class's exact order;
+///  2. bra and ket E blocks rounded at the frozen group scale come from the
+///     batch-wide pair cache;
+///  3. the ket transform feeds rounded E_CD to the engine as a transposed
+///     view instead of materializing a transpose.
+fn quantized_quartet_into(
+    runner: &QuartetRunner,
     pab: &ScreenedPair,
     pcd: &ScreenedPair,
-    idx: &PqIndex,
-    cfg: &PipelineConfig,
-    e_scale: f64,
-    target: f64,
-    rounded: Option<(&RoundedPair, &RoundedPair)>,
+    (rounded_bra, rounded_ket): (&RoundedPair, &RoundedPair),
     t: &mut Tensor4,
 ) {
+    let QuartetRunner { idx, cfg, e_scale, target, .. } = runner;
+    let (e_scale, target) = (*e_scale, *target);
     let ab = &pab.data;
     let cd = &pcd.data;
-    let na = nsph(ab.la);
-    let nb = nsph(ab.lb);
-    let nc = nsph(cd.la);
-    let nd = nsph(cd.lb);
+    t.reset([nsph(ab.la), nsph(ab.lb), nsph(cd.la), nsph(cd.lb)]);
+    // `t` is row-major over `(ia·nb + ib, ic·nd + id)`: the second
+    // transform's output matrix.
+    let out = t.data.as_mut_slice();
     QSCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         let QuartetScratch {
-            out,
             abq,
             pq,
             pqs,
             ts,
             geom,
             boys,
-            ra,
-            ra_off,
             rb,
             rabq,
-            rcd,
         } = &mut *s;
-        out.reset(ab.nsph_pair, cd.nsph_pair);
         abq.reset(ab.nsph_pair, cd.nherm);
 
-        if cfg.precision == Precision::Fp64 {
-            // Exact path: full-precision Boys (series reference) and plain
-            // FP64 GEMMs through the packed engine. The ket transform reads
-            // E_CD transposed in place — no copy.
-            for ket in &cd.prims {
-                for x in abq.as_mut_slice() {
-                    *x = 0.0;
-                }
-                for bra in &ab.prims {
-                    pq_matrix_into(bra, ket, ab.l_total(), cd.l_total(), idx, pqs, pq);
-                    gemm_into(1.0, &bra.e_sph, Transpose::No, pq, Transpose::No, 1.0, abq);
-                }
-                gemm_into(1.0, abq, Transpose::No, &ket.e_sph, Transpose::Yes, 1.0, out);
-            }
-        } else {
-            // Quantized path. Three hoists keep the per-combination work to
-            // "assemble [p|q], round it, one packed small-GEMM":
-            //  1. Boys values for the whole quartet go through the shared
-            //     lookup table in one batch (fixed trip counts, no
-            //     data-dependent series) at the class's exact order;
-            //  2. bra E_AB rounding at the frozen group scale is
-            //     ket-invariant, so it happens once per quartet;
-            //  3. the ket transform feeds rounded E_CD to the engine as a
-            //     transposed view instead of materializing a transpose.
-            let l_tot = ab.l_total() + cd.l_total();
-            let stride = l_tot + 1;
-            let table = mako_eri::shared_table(l_tot);
-            ts.clear();
-            geom.clear();
-            for ket in &cd.prims {
-                for bra in &ab.prims {
-                    let (alpha, pq_sep, t_arg) = pq_geometry(bra, ket);
-                    ts.push(t_arg);
-                    geom.push((alpha, pq_sep));
-                }
-            }
-            table.eval_batch(l_tot, ts, boys);
-
-            // Bra/ket E blocks rounded at the frozen group scale: served from
-            // the batch-wide pair cache when the caller provides one (same
-            // bits — the cache memoizes exactly this computation), rebuilt
-            // into thread-local scratch otherwise.
-            let (bra_flat, bra_off): (&[f64], &[usize]) = match rounded {
-                Some((rp, _)) => (&rp.flat, &rp.off),
-                None => {
-                    ra.clear();
-                    ra_off.clear();
-                    for bra in &ab.prims {
-                        ra_off.push(ra.len());
-                        round_into_extend(cfg.precision, e_scale, bra.e_sph.as_slice(), ra);
-                    }
-                    (ra.as_slice(), ra_off.as_slice())
-                }
-            };
-
-            let (m, hb, hk, ncd) = (ab.nsph_pair, ab.nherm, cd.nherm, cd.nsph_pair);
-
-            if l_tot == 0 {
-                // Degenerate (00|00) class: every operand is a 1×1 matrix, so
-                // each "GEMM" is a single multiply. This branch performs the
-                // same FP operations in the same order as the general loop
-                // below (assemble [p|q] → per-group scale → round → f32-acc
-                // multiply → descale) and is therefore bitwise inert — it
-                // only skips the per-combination call/dispatch plumbing,
-                // which for this class costs more than the arithmetic. It
-                // matters because s-only quartets dominate real workloads
-                // (~half the population for an STO-3G water cluster).
-                debug_assert!(m == 1 && hb == 1 && hk == 1 && ncd == 1);
-                let mut row = 0usize;
-                let out0 = &mut out.as_mut_slice()[0];
-                for (ki, ket) in cd.prims.iter().enumerate() {
-                    let mut abq0 = 0.0f64;
-                    for (bi, bra) in ab.prims.iter().enumerate() {
-                        let f0 = boys[row];
-                        row += 1;
-                        let prefac = 2.0 * std::f64::consts::PI.powf(2.5)
-                            / (bra.p * ket.p * (bra.p + ket.p).sqrt());
-                        let pq0 = prefac * idx.ket_sign[0] * f0;
-                        let sb = scale_for_scalar(cfg, pq0, target);
-                        let rb0 = cfg.precision.round(pq0 * sb);
-                        let ra0 = bra_flat[bra_off[bi]];
-                        abq0 += ((ra0 * rb0) as f32) as f64 * (1.0 / (e_scale * sb));
-                    }
-                    let sa = scale_for_scalar(cfg, abq0, target);
-                    let rabq0 = cfg.precision.round(abq0 * sa);
-                    let rcd0 = match rounded {
-                        Some((_, rk)) => rk.flat[rk.off[ki]],
-                        None => cfg.precision.round(ket.e_sph.as_slice()[0] * e_scale),
-                    };
-                    *out0 += ((rabq0 * rcd0) as f32) as f64 * (1.0 / (sa * e_scale));
-                }
-                t.reset([na, nb, nc, nd]);
-                t.set(0, 0, 0, 0, out[(0, 0)]);
-                return;
-            }
-
-            let mut row = 0usize;
-            for (ki, ket) in cd.prims.iter().enumerate() {
-                for x in abq.as_mut_slice() {
-                    *x = 0.0;
-                }
-                for (bi, bra) in ab.prims.iter().enumerate() {
-                    let boys_row = &boys[row * stride..(row + 1) * stride];
-                    let (alpha, pq_sep) = geom[row];
-                    row += 1;
-                    pq_matrix_from_boys_geom(
-                        bra,
-                        ket,
-                        ab.l_total(),
-                        cd.l_total(),
-                        idx,
-                        alpha,
-                        pq_sep,
-                        boys_row,
-                        pqs,
-                        pq,
-                    );
-                    let sb = scale_for(cfg, pq, target);
-                    round_into(cfg.precision, sb, pq.as_slice(), rb);
-                    gemm_rounded_engine(
-                        m,
-                        hb,
-                        hk,
-                        &bra_flat[bra_off[bi]..],
-                        rb,
-                        Transpose::No,
-                        true,
-                        1.0 / (e_scale * sb),
-                        abq.as_mut_slice(),
-                    );
-                }
-                // Second transform: (ab|cd) += (ab|q] · E_CDᵀ.
-                let sa = scale_for(cfg, abq, target);
-                round_into(cfg.precision, sa, abq.as_slice(), rabq);
-                let ket_block: &[f64] = match rounded {
-                    Some((_, rk)) => &rk.flat[rk.off[ki]..],
-                    None => {
-                        round_into(cfg.precision, e_scale, ket.e_sph.as_slice(), rcd);
-                        rcd.as_slice()
-                    }
-                };
-                gemm_rounded_engine(
-                    m,
-                    hk,
-                    ncd,
-                    rabq,
-                    ket_block,
-                    Transpose::Yes,
-                    true,
-                    1.0 / (sa * e_scale),
-                    out.as_mut_slice(),
-                );
+        let l_tot = ab.l_total() + cd.l_total();
+        let stride = l_tot + 1;
+        ts.clear();
+        geom.clear();
+        for ket in &cd.prims {
+            for bra in &ab.prims {
+                let (alpha, pq_sep, t_arg) = pq_geometry(bra, ket);
+                ts.push(t_arg);
+                geom.push((alpha, pq_sep));
             }
         }
+        mako_eri::shared_table().eval_batch(l_tot, ts, boys);
 
-        t.reset([na, nb, nc, nd]);
-        for ia in 0..na {
-            for ib in 0..nb {
-                for ic in 0..nc {
-                    for id in 0..nd {
-                        t.set(ia, ib, ic, id, out[(ia * nb + ib, ic * nd + id)]);
-                    }
+        let (m, hb, hk, ncd) = (ab.nsph_pair, ab.nherm, cd.nherm, cd.nsph_pair);
+
+        if l_tot == 0 {
+            // Degenerate (00|00) class: every operand is a 1×1 matrix, so
+            // each "GEMM" is a single multiply. This branch performs the
+            // same FP operations in the same order as the general loop
+            // below (assemble [p|q] → per-group scale → round → f32-acc
+            // multiply → descale) and is therefore bitwise inert — it
+            // only skips the per-combination call/dispatch plumbing,
+            // which for this class costs more than the arithmetic. It
+            // matters because s-only quartets dominate real workloads
+            // (~half the population for an STO-3G water cluster).
+            debug_assert!(m == 1 && hb == 1 && hk == 1 && ncd == 1);
+            let mut row = 0usize;
+            for (ki, ket) in cd.prims.iter().enumerate() {
+                let mut abq0 = 0.0f64;
+                for (bi, bra) in ab.prims.iter().enumerate() {
+                    let f0 = boys[row];
+                    row += 1;
+                    let prefac = TWO_PI_POW_2_5 / (bra.p * ket.p * (bra.p + ket.p).sqrt());
+                    let pq0 = prefac * idx.ket_sign[0] * f0;
+                    let sb = scale_for_scalar(cfg, pq0, target);
+                    let rb0 = cfg.precision.round(pq0 * sb);
+                    let ra0 = rounded_bra.flat[bi];
+                    abq0 += ((ra0 * rb0) as f32) as f64 * (1.0 / (e_scale * sb));
                 }
+                let sa = scale_for_scalar(cfg, abq0, target);
+                let rabq0 = cfg.precision.round(abq0 * sa);
+                let rcd0 = rounded_ket.flat[ki];
+                out[0] += ((rabq0 * rcd0) as f32) as f64 * (1.0 / (sa * e_scale));
             }
+            return;
+        }
+
+        pq.reset(hb, hk);
+        let mut row = 0usize;
+        for (ki, ket) in cd.prims.iter().enumerate() {
+            for x in abq.as_mut_slice() {
+                *x = 0.0;
+            }
+            for (bi, bra) in ab.prims.iter().enumerate() {
+                let boys_row = &boys[row * stride..(row + 1) * stride];
+                let (alpha, pq_sep) = geom[row];
+                row += 1;
+                pq_block_into(bra, ket, idx, alpha, pq_sep, boys_row, pqs, pq.as_mut_slice(), hk);
+                let sb = scale_for(cfg, pq, target);
+                round_into(cfg.precision, sb, pq.as_slice(), rb);
+                gemm_rounded_engine(
+                    m,
+                    hb,
+                    hk,
+                    rounded_bra.block(bi),
+                    rb,
+                    Transpose::No,
+                    true,
+                    1.0 / (e_scale * sb),
+                    abq.as_mut_slice(),
+                );
+            }
+            // Second transform: (ab|cd) += (ab|q] · E_CDᵀ.
+            let sa = scale_for(cfg, abq, target);
+            round_into(cfg.precision, sa, abq.as_slice(), rabq);
+            gemm_rounded_engine(
+                m,
+                hk,
+                ncd,
+                rabq,
+                rounded_ket.block(ki),
+                Transpose::Yes,
+                true,
+                1.0 / (sa * e_scale),
+                out,
+            );
         }
     });
 }

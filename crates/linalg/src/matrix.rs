@@ -58,6 +58,20 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshape in place to `rows × cols` *without* clearing: elements the old
+    /// shape already held keep whatever they were. For scratch operands whose
+    /// every element the caller is about to overwrite.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// The backing row-major buffer, by value.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -199,3 +199,42 @@ fn engine_matches_naive_at_blocking_boundaries() {
         }
     }
 }
+
+/// The shapes of the contraction-stacked FP64 quartet — GEMM 1
+/// `E_ABᵀ-stack · [P|Q]` (A read transposed) and GEMM 2 `(ab|Q] · E_CD-stack`,
+/// both accumulating into a zeroed `C`: `(ss|ss)` at K = 9 × 9, `(pp|pp)` at
+/// K = 9 × 9 (first and second transform), `(ff|ff)` at K = 1, and a
+/// `(gg|gg)` contraction deeper than one K-panel. They take the packed path
+/// the per-primitive micro-GEMMs never reached, so generic and dispatched
+/// kernels must agree on them bit for bit, and both with the oracle.
+#[test]
+fn stacked_quartet_shapes_are_bitwise_across_kernels() {
+    let shapes = [
+        (1, 9, 9, Transpose::Yes),
+        (9, 90, 90, Transpose::Yes),
+        (9, 90, 9, Transpose::No),
+        (49, 84, 84, Transpose::Yes),
+        (81, 2 * 165, 165, Transpose::Yes),
+        (81, KC + 74, 81, Transpose::No),
+    ];
+    for &(m, k, n, ta) in &shapes {
+        let (ar, ac) = op_dims(m, k, ta);
+        let a = mat(ar, ac, 11);
+        let b = mat(k, n, 12);
+        let mut want = Matrix::zeros(m, n);
+        gemm_naive(1.0, &a, ta, &b, Transpose::No, 1.0, &mut want);
+        let mut generic = Matrix::zeros(m, n);
+        assert!(gemm_with_kernel(KernelId::Generic, 1.0, &a, ta, &b, Transpose::No, 1.0, &mut generic));
+        let mut dispatched = Matrix::zeros(m, n);
+        assert!(gemm_with_kernel(selected_kernel(), 1.0, &a, ta, &b, Transpose::No, 1.0, &mut dispatched));
+        let mut seam = Matrix::zeros(m, n);
+        gemm_into(1.0, &a, ta, &b, Transpose::No, 1.0, &mut seam);
+        let tol = 4.0 * (k as f64) * f64::EPSILON;
+        for i in 0..m * n {
+            let (w, g, d, s) = (want.as_slice()[i], generic.as_slice()[i], dispatched.as_slice()[i], seam.as_slice()[i]);
+            assert!((w - g).abs() <= tol, "({m},{k},{n}): naive {w} vs engine {g}");
+            assert_eq!(g.to_bits(), d.to_bits(), "({m},{k},{n}): generic {g} vs dispatched {d}");
+            assert_eq!(d.to_bits(), s.to_bits(), "({m},{k},{n}): gemm_into {s} vs dispatched {d}");
+        }
+    }
+}

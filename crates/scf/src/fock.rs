@@ -103,6 +103,7 @@ use mako_chem::cart::nsph;
 use mako_chem::AoLayout;
 use mako_eri::batch::{EriClass, QuartetBatch};
 use mako_eri::screening::{DensityBlockMax, ScreenedPair};
+use mako_eri::mmd::eri_quartet_mmd_into;
 use mako_eri::tensor::Tensor4;
 use mako_kernels::pipeline::{
     batch_device_seconds, batch_group_scale, PipelineConfig, QuartetRunner,
@@ -802,12 +803,10 @@ pub fn attribute_non_finite(
             ..NonFiniteSite::default()
         };
     }
-    let cfg = PipelineConfig::kernel_mako_fp64();
     let mut t = Tensor4::zeros([0; 4]);
     for (bi, batch) in batches.iter().enumerate() {
-        let runner = QuartetRunner::new(&batch.class, &cfg, 1.0);
         for &(pi, qi) in &batch.quartets {
-            runner.run_into(&pairs[pi], &pairs[qi], &mut t);
+            eri_quartet_mmd_into(&pairs[pi].data, &pairs[qi].data, &mut t);
             if !t.data.iter().all(|v| v.is_finite()) {
                 return NonFiniteSite {
                     density_poisoned: false,

@@ -17,6 +17,7 @@
 use crate::job::JobSpec;
 use mako_accel::DeviceKind;
 use mako_chem::BasisFamily;
+use mako_eri::mmd::QUARTET_NUMERICS_VERSION;
 use mako_eri::screening::ScreenedPair;
 use mako_store::mix;
 use parking_lot::Mutex;
@@ -60,10 +61,20 @@ impl ArtifactKey {
     }
 
     /// Collapse the key to one u64 — the file-name key of the persistent
-    /// [`mako_store::ArtifactStore`]. Enum fields enter through explicit
-    /// stable codes, not `as` casts of source order, so reordering a
-    /// variant cannot silently alias two on-disk artifacts.
+    /// [`mako_store::ArtifactStore`]. The artifact holds Schwarz bounds, which
+    /// are FP64 quartet values, so the engine's
+    /// [`QUARTET_NUMERICS_VERSION`] is part of the key: a store warmed by an
+    /// engine whose quartets had other bits misses here and is recomputed,
+    /// never adopted.
     pub fn content_hash(&self) -> u64 {
+        mix(self.inputs_hash(), QUARTET_NUMERICS_VERSION)
+    }
+
+    /// The screening inputs alone (what `content_hash` was before quartet
+    /// numerics had a version). Enum fields enter through explicit stable
+    /// codes, not `as` casts of source order, so reordering a variant cannot
+    /// silently alias two on-disk artifacts.
+    pub(crate) fn inputs_hash(&self) -> u64 {
         let basis = match self.basis {
             BasisFamily::Sto3g => 0u64,
             BasisFamily::Def2TzvpLike => 1,

@@ -1686,6 +1686,41 @@ mod tests {
         );
     }
 
+    /// A store warmed before quartet numerics had a version keyed its screen
+    /// artifact by the screening inputs alone, and its bounds carry that
+    /// engine's bits: this engine must recompute, not adopt it.
+    #[test]
+    fn a_screen_artifact_of_an_older_engine_is_ignored() {
+        use mako_store::FaultVfs;
+        let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
+        let storeless = MakoServer::new(tmp_config());
+        let reference = storeless.serve_quiet(&specs);
+
+        let key = ArtifactKey::for_job(&specs[0]);
+        assert_ne!(key.inputs_hash(), key.content_hash());
+        let server = MakoServer::with_store(
+            tmp_config(),
+            Arc::new(FaultVfs::quiet()) as Arc<dyn Vfs>,
+            PathBuf::from("/srv"),
+        )
+        .expect("store");
+        // What the old engine left behind, made unmistakable: half the pairs.
+        let driver = storeless.build_driver(&specs[0]).expect("driver");
+        let pairs = driver.screened_pairs();
+        let artifacts = server.artifact_store().unwrap();
+        artifacts
+            .store("screen", key.inputs_hash(), &crate::persist::encode_pairs(&pairs[..pairs.len() / 2]))
+            .expect("plant the stale artifact");
+
+        let served = server.serve_quiet(&specs);
+        assert_eq!(artifacts.loaded(), 0, "nothing under the old key is read");
+        assert_eq!(
+            energy(&served.outcomes[0]).to_bits(),
+            energy(&reference.outcomes[0]).to_bits(),
+            "the job's result is the store-less one"
+        );
+    }
+
     #[test]
     fn screen_cache_serves_repeat_submissions() {
         let server = MakoServer::new(tmp_config());

@@ -15,8 +15,12 @@ export PROPTEST_RNG_SEED="${PROPTEST_RNG_SEED:-20260805}"
 echo "== tier2: every integration suite under tests/tests, in release =="
 cargo test --release -p mako-integration-tests
 
-echo "== tier2: microkernel determinism (full linalg suite under MAKO_KERNEL=generic) =="
-MAKO_KERNEL=generic cargo test --release -q -p mako-linalg
+echo "== tier2: microkernel determinism (linalg, eri and kernels suites under MAKO_KERNEL=generic) =="
+# The FP64 quartet's two stacked GEMMs take the packed path, so the generic
+# kernel has to carry the integral engine's own tests too, not only linalg's.
+MAKO_KERNEL=generic cargo test --release -q -p mako-linalg -p mako-eri -p mako-kernels
+# ... and reproduce the pinned J/K and trajectory bits the dispatched kernel produced.
+MAKO_KERNEL=generic cargo test --release -q -p mako-scf --test fock_seam_pin --test trajectory_pin
 
 echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace; scf.xc, eri.one_electron and the Fock-engine events required) =="
 cargo run --release -p mako --bin mako-cli -- \

@@ -15,15 +15,18 @@ use mako::scf::{
     TrajectoryClass,
 };
 
-/// H₂ at equilibrium with every atom doubled at 1e-4 Å separation: a
+/// H₂ at equilibrium with every atom doubled at 1e-5 Å separation: a
 /// deterministic near-linear-dependent basis (two overlap eigenvalues
-/// collapse toward zero) that canonical orthogonalization must survive.
+/// collapse to 2.4e-11) that canonical orthogonalization must survive.
+/// (At 1e-4 Å, eigenvalues 2.4e-9, the unguarded iteration merely stalled
+/// 2e-8 Ha above its limit on the series-Boys quartet engine, and converges in
+/// 14 iterations on the table-Boys one; at 1e-5 Å it is wrecked on both.)
 fn doubled_h2() -> Molecule {
     let mut m = Molecule::new("H2-doubled");
     m.atoms.push(Atom::new_angstrom(Element::H, [0.0, 0.0, 0.0]));
-    m.atoms.push(Atom::new_angstrom(Element::H, [0.0, 0.0, 1e-4]));
+    m.atoms.push(Atom::new_angstrom(Element::H, [0.0, 0.0, 1e-5]));
     m.atoms.push(Atom::new_angstrom(Element::H, [0.0, 0.0, 0.74]));
-    m.atoms.push(Atom::new_angstrom(Element::H, [0.0, 0.0, 0.74 + 1e-4]));
+    m.atoms.push(Atom::new_angstrom(Element::H, [0.0, 0.0, 0.74 + 1e-5]));
     m
 }
 
@@ -89,7 +92,7 @@ fn near_linear_dependence_is_dropped_and_reported() {
     // directions, report them through the typed diagnostics, and converge.
     // The keep-everything run (threshold far below the collapsed
     // eigenvalues) demonstrates WHY the guard exists: amplifying the
-    // near-null directions by λ^{-1/2} ≈ 3×10³ wrecks the iteration, and
+    // near-null directions by λ^{-1/2} ≈ 2×10⁵ wrecks the iteration, and
     // plain SCF stalls on the very same molecule.
     let config = |orth_threshold: f64| ScfConfig {
         orth_threshold,
