@@ -31,7 +31,8 @@ pub mod tensor;
 pub use batch::{batch_quartets, EriClass, QuartetBatch};
 pub use boys::{boys_reference, boys_single, shared_table, BoysTable};
 pub use mmd::{
-    eri_quartet_mmd, eri_quartet_mmd_into, pq_block_into, pq_geometry, pq_index, shell_pair,
+    eri_quartet_mmd, eri_quartet_mmd_into, pq_block_into, pq_geometry, pq_index, pq_stacked_into,
+    shell_pair,
     PqIndex, PqScratch, PrimPair, ShellPairData,
 };
 pub use one_electron::{

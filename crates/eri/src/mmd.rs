@@ -27,7 +27,7 @@ use crate::tensor::Tensor4;
 use mako_chem::cart::{hermite_components, hermite_index_map, ncart, nherm, nsph};
 use mako_chem::harmonics::cart_to_sph;
 use mako_chem::Shell;
-use mako_linalg::{gemm_into, Matrix, Transpose};
+use mako_linalg::{gemm_into, transpose_extend, Matrix, Transpose};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -168,9 +168,7 @@ pub fn shell_pair(sa: &Shell, sb: &Shell) -> ShellPairData {
             ];
             let e_cart = Matrix::from_vec(ncart_pair, nh, e_matrix(la, lb, a, b, ab));
             gemm_into(coef, transform, Transpose::No, &e_cart, Transpose::No, 0.0, &mut e_sph);
-            for h in 0..nh {
-                stack.extend((0..nsph_pair).map(|s| e_sph[(s, h)]));
-            }
+            transpose_extend(e_sph.as_slice(), nsph_pair, nh, &mut stack);
             prims.push(PrimPair { p, center });
         }
     }
@@ -304,35 +302,47 @@ pub fn eri_quartet_mmd(pab: &ShellPairData, pcd: &ShellPairData) -> Tensor4 {
     t
 }
 
-/// [`eri_quartet_mmd`] into the caller's tensor (reshaped, its allocation
-/// reused) — the one FP64 quartet routine of the tree: every `[p|q]` block of
-/// the quartet goes into one stacked operand, and two GEMMs against the
-/// pairs' E stacks contract primitives and Hermite components together, the
-/// second writing straight into `t`.
-pub fn eri_quartet_mmd_into(pab: &ShellPairData, pcd: &ShellPairData, t: &mut Tensor4) {
+/// The stacked operand `[P|Q]` of a quartet into `out` (reshaped to
+/// `(K_AB·h_bra) × (K_CD·h_ket)`): per primitive-pair combination, Boys
+/// values from the shared table and one [`pq_block_into`].
+pub fn pq_stacked_into(
+    pab: &ShellPairData,
+    pcd: &ShellPairData,
+    scratch: &mut PqScratch,
+    out: &mut Matrix,
+) {
     let (l_bra, l_ket) = (pab.l_total(), pcd.l_total());
     let l_tot = l_bra + l_ket;
     let idx = pq_index(l_bra, l_ket);
     let table = shared_table();
     let (hb, hk) = (pab.nherm, pcd.nherm);
     let cols = pcd.degree() * hk;
+    // Every element is written below.
+    out.reshape(pab.degree() * hb, cols);
+    let stacked = out.as_mut_slice();
+    let mut boys = [0.0f64; M_MAX + 1];
+    for (bi, bra) in pab.prims.iter().enumerate() {
+        for (ki, ket) in pcd.prims.iter().enumerate() {
+            let (alpha, sep, t_arg) = pq_geometry(bra, ket);
+            table.eval(l_tot, t_arg, &mut boys);
+            let block = &mut stacked[bi * hb * cols + ki * hk..];
+            pq_block_into(bra, ket, idx, alpha, sep, &boys[..=l_tot], scratch, block, cols);
+        }
+    }
+}
+
+/// [`eri_quartet_mmd`] into the caller's tensor (reshaped, its allocation
+/// reused) — the one FP64 quartet routine of the tree: every `[p|q]` block of
+/// the quartet goes into one stacked operand, and two GEMMs against the
+/// pairs' E stacks contract primitives and Hermite components together, the
+/// second writing straight into `t`.
+pub fn eri_quartet_mmd_into(pab: &ShellPairData, pcd: &ShellPairData, t: &mut Tensor4) {
     t.reset([nsph(pab.la), nsph(pab.lb), nsph(pcd.la), nsph(pcd.lb)]);
     QSCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         let QuartetScratch { pq, abq, hermite } = &mut *s;
-        // Every element is written below.
-        pq.reshape(pab.degree() * hb, cols);
-        let stacked = pq.as_mut_slice();
-        let mut boys = [0.0f64; M_MAX + 1];
-        for (bi, bra) in pab.prims.iter().enumerate() {
-            for (ki, ket) in pcd.prims.iter().enumerate() {
-                let (alpha, sep, t_arg) = pq_geometry(bra, ket);
-                table.eval(l_tot, t_arg, &mut boys);
-                let block = &mut stacked[bi * hb * cols + ki * hk..];
-                pq_block_into(bra, ket, idx, alpha, sep, &boys[..=l_tot], hermite, block, cols);
-            }
-        }
-        abq.reset(pab.nsph_pair, cols);
+        pq_stacked_into(pab, pcd, hermite, pq);
+        abq.reset(pab.nsph_pair, pq.cols());
         gemm_into(1.0, &pab.e, Transpose::Yes, pq, Transpose::No, 1.0, abq);
         // `t` is row-major over `(ia·nb + ib, ic·nd + id)`: GEMM 2's `C`.
         let mut out = Matrix::from_vec(pab.nsph_pair, pcd.nsph_pair, std::mem::take(&mut t.data));

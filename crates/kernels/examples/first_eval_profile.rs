@@ -6,8 +6,8 @@
 //! stage including the ones before it:
 //!
 //! * **Boys** — `pq_geometry` + `BoysTable::eval` per primitive combination;
-//! * **assembly** — the same plus `pq_block_into` (`R_tuv` recursion and the
-//!   `[p|q]` fill) into a stacked operand;
+//! * **assembly** — `pq_stacked_into`: the same plus the `R_tuv` recursion
+//!   and the `[p|q]` fill of every block of the stacked operand;
 //! * **total** — `eri_quartet_mmd_into`: the same plus the two transforms.
 //!
 //! Printed per quartet as differences (Boys / assembly / transforms / total),
@@ -20,9 +20,10 @@
 use mako_chem::basis::sto3g::sto3g;
 use mako_chem::{builders, BasisFamily, Molecule, Shell};
 use mako_eri::batch::batch_quartets;
-use mako_eri::mmd::{eri_quartet_mmd_into, pq_block_into, pq_geometry, pq_index, PqScratch};
+use mako_eri::mmd::{eri_quartet_mmd_into, pq_geometry, pq_stacked_into, PqScratch};
 use mako_eri::screening::{build_screened_pairs, ScreenedPair};
 use mako_eri::{shared_table, Tensor4};
+use mako_linalg::Matrix;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -65,25 +66,11 @@ fn profile(name: &str, shells: &[Shell]) {
         }
     });
 
-    let mut stacked = Vec::new();
+    let mut stacked = Matrix::default();
     let mut scratch = PqScratch::default();
     let assembly_s = min_seconds(|| {
-        let mut boys = [0.0f64; 32];
         for &(pi, qi) in &quartets {
-            let (ab, cd) = (&pairs[pi].data, &pairs[qi].data);
-            let l_tot = ab.l_total() + cd.l_total();
-            let idx = pq_index(ab.l_total(), cd.l_total());
-            let (hb, hk) = (ab.nherm, cd.nherm);
-            let cols = cd.degree() * hk;
-            stacked.resize(ab.degree() * hb * cols, 0.0);
-            for (bi, bra) in ab.prims.iter().enumerate() {
-                for (ki, ket) in cd.prims.iter().enumerate() {
-                    let (alpha, sep, t) = pq_geometry(bra, ket);
-                    table.eval(l_tot, t, &mut boys);
-                    let block = &mut stacked[bi * hb * cols + ki * hk..];
-                    pq_block_into(bra, ket, idx, alpha, sep, &boys[..=l_tot], &mut scratch, block, cols);
-                }
-            }
+            pq_stacked_into(&pairs[pi].data, &pairs[qi].data, &mut scratch, &mut stacked);
             black_box(&stacked);
         }
     });

@@ -12,7 +12,7 @@ use mako_eri::mmd::{
 use mako_eri::screening::ScreenedPair;
 use mako_eri::tensor::Tensor4;
 use mako_chem::cart::{nherm, nsph};
-use mako_linalg::{gemm_rounded_engine, Matrix, Transpose};
+use mako_linalg::{gemm_rounded_engine, transpose_extend, Matrix, Transpose};
 use mako_precision::{Precision, ScalePolicy};
 use rayon::prelude::*;
 
@@ -503,9 +503,7 @@ impl RoundedPairCache {
             round_into(self.precision, self.e_scale, data.e.as_slice(), &mut stacked);
             let mut flat = Vec::with_capacity(stacked.len());
             for block in stacked.chunks_exact(nh * ns) {
-                for s in 0..ns {
-                    flat.extend((0..nh).map(|h| block[h * ns + s]));
-                }
+                transpose_extend(block, nh, ns, &mut flat);
             }
             RoundedPair { flat, block: nh * ns }
         })

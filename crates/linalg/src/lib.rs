@@ -30,7 +30,7 @@ pub use cholesky::{cholesky, solve_cholesky};
 pub use eigen::{eigh, EigenDecomposition};
 pub use funcs::{sym_func, sym_inv_sqrt, sym_inv_sqrt_diag, sym_sqrt, OrthFactor};
 pub use gemm::{gemm, gemm_into, gemm_naive, Transpose};
-pub use matrix::Matrix;
+pub use matrix::{transpose_extend, Matrix};
 pub use microkernel::{gemm_rounded_engine, kernel_name, selected_kernel, KernelId};
 
 /// Errors surfaced by the linear-algebra routines.

@@ -12,6 +12,15 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
+/// Append the transpose of the row-major `rows × cols` matrix `src` to `dst`
+/// (as `cols` rows of `rows` values).
+pub fn transpose_extend(src: &[f64], rows: usize, cols: usize, dst: &mut Vec<f64>) {
+    assert_eq!(src.len(), rows * cols, "buffer length != rows*cols");
+    for j in 0..cols {
+        dst.extend((0..rows).map(|i| src[i * cols + j]));
+    }
+}
+
 impl Matrix {
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Matrix {

@@ -18,7 +18,7 @@
 
 use mako_eri::mmd::{PrimPair, ShellPairData};
 use mako_eri::screening::ScreenedPair;
-use mako_linalg::Matrix;
+use mako_linalg::{transpose_extend, Matrix};
 use mako_store::{ByteReader, ByteWriter};
 
 /// Fixed bytes of one encoded pair (eight `u64` fields) and of one
@@ -49,11 +49,8 @@ pub fn encode_pairs(pairs: &[ScreenedPair]) -> Vec<u8> {
             }
             // On disk a primitive's E is `nsph_pair × nherm`; in memory the
             // pair holds it transposed, as block `k` of its stack.
-            let block = p.data.e_block(k);
             e_sph.clear();
-            for s in 0..ns {
-                e_sph.extend((0..nh).map(|h| block[h * ns + s]));
-            }
+            transpose_extend(p.data.e_block(k), nh, ns, &mut e_sph);
             out.matrix(ns, nh, &e_sph);
         }
     }
@@ -84,9 +81,7 @@ pub fn decode_pairs(bytes: &[u8]) -> Option<Vec<ScreenedPair>> {
             if (rows, cols) != (nsph_pair, nherm) {
                 return None;
             }
-            for h in 0..nherm {
-                stack.extend((0..nsph_pair).map(|s| e_sph[s * nherm + h]));
-            }
+            transpose_extend(&e_sph, nsph_pair, nherm, &mut stack);
             prims.push(PrimPair { p, center });
         }
         pairs.push(ScreenedPair {
