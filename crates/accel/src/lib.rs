@@ -34,6 +34,7 @@
 //! Numerical results never come from this crate — kernels execute their math
 //! on the CPU; this crate only answers "how long would that launch have taken
 //! on the modeled device".
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod cluster;

@@ -23,6 +23,7 @@
 //! SCF, ensemble, serving, recovery — is measured by `benchmark/`
 //! (`BENCHMARK.json`), not here.
 #![deny(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 use mako_chem::basis::ShellDef;
 use mako_chem::Shell;

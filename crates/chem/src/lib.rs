@@ -24,6 +24,7 @@
 //! Geometries come from [`builders`]: water clusters (compact/globular),
 //! polyglycine chains (linear), and a deterministic 1,231-atom synthetic
 //! protein standing in for ubiquitin.
+#![forbid(unsafe_code)]
 
 pub mod basis;
 pub mod builders;

@@ -18,6 +18,7 @@
 //!    device cost model (the stand-in for CUTLASS Profiler wall clocks);
 //! 3. caches the winning configuration per (class, precision, device) in a
 //!    process-wide [`tuner::KernelCache`].
+#![forbid(unsafe_code)]
 
 pub mod planner;
 pub mod tuner;

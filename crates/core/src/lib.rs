@@ -39,6 +39,7 @@
 //! | [`scf`] | `mako-scf` | RHF/RKS drivers, XC stack, scaling model |
 //! | [`server`] | `mako-server` | multi-tenant job runtime: admission, deadlines, preemption |
 //! | [`trace`] | `mako-trace` | structured tracing + metrics (spans, counters, exporters) |
+#![forbid(unsafe_code)]
 
 pub use mako_accel as accel;
 pub use mako_chem as chem;

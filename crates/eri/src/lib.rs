@@ -17,6 +17,7 @@
 //! ([`hermite`]), one-electron integrals ([`one_electron`]), Schwarz
 //! screening ([`screening`]) and ERI-class batching ([`batch`]).
 #![deny(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 
 pub mod batch;

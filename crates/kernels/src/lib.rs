@@ -26,6 +26,7 @@
 //!   back-to-back transform GEMMs when `K_AB = K_CD = 1` (§3.1.3, the
 //!   high-angular-momentum case).
 #![deny(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 
 pub mod baselines;

@@ -17,6 +17,7 @@
 //!   density-weighted Schwarz classification of quartet batches into
 //!   FP64 / quantized / pruned, with thresholds that relax in early SCF
 //!   iterations and tighten as the DIIS residual shrinks.
+#![forbid(unsafe_code)]
 
 pub mod accumulate;
 pub mod scheduler;

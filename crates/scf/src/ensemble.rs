@@ -27,9 +27,10 @@
 //!   through its own rescue ladder or drains out with its own error, without
 //!   perturbing or stalling its neighbors. Finished molecules leave the
 //!   lockstep; the fleet keeps going until every member is drained.
-//! * **Faults hit the fleet, not the members.** An optional seeded
-//!   [`FaultPlan`] injects transient launch failures and rank loss into the
-//!   fused-launch dispatch (round-robin over simulated ranks). Recovery
+//! * **Faults hit the fleet, not the members.** The fleet's [`FaultPlan`]
+//!   ([`EnsembleConfig::plan`], one quiet rank by default) names the
+//!   simulated ranks of the fused-launch dispatch (round-robin) and injects
+//!   transient launch failures and rank loss into it. Recovery
 //!   (retry with backoff, re-running a dead rank's launches on survivors) is
 //!   priced on the ensemble's [`EnsembleLedger`]; member results stay
 //!   fault-silent and bitwise identical to a fault-free batched run.
@@ -57,20 +58,18 @@ type LaunchGroup = ((EriClass, PipelineConfig), Vec<(usize, usize)>);
 /// Fleet-level knobs of an ensemble run.
 #[derive(Debug, Clone)]
 pub struct EnsembleConfig {
-    /// Simulated ranks the fused launches are dispatched over (round-robin).
-    /// With one rank the dispatch is trivially serial.
-    pub ranks: usize,
-    /// Optional seeded fault plan for chaos runs. Faults are injected into
+    /// The simulated ranks the fused launches are dispatched over
+    /// (round-robin) and what goes wrong on them: faults are injected into
     /// the fused-launch dispatch and accounted on the ensemble ledger;
-    /// member numerics never see them.
-    pub fault_plan: Option<FaultPlan>,
+    /// member numerics never see them. The rank count is the plan's.
+    pub plan: FaultPlan,
 }
 
 impl Default for EnsembleConfig {
+    /// One quiet rank: a trivially serial dispatch.
     fn default() -> EnsembleConfig {
         EnsembleConfig {
-            ranks: 1,
-            fault_plan: None,
+            plan: FaultPlan::quiet(1),
         }
     }
 }
@@ -122,15 +121,15 @@ impl EnsembleDriver {
     /// All members share `basis` and `config`. Per-member distributed
     /// execution is disabled (`config.distributed` is stripped): the
     /// ensemble owns the rank model — fused launches are dispatched over
-    /// [`EnsembleConfig::ranks`] — and the two layers must not double-price
-    /// the same work.
+    /// the ranks of [`EnsembleConfig::plan`] — and the two layers must not
+    /// double-price the same work.
     pub fn try_new(
         mols: &[Molecule],
         basis: &BasisSet,
         config: ScfConfig,
         ensemble: EnsembleConfig,
     ) -> Result<EnsembleDriver, ScfError> {
-        assert!(ensemble.ranks >= 1, "an ensemble needs at least one rank");
+        assert!(ensemble.plan.ranks() >= 1, "an ensemble needs at least one rank");
         let mut config = config;
         config.distributed = None;
         let cache = KernelCache::new();
@@ -179,10 +178,12 @@ impl EnsembleDriver {
     /// given; every member gets an equal share.
     fn run_with_store_budget(&self, store_budget_bytes: usize) -> EnsembleResult {
         let n = self.drivers.len();
+        let fault_plan = &self.config.plan;
+        let ranks = fault_plan.ranks();
         let mut run_span = mako_trace::span("ensemble", "run");
         if run_span.is_recording() {
             run_span.add_field("members", n);
-            run_span.add_field("ranks", self.config.ranks);
+            run_span.add_field("ranks", ranks);
         }
 
         let mut outcomes: Vec<Option<Result<ScfResult, ScfError>>> =
@@ -199,12 +200,6 @@ impl EnsembleDriver {
             }
         }
 
-        let fault_plan = self
-            .config
-            .fault_plan
-            .clone()
-            .unwrap_or_else(|| FaultPlan::quiet(self.config.ranks));
-        let ranks = fault_plan.ranks();
         // Rank loss is persistent: a rank that dies stays dead for the rest
         // of the run (unlike the per-call model of `build_jk_distributed`,
         // the ensemble run IS the lifetime of the simulated job).
@@ -245,6 +240,7 @@ impl EnsembleDriver {
                     &prep.build_density,
                     &drv.pairs,
                     &drv.batches,
+                    0..drv.batches.len(),
                     &prep.schedule,
                     |bi| (drv.fp64_cfgs[bi], drv.quant_cfgs[bi]),
                     &drv.layout,

@@ -2,7 +2,7 @@
 //!
 //! Library crates must never panic on anomalies a production service has to
 //! survive (ROADMAP north-star): a non-positive-definite overlap, an
-//! eigensolver that ran out of iterations, a rank thread that died, a
+//! eigensolver that ran out of iterations, a cluster with no rank left, a
 //! corrupt checkpoint. Those conditions surface here as typed errors the
 //! caller can match on; binaries and tests may still `expect` at the top
 //! level, where aborting is the right answer.
@@ -21,20 +21,6 @@ pub enum FockBuildError {
         /// Total ranks in the plan, all of which were lost.
         ranks: usize,
     },
-    /// A rank's worker thread panicked (a real software bug, distinct from
-    /// an *injected* fault, which is handled by recovery).
-    RankPanicked {
-        /// The rank whose thread died.
-        rank: usize,
-    },
-    /// The fault plan covers a different number of ranks than the build was
-    /// asked to run with.
-    PlanMismatch {
-        /// Ranks in the plan.
-        plan_ranks: usize,
-        /// Ranks requested.
-        ranks: usize,
-    },
 }
 
 impl std::fmt::Display for FockBuildError {
@@ -43,12 +29,6 @@ impl std::fmt::Display for FockBuildError {
             FockBuildError::NoRanks => write!(f, "distributed Fock build needs at least one rank"),
             FockBuildError::AllRanksLost { ranks } => {
                 write!(f, "all {ranks} ranks were permanently lost; no survivor to recover on")
-            }
-            FockBuildError::RankPanicked { rank } => {
-                write!(f, "rank {rank} worker thread panicked")
-            }
-            FockBuildError::PlanMismatch { plan_ranks, ranks } => {
-                write!(f, "fault plan covers {plan_ranks} ranks but the build runs {ranks}")
             }
         }
     }

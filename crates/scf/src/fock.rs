@@ -11,13 +11,15 @@
 //!
 //! # The engine
 //!
-//! There are two stateless entry points. [`build_jk_with_configs`] is the
-//! single-device build; [`crate::parallel::build_jk_distributed`] partitions
-//! the batches over ranks, runs this same engine on every share and merges in
-//! rank order. Both are integral-direct: every call evaluates every quartet
-//! it schedules. An SCF session (solo or ensemble member) runs the same three
-//! calls with its `TensorStore` handed to the last one. Solo, rank-share
-//! and ensemble builds all evaluate their quartets in one place,
+//! Every build is `plan_jk → FockPlan::price → FockPlan::assemble` on one
+//! `FockPlan`. [`build_jk_with_configs`] plans every batch;
+//! [`crate::parallel::build_jk_distributed`] partitions the batches over
+//! ranks and runs the same three calls once per share, naming that share's
+//! batch indices to `plan_jk`, then merges in rank order. Both are stateless
+//! and integral-direct: every call evaluates every quartet it schedules. An
+//! SCF session (solo, multi-rank or ensemble member) runs the same calls
+//! with its `TensorStore` handed to every `assemble`. Solo, rank-share and
+//! ensemble builds all evaluate their quartets in one place,
 //! `FockPlan::assemble`.
 //!
 //! A build runs in three phases (plus an optional phase 0):
@@ -48,7 +50,8 @@
 //! `batches[bi].quartets`)* — the key a `SubUnit` already carries — so the
 //! scheduler may prune, skip or quantize a different set every iteration and
 //! a quartet is still evaluated at most once in FP64: whenever it first
-//! appears in an FP64 sub-unit.
+//! appears in an FP64 sub-unit. Batch indices are global, and LPT shares are
+//! disjoint, so a multi-rank session's shares all use the one store.
 //!
 //! * **Stored FP64 tensors are configuration- and scale-independent.** The
 //!   FP64 pipeline reads only the pair data: the tuned `PipelineConfig`
@@ -317,20 +320,26 @@ pub(crate) struct FockPlan {
     pub(crate) stats: FockBuildStats,
 }
 
-/// Phases 0–1 of the engine: the incremental ΔD Schwarz screen and the
-/// convergence-aware schedule split, serial and deterministic. Emits the
-/// `fock.screen` span. The returned plan's `stats.device_seconds` is zero
-/// until the plan is priced.
+/// Phases 0–1 of the engine over the batches `share` names (in the order
+/// given; every batch for a single-device build, one LPT share for a rank):
+/// the incremental ΔD Schwarz screen and the convergence-aware schedule
+/// split, serial and deterministic. Sub-units keep global batch indices, so
+/// every plan prices and assembles against the one `batches` slice. Emits
+/// the `fock.screen` span. The returned plan's `stats.device_seconds` is
+/// zero until the plan is priced.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_jk(
     density: &Matrix,
     pairs: &[ScreenedPair],
     batches: &[QuartetBatch],
+    share: impl IntoIterator<Item = usize>,
     schedule: &QuantSchedule,
     cfg_for: impl Fn(usize) -> (PipelineConfig, PipelineConfig),
     layout: &AoLayout,
     opts: FockEngineOptions,
 ) -> FockPlan {
     let mut stats = FockBuildStats::default();
+    let mut planned_batches = 0usize;
     let d_max = density.max_abs();
     // System-wide estimate scale for the relative FP64 bar: the largest
     // Schwarz product times the largest density element.
@@ -345,7 +354,9 @@ pub(crate) fn plan_jk(
     // Phase 1: split every batch by scheduling decision (bounds vary by
     // quartet). Serial and deterministic; integer bookkeeping only.
     let mut units: Vec<SubUnit> = Vec::new();
-    for (bi, batch) in batches.iter().enumerate() {
+    for bi in share {
+        let batch = &batches[bi];
+        planned_batches += 1;
         let (fp64_cfg, quant_cfg) = cfg_for(bi);
         assert!(batch.len() <= u32::MAX as usize, "batch positions are u32");
         let mut fp64_q: Vec<u32> = Vec::new();
@@ -397,7 +408,7 @@ pub(crate) fn plan_jk(
     }
 
     if screen_span.is_recording() {
-        screen_span.add_field("batches", batches.len());
+        screen_span.add_field("batches", planned_batches);
         screen_span.add_field("sub_units", units.len());
         screen_span.add_field("fp64_quartets", stats.fp64_quartets);
         screen_span.add_field("quantized_quartets", stats.quantized_quartets);
@@ -618,7 +629,7 @@ pub fn build_jk_with_configs(
     model: &CostModel,
     opts: FockEngineOptions,
 ) -> (JkMatrices, FockBuildStats) {
-    let mut plan = plan_jk(density, pairs, batches, schedule, cfg_for, layout, opts);
+    let mut plan = plan_jk(density, pairs, batches, 0..batches.len(), schedule, cfg_for, layout, opts);
     plan.price(pairs, batches, model);
     let jk = plan.assemble(density, pairs, batches, layout, None);
     (jk, plan.stats)
@@ -1375,7 +1386,8 @@ mod tests {
             &d, &pairs, &batches, &layout, &schedule, |_| (cfg, cfg), &model, opts,
         );
         for chunk in [1usize, 3, 17, 100_000] {
-            let mut plan = plan_jk(&d, &pairs, &batches, &schedule, |_| (cfg, cfg), &layout, opts);
+            let mut plan =
+                plan_jk(&d, &pairs, &batches, 0..batches.len(), &schedule, |_| (cfg, cfg), &layout, opts);
             plan.price(&pairs, &batches, &model);
             let jk = plan.assemble_in_waves(&d, &pairs, &batches, &layout, None, chunk);
             assert!(bits_equal(&jk.j, &base.j), "chunk {chunk} changed J bits");
@@ -1420,8 +1432,9 @@ mod tests {
         fn plan(&self, d: &Matrix, schedule: &QuantSchedule) -> FockPlan {
             let (fp64, quant) = (PipelineConfig::kernel_mako_fp64(), PipelineConfig::quant_mako());
             let opts = FockEngineOptions::default();
+            let all = 0..self.batches.len();
             let mut plan =
-                plan_jk(d, &self.pairs, &self.batches, schedule, |_| (fp64, quant), &self.layout, opts);
+                plan_jk(d, &self.pairs, &self.batches, all, schedule, |_| (fp64, quant), &self.layout, opts);
             plan.price(&self.pairs, &self.batches, &self.model);
             plan
         }

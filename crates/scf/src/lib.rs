@@ -21,7 +21,7 @@
 //! * [`scf`] — restricted Hartree–Fock and restricted Kohn–Sham drivers
 //!   with simulated-device timing per iteration;
 //! * [`parallel`] — the multi-GPU execution model for the Figure 10
-//!   scalability experiment;
+//!   scalability experiment, and the multi-rank, fault-tolerant Fock build;
 //! * [`rescue`] — the self-healing layer: a convergence watchdog, a
 //!   deterministic staged rescue ladder (DIIS reset → damping → level
 //!   shift → quantization backoff → rollback), and non-finite containment,
@@ -32,6 +32,7 @@
 //!   solo run), with per-member isolation of DIIS, incremental state, and
 //!   the rescue ladder.
 #![deny(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 
 pub mod checkpoint;
@@ -55,13 +56,13 @@ pub use fock::{
     NonFiniteSite,
 };
 pub use grid::MolecularGrid;
-pub use parallel::{build_jk_distributed, FaultToleranceOptions, FtFockOutcome};
+pub use parallel::{build_jk_distributed, DistributedScf, FtFockOutcome};
 pub use properties::{dipole_moment, mulliken_charges, Dipole};
 pub use rescue::{
     classify, RescueConfig, RescueEvent, RescueLedger, RescueStage, TrajectoryClass,
 };
 pub use scf::{
-    CheckpointPolicy, DistributedScf, IncrementalPolicy, OrthDiagnostics, ScfConfig, ScfDriver,
-    ScfMethod, ScfResult, ScfRunOptions,
+    CheckpointPolicy, IncrementalPolicy, OrthDiagnostics, ScfConfig, ScfDriver, ScfMethod,
+    ScfResult, ScfRunOptions,
 };
 pub use xc::{b3lyp, XcFunctional};

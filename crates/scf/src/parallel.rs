@@ -11,12 +11,16 @@
 //! come from the architecture-tuned kernel configurations.
 //!
 //! Beside the model sits the real multi-rank Fock build,
-//! [`build_jk_distributed`]: LPT-partitioned shares evaluated by the
-//! single-device engine ([`build_jk_with_configs`]), merged in rank order,
-//! under a seeded fault plan (quiet for the fault-free build).
+//! [`build_jk_distributed`]: the batches are LPT-partitioned into one share
+//! per rank, and each share is the single-device engine's plan → price →
+//! assemble over its own batch indices, run on the caller's thread (each
+//! assembly across the installed rayon pool) and merged in rank order, under
+//! a seeded fault plan (quiet for the fault-free build). An SCF session hands
+//! every share's assembly its tensor store; the stateless entry point stays
+//! integral-direct.
 
 use crate::error::FockBuildError;
-use crate::fock::{build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices};
+use crate::fock::{plan_jk, FockBuildStats, FockEngineOptions, JkMatrices, TensorStore};
 use mako_accel::cluster::{
     parallel_efficiency, partition_lpt, simulate_iteration, ClusterSpec, ParallelTiming,
     RingAllreduce,
@@ -156,7 +160,7 @@ pub fn batch_costs(
 /// recovery ledger's two clocks.
 fn batch_weights(
     batches: &[mako_eri::QuartetBatch],
-    fp64_cfg_for: &(impl Fn(usize) -> PipelineConfig + Sync),
+    fp64_cfg_for: impl Fn(usize) -> PipelineConfig,
     model: &CostModel,
 ) -> Vec<f64> {
     batches
@@ -186,67 +190,30 @@ fn lpt_shares(weights: &[f64], ranks: usize) -> Vec<Vec<usize>> {
     shares
 }
 
-/// Evaluate one rank's share with the single-device engine — the **only**
-/// way share numerics are ever produced. Recovery re-runs call this very
-/// function on the same share, so the engine's determinism guarantee makes
-/// re-executed results bitwise identical to the originals.
-#[allow(clippy::too_many_arguments)]
-fn run_rank_share(
-    density: &mako_linalg::Matrix,
-    pairs: &[mako_eri::ScreenedPair],
-    batches: &[mako_eri::QuartetBatch],
-    share: &[usize],
-    layout: &mako_chem::AoLayout,
-    schedule: &mako_quant::QuantSchedule,
-    cfg_for: &(impl Fn(usize) -> (PipelineConfig, PipelineConfig) + Sync),
-    model: &CostModel,
-    opts: FockEngineOptions,
-) -> (JkMatrices, FockBuildStats) {
-    let mine: Vec<mako_eri::QuartetBatch> =
-        share.iter().map(|&bi| batches[bi].clone()).collect();
-    build_jk_with_configs(
-        density,
-        pairs,
-        &mine,
-        layout,
-        schedule,
-        |li| cfg_for(share[li]),
-        model,
-        opts,
-    )
-}
+/// Straggler detector bar: a rank that has burned this multiple of its
+/// fault-free LPT share budget with batches still pending loses the pending
+/// suffix to faster ranks (work stealing).
+const STRAGGLER_THRESHOLD: f64 = 1.5;
 
-/// Recovery policy of the fault-tolerant distributed build.
+/// A simulated GPU cluster for the multi-rank Fock build: how many ranks
+/// there are and what goes wrong on them is one [`FaultPlan`].
 #[derive(Debug, Clone)]
-pub struct FaultToleranceOptions {
-    /// The (seeded, deterministic) fault schedule to execute under.
+pub struct DistributedScf {
+    /// The (seeded, deterministic) fault schedule the build executes under;
+    /// its rank count is the cluster size, and [`FaultPlan::quiet`] is the
+    /// fault-free build.
     pub plan: FaultPlan,
-    /// Straggler detector bar: a rank that has burned its entire fault-free
-    /// LPT share budget with batches still pending is flagged, and the
-    /// pending suffix is re-partitioned onto faster ranks (work stealing).
-    /// Effectively: ranks slower than this multiple of the plan lose their
-    /// tail. Must be > 1.
-    pub straggler_threshold: f64,
-    /// Cluster geometry for the allreduce accounting; `None` skips the
-    /// collective (single-node studies).
+    /// Cluster geometry for the per-build allreduce of J and K; `None` skips
+    /// the collective (single-node studies).
     pub cluster: Option<ClusterSpec>,
-    /// Bytes moved by the per-build allreduce (only with `cluster`).
-    pub allreduce_bytes: f64,
-    /// Identifier of this build's collective in the fault plan's timeout
-    /// stream (the SCF driver passes the iteration index so each
-    /// iteration's allreduce draws independent timeouts).
-    pub collective_call: u64,
 }
 
-impl FaultToleranceOptions {
-    /// Recovery under `plan` with the default detector and no collective.
-    pub fn new(plan: FaultPlan) -> FaultToleranceOptions {
-        FaultToleranceOptions {
-            plan,
-            straggler_threshold: 1.5,
+impl DistributedScf {
+    /// Quiet distributed run over `ranks` ranks, with no collective priced.
+    pub fn new(ranks: usize) -> DistributedScf {
+        DistributedScf {
+            plan: FaultPlan::quiet(ranks),
             cluster: None,
-            allreduce_bytes: 0.0,
-            collective_call: 0,
         }
     }
 }
@@ -266,35 +233,38 @@ pub struct FtFockOutcome {
     pub recovery: RecoveryLedger,
 }
 
-/// The multi-rank Fock build: quartet batches are partitioned over `ranks`
-/// worker threads by LPT on their modeled device cost (one thread standing in
-/// for one GPU's host rank), each worker runs the **same assembly engine as
-/// the single-device path** ([`build_jk_with_configs`]) on its share, and the
-/// partial J/K matrices are merged in rank order — the software analogue of
-/// the per-rank Fock build + deterministic allreduce. This is the one
-/// multi-rank entry point: the fault-free build is `ft.plan` =
-/// [`FaultPlan::quiet`], under which no recovery fires. Under any other plan
-/// the build *simulates* the fault schedule and recovers from every injected
-/// anomaly:
+/// The multi-rank Fock build: quartet batches are partitioned over the
+/// plan's ranks by LPT on their modeled device cost, each rank's share is the
+/// **single-device engine's plan → price → assemble** over that share's batch
+/// indices, and the partial J/K matrices are merged in rank order — the
+/// software analogue of the per-rank Fock build + deterministic allreduce.
+/// Shares run one after another on the caller's thread, each assembly across
+/// the installed rayon pool. This is the one multi-rank entry point: the
+/// fault-free build is `dist.plan` = [`FaultPlan::quiet`], under which no
+/// recovery fires. Under any other plan the build *simulates* the fault
+/// schedule and recovers from every injected anomaly:
 ///
 /// * **transient launch failures** — retried in place with capped
 ///   exponential backoff (wasted attempts and backoff delays are charged to
 ///   the degraded clock);
 /// * **stragglers** — detected against the LPT load model (a rank that has
-///   spent its whole fault-free share budget with work still pending); the
+///   spent 1.5× its fault-free share budget with work still pending); the
 ///   pending suffix is re-partitioned greedily onto the least-loaded live
 ///   ranks;
 /// * **permanent rank loss** — a dead rank's partial results are lost, and
 ///   its **entire share** is re-run on the least-loaded survivor;
-/// * **allreduce timeouts** — retried, each timeout charging its stall.
+/// * **allreduce timeouts** of call `collective_call` (the SCF driver passes
+///   the iteration index) — retried, each timeout charging its stall. The
+///   collective moves J and K, `2·nao²` doubles, and is priced only when
+///   `dist.cluster` is set.
 ///
 /// ## The determinism invariant
 ///
 /// Recovered J/K, per-rank `device_seconds`, and scheduler statistics are
 /// **bitwise identical** to the fault-free run, by construction: the
-/// numerics of logical rank `r`'s share are only ever produced by
-/// [`run_rank_share`] over the *original fault-free share* — re-runs
-/// re-execute the identical engine call (deterministic by the engine
+/// numerics of logical rank `r`'s share are only ever produced by one plan →
+/// price → assemble over the *original fault-free share* — re-runs
+/// re-execute the identical engine calls (deterministic by the engine
 /// contract), thieves evaluate on behalf of the owner and ship tensors back
 /// to the owner's ordered scatter, and the final merge stays in logical
 /// rank order. No fault can regroup a floating-point sum. What faults *do*
@@ -304,12 +274,10 @@ pub struct FtFockOutcome {
 ///
 /// Every rank applies `opts` to its share (the incremental driver's ΔD
 /// screen is a pure per-quartet function of the density and the Schwarz
-/// bounds, so partitioning does not change what is skipped). Errors with
-/// [`FockBuildError::NoRanks`] on an empty cluster,
-/// [`FockBuildError::PlanMismatch`] when the plan was drawn for another rank
-/// count, [`FockBuildError::AllRanksLost`] when no rank survives, and
-/// [`FockBuildError::RankPanicked`] if a worker thread dies (a software bug,
-/// as opposed to an *injected* fault, which is recovered from).
+/// bounds, so partitioning does not change what is skipped). Stateless and
+/// integral-direct, like [`crate::fock::build_jk_with_configs`]. Errors with
+/// [`FockBuildError::NoRanks`] on an empty cluster and
+/// [`FockBuildError::AllRanksLost`] when no rank survives.
 #[allow(clippy::too_many_arguments)]
 pub fn build_jk_distributed(
     density: &mako_linalg::Matrix,
@@ -317,24 +285,42 @@ pub fn build_jk_distributed(
     batches: &[mako_eri::QuartetBatch],
     layout: &mako_chem::AoLayout,
     schedule: &mako_quant::QuantSchedule,
-    cfg_for: &(impl Fn(usize) -> (PipelineConfig, PipelineConfig) + Sync),
+    cfg_for: impl Fn(usize) -> (PipelineConfig, PipelineConfig),
     model: &CostModel,
-    ranks: usize,
     opts: FockEngineOptions,
-    ft: &FaultToleranceOptions,
+    dist: &DistributedScf,
+    collective_call: u64,
 ) -> Result<FtFockOutcome, FockBuildError> {
+    build_shares(
+        density, pairs, batches, layout, schedule, cfg_for, model, opts, dist, collective_call,
+        None,
+    )
+}
+
+/// [`build_jk_distributed`] with every share's assembly handed `store`: an
+/// SCF session's tensors, keyed by global *(batch, position)*, so disjoint
+/// shares never collide in it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_shares(
+    density: &mako_linalg::Matrix,
+    pairs: &[mako_eri::ScreenedPair],
+    batches: &[mako_eri::QuartetBatch],
+    layout: &mako_chem::AoLayout,
+    schedule: &mako_quant::QuantSchedule,
+    cfg_for: impl Fn(usize) -> (PipelineConfig, PipelineConfig),
+    model: &CostModel,
+    opts: FockEngineOptions,
+    dist: &DistributedScf,
+    collective_call: u64,
+    mut store: Option<&mut TensorStore>,
+) -> Result<FtFockOutcome, FockBuildError> {
+    let plan = &dist.plan;
+    let ranks = plan.ranks();
     if ranks == 0 {
         return Err(FockBuildError::NoRanks);
     }
-    let plan = &ft.plan;
-    if plan.ranks() != ranks {
-        return Err(FockBuildError::PlanMismatch {
-            plan_ranks: plan.ranks(),
-            ranks,
-        });
-    }
 
-    let weights = batch_weights(batches, &|bi| cfg_for(bi).0, model);
+    let weights = batch_weights(batches, |bi| cfg_for(bi).0, model);
     let shares = lpt_shares(&weights, ranks);
     let mut ledger = RecoveryLedger::default();
     let mut dist_span = mako_trace::span("dist", "build_jk_ft");
@@ -355,37 +341,12 @@ pub fn build_jk_distributed(
         }
     }
 
-    // ---- Phase 1: share numerics (the only place numbers are made). ----
-    // Every logical rank's share is evaluated by one engine call whether or
-    // not the rank survives; the fault walk below decides who *executed* it
-    // and what that cost. A real stack would run the re-executions after
-    // the failure; the numbers are identical either way (engine purity), so
-    // the simulation orders them freely.
-    let results: Vec<Result<(JkMatrices, FockBuildStats), FockBuildError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shares
-                .iter()
-                .map(|share| {
-                    scope.spawn(|| {
-                        run_rank_share(
-                            density, pairs, batches, share, layout, schedule, cfg_for,
-                            model, opts,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(rank, h)| h.join().map_err(|_| FockBuildError::RankPanicked { rank }))
-                .collect()
-        });
-
-    // ---- Phases 2–3: fault timeline on the load-model clock. ----
+    // ---- Fault timeline on the load-model clock. ----
     // Transient failures retry in place, a doomed rank executes up to its
     // death point, a straggler keeps only the prefix it can finish within
     // its budget, and displaced batches land on the least-loaded live rank
     // — all in `FaultPlan::walk`, keyed by batch index, costed by weight.
+    // Accounting only: the numbers below are the same whoever executes.
     if (0..ranks).all(|r| plan.death_point(r, shares[r].len()).is_some()) {
         return Err(FockBuildError::AllRanksLost { ranks });
     }
@@ -393,19 +354,15 @@ pub fn build_jk_distributed(
         .iter()
         .map(|s| s.iter().map(|&bi| (bi, weights[bi])).collect())
         .collect();
-    plan.walk(
-        &costed,
-        &mut vec![true; ranks],
-        Some(ft.straggler_threshold),
-        &mut ledger,
-    );
+    plan.walk(&costed, &mut vec![true; ranks], Some(STRAGGLER_THRESHOLD), &mut ledger);
 
-    // ---- Phase 4: the collective, with timeout retries. ----
-    if let Some(cluster) = &ft.cluster {
-        let comm = RingAllreduce::new(cluster.clone()).time(ft.allreduce_bytes, ranks);
+    // ---- The collective, with timeout retries. ----
+    if let Some(cluster) = &dist.cluster {
+        let bytes = 2.0 * (layout.nao * layout.nao) as f64 * 8.0;
+        let comm = RingAllreduce::new(cluster.clone()).time(bytes, ranks);
         ledger.fault_free_seconds += comm;
         let mut attempt = 0u32;
-        while attempt < 1000 && plan.allreduce_times_out(ft.collective_call, attempt) {
+        while attempt < 1000 && plan.allreduce_times_out(collective_call, attempt) {
             ledger.degraded_seconds += plan.allreduce_timeout_seconds();
             ledger.allreduce_retries += 1;
             attempt += 1;
@@ -413,18 +370,22 @@ pub fn build_jk_distributed(
         ledger.degraded_seconds += comm;
     }
 
-    // ---- Phase 5: rank-ordered merge — no fault reaches it.
+    // ---- Share numerics (the only place numbers are made), merged in rank
+    // order — no fault reaches them.
     let n = layout.nao;
     let mut j = mako_linalg::Matrix::zeros(n, n);
     let mut k = mako_linalg::Matrix::zeros(n, n);
     let mut rank_seconds = Vec::with_capacity(ranks);
     let mut stats = FockBuildStats::default();
-    for res in results {
-        let (jk, st) = res?;
+    for share in &shares {
+        let mut share_plan =
+            plan_jk(density, pairs, batches, share.iter().copied(), schedule, &cfg_for, layout, opts);
+        share_plan.price(pairs, batches, model);
+        let jk = share_plan.assemble(density, pairs, batches, layout, store.as_deref_mut());
         j.axpy(1.0, &jk.j);
         k.axpy(1.0, &jk.k);
-        rank_seconds.push(st.device_seconds);
-        stats.merge_rank(&st);
+        rank_seconds.push(share_plan.stats.device_seconds);
+        stats.merge_rank(&share_plan.stats);
     }
     if dist_span.is_recording() {
         dist_span.add_field("transient_retries", ledger.transient_retries);
@@ -505,6 +466,7 @@ pub fn scaling_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fock::build_jk_with_configs;
     use mako_accel::DeviceSpec;
     use mako_chem::basis::BasisFamily;
     use mako_chem::builders;
@@ -601,8 +563,8 @@ mod tests {
         })
     }
 
-    /// The build of `fx` over `ft.plan.ranks()` ranks under `ft`.
-    fn build_under(fx: &FockFixture, ft: &FaultToleranceOptions) -> FtFockOutcome {
+    /// The build of `fx` on `dist` as collective call `call`.
+    fn build_on(fx: &FockFixture, dist: &DistributedScf, call: u64) -> FtFockOutcome {
         let (d, pairs, batches, layout, schedule, cfg, model) = fx;
         build_jk_distributed(
             d,
@@ -610,18 +572,23 @@ mod tests {
             batches,
             layout,
             schedule,
-            &|_| (*cfg, *cfg),
+            |_| (*cfg, *cfg),
             model,
-            ft.plan.ranks(),
             FockEngineOptions::default(),
-            ft,
+            dist,
+            call,
         )
         .expect("distributed build")
     }
 
+    /// The build of `fx` over `plan.ranks()` ranks under `plan`.
+    fn build_under(fx: &FockFixture, plan: FaultPlan) -> FtFockOutcome {
+        build_on(fx, &DistributedScf { plan, cluster: None }, 0)
+    }
+
     /// The fault-free build: the quiet plan.
     fn fault_free(fx: &FockFixture, ranks: usize) -> FtFockOutcome {
-        build_under(fx, &FaultToleranceOptions::new(FaultPlan::quiet(ranks)))
+        build_on(fx, &DistributedScf::new(ranks), 0)
     }
 
     /// The single-device engine on the same fixture.
@@ -736,7 +703,7 @@ mod tests {
             .kill_rank(3, 0.9)
             .slow_rank(2, 4.0)
             .with_transients(0.2);
-        let ft = build_under(&fx, &FaultToleranceOptions::new(plan));
+        let ft = build_under(&fx, plan);
         assert_bitwise_jk(&ft.jk, &ff.jk, "3-of-4 rank loss");
         assert_eq!(ft.rank_seconds, ff.rank_seconds);
         assert_eq!(ft.stats, ff.stats);
@@ -757,7 +724,7 @@ mod tests {
         let ranks = 4;
         let ff = fault_free(&fx, ranks);
         let plan = FaultPlan::quiet(ranks).slow_rank(1, 8.0);
-        let ft = build_under(&fx, &FaultToleranceOptions::new(plan));
+        let ft = build_under(&fx, plan);
         assert_bitwise_jk(&ft.jk, &ff.jk, "straggler");
         assert_eq!(ft.recovery.straggler_ranks, 1);
         assert!(ft.recovery.stolen_batches > 0, "8× straggler must lose its tail");
@@ -774,7 +741,6 @@ mod tests {
     #[test]
     fn ft_allreduce_timeouts_are_charged() {
         let fx = ft_fixture();
-        let nao = fx.3.nao;
         let ranks = 2;
         // Timeout stream with a high rate: some call index in 0..20 draws a
         // timeout deterministically.
@@ -786,17 +752,13 @@ mod tests {
                 ..mako_accel::fault::FaultConfig::default()
             },
         );
+        let cluster = DistributedScf {
+            plan: plan.clone(),
+            cluster: Some(ClusterSpec::azure_nd_a100_v4()),
+        };
         let mut saw_retry = false;
         for call in 0..20 {
-            let ft = build_under(
-                &fx,
-                &FaultToleranceOptions {
-                    cluster: Some(ClusterSpec::azure_nd_a100_v4()),
-                    allreduce_bytes: 2.0 * (nao * nao) as f64 * 8.0,
-                    collective_call: call,
-                    ..FaultToleranceOptions::new(plan.clone())
-                },
-            );
+            let ft = build_on(&fx, &cluster, call);
             assert!(ft.recovery.fault_free_seconds > 0.0, "comm must be priced");
             if ft.recovery.allreduce_retries > 0 {
                 saw_retry = true;
@@ -814,26 +776,19 @@ mod tests {
     #[test]
     fn ft_rejects_bad_configurations() {
         let (d, pairs, batches, layout, schedule, cfg, model) = ft_fixture();
-        let build = |ranks: usize, plan_ranks: usize| {
-            build_jk_distributed(
-                &d,
-                &pairs,
-                &batches,
-                &layout,
-                &schedule,
-                &|_| (cfg, cfg),
-                &model,
-                ranks,
-                FockEngineOptions::default(),
-                &FaultToleranceOptions::new(FaultPlan::quiet(plan_ranks)),
-            )
-        };
-        let err = build(3, 2).expect_err("plan/ranks mismatch must be rejected");
-        assert_eq!(
-            err,
-            crate::error::FockBuildError::PlanMismatch { plan_ranks: 2, ranks: 3 }
-        );
-        let err = build(0, 0).expect_err("zero ranks must be rejected");
+        let err = build_jk_distributed(
+            &d,
+            &pairs,
+            &batches,
+            &layout,
+            &schedule,
+            |_| (cfg, cfg),
+            &model,
+            FockEngineOptions::default(),
+            &DistributedScf::new(0),
+            0,
+        )
+        .expect_err("zero ranks must be rejected");
         assert_eq!(err, crate::error::FockBuildError::NoRanks);
     }
 

@@ -15,11 +15,10 @@ use crate::fock::{
     TENSOR_STORE_BYTES,
 };
 use crate::grid::MolecularGrid;
-use crate::parallel::{build_jk_distributed, FaultToleranceOptions};
+use crate::parallel::{build_shares, DistributedScf};
 use crate::rescue::{RescueConfig, RescueLedger, RescueStage, RescueState, TrajectoryClass};
 use crate::xc::{evaluate_aos, evaluate_xc, hartree_fock, AoOnGrid, XcFunctional};
-use mako_accel::cluster::ClusterSpec;
-use mako_accel::fault::{FaultPlan, RecoveryLedger};
+use mako_accel::fault::RecoveryLedger;
 use mako_accel::{CostModel, DeviceClock, DeviceSpec, IterationLedger};
 use mako_chem::{AoLayout, BasisSet, Molecule, Shell};
 use mako_compiler::KernelCache;
@@ -74,35 +73,6 @@ impl Default for IncrementalPolicy {
             rebuild_period: 8,
             drift_cap: 1e-4,
             divergence_factor: 10.0,
-        }
-    }
-}
-
-/// Distributed execution of the per-iteration Fock build: the work is
-/// LPT-partitioned over simulated GPU ranks and recovered under an optional
-/// fault plan (see [`build_jk_distributed`]).
-#[derive(Debug, Clone)]
-pub struct DistributedScf {
-    /// Simulated GPU ranks (worker threads).
-    pub ranks: usize,
-    /// Fault schedule to inject and recover from; `None` runs the quiet
-    /// plan, which is the fault-free build.
-    pub fault_plan: Option<FaultPlan>,
-    /// Cluster geometry for the per-iteration allreduce accounting.
-    pub cluster: Option<ClusterSpec>,
-    /// Straggler-detector bar (see
-    /// [`FaultToleranceOptions::straggler_threshold`]).
-    pub straggler_threshold: f64,
-}
-
-impl DistributedScf {
-    /// Quiet distributed run over `ranks` ranks.
-    pub fn new(ranks: usize) -> DistributedScf {
-        DistributedScf {
-            ranks,
-            fault_plan: None,
-            cluster: None,
-            straggler_threshold: 1.5,
         }
     }
 }
@@ -438,7 +408,11 @@ impl ScfDriver {
     /// accumulators, residual bookkeeping, ledgers), all serialized through
     /// `f64::to_bits`.
     pub fn run_with(&self, run_opts: ScfRunOptions) -> Result<ScfResult, ScfError> {
-        let mut session = ScfSession::new(self, run_opts)?;
+        self.run_session(ScfSession::new(self, run_opts)?)
+    }
+
+    /// Step `session` to the end on this driver's execution path.
+    fn run_session(&self, mut session: ScfSession<'_>) -> Result<ScfResult, ScfError> {
         while session.active() {
             let prep = session.prepare();
             let (jk, st, recovery) =
@@ -449,44 +423,34 @@ impl ScfDriver {
     }
 
     /// Execute one prepared Fock build on this driver's execution path:
-    /// single simulated device, or the fault-tolerant multi-rank cluster.
-    /// The ensemble driver substitutes its own execution (cross-molecule
-    /// fused launches) for this call — everything else of the iteration is
-    /// the session's, shared verbatim.
+    /// single simulated device, or the fault-tolerant multi-rank cluster;
+    /// both hand the session's tensors to every `assemble`. The ensemble
+    /// driver substitutes its own execution (cross-molecule fused launches)
+    /// for this call — everything else of the iteration is the session's,
+    /// shared verbatim.
     fn execute_build(
         &self,
         prep: &PreparedIteration,
         iter: usize,
         tensors: &mut TensorStore,
     ) -> Result<(JkMatrices, FockBuildStats, RecoveryLedger), ScfError> {
-        let nao = self.layout.nao;
+        let cfg_for = |bi: usize| (self.fp64_cfgs[bi], self.quant_cfgs[bi]);
         match &self.config.distributed {
             Some(dist) => {
-                // Fault-tolerant multi-rank build. The plan's fault
-                // stream is shared across iterations; the collective
-                // call index keys each iteration's allreduce timeouts.
-                let plan = dist
-                    .fault_plan
-                    .clone()
-                    .unwrap_or_else(|| FaultPlan::quiet(dist.ranks));
-                let ft = FaultToleranceOptions {
-                    plan,
-                    straggler_threshold: dist.straggler_threshold,
-                    cluster: dist.cluster.clone(),
-                    allreduce_bytes: 2.0 * (nao * nao) as f64 * 8.0,
-                    collective_call: iter as u64,
-                };
-                let out = build_jk_distributed(
+                // The plan's fault stream is shared across iterations; the
+                // iteration index keys each iteration's allreduce timeouts.
+                let out = build_shares(
                     &prep.build_density,
                     &self.pairs,
                     &self.batches,
                     &self.layout,
                     &prep.schedule,
-                    &|bi| (self.fp64_cfgs[bi], self.quant_cfgs[bi]),
+                    cfg_for,
                     &self.model,
-                    dist.ranks,
                     prep.opts,
-                    &ft,
+                    dist,
+                    iter as u64,
+                    Some(tensors),
                 )?;
                 Ok((out.jk, out.stats, out.recovery))
             }
@@ -497,8 +461,9 @@ impl ScfDriver {
                     &prep.build_density,
                     &self.pairs,
                     &self.batches,
+                    0..self.batches.len(),
                     &prep.schedule,
-                    |bi| (self.fp64_cfgs[bi], self.quant_cfgs[bi]),
+                    cfg_for,
                     &self.layout,
                     prep.opts,
                 );
@@ -675,11 +640,6 @@ impl<'a> ScfSession<'a> {
             threshold: driver.config.orth_threshold,
         };
         let x = orth_factor.matrix;
-        // The multi-rank build is stateless and stays integral-direct.
-        let store_budget_bytes = match driver.config.distributed {
-            Some(_) => 0,
-            None => store_budget_bytes,
-        };
         let tensors = TensorStore::new(&driver.batches, store_budget_bytes);
         {
             let mut setup = mako_trace::span("scf", "setup");
@@ -1735,6 +1695,44 @@ mod tests {
         // With rebuild_period=2 at least half the iterations are rebuilds.
         let rebuilds = inc.clock.iterations().iter().filter(|l| l.rebuild).count();
         assert!(rebuilds * 3 >= inc.iterations, "rebuild policy inactive");
+    }
+
+    #[test]
+    fn distributed_session_keeps_its_integrals_without_moving_a_bit() {
+        use mako_accel::cluster::ClusterSpec;
+        use mako_accel::fault::{FaultConfig, FaultPlan};
+        let driver = ScfDriver::new(
+            &builders::water_cluster(3),
+            &sto3g(),
+            ScfConfig {
+                distributed: Some(DistributedScf {
+                    plan: FaultPlan::seeded(6, 2, &FaultConfig::chaotic()),
+                    cluster: Some(ClusterSpec::azure_nd_a100_v4()),
+                }),
+                ..ScfConfig::default()
+            },
+        );
+        let run = |budget: usize| {
+            let session = ScfSession::with_store_budget(&driver, ScfRunOptions::default(), budget)
+                .expect("session");
+            driver.run_session(session).expect("distributed scf")
+        };
+        let (kept, direct) = (run(TENSOR_STORE_BYTES), run(0));
+        assert!(kept.converged);
+        assert!(kept.evaluations_reused > 0, "a distributed session reused no tensor");
+        assert_eq!((direct.evaluations_reused, direct.tensor_store_bytes), (0, 0));
+        assert_eq!(kept.energy.to_bits(), direct.energy.to_bits());
+        assert!(kept
+            .density
+            .as_slice()
+            .iter()
+            .zip(direct.density.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&kept.iteration_seconds), bits(&direct.iteration_seconds));
+        assert_eq!(kept.clock.iterations(), direct.clock.iterations());
+        assert_eq!(kept.clock.recoveries(), direct.clock.recoveries());
+        assert!(!kept.clock.total_recovery().quiet(), "the chaotic plan fired no recovery");
     }
 
     #[test]

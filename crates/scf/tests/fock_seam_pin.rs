@@ -34,7 +34,7 @@ use mako_kernels::pipeline::PipelineConfig;
 use mako_linalg::Matrix;
 use mako_quant::QuantSchedule;
 use mako_scf::fock::{build_jk_with_configs, FockEngineOptions, JkMatrices};
-use mako_scf::parallel::{build_jk_distributed, FaultToleranceOptions};
+use mako_scf::parallel::{build_jk_distributed, DistributedScf};
 
 mod digest;
 use digest::{Digest, Pin};
@@ -131,11 +131,11 @@ fn distributed(plan: FaultPlan) -> Pin {
         &f.batches,
         &f.layout,
         &f.schedule,
-        &|_| (f.fp64, f.quant),
+        |_| (f.fp64, f.quant),
         &f.model,
-        RANKS,
         FockEngineOptions::default(),
-        &FaultToleranceOptions::new(plan),
+        &DistributedScf { plan, cluster: None },
+        0,
     )
     .expect("distributed build");
     let mut d = Digest::new();

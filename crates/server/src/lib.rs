@@ -48,6 +48,7 @@
 //! let report = server.serve(&jobs, &chaos);
 //! assert_eq!(report.ledger.completed, 2);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod cache;

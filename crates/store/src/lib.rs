@@ -26,6 +26,7 @@
 //! completed job's numerics are bitwise identical to an uninterrupted run.
 //! See DESIGN.md §16.
 #![deny(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod codec;

@@ -34,6 +34,7 @@
 //! Binaries call [`flush`] once at exit; libraries only record.
 
 #![deny(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod schema;
 

@@ -275,6 +275,7 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "fock.launch",
     "fock.assemble",
     "dist.build_jk_ft",
+    "dist.share",
     "ensemble.run",
     "ensemble.iteration",
     "ensemble.launch",
@@ -303,7 +304,6 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "recover.replay",
     "recover.salvage",
     "recover.serve",
-    "accel.clock",
     "clock.iteration",
     "clock.recovery",
     "kernel.dispatch",

@@ -1,1 +1,2 @@
 //! Integration test support crate (tests live in ./tests).
+#![forbid(unsafe_code)]

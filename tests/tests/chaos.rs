@@ -27,9 +27,8 @@ use mako::linalg::Matrix;
 use mako::quant::QuantSchedule;
 use mako::scf::fock::{FockEngineOptions, JkMatrices};
 use mako::scf::{
-    build_jk_distributed, CheckpointError, CheckpointPolicy, DistributedScf,
-    FaultToleranceOptions, FtFockOutcome, ScfCheckpoint, ScfConfig, ScfDriver, ScfError,
-    ScfRunOptions,
+    build_jk_distributed, CheckpointError, CheckpointPolicy, DistributedScf, FtFockOutcome,
+    ScfCheckpoint, ScfConfig, ScfDriver, ScfError, ScfRunOptions,
 };
 use std::path::PathBuf;
 
@@ -70,11 +69,11 @@ fn build_under(fx: &FockFixture, plan: FaultPlan) -> FtFockOutcome {
         batches,
         layout,
         schedule,
-        &|_| (*cfg, *cfg),
+        |_| (*cfg, *cfg),
         model,
-        plan.ranks(),
         FockEngineOptions::default(),
-        &FaultToleranceOptions::new(plan),
+        &DistributedScf { plan, cluster: None },
+        0,
     )
     .expect("distributed build")
 }
@@ -102,9 +101,8 @@ fn assert_bitwise_jk(a: &JkMatrices, b: &JkMatrices, what: &str) {
 /// ledger's two clocks.
 fn chaotic_cluster() -> DistributedScf {
     DistributedScf {
-        fault_plan: Some(FaultPlan::seeded(6, 2, &FaultConfig::chaotic())),
+        plan: FaultPlan::seeded(6, 2, &FaultConfig::chaotic()),
         cluster: Some(ClusterSpec::azure_nd_a100_v4()),
-        ..DistributedScf::new(2)
     }
 }
 
@@ -244,8 +242,8 @@ fn scf_under_faults_matches_quiet_scf_bitwise() {
     // targeted one retries transients, the seeded one steals from its
     // straggler.
     let targeted = DistributedScf {
-        fault_plan: Some(FaultPlan::quiet(2).kill_rank(1, 0.4).with_transients(0.15)),
-        ..DistributedScf::new(2)
+        plan: FaultPlan::quiet(2).kill_rank(1, 0.4).with_transients(0.15),
+        cluster: None,
     };
     assert!(faulted("targeted", targeted).transient_retries > 0);
     assert!(faulted("seeded chaotic", chaotic_cluster()).stolen_batches > 0);

@@ -348,8 +348,7 @@ fn chaos_ensemble_members_bitwise_match_fault_free() {
         &sto3g(),
         config.clone(),
         EnsembleConfig {
-            ranks: 4,
-            fault_plan: None,
+            plan: FaultPlan::quiet(4),
         },
     )
     .expect("ensemble driver");
@@ -372,8 +371,7 @@ fn chaos_ensemble_members_bitwise_match_fault_free() {
         &sto3g(),
         config.clone(),
         EnsembleConfig {
-            ranks: 4,
-            fault_plan: Some(FaultPlan::quiet(4).kill_rank(2, 0.5).with_transients(0.15)),
+            plan: FaultPlan::quiet(4).kill_rank(2, 0.5).with_transients(0.15),
         },
     )
     .expect("ensemble driver");

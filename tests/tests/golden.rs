@@ -197,15 +197,12 @@ fn golden_trimer_energy_survives_rank_loss() {
     // of the fault-free distributed run (recovery re-executes, never
     // regroups, a floating-point sum).
     let mol = builders::water_cluster(3);
-    let distributed_config = |fault_plan: Option<FaultPlan>| ScfConfig {
-        distributed: Some(DistributedScf {
-            fault_plan,
-            ..DistributedScf::new(2)
-        }),
+    let distributed_config = |plan: FaultPlan| ScfConfig {
+        distributed: Some(DistributedScf { plan, cluster: None }),
         ..tight_config()
     };
 
-    let quiet = ScfDriver::new(&mol, &sto3g(), distributed_config(None))
+    let quiet = ScfDriver::new(&mol, &sto3g(), distributed_config(FaultPlan::quiet(2)))
         .run()
         .expect("scf run");
     assert!(quiet.converged);
@@ -217,7 +214,7 @@ fn golden_trimer_energy_survives_rank_loss() {
     );
 
     let plan = FaultPlan::quiet(2).kill_rank(1, 0.5);
-    let lossy = ScfDriver::new(&mol, &sto3g(), distributed_config(Some(plan)))
+    let lossy = ScfDriver::new(&mol, &sto3g(), distributed_config(plan))
         .run()
         .expect("scf run");
     assert!(lossy.converged);

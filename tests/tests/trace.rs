@@ -12,7 +12,8 @@
 //! That also makes this the one place that can require an event family to
 //! appear: the fleet, serving and durability layers each run once traced.
 
-use mako::accel::{CostModel, DeviceSpec};
+use mako::accel::fault::{FaultConfig, FaultPlan};
+use mako::accel::{ClusterSpec, CostModel, DeviceSpec};
 use mako::chem::basis::sto3g::sto3g;
 use mako::chem::AoLayout;
 use mako::eri::batch::batch_quartets;
@@ -22,7 +23,7 @@ use mako::linalg::Matrix;
 use mako::prelude::*;
 use mako::quant::QuantSchedule;
 use mako::scf::fock::{build_jk_with_configs, FockEngineOptions, JkMatrices};
-use mako::scf::{b3lyp, EnsembleConfig, EnsembleDriver, ScfDriver};
+use mako::scf::{b3lyp, DistributedScf, EnsembleConfig, EnsembleDriver, ScfDriver, ScfResult};
 use mako::server::{Journal, ServeReport, ServerConfig};
 use mako::store::{FaultProfile, FaultVfs, Vfs};
 use std::path::{Path, PathBuf};
@@ -38,6 +39,14 @@ fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
 
 fn two_electron_energy(d: &Matrix, jk: &JkMatrices) -> f64 {
     d.dot(&jk.j) - 0.5 * d.dot(&jk.k)
+}
+
+/// Everything a distributed SCF produces that tracing must not move: energy,
+/// density, iteration count, both ledgers and the host's tensor reuse.
+fn scf_bits(res: &ScfResult) -> (Vec<u64>, String, usize, usize) {
+    let floats = [res.energy, res.total_seconds].into_iter().chain(res.density.as_slice().iter().copied());
+    let ledgers = format!("{:?} {:?}", res.clock.iterations(), res.clock.recoveries());
+    (floats.map(f64::to_bits).collect(), ledgers, res.evaluations_reused, res.tensor_store_bytes)
 }
 
 fn energy_bits(report: &ServeReport) -> Vec<Option<u64>> {
@@ -102,13 +111,31 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         },
     );
     let dft_ref = dft.run().expect("untraced B3LYP run");
+    // The multi-rank build: a water trimer on a seeded chaotic 2-rank cluster.
+    let cluster = ScfDriver::new(
+        &mako::chem::builders::water_cluster(3),
+        &sto3g(),
+        ScfConfig {
+            distributed: Some(DistributedScf {
+                plan: FaultPlan::seeded(6, 2, &FaultConfig::chaotic()),
+                cluster: Some(ClusterSpec::azure_nd_a100_v4()),
+            }),
+            ..ScfConfig::default()
+        },
+    );
+    let cluster_ref = scf_bits(&cluster.run().expect("untraced distributed run"));
+    assert!(cluster_ref.2 > 0, "the distributed reference run never reused a tensor");
 
-    // Fleet, serving and durability baselines: a 4-member ensemble, a serve
-    // that loses a worker, and a store-backed serve to crash and recover.
+    // Fleet, serving and durability baselines: a 4-member ensemble on three
+    // quiet ranks, a serve that loses a worker, and a store-backed serve to
+    // crash and recover.
     let fleet: Vec<_> =
         (0..4).map(|seed| mako::chem::builders::perturbed_water(seed, 0.02)).collect();
+    let fleet_ranks = EnsembleConfig {
+        plan: FaultPlan::quiet(3),
+    };
     let ensemble =
-        EnsembleDriver::try_new(&fleet, &sto3g(), ScfConfig::default(), EnsembleConfig::default())
+        EnsembleDriver::try_new(&fleet, &sto3g(), ScfConfig::default(), fleet_ranks.clone())
             .expect("ensemble driver");
     let fleet_bits = |res: &mako::scf::EnsembleResult| -> Vec<u64> {
         let members = res.members.iter().map(|m| m.as_ref().expect("member").energy.to_bits());
@@ -188,6 +215,11 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
             (scf_ref.evaluations_reused, scf_ref.tensor_store_bytes),
             "tensor reuse drifted at {threads} threads"
         );
+        let cluster_traced = pool.install(|| cluster.run()).expect("traced distributed run");
+        assert!(
+            scf_bits(&cluster_traced) == cluster_ref,
+            "traced distributed SCF drifted from the untraced run at {threads} threads"
+        );
     }
 
     let dft_traced = dft.run().expect("traced B3LYP run");
@@ -222,6 +254,8 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         "fock.screen",
         "fock.launch",
         "fock.assemble",
+        "dist.build_jk_ft",
+        "dist.share",
         "clock.iteration",
         "compiler.tune_class",
         "ensemble.run",
@@ -246,12 +280,27 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
             "expected event {name} missing; saw {:?}",
             summary.names
         );
+    }
+    // Emitted ⊆ registered: every event the suite captured is documented.
+    let emitted: std::collections::BTreeSet<String> =
+        dump.events.iter().map(|e| format!("{}.{}", e.cat, e.name)).collect();
+    for name in &emitted {
         assert!(
             mako::trace::schema::is_known_event(name),
-            "{name} is not in the documented schema (KNOWN_EVENTS)"
+            "{name} is emitted but not in the documented schema (KNOWN_EVENTS)"
         );
     }
     assert!(summary.spans > 0 && summary.instants > 0);
+    // The fleet reports the ranks its fault plan dispatches over.
+    let fleet_runs = dump.events.iter().filter(|e| (e.cat, e.name) == ("ensemble", "run"));
+    for run in fleet_runs {
+        let ranks = run.fields.iter().find(|f| f.key == "ranks").map(|f| &f.value);
+        assert!(
+            matches!(ranks, Some(&mako::trace::FieldValue::U64(r)) if r == fleet_ranks.plan.ranks() as u64),
+            "ensemble.run reports ranks {ranks:?}, its plan has {}",
+            fleet_ranks.plan.ranks()
+        );
+    }
     // `fock.assemble` shows the host's reuse; the stateless `build` above
     // and every quantized sub-unit report none.
     let assemble_sum = |key: &str| -> u64 {
