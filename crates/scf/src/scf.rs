@@ -1000,6 +1000,8 @@ impl<'a> ScfSession<'a> {
                 let res = evaluate_xc(&self.functional, aos, grid, &self.d);
                 span.add_field("npts", grid.len());
                 span.add_field("nao", self.driver.layout.nao);
+                span.add_field("blocks", aos.blocks().len());
+                span.add_field("ao_kept_frac", aos.kept_frac());
                 span.add_field("below_floor", res.below_floor);
                 span.add_field("n_electrons", res.n_electrons);
                 span.add_field("e_xc", res.energy);
