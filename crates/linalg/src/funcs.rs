@@ -10,15 +10,20 @@ use crate::{eigh, gemm, LinalgError, Matrix, Transpose};
 /// `f(A) = V diag(f(λ)) Vᵀ`.
 pub fn sym_func(a: &Matrix, f: impl Fn(f64) -> f64) -> Result<Matrix, LinalgError> {
     let ed = eigh(a)?;
-    let n = ed.values.len();
-    let mut scaled = ed.vectors.clone();
-    for j in 0..n {
-        let fj = f(ed.values[j]);
-        for i in 0..n {
-            scaled[(i, j)] *= fj;
+    let fs: Vec<f64> = ed.values.iter().map(|&l| f(l)).collect();
+    Ok(scaled_outer(&ed.vectors, &fs))
+}
+
+/// `V diag(f) Vᵀ`: every column `j` of `V` scaled by `f[j]`, one row at a
+/// time, then one GEMM against `Vᵀ`.
+pub(crate) fn scaled_outer(v: &Matrix, f: &[f64]) -> Matrix {
+    let mut scaled = v.clone();
+    for i in 0..scaled.rows() {
+        for (x, fj) in scaled.row_mut(i).iter_mut().zip(f) {
+            *x *= fj;
         }
     }
-    Ok(gemm(&scaled, Transpose::No, &ed.vectors, Transpose::Yes))
+    gemm(&scaled, Transpose::No, v, Transpose::Yes)
 }
 
 /// `A^{-1/2}` for a symmetric positive-definite matrix.
@@ -53,27 +58,25 @@ pub struct OrthFactor {
 /// without perturbing any trajectory.
 pub fn sym_inv_sqrt_diag(a: &Matrix, threshold: f64) -> Result<OrthFactor, LinalgError> {
     let ed = eigh(a)?;
-    let n = ed.values.len();
-    let mut scaled = ed.vectors.clone();
     let mut n_dropped = 0usize;
     let mut smallest_kept = f64::INFINITY;
     let mut smallest = f64::INFINITY;
-    for j in 0..n {
-        let l = ed.values[j];
-        smallest = smallest.min(l);
-        let fj = if l > threshold {
-            smallest_kept = smallest_kept.min(l);
-            1.0 / l.sqrt()
-        } else {
-            n_dropped += 1;
-            0.0
-        };
-        for i in 0..n {
-            scaled[(i, j)] *= fj;
-        }
-    }
+    let fs: Vec<f64> = ed
+        .values
+        .iter()
+        .map(|&l| {
+            smallest = smallest.min(l);
+            if l > threshold {
+                smallest_kept = smallest_kept.min(l);
+                1.0 / l.sqrt()
+            } else {
+                n_dropped += 1;
+                0.0
+            }
+        })
+        .collect();
     Ok(OrthFactor {
-        matrix: gemm(&scaled, Transpose::No, &ed.vectors, Transpose::Yes),
+        matrix: scaled_outer(&ed.vectors, &fs),
         n_dropped,
         smallest_kept,
         smallest,

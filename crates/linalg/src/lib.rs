@@ -46,6 +46,12 @@ pub enum LinalgError {
         /// Eigenvalue index being worked on when the budget ran out.
         index: usize,
     },
+    /// An eigenvalue came out NaN or infinite: the input held a non-finite
+    /// element.
+    NonFinite {
+        /// Index of the offending eigenvalue, before sorting.
+        index: usize,
+    },
     /// A matrix required to be positive definite was not.
     NotPositiveDefinite {
         /// Pivot index at which the failure was detected.
@@ -59,6 +65,9 @@ impl std::fmt::Display for LinalgError {
             LinalgError::ShapeMismatch { context } => write!(f, "shape mismatch: {context}"),
             LinalgError::NoConvergence { index } => {
                 write!(f, "eigensolver failed to converge at index {index}")
+            }
+            LinalgError::NonFinite { index } => {
+                write!(f, "eigensolver produced a non-finite eigenvalue at index {index}")
             }
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix not positive definite (pivot {pivot})")
