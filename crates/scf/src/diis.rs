@@ -4,7 +4,9 @@
 //! The error vector is the orthonormal-basis commutator `Xᵀ(FDS − SDF)X`;
 //! the extrapolated Fock matrix minimizes the norm of the linear combination
 //! of stored error vectors subject to Σc = 1, solved via the augmented
-//! B-matrix system.
+//! B-matrix system. The Gram entries `eᵢ·eⱼ` of that system are kept across
+//! calls, so each extrapolation computes only the dot products of the newest
+//! error vector.
 
 use mako_linalg::{gemm, Matrix, Transpose};
 
@@ -13,6 +15,10 @@ pub struct Diis {
     max_vectors: usize,
     focks: Vec<Matrix>,
     errors: Vec<Matrix>,
+    /// `gram[i][j] = errors[i]·errors[j]` over the first `gram.len()` errors
+    /// (every row as long as `gram`); extended to the whole history at the
+    /// top of each extrapolation.
+    gram: Vec<Vec<f64>>,
     stats: DiisStats,
 }
 
@@ -43,6 +49,7 @@ impl Diis {
             max_vectors: max_vectors.max(2),
             focks: Vec::new(),
             errors: Vec::new(),
+            gram: Vec::new(),
             stats: DiisStats::default(),
         }
     }
@@ -70,12 +77,12 @@ impl Diis {
         self.focks.push(f);
         self.errors.push(error);
         if self.focks.len() > self.max_vectors {
-            self.focks.remove(0);
-            self.errors.remove(0);
+            self.drop_oldest();
         }
         if self.focks.len() < 2 {
             return latest;
         }
+        self.extend_gram();
 
         let mut degraded = false;
         while self.focks.len() >= 2 {
@@ -84,9 +91,7 @@ impl Diis {
             let dim = m + 1;
             let mut b = Matrix::zeros(dim, dim);
             for i in 0..m {
-                for j in 0..m {
-                    b[(i, j)] = self.errors[i].dot(&self.errors[j]);
-                }
+                b.row_mut(i)[..m].copy_from_slice(&self.gram[i]);
                 b[(i, m)] = 1.0;
                 b[(m, i)] = 1.0;
             }
@@ -111,8 +116,7 @@ impl Diis {
                 None => {
                     degraded = true;
                     self.stats.dropped_pairs += 1;
-                    self.focks.remove(0);
-                    self.errors.remove(0);
+                    self.drop_oldest();
                 }
             }
         }
@@ -120,6 +124,32 @@ impl Diis {
         self.stats.conditioning_events += 1;
         self.stats.raw_fallbacks += 1;
         latest
+    }
+
+    /// Remove the oldest (Fock, error) pair and its Gram row and column.
+    fn drop_oldest(&mut self) {
+        self.focks.remove(0);
+        self.errors.remove(0);
+        if !self.gram.is_empty() {
+            self.gram.remove(0);
+            for row in &mut self.gram {
+                row.remove(0);
+            }
+        }
+    }
+
+    /// Compute the Gram rows of the errors not yet covered: one new row
+    /// after a push, the whole matrix after [`Diis::restore`]. `eᵢ·eⱼ` and
+    /// `eⱼ·eᵢ` multiply the same pairs in the same order, so mirroring a row
+    /// into the column gives the bits of computing both.
+    fn extend_gram(&mut self) {
+        for i in self.gram.len()..self.errors.len() {
+            let row: Vec<f64> = (0..=i).map(|j| self.errors[i].dot(&self.errors[j])).collect();
+            for (old, &v) in self.gram.iter_mut().zip(&row) {
+                old.push(v);
+            }
+            self.gram.push(row);
+        }
     }
 
     /// Conditioning-guard counters accumulated so far.
@@ -140,12 +170,15 @@ impl Diis {
 
     /// Rebuild an accelerator from a checkpoint snapshot. The conditioning
     /// counters restart from zero — they are run-local observability, not
-    /// trajectory state (extrapolation is a pure function of the pairs).
+    /// trajectory state (extrapolation is a pure function of the pairs). The
+    /// Gram matrix is not part of the snapshot; the next extrapolation
+    /// recomputes it.
     pub fn restore(snapshot: DiisSnapshot) -> Diis {
         Diis {
             max_vectors: snapshot.max_vectors.max(2),
             focks: snapshot.focks,
             errors: snapshot.errors,
+            gram: Vec::new(),
             stats: DiisStats::default(),
         }
     }
@@ -164,6 +197,7 @@ impl Diis {
     pub fn reset(&mut self) {
         self.focks.clear();
         self.errors.clear();
+        self.gram.clear();
     }
 
     /// Number of stored (Fock, error) pairs.
@@ -384,6 +418,65 @@ mod tests {
         let out = diis.extrapolate(f2, e2);
         assert!((out[(0, 0)] - 2.0).abs() < 1e-10);
         assert_eq!(diis.stats(), DiisStats::default());
+    }
+
+    #[test]
+    fn kept_gram_matches_recomputing_every_dot_product_bit_for_bit() {
+        // `kept` carries its Gram matrix from call to call; `fresh` has it
+        // cleared before every call, so it recomputes all m² dot products.
+        // The run passes history fill, eviction at `max_vectors`, a
+        // conditioning drop, a reset and a snapshot → restore.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let n = 5;
+        let mut kept = Diis::new(4);
+        let mut fresh = Diis::new(4);
+        let mut last_error = Matrix::zeros(n, n);
+        for step in 0..16 {
+            if step == 9 {
+                kept.reset();
+                fresh.reset();
+            }
+            if step == 12 {
+                kept = Diis::restore(kept.snapshot());
+                fresh = Diis::restore(fresh.snapshot());
+            }
+            let f = Matrix::from_fn(n, n, |_, _| next());
+            // Step 6 repeats the previous error to one part in 1e15: B goes
+            // ill-conditioned and the guard drops history.
+            let e = if step == 6 {
+                last_error.scale(1.0 + 1e-15)
+            } else {
+                Matrix::from_fn(n, n, |_, _| 0.1 * next())
+            };
+            last_error = e.clone();
+            fresh.gram.clear();
+            let a = kept.extrapolate(f.clone(), e.clone());
+            let b = fresh.extrapolate(f, e);
+            assert_eq!(bits(&a), bits(&b), "step {step}");
+            assert_eq!(kept.stats(), fresh.stats(), "step {step}");
+            assert_eq!(kept.len(), fresh.len(), "step {step}");
+            if step == 6 {
+                assert!(kept.stats().dropped_pairs >= 1, "no conditioning drop");
+            }
+            if kept.len() >= 2 {
+                let full: Vec<Vec<u64>> = kept
+                    .errors
+                    .iter()
+                    .map(|ei| kept.errors.iter().map(|ej| ei.dot(ej).to_bits()).collect())
+                    .collect();
+                let cached: Vec<Vec<u64>> = kept
+                    .gram
+                    .iter()
+                    .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                assert_eq!(cached, full, "step {step}");
+            }
+        }
     }
 
     #[test]
