@@ -143,7 +143,8 @@ impl DeviceClock {
 /// Cross-molecule launch fusion changes *pricing only*: each member keeps
 /// its own [`DeviceClock`] trajectory, while the ensemble driver records
 /// here what the fusion saved — per super-iteration launch counts and the
-/// fused-vs-solo device seconds — plus the shared [`RecoveryLedger`] of the
+/// fused-vs-solo device seconds — plus the shared
+/// [`RecoveryLedger`](crate::RecoveryLedger) of the
 /// ensemble's fault-tolerant dispatch (faults hit *launches*, which belong
 /// to the fleet, so their accounting lives at the fleet level too; member
 /// results stay fault-silent by design).

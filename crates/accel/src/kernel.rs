@@ -70,11 +70,6 @@ impl KernelProfile {
         }
     }
 
-    /// Total FLOPs across all pipes and precisions.
-    pub fn total_flops(&self) -> f64 {
-        self.tensor_flops.map_or(0.0, |(_, f)| f) + self.cuda_flops.map_or(0.0, |(_, f)| f)
-    }
-
     /// Total global-memory traffic in bytes.
     pub fn total_bytes(&self) -> f64 {
         self.global_read + self.global_write
@@ -153,80 +148,6 @@ impl CostModel {
             total_s: launch + compute.max(memory),
             occupancy: occ,
         }
-    }
-}
-
-/// Accumulator for simulated time across many launches — each SCF iteration,
-/// microbenchmark batch, or MPI rank owns one.
-#[derive(Debug, Clone, Default)]
-pub struct SimTimer {
-    total_s: f64,
-    compute_s: f64,
-    memory_s: f64,
-    launch_s: f64,
-    launches: u64,
-    flops: f64,
-    bytes: f64,
-}
-
-impl SimTimer {
-    /// Fresh, zeroed timer.
-    pub fn new() -> SimTimer {
-        SimTimer::default()
-    }
-
-    /// Record a launch evaluated by a [`CostModel`].
-    pub fn record(&mut self, profile: &KernelProfile, rec: &LaunchRecord) {
-        self.total_s += rec.total_s;
-        self.compute_s += rec.compute_s;
-        self.memory_s += rec.memory_s;
-        self.launch_s += rec.launch_s;
-        self.launches += profile.launches as u64;
-        self.flops += profile.total_flops();
-        self.bytes += profile.total_bytes();
-    }
-
-    /// Evaluate and record in one step; returns the record.
-    pub fn run(&mut self, model: &CostModel, profile: &KernelProfile) -> LaunchRecord {
-        let rec = model.evaluate(profile);
-        self.record(profile, &rec);
-        rec
-    }
-
-    /// Merge another timer (parallel reduction across worker threads).
-    pub fn merge(&mut self, other: &SimTimer) {
-        self.total_s += other.total_s;
-        self.compute_s += other.compute_s;
-        self.memory_s += other.memory_s;
-        self.launch_s += other.launch_s;
-        self.launches += other.launches;
-        self.flops += other.flops;
-        self.bytes += other.bytes;
-    }
-
-    /// Total simulated seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.total_s
-    }
-
-    /// Seconds of launch overhead.
-    pub fn launch_seconds(&self) -> f64 {
-        self.launch_s
-    }
-
-    /// Number of kernel launches recorded.
-    pub fn launches(&self) -> u64 {
-        self.launches
-    }
-
-    /// Total FLOPs recorded.
-    pub fn flops(&self) -> f64 {
-        self.flops
-    }
-
-    /// Total global bytes recorded.
-    pub fn bytes(&self) -> f64 {
-        self.bytes
     }
 }
 
@@ -337,21 +258,5 @@ mod tests {
         assert!(r.compute_s.is_finite());
         // 7.8 TFLOPS CUDA FP64 at 90% → ≈ 0.1424 s
         assert!((r.compute_s - 1e12 / (7.8e12 * 0.9)).abs() / r.compute_s < 1e-9);
-    }
-
-    #[test]
-    fn timer_accumulates_and_merges() {
-        let m = CostModel::new(DeviceSpec::a100());
-        let p = gemm_profile(1e10, Precision::Fp16, 1e6);
-        let mut t1 = SimTimer::new();
-        let mut t2 = SimTimer::new();
-        t1.run(&m, &p);
-        t2.run(&m, &p);
-        t2.run(&m, &p);
-        let mut sum = SimTimer::new();
-        sum.merge(&t1);
-        sum.merge(&t2);
-        assert_eq!(sum.launches(), 3);
-        assert!((sum.total_seconds() - 3.0 * t1.total_seconds()).abs() < 1e-12);
     }
 }

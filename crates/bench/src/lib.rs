@@ -17,9 +17,8 @@
 //!
 //! Run one with `cargo run --release -p mako-bench --bin <target>`.
 //! Two utilities ride along: `gen_sample` (rewrites the `sample/` inputs) and
-//! `trace_validate` (schema-checks a `mako-trace` JSONL file). The
-//! `benches/` directory adds Criterion microbenchmarks of the real
-//! (CPU-executed) numerical kernels. How long the system itself takes —
+//! `trace_validate` (schema-checks a `mako-trace` JSONL file). How long the
+//! system itself takes —
 //! SCF, ensemble, serving, recovery — is measured by `benchmark/`
 //! (`BENCHMARK.json`), not here.
 #![deny(rust_2018_idioms)]

@@ -3,7 +3,7 @@
 //!
 //! The shell *compositions* (how many shells of each l, which contraction
 //! degrees) match the real sets for first-row atoms — e.g. def2-TZVP carbon
-//! is [5s3p2d1f] = 31 spherical AOs and def2-QZVP carbon is [7s4p3d2f1g] =
+//! is \[5s3p2d1f\] = 31 spherical AOs and def2-QZVP carbon is \[7s4p3d2f1g\] =
 //! 57 — while the exponents are even-tempered geometric sequences
 //! `α_k = α_min · β^k`. This preserves exactly what the paper's experiments
 //! vary: angular-momentum content (f for TZ, g for QZ), per-atom basis size,

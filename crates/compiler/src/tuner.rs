@@ -292,7 +292,12 @@ mod tests {
         // winner must now leave ≥ 2 threadblocks resident per SM, on every
         // supported architecture, for every class up to (gg|gg) and both
         // contraction regimes.
-        for kind in [DeviceKind::V100, DeviceKind::A100_40G, DeviceKind::H100] {
+        for kind in [
+            DeviceKind::V100,
+            DeviceKind::A100_40G,
+            DeviceKind::A100_80G,
+            DeviceKind::H100,
+        ] {
             let model = CostModel::new(DeviceSpec::new(kind));
             let budget = model.device.smem_per_sm / 2;
             for l in 0..=4 {

@@ -316,55 +316,6 @@ pub fn simulate_batch_cost(class: &EriClass, n: usize, cfg: &PipelineConfig, mod
     BatchTerms::new(class, n, cfg.precision).cost(cfg, model)
 }
 
-/// Sweep the fusion strategies and ILP factors for a class at the given
-/// precision and return the cheapest legal configuration with its cost —
-/// a lightweight preview of CompilerMako's Algorithm 2 used by tests and
-/// baselines (the full tuner in `mako-compiler` also sweeps threadblock
-/// shapes and layouts).
-///
-/// "Legal" includes the Eq. 13 occupancy budget: candidates whose
-/// live-tensor footprint exceeds `smem_per_sm / 2` are rejected outright
-/// (not merely priced with degraded occupancy), matching the full tuner's
-/// admissibility contract. `Unfused` has zero footprint, so a winner always
-/// exists.
-pub fn best_config_cost(
-    class: &EriClass,
-    n: usize,
-    precision: Precision,
-    scale_policy: ScalePolicy,
-    model: &CostModel,
-) -> (PipelineConfig, f64) {
-    let budget = model.device.smem_per_sm / 2; // Eq. (13)
-    let terms = BatchTerms::new(class, n, precision);
-    let mut best = (PipelineConfig::kernel_mako_fp64(), f64::INFINITY);
-    for fusion in [
-        FusionStrategy::FuseAllCoalesced,
-        FusionStrategy::FuseAll,
-        FusionStrategy::FuseRPq,
-        FusionStrategy::Unfused,
-    ] {
-        for ilp in [1usize, 2, 4, 8, 16] {
-            let cfg = PipelineConfig {
-                fusion,
-                layout: SmemLayout::Swizzled,
-                ilp,
-                threads_per_block: 256,
-                precision,
-                scale_policy,
-                tile: 16,
-            };
-            if terms.smem_footprint(cfg.fusion, cfg.tile) > budget {
-                continue;
-            }
-            let cost = terms.cost(&cfg, model);
-            if cost < best.1 {
-                best = (cfg, cost);
-            }
-        }
-    }
-    best
-}
-
 /// Simulated device seconds for a batch of `n` quartets of `class` under
 /// `cfg` — exactly the clock [`run_batch`] charges. The device is priced per
 /// *batched launch*, so this figure is independent of how the host later
@@ -419,7 +370,6 @@ pub fn batch_group_scale(
     pairs: &[ScreenedPair],
     cfg: &PipelineConfig,
 ) -> f64 {
-    let target = Precision::Fp16.max_finite().sqrt() / 4.0;
     match cfg.scale_policy {
         ScalePolicy::PerGroup => {
             let mut m = 0.0f64;
@@ -427,13 +377,9 @@ pub fn batch_group_scale(
                 m = m.max(pairs[pi].data.e.max_abs());
                 m = m.max(pairs[qi].data.e.max_abs());
             }
-            if m > 0.0 {
-                target / m
-            } else {
-                1.0
-            }
+            cfg.scale_policy.scale(m)
         }
-        _ => 1.0,
+        ScalePolicy::Unscaled => 1.0,
     }
 }
 
@@ -445,7 +391,6 @@ pub struct QuartetRunner {
     idx: &'static PqIndex,
     cfg: PipelineConfig,
     e_scale: f64,
-    target: f64,
     /// `None` for FP64, which never rounds.
     rounded: Option<RoundedPairCache>,
 }
@@ -526,7 +471,6 @@ impl QuartetRunner {
             idx: pq_index(class.l_bra(), class.l_ket()),
             cfg: *cfg,
             e_scale,
-            target: Precision::Fp16.max_finite().sqrt() / 4.0,
             rounded: (cfg.precision != Precision::Fp64)
                 .then(|| RoundedPairCache::new(cfg, e_scale, npairs)),
         }
@@ -632,8 +576,8 @@ fn quantized_quartet_into(
     (rounded_bra, rounded_ket): (&RoundedPair, &RoundedPair),
     t: &mut Tensor4,
 ) {
-    let QuartetRunner { idx, cfg, e_scale, target, .. } = runner;
-    let (e_scale, target) = (*e_scale, *target);
+    let QuartetRunner { idx, cfg, e_scale, .. } = runner;
+    let e_scale = *e_scale;
     let ab = &pab.data;
     let cd = &pcd.data;
     t.reset([nsph(ab.la), nsph(ab.lb), nsph(cd.la), nsph(cd.lb)]);
@@ -688,12 +632,14 @@ fn quantized_quartet_into(
                     row += 1;
                     let prefac = TWO_PI_POW_2_5 / (bra.p * ket.p * (bra.p + ket.p).sqrt());
                     let pq0 = prefac * idx.ket_sign[0] * f0;
-                    let sb = scale_for_scalar(cfg, pq0, target);
+                    // `0.0.max(|v|)` is `Matrix::max_abs`'s fold over one
+                    // element, so the scale is the general loop's bit for bit.
+                    let sb = cfg.scale_policy.scale(0.0f64.max(pq0.abs()));
                     let rb0 = cfg.precision.round(pq0 * sb);
                     let ra0 = rounded_bra.flat[bi];
                     abq0 += ((ra0 * rb0) as f32) as f64 * (1.0 / (e_scale * sb));
                 }
-                let sa = scale_for_scalar(cfg, abq0, target);
+                let sa = cfg.scale_policy.scale(0.0f64.max(abq0.abs()));
                 let rabq0 = cfg.precision.round(abq0 * sa);
                 let rcd0 = rounded_ket.flat[ki];
                 out[0] += ((rabq0 * rcd0) as f32) as f64 * (1.0 / (sa * e_scale));
@@ -712,7 +658,7 @@ fn quantized_quartet_into(
                 let (alpha, pq_sep) = geom[row];
                 row += 1;
                 pq_block_into(bra, ket, idx, alpha, pq_sep, boys_row, pqs, pq.as_mut_slice(), hk);
-                let sb = scale_for(cfg, pq, target);
+                let sb = cfg.scale_policy.scale(pq.max_abs());
                 round_into(cfg.precision, sb, pq.as_slice(), rb);
                 gemm_rounded_engine(
                     m,
@@ -727,7 +673,7 @@ fn quantized_quartet_into(
                 );
             }
             // Second transform: (ab|cd) += (ab|q] · E_CDᵀ.
-            let sa = scale_for(cfg, abq, target);
+            let sa = cfg.scale_policy.scale(abq.max_abs());
             round_into(cfg.precision, sa, abq.as_slice(), rabq);
             gemm_rounded_engine(
                 m,
@@ -742,36 +688,6 @@ fn quantized_quartet_into(
             );
         }
     });
-}
-
-/// [`scale_for`] of a 1×1 matrix, without materializing it. `0.0.max(|v|)`
-/// reproduces `Matrix::max_abs`'s fold over the single element exactly.
-fn scale_for_scalar(cfg: &PipelineConfig, v: f64, target: f64) -> f64 {
-    match cfg.scale_policy {
-        ScalePolicy::PerGroup => {
-            let mx = 0.0f64.max(v.abs());
-            if mx > 0.0 {
-                target / mx
-            } else {
-                1.0
-            }
-        }
-        _ => 1.0,
-    }
-}
-
-fn scale_for(cfg: &PipelineConfig, m: &Matrix, target: f64) -> f64 {
-    match cfg.scale_policy {
-        ScalePolicy::PerGroup => {
-            let mx = m.max_abs();
-            if mx > 0.0 {
-                target / mx
-            } else {
-                1.0
-            }
-        }
-        _ => 1.0,
-    }
 }
 
 #[cfg(test)]

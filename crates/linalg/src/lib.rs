@@ -11,7 +11,7 @@
 //! (Löwdin orthogonalization `S^{-1/2}`).
 //!
 //! Everything operates on the row-major [`Matrix`] type. The GEMM seam is
-//! four functions: [`gemm`] (allocating) and [`gemm_into`] (α/β into the
+//! four functions: [`gemm()`] (allocating) and [`gemm_into`] (α/β into the
 //! caller's `C`) run the packed-tile [`microkernel`] engine (BLIS-style
 //! 5-loop blocking around an `MR × NR` register tile, AVX2 or generic kernel
 //! selected at startup); [`gemm_rounded_engine`] is the same engine's

@@ -243,7 +243,7 @@ fn packed_len(span: usize, strip: usize, kc: usize) -> usize {
 
 /// Pack the block `op(A)[rows, depth]`, scaled by `alpha`, into MR-high
 /// K-major strips (layout documented at module level). `out` must hold at
-/// least [`packed_len`]`(rows.len(), MR, depth.len())` elements; edge rows
+/// least `packed_len(rows.len(), MR, depth.len())` elements; edge rows
 /// are zero-padded.
 pub fn pack_a_block(
     out: &mut [f64],
@@ -268,7 +268,7 @@ pub fn pack_a_block(
 
 /// Pack the block `op(B)[depth, cols]` into NR-wide K-major strips (layout
 /// documented at module level). `out` must hold at least
-/// [`packed_len`]`(cols.len(), NR, depth.len())` elements; edge columns are
+/// `packed_len(cols.len(), NR, depth.len())` elements; edge columns are
 /// zero-padded.
 pub fn pack_b_block(
     out: &mut [f64],

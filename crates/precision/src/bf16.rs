@@ -33,19 +33,9 @@ impl Bf16 {
         Bf16(out as u16)
     }
 
-    /// Convert from `f64` via `f32`.
-    pub fn from_f64(value: f64) -> Bf16 {
-        Bf16::from_f32(value as f32)
-    }
-
     /// Widen to `f32` exactly.
     pub fn to_f32(self) -> f32 {
         f32::from_bits((self.0 as u32) << 16)
-    }
-
-    /// Widen to `f64` exactly.
-    pub fn to_f64(self) -> f64 {
-        self.to_f32() as f64
     }
 
     /// Raw bit pattern.
@@ -66,45 +56,6 @@ impl Bf16 {
     /// True for ±∞.
     pub fn is_infinite(self) -> bool {
         self.to_f32().is_infinite()
-    }
-}
-
-impl From<f32> for Bf16 {
-    fn from(v: f32) -> Self {
-        Bf16::from_f32(v)
-    }
-}
-
-impl From<Bf16> for f32 {
-    fn from(v: Bf16) -> Self {
-        v.to_f32()
-    }
-}
-
-impl std::ops::Add for Bf16 {
-    type Output = Bf16;
-    fn add(self, rhs: Bf16) -> Bf16 {
-        Bf16::from_f32(self.to_f32() + rhs.to_f32())
-    }
-}
-
-impl std::ops::Mul for Bf16 {
-    type Output = Bf16;
-    fn mul(self, rhs: Bf16) -> Bf16 {
-        Bf16::from_f32(self.to_f32() * rhs.to_f32())
-    }
-}
-
-impl std::ops::Neg for Bf16 {
-    type Output = Bf16;
-    fn neg(self) -> Bf16 {
-        Bf16(self.0 ^ 0x8000)
-    }
-}
-
-impl std::fmt::Display for Bf16 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.to_f32())
     }
 }
 

@@ -6,11 +6,9 @@
 
 /// A half-precision floating point number stored as its raw bit pattern.
 ///
-/// Arithmetic is performed by widening to `f32` (exact: every f16 is exactly
-/// representable in f32) and rounding the result back — the same semantics as
-/// a hardware FP16 fused pipeline without FP32 accumulation. Tensor-core-style
-/// FP32 accumulation is modeled by the GEMM kernels, which keep the partial
-/// sums in `f32` and only round the *inputs*.
+/// The type only converts: tensor-core-style FP32 accumulation is modeled by
+/// the GEMM kernels, which keep the partial sums in `f32` and only round the
+/// *inputs*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct F16(pub u16);
 
@@ -34,13 +32,6 @@ impl F16 {
     /// Convert from `f32` with IEEE round-to-nearest-even.
     pub fn from_f32(value: f32) -> F16 {
         F16(f32_to_f16_bits(value))
-    }
-
-    /// Convert from `f64` (rounds twice: f64→f32→f16; double rounding error
-    /// is below the f16 ulp for all inputs of interest and matches how data
-    /// reaches tensor cores through an FP32 staging buffer).
-    pub fn from_f64(value: f64) -> F16 {
-        F16(f32_to_f16_bits(value as f32))
     }
 
     /// Widen to `f32` exactly.
@@ -76,58 +67,6 @@ impl F16 {
     /// True for zero, subnormal, or normal values.
     pub const fn is_finite(self) -> bool {
         (self.0 & EXP_MASK) != EXP_MASK
-    }
-}
-
-impl From<f32> for F16 {
-    fn from(v: f32) -> Self {
-        F16::from_f32(v)
-    }
-}
-
-impl From<F16> for f32 {
-    fn from(v: F16) -> Self {
-        v.to_f32()
-    }
-}
-
-impl From<F16> for f64 {
-    fn from(v: F16) -> Self {
-        v.to_f64()
-    }
-}
-
-impl std::ops::Add for F16 {
-    type Output = F16;
-    fn add(self, rhs: F16) -> F16 {
-        F16::from_f32(self.to_f32() + rhs.to_f32())
-    }
-}
-
-impl std::ops::Sub for F16 {
-    type Output = F16;
-    fn sub(self, rhs: F16) -> F16 {
-        F16::from_f32(self.to_f32() - rhs.to_f32())
-    }
-}
-
-impl std::ops::Mul for F16 {
-    type Output = F16;
-    fn mul(self, rhs: F16) -> F16 {
-        F16::from_f32(self.to_f32() * rhs.to_f32())
-    }
-}
-
-impl std::ops::Neg for F16 {
-    type Output = F16;
-    fn neg(self) -> F16 {
-        F16(self.0 ^ 0x8000)
-    }
-}
-
-impl std::fmt::Display for F16 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.to_f32())
     }
 }
 
@@ -188,7 +127,9 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 }
 
 /// Batched `round(x · scale)` through f16 storage, appended to `dst`:
-/// each element is `F16::from_f64(x * scale)` widened back to `f64`.
+/// each element is `F16::from_f32((x * scale) as f32)` widened back to `f64`
+/// (two roundings, f64→f32→f16, as data reaches tensor cores through an
+/// FP32 staging buffer).
 ///
 /// On x86-64 hosts with F16C + AVX this uses the hardware converter
 /// (`VCVTPD2PS` → `VCVTPS2PH` round-to-nearest-even → widen back), which
@@ -199,10 +140,10 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 /// the SIMD body detects NaN lanes *after* the scale multiply and reroutes
 /// that group through the scalar expression — the output is bit-identical to
 /// the `MAKO_KERNEL=generic` software path for **every** input, NaN and Inf
-/// included. [`tests::hardware_path_matches_software_bitwise`] pins the
+/// included. The unit test `hardware_path_matches_software_bitwise` pins the
 /// finite/Inf equivalence exhaustively over the f16 range and
-/// [`tests::nan_inf_payloads_match_scalar_bitwise`] pins the NaN/Inf edge
-/// cases at every lane offset.
+/// `nan_inf_payloads_match_scalar_bitwise` pins the NaN/Inf edge cases at
+/// every lane offset.
 pub fn round_scaled_extend_f16(scale: f64, src: &[f64], dst: &mut Vec<f64>) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("f16c") && std::arch::is_x86_feature_detected!("avx") {
@@ -359,16 +300,6 @@ mod tests {
             let back = F16::from_f32(h.to_f32());
             assert_eq!(back.to_bits(), bits, "bits {bits:#06x}");
         }
-    }
-
-    #[test]
-    fn arithmetic_via_f32() {
-        let a = F16::from_f32(1.5);
-        let b = F16::from_f32(2.25);
-        assert_eq!((a + b).to_f32(), 3.75);
-        assert_eq!((a * b).to_f32(), 3.375);
-        assert_eq!((a - b).to_f32(), -0.75);
-        assert_eq!((-a).to_f32(), -1.5);
     }
 
     /// The batched converter (hardware F16C path where the host has it) must

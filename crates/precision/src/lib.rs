@@ -12,11 +12,11 @@
 //! quantization error measured by the benchmark harness is the *actual*
 //! reduced-precision arithmetic error, not a noise model.
 //!
-//! The crate also provides the group-quantization primitives of QuantMako's
-//! *Fine-Grained Quantization*: per-angular-momentum-group scale factors that
-//! align each data block's dynamic range with the FP16 representable range,
-//! and the error statistics (RMSE / MAE / max) used by Table 2 and Table 3 of
-//! the paper.
+//! The crate also provides the scale rule of QuantMako's *Fine-Grained
+//! Quantization* ([`ScalePolicy::scale`]): per-angular-momentum-group scale
+//! factors that align each data block's dynamic range with the FP16
+//! representable range, and the error statistics (RMSE / MAE / max) used by
+//! Table 2 and Table 3 of the paper.
 
 pub mod bf16;
 pub mod f16;
@@ -26,9 +26,9 @@ pub mod tf32;
 
 pub use bf16::Bf16;
 pub use f16::F16;
-pub use quantize::{GroupQuantizer, QuantizedBlock, ScalePolicy};
+pub use quantize::ScalePolicy;
 pub use stats::{mae, max_abs_err, rmse, ErrorStats};
-pub use tf32::{tf32_round, Tf32};
+pub use tf32::tf32_round;
 
 /// The numeric formats supported by the (simulated) tensor-core units.
 ///

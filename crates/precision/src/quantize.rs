@@ -1,5 +1,4 @@
-//! Group quantization primitives for QuantMako's *Fine-Grained Quantization*
-//! (paper §3.2.1).
+//! The scale rule of QuantMako's *Fine-Grained Quantization* (paper §3.2.1).
 //!
 //! The ERI basis-transformation operands span wide dynamic ranges across
 //! angular-momentum classes. Scaling all inputs by a single global factor
@@ -8,136 +7,60 @@
 //! dedicated scale per group so each block's magnitude range is aligned with
 //! the FP16 representable range.
 //!
-//! A [`QuantizedBlock`] stores the FP16 payload together with its scale, and
-//! dequantization multiplies by the inverse scale — the first stage of the
-//! paper's *Dual-Stage Accumulation* (FP32 accumulate + dequantize, then FP64
-//! Fock accumulate).
+//! [`ScalePolicy::scale`] is that rule. The quantized pipeline of
+//! `mako-kernels` calls it for each class's `E` operands and for every
+//! `[p|q]` and `(ab|q]` block, rounds `x · scale` with
+//! [`Precision::round_scaled_extend`](crate::Precision::round_scaled_extend),
+//! and folds `1 / scale` into the FP32-accumulating GEMM.
 
-use crate::{F16, Precision};
+/// Largest magnitude an FP16 GEMM operand is scaled to: `sqrt(65504) / 4`.
+/// Two operands each at most this keep every product ≤ 65504 / 16, safe
+/// inside the MMA before the FP32 accumulator takes over.
+pub const FP16_OPERAND_TARGET: f64 = 63.984_373_092_185_564;
 
 /// How scale factors are assigned to data blocks.
+// Explicit discriminants: the tuned-table digest hashes `policy as u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalePolicy {
-    /// One scale for the whole tensor (the naive strategy the paper warns
-    /// about — kept for the ablation benches).
-    Global,
     /// One scale per group (per angular-momentum class in Mako).
-    PerGroup,
+    PerGroup = 1,
     /// No scaling at all: raw cast to the target precision (baseline FP16 in
     /// Table 2).
-    Unscaled,
+    Unscaled = 2,
 }
 
-/// A block of values quantized to a reduced-precision format with an
-/// associated power-of-two-free scale factor.
-#[derive(Debug, Clone)]
-pub struct QuantizedBlock {
-    /// The quantized payload, stored as f16 bit patterns.
-    pub data: Vec<F16>,
-    /// Multiplying the original data by `scale` produced the payload;
-    /// dequantization divides by it.
-    pub scale: f64,
-    /// Format the payload models.
-    pub precision: Precision,
-}
-
-impl QuantizedBlock {
-    /// Number of elements in the block.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the block holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Dequantize element `i` back to f64 (second half of stage-one
-    /// accumulation).
-    pub fn dequant(&self, i: usize) -> f64 {
-        self.data[i].to_f64() / self.scale
-    }
-
-    /// Dequantize the whole block.
-    pub fn dequant_all(&self) -> Vec<f64> {
-        self.data.iter().map(|v| v.to_f64() / self.scale).collect()
-    }
-}
-
-/// Quantizer implementing the scale-selection policies.
-///
-/// `headroom` divides the representable bound when choosing the scale so that
-/// FP32 accumulation of many products cannot overflow the eventual FP16
-/// restore; Mako uses the square root of the format maximum as the alignment
-/// target for multiplicative pipelines (two scaled operands multiply to at
-/// most `target²`).
-#[derive(Debug, Clone, Copy)]
-pub struct GroupQuantizer {
-    /// Scale policy in effect.
-    pub policy: ScalePolicy,
-    /// Target maximum magnitude after scaling. For FP16 GEMM operands this is
-    /// `sqrt(65504) / headroom` so products stay within FP16-accumulable
-    /// range even before FP32 accumulation.
-    pub target_max: f64,
-}
-
-impl GroupQuantizer {
-    /// Quantizer for FP16 GEMM operands with the paper's alignment strategy.
-    pub fn fp16_gemm(policy: ScalePolicy) -> GroupQuantizer {
-        // Two operands each scaled to at most sqrt(max)/4 keep every product
-        // ≤ max/16: safe against overflow inside the MMA before the FP32
-        // accumulator takes over.
-        GroupQuantizer {
-            policy,
-            target_max: (Precision::Fp16.max_finite()).sqrt() / 4.0,
+impl ScalePolicy {
+    /// The factor a group whose largest magnitude is `max_abs` is multiplied
+    /// by before rounding: [`FP16_OPERAND_TARGET`]` / max_abs` under
+    /// `PerGroup`, and `1.0` under `Unscaled` or when `max_abs` is not
+    /// positive (zero, or NaN).
+    #[inline]
+    pub fn scale(self, max_abs: f64) -> f64 {
+        match self {
+            ScalePolicy::PerGroup if max_abs > 0.0 => FP16_OPERAND_TARGET / max_abs,
+            _ => 1.0,
         }
     }
-
-    /// Choose the scale for a block of values under the current policy.
-    ///
-    /// `global_max` is the maximum magnitude across *all* groups (used by
-    /// [`ScalePolicy::Global`]).
-    pub fn scale_for(&self, block: &[f64], global_max: f64) -> f64 {
-        let local_max = max_abs(block);
-        let reference = match self.policy {
-            ScalePolicy::Global => global_max,
-            ScalePolicy::PerGroup => local_max,
-            ScalePolicy::Unscaled => return 1.0,
-        };
-        if reference <= 0.0 || !reference.is_finite() {
-            1.0
-        } else {
-            self.target_max / reference
-        }
-    }
-
-    /// Quantize a block with the scale chosen by [`Self::scale_for`].
-    pub fn quantize(&self, block: &[f64], global_max: f64) -> QuantizedBlock {
-        let scale = self.scale_for(block, global_max);
-        let data = block.iter().map(|&x| F16::from_f64(x * scale)).collect();
-        QuantizedBlock {
-            data,
-            scale,
-            precision: Precision::Fp16,
-        }
-    }
-
-    /// Quantize, immediately dequantize, and return the reconstructed values.
-    /// This is what a value "experiences" passing through the quantized GEMM
-    /// operand path; used heavily by the error benches.
-    pub fn roundtrip(&self, block: &[f64], global_max: f64) -> Vec<f64> {
-        self.quantize(block, global_max).dequant_all()
-    }
-}
-
-/// Maximum absolute value of a slice (0.0 for an empty slice).
-pub fn max_abs(xs: &[f64]) -> f64 {
-    xs.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Precision;
+
+    fn max_abs(xs: &[f64]) -> f64 {
+        xs.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
+    }
+
+    /// Round `block` through FP16 at the scale `policy` gives `group_max`,
+    /// then divide the scale back out — what a value experiences on the
+    /// quantized GEMM operand path.
+    fn roundtrip(policy: ScalePolicy, block: &[f64], group_max: f64) -> Vec<f64> {
+        let s = policy.scale(group_max);
+        let mut out = Vec::new();
+        Precision::Fp16.round_scaled_extend(s, block, &mut out);
+        out.iter().map(|&x| x / s).collect()
+    }
 
     fn geometric_block(start: f64, ratio: f64, n: usize) -> Vec<f64> {
         let mut v = Vec::with_capacity(n);
@@ -150,18 +73,49 @@ mod tests {
     }
 
     #[test]
+    fn target_is_sqrt_of_fp16_max_over_four() {
+        assert_eq!(
+            FP16_OPERAND_TARGET.to_bits(),
+            (Precision::Fp16.max_finite().sqrt() / 4.0).to_bits()
+        );
+    }
+
+    #[test]
+    fn scale_is_one_when_unscaled_or_max_not_positive() {
+        for m in [0.0, 1e-30, 1.0, 1e30] {
+            assert_eq!(ScalePolicy::Unscaled.scale(m).to_bits(), 1.0f64.to_bits());
+        }
+        assert_eq!(ScalePolicy::PerGroup.scale(0.0).to_bits(), 1.0f64.to_bits());
+        assert_eq!(
+            ScalePolicy::PerGroup.scale(f64::NAN).to_bits(),
+            1.0f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn per_group_scale_is_target_over_max_bit_for_bit() {
+        for m in [1e-9, 0.37, 1.0, FP16_OPERAND_TARGET, 1.5e6] {
+            assert_eq!(
+                ScalePolicy::PerGroup.scale(m).to_bits(),
+                (FP16_OPERAND_TARGET / m).to_bits()
+            );
+        }
+    }
+
+    #[test]
     fn per_group_beats_global_on_wide_range() {
-        // Two groups with very different magnitudes: global scaling crushes
-        // the small group into FP16 noise, per-group scaling preserves it.
+        // Two groups with very different magnitudes: one scale from the
+        // global max crushes the small group into FP16 noise, a scale from
+        // the group's own max preserves it.
         let big = geometric_block(1.0e3, 1.01, 64);
         let small = geometric_block(1.0e-5, 1.01, 64);
         let gmax = max_abs(&big).max(max_abs(&small));
 
-        let global = GroupQuantizer::fp16_gemm(ScalePolicy::Global);
-        let grouped = GroupQuantizer::fp16_gemm(ScalePolicy::PerGroup);
+        let global = roundtrip(ScalePolicy::PerGroup, &small, gmax);
+        let grouped = roundtrip(ScalePolicy::PerGroup, &small, max_abs(&small));
 
-        let err_global = crate::rmse(&small, &global.roundtrip(&small, gmax));
-        let err_grouped = crate::rmse(&small, &grouped.roundtrip(&small, gmax));
+        let err_global = crate::rmse(&small, &global);
+        let err_grouped = crate::rmse(&small, &grouped);
         assert!(
             err_grouped < err_global / 10.0,
             "grouped {err_grouped} vs global {err_global}"
@@ -170,32 +124,27 @@ mod tests {
 
     #[test]
     fn dequant_inverts_scale() {
-        let q = GroupQuantizer::fp16_gemm(ScalePolicy::PerGroup);
         let block = vec![0.125, -0.25, 0.5];
-        let qb = q.quantize(&block, 0.5);
-        for (i, &x) in block.iter().enumerate() {
-            let rel = ((qb.dequant(i) - x) / x).abs();
+        let back = roundtrip(ScalePolicy::PerGroup, &block, 0.5);
+        for (i, (&x, &y)) in block.iter().zip(&back).enumerate() {
+            let rel = ((y - x) / x).abs();
             assert!(rel < 1e-3, "i={i} rel={rel}");
         }
     }
 
     #[test]
     fn unscaled_policy_is_raw_cast() {
-        let q = GroupQuantizer::fp16_gemm(ScalePolicy::Unscaled);
         let block = vec![1.0, 2.5, -3.25];
-        let qb = q.quantize(&block, 100.0);
-        assert_eq!(qb.scale, 1.0);
-        for (i, &x) in block.iter().enumerate() {
-            assert_eq!(qb.dequant(i), x);
-        }
+        assert_eq!(ScalePolicy::Unscaled.scale(100.0), 1.0);
+        assert_eq!(roundtrip(ScalePolicy::Unscaled, &block, 100.0), block);
     }
 
     #[test]
     fn unscaled_underflows_tiny_values_where_grouped_does_not() {
         let tiny = vec![1e-9, -3e-9, 7e-10];
-        let raw = GroupQuantizer::fp16_gemm(ScalePolicy::Unscaled).roundtrip(&tiny, 1e-9);
+        let raw = roundtrip(ScalePolicy::Unscaled, &tiny, 3e-9);
         assert!(raw.iter().all(|&x| x == 0.0), "fp16 flushes 1e-9 to zero");
-        let grouped = GroupQuantizer::fp16_gemm(ScalePolicy::PerGroup).roundtrip(&tiny, 1e-9);
+        let grouped = roundtrip(ScalePolicy::PerGroup, &tiny, 3e-9);
         for (a, b) in tiny.iter().zip(&grouped) {
             assert!(((a - b) / a).abs() < 1e-3);
         }
@@ -203,26 +152,23 @@ mod tests {
 
     #[test]
     fn empty_and_zero_blocks() {
-        let q = GroupQuantizer::fp16_gemm(ScalePolicy::PerGroup);
-        assert!(q.quantize(&[], 0.0).is_empty());
-        let zeros = vec![0.0; 8];
-        let qb = q.quantize(&zeros, 0.0);
-        assert_eq!(qb.scale, 1.0);
-        assert!(qb.dequant_all().iter().all(|&x| x == 0.0));
+        assert!(roundtrip(ScalePolicy::PerGroup, &[], 0.0).is_empty());
+        assert_eq!(ScalePolicy::PerGroup.scale(max_abs(&[0.0; 8])), 1.0);
+        assert!(roundtrip(ScalePolicy::PerGroup, &[0.0; 8], 0.0)
+            .iter()
+            .all(|&x| x == 0.0));
     }
 
     #[test]
     fn scale_keeps_products_in_range() {
-        let q = GroupQuantizer::fp16_gemm(ScalePolicy::PerGroup);
         let block = geometric_block(1.0e6, 1.1, 32);
-        let qb = q.quantize(&block, max_abs(&block));
-        let m = qb
-            .data
-            .iter()
-            .fold(0.0f32, |acc, v| acc.max(v.to_f32().abs()));
+        let s = ScalePolicy::PerGroup.scale(max_abs(&block));
+        let mut rounded = Vec::new();
+        Precision::Fp16.round_scaled_extend(s, &block, &mut rounded);
+        let m = max_abs(&rounded);
         // Scaled magnitudes must be ≤ target so any pairwise product fits
         // comfortably in FP16/FP32 range.
-        assert!((m as f64) <= q.target_max * 1.0001);
-        assert!(m as f64 * m as f64 <= Precision::Fp16.max_finite());
+        assert!(m <= FP16_OPERAND_TARGET * 1.0001);
+        assert!(m * m <= Precision::Fp16.max_finite());
     }
 }

@@ -25,54 +25,6 @@ pub fn tf32_round(x: f32) -> f32 {
     f32::from_bits(out)
 }
 
-/// A TF32 value. Stored as the rounded `f32` (32-bit container, like the
-/// hardware).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Tf32(f32);
-
-impl Tf32 {
-    /// Round an `f32` into TF32.
-    pub fn from_f32(v: f32) -> Tf32 {
-        Tf32(tf32_round(v))
-    }
-
-    /// Round an `f64` into TF32 via `f32`.
-    pub fn from_f64(v: f64) -> Tf32 {
-        Tf32(tf32_round(v as f32))
-    }
-
-    /// The stored (already rounded) value.
-    pub fn to_f32(self) -> f32 {
-        self.0
-    }
-
-    /// Widen to `f64`.
-    pub fn to_f64(self) -> f64 {
-        self.0 as f64
-    }
-}
-
-impl From<f32> for Tf32 {
-    fn from(v: f32) -> Self {
-        Tf32::from_f32(v)
-    }
-}
-
-impl From<Tf32> for f32 {
-    fn from(v: Tf32) -> Self {
-        v.to_f32()
-    }
-}
-
-impl std::ops::Mul for Tf32 {
-    type Output = f32;
-    /// TF32 × TF32 products are exact in f32 (10+10 ≤ 23 mantissa bits), so
-    /// multiplication yields a full-precision `f32`, mirroring the MMA unit.
-    fn mul(self, rhs: Tf32) -> f32 {
-        self.0 * rhs.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,10 +73,11 @@ mod tests {
 
     #[test]
     fn products_exact_in_f32() {
-        let a = Tf32::from_f32(1.5 + 1.0 / 1024.0);
-        let b = Tf32::from_f32(2.25 - 1.0 / 1024.0);
-        let p64 = a.to_f64() * b.to_f64();
-        assert_eq!((a * b) as f64, p64);
+        // TF32 × TF32 products are exact in f32 (11 + 11 significant bits
+        // ≤ 24), which is why the MMA unit can accumulate them in FP32.
+        let a = tf32_round(1.5 + 1.0 / 1024.0);
+        let b = tf32_round(2.25 - 1.0 / 1024.0);
+        assert_eq!((a * b) as f64, a as f64 * b as f64);
     }
 
     #[test]

@@ -427,7 +427,8 @@ impl RescueState {
     }
 
     /// The checkpoint a just-fired rollback restores. Present exactly when
-    /// [`escalate`]/[`contain_non_finite`] returned the rollback stage.
+    /// [`Self::escalate`]/[`Self::contain_non_finite`] returned the rollback
+    /// stage.
     pub fn rollback_checkpoint(&self) -> Option<&ScfCheckpoint> {
         self.good.as_deref()
     }

@@ -696,6 +696,7 @@ impl<'a> ScfSession<'a> {
                     driver.nquartets(),
                     driver.problem_hash,
                 )?;
+                clock = ck.clock();
                 d = ck.density;
                 e_prev = ck.e_prev;
                 energy = ck.energy;
@@ -712,14 +713,6 @@ impl<'a> ScfSession<'a> {
                 orbital_energies = ck.orbital_energies;
                 iteration_seconds = ck.iteration_seconds;
                 total_stats = ck.stats;
-                let mut restored = DeviceClock::new();
-                for l in &ck.ledgers {
-                    restored.push(*l);
-                }
-                for r in &ck.recoveries {
-                    restored.push_recovery(*r);
-                }
-                clock = restored;
                 start_iter = ck.next_iteration;
                 pending_recovery.checkpoint_loads = 1;
             }
@@ -1428,7 +1421,7 @@ fn density_from_fock(
 const DENSITY_LANES: usize = 8;
 
 /// `D = C_occ C_occᵀ` over the first `n_occ` columns of `c`. `C_occᵀ` is
-/// packed once so a block of [`DENSITY_LANES`] consecutive `ν` is one
+/// packed once so a block of `DENSITY_LANES` consecutive `ν` is one
 /// contiguous load per orbital; each `D[μ, ν]` still sums `c[μ,o]·c[ν,o]`
 /// over `o` in order. Only `ν ≤ μ` is computed: the product commutes, so the
 /// mirrored element has the same bits.

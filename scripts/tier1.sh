@@ -27,6 +27,10 @@ cargo test -q
 echo "== tier1: cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
+# A deleted pub item must not leave a dangling intra-doc link behind.
+echo "== tier1: cargo doc --no-deps --workspace, warnings denied =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 # benchmark/ is its own workspace, so nothing above compiles it: without this
 # a change to a public name it imports breaks BENCHMARK.json's command and is
 # only caught by tier-2.
