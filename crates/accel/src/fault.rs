@@ -56,16 +56,23 @@ const TAG_LOSS_POINT: u64 = 4;
 const TAG_TRANSIENT: u64 = 5;
 const TAG_ALLREDUCE: u64 = 6;
 
+/// Simulated seconds one allreduce timeout costs before the retry.
+pub const ALLREDUCE_TIMEOUT_SECONDS: f64 = 0.5;
+
+/// Capped exponential backoff charged before retry `attempt` (0-based: the
+/// delay after the first failure is 1 ms, doubling up to 0.25 s). The one
+/// retry schedule of the stack: failed rank launches and failed server
+/// jobs both wait this long.
+pub fn backoff_seconds(attempt: u32) -> f64 {
+    (1e-3 * (1u64 << attempt.min(52)) as f64).min(0.25)
+}
+
 /// Fault rates and magnitudes used to generate a seeded [`FaultPlan`].
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Probability a given `(rank, batch, attempt)` launch fails
     /// transiently. Must stay below 1 or a launch could fail forever.
     pub transient_rate: f64,
-    /// First retry backoff, simulated seconds.
-    pub backoff_base: f64,
-    /// Cap on the exponential backoff, simulated seconds.
-    pub backoff_cap: f64,
     /// Probability a rank is a straggler.
     pub straggler_rate: f64,
     /// Straggler slowdown multiplier range `[lo, hi)`, clamped to ≥ 1.
@@ -75,8 +82,6 @@ pub struct FaultConfig {
     pub loss_rate: f64,
     /// Probability one allreduce attempt times out.
     pub allreduce_timeout_rate: f64,
-    /// Simulated seconds charged per allreduce timeout.
-    pub allreduce_timeout_seconds: f64,
 }
 
 impl Default for FaultConfig {
@@ -84,13 +89,10 @@ impl Default for FaultConfig {
     fn default() -> FaultConfig {
         FaultConfig {
             transient_rate: 0.0,
-            backoff_base: 1e-3,
-            backoff_cap: 0.25,
             straggler_rate: 0.0,
             straggler_slowdown: (1.0, 1.0),
             loss_rate: 0.0,
             allreduce_timeout_rate: 0.0,
-            allreduce_timeout_seconds: 0.5,
         }
     }
 }
@@ -106,7 +108,6 @@ impl FaultConfig {
             straggler_slowdown: (2.0, 6.0),
             loss_rate: 0.15,
             allreduce_timeout_rate: 0.1,
-            ..FaultConfig::default()
         }
     }
 }
@@ -138,10 +139,7 @@ pub struct FaultPlan {
     seed: u64,
     ranks: Vec<RankFaults>,
     transient_rate: f64,
-    backoff_base: f64,
-    backoff_cap: f64,
     allreduce_timeout_rate: f64,
-    allreduce_timeout_seconds: f64,
 }
 
 impl FaultPlan {
@@ -152,10 +150,7 @@ impl FaultPlan {
             seed: 0,
             ranks: vec![RankFaults::healthy(); ranks],
             transient_rate: 0.0,
-            backoff_base: 1e-3,
-            backoff_cap: 0.25,
             allreduce_timeout_rate: 0.0,
-            allreduce_timeout_seconds: 0.5,
         }
     }
 
@@ -194,10 +189,7 @@ impl FaultPlan {
             seed,
             ranks: per_rank,
             transient_rate: cfg.transient_rate.clamp(0.0, 0.999),
-            backoff_base: cfg.backoff_base.max(0.0),
-            backoff_cap: cfg.backoff_cap.max(0.0),
             allreduce_timeout_rate: cfg.allreduce_timeout_rate.clamp(0.0, 0.999),
-            allreduce_timeout_seconds: cfg.allreduce_timeout_seconds.max(0.0),
         }
     }
 
@@ -271,23 +263,11 @@ impl FaultPlan {
             ) < self.transient_rate
     }
 
-    /// Capped exponential backoff charged before retry `attempt` (0-based:
-    /// the delay after the first failure is `backoff_base`).
-    pub fn backoff_seconds(&self, attempt: u32) -> f64 {
-        let shift = attempt.min(52);
-        (self.backoff_base * (1u64 << shift) as f64).min(self.backoff_cap)
-    }
-
     /// Whether attempt `attempt` of allreduce call `call` times out.
     pub fn allreduce_times_out(&self, call: u64, attempt: u32) -> bool {
         self.allreduce_timeout_rate > 0.0
             && unit(self.seed, TAG_ALLREDUCE, call, attempt as u64, 0)
                 < self.allreduce_timeout_rate
-    }
-
-    /// Simulated seconds one allreduce timeout costs before the retry.
-    pub fn allreduce_timeout_seconds(&self) -> f64 {
-        self.allreduce_timeout_seconds
     }
 
     /// Walk one dispatch through this plan on the load-model clock, adding
@@ -331,7 +311,7 @@ impl FaultPlan {
             let mut attempt = 0u32;
             while attempt < 1000 && self.transient_fails(executor, id, attempt) {
                 *degraded += cost * slowdown; // the failed launch
-                let pause = self.backoff_seconds(attempt);
+                let pause = backoff_seconds(attempt);
                 *degraded += pause;
                 ledger.transient_retries += 1;
                 ledger.backoff_seconds += pause;
@@ -527,12 +507,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_then_caps() {
-        let p = FaultPlan::quiet(1); // base 1e-3, cap 0.25
-        assert_eq!(p.backoff_seconds(0), 1e-3);
-        assert_eq!(p.backoff_seconds(1), 2e-3);
-        assert_eq!(p.backoff_seconds(2), 4e-3);
-        assert_eq!(p.backoff_seconds(20), 0.25);
-        assert_eq!(p.backoff_seconds(60), 0.25);
+        assert_eq!(backoff_seconds(0), 1e-3);
+        assert_eq!(backoff_seconds(1), 2e-3);
+        assert_eq!(backoff_seconds(2), 4e-3);
+        assert_eq!(backoff_seconds(20), 0.25);
+        assert_eq!(backoff_seconds(60), 0.25);
     }
 
     #[test]

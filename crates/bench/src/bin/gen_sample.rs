@@ -13,5 +13,10 @@ fn main() {
     std::fs::write("sample/water.xyz", w.to_xyz()).unwrap();
     let g = mako_chem::builders::polyglycine(2);
     std::fs::write("sample/gly2.xyz", g.to_xyz()).unwrap();
-    println!("wrote sample/water60.xyz, sample/water.xyz, sample/gly2.xyz");
+    // 3.5x-stretched water: the rescue ladder's pathological input.
+    let s = mako_chem::builders::stretched_water(3.5);
+    std::fs::write("sample/water_stretched.xyz", s.to_xyz()).unwrap();
+    println!(
+        "wrote sample/water60.xyz, sample/water.xyz, sample/gly2.xyz, sample/water_stretched.xyz"
+    );
 }

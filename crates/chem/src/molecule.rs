@@ -87,7 +87,9 @@ impl Molecule {
             .map_err(|e| format!("bad atom count: {e}"))?;
         let name = lines.next().unwrap_or("").trim().to_string();
         let mut mol = Molecule::new(name);
-        for (lineno, line) in lines.enumerate() {
+        // Atom lines start at the file's third line; messages name 1-based
+        // file line numbers.
+        for (lineno, line) in (3..).zip(lines) {
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -103,6 +105,9 @@ impl Molecule {
                     .ok_or_else(|| format!("line {lineno}: missing coordinate"))?
                     .parse()
                     .map_err(|e| format!("line {lineno}: {e}"))?;
+                if !c.is_finite() {
+                    return Err(format!("line {lineno}: non-finite coordinate {c}"));
+                }
             }
             mol.atoms.push(Atom::new_angstrom(element, coord));
             if mol.atoms.len() == n {
@@ -203,8 +208,14 @@ mod tests {
     fn xyz_rejects_garbage() {
         assert!(Molecule::from_xyz("").is_err());
         assert!(Molecule::from_xyz("2\nc\nH 0 0 0\n").is_err());
-        assert!(Molecule::from_xyz("1\nc\nXq 0 0 0\n").is_err());
+        let unknown = Molecule::from_xyz("1\nc\nXq 0 0 0\n").unwrap_err();
+        assert!(unknown.contains("line 3"), "{unknown}");
         assert!(Molecule::from_xyz("1\nc\nH 0 0\n").is_err());
+        for bad in ["nan", "inf", "-inf"] {
+            let text = format!("2\nc\nH 0 0 0\nH {bad} 0 0.74\n");
+            let err = Molecule::from_xyz(&text).unwrap_err();
+            assert!(err.contains("line 4") && err.contains("non-finite"), "{err}");
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use mako_trace as trace;
 
 use mako_accel::DeviceSpec;
 use mako_chem::{BasisFamily, Molecule};
-use mako_scf::{RescueConfig, ScfConfig, ScfDriver, ScfError, ScfMethod, ScfResult};
+use mako_scf::{ScfConfig, ScfDriver, ScfError, ScfMethod, ScfResult};
 
 /// Commonly used items, one import away.
 pub mod prelude {
@@ -109,8 +109,8 @@ impl MakoEngine {
         self
     }
 
-    /// Enable the self-healing SCF layer (watchdog + rescue ladder with the
-    /// default [`RescueConfig`]). On a healthy trajectory the result is
+    /// Enable the self-healing SCF layer (watchdog + rescue ladder, see
+    /// [`mako_scf::rescue`]). On a healthy trajectory the result is
     /// bitwise identical to a run without it.
     pub fn with_rescue(mut self, on: bool) -> MakoEngine {
         self.rescue = on;
@@ -129,7 +129,7 @@ impl MakoEngine {
             e_tol: self.e_tol,
             quantized: self.quantized,
             device: self.device.clone(),
-            rescue: self.rescue.then(RescueConfig::default),
+            rescue: self.rescue,
             ..ScfConfig::default()
         }
     }

@@ -58,9 +58,7 @@ pub use fock::{
 pub use grid::MolecularGrid;
 pub use parallel::{build_jk_distributed, DistributedScf, FtFockOutcome};
 pub use properties::{dipole_moment, mulliken_charges, Dipole};
-pub use rescue::{
-    classify, RescueConfig, RescueEvent, RescueLedger, RescueStage, TrajectoryClass,
-};
+pub use rescue::{classify, RescueEvent, RescueLedger, RescueStage, TrajectoryClass};
 pub use scf::{
     CheckpointPolicy, IncrementalPolicy, OrthDiagnostics, ScfConfig, ScfDriver, ScfMethod,
     ScfResult, ScfRunOptions,

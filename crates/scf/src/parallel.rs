@@ -25,7 +25,7 @@ use mako_accel::cluster::{
     parallel_efficiency, partition_lpt, simulate_iteration, ClusterSpec, ParallelTiming,
     RingAllreduce,
 };
-use mako_accel::fault::{FaultPlan, RecoveryLedger};
+use mako_accel::fault::{FaultPlan, RecoveryLedger, ALLREDUCE_TIMEOUT_SECONDS};
 use mako_accel::CostModel;
 use mako_kernels::pipeline::PipelineConfig;
 use mako_chem::molecule::dist;
@@ -363,7 +363,7 @@ pub(crate) fn build_shares(
         ledger.fault_free_seconds += comm;
         let mut attempt = 0u32;
         while attempt < 1000 && plan.allreduce_times_out(collective_call, attempt) {
-            ledger.degraded_seconds += plan.allreduce_timeout_seconds();
+            ledger.degraded_seconds += ALLREDUCE_TIMEOUT_SECONDS;
             ledger.allreduce_retries += 1;
             attempt += 1;
         }
@@ -764,7 +764,7 @@ mod tests {
                 saw_retry = true;
                 assert!(
                     ft.recovery.degraded_seconds
-                        > ft.recovery.fault_free_seconds + 0.9 * plan.allreduce_timeout_seconds(),
+                        > ft.recovery.fault_free_seconds + 0.9 * ALLREDUCE_TIMEOUT_SECONDS,
                     "timeout stall not charged: {:?}",
                     ft.recovery
                 );

@@ -64,9 +64,9 @@ pub enum RescueStage {
     /// Stage 1: drop the DIIS history (and force a full rebuild on
     /// incremental runs).
     DiisReset,
-    /// Stage 2: arm density damping at `damping_start`.
+    /// Stage 2: arm density damping at α = 0.7.
     Damp,
-    /// Stage 3: arm level shifting of the virtual block at `level_shift`.
+    /// Stage 3: arm level shifting of the virtual block at σ = 1 Ha.
     LevelShift,
     /// Stage 4: force the FP64-reference schedule and full rebuilds.
     QuantBackoff,
@@ -87,67 +87,47 @@ impl RescueStage {
     }
 }
 
-/// Watchdog thresholds and ladder schedule. The defaults are deliberately
-/// conservative: on a trajectory making even slow steady progress nothing
-/// fires (the inertness contract); the classifier only trips on sustained
-/// growth, sustained sign-alternation, or a residual that is flat across
-/// the whole window while far from convergence.
-#[derive(Debug, Clone)]
-pub struct RescueConfig {
-    /// Trailing window (iterations) the classifier examines.
-    pub window: usize,
-    /// Iterations of history required before the watchdog may fire at all
-    /// (warm-up: the first SCF steps legitimately thrash).
-    pub min_history: usize,
-    /// Diverging when the latest residual exceeds this factor times the
-    /// window minimum.
-    pub diverge_factor: f64,
-    /// Diverging when the latest energy sits this far (Hartree) above the
-    /// window minimum.
-    pub energy_rise_cap: f64,
-    /// Stagnating when the residual retained more than this fraction of its
-    /// value across a full window (i.e. decayed less than `1 − fraction`).
-    pub stagnation_fraction: f64,
-    /// Oscillating additionally requires the latest |ΔE| to stay above this
-    /// fraction of the window's largest |ΔE| (a *decaying* oscillation is
-    /// healthy ringing, not an anomaly).
-    pub osc_amplitude_floor: f64,
-    /// Iterations between ladder escalations, so each stage can act before
-    /// the next fires.
-    pub grace: usize,
-    /// Initial density-mixing factor α of stage 2.
-    pub damping_start: f64,
-    /// Geometric per-iteration decay of α.
-    pub damping_decay: f64,
-    /// α below this disarms damping entirely.
-    pub damping_floor: f64,
-    /// Initial virtual-block shift σ (Hartree) of stage 3.
-    pub level_shift: f64,
-    /// Geometric per-iteration decay of σ.
-    pub shift_decay: f64,
-    /// σ below this disarms the shift entirely.
-    pub shift_floor: f64,
-}
+// Watchdog thresholds and ladder schedule. They are deliberately
+// conservative: on a trajectory making even slow steady progress nothing
+// fires (the inertness contract); the classifier only trips on sustained
+// growth, sustained sign-alternation, or a residual that is flat across
+// the whole window while far from convergence.
 
-impl Default for RescueConfig {
-    fn default() -> RescueConfig {
-        RescueConfig {
-            window: 6,
-            min_history: 4,
-            diverge_factor: 3.0,
-            energy_rise_cap: 1.0,
-            stagnation_fraction: 0.95,
-            osc_amplitude_floor: 0.25,
-            grace: 2,
-            damping_start: 0.7,
-            damping_decay: 0.85,
-            damping_floor: 0.05,
-            level_shift: 1.0,
-            shift_decay: 0.9,
-            shift_floor: 1e-3,
-        }
-    }
-}
+/// Trailing window (iterations) the classifier examines.
+const WINDOW: usize = 6;
+/// Iterations of history required before the watchdog may fire at all
+/// (warm-up: the first SCF steps legitimately thrash).
+const MIN_HISTORY: usize = 4;
+/// Diverging when the latest residual exceeds this factor times the
+/// window minimum.
+const DIVERGE_FACTOR: f64 = 3.0;
+/// Diverging when the latest energy sits this far (Hartree) above the
+/// window minimum.
+const ENERGY_RISE_CAP: f64 = 1.0;
+/// Stagnating when the residual retained more than this fraction of its
+/// value across a full window (i.e. decayed less than `1 − fraction`).
+const STAGNATION_FRACTION: f64 = 0.95;
+/// Oscillating additionally requires the latest |ΔE| to stay above this
+/// fraction of the window's largest |ΔE| (a *decaying* oscillation is
+/// healthy ringing, not an anomaly).
+const OSC_AMPLITUDE_FLOOR: f64 = 0.25;
+/// Iterations between ladder escalations, so each stage can act before
+/// the next fires.
+const GRACE: usize = 2;
+/// Initial density-mixing factor α of stage 2.
+const DAMPING_START: f64 = 0.7;
+/// Geometric per-iteration decay of α.
+const DAMPING_DECAY: f64 = 0.85;
+/// α below this disarms damping entirely.
+const DAMPING_FLOOR: f64 = 0.05;
+/// Initial virtual-block shift σ (Hartree) of stage 3.
+const LEVEL_SHIFT: f64 = 1.0;
+/// Geometric per-iteration decay of σ.
+const SHIFT_DECAY: f64 = 0.9;
+/// σ below this disarms the shift entirely.
+const SHIFT_FLOOR: f64 = 1e-3;
+/// History the engine keeps; the classifier only reads one window.
+const HISTORY_KEPT: usize = 4 * WINDOW + 4;
 
 /// Classify a trajectory from its energy and DIIS-residual history
 /// (oldest first, both the same length; the driver appends one entry per
@@ -163,7 +143,6 @@ impl Default for RescueConfig {
 pub fn classify(
     energies: &[f64],
     residuals: &[f64],
-    cfg: &RescueConfig,
     e_tol: f64,
 ) -> TrajectoryClass {
     let n = energies.len().min(residuals.len());
@@ -175,7 +154,7 @@ pub fn classify(
     if !e_last.is_finite() || !r_last.is_finite() {
         return TrajectoryClass::NonFinite;
     }
-    if n < cfg.min_history.max(2) {
+    if n < MIN_HISTORY {
         return TrajectoryClass::Healthy;
     }
     // Never fire inside the convergence basin: the driver's own residual
@@ -183,7 +162,7 @@ pub fn classify(
     if r_last < e_tol.sqrt() {
         return TrajectoryClass::Healthy;
     }
-    let w = cfg.window.min(n);
+    let w = WINDOW.min(n);
     let e_w = &energies[n - w..];
     let r_w = &residuals[n - w..];
     let r_min = r_w.iter().copied().fold(f64::INFINITY, f64::min);
@@ -191,7 +170,7 @@ pub fn classify(
 
     // Diverging: the residual blew up relative to the window minimum, or
     // the energy climbed far above it.
-    if r_last > cfg.diverge_factor * r_min || e_last > e_min + cfg.energy_rise_cap {
+    if r_last > DIVERGE_FACTOR * r_min || e_last > e_min + ENERGY_RISE_CAP {
         return TrajectoryClass::Diverging;
     }
 
@@ -202,15 +181,15 @@ pub fn classify(
         let alternating = de.windows(2).all(|p| p[0] * p[1] < 0.0);
         let max_de = de.iter().fold(0.0f64, |a, b| a.max(b.abs()));
         let last_de = de.last().copied().unwrap_or(0.0).abs();
-        if alternating && max_de > e_tol && last_de > cfg.osc_amplitude_floor * max_de {
+        if alternating && max_de > e_tol && last_de > OSC_AMPLITUDE_FLOOR * max_de {
             return TrajectoryClass::Oscillating;
         }
     }
 
     // Stagnating: across a *full* window the residual barely moved while
     // still an order of magnitude above the convergence bar.
-    if w >= cfg.window
-        && r_last > cfg.stagnation_fraction * r_w[0]
+    if w >= WINDOW
+        && r_last > STAGNATION_FRACTION * r_w[0]
         && r_last > 10.0 * e_tol.sqrt()
     {
         return TrajectoryClass::Stagnating;
@@ -290,7 +269,6 @@ impl RescueLedger {
 /// points of the iteration; all of them return "off" until a stage fires,
 /// which is what makes the subsystem inert on healthy runs.
 pub struct RescueState {
-    cfg: RescueConfig,
     e_tol: f64,
     energies: Vec<f64>,
     residuals: Vec<f64>,
@@ -307,9 +285,8 @@ pub struct RescueState {
 
 impl RescueState {
     /// Fresh engine (ladder at level 0, no history).
-    pub fn new(cfg: RescueConfig, e_tol: f64) -> RescueState {
+    pub fn new(e_tol: f64) -> RescueState {
         RescueState {
-            cfg,
             e_tol,
             energies: Vec::new(),
             residuals: Vec::new(),
@@ -329,14 +306,12 @@ impl RescueState {
     pub fn observe(&mut self, energy: f64, residual: f64) -> TrajectoryClass {
         self.energies.push(energy);
         self.residuals.push(residual);
-        // Bound the history: the classifier only reads one window.
-        let keep = 4 * self.cfg.window.max(self.cfg.min_history) + 4;
-        if self.energies.len() > keep {
-            let cut = self.energies.len() - keep;
+        if self.energies.len() > HISTORY_KEPT {
+            let cut = self.energies.len() - HISTORY_KEPT;
             self.energies.drain(..cut);
             self.residuals.drain(..cut);
         }
-        classify(&self.energies, &self.residuals, &self.cfg, self.e_tol)
+        classify(&self.energies, &self.residuals, self.e_tol)
     }
 
     /// Offer a good-state snapshot. Called on every healthy iteration; the
@@ -366,12 +341,12 @@ impl RescueState {
         let (stage, detail) = match next {
             1 => (RescueStage::DiisReset, 0.0),
             2 => {
-                self.damping = Some(self.cfg.damping_start);
-                (RescueStage::Damp, self.cfg.damping_start)
+                self.damping = Some(DAMPING_START);
+                (RescueStage::Damp, DAMPING_START)
             }
             3 => {
-                self.shift = Some(self.cfg.level_shift);
-                (RescueStage::LevelShift, self.cfg.level_shift)
+                self.shift = Some(LEVEL_SHIFT);
+                (RescueStage::LevelShift, LEVEL_SHIFT)
             }
             4 => {
                 self.backoff = true;
@@ -384,7 +359,7 @@ impl RescueState {
             _ => return None, // ladder exhausted
         };
         self.level = next;
-        self.cooldown = self.cfg.grace;
+        self.cooldown = GRACE;
         self.ledger.push(RescueEvent {
             iteration,
             classification: class,
@@ -405,7 +380,7 @@ impl RescueState {
         }
         self.arm_rollback();
         self.level = 5;
-        self.cooldown = self.cfg.grace;
+        self.cooldown = GRACE;
         self.ledger.push(RescueEvent {
             iteration,
             classification: TrajectoryClass::NonFinite,
@@ -421,7 +396,7 @@ impl RescueState {
     fn arm_rollback(&mut self) {
         self.rollback_done = true;
         self.backoff = true;
-        self.damping = Some(self.cfg.damping_start);
+        self.damping = Some(DAMPING_START);
         self.energies.clear();
         self.residuals.clear();
     }
@@ -437,12 +412,12 @@ impl RescueState {
     /// iteration, after their values were consumed.
     pub fn decay(&mut self) {
         if let Some(a) = self.damping {
-            let a = a * self.cfg.damping_decay;
-            self.damping = (a >= self.cfg.damping_floor).then_some(a);
+            let a = a * DAMPING_DECAY;
+            self.damping = (a >= DAMPING_FLOOR).then_some(a);
         }
         if let Some(s) = self.shift {
-            let s = s * self.cfg.shift_decay;
-            self.shift = (s >= self.cfg.shift_floor).then_some(s);
+            let s = s * SHIFT_DECAY;
+            self.shift = (s >= SHIFT_FLOOR).then_some(s);
         }
     }
 
@@ -484,13 +459,8 @@ impl RescueState {
 mod tests {
     use super::*;
 
-    fn cfg() -> RescueConfig {
-        RescueConfig::default()
-    }
-
     #[test]
     fn converging_trajectory_is_healthy() {
-        let c = cfg();
         let mut e = Vec::new();
         let mut r = Vec::new();
         let mut energy = -70.0;
@@ -498,7 +468,7 @@ mod tests {
         for _ in 0..30 {
             e.push(energy);
             r.push(res);
-            assert_eq!(classify(&e, &r, &c, 1e-7), TrajectoryClass::Healthy);
+            assert_eq!(classify(&e, &r, 1e-7), TrajectoryClass::Healthy);
             energy -= 0.5 * res;
             res *= 0.6;
         }
@@ -506,7 +476,6 @@ mod tests {
 
     #[test]
     fn residual_growth_classifies_diverging() {
-        let c = cfg();
         let mut e = Vec::new();
         let mut r = Vec::new();
         let mut res = 1e-2;
@@ -515,7 +484,7 @@ mod tests {
             e.push(-70.0 - i as f64 * 1e-3);
             r.push(res);
             res *= 2.0;
-            if classify(&e, &r, &c, 1e-7) == TrajectoryClass::Diverging {
+            if classify(&e, &r, 1e-7) == TrajectoryClass::Diverging {
                 fired = true;
                 break;
             }
@@ -525,14 +494,13 @@ mod tests {
 
     #[test]
     fn energy_alternation_classifies_oscillating() {
-        let c = cfg();
         let mut e = Vec::new();
         let mut r = Vec::new();
         let mut fired = false;
         for i in 0..12 {
             e.push(-70.0 + if i % 2 == 0 { 0.3 } else { -0.3 });
             r.push(0.5);
-            let class = classify(&e, &r, &c, 1e-7);
+            let class = classify(&e, &r, 1e-7);
             if class != TrajectoryClass::Healthy {
                 assert!(
                     matches!(class, TrajectoryClass::Oscillating | TrajectoryClass::Stagnating),
@@ -547,39 +515,36 @@ mod tests {
 
     #[test]
     fn flat_residual_classifies_stagnating() {
-        let c = cfg();
         // Strictly decreasing energy but a residual frozen far from the
         // bar: no oscillation, no divergence — stagnation.
         let e: Vec<f64> = (0..10).map(|i| -70.0 - i as f64 * 1e-9).collect();
         let r = vec![0.3; 10];
-        assert_eq!(classify(&e, &r, &c, 1e-7), TrajectoryClass::Stagnating);
+        assert_eq!(classify(&e, &r, 1e-7), TrajectoryClass::Stagnating);
     }
 
     #[test]
     fn non_finite_is_flagged_immediately() {
-        let c = cfg();
         assert_eq!(
-            classify(&[-70.0, f64::NAN], &[0.1, 0.1], &c, 1e-7),
+            classify(&[-70.0, f64::NAN], &[0.1, 0.1], 1e-7),
             TrajectoryClass::NonFinite
         );
         assert_eq!(
-            classify(&[-70.0, -70.1], &[0.1, f64::INFINITY], &c, 1e-7),
+            classify(&[-70.0, -70.1], &[0.1, f64::INFINITY], 1e-7),
             TrajectoryClass::NonFinite
         );
     }
 
     #[test]
     fn near_convergence_wobble_is_healthy() {
-        let c = cfg();
         // Residual below √e_tol: endgame noise, never an anomaly.
         let e = vec![-70.0; 8];
         let r = vec![1e-5; 8];
-        assert_eq!(classify(&e, &r, &c, 1e-7), TrajectoryClass::Healthy);
+        assert_eq!(classify(&e, &r, 1e-7), TrajectoryClass::Healthy);
     }
 
     #[test]
     fn ladder_escalates_in_order_with_grace() {
-        let mut st = RescueState::new(cfg(), 1e-7);
+        let mut st = RescueState::new(1e-7);
         let mut stages = Vec::new();
         // Feed a persistent anomaly; grace = 2 means two skipped firings
         // between stages.
@@ -605,7 +570,7 @@ mod tests {
 
     #[test]
     fn healthy_observations_never_arm_anything() {
-        let mut st = RescueState::new(cfg(), 1e-7);
+        let mut st = RescueState::new(1e-7);
         let mut res = 1.0;
         for i in 0..20 {
             let class = st.observe(-70.0 - i as f64, res);
@@ -620,8 +585,7 @@ mod tests {
 
     #[test]
     fn damping_and_shift_decay_to_off() {
-        let c = cfg();
-        let mut st = RescueState::new(c.clone(), 1e-7);
+        let mut st = RescueState::new(1e-7);
         st.escalate(0, TrajectoryClass::Oscillating); // DiisReset
         for i in 1..10 {
             st.escalate(i, TrajectoryClass::Oscillating);
@@ -636,7 +600,7 @@ mod tests {
 
     #[test]
     fn non_finite_containment_requires_a_snapshot() {
-        let mut st = RescueState::new(cfg(), 1e-7);
+        let mut st = RescueState::new(1e-7);
         assert!(!st.contain_non_finite(3), "no snapshot yet → must fail");
         st.note_healthy(0.5, sample_checkpoint);
         assert!(st.contain_non_finite(4));
@@ -648,7 +612,7 @@ mod tests {
 
     #[test]
     fn best_residual_snapshot_wins() {
-        let mut st = RescueState::new(cfg(), 1e-7);
+        let mut st = RescueState::new(1e-7);
         st.note_healthy(0.5, || {
             let mut ck = sample_checkpoint();
             ck.next_iteration = 1;
@@ -666,7 +630,7 @@ mod tests {
 
     #[test]
     fn ledger_summary_reads_well() {
-        let mut st = RescueState::new(cfg(), 1e-7);
+        let mut st = RescueState::new(1e-7);
         st.escalate(7, TrajectoryClass::Diverging);
         let s = st.ledger().summary();
         assert!(s.contains("iter 7"), "{s}");

@@ -16,7 +16,7 @@ use crate::fock::{
 };
 use crate::grid::MolecularGrid;
 use crate::parallel::{build_shares, DistributedScf};
-use crate::rescue::{RescueConfig, RescueLedger, RescueStage, RescueState, TrajectoryClass};
+use crate::rescue::{RescueLedger, RescueStage, RescueState, TrajectoryClass};
 use crate::xc::{evaluate_aos, evaluate_xc, hartree_fock, AoOnGrid, XcFunctional};
 use mako_accel::fault::RecoveryLedger;
 use mako_accel::{CostModel, DeviceClock, DeviceSpec, IterationLedger};
@@ -159,10 +159,11 @@ pub struct ScfConfig {
     /// Distributed Fock execution (multi-rank, fault-tolerant); `None`
     /// builds on the single simulated device.
     pub distributed: Option<DistributedScf>,
-    /// Self-healing watchdog + staged rescue ladder (see [`crate::rescue`]);
-    /// `None` disables it. Enabled-but-idle is bitwise identical to
-    /// disabled — the inertness contract pinned by the golden suite.
-    pub rescue: Option<RescueConfig>,
+    /// Self-healing watchdog + staged rescue ladder (see [`crate::rescue`]
+    /// for its fixed thresholds and schedule). Enabled-but-idle is bitwise
+    /// identical to disabled — the inertness contract pinned by the golden
+    /// suite.
+    pub rescue: bool,
     /// Canonical-orthogonalization threshold: overlap eigenvectors with
     /// eigenvalue at or below this are projected out (linear-dependence
     /// guard); the count surfaces in [`ScfResult::orth`].
@@ -183,7 +184,7 @@ impl Default for ScfConfig {
             grid: (30, 10),
             device: DeviceSpec::a100(),
             distributed: None,
-            rescue: None,
+            rescue: false,
             orth_threshold: 1e-10,
         }
     }
@@ -669,11 +670,10 @@ impl<'a> ScfSession<'a> {
         let mut residual_prev = f64::INFINITY;
         let mut clock = DeviceClock::new();
 
-        let rescue: Option<RescueState> = driver
+        let rescue = driver
             .config
             .rescue
-            .clone()
-            .map(|cfg| RescueState::new(cfg, driver.config.e_tol));
+            .then(|| RescueState::new(driver.config.e_tol));
 
         let mut diis = Diis::new(8);
         let mut e_prev = f64::INFINITY;

@@ -103,7 +103,7 @@ struct ScreenMap {
 /// Size-bounded LRU cache of screened shell-pair lists.
 pub struct ScreenCache {
     inner: Mutex<ScreenMap>,
-    /// Maximum entries; 0 = unbounded.
+    /// Maximum entries.
     capacity: usize,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -111,7 +111,7 @@ pub struct ScreenCache {
 }
 
 impl ScreenCache {
-    /// Empty cache bounded to `capacity` entries (0 = unbounded).
+    /// Empty cache bounded to `capacity` entries.
     pub fn with_capacity(capacity: usize) -> ScreenCache {
         ScreenCache {
             inner: Mutex::new(ScreenMap {
@@ -151,10 +151,7 @@ impl ScreenCache {
     /// bound is hit. Ticks are unique, so the victim is deterministic.
     pub fn insert(&self, key: ArtifactKey, pairs: Vec<ScreenedPair>) {
         let mut inner = self.inner.lock();
-        if self.capacity > 0
-            && inner.map.len() >= self.capacity
-            && !inner.map.contains_key(&key)
-        {
+        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
             if let Some(victim) = inner
                 .map
                 .iter()

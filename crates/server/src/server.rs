@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mako_chem::Element;
+use mako_accel::fault::backoff_seconds;
 use mako_compiler::KernelCache;
 use mako_scf::{
     CheckpointError, CheckpointPolicy, ScfCheckpoint, ScfDriver, ScfError, ScfResult,
@@ -51,6 +52,14 @@ use crate::chaos::ServerChaos;
 use crate::job::{JobError, JobId, JobOutcome, JobReport, JobSpec, PriorityClass};
 use crate::journal::{workload_hash, Journal, JournalRecord};
 
+/// The shorter quantum, SCF iterations per dispatch, batch jobs get when
+/// admitted under pressure.
+const DEGRADED_QUANTUM_ITERATIONS: usize = 2;
+/// Faulted attempts retried before a job fails.
+const MAX_RETRIES: u32 = 3;
+/// Screening-pair cache bound, entries.
+const SCREEN_CACHE_ENTRIES: usize = 64;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -58,19 +67,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Batch preemption quantum, SCF iterations per dispatch.
     pub quantum_iterations: usize,
-    /// The shorter quantum batch jobs get when admitted under pressure.
-    pub degraded_quantum_iterations: usize,
-    /// Faulted attempts retried before a job fails.
-    pub max_retries: u32,
-    /// First retry backoff, virtual seconds.
-    pub retry_backoff_base: f64,
-    /// Cap on the exponential retry backoff, virtual seconds.
-    pub retry_backoff_cap: f64,
     /// Straggler bar: attempts running longer than this (virtual seconds)
     /// are killed and retried. `INFINITY` disables the bar.
     pub attempt_timeout: f64,
-    /// Screening-pair cache bound, entries (0 = unbounded).
-    pub screen_cache_capacity: usize,
     /// Directory for preemption checkpoints.
     pub checkpoint_dir: PathBuf,
     /// Admission control knobs.
@@ -82,22 +81,10 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 2,
             quantum_iterations: 4,
-            degraded_quantum_iterations: 2,
-            max_retries: 3,
-            retry_backoff_base: 1e-3,
-            retry_backoff_cap: 0.25,
             attempt_timeout: f64::INFINITY,
-            screen_cache_capacity: 64,
             checkpoint_dir: std::env::temp_dir().join("mako-server"),
             admission: AdmissionConfig::default(),
         }
-    }
-}
-
-impl ServerConfig {
-    fn backoff(&self, attempt: u32) -> f64 {
-        let exp = attempt.saturating_sub(1).min(52);
-        (self.retry_backoff_base * (1u64 << exp) as f64).min(self.retry_backoff_cap)
     }
 }
 
@@ -179,7 +166,7 @@ impl Default for MakoServer {
 impl MakoServer {
     /// A server with the given configuration and empty caches.
     pub fn new(config: ServerConfig) -> MakoServer {
-        let screens = ScreenCache::with_capacity(config.screen_cache_capacity);
+        let screens = ScreenCache::with_capacity(SCREEN_CACHE_ENTRIES);
         MakoServer {
             config,
             kernels: KernelCache::new(),
@@ -1202,10 +1189,10 @@ impl<'a> Sim<'a> {
             self.ledger.timeouts += 1;
         }
         let job = &mut self.jobs[id];
-        if retryable(&error) && job.retries < self.server.config.max_retries {
+        if retryable(&error) && job.retries < MAX_RETRIES {
             job.retries += 1;
             self.ledger.retries += 1;
-            let backoff = self.server.config.backoff(job.retries);
+            let backoff = backoff_seconds(job.retries.saturating_sub(1));
             mako_trace::instant(
                 "job",
                 "retry",
@@ -1318,7 +1305,7 @@ impl<'a> Sim<'a> {
         match self.jobs[id].spec.class {
             PriorityClass::Interactive => None,
             PriorityClass::Batch | PriorityClass::BestEffort => Some(if self.jobs[id].degraded {
-                self.server.config.degraded_quantum_iterations.max(1)
+                DEGRADED_QUANTUM_ITERATIONS
             } else {
                 self.server.config.quantum_iterations.max(1)
             }),
@@ -1420,6 +1407,21 @@ mod tests {
     }
 
     #[test]
+    fn job_retry_delay_is_the_capped_exponential_schedule() {
+        // `retry_or_fail` counts retries from 1 and charges the shared
+        // rank-retry schedule one step behind: 1 ms, 2 ms, ... capped at
+        // 0.25 s. Held bit for bit to the closed form far past the cap.
+        for attempt in 1..=60u32 {
+            let closed_form = (1e-3 * (1u64 << (attempt - 1).min(52)) as f64).min(0.25);
+            assert_eq!(
+                backoff_seconds(attempt.saturating_sub(1)).to_bits(),
+                closed_form.to_bits(),
+                "attempt {attempt}"
+            );
+        }
+    }
+
+    #[test]
     fn fresh_servers_in_one_process_get_disjoint_checkpoint_paths() {
         let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
         let chaos = ServerChaos::quiet(1);
@@ -1517,7 +1519,7 @@ mod tests {
                     matches!(error, JobError::Scf(ScfError::Checkpoint(_))),
                     "expected a typed checkpoint error, got {error:?}"
                 );
-                assert_eq!(*retries, server.config().max_retries);
+                assert_eq!(*retries, MAX_RETRIES);
             }
             other => panic!("expected typed failure, got {other:?}"),
         }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-2 gate: the integration suites re-proved in release (tier-1 runs them
-# in debug), the microkernel-determinism leg, one traced mako-cli run, and
+# in debug), the microkernel-determinism leg, two traced mako-cli runs, and
 # the benchmark's unit tests and --smoke. Slower than tier-1 (minutes, not
 # seconds) and meant for pre-merge validation rather than the inner edit loop.
 #
@@ -28,6 +28,12 @@ cargo run --release -p mako --bin mako-cli -- \
 cargo run --release -p mako-bench --bin trace_validate -- target/xc_trace_smoke.jsonl \
     --require scf.xc --require eri.one_electron \
     --require scf.iteration --require fock.screen --require fock.launch --require fock.assemble
+
+echo "== tier2: rescue smoke (mako-cli --rescue on 3.5x-stretched water under --trace; scf.rescue and scf.iteration required) =="
+cargo run --release -p mako --bin mako-cli -- \
+    --mol sample/water_stretched.xyz --rescue --trace target/rescue_trace_smoke.jsonl
+cargo run --release -p mako-bench --bin trace_validate -- target/rescue_trace_smoke.jsonl \
+    --require scf.rescue --require scf.iteration
 
 echo "== tier2: mako-benchmark (unit tests + --smoke: all seven workloads at toy size) =="
 # benchmark/ is its own workspace: tier-1 only type-checks it, no leg above

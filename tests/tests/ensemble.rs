@@ -20,9 +20,7 @@
 use mako::accel::fault::FaultPlan;
 use mako::chem::basis::sto3g::sto3g;
 use mako::chem::{builders, Molecule};
-use mako::scf::{
-    EnsembleConfig, EnsembleDriver, RescueConfig, ScfConfig, ScfDriver, ScfResult,
-};
+use mako::scf::{EnsembleConfig, EnsembleDriver, ScfConfig, ScfDriver, ScfResult};
 
 /// Perturbation magnitude (Å) for seeded water fixtures: large enough that
 /// every member converges to a distinct energy, small enough that plain
@@ -250,7 +248,7 @@ fn golden_ensemble_config() -> ScfConfig {
     ScfConfig {
         e_tol: 1e-8,
         max_iterations: 60,
-        rescue: Some(RescueConfig::default()),
+        rescue: true,
         ..ScfConfig::default()
     }
 }

@@ -18,9 +18,7 @@
 use mako::accel::fault::FaultPlan;
 use mako::chem::basis::sto3g::sto3g;
 use mako::chem::{builders, BasisFamily, Molecule};
-use mako::scf::{
-    b3lyp, DistributedScf, RescueConfig, RescueStage, ScfConfig, ScfDriver, ScfMethod, ScfResult,
-};
+use mako::scf::{b3lyp, DistributedScf, RescueStage, ScfConfig, ScfDriver, ScfMethod, ScfResult};
 
 /// Converged RHF/STO-3G total energy of the water monomer (Hartree).
 const E_WATER: f64 = -74.962_928_418_750;
@@ -250,7 +248,7 @@ fn golden_rescue_is_bitwise_inert_on_healthy_trimer() {
         &mol,
         &sto3g(),
         ScfConfig {
-            rescue: Some(RescueConfig::default()),
+            rescue: true,
             ..tight_config()
         },
     );
@@ -300,14 +298,14 @@ fn golden_pathological_stretch_recovers_only_with_full_ladder() {
     // level shifting, quantization backoff, checkpoint rollback — and
     // lands on a pinned energy, bitwise reproducible across thread counts.
     let mol = builders::stretched_water(3.5);
-    let config = |rescue: Option<RescueConfig>| ScfConfig {
+    let config = |rescue: bool| ScfConfig {
         e_tol: 1e-8,
         max_iterations: 60,
         rescue,
         ..ScfConfig::default()
     };
 
-    let plain = ScfDriver::new(&mol, &sto3g(), config(None)).run().expect("plain scf run");
+    let plain = ScfDriver::new(&mol, &sto3g(), config(false)).run().expect("plain scf run");
     assert!(
         !plain.converged,
         "stretched water unexpectedly converged without rescue (E = {:.12}); \
@@ -315,7 +313,7 @@ fn golden_pathological_stretch_recovers_only_with_full_ladder() {
         plain.energy
     );
 
-    let driver = ScfDriver::new(&mol, &sto3g(), config(Some(RescueConfig::default())));
+    let driver = ScfDriver::new(&mol, &sto3g(), config(true));
     let base = driver.run().expect("rescued scf run");
     assert!(base.converged, "rescue ladder failed to recover stretched water");
     assert!(

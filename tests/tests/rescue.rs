@@ -11,8 +11,7 @@ use mako::chem::basis::sto3g::sto3g;
 use mako::chem::molecule::{Atom, Molecule};
 use mako::chem::{builders, Element};
 use mako::scf::{
-    NonFiniteStage, RescueConfig, RescueStage, ScfConfig, ScfDriver, ScfError, ScfRunOptions,
-    TrajectoryClass,
+    NonFiniteStage, RescueStage, ScfConfig, ScfDriver, ScfError, ScfRunOptions, TrajectoryClass,
 };
 
 /// H₂ at equilibrium with every atom doubled at 1e-5 Å separation: a
@@ -63,7 +62,7 @@ fn nan_poison_with_rescue_rolls_back_and_converges() {
         &builders::water(),
         &sto3g(),
         ScfConfig {
-            rescue: Some(RescueConfig::default()),
+            rescue: true,
             ..ScfConfig::default()
         },
     )
@@ -149,7 +148,7 @@ fn rescue_emits_schema_valid_spans() {
         ScfConfig {
             e_tol: 1e-8,
             max_iterations: 60,
-            rescue: Some(RescueConfig::default()),
+            rescue: true,
             ..ScfConfig::default()
         },
     )
@@ -161,7 +160,7 @@ fn rescue_emits_schema_valid_spans() {
         &builders::water(),
         &sto3g(),
         ScfConfig {
-            rescue: Some(RescueConfig::default()),
+            rescue: true,
             ..ScfConfig::default()
         },
     )
