@@ -85,6 +85,9 @@ impl Molecule {
             .trim()
             .parse()
             .map_err(|e| format!("bad atom count: {e}"))?;
+        if n == 0 {
+            return Err("atom count is 0: a molecule needs at least one atom".into());
+        }
         let name = lines.next().unwrap_or("").trim().to_string();
         let mut mol = Molecule::new(name);
         // Atom lines start at the file's third line; messages name 1-based
@@ -207,6 +210,8 @@ mod tests {
     #[test]
     fn xyz_rejects_garbage() {
         assert!(Molecule::from_xyz("").is_err());
+        let empty = Molecule::from_xyz("0\nempty\n").unwrap_err();
+        assert!(empty.contains("atom count is 0"), "{empty}");
         assert!(Molecule::from_xyz("2\nc\nH 0 0 0\n").is_err());
         let unknown = Molecule::from_xyz("1\nc\nXq 0 0 0\n").unwrap_err();
         assert!(unknown.contains("line 3"), "{unknown}");

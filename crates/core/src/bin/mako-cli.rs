@@ -24,7 +24,7 @@ struct Args {
     trace: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         mol: None,
         basis: BasisFamily::Sto3g,
@@ -34,7 +34,6 @@ fn parse_args() -> Result<Args, String> {
         gpus: 1,
         trace: None,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--mol" => args.mol = Some(it.next().ok_or("--mol needs a path")?),
@@ -57,7 +56,10 @@ fn parse_args() -> Result<Args, String> {
                     .next()
                     .ok_or("--gpus needs a count")?
                     .parse()
-                    .map_err(|e| format!("--gpus: {e}"))?
+                    .map_err(|e| format!("--gpus: {e}"))?;
+                if args.gpus == 0 {
+                    return Err("--gpus needs at least one GPU".into());
+                }
             }
             "--trace" => args.trace = Some(it.next().ok_or("--trace needs a path")?),
             "--help" | "-h" => {
@@ -80,7 +82,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -200,5 +202,23 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<usize, String> {
+        parse_args(args.iter().map(|a| a.to_string())).map(|a| a.gpus)
+    }
+
+    #[test]
+    fn gpu_count_must_be_positive() {
+        assert_eq!(parse(&["--mol", "w.xyz", "--gpus", "8"]), Ok(8));
+        assert_eq!(parse(&["--mol", "w.xyz"]), Ok(1));
+        let err = parse(&["--mol", "w.xyz", "--gpus", "0"]).unwrap_err();
+        assert!(err.contains("at least one GPU"), "{err}");
+        assert!(parse(&["--gpus", "-1"]).is_err());
     }
 }

@@ -409,7 +409,7 @@ mod tests {
                 .expect("ensemble");
         // What one member would need to hold every tensor: each member gets
         // a twelfth of it, so every store cuts off mid-way.
-        let budget = TensorStore::new(&ensemble.drivers[0].batches, usize::MAX).capacity_bytes();
+        let budget = TensorStore::new(&ensemble.drivers[0].batches, usize::MAX, false).capacity_bytes();
         let run = ensemble.run_with_store_budget(budget);
         for (mol, member) in mols.iter().zip(&run.members) {
             let member = member.as_ref().expect("member run");

@@ -155,6 +155,8 @@ pub enum ScfError {
         /// The underlying eigensolver failure.
         source: LinalgError,
     },
+    /// The molecule has no atoms, so there is no basis to run on.
+    NoAtoms,
     /// The restricted driver was given an open-shell electron count.
     OpenShell {
         /// Electron count of the molecule.
@@ -194,6 +196,7 @@ impl std::fmt::Display for ScfError {
             ScfError::Diagonalization { iteration, source } => {
                 write!(f, "Fock diagonalization failed at iteration {iteration}: {source}")
             }
+            ScfError::NoAtoms => f.write_str("the molecule has no atoms"),
             ScfError::OpenShell { electrons } => {
                 write!(f, "restricted driver requires a closed shell ({electrons} electrons)")
             }

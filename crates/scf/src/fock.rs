@@ -38,41 +38,52 @@
 //! 3. **assembly** (evaluate what is missing in parallel, scatter all in
 //!    order): in bounded waves, the quartet tensors the store does not hold
 //!    yet — all of them, without a store — are evaluated across the rayon
-//!    pool and the FP64 ones copied into the arena; then every quartet of the
+//!    pool and copied into their tier's arena; then every quartet of the
 //!    wave is scattered into a single J/K buffer **strictly in canonical
 //!    quartet order**, from the arena or from the wave's scratch.
 //!
 //! # The tensor store
 //!
 //! A quartet tensor does not depend on the density, so a session that builds
-//! J/K eight times need not evaluate it eight times. `TensorStore` is one
-//! exactly-sized `f64` arena per session, keyed by *(batch, position in
-//! `batches[bi].quartets`)* — the key a `SubUnit` already carries — so the
-//! scheduler may prune, skip or quantize a different set every iteration and
-//! a quartet is still evaluated at most once in FP64: whenever it first
-//! appears in an FP64 sub-unit. Batch indices are global, and LPT shares are
-//! disjoint, so a multi-rank session's shares all use the one store.
+//! J/K eight times need not evaluate it eight times. `TensorStore` keeps two
+//! tiers per session, each one exactly-sized `f64` arena keyed by *(batch,
+//! position in `batches[bi].quartets`)* — the key a `SubUnit` already
+//! carries — so the scheduler may prune, skip or quantize a different set
+//! every iteration. Batch indices are global, and LPT shares are disjoint,
+//! so a multi-rank session's shares all use the one store.
 //!
-//! * **Stored FP64 tensors are configuration- and scale-independent.** The
-//!   FP64 pipeline reads only the pair data: the tuned `PipelineConfig`
+//! * **The FP64 tier holds configuration- and scale-independent tensors.**
+//!   The FP64 pipeline reads only the pair data: the tuned `PipelineConfig`
 //!   (fusion, layout, ILP, tile) prices the launch and never touches the
 //!   numerics, and the group scale is 1.0 and unused. The stored bits are
-//!   exactly what any later FP64 evaluation of the quartet would produce.
-//! * **Quantized tensors are not stored (yet).** Their bits depend on the
-//!   sub-unit's group scale, which is frozen over whichever quartets the
-//!   schedule put in the sub-unit *this* iteration; a tensor kept from one
-//!   iteration is not the tensor the next would compute. Quantized sub-units
-//!   neither read nor write the store. (A compressed tier keyed by the group
-//!   scale is ROADMAP item 11's follow-up.)
-//! * **Memory is bounded by a constant**, `TENSOR_STORE_BYTES`: per-batch
-//!   prefixes are admitted in ascending tensor length until it is spent, the
-//!   arena is zero-allocated and touched only where a tensor lands, and every
-//!   quartet past the budget stays integral-direct through the same loop.
+//!   exactly what any later FP64 evaluation of the quartet would produce, so
+//!   a quartet is evaluated at most once in FP64: whenever it first appears
+//!   in an FP64 sub-unit.
+//! * **The quantized tier holds one tag per batch.** A quantized tensor is a
+//!   pure function of the pair data and the sub-unit's *(precision, scale
+//!   policy, group scale)*; the group scale is frozen over whichever quartets
+//!   the schedule put in the sub-unit *this* iteration, and most iterations
+//!   freeze the same one. Each batch's quantized tensors carry the tag of the
+//!   sub-unit that evaluated them; a quantized sub-unit of another tag drops
+//!   them before its waves run, then refills the tier as it evaluates. A
+//!   session that never quantizes (`ScfConfig::quantized` off) has no
+//!   quantized tier.
+//! * **The tiers never cross.** An FP64 tensor is never served to a
+//!   quantized sub-unit, nor a quantized one written to the FP64 arena; a
+//!   quartet that switches class keeps its FP64 tensor for when it returns.
+//! * **Memory is bounded by a constant**, `TENSOR_STORE_BYTES`, for both
+//!   tiers together: per-batch prefixes are admitted in ascending tensor
+//!   length until it is spent, the FP64 tier first and the quantized tier
+//!   from what is left. Arenas are zero-allocated and touched only where a
+//!   tensor lands, and every quartet past the budget stays integral-direct
+//!   through the same loop.
 //! * **The device clock does not know.** Phase 2 prices every scheduled
 //!   quartet as launched, stored or not: the modeled accelerator recomputes
 //!   a quartet faster than it could fetch one, and `device_seconds`,
 //!   `FockBuildStats` and the ledgers describe that device. The host's reuse
-//!   shows in the `fock.assemble` event (`stored`, `reused`, `store_bytes`).
+//!   shows in the `fock.assemble` event (`stored`, `reused` for the FP64
+//!   tier, `quantized_stored`, `quantized_reused`, and `store_bytes` over
+//!   both).
 //! * **Checkpoints do not carry it.** It is recomputable; a resumed session
 //!   refills it on its first build.
 //!
@@ -112,7 +123,7 @@ use mako_kernels::pipeline::{
     batch_device_seconds, batch_group_scale, PipelineConfig, QuartetRunner,
 };
 use mako_linalg::Matrix;
-use mako_precision::Precision;
+use mako_precision::{Precision, ScalePolicy};
 use mako_quant::{ExecClass, QuantSchedule};
 use rayon::prelude::*;
 use std::sync::OnceLock;
@@ -207,15 +218,17 @@ impl SubUnit {
     }
 }
 
-/// Byte budget of one session's [`TensorStore`] (an [`EnsembleDriver`]
-/// splits one budget across its members). A constant, not a knob: below it
-/// the host is in-core, past it the same loop stays integral-direct.
+/// Byte budget of one session's [`TensorStore`], both tiers together (an
+/// [`EnsembleDriver`] splits one budget across its members). A constant, not
+/// a knob: below it the host is in-core, past it the same loop stays
+/// integral-direct.
 ///
 /// [`EnsembleDriver`]: crate::ensemble::EnsembleDriver
 pub(crate) const TENSOR_STORE_BYTES: usize = 64 << 20;
 
-/// Where one batch's stored tensors live: position `p < admitted` owns
-/// `arena[base + p·len ..][..len]` and bit `first_bit + p` of `filled`.
+/// Where one batch's stored tensors live in a [`Tier`]: position
+/// `p < admitted` owns `arena[base + p·len ..][..len]` and bit `first_bit + p`
+/// of `filled`.
 #[derive(Clone, Copy)]
 struct StoreSlot {
     base: usize,
@@ -224,31 +237,29 @@ struct StoreSlot {
     admitted: usize,
 }
 
-/// The FP64 quartet tensors of one SCF session, kept across Fock builds
-/// (module docs, "The tensor store"). Keyed by *(batch, position in
-/// `batches[bi].quartets`)*, so it is indifferent to which quartets a build
-/// prunes, skips or quantizes.
-pub(crate) struct TensorStore {
+/// One tier of a [`TensorStore`]: an exactly-sized `f64` arena laid out per
+/// batch, and what it has held.
+struct Tier {
     /// One exactly-sized allocation for every admitted tensor. Zeroed by the
     /// allocator and written only when a tensor is stored, so pages a run
     /// never fills are never resident.
     arena: Vec<f64>,
     slots: Vec<StoreSlot>,
     filled: Vec<u64>,
-    /// Tensors evaluated and kept, over the store's lifetime.
-    pub(crate) stored: usize,
+    /// Tensors evaluated and kept, over the tier's lifetime.
+    stored: usize,
     /// Evaluations avoided: quartets scattered from the arena.
-    pub(crate) reused: usize,
+    reused: usize,
     /// Arena bytes holding an evaluated tensor.
-    pub(crate) held_bytes: usize,
+    held_bytes: usize,
 }
 
-impl TensorStore {
-    /// Lay out a store for `batches` under `budget_bytes`: per-batch
+impl Tier {
+    /// Lay out a tier for `batches` under `budget_bytes`: per-batch
     /// *prefixes* are admitted greedily in ascending tensor length — at equal
     /// contraction depth the smallest tensors cost the most evaluation per
     /// stored byte — until the budget is spent. Nothing is evaluated here.
-    pub(crate) fn new(batches: &[QuartetBatch], budget_bytes: usize) -> TensorStore {
+    fn new(batches: &[QuartetBatch], budget_bytes: usize) -> Tier {
         let mut order: Vec<usize> = (0..batches.len()).collect();
         order.sort_by_key(|&bi| batches[bi].class.out_size());
         let mut slots = vec![
@@ -263,7 +274,7 @@ impl TensorStore {
             doubles += admitted * len;
             bits += admitted;
         }
-        TensorStore {
+        Tier {
             arena: vec![0.0; doubles],
             slots,
             filled: vec![0; bits.div_ceil(64)],
@@ -273,14 +284,8 @@ impl TensorStore {
         }
     }
 
-    /// Quartets the budget admitted (whether or not evaluated yet).
-    pub(crate) fn admitted_quartets(&self) -> usize {
-        self.slots.iter().map(|s| s.admitted).sum()
-    }
-
     /// Bytes the admitted tensors occupy once all are evaluated.
-    #[cfg(test)]
-    pub(crate) fn capacity_bytes(&self) -> usize {
+    fn capacity_bytes(&self) -> usize {
         self.arena.len() * 8
     }
 
@@ -302,6 +307,110 @@ impl TensorStore {
             self.stored += 1;
             self.held_bytes += slot.len * 8;
         }
+    }
+
+    /// Forget every tensor of `batch`; its slots stay laid out.
+    fn drop_batch(&mut self, batch: usize) {
+        let slot = self.slots[batch];
+        for bit in slot.first_bit..slot.first_bit + slot.admitted {
+            let (word, mask) = (&mut self.filled[bit / 64], 1u64 << (bit % 64));
+            if *word & mask != 0 {
+                *word &= !mask;
+                self.held_bytes -= slot.len * 8;
+            }
+        }
+    }
+}
+
+/// Everything a quantized tensor depends on besides its pair data: the
+/// sub-unit's `(precision, scale policy, group-scale bits)`.
+type QuantTag = (Precision, ScalePolicy, u64);
+
+/// The quantized tier: tensors of one tag per batch.
+struct QuantTier {
+    tier: Tier,
+    /// Per batch, the tag its held tensors were evaluated under.
+    tags: Vec<Option<QuantTag>>,
+    /// Times a batch's tensors were dropped for a sub-unit of another tag.
+    retags: usize,
+}
+
+/// The quartet tensors of one SCF session, kept across Fock builds (module
+/// docs, "The tensor store"). Keyed by *(batch, position in
+/// `batches[bi].quartets`)*, so it is indifferent to which quartets a build
+/// prunes, skips or quantizes. FP64 and quantized tensors live in separate
+/// tiers and never serve each other.
+pub(crate) struct TensorStore {
+    fp64: Tier,
+    /// `None` for a session that never schedules quantized work.
+    quantized: Option<QuantTier>,
+}
+
+impl TensorStore {
+    /// Lay out a store for `batches` under `budget_bytes`: the FP64 tier
+    /// first, then — for a session that may quantize — the quantized tier
+    /// from what the FP64 tier left, by the same rule ([`Tier::new`]).
+    pub(crate) fn new(batches: &[QuartetBatch], budget_bytes: usize, quantized: bool) -> TensorStore {
+        let fp64 = Tier::new(batches, budget_bytes);
+        let quantized = quantized.then(|| QuantTier {
+            tier: Tier::new(batches, budget_bytes - fp64.capacity_bytes()),
+            tags: vec![None; batches.len()],
+            retags: 0,
+        });
+        TensorStore { fp64, quantized }
+    }
+
+    /// FP64 quartets the budget admitted (whether or not evaluated yet).
+    pub(crate) fn admitted_quartets(&self) -> usize {
+        self.fp64.slots.iter().map(|s| s.admitted).sum()
+    }
+
+    /// Bytes the admitted tensors of both tiers occupy once all are evaluated.
+    #[cfg(test)]
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.fp64.capacity_bytes() + self.quantized.as_ref().map_or(0, |q| q.tier.capacity_bytes())
+    }
+
+    /// Both tiers' bytes holding an evaluated tensor.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.fp64.held_bytes + self.quantized.as_ref().map_or(0, |q| q.tier.held_bytes)
+    }
+
+    /// Evaluations avoided by both tiers.
+    pub(crate) fn reused(&self) -> usize {
+        self.fp64.reused + self.quantized.as_ref().map_or(0, |q| q.tier.reused)
+    }
+
+    /// `[stored, reused]` of the FP64 tier, then of the quantized tier.
+    pub(crate) fn counts(&self) -> [usize; 4] {
+        let (q_stored, q_reused) =
+            self.quantized.as_ref().map_or((0, 0), |q| (q.tier.stored, q.tier.reused));
+        [self.fp64.stored, self.fp64.reused, q_stored, q_reused]
+    }
+
+    /// Times a batch's quantized tensors were dropped for another tag.
+    #[cfg(test)]
+    pub(crate) fn quantized_retags(&self) -> usize {
+        self.quantized.as_ref().map_or(0, |q| q.retags)
+    }
+
+    /// The tier that serves sub-unit `u`: the FP64 tier for an FP64
+    /// sub-unit; for a quantized one, the quantized tier, after dropping
+    /// `u.batch`'s tensors if they were evaluated under another tag.
+    fn tier_for(&mut self, u: &SubUnit) -> Option<&mut Tier> {
+        if u.cfg.precision == Precision::Fp64 {
+            return Some(&mut self.fp64);
+        }
+        let q = self.quantized.as_mut()?;
+        let tag = Some((u.cfg.precision, u.cfg.scale_policy, u.e_scale.to_bits()));
+        if q.tags[u.batch] != tag {
+            if q.tags[u.batch].is_some() {
+                q.tier.drop_batch(u.batch);
+                q.retags += 1;
+            }
+            q.tags[u.batch] = tag;
+        }
+        Some(&mut q.tier)
     }
 }
 
@@ -512,8 +621,7 @@ impl FockPlan {
         let mut scratch: Vec<Tensor4> = Vec::new();
         // The wave's positions that have to be evaluated, in wave order.
         let mut missing: Vec<u32> = Vec::new();
-        let (stored_before, reused_before) =
-            store.as_deref().map_or((0, 0), |s| (s.stored, s.reused));
+        let counts_before = store.as_deref().map_or([0; 4], TensorStore::counts);
         // Host-side wall timers for the evaluate/scatter phases. Only
         // sampled when tracing is on, so the untraced hot path pays zero
         // clock reads.
@@ -530,12 +638,9 @@ impl FockPlan {
             // screened pair's E blocks are rounded at the group scale once
             // and shared across every quartet (and wave) of the sub-unit.
             let runner = QuartetRunner::for_pairs(&u.class, &u.cfg, u.e_scale, pairs.len());
-            // A quantized tensor's bits depend on the sub-unit's group scale,
-            // which moves with the sub-unit's membership: never stored, and
-            // never served from the FP64 arena.
-            let mut held = store
-                .as_deref_mut()
-                .filter(|_| u.cfg.precision == Precision::Fp64);
+            // FP64 sub-units read the FP64 tier; quantized ones the quantized
+            // tier, whose tensors of this batch match the sub-unit's tag.
+            let mut held = store.as_deref_mut().and_then(|s| s.tier_for(u));
             for wave in u.positions.chunks(wave_len) {
                 let t_eval = trace_on.then(std::time::Instant::now);
                 missing.clear();
@@ -582,9 +687,10 @@ impl FockPlan {
             }
         }
         if trace_on {
-            let (stored, reused, store_bytes) = store.as_deref().map_or((0, 0, 0), |s| {
-                (s.stored - stored_before, s.reused - reused_before, s.held_bytes)
-            });
+            let (counts, store_bytes) =
+                store.as_deref().map_or(([0; 4], 0), |s| (s.counts(), s.held_bytes()));
+            let [stored, reused, quantized_stored, quantized_reused]: [usize; 4] =
+                std::array::from_fn(|i| counts[i] - counts_before[i]);
             mako_trace::instant(
                 "fock",
                 "assemble",
@@ -595,6 +701,8 @@ impl FockPlan {
                     mako_trace::field("wave_len", wave_len),
                     mako_trace::field("stored", stored),
                     mako_trace::field("reused", reused),
+                    mako_trace::field("quantized_stored", quantized_stored),
+                    mako_trace::field("quantized_reused", quantized_reused),
                     mako_trace::field("store_bytes", store_bytes),
                 ],
             );
@@ -1426,7 +1534,7 @@ mod tests {
 
         /// Bytes a store needs to hold every tensor of the fixture.
         fn full_need(&self) -> usize {
-            TensorStore::new(&self.batches, usize::MAX).capacity_bytes()
+            TensorStore::new(&self.batches, usize::MAX, false).capacity_bytes()
         }
 
         fn plan(&self, d: &Matrix, schedule: &QuantSchedule) -> FockPlan {
@@ -1467,9 +1575,9 @@ mod tests {
         let schedule = QuantSchedule::fp64_reference(1e-7);
         for budget in [0, need / 2, usize::MAX] {
             for wave_len in [1usize, 7, 4096] {
-                let mut store = TensorStore::new(&f.batches, budget);
+                let mut store = TensorStore::new(&f.batches, budget, false);
                 if budget == need / 2 {
-                    let cut = f.batches.iter().zip(&store.slots);
+                    let cut = f.batches.iter().zip(&store.fp64.slots);
                     assert!(
                         cut.clone().any(|(b, s)| 0 < s.admitted && s.admitted < b.len()),
                         "the half budget must cut a batch mid-prefix"
@@ -1490,15 +1598,15 @@ mod tests {
                     assert!(bits_equal(&kept.j, &direct.j), "J moved: {label}");
                     assert!(bits_equal(&kept.k, &direct.k), "K moved: {label}");
                 }
-                assert!(store.held_bytes <= store.capacity_bytes());
+                assert!(store.fp64.held_bytes <= store.capacity_bytes());
                 match budget {
-                    0 => assert_eq!((store.stored, store.reused), (0, 0)),
+                    0 => assert_eq!((store.fp64.stored, store.fp64.reused), (0, 0)),
                     usize::MAX => {
-                        assert_eq!(store.stored, seen.len(), "each distinct quartet stored once");
-                        assert_eq!(store.reused, fp64_total - seen.len());
+                        assert_eq!(store.fp64.stored, seen.len(), "each distinct quartet stored once");
+                        assert_eq!(store.fp64.reused, fp64_total - seen.len());
                         assert!(seen.len() < fp64_total);
                     }
-                    _ => assert!(0 < store.stored && store.stored < seen.len()),
+                    _ => assert!(0 < store.fp64.stored && store.fp64.stored < seen.len()),
                 }
             }
         }
@@ -1508,17 +1616,17 @@ mod tests {
     fn quartet_pruned_early_is_stored_when_first_admitted_and_reused_after() {
         let f = StoreFixture::new();
         let d = f.density(0);
-        let mut store = TensorStore::new(&f.batches, usize::MAX);
+        let mut store = TensorStore::new(&f.batches, usize::MAX, false);
         let pruning = QuantSchedule::fp64_reference(1e-5);
         let full = QuantSchedule::fp64_reference(0.0);
         let mut deltas = Vec::new();
         for schedule in [&pruning, &pruning, &full, &full] {
             let plan = f.plan(&d, schedule);
-            let before = (store.stored, store.reused);
+            let before = (store.fp64.stored, store.fp64.reused);
             let kept = f.assemble(&plan, &d, Some(&mut store), 64);
             let direct = f.assemble(&plan, &d, None, 64);
             assert!(bits_equal(&kept.j, &direct.j) && bits_equal(&kept.k, &direct.k));
-            deltas.push((store.stored - before.0, store.reused - before.1));
+            deltas.push((store.fp64.stored - before.0, store.fp64.reused - before.1));
         }
         let total: usize = f.batches.iter().map(|b| b.len()).sum();
         let first = deltas[0].0;
@@ -1529,27 +1637,99 @@ mod tests {
         );
     }
 
+    /// The mixed FP64/quantized schedule of an SCF's first iteration.
+    fn early() -> QuantSchedule {
+        QuantSchedule::for_iteration(1.0, 1e-7)
+    }
+
     #[test]
-    fn quantized_sub_units_bypass_the_store() {
+    fn quantized_work_never_reads_fp64_tensors_or_touches_the_fp64_tier() {
         let f = StoreFixture::new();
         let d = f.density(0);
-        let early = QuantSchedule::for_iteration(1.0, 1e-7);
-        let plan = f.plan(&d, &early);
+        let plan = f.plan(&d, &early());
         assert!(plan.stats.quantized_quartets > 0 && plan.stats.fp64_quartets > 0);
         let direct = f.assemble(&plan, &d, None, 64);
 
         // A store that already holds the FP64 tensor of every quartet.
-        let mut store = TensorStore::new(&f.batches, usize::MAX);
+        let mut store = TensorStore::new(&f.batches, usize::MAX, true);
         let fp64_plan = f.plan(&d, &QuantSchedule::fp64_reference(0.0));
         let fp64 = f.assemble(&fp64_plan, &d, Some(&mut store), 64);
-        let (stored, reused) = (store.stored, store.reused);
-        let held = store.arena.clone();
+        let (stored, reused) = (store.fp64.stored, store.fp64.reused);
+        let held = store.fp64.arena.clone();
 
         let kept = f.assemble(&plan, &d, Some(&mut store), 64);
         assert!(bits_equal(&kept.j, &direct.j) && bits_equal(&kept.k, &direct.k));
         assert!(!bits_equal(&kept.j, &fp64.j), "quantized quartets were served FP64 tensors");
-        assert_eq!(store.stored, stored, "a quantized tensor was stored");
-        assert_eq!(store.reused, reused + plan.stats.fp64_quartets);
-        assert!(store.arena.iter().zip(&held).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(store.fp64.stored, stored, "a quantized tensor was stored in the FP64 tier");
+        assert_eq!(store.fp64.reused, reused + plan.stats.fp64_quartets);
+        assert!(store.fp64.arena.iter().zip(&held).all(|(a, b)| a.to_bits() == b.to_bits()));
+        // Every quantized tensor was evaluated, then kept in its own tier.
+        assert_eq!(store.counts()[2..], [plan.stats.quantized_quartets, 0]);
+    }
+
+    #[test]
+    fn quantized_tensors_of_an_unchanged_tag_are_served_from_the_store() {
+        let f = StoreFixture::new();
+        let d = f.density(0);
+        let plan = f.plan(&d, &early());
+        let direct = f.assemble(&plan, &d, None, 64);
+        let nq = plan.stats.quantized_quartets;
+        let mut store = TensorStore::new(&f.batches, usize::MAX, true);
+        for (build, wave_len) in [1usize, 7, 4096].into_iter().enumerate() {
+            let kept = f.assemble(&plan, &d, Some(&mut store), wave_len);
+            assert!(bits_equal(&kept.j, &direct.j), "J moved at build {build}");
+            assert!(bits_equal(&kept.k, &direct.k), "K moved at build {build}");
+            assert_eq!(store.counts()[2..], [nq, nq * build]);
+        }
+        assert_eq!(store.quantized_retags(), 0);
+    }
+
+    #[test]
+    fn a_group_scale_change_re_evaluates_to_the_storeless_bits() {
+        let f = StoreFixture::new();
+        let d = f.density(0);
+        let plan = f.plan(&d, &early());
+        // The same quartets under other frozen group scales.
+        let mut rescaled = f.plan(&d, &early());
+        let mut quantized_units = 0;
+        for u in rescaled.units.iter_mut().filter(|u| u.cfg.precision != Precision::Fp64) {
+            u.e_scale *= 0.75;
+            quantized_units += 1;
+        }
+        let direct = f.assemble(&rescaled, &d, None, 64);
+        let nq = plan.stats.quantized_quartets;
+
+        let mut store = TensorStore::new(&f.batches, usize::MAX, true);
+        let first = f.assemble(&plan, &d, Some(&mut store), 64);
+        let (fp64_counts, held) = (store.counts()[..2].to_vec(), store.held_bytes());
+        assert!(!bits_equal(&first.k, &direct.k), "the scale change moved no bit");
+        let kept = f.assemble(&rescaled, &d, Some(&mut store), 64);
+        assert!(bits_equal(&kept.j, &direct.j) && bits_equal(&kept.k, &direct.k));
+        assert_eq!(store.counts()[2..], [2 * nq, 0], "a retagged batch served a stale tensor");
+        assert_eq!(store.quantized_retags(), quantized_units);
+        assert_eq!(store.held_bytes(), held, "the old tag's tensors were not dropped");
+        // One tag per batch: going back re-evaluates once more.
+        let back = f.assemble(&plan, &d, Some(&mut store), 64);
+        assert!(bits_equal(&back.j, &first.j) && bits_equal(&back.k, &first.k));
+        assert_eq!(store.counts()[2..], [3 * nq, 0]);
+        assert_eq!(store.counts()[..2], [fp64_counts[0], fp64_counts[1] + 2 * plan.stats.fp64_quartets]);
+    }
+
+    #[test]
+    fn a_budget_the_fp64_tier_spends_leaves_the_quantized_tier_empty() {
+        let f = StoreFixture::new();
+        let d = f.density(0);
+        let plan = f.plan(&d, &early());
+        let direct = f.assemble(&plan, &d, None, 64);
+        let need = f.full_need();
+        let mut store = TensorStore::new(&f.batches, need, true);
+        assert_eq!(store.capacity_bytes(), need);
+        for _ in 0..2 {
+            let kept = f.assemble(&plan, &d, Some(&mut store), 64);
+            assert!(bits_equal(&kept.j, &direct.j) && bits_equal(&kept.k, &direct.k));
+        }
+        let nf = plan.stats.fp64_quartets;
+        assert_eq!(store.counts(), [nf, nf, 0, 0]);
+        assert_eq!(store.held_bytes(), store.fp64.held_bytes);
     }
 }

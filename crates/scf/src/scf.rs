@@ -237,12 +237,12 @@ pub struct ScfResult {
     pub rescue: RescueLedger,
     /// Linear-dependence diagnostics of the orthogonalizer.
     pub orth: OrthDiagnostics,
-    /// Bytes of FP64 quartet tensors the host held at the end of the run
-    /// (the last session's, for a resumed run).
+    /// Bytes of quartet tensors, FP64 and quantized, the host held at the
+    /// end of the run (the last session's, for a resumed run).
     pub tensor_store_bytes: usize,
-    /// Quartet evaluations the host served from held tensors instead of
-    /// recomputing. Host-side only: `stats` and `clock` still count every
-    /// quartet, as the integral-direct device executes it.
+    /// Quartet evaluations, FP64 and quantized, the host served from held
+    /// tensors instead of recomputing. Host-side only: `stats` and `clock`
+    /// still count every quartet, as the integral-direct device executes it.
     pub evaluations_reused: usize,
 }
 
@@ -266,15 +266,17 @@ pub struct ScfDriver {
 impl ScfDriver {
     /// Prepare a driver: instantiate the basis, screen pairs, batch
     /// quartets, tune kernels (via the CompilerMako cache), and build the
-    /// DFT grid when needed. Panics when the basis does not cover the
-    /// molecule — the convenience constructor for tests and benches;
-    /// library paths (e.g. `MakoEngine::run_*`) use [`Self::try_new`].
+    /// DFT grid when needed. Panics when the molecule has no atoms or the
+    /// basis does not cover it — the convenience constructor for tests and
+    /// benches; library paths (e.g. `MakoEngine::run_*`) use
+    /// [`Self::try_new`].
     pub fn new(mol: &Molecule, basis: &BasisSet, config: ScfConfig) -> ScfDriver {
         ScfDriver::try_new(mol, basis, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible constructor: returns [`ScfError::Basis`] instead of
-    /// panicking when the basis set lacks an element of the molecule.
+    /// Fallible constructor: returns [`ScfError::NoAtoms`] for a molecule
+    /// without atoms and [`ScfError::Basis`] when the basis set lacks an
+    /// element of the molecule, instead of panicking.
     pub fn try_new(mol: &Molecule, basis: &BasisSet, config: ScfConfig) -> Result<ScfDriver, ScfError> {
         ScfDriver::try_new_with_cache(mol, basis, config, &KernelCache::new())
     }
@@ -310,6 +312,9 @@ impl ScfDriver {
         cache: &KernelCache,
         pairs_override: Option<Vec<ScreenedPair>>,
     ) -> Result<ScfDriver, ScfError> {
+        if mol.atoms.is_empty() {
+            return Err(ScfError::NoAtoms);
+        }
         let shells = basis.try_shells_for(mol)?;
         let layout = AoLayout::new(&shells);
         let pairs = match pairs_override {
@@ -641,7 +646,7 @@ impl<'a> ScfSession<'a> {
             threshold: driver.config.orth_threshold,
         };
         let x = orth_factor.matrix;
-        let tensors = TensorStore::new(&driver.batches, store_budget_bytes);
+        let tensors = TensorStore::new(&driver.batches, store_budget_bytes, driver.config.quantized);
         {
             let mut setup = mako_trace::span("scf", "setup");
             if setup.is_recording() {
@@ -1328,8 +1333,8 @@ impl<'a> ScfSession<'a> {
             clock: self.clock,
             rescue: self.rescue.map(RescueState::into_ledger).unwrap_or_default(),
             orth: self.orth,
-            tensor_store_bytes: self.tensors.held_bytes,
-            evaluations_reused: self.tensors.reused,
+            tensor_store_bytes: self.tensors.held_bytes(),
+            evaluations_reused: self.tensors.reused(),
         }
     }
 }
@@ -1718,6 +1723,65 @@ mod tests {
         // With rebuild_period=2 at least half the iterations are rebuilds.
         let rebuilds = inc.clock.iterations().iter().filter(|l| l.rebuild).count();
         assert!(rebuilds * 3 >= inc.iterations, "rebuild policy inactive");
+    }
+
+    #[test]
+    fn a_molecule_without_atoms_is_a_typed_error() {
+        let empty = Molecule::new("empty");
+        let err = ScfDriver::try_new(&empty, &sto3g(), ScfConfig::default()).err();
+        assert_eq!(err, Some(ScfError::NoAtoms));
+    }
+
+    #[test]
+    fn quantized_session_keeps_its_quantized_integrals_without_moving_a_bit() {
+        let driver = ScfDriver::new(
+            &builders::water_cluster(3),
+            &sto3g(),
+            ScfConfig {
+                method: ScfMethod::Rks(crate::xc::b3lyp()),
+                quantized: true,
+                grid: (20, 8),
+                ..ScfConfig::default()
+            },
+        );
+        // `run_session`'s loop, keeping the quantized tier's reuse and retags.
+        let run = |budget: usize, threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let mut session =
+                    ScfSession::with_store_budget(&driver, ScfRunOptions::default(), budget)
+                        .expect("session");
+                while session.active() {
+                    let prep = session.prepare();
+                    let (jk, st, recovery) = driver
+                        .execute_build(&prep, session.iteration(), session.tensors_mut())
+                        .expect("build");
+                    session.advance(prep, jk, st, recovery).expect("iteration");
+                }
+                let tensors = session.tensors_mut();
+                let (quantized_reused, retags) = (tensors.counts()[3], tensors.quantized_retags());
+                (session.finish(), quantized_reused, retags)
+            })
+        };
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (direct, _, _) = run(0, 1);
+        assert!(direct.converged && direct.stats.quantized_quartets > 0);
+        assert_eq!((direct.evaluations_reused, direct.tensor_store_bytes), (0, 0));
+        for threads in [1, 2] {
+            for budget in [0, TENSOR_STORE_BYTES] {
+                let (res, quantized_reused, retags) = run(budget, threads);
+                let label = format!("budget {budget}, {threads} threads");
+                assert_eq!(res.energy.to_bits(), direct.energy.to_bits(), "{label}");
+                assert_eq!(bits(res.density.as_slice()), bits(direct.density.as_slice()), "{label}");
+                assert_eq!(bits(&res.iteration_seconds), bits(&direct.iteration_seconds), "{label}");
+                assert_eq!(res.stats, direct.stats, "{label}");
+                assert_eq!(res.clock.iterations(), direct.clock.iterations(), "{label}");
+                if budget > 0 {
+                    assert!(quantized_reused > 0, "no quantized tensor was reused: {label}");
+                    assert!(retags > 0, "no batch changed its group scale: {label}");
+                }
+            }
+        }
     }
 
     #[test]

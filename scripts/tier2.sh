@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-2 gate: the integration suites re-proved in release (tier-1 runs them
-# in debug), the microkernel-determinism leg, two traced mako-cli runs, and
+# in debug), the microkernel-determinism leg, three traced mako-cli runs, and
 # the benchmark's unit tests and --smoke. Slower than tier-1 (minutes, not
 # seconds) and meant for pre-merge validation rather than the inner edit loop.
 #
@@ -28,6 +28,12 @@ cargo run --release -p mako --bin mako-cli -- \
 cargo run --release -p mako-bench --bin trace_validate -- target/xc_trace_smoke.jsonl \
     --require scf.xc --require eri.one_electron \
     --require scf.iteration --require fock.screen --require fock.launch --require fock.assemble
+
+echo "== tier2: quantized smoke (mako-cli QuantMako B3LYP water under --trace; scf.xc and the Fock-engine events required) =="
+cargo run --release -p mako --bin mako-cli -- \
+    --mol sample/water.xyz --method b3lyp --quantized --trace target/quant_trace_smoke.jsonl
+cargo run --release -p mako-bench --bin trace_validate -- target/quant_trace_smoke.jsonl \
+    --require scf.xc --require fock.assemble --require fock.launch --require scf.iteration
 
 echo "== tier2: rescue smoke (mako-cli --rescue on 3.5x-stretched water under --trace; scf.rescue and scf.iteration required) =="
 cargo run --release -p mako --bin mako-cli -- \

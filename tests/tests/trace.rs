@@ -111,6 +111,14 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         },
     );
     let dft_ref = dft.run().expect("untraced B3LYP run");
+    // A QuantMako run: the one that fills and reads the quantized tier.
+    let quantized = || {
+        MakoEngine::new()
+            .with_quantization(true)
+            .run_rhf(&mol, BasisFamily::Sto3g)
+            .expect("quantized scf run")
+    };
+    let quantized_ref = scf_bits(&quantized());
     // The multi-rank build: a water trimer on a seeded chaotic 2-rank cluster.
     let cluster = ScfDriver::new(
         &mako::chem::builders::water_cluster(3),
@@ -228,6 +236,7 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         (dft_ref.energy.to_bits(), dft_ref.iterations),
         "traced B3LYP energy is not bitwise identical to the untraced run"
     );
+    assert!(scf_bits(&quantized()) == quantized_ref, "traced quantized SCF drifted");
     assert_eq!(fleet_bits(&ensemble.run()), fleet_ref, "traced ensemble drifted");
     assert_eq!(serve(), serve_ref, "traced chaos serve drifted");
     // Crash → rot every persisted artifact → recover in a new process: the
@@ -301,8 +310,9 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
             fleet_ranks.plan.ranks()
         );
     }
-    // `fock.assemble` shows the host's reuse; the stateless `build` above
-    // and every quantized sub-unit report none.
+    // `fock.assemble` shows the host's reuse: `stored`/`reused` count the
+    // FP64 tier, `quantized_stored`/`quantized_reused` the quantized tier;
+    // the stateless `build` above reports none.
     let assemble_sum = |key: &str| -> u64 {
         let assembles = dump.events.iter().filter(|e| (e.cat, e.name) == ("fock", "assemble"));
         assembles
@@ -315,6 +325,8 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     };
     assert!(assemble_sum("stored") > 0 && assemble_sum("store_bytes") > 0);
     assert!(assemble_sum("reused") >= 4 * scf_ref.evaluations_reused as u64);
+    assert!(assemble_sum("quantized_stored") > 0);
+    assert!(assemble_sum("quantized_reused") > 0, "the quantized run reused no quantized tensor");
 
     // Chrome export of the same dump must be valid JSON too.
     let chrome = dump.to_chrome();
