@@ -14,10 +14,26 @@
 use mako::prelude::*;
 use std::process::ExitCode;
 
+/// SCF method of a run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Method {
+    Rhf,
+    B3lyp,
+}
+
+impl Method {
+    fn name(self) -> &'static str {
+        match self {
+            Method::Rhf => "RHF",
+            Method::B3lyp => "B3LYP",
+        }
+    }
+}
+
 struct Args {
     mol: Option<String>,
     basis: BasisFamily,
-    method: String,
+    method: Method,
     quantized: bool,
     rescue: bool,
     gpus: usize,
@@ -28,7 +44,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         mol: None,
         basis: BasisFamily::Sto3g,
-        method: "rhf".to_string(),
+        method: Method::Rhf,
         quantized: false,
         rescue: false,
         gpus: 1,
@@ -48,7 +64,14 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                     other => return Err(format!("unknown basis {other}")),
                 };
             }
-            "--method" => args.method = it.next().ok_or("--method needs rhf|b3lyp")?,
+            "--method" => {
+                let name = it.next().ok_or("--method needs rhf|b3lyp")?;
+                args.method = match name.to_lowercase().as_str() {
+                    "rhf" => Method::Rhf,
+                    "b3lyp" => Method::B3lyp,
+                    other => return Err(format!("unknown method {other} (rhf|b3lyp)")),
+                };
+            }
             "--quantized" => args.quantized = true,
             "--rescue" => args.rescue = true,
             "--gpus" => {
@@ -121,7 +144,7 @@ fn main() -> ExitCode {
     println!("Mako — matrix-aligned quantum chemistry (Rust reproduction)");
     println!("molecule : {} ({} atoms, {} electrons)", mol.name, mol.natoms(), mol.n_electrons());
     println!("basis    : {}", args.basis.name());
-    println!("method   : {}{}", args.method.to_uppercase(), if args.quantized { " + QuantMako" } else { "" });
+    println!("method   : {}{}", args.method.name(), if args.quantized { " + QuantMako" } else { "" });
     println!("device   : simulated NVIDIA A100 ×{}\n", args.gpus);
 
     // STO-3G only covers H/C/N/O; the synthetic families cover everything.
@@ -129,13 +152,9 @@ fn main() -> ExitCode {
         .with_quantization(args.quantized)
         .with_rescue(args.rescue);
     let wall = std::time::Instant::now();
-    let run = match args.method.as_str() {
-        "rhf" => engine.run_rhf(&mol, args.basis),
-        "b3lyp" => engine.run_b3lyp(&mol, args.basis),
-        other => {
-            eprintln!("error: unknown method {other} (rhf|b3lyp)");
-            return ExitCode::FAILURE;
-        }
+    let run = match args.method {
+        Method::Rhf => engine.run_rhf(&mol, args.basis),
+        Method::B3lyp => engine.run_b3lyp(&mol, args.basis),
     };
     let result = match run {
         Ok(r) => r,
@@ -193,12 +212,19 @@ fn main() -> ExitCode {
             100.0 * per_iter / (args.gpus as f64 * t)
         );
     }
-    match mako::trace::flush() {
-        Some(Ok(path)) => println!("\ntrace written to {path}"),
-        Some(Err(e)) => eprintln!("\nwarning: trace write failed: {e}"),
-        None => {}
-    }
-    if result.converged {
+    // A requested trace that was not written fails the run.
+    let traced = match mako::trace::flush() {
+        Some(Ok(path)) => {
+            println!("\ntrace written to {path}");
+            true
+        }
+        Some(Err(e)) => {
+            eprintln!("\nerror: trace write failed: {e}");
+            false
+        }
+        None => true,
+    };
+    if result.converged && traced {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -207,7 +233,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_args;
+    use super::{parse_args, Method};
 
     fn parse(args: &[&str]) -> Result<usize, String> {
         parse_args(args.iter().map(|a| a.to_string())).map(|a| a.gpus)
@@ -220,5 +246,17 @@ mod tests {
         let err = parse(&["--mol", "w.xyz", "--gpus", "0"]).unwrap_err();
         assert!(err.contains("at least one GPU"), "{err}");
         assert!(parse(&["--gpus", "-1"]).is_err());
+    }
+
+    #[test]
+    fn unknown_method_is_rejected_before_anything_runs() {
+        let method = |m: &str| {
+            let args = ["--mol", "w.xyz", "--method", m].map(String::from);
+            parse_args(args.into_iter()).map(|a| a.method)
+        };
+        assert_eq!(method("b3lyp"), Ok(Method::B3lyp));
+        assert_eq!(method("RHF"), Ok(Method::Rhf));
+        let err = method("pbe").unwrap_err();
+        assert!(err.contains("unknown method pbe"), "{err}");
     }
 }

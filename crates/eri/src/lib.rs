@@ -31,10 +31,10 @@ pub mod tensor;
 
 pub use batch::{batch_quartets, EriClass, QuartetBatch};
 pub use boys::{boys_reference, boys_single, shared_table, BoysTable};
+pub use hermite::HermiteLanes;
 pub use mmd::{
     eri_quartet_mmd, eri_quartet_mmd_into, pq_block_into, pq_geometry, pq_index, pq_stacked_into,
-    shell_pair,
-    PqIndex, PqScratch, PrimPair, ShellPairData,
+    r_lanes_into, shell_pair, PqIndex, PrimPair, ShellPairData,
 };
 pub use one_electron::{
     kinetic_block, nuclear_block, one_electron_matrices, one_electron_prim_pairs, overlap_block,

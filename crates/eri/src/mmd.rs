@@ -14,15 +14,16 @@
 //!
 //! where `[P|Q]` stacks the `K_AB × K_CD` primitive blocks
 //! `[p|q]_{tuv,τνφ} = (−1)^{τ+ν+φ} · 2π^{5/2}/(pq√(p+q)) ·
-//! R^{(0)}_{t+τ, u+ν, v+φ}`, the `R` tensor comes from the Boys-seeded
-//! recursion in [`crate::hermite`] and the Boys values from the shared
-//! [`crate::boys::BoysTable`].
+//! R^{(0)}_{t+τ, u+ν, v+φ}`. The Boys values come from the shared
+//! [`crate::boys::BoysTable`], and the `R` tensors of all `K_AB × K_CD`
+//! combinations from one run of the Boys-seeded recursion across lanes
+//! ([`r_lanes_into`], over [`crate::hermite::HermiteLanes`]).
 //!
 //! This module is the *numerical* engine; `mako-kernels` wraps the same
 //! math in simulated-device pipelines (fused/unfused, quantized, batched).
 
 use crate::boys::{shared_table, M_MAX};
-use crate::hermite::{e_matrix, r_integrals_into};
+use crate::hermite::{e_matrix, HermiteLanes};
 use crate::tensor::Tensor4;
 use mako_chem::cart::{hermite_components, hermite_index_map, ncart, nherm, nsph};
 use mako_chem::harmonics::cart_to_sph;
@@ -223,15 +224,6 @@ pub fn pq_index(l_bra: usize, l_ket: usize) -> &'static PqIndex {
     TABLES[l_bra][l_ket].get_or_init(|| PqIndex::build(l_bra, l_ket))
 }
 
-/// Reusable workspace of the Hermite recursion behind one `[p|q]` block.
-#[derive(Default)]
-pub struct PqScratch {
-    /// Hermite `R` recursion workspace (see [`r_integrals_into`]).
-    rbuf: Vec<f64>,
-    /// Hermite Coulomb integrals `R_tuv` in component order.
-    r: Vec<f64>,
-}
-
 /// Geometric precursors of one primitive-pair combination: the reduced
 /// exponent `α = pq/(p+q)`, the separation `P − Q`, and the Boys argument
 /// `T = α|P−Q|²`.
@@ -247,33 +239,28 @@ pub fn pq_geometry(bra: &PrimPair, ket: &PrimPair) -> (f64, [f64; 3], f64) {
     (alpha, pq, t)
 }
 
-/// Assemble the `h_bra × h_ket` block `[p|q]` of one primitive-pair
-/// combination from its Boys values `F_0..=F_{l_bra+l_ket}` and its
-/// [`pq_geometry`] precursors into `out`, whose rows are `ld` apart — `h_ket`
-/// for a matrix of its own (the quantized pipeline rounds each block
-/// separately), the stacked operand's width inside [`eri_quartet_mmd_into`].
-#[allow(clippy::too_many_arguments)]
+/// Write the `h_bra × h_ket` block `[p|q]` of one primitive-pair combination
+/// into `out`, whose rows are `ld` apart — `h_ket` for a block of its own
+/// (the quantized pipeline rounds each block separately), the stacked
+/// operand's width inside [`pq_stacked_into`]. The combination's `R_tuv` is
+/// lane `lane` of `r`, run by [`r_lanes_into`].
 #[inline]
 pub fn pq_block_into(
     bra: &PrimPair,
     ket: &PrimPair,
     idx: &PqIndex,
-    alpha: f64,
-    pq: [f64; 3],
-    boys: &[f64],
-    scratch: &mut PqScratch,
+    r: &HermiteLanes,
+    lane: usize,
     out: &mut [f64],
     ld: usize,
 ) {
     let (p, q) = (bra.p, ket.p);
-    r_integrals_into(boys.len() - 1, alpha, pq, boys, &mut scratch.rbuf, &mut scratch.r);
     let prefac = TWO_PI_POW_2_5 / (p * q * (p + q).sqrt());
     let nk = idx.ket_sign.len();
-    let r = &scratch.r;
     for (row, combined) in idx.combined.chunks_exact(nk).enumerate() {
         let dst = &mut out[row * ld..row * ld + nk];
         for ((x, &ci), &sign) in dst.iter_mut().zip(combined).zip(&idx.ket_sign) {
-            *x = prefac * sign * r[ci];
+            *x = prefac * sign * r.get(ci, lane);
         }
     }
 }
@@ -286,7 +273,7 @@ struct QuartetScratch {
     pq: Matrix,
     /// The half-transformed `(ab|Q]`.
     abq: Matrix,
-    hermite: PqScratch,
+    hermite: HermiteLanes,
 }
 
 thread_local! {
@@ -302,31 +289,49 @@ pub fn eri_quartet_mmd(pab: &ShellPairData, pcd: &ShellPairData) -> Tensor4 {
     t
 }
 
+/// `R_tuv` of every primitive-pair combination of a quartet, one lane each
+/// (lane `bi·K_CD + ki` for bra primitive `bi`, ket primitive `ki`): Boys
+/// values from the shared table seed the lanes, then one [`HermiteLanes::run`]
+/// takes them all through the recursion of order `l_bra + l_ket`.
+pub fn r_lanes_into(pab: &ShellPairData, pcd: &ShellPairData, r: &mut HermiteLanes) {
+    let l_tot = pab.l_total() + pcd.l_total();
+    let table = shared_table();
+    r.reset(l_tot, pab.degree() * pcd.degree());
+    let mut boys = [0.0f64; M_MAX + 1];
+    let mut lane = 0;
+    for bra in &pab.prims {
+        for ket in &pcd.prims {
+            let (alpha, sep, t_arg) = pq_geometry(bra, ket);
+            table.eval(l_tot, t_arg, &mut boys);
+            r.seed(lane, alpha, sep, &boys);
+            lane += 1;
+        }
+    }
+    r.run();
+}
+
 /// The stacked operand `[P|Q]` of a quartet into `out` (reshaped to
-/// `(K_AB·h_bra) × (K_CD·h_ket)`): per primitive-pair combination, Boys
-/// values from the shared table and one [`pq_block_into`].
+/// `(K_AB·h_bra) × (K_CD·h_ket)`): [`r_lanes_into`], then one
+/// [`pq_block_into`] per primitive-pair combination.
 pub fn pq_stacked_into(
     pab: &ShellPairData,
     pcd: &ShellPairData,
-    scratch: &mut PqScratch,
+    r: &mut HermiteLanes,
     out: &mut Matrix,
 ) {
-    let (l_bra, l_ket) = (pab.l_total(), pcd.l_total());
-    let l_tot = l_bra + l_ket;
-    let idx = pq_index(l_bra, l_ket);
-    let table = shared_table();
+    r_lanes_into(pab, pcd, r);
+    let idx = pq_index(pab.l_total(), pcd.l_total());
     let (hb, hk) = (pab.nherm, pcd.nherm);
     let cols = pcd.degree() * hk;
     // Every element is written below.
     out.reshape(pab.degree() * hb, cols);
     let stacked = out.as_mut_slice();
-    let mut boys = [0.0f64; M_MAX + 1];
+    let mut lane = 0;
     for (bi, bra) in pab.prims.iter().enumerate() {
         for (ki, ket) in pcd.prims.iter().enumerate() {
-            let (alpha, sep, t_arg) = pq_geometry(bra, ket);
-            table.eval(l_tot, t_arg, &mut boys);
             let block = &mut stacked[bi * hb * cols + ki * hk..];
-            pq_block_into(bra, ket, idx, alpha, sep, &boys[..=l_tot], scratch, block, cols);
+            pq_block_into(bra, ket, idx, r, lane, block, cols);
+            lane += 1;
         }
     }
 }
@@ -355,6 +360,7 @@ pub fn eri_quartet_mmd_into(pab: &ShellPairData, pcd: &ShellPairData, t: &mut Te
 mod tests {
     use super::*;
     use crate::boys::boys_reference;
+    use crate::hermite::r_integrals;
     use mako_chem::Shell;
     use proptest::prelude::*;
 
@@ -371,6 +377,20 @@ mod tests {
         assert_eq!(pq_index(1, 2).ket_sign.len(), nherm(2));
     }
 
+    /// `[p|q]` of one primitive-pair combination, `h_bra × h_ket` row-major,
+    /// from the generic [`r_integrals`] on the given Boys values.
+    fn reference_pq_block(bra: &PrimPair, ket: &PrimPair, idx: &PqIndex, boys: &[f64]) -> Vec<f64> {
+        let (alpha, sep, _) = pq_geometry(bra, ket);
+        let r = r_integrals(boys.len() - 1, alpha, sep, boys);
+        let prefac = TWO_PI_POW_2_5 / (bra.p * ket.p * (bra.p + ket.p).sqrt());
+        let nk = idx.ket_sign.len();
+        idx.combined
+            .iter()
+            .enumerate()
+            .map(|(i, &ci)| prefac * idx.ket_sign[i % nk] * r[ci])
+            .collect()
+    }
+
     /// The formula this module evaluated before it stacked primitives, with
     /// the series Boys values and plain loops: per ket primitive,
     /// `(ab|q] = Σ_bra E_AB · [p|q]`, then `(ab|cd) += (ab|q] · E_CDᵀ`.
@@ -378,18 +398,15 @@ mod tests {
         let (l_bra, l_ket) = (pab.l_total(), pcd.l_total());
         let idx = pq_index(l_bra, l_ket);
         let (nab, ncd, hb, hk) = (pab.nsph_pair, pcd.nsph_pair, pab.nherm, pcd.nherm);
-        let mut scratch = PqScratch::default();
         let mut boys = vec![0.0; l_bra + l_ket + 1];
-        let mut pq = vec![0.0; hb * hk];
         let mut out = vec![0.0; nab * ncd];
         for (ki, ket) in pcd.prims.iter().enumerate() {
             let e_cd = pcd.e_block(ki);
             let mut abq = vec![0.0; nab * hk];
             for (bi, bra) in pab.prims.iter().enumerate() {
                 let e_ab = pab.e_block(bi);
-                let (alpha, sep, t) = pq_geometry(bra, ket);
-                boys_reference(l_bra + l_ket, t, &mut boys);
-                pq_block_into(bra, ket, idx, alpha, sep, &boys, &mut scratch, &mut pq, hk);
+                boys_reference(l_bra + l_ket, pq_geometry(bra, ket).2, &mut boys);
+                let pq = reference_pq_block(bra, ket, idx, &boys);
                 for s in 0..nab {
                     for k in 0..hk {
                         abq[s * hk + k] += (0..hb).map(|h| e_ab[h * nab + s] * pq[h * hk + k]).sum::<f64>();
@@ -403,6 +420,50 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Every `[p|q]` element of the stacked operand is the per-combination
+    /// block the generic recursion gives on the same table Boys values, bit
+    /// for bit: a sample of every class of water₄/STO-3G (K = 3, l ≤ 1) and
+    /// of water/def2-TZVP-like (K ≈ 1, l ≤ 3).
+    #[test]
+    fn stacked_operand_is_the_per_combination_recursion_bit_for_bit() {
+        let tetramer = mako_chem::builders::water_cluster(4);
+        let water = mako_chem::builders::water();
+        let elements: Vec<_> = water.atoms.iter().map(|a| a.element).collect();
+        let tzvp = mako_chem::BasisFamily::Def2TzvpLike.basis_for(&elements);
+        let systems = [
+            mako_chem::basis::sto3g::sto3g().shells_for(&tetramer),
+            tzvp.shells_for(&water),
+        ];
+        let table = shared_table();
+        let (mut lanes, mut stacked) = (HermiteLanes::default(), Matrix::default());
+        let mut boys = [0.0f64; M_MAX + 1];
+        for shells in &systems {
+            let pairs = crate::screening::build_screened_pairs(shells, 1e-10);
+            let mut checked = 0;
+            for batch in crate::batch::batch_quartets(&pairs, 1e-20) {
+                for &(pi, qi) in batch.quartets.iter().step_by(11) {
+                    let (pab, pcd) = (&pairs[pi].data, &pairs[qi].data);
+                    let (l_tot, hb, hk) = (pab.l_total() + pcd.l_total(), pab.nherm, pcd.nherm);
+                    let idx = pq_index(pab.l_total(), pcd.l_total());
+                    pq_stacked_into(pab, pcd, &mut lanes, &mut stacked);
+                    for (bi, bra) in pab.prims.iter().enumerate() {
+                        for (ki, ket) in pcd.prims.iter().enumerate() {
+                            table.eval(l_tot, pq_geometry(bra, ket).2, &mut boys);
+                            let block = reference_pq_block(bra, ket, idx, &boys[..=l_tot]);
+                            for (i, x) in block.iter().enumerate() {
+                                let got = stacked[(bi * hb + i / hk, ki * hk + i % hk)];
+                                let at = format!("combination ({bi}, {ki}), element {i}");
+                                assert_eq!(got.to_bits(), x.to_bits(), "{at}");
+                            }
+                        }
+                    }
+                    checked += 1;
+                }
+            }
+            assert!(checked > 500, "{checked} quartets");
+        }
     }
 
     /// A contracted shell of 1..=`max_prims` primitives from six unit draws.

@@ -12,7 +12,7 @@
 //! on a hot path calls them.
 
 use crate::boys::{boys_reference, M_MAX};
-use crate::hermite::{r_integrals, r_integrals_into, ETable};
+use crate::hermite::{r_integrals, ETable, HermiteLanes};
 use mako_chem::cart::{cart_components, hermite_components_cached, ncart};
 use mako_chem::harmonics::cart_to_sph_cached;
 use mako_chem::molecule::Molecule;
@@ -193,8 +193,10 @@ struct Scratch {
     /// Cartesian S, T, V of the current shell pair.
     cart: [Matrix; 3],
     e: [ETable; 3],
-    r_work: Vec<f64>,
-    r: Vec<f64>,
+    /// `R_tuv(p, P−C)` of the current primitive pair, one lane per nucleus.
+    r: HermiteLanes,
+    /// `−Z_C·2π/p` per nucleus.
+    pref: Vec<f64>,
     r_bar: Vec<f64>,
 }
 
@@ -221,20 +223,24 @@ fn fused_cart_blocks(sa: &Shell, sb: &Shell, mol: &Molecule, cut: f64, ws: &mut 
             for (e, &x) in ws.e.iter_mut().zip(&ab) {
                 e.fill(la, lb + 2, a, b, x);
             }
-            ws.r_bar.clear();
-            ws.r_bar.resize(herm.len(), 0.0);
             // Gaussian product center.
             let pp: [f64; 3] = std::array::from_fn(|k| (a * sa.center[k] + b * sb.center[k]) / p);
-            for atom in &mol.atoms {
+            ws.r.reset(la + lb, mol.atoms.len());
+            ws.pref.resize(mol.atoms.len(), 0.0);
+            for (lane, atom) in mol.atoms.iter().enumerate() {
                 let pc: [f64; 3] = std::array::from_fn(|k| pp[k] - atom.position[k]);
                 let t = p * (pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2]);
                 boys_reference(la + lb, t, &mut boys);
-                r_integrals_into(la + lb, p, pc, &boys, &mut ws.r_work, &mut ws.r);
-                let pref = -atom.element.charge() * 2.0 * std::f64::consts::PI / p;
-                for (acc, r) in ws.r_bar.iter_mut().zip(&ws.r) {
-                    *acc += pref * r;
-                }
+                ws.r.seed(lane, p, pc, &boys);
+                ws.pref[lane] = -atom.element.charge() * 2.0 * std::f64::consts::PI / p;
             }
+            ws.r.run();
+            // Nuclei summed in order: the bits of adding one nucleus at a time.
+            ws.r_bar.clear();
+            ws.r_bar.extend((0..herm.len()).map(|h| {
+                let lanes = ws.pref.iter().zip(ws.r.component(h));
+                lanes.fold(0.0, |acc, (pref, r)| acc + pref * r)
+            }));
             let ([ex, ey, ez], [s_cart, t_cart, v_cart]) = (&ws.e, &mut ws.cart);
             let pref = (std::f64::consts::PI / p).powf(1.5);
             for (ia, &(ax, ay, az)) in ca.iter().enumerate() {

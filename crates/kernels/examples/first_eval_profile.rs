@@ -6,12 +6,14 @@
 //! stage including the ones before it:
 //!
 //! * **Boys** — `pq_geometry` + `BoysTable::eval` per primitive combination;
-//! * **assembly** — `pq_stacked_into`: the same plus the `R_tuv` recursion
-//!   and the `[p|q]` fill of every block of the stacked operand;
+//! * **R_tuv** — `r_lanes_into`: the same, seeding one lane per combination,
+//!   plus the Eq. (5) recursion run across the lanes;
+//! * **fill** — `pq_stacked_into`: the same plus the `[p|q]` fill of every
+//!   block of the stacked operand;
 //! * **total** — `eri_quartet_mmd_into`: the same plus the two transforms.
 //!
-//! Printed per quartet as differences (Boys / assembly / transforms / total),
-//! the minimum of nine passes.
+//! Printed per quartet as differences (Boys / R_tuv / fill / transforms /
+//! total), the minimum of nine passes.
 //!
 //! ```sh
 //! cargo run --release -p mako-kernels --example first_eval_profile
@@ -20,7 +22,8 @@
 use mako_chem::basis::sto3g::sto3g;
 use mako_chem::{builders, BasisFamily, Molecule, Shell};
 use mako_eri::batch::batch_quartets;
-use mako_eri::mmd::{eri_quartet_mmd_into, pq_geometry, pq_stacked_into, PqScratch};
+use mako_eri::hermite::HermiteLanes;
+use mako_eri::mmd::{eri_quartet_mmd_into, pq_geometry, pq_stacked_into, r_lanes_into};
 use mako_eri::screening::{build_screened_pairs, ScreenedPair};
 use mako_eri::{shared_table, Tensor4};
 use mako_linalg::Matrix;
@@ -66,11 +69,18 @@ fn profile(name: &str, shells: &[Shell]) {
         }
     });
 
-    let mut stacked = Matrix::default();
-    let mut scratch = PqScratch::default();
-    let assembly_s = min_seconds(|| {
+    let mut lanes = HermiteLanes::default();
+    let r_s = min_seconds(|| {
         for &(pi, qi) in &quartets {
-            pq_stacked_into(&pairs[pi].data, &pairs[qi].data, &mut scratch, &mut stacked);
+            r_lanes_into(&pairs[pi].data, &pairs[qi].data, &mut lanes);
+            black_box(&lanes);
+        }
+    });
+
+    let mut stacked = Matrix::default();
+    let fill_s = min_seconds(|| {
+        for &(pi, qi) in &quartets {
+            pq_stacked_into(&pairs[pi].data, &pairs[qi].data, &mut lanes, &mut stacked);
             black_box(&stacked);
         }
     });
@@ -91,10 +101,11 @@ fn profile(name: &str, shells: &[Shell]) {
         combinations as f64 / n
     );
     println!(
-        "  per quartet: Boys {:.2} us | R_tuv + [p|q] assembly {:.2} us | transforms {:.2} us | total {:.2} us",
+        "  per quartet: Boys {:.2} us | R_tuv {:.2} us | [p|q] fill {:.2} us | transforms {:.2} us | total {:.2} us",
         us(boys_s),
-        us(assembly_s - boys_s),
-        us(total_s - assembly_s),
+        us(r_s - boys_s),
+        us(fill_s - r_s),
+        us(total_s - fill_s),
         us(total_s)
     );
 }

@@ -5,9 +5,9 @@ use crate::mixed_gemm::round_into;
 use std::cell::RefCell;
 use mako_accel::{CostModel, KernelProfile, SmemLayout};
 use mako_eri::batch::{EriClass, QuartetBatch};
+use mako_eri::hermite::HermiteLanes;
 use mako_eri::mmd::{
-    eri_quartet_mmd_into, pq_block_into, pq_geometry, pq_index, PqIndex, PqScratch,
-    TWO_PI_POW_2_5,
+    eri_quartet_mmd_into, pq_block_into, pq_index, r_lanes_into, PqIndex, TWO_PI_POW_2_5,
 };
 use mako_eri::screening::ScreenedPair;
 use mako_eri::tensor::Tensor4;
@@ -532,23 +532,16 @@ pub fn run_batch(
 }
 
 /// Per-thread workspace for [`quantized_quartet_into`]: every matrix,
-/// Boys batch, and rounded-operand buffer of the per-quartet hot loop is
+/// Hermite lane, and rounded-operand buffer of the per-quartet hot loop is
 /// reused across the (tens of thousands of) quartets a worker evaluates.
 #[derive(Default)]
 struct QuartetScratch {
     /// `(ab|q]` half-transformed accumulator.
     abq: Matrix,
-    /// `[p|q]` matrix of the current primitive-pair combination.
-    pq: Matrix,
-    /// Hermite workspace for `[p|q]` assembly.
-    pqs: PqScratch,
-    /// Boys arguments for every (ket, bra) combination of the quartet.
-    ts: Vec<f64>,
-    /// `pq_geometry` precursors `(α, P−Q)` for the same combinations —
-    /// computed once while gathering `ts`, fed back to the `[p|q]` assembly.
-    geom: Vec<(f64, [f64; 3])>,
-    /// Batched Boys rows (stride `l_tot + 1`).
-    boys: Vec<f64>,
+    /// `R_tuv` of every primitive-pair combination of the quartet.
+    r: HermiteLanes,
+    /// Every `[p|q]` block of the quartet, `h_bra × h_ket` each, in lane order.
+    blocks: Vec<f64>,
     /// Rounded `[p|q]` of the current combination.
     rb: Vec<f64>,
     /// Rounded `(ab|q]` for the second transform.
@@ -559,12 +552,13 @@ thread_local! {
     static QSCRATCH: RefCell<QuartetScratch> = RefCell::new(QuartetScratch::default());
 }
 
-/// The quantized quartet: per primitive-pair combination, assemble `[p|q]`,
-/// round it at its own group scale, one packed small-GEMM — the per-block
-/// scales are why this path does not stack primitives the way the FP64
-/// routine does. Three hoists keep the per-combination work to that:
-///  1. Boys values for the whole quartet go through the shared lookup table
-///     in one batch at the class's exact order;
+/// The quantized quartet: per primitive-pair combination, round its `[p|q]`
+/// at its own group scale, one packed small-GEMM — the per-block scales are
+/// why this path does not stack primitives the way the FP64 routine does.
+/// Three hoists keep the per-combination work to that:
+///  1. `R_tuv` of every combination comes from one [`r_lanes_into`] pass
+///     (table Boys values, the recursion run across lanes), and every
+///     `[p|q]` block is filled before the first is rounded;
 ///  2. bra and ket E blocks rounded at the frozen group scale come from the
 ///     batch-wide pair cache;
 ///  3. the ket transform feeds rounded E_CD to the engine as a transposed
@@ -588,29 +582,18 @@ fn quantized_quartet_into(
         let mut s = s.borrow_mut();
         let QuartetScratch {
             abq,
-            pq,
-            pqs,
-            ts,
-            geom,
-            boys,
+            r,
+            blocks,
             rb,
             rabq,
         } = &mut *s;
         abq.reset(ab.nsph_pair, cd.nherm);
+        r_lanes_into(ab, cd, r);
+        // Lane of bra primitive `bi` and ket primitive `ki`.
+        let kcd = cd.degree();
+        let lane = |bi: usize, ki: usize| bi * kcd + ki;
 
         let l_tot = ab.l_total() + cd.l_total();
-        let stride = l_tot + 1;
-        ts.clear();
-        geom.clear();
-        for ket in &cd.prims {
-            for bra in &ab.prims {
-                let (alpha, pq_sep, t_arg) = pq_geometry(bra, ket);
-                ts.push(t_arg);
-                geom.push((alpha, pq_sep));
-            }
-        }
-        mako_eri::shared_table().eval_batch(l_tot, ts, boys);
-
         let (m, hb, hk, ncd) = (ab.nsph_pair, ab.nherm, cd.nherm, cd.nsph_pair);
 
         if l_tot == 0 {
@@ -624,14 +607,12 @@ fn quantized_quartet_into(
             // matters because s-only quartets dominate real workloads
             // (~half the population for an STO-3G water cluster).
             debug_assert!(m == 1 && hb == 1 && hk == 1 && ncd == 1);
-            let mut row = 0usize;
+            let r0 = r.component(0);
             for (ki, ket) in cd.prims.iter().enumerate() {
                 let mut abq0 = 0.0f64;
                 for (bi, bra) in ab.prims.iter().enumerate() {
-                    let f0 = boys[row];
-                    row += 1;
                     let prefac = TWO_PI_POW_2_5 / (bra.p * ket.p * (bra.p + ket.p).sqrt());
-                    let pq0 = prefac * idx.ket_sign[0] * f0;
+                    let pq0 = prefac * idx.ket_sign[0] * r0[lane(bi, ki)];
                     // `0.0.max(|v|)` is `Matrix::max_abs`'s fold over one
                     // element, so the scale is the general loop's bit for bit.
                     let sb = cfg.scale_policy.scale(0.0f64.max(pq0.abs()));
@@ -647,19 +628,24 @@ fn quantized_quartet_into(
             return;
         }
 
-        pq.reset(hb, hk);
-        let mut row = 0usize;
-        for (ki, ket) in cd.prims.iter().enumerate() {
+        let block_len = hb * hk;
+        blocks.resize(r.lanes() * block_len, 0.0);
+        for (bi, bra) in ab.prims.iter().enumerate() {
+            for (ki, ket) in cd.prims.iter().enumerate() {
+                let l = lane(bi, ki);
+                pq_block_into(bra, ket, idx, r, l, &mut blocks[l * block_len..], hk);
+            }
+        }
+        for ki in 0..kcd {
             for x in abq.as_mut_slice() {
                 *x = 0.0;
             }
-            for (bi, bra) in ab.prims.iter().enumerate() {
-                let boys_row = &boys[row * stride..(row + 1) * stride];
-                let (alpha, pq_sep) = geom[row];
-                row += 1;
-                pq_block_into(bra, ket, idx, alpha, pq_sep, boys_row, pqs, pq.as_mut_slice(), hk);
-                let sb = cfg.scale_policy.scale(pq.max_abs());
-                round_into(cfg.precision, sb, pq.as_slice(), rb);
+            for bi in 0..ab.degree() {
+                let block = &blocks[lane(bi, ki) * block_len..][..block_len];
+                // `Matrix::max_abs`'s fold.
+                let max_abs = block.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+                let sb = cfg.scale_policy.scale(max_abs);
+                round_into(cfg.precision, sb, block, rb);
                 gemm_rounded_engine(
                     m,
                     hb,
@@ -734,6 +720,87 @@ mod tests {
             }
             assert!(out.seconds > 0.0 && out.seconds.is_finite());
         }
+    }
+
+    /// The quantized quartet assembled one primitive-pair combination at a
+    /// time, as before the Hermite recursion ran across lanes: per (ket,
+    /// bra) combination, table Boys values, the generic `r_integrals`, the
+    /// `[p|q]` fill, then scale, round and the packed small GEMM.
+    fn per_combination_quantized(
+        runner: &QuartetRunner,
+        pab: &ScreenedPair,
+        pcd: &ScreenedPair,
+        (rounded_bra, rounded_ket): (&RoundedPair, &RoundedPair),
+    ) -> Vec<f64> {
+        let QuartetRunner { idx, cfg, e_scale, .. } = runner;
+        let (ab, cd) = (&pab.data, &pcd.data);
+        let l_tot = ab.l_total() + cd.l_total();
+        let (m, hb, hk, ncd) = (ab.nsph_pair, ab.nherm, cd.nherm, cd.nsph_pair);
+        let mut boys = vec![0.0; l_tot + 1];
+        let (mut rb, mut rabq) = (Vec::new(), Vec::new());
+        let mut out = vec![0.0; m * ncd];
+        for (ki, ket) in cd.prims.iter().enumerate() {
+            let mut abq = Matrix::zeros(m, hk);
+            for (bi, bra) in ab.prims.iter().enumerate() {
+                let (alpha, sep, t) = mako_eri::mmd::pq_geometry(bra, ket);
+                mako_eri::shared_table().eval(l_tot, t, &mut boys);
+                let r = mako_eri::hermite::r_integrals(l_tot, alpha, sep, &boys);
+                let prefac = TWO_PI_POW_2_5 / (bra.p * ket.p * (bra.p + ket.p).sqrt());
+                let pq: Vec<f64> = (idx.combined.iter().enumerate())
+                    .map(|(i, &ci)| prefac * idx.ket_sign[i % hk] * r[ci])
+                    .collect();
+                let pq = Matrix::from_vec(hb, hk, pq);
+                let sb = cfg.scale_policy.scale(pq.max_abs());
+                round_into(cfg.precision, sb, pq.as_slice(), &mut rb);
+                let (e_ab, descale) = (rounded_bra.block(bi), 1.0 / (e_scale * sb));
+                let c = abq.as_mut_slice();
+                gemm_rounded_engine(m, hb, hk, e_ab, &rb, Transpose::No, true, descale, c);
+            }
+            let sa = cfg.scale_policy.scale(abq.max_abs());
+            round_into(cfg.precision, sa, abq.as_slice(), &mut rabq);
+            let (e_cd, descale) = (rounded_ket.block(ki), 1.0 / (sa * e_scale));
+            let c = &mut out;
+            gemm_rounded_engine(m, hk, ncd, &rabq, e_cd, Transpose::Yes, true, descale, c);
+        }
+        out
+    }
+
+    #[test]
+    fn quantized_quartet_is_the_per_combination_assembly_bit_for_bit() {
+        // Contracted shells s through f on five centres: every class from
+        // (ss|ss) to (ff|ff), one to three primitives a shell.
+        let contracted = |l: usize, center: [f64; 3], exps: &[f64]| {
+            let coefs = (0..exps.len()).map(|i| 0.4 + 0.3 * i as f64).collect();
+            ShellDef { l, exps: exps.to_vec(), coefs }.at(0, center)
+        };
+        let shells = vec![
+            contracted(0, [0.0; 3], &[3.4, 0.9, 0.3]),
+            contracted(1, [0.8, 0.1, -0.2], &[1.7, 0.5]),
+            contracted(2, [-0.4, 0.6, 0.3], &[0.8]),
+            contracted(3, [0.3, -0.7, 0.5], &[1.1, 0.4]),
+            contracted(1, [-0.6, -0.3, -0.5], &[0.6]),
+        ];
+        let pairs = build_screened_pairs(&shells, 1e-12);
+        let cfg = PipelineConfig::quant_mako();
+        let mut t = Tensor4::zeros([0; 4]);
+        let mut classes = 0;
+        for batch in batch_quartets(&pairs, 1e-12) {
+            let e_scale = batch_group_scale(batch.quartets.iter().copied(), &pairs, &cfg);
+            let runner = QuartetRunner::for_pairs(&batch.class, &cfg, e_scale, pairs.len());
+            let cache = runner.rounded.as_ref().unwrap();
+            for &(pi, qi) in &batch.quartets {
+                runner.run_indexed(&pairs, pi, qi, &mut t);
+                let rounded = (cache.get(pi, &pairs[pi]), cache.get(qi, &pairs[qi]));
+                let reference = per_combination_quantized(&runner, &pairs[pi], &pairs[qi], rounded);
+                assert_eq!(t.data.len(), reference.len());
+                for (i, (x, y)) in t.data.iter().zip(&reference).enumerate() {
+                    let class = batch.class.label();
+                    assert_eq!(x.to_bits(), y.to_bits(), "class {class}, element {i}");
+                }
+            }
+            classes += 1;
+        }
+        assert!(classes >= 40, "{classes} classes");
     }
 
     #[test]

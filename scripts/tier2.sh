@@ -41,6 +41,18 @@ cargo run --release -p mako --bin mako-cli -- \
 cargo run --release -p mako-bench --bin trace_validate -- target/rescue_trace_smoke.jsonl \
     --require scf.rescue --require scf.iteration
 
+echo "== tier2: mako-cli refusals (a trace that cannot be written, an unknown --method: both must exit non-zero) =="
+# Build first, so a build failure cannot pass for the refusal.
+cargo build --release -q -p mako --bin mako-cli
+must_fail() {
+    if "$@"; then
+        echo "tier2: expected a non-zero exit from: $*" >&2
+        exit 1
+    fi
+}
+must_fail cargo run --release -q -p mako --bin mako-cli -- --mol sample/water.xyz --trace /nonexistent/dir/t.jsonl
+must_fail cargo run --release -q -p mako --bin mako-cli -- --mol sample/water.xyz --method pbe
+
 echo "== tier2: mako-benchmark (unit tests + --smoke: all seven workloads at toy size) =="
 # benchmark/ is its own workspace: tier-1 only type-checks it, no leg above
 # runs it. --smoke verifies every workload's outputs and result
