@@ -157,6 +157,21 @@ pub enum ScfError {
     },
     /// The molecule has no atoms, so there is no basis to run on.
     NoAtoms,
+    /// Two atoms sit at one position, so the nuclear repulsion is infinite.
+    CoincidentAtoms {
+        /// Index of the first of the two atoms.
+        first: usize,
+        /// Index of the second, `> first`.
+        second: usize,
+    },
+    /// A Kohn–Sham run's integration grid has no points, so the XC terms
+    /// would silently drop out of the energy and the Fock matrix.
+    EmptyGrid {
+        /// Radial shells per atom requested (`ScfConfig::grid.0`).
+        radial: usize,
+        /// Angular rule size requested (`ScfConfig::grid.1`).
+        angular: usize,
+    },
     /// The restricted driver was given an open-shell electron count.
     OpenShell {
         /// Electron count of the molecule.
@@ -197,6 +212,12 @@ impl std::fmt::Display for ScfError {
                 write!(f, "Fock diagonalization failed at iteration {iteration}: {source}")
             }
             ScfError::NoAtoms => f.write_str("the molecule has no atoms"),
+            ScfError::CoincidentAtoms { first, second } => {
+                write!(f, "atoms {first} and {second} are at the same position")
+            }
+            ScfError::EmptyGrid { radial, angular } => {
+                write!(f, "the DFT grid ({radial}, {angular}) has no points")
+            }
             ScfError::OpenShell { electrons } => {
                 write!(f, "restricted driver requires a closed shell ({electrons} electrons)")
             }

@@ -33,8 +33,8 @@ pub struct MolecularGrid {
 
 impl MolecularGrid {
     /// Build a grid with `n_radial` shells and a `n_theta × 2·n_theta`
-    /// angular rule per atom. (25, 14) is a sensible production default for
-    /// this reproduction; tests use smaller grids.
+    /// angular rule per atom. `ScfConfig`'s default is (30, 10); tests use
+    /// smaller grids. Either size 0 gives a grid without points.
     pub fn build(mol: &Molecule, n_radial: usize, n_theta: usize) -> MolecularGrid {
         let angular = angular_rule(n_theta);
         // Becke partition inputs: atom–atom distances tabulated once, and one

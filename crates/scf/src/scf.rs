@@ -152,7 +152,8 @@ pub struct ScfConfig {
     /// Rebuild/screen policy of the incremental engine (ignored unless
     /// `incremental`).
     pub incremental_policy: IncrementalPolicy,
-    /// DFT grid fineness (radial shells, θ points).
+    /// DFT grid fineness (radial shells, θ points). A Kohn–Sham driver
+    /// refuses a size without grid points ([`ScfError::EmptyGrid`]).
     pub grid: (usize, usize),
     /// Simulated device to run on.
     pub device: DeviceSpec,
@@ -275,8 +276,10 @@ impl ScfDriver {
     }
 
     /// Fallible constructor: returns [`ScfError::NoAtoms`] for a molecule
-    /// without atoms and [`ScfError::Basis`] when the basis set lacks an
-    /// element of the molecule, instead of panicking.
+    /// without atoms, [`ScfError::CoincidentAtoms`] for two atoms at one
+    /// position, [`ScfError::Basis`] when the basis set lacks an element of
+    /// the molecule and [`ScfError::EmptyGrid`] for a Kohn–Sham run whose
+    /// grid has no points, instead of panicking.
     pub fn try_new(mol: &Molecule, basis: &BasisSet, config: ScfConfig) -> Result<ScfDriver, ScfError> {
         ScfDriver::try_new_with_cache(mol, basis, config, &KernelCache::new())
     }
@@ -315,6 +318,11 @@ impl ScfDriver {
         if mol.atoms.is_empty() {
             return Err(ScfError::NoAtoms);
         }
+        for (second, b) in mol.atoms.iter().enumerate() {
+            if let Some(first) = mol.atoms[..second].iter().position(|a| a.position == b.position) {
+                return Err(ScfError::CoincidentAtoms { first, second });
+            }
+        }
         let shells = basis.try_shells_for(mol)?;
         let layout = AoLayout::new(&shells);
         let pairs = match pairs_override {
@@ -339,7 +347,11 @@ impl ScfDriver {
 
         let (grid, aos) = match &config.method {
             ScfMethod::Rks(_) => {
-                let g = MolecularGrid::build(mol, config.grid.0, config.grid.1);
+                let (radial, angular) = config.grid;
+                let g = MolecularGrid::build(mol, radial, angular);
+                if g.points.is_empty() {
+                    return Err(ScfError::EmptyGrid { radial, angular });
+                }
                 let a = evaluate_aos(&shells, &g);
                 (Some(g), Some(a))
             }
@@ -1730,6 +1742,36 @@ mod tests {
         let empty = Molecule::new("empty");
         let err = ScfDriver::try_new(&empty, &sto3g(), ScfConfig::default()).err();
         assert_eq!(err, Some(ScfError::NoAtoms));
+    }
+
+    #[test]
+    fn coincident_nuclei_are_a_typed_error_naming_both_atoms() {
+        let mut mol = builders::water();
+        let h = mol.atoms[1];
+        mol.atoms.push(h);
+        let err = ScfDriver::try_new(&mol, &sto3g(), ScfConfig::default()).err();
+        assert_eq!(err, Some(ScfError::CoincidentAtoms { first: 1, second: 3 }));
+        let msg = err.unwrap().to_string();
+        assert!(msg.contains("atoms 1 and 3"), "{msg}");
+    }
+
+    #[test]
+    fn a_kohn_sham_run_without_grid_points_is_a_typed_error() {
+        for (radial, angular) in [(0, 12), (30, 0)] {
+            let config = ScfConfig {
+                method: ScfMethod::Rks(crate::xc::b3lyp()),
+                grid: (radial, angular),
+                ..ScfConfig::default()
+            };
+            let err = ScfDriver::try_new(&builders::water(), &sto3g(), config).err();
+            assert_eq!(err, Some(ScfError::EmptyGrid { radial, angular }));
+        }
+        // RHF builds no grid, so its grid size is never read.
+        let rhf = ScfConfig {
+            grid: (0, 0),
+            ..ScfConfig::default()
+        };
+        assert!(ScfDriver::try_new(&builders::water(), &sto3g(), rhf).is_ok());
     }
 
     #[test]

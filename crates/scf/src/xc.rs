@@ -93,13 +93,16 @@ impl XcFunctional {
             return (0.0, 0.0, 0.0);
         }
         let gamma = gamma.max(0.0);
+        // Every fractional power of ρ the components need is a product of
+        // this one root and ρ.
+        let c = rho.cbrt();
         let (mut e, mut vrho, mut vgamma) = (0.0, 0.0, 0.0);
-        for &(w, c) in &self.components {
-            let (ec, vr, vg) = match c {
-                Component::SlaterX => slater_x(rho),
-                Component::Vwn5C => vwn5_c(rho),
-                Component::B88X => b88_x(rho, gamma),
-                Component::LypC => lyp_c(rho, gamma),
+        for &(w, comp) in &self.components {
+            let (ec, vr, vg) = match comp {
+                Component::SlaterX => slater_x(rho, c),
+                Component::Vwn5C => vwn5_c(rho, c),
+                Component::B88X => b88_x(rho, c, gamma),
+                Component::LypC => lyp_c(rho, c, gamma),
             };
             e += w * ec;
             vrho += w * vr;
@@ -115,25 +118,40 @@ impl XcFunctional {
 }
 
 // Each component below returns `(e, ∂e/∂ρ, ∂e/∂γ)` for `ρ` at or above the
-// floor and `γ ≥ 0`. Keep the operations of `e` and their order: `xc_pin.rs`
-// holds `E_xc` to the bit. The derivatives reuse its powers and add no
-// transcendental call except B88's `√(1 + x²)`.
+// floor, `c = ρ^{1/3}` and `γ ≥ 0`. Every power of ρ is a product of `c` and
+// ρ, so a point costs six libm calls in all: `cbrt`, VWN's two `ln` and its
+// `atan`, B88's `ln_1p` and LYP's `exp`. The derivatives reuse the energy's
+// powers and add none. `xc_pin.rs` holds `E_xc` to the bit: a change of the
+// operations of `e` or of their order re-makes its pins.
+
+/// `ρσ^{4/3}` with `ρσ = ρ/2`: `2^{−4/3}·ρ·c`.
+fn half_rho_43(rho: f64, c: f64) -> f64 {
+    2f64.powf(-4.0 / 3.0) * rho * c
+}
+
+/// `asinh x` for `x ≥ 0` from `s = √(1 + x²)`, which B88 shares with `D'(x)`:
+/// `ln(x + s) = ln_1p(x + x²/(1 + s))`, with `x²/(1 + s)` written as
+/// `x·(x/(1 + s))` so it stays below `x`.
+fn asinh_from(x: f64, s: f64) -> f64 {
+    (x + x * (x / (1.0 + s))).ln_1p()
+}
 
 /// Slater (LDA) exchange: `e = −C_x ρ^{4/3}`, `∂e/∂ρ = (4/3) e/ρ`.
-fn slater_x(rho: f64) -> (f64, f64, f64) {
+fn slater_x(rho: f64, c: f64) -> (f64, f64, f64) {
     let cx = 0.75 * (3.0 / PI).powf(1.0 / 3.0);
-    let e = -cx * rho.powf(4.0 / 3.0);
+    let e = -cx * (rho * c);
     (e, 4.0 / 3.0 * e / rho, 0.0)
 }
 
 /// VWN5 correlation (paramagnetic fit of Vosko, Wilk & Nusair 1980):
-/// `e = ρ · ε_c(x)` with `x = √r_s`; `∂e/∂ρ = ε_c − (x/6) dε_c/dx`.
-fn vwn5_c(rho: f64) -> (f64, f64, f64) {
+/// `e = ρ · ε_c(x)` with `x = √r_s`, `r_s = (3/4π)^{1/3}/c`;
+/// `∂e/∂ρ = ε_c − (x/6) dε_c/dx`.
+fn vwn5_c(rho: f64, c: f64) -> (f64, f64, f64) {
     const A: f64 = 0.0310907; // = 0.0621814 / 2 (Rydberg→Hartree)
     const X0: f64 = -0.10498;
     const B: f64 = 3.72744;
     const C: f64 = 12.9352;
-    let rs = (3.0 / (4.0 * PI * rho)).powf(1.0 / 3.0);
+    let rs = (3.0 / (4.0 * PI)).powf(1.0 / 3.0) / c;
     let x = rs.sqrt();
     let xx = |t: f64| t * t + B * t + C;
     let q = (4.0 * C - B * B).sqrt();
@@ -154,17 +172,20 @@ fn vwn5_c(rho: f64) -> (f64, f64, f64) {
 /// correction `−β ρσ^{4/3} g(xσ)`, `g(x) = x²/D(x)`, `D = 1 + 6βx asinh x`,
 /// with `ρσ = ρ/2` and `xσ = |∇ρσ|/ρσ^{4/3}`. `∂e/∂γ` is written through
 /// `g'(x)/x`, which is finite at `x = 0`: there it is `−β/(2ρσ^{4/3})`.
-fn b88_x(rho: f64, gamma: f64) -> (f64, f64, f64) {
+/// `asinh` comes from [`asinh_from`], within a few ulps of `f64::asinh`
+/// wherever `x²` is finite, which `g(x)` needs anyway.
+fn b88_x(rho: f64, c: f64, gamma: f64) -> (f64, f64, f64) {
     const BETA: f64 = 0.0042;
     let rho_s = 0.5 * rho;
-    let r43 = rho_s.powf(4.0 / 3.0);
+    let r43 = half_rho_43(rho, c);
     let lda_s = -1.5 * (3.0 / (4.0 * PI)).powf(1.0 / 3.0) * r43;
     let x = gamma.sqrt() * 0.5 / r43;
-    let asinh = x.asinh();
+    let s = (1.0 + x * x).sqrt();
+    let asinh = asinh_from(x, s);
     let d = 1.0 + 6.0 * BETA * x * asinh;
     let corr = -BETA * r43 * x * x / d;
     // D'(x) = 6β (asinh x + x/√(1 + x²)).
-    let dd = 6.0 * BETA * (asinh + x / (1.0 + x * x).sqrt());
+    let dd = 6.0 * BETA * (asinh + x / s);
     let vrho = 4.0 / 3.0 / rho_s * (lda_s - BETA * r43 * x * x * (x * dd - d) / (d * d));
     let vgamma = -BETA * (2.0 * d - x * dd) / (4.0 * r43 * d * d);
     (2.0 * (lda_s + corr), vrho, vgamma)
@@ -179,18 +200,20 @@ const LYP_B: f64 = 0.132;
 /// derivatives use its closed-shell reduction
 /// `e = −aρ/D − ab ω ρ² [C_F ρ^{8/3} − γ (3 + 7δ)/72]` with `m = ρ^{−1/3}`,
 /// `D = 1 + d m`, `ω = e^{−c m} ρ^{−11/3}/D`, `δ = c m + d m/D`, and
-/// `ω' = ω (δ − 11)/(3ρ)`, `δ' = −m (c + d/D²)/(3ρ)`.
-fn lyp_c(rho: f64, gamma: f64) -> (f64, f64, f64) {
+/// `ω' = ω (δ − 11)/(3ρ)`, `δ' = −m (c + d/D²)/(3ρ)`. From the root:
+/// `m = 1/c`, `ρα^{8/3} = (ρα^{4/3})²` and `ρ^{−11/3} = c/ρ⁴`.
+fn lyp_c(rho: f64, c: f64, gamma: f64) -> (f64, f64, f64) {
     const CC: f64 = 0.2533;
     const DD: f64 = 0.349;
     let cf = 0.3 * (3.0 * PI * PI).powf(2.0 / 3.0);
     let ra = 0.5 * rho;
     let rb = 0.5 * rho;
-    let rho_m13 = rho.powf(-1.0 / 3.0);
+    let rho_m13 = 1.0 / c;
     let denom = 1.0 + DD * rho_m13;
-    let r83 = ra.powf(8.0 / 3.0);
+    let r43 = half_rho_43(rho, c);
+    let r83 = r43 * r43;
     let first = -LYP_A * 4.0 / denom * ra * ra / rho;
-    let omega = (-CC * rho_m13).exp() / denom * rho.powf(-11.0 / 3.0);
+    let omega = (-CC * rho_m13).exp() / denom * (c / (rho * rho * (rho * rho)));
     let delta = CC * rho_m13 + DD * rho_m13 / denom;
     let kinetic = 2f64.powf(11.0 / 3.0) * cf * (r83 + r83); // = 4 C_F ρ^{8/3}
     let gaa = 0.25 * gamma;
@@ -506,11 +529,208 @@ mod tests {
         out
     }
 
+    /// The components as they were written before the shared root: every
+    /// fractional power a `powf`, `asinh` from the standard library. Each
+    /// returns `(e, ∂e/∂ρ, ∂e/∂γ)` and, per output, the magnitude of its
+    /// largest top-level term — the scale its rounding is relative to.
+    mod powf_forms {
+        use super::{LYP_A, LYP_B, PI};
+
+        pub fn slater_x(rho: f64) -> ([f64; 3], [f64; 3]) {
+            let cx = 0.75 * (3.0 / PI).powf(1.0 / 3.0);
+            let e = -cx * rho.powf(4.0 / 3.0);
+            let v = [e, 4.0 / 3.0 * e / rho, 0.0];
+            (v, v.map(f64::abs))
+        }
+
+        pub fn vwn5_c(rho: f64) -> ([f64; 3], [f64; 3]) {
+            const A: f64 = 0.0310907;
+            const X0: f64 = -0.10498;
+            const B: f64 = 3.72744;
+            const C: f64 = 12.9352;
+            let rs = (3.0 / (4.0 * PI * rho)).powf(1.0 / 3.0);
+            let x = rs.sqrt();
+            let xx = |t: f64| t * t + B * t + C;
+            let q = (4.0 * C - B * B).sqrt();
+            let atan = (q / (2.0 * x + B)).atan();
+            let eps_terms = [
+                A * (x * x / xx(x)).ln(),
+                A * 2.0 * B / q * atan,
+                A * B * X0 / xx(X0) * ((x - X0) * (x - X0) / xx(x)).ln(),
+                A * B * X0 / xx(X0) * 2.0 * (B + 2.0 * X0) / q * atan,
+            ];
+            let eps = A
+                * ((x * x / xx(x)).ln() + 2.0 * B / q * atan
+                    - B * X0 / xx(X0)
+                        * (((x - X0) * (x - X0) / xx(x)).ln() + 2.0 * (B + 2.0 * X0) / q * atan));
+            let deps_terms = [
+                A * 2.0 / x,
+                A * 2.0 * (x + B) / xx(x),
+                A * B * X0 / xx(X0) * 2.0 / (x - X0),
+                A * B * X0 / xx(X0) * 2.0 * (x + B + X0) / xx(x),
+            ];
+            let deps_dx = A
+                * (2.0 / x - 2.0 * (x + B) / xx(x)
+                    - B * X0 / xx(X0) * (2.0 / (x - X0) - 2.0 * (x + B + X0) / xx(x)));
+            let eps_scale = largest(&eps_terms);
+            (
+                [rho * eps, eps - x / 6.0 * deps_dx, 0.0],
+                [rho * eps_scale, eps_scale.max(x / 6.0 * largest(&deps_terms)), 0.0],
+            )
+        }
+
+        pub fn b88_x(rho: f64, gamma: f64) -> ([f64; 3], [f64; 3]) {
+            const BETA: f64 = 0.0042;
+            let rho_s = 0.5 * rho;
+            let r43 = rho_s.powf(4.0 / 3.0);
+            let lda_s = -1.5 * (3.0 / (4.0 * PI)).powf(1.0 / 3.0) * r43;
+            let x = gamma.sqrt() * 0.5 / r43;
+            let asinh = x.asinh();
+            let d = 1.0 + 6.0 * BETA * x * asinh;
+            let corr = -BETA * r43 * x * x / d;
+            let dd = 6.0 * BETA * (asinh + x / (1.0 + x * x).sqrt());
+            let vrho = 4.0 / 3.0 / rho_s * (lda_s - BETA * r43 * x * x * (x * dd - d) / (d * d));
+            let vgamma = -BETA * (2.0 * d - x * dd) / (4.0 * r43 * d * d);
+            let g = BETA * r43 * x * x / (d * d);
+            (
+                [2.0 * (lda_s + corr), vrho, vgamma],
+                [
+                    2.0 * largest(&[lda_s, corr]),
+                    4.0 / 3.0 / rho_s * largest(&[lda_s, g * x * dd, g * d]),
+                    BETA * largest(&[2.0 * d, x * dd]) / (4.0 * r43 * d * d),
+                ],
+            )
+        }
+
+        pub fn lyp_c(rho: f64, gamma: f64) -> ([f64; 3], [f64; 3]) {
+            const CC: f64 = 0.2533;
+            const DD: f64 = 0.349;
+            let cf = 0.3 * (3.0 * PI * PI).powf(2.0 / 3.0);
+            let ra = 0.5 * rho;
+            let rb = 0.5 * rho;
+            let rho_m13 = rho.powf(-1.0 / 3.0);
+            let denom = 1.0 + DD * rho_m13;
+            let r83 = ra.powf(8.0 / 3.0);
+            let first = -LYP_A * 4.0 / denom * ra * ra / rho;
+            let omega = (-CC * rho_m13).exp() / denom * rho.powf(-11.0 / 3.0);
+            let delta = CC * rho_m13 + DD * rho_m13 / denom;
+            let kinetic = 2f64.powf(11.0 / 3.0) * cf * (r83 + r83);
+            let gaa = 0.25 * gamma;
+            let gbb = 0.25 * gamma;
+            let gab = 0.25 * gamma;
+            let gtot = gaa + gbb + 2.0 * gab;
+            let bracket_terms = [
+                ra * rb * kinetic,
+                ra * rb * (47.0 / 18.0 - 7.0 * delta / 18.0) * gtot,
+                ra * rb * (2.5 - delta / 18.0) * (gaa + gbb),
+                ra * rb * (delta - 11.0) / 9.0 * (ra * gaa + rb * gbb) / rho,
+                2.0 / 3.0 * rho * rho * gtot,
+                (2.0 / 3.0 * rho * rho - ra * ra) * gbb,
+                (2.0 / 3.0 * rho * rho - rb * rb) * gaa,
+            ];
+            let bracket = ra * rb
+                * (kinetic + (47.0 / 18.0 - 7.0 * delta / 18.0) * gtot
+                    - (2.5 - delta / 18.0) * (gaa + gbb)
+                    - (delta - 11.0) / 9.0 * (ra * gaa + rb * gbb) / rho)
+                - 2.0 / 3.0 * rho * rho * gtot
+                + (2.0 / 3.0 * rho * rho - ra * ra) * gbb
+                + (2.0 / 3.0 * rho * rho - rb * rb) * gaa;
+            let e = first - LYP_A * LYP_B * omega * bracket;
+
+            let ab = LYP_A * LYP_B;
+            let g_term = gamma * (3.0 + 7.0 * delta) / 72.0;
+            let reduced = rho * rho * (0.25 * kinetic - g_term);
+            let d_omega = omega * (delta - 11.0) / (3.0 * rho);
+            let d_delta = -rho_m13 * (CC + DD / (denom * denom)) / (3.0 * rho);
+            let d_reduced_terms = [
+                rho * 14.0 / 12.0 * kinetic,
+                rho * 2.0 * g_term,
+                rho * rho * gamma * 7.0 * d_delta / 72.0,
+            ];
+            let d_reduced = rho * (14.0 / 12.0 * kinetic - 2.0 * g_term)
+                - rho * rho * gamma * 7.0 * d_delta / 72.0;
+            let d_first_terms = [LYP_A / denom, LYP_A * DD * rho_m13 / (3.0 * denom * denom)];
+            let d_first = -LYP_A / denom - LYP_A * DD * rho_m13 / (3.0 * denom * denom);
+            let vrho = d_first - ab * (d_omega * reduced + omega * d_reduced);
+            let vgamma = ab * omega * rho * rho * (3.0 + 7.0 * delta) / 72.0;
+            // An ulp of m moves e^{−c m} by c·m ulps (≈ 680 at ρ = 5e-11):
+            // every ω term carries that condition number.
+            let cond = 1.0 + CC * rho_m13;
+            let reduced_scale = rho * rho * largest(&[0.25 * kinetic, g_term]);
+            (
+                [e, vrho, vgamma],
+                [
+                    largest(&[first, cond * ab * omega * largest(&bracket_terms)]),
+                    largest(&[
+                        largest(&d_first_terms),
+                        cond * ab * d_omega * reduced_scale,
+                        cond * ab * omega * largest(&d_reduced_terms),
+                    ]),
+                    cond * vgamma.abs(),
+                ],
+            )
+        }
+
+        fn largest(terms: &[f64]) -> f64 {
+            terms.iter().fold(0.0, |m, t| m.max(t.abs()))
+        }
+    }
+
+    /// Each component's `(e, vρ, vγ)` on the root is the `powf` form's to
+    /// 32ε of the output's largest term, on every lattice point at or above
+    /// the floor (the worst is ~12ε; much of it is the `powf` forms' own:
+    /// `4.0 / 3.0` is not 4/3, which moves `ρ^{4/3}` by ~ε·|ln ρ|).
+    #[test]
+    fn components_on_the_shared_root_match_their_powf_forms() {
+        let (rhos, gammas) = lattice();
+        for &rho in rhos.iter().filter(|&&r| r >= 1e-12) {
+            let c = rho.cbrt();
+            for &gamma in &gammas {
+                let pairs = [
+                    (slater_x(rho, c), powf_forms::slater_x(rho)),
+                    (vwn5_c(rho, c), powf_forms::vwn5_c(rho)),
+                    (b88_x(rho, c, gamma), powf_forms::b88_x(rho, gamma)),
+                    (lyp_c(rho, c, gamma), powf_forms::lyp_c(rho, gamma)),
+                ];
+                for (k, ((e, vr, vg), (old, scale))) in pairs.into_iter().enumerate() {
+                    for (i, new) in [e, vr, vg].into_iter().enumerate() {
+                        let gap = (new - old[i]).abs();
+                        if scale[i] == 0.0 {
+                            assert_eq!(gap, 0.0, "component {k} output {i} at ({rho:e}, {gamma:e})");
+                            continue;
+                        }
+                        assert!(
+                            gap <= 32.0 * f64::EPSILON * scale[i],
+                            "component {k} output {i} at (ρ, γ) = ({rho:e}, {gamma:e}): \
+                             {new:e} vs powf form {:e} (largest term {:e})",
+                            old[i],
+                            scale[i]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `asinh_from(x, √(1 + x²))` is `f64::asinh` to 4 ulps at 0 and over
+    /// x ∈ [1e-300, 1e30], log-spaced.
+    #[test]
+    fn asinh_without_hypot_is_the_library_asinh_to_four_ulps() {
+        let log_spaced = (0..=33_000).map(|i| 10f64.powf(-300.0 + i as f64 / 100.0));
+        let xs = std::iter::once(0.0).chain(log_spaced);
+        for x in xs {
+            let got = asinh_from(x, (1.0 + x * x).sqrt());
+            let want = x.asinh();
+            let ulps = (got.to_bits() as i64 - want.to_bits() as i64).unsigned_abs();
+            assert!(ulps <= 4, "asinh({x:e}): {got:e} vs {want:e}, {ulps} ulps");
+        }
+    }
+
     #[test]
     fn slater_uniform_gas_value() {
         // ε_x(r_s = 1) = −0.4582 Ha (textbook LDA constant).
         let rho = 3.0 / (4.0 * PI); // r_s = 1
-        let eps = slater_x(rho).0 / rho;
+        let eps = alone(Component::SlaterX).energy_density(rho, 0.0) / rho;
         assert!((eps + 0.45817).abs() < 1e-4, "ε_x = {eps}");
     }
 
@@ -518,21 +738,22 @@ mod tests {
     fn vwn5_is_negative_and_monotone() {
         let mut prev = 0.0;
         for &rho in &[1e-3, 1e-2, 1e-1, 1.0, 10.0] {
-            let eps = vwn5_c(rho).0 / rho;
+            let eps = alone(Component::Vwn5C).energy_density(rho, 0.0) / rho;
             assert!(eps < 0.0, "correlation lowers energy");
             assert!(eps < prev, "|ε_c| grows with density");
             prev = eps;
         }
         // High-density magnitude stays modest (< 0.2 Ha per electron).
-        assert!(vwn5_c(100.0).0 / 100.0 > -0.2);
+        assert!(alone(Component::Vwn5C).energy_density(100.0, 0.0) / 100.0 > -0.2);
     }
 
     #[test]
     fn b88_reduces_to_lda_at_zero_gradient() {
         let rho = 0.7;
-        assert!((b88_x(rho, 0.0).0 - slater_x(rho).0).abs() < 1e-12);
+        let (b88, slater) = (alone(Component::B88X), alone(Component::SlaterX));
+        assert!((b88.energy_density(rho, 0.0) - slater.energy_density(rho, 0.0)).abs() < 1e-12);
         // Gradient correction lowers the exchange energy density.
-        assert!(b88_x(rho, 1.0).0 < b88_x(rho, 0.0).0);
+        assert!(b88.energy_density(rho, 1.0) < b88.energy_density(rho, 0.0));
     }
 
     #[test]
@@ -553,8 +774,8 @@ mod tests {
             let drho = -2.0 * rho;
             let gamma = drho * drho;
             let vol = 4.0 * PI * r * r * h;
-            e_lda += vol * slater_x(rho).0;
-            e_b88 += vol * b88_x(rho, gamma).0;
+            e_lda += vol * alone(Component::SlaterX).energy_density(rho, 0.0);
+            e_b88 += vol * alone(Component::B88X).energy_density(rho, gamma);
         }
         let expected_lda = -0.2680 * 2f64.powf(-1.0 / 3.0);
         assert!((e_lda - expected_lda).abs() < 3e-3, "LDA H exchange {e_lda}");
@@ -576,7 +797,7 @@ mod tests {
             let rho = 2.0 * z * z * z / PI * (-2.0 * z * r).exp();
             let drho = -2.0 * z * rho;
             let gamma = drho * drho;
-            e_c += 4.0 * PI * r * r * h * lyp_c(rho, gamma).0;
+            e_c += 4.0 * PI * r * r * h * alone(Component::LypC).energy_density(rho, gamma);
         }
         assert!((-0.07..=-0.03).contains(&e_c), "LYP(He) = {e_c}");
     }

@@ -30,14 +30,18 @@
 //! moved.
 //!
 //! `QUANT_B3LYP_WATER` is the one DFT run, so the float half of that row
-//! alone was regenerated twice more, once per step of the XC rewrite:
+//! alone was regenerated three times more, once per step of the XC rewrite
+//! and once for its functional:
 //! (1) `evaluate_xc` went from one dense GEMM over the grid to per-block
 //! GEMMs, which moved `V_xc` by summation order only (≤ 1.1e-15 on the
 //! trimer grid; `E_xc` and ∫ρ bit for bit) and the run by 4.3e-14 Ha in
 //! energy and 1.8e-10 in a density element; (2) the functional's
 //! potentials became closed forms instead of central differences, which
 //! moved `V_xc` by ≤ 6.4e-8 (the stencil's own error) and the run by
-//! 5.8e-13 Ha, 1.1e-7 in an orbital energy and 4.9e-8 in a density element.
+//! 5.8e-13 Ha, 1.1e-7 in an orbital energy and 4.9e-8 in a density element;
+//! (3) the functional took every power of ρ from one shared `ρ.cbrt()`
+//! instead of `powf`, which moved the run by 9.9e-14 Ha, 1.8e-13 in an
+//! orbital energy and 2.6e-13 in a density element.
 
 use mako_chem::basis::sto3g::sto3g;
 use mako_chem::{builders, Molecule};
@@ -55,7 +59,7 @@ const RHF_TRIMER: Pin = Pin {
 };
 const QUANT_B3LYP_WATER: Pin = Pin {
     exact: 0xc266_c279_6212_bead,
-    float: 0xb506_96b6_2b3a_b0c6,
+    float: 0x50dd_a394_4aa2_ca7e,
 };
 const INCREMENTAL_TRIMER: Pin = Pin {
     exact: 0xc2fb_b5d7_48e5_7990,

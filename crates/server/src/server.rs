@@ -1527,6 +1527,27 @@ mod tests {
     }
 
     #[test]
+    fn coincident_nuclei_fail_typed_without_a_retry() {
+        let server = MakoServer::new(tmp_config());
+        let mut mol = builders::water();
+        let o = mol.atoms[0];
+        mol.atoms.push(o);
+        let specs = vec![JobSpec::new("a", PriorityClass::Batch, mol)];
+        let report = server.serve_quiet(&specs);
+        match &report.outcomes[0] {
+            JobOutcome::Failed { error, retries } => {
+                assert_eq!(
+                    *error,
+                    JobError::Scf(ScfError::CoincidentAtoms { first: 0, second: 3 })
+                );
+                assert_eq!(*retries, 0, "a malformed molecule is not a transient fault");
+            }
+            other => panic!("expected a typed failure, got {other:?}"),
+        }
+        assert_eq!(report.ledger.retries, 0);
+    }
+
+    #[test]
     fn impossible_deadline_is_reported_not_run_forever() {
         let server = MakoServer::new(tmp_config());
         let specs = vec![

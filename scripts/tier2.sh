@@ -15,12 +15,13 @@ export PROPTEST_RNG_SEED="${PROPTEST_RNG_SEED:-20260805}"
 echo "== tier2: every integration suite under tests/tests, in release =="
 cargo test --release -p mako-integration-tests
 
-echo "== tier2: microkernel determinism (linalg, eri and kernels suites under MAKO_KERNEL=generic) =="
+echo "== tier2: microkernel determinism (linalg, eri and kernels suites, then the scf pins, under MAKO_KERNEL=generic) =="
 # The FP64 quartet's two stacked GEMMs take the packed path, so the generic
 # kernel has to carry the integral engine's own tests too, not only linalg's.
 MAKO_KERNEL=generic cargo test --release -q -p mako-linalg -p mako-eri -p mako-kernels
-# ... and reproduce the pinned J/K and trajectory bits the dispatched kernel produced.
-MAKO_KERNEL=generic cargo test --release -q -p mako-scf --test fock_seam_pin --test trajectory_pin
+# ... and reproduce the pinned J/K, trajectory and XC bits the dispatched kernel
+# produced (`V_xc` is two `gemm_into` calls per grid block).
+MAKO_KERNEL=generic cargo test --release -q -p mako-scf --test fock_seam_pin --test trajectory_pin --test xc_pin
 
 echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace; scf.xc, eri.one_electron and the Fock-engine events required) =="
 cargo run --release -p mako --bin mako-cli -- \
