@@ -84,8 +84,13 @@
 //!   shows in the `fock.assemble` event (`stored`, `reused` for the FP64
 //!   tier, `quantized_stored`, `quantized_reused`, and `store_bytes` over
 //!   both).
-//! * **Checkpoints do not carry it.** It is recomputable; a resumed session
-//!   refills it on its first build.
+//! * **It outlives a session that ends without a result.** A session killed
+//!   at a quantum boundary, or ended by any other error, parks its store in
+//!   its `ScfDriver`; the driver's next session under the same budget takes
+//!   it, so a preempted job evaluates each quartet once across its quanta.
+//!   A run that returns a result drops its store. Checkpoints do not carry
+//!   it: it is recomputable, and a session resumed on a new driver (after a
+//!   crash, or in another process) refills it on its first build.
 //!
 //! # Why the result is bitwise deterministic
 //!
@@ -344,6 +349,8 @@ pub(crate) struct TensorStore {
     fp64: Tier,
     /// `None` for a session that never schedules quantized work.
     quantized: Option<QuantTier>,
+    /// The budget the tiers were laid out under.
+    budget_bytes: usize,
 }
 
 impl TensorStore {
@@ -357,7 +364,12 @@ impl TensorStore {
             tags: vec![None; batches.len()],
             retags: 0,
         });
-        TensorStore { fp64, quantized }
+        TensorStore { fp64, quantized, budget_bytes }
+    }
+
+    /// The byte budget this store was laid out under.
+    pub(crate) fn budget_bytes(&self) -> usize {
+        self.budget_bytes
     }
 
     /// FP64 quartets the budget admitted (whether or not evaluated yet).

@@ -30,6 +30,7 @@ use mako_linalg::{eigh, gemm, sym_inv_sqrt_diag, LinalgError, Matrix, Transpose}
 use mako_precision::Precision;
 use mako_quant::QuantSchedule;
 use mako_store::mix;
+use parking_lot::Mutex;
 use std::path::PathBuf;
 
 /// Electronic-structure method.
@@ -110,7 +111,11 @@ pub struct ScfRunOptions {
     /// Periodic checkpointing policy.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Resume from this checkpoint instead of the core-Hamiltonian guess.
-    /// The checkpoint's fingerprint must match this driver's problem.
+    /// The checkpoint's fingerprint must match this driver's problem. On the
+    /// driver whose run was killed, the resumed run also takes the quartet
+    /// tensors that run left parked, so it evaluates none of them again; on
+    /// a new driver it recomputes them. Either way the result is bitwise
+    /// the same.
     pub resume: Option<ScfCheckpoint>,
     /// Abort with [`ScfError::Killed`] after this many completed iterations
     /// (counted from iteration 0 of the *original* trajectory, so a resumed
@@ -239,16 +244,22 @@ pub struct ScfResult {
     /// Linear-dependence diagnostics of the orthogonalizer.
     pub orth: OrthDiagnostics,
     /// Bytes of quartet tensors, FP64 and quantized, the host held at the
-    /// end of the run (the last session's, for a resumed run).
+    /// end of the run. A run resumed on the driver that was killed keeps
+    /// the killed sessions' tensors, so this covers all of them; a run
+    /// resumed on a new driver covers its own sessions only.
     pub tensor_store_bytes: usize,
     /// Quartet evaluations, FP64 and quantized, the host served from held
-    /// tensors instead of recomputing. Host-side only: `stats` and `clock`
-    /// still count every quartet, as the integral-direct device executes it.
+    /// tensors instead of recomputing, over every session that used the
+    /// store (the same span as `tensor_store_bytes`). Host-side only:
+    /// `stats` and `clock` still count every quartet, as the
+    /// integral-direct device executes it.
     pub evaluations_reused: usize,
 }
 
 /// The SCF driver: owns the basis instantiation, screened pairs, quartet
-/// batches, tuned kernel configurations, and (for DFT) the grid.
+/// batches, tuned kernel configurations, and (for DFT) the grid — and, between
+/// a run that ended without a result and the run that resumes it, that
+/// run's quartet tensors.
 pub struct ScfDriver {
     pub(crate) mol: Molecule,
     pub(crate) shells: Vec<Shell>,
@@ -262,6 +273,10 @@ pub struct ScfDriver {
     pub(crate) problem_hash: u64,
     grid: Option<MolecularGrid>,
     aos: Option<AoOnGrid>,
+    /// The tensor store of the last session that ended without a result,
+    /// for the next session under the same budget (`fock` module docs,
+    /// "The tensor store").
+    parked: Mutex<Option<TensorStore>>,
 }
 
 impl ScfDriver {
@@ -372,6 +387,7 @@ impl ScfDriver {
             problem_hash,
             grid,
             aos,
+            parked: Mutex::new(None),
         })
     }
 
@@ -429,15 +445,41 @@ impl ScfDriver {
         self.run_session(ScfSession::new(self, run_opts)?)
     }
 
-    /// Step `session` to the end on this driver's execution path.
+    /// Step `session` to the end on this driver's execution path. A session
+    /// that ends without a result parks its tensor store here for the run
+    /// that resumes it; one that finishes drops it with the session.
     fn run_session(&self, mut session: ScfSession<'_>) -> Result<ScfResult, ScfError> {
+        match self.step_to_end(&mut session) {
+            Ok(()) => Ok(session.finish()),
+            Err(e) => {
+                self.park(session.tensors);
+                Err(e)
+            }
+        }
+    }
+
+    fn step_to_end(&self, session: &mut ScfSession<'_>) -> Result<(), ScfError> {
         while session.active() {
             let prep = session.prepare();
             let (jk, st, recovery) =
                 self.execute_build(&prep, session.iteration(), session.tensors_mut())?;
             session.advance(prep, jk, st, recovery)?;
         }
-        Ok(session.finish())
+        Ok(())
+    }
+
+    /// Keep `tensors` for this driver's next session.
+    fn park(&self, tensors: TensorStore) {
+        *self.parked.lock() = Some(tensors);
+    }
+
+    /// The parked tensor store if it was laid out under `budget_bytes`, else
+    /// a new one (a parked store of another budget stays parked).
+    fn tensor_store(&self, budget_bytes: usize) -> TensorStore {
+        self.parked
+            .lock()
+            .take_if(|t| t.budget_bytes() == budget_bytes)
+            .unwrap_or_else(|| TensorStore::new(&self.batches, budget_bytes, self.config.quantized))
     }
 
     /// Execute one prepared Fock build on this driver's execution path:
@@ -604,8 +646,9 @@ pub(crate) struct ScfSession<'a> {
     d: Matrix,
     iter: usize,
     finished: bool,
-    // FP64 quartet tensors kept across this session's Fock builds. Not part
-    // of a checkpoint: a resumed session refills it.
+    // Quartet tensors kept across this session's Fock builds, taken from and
+    // parked back in the driver across a run that ends without a result. Not
+    // part of a checkpoint.
     tensors: TensorStore,
 }
 
@@ -658,7 +701,7 @@ impl<'a> ScfSession<'a> {
             threshold: driver.config.orth_threshold,
         };
         let x = orth_factor.matrix;
-        let tensors = TensorStore::new(&driver.batches, store_budget_bytes, driver.config.quantized);
+        let tensors = driver.tensor_store(store_budget_bytes);
         {
             let mut setup = mako_trace::span("scf", "setup");
             if setup.is_recording() {
@@ -707,12 +750,16 @@ impl<'a> ScfSession<'a> {
         let d;
         match run_opts.resume.take() {
             Some(ck) => {
-                ck.validate(
+                if let Err(e) = ck.validate(
                     nao,
                     driver.batches.len(),
                     driver.nquartets(),
                     driver.problem_hash,
-                )?;
+                ) {
+                    // Another problem's checkpoint: the store is still this driver's.
+                    driver.park(tensors);
+                    return Err(e.into());
+                }
                 clock = ck.clock();
                 d = ck.density;
                 e_prev = ck.e_prev;
@@ -1862,6 +1909,79 @@ mod tests {
         assert_eq!(kept.clock.iterations(), direct.clock.iterations());
         assert_eq!(kept.clock.recoveries(), direct.clock.recoveries());
         assert!(!kept.clock.total_recovery().quiet(), "the chaotic plan fired no recovery");
+    }
+
+    #[test]
+    fn a_run_resumed_on_its_driver_keeps_the_killed_sessions_integrals() {
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let quantized_b3lyp = ScfConfig {
+            method: ScfMethod::Rks(crate::xc::b3lyp()),
+            quantized: true,
+            grid: (20, 8),
+            ..ScfConfig::default()
+        };
+        for (n, config) in [ScfConfig::default(), quantized_b3lyp].into_iter().enumerate() {
+            let quantized = config.quantized;
+            let new_driver = || ScfDriver::new(&builders::water(), &sto3g(), config.clone());
+            let driver = new_driver();
+            let full = driver.run().expect("uninterrupted run");
+            let counters = |r: &ScfResult| (r.evaluations_reused, r.tensor_store_bytes);
+            assert!(full.evaluations_reused > 0);
+            // A run that returns a result parks nothing: a second run starts empty.
+            assert!(driver.parked.lock().is_none());
+            assert_eq!(counters(&driver.run().expect("second run")), counters(&full));
+
+            let path = std::env::temp_dir()
+                .join(format!("mako-parked-store-{}-{n}.ckpt", std::process::id()));
+            let err = driver
+                .run_with(ScfRunOptions {
+                    checkpoint: Some(CheckpointPolicy::new(1, path.clone())),
+                    kill_after: Some(3),
+                    ..ScfRunOptions::default()
+                })
+                .expect_err("the run dies at iteration 3");
+            assert_eq!(err, ScfError::Killed { iterations: 3 });
+            let ck = ScfCheckpoint::load(&path).expect("load checkpoint");
+            let _ = std::fs::remove_file(&path);
+            {
+                let parked = driver.parked.lock();
+                let counts = parked.as_ref().expect("the killed run parked its store").counts();
+                assert!(counts[0] > 0);
+                assert_eq!(counts[2] > 0, quantized, "quantized tensors parked: {counts:?}");
+            }
+
+            // A session of another budget neither takes the parked store nor drops it.
+            let other = ScfSession::with_store_budget(&driver, ScfRunOptions::default(), 0)
+                .expect("session");
+            assert_eq!((other.tensors.budget_bytes(), other.tensors.reused()), (0, 0));
+            drop(other);
+            assert!(driver.parked.lock().is_some());
+
+            let resume = |drv: &ScfDriver| {
+                drv.run_with(ScfRunOptions {
+                    resume: Some(ck.clone()),
+                    ..ScfRunOptions::default()
+                })
+                .expect("resumed run")
+            };
+            let kept = resume(&driver);
+            assert!(driver.parked.lock().is_none(), "the resumed run took the store");
+            // The crash path: a new driver, an empty store.
+            let fresh = resume(&new_driver());
+            for (res, label) in [(&kept, "same driver"), (&fresh, "new driver")] {
+                let label = format!("config {n}, {label}");
+                assert_eq!(res.energy.to_bits(), full.energy.to_bits(), "{label}");
+                assert_eq!(bits(res.density.as_slice()), bits(full.density.as_slice()), "{label}");
+                assert_eq!(bits(&res.iteration_seconds), bits(&full.iteration_seconds), "{label}");
+                assert_eq!(res.stats, full.stats, "{label}");
+                assert_eq!(res.clock.iterations(), full.clock.iterations(), "{label}");
+            }
+            assert_eq!(kept.clock.recoveries(), fresh.clock.recoveries());
+            // Every quartet was evaluated once across the kill, as in the
+            // uninterrupted run; the new driver evaluated some twice.
+            assert_eq!(counters(&kept), counters(&full), "config {n}");
+            assert!(fresh.evaluations_reused < full.evaluations_reused, "config {n}");
+        }
     }
 
     /// Reference for [`occupied_density`]: every `D[μ, ν]` of both

@@ -23,11 +23,20 @@
 //! Terminal outcomes ([`JournalRecord::Completed`] /
 //! [`JournalRecord::Failed`] / [`JournalRecord::DeadlineExceeded`]) carry
 //! everything needed to reconstruct the [`JobOutcome`] without re-running
-//! the job. Progress records ([`JournalRecord::Started`],
-//! [`JournalRecord::Checkpointed`], [`JournalRecord::Yielded`]) tell
-//! recovery which per-job checkpoint files are worth salvaging.
-//! [`JournalRecord::RecoveryMark`] separates generations so a journal that
-//! survived several crashes still replays unambiguously.
+//! the job. [`JournalRecord::RecoveryMark`] separates generations so a
+//! journal that survived several crashes still replays unambiguously.
+//!
+//! ## What recovery reads
+//!
+//! [`MakoServer::recover`] reads [`JournalRecord::ServeBegin`] (to refuse a
+//! journal of another workload), [`JournalRecord::RecoveryMark`] (to number
+//! its generation), [`JournalRecord::Admitted`] and the terminal outcomes,
+//! rejections included. For every admitted job without an outcome it probes
+//! the job's checkpoint path on the store, whatever the journal says of it:
+//! a checkpoint that validates is salvaged, any other is quarantined. The
+//! progress records ([`JournalRecord::Started`],
+//! [`JournalRecord::Checkpointed`], [`JournalRecord::Yielded`]) are written
+//! but not read back.
 //!
 //! [`MakoServer::recover`]: crate::MakoServer::recover
 

@@ -390,7 +390,6 @@ impl MakoServer {
                             mako_trace::field("next_iteration", ckpt.next_iteration),
                         ],
                     );
-                    sim.jobs[id].driver = Some(driver);
                     sim.jobs[id].resume = Some(Box::new(ckpt));
                     salvaged += 1;
                 }
@@ -414,6 +413,8 @@ impl MakoServer {
                     );
                 }
             }
+            // The driver is the job's whatever its checkpoint said.
+            sim.jobs[id].driver = Some(driver);
         }
         mako_trace::instant(
             "recover",
@@ -1259,6 +1260,9 @@ impl<'a> Sim<'a> {
             }
         }
         self.outcomes[id] = Some(outcome);
+        // Pairs, batches, tuned configurations, grid and any parked tensor
+        // store go with the job, not with the serve.
+        self.jobs[id].driver = None;
     }
 
     /// Fail everything still queued (and any unprocessed arrivals) when no
@@ -1480,6 +1484,30 @@ mod tests {
             .map(|r| r.started_at)
             .fold(f64::INFINITY, f64::min);
         assert!(ui.started_at - first_quantum_end <= batch.device_seconds);
+        // Yielding moves no bit: the batch job resumed across its quanta
+        // lands on its solo energy.
+        let solo = server.run_solo(&specs[0]).expect("solo");
+        assert_eq!(batch.energy.to_bits(), solo.energy.to_bits());
+    }
+
+    #[test]
+    fn a_finished_job_holds_no_driver() {
+        let server = MakoServer::new(ServerConfig {
+            workers: 1,
+            ..tmp_config()
+        });
+        let specs = vec![
+            JobSpec::new("bulk", PriorityClass::Batch, builders::water()),
+            JobSpec::new("ui", PriorityClass::Interactive, builders::methane()).at(1e-6),
+        ];
+        let chaos = ServerChaos::quiet(1);
+        let mut sim = Sim::new(&server, &chaos, &specs);
+        sim.run();
+        assert!(sim.outcomes.iter().all(Option::is_some), "every job finished");
+        assert!(sim.jobs.iter().all(|j| j.driver.is_none()), "a finished job kept its driver");
+        let report = sim.into_report();
+        assert_eq!(report.ledger.completed, 2);
+        assert!(report.ledger.preemptions >= 1, "the batch job must have yielded");
     }
 
     #[test]

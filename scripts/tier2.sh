@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-2 gate: the integration suites re-proved in release (tier-1 runs them
-# in debug), the microkernel-determinism leg, three traced mako-cli runs, and
-# the benchmark's unit tests and --smoke. Slower than tier-1 (minutes, not
-# seconds) and meant for pre-merge validation rather than the inner edit loop.
+# Tier-2 gate: the integration suites and the scf and server crates' tests
+# re-proved in release (tier-1 runs them in debug), the microkernel-determinism
+# leg, three traced mako-cli runs, and the benchmark's unit tests and --smoke.
+# Slower than tier-1 (minutes, not seconds) and meant for pre-merge validation
+# rather than the inner edit loop.
 #
 #   ./scripts/tier2.sh
 #
@@ -12,8 +13,11 @@ cd "$(dirname "$0")/.."
 
 export PROPTEST_RNG_SEED="${PROPTEST_RNG_SEED:-20260805}"
 
-echo "== tier2: every integration suite under tests/tests, in release =="
+echo "== tier2: every integration suite under tests/tests, then the scf and server crates' own tests, in release =="
 cargo test --release -p mako-integration-tests
+# Bitwise kill/resume and serve contracts that live as unit tests (tier-1
+# runs them in debug only).
+cargo test --release -q -p mako-scf -p mako-server
 
 echo "== tier2: microkernel determinism (linalg, eri and kernels suites, then the scf pins, under MAKO_KERNEL=generic) =="
 # The FP64 quartet's two stacked GEMMs take the packed path, so the generic
