@@ -256,8 +256,14 @@ impl ScfCheckpoint {
     /// persistent failure surfaces as [`CheckpointError::Io`]. An injected
     /// crash point is *not* retried — the simulated process is dead, and
     /// spinning on a dead Vfs would only distort the fault model.
+    ///
+    /// Traced as a `store.checkpoint` span carrying the checkpoint's `bytes`.
     pub fn save_via(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), CheckpointError> {
+        let mut span = mako_trace::span("store", "checkpoint");
         let bytes = self.to_bytes();
+        if span.is_recording() {
+            span.add_field("bytes", bytes.len());
+        }
         let mut last_err = String::new();
         for attempt in 0..SAVE_ATTEMPTS {
             if attempt > 0 {

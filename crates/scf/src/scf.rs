@@ -81,7 +81,9 @@ impl Default for IncrementalPolicy {
 /// When and where the driver writes checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
-    /// Save after every `every` completed iterations (0 disables saving).
+    /// Save after every `every` completed iterations, and after the
+    /// iteration at which [`ScfRunOptions::kill_after`] fires whatever
+    /// `every` is. 0 disables saving, the kill's save included.
     pub every: usize,
     /// Checkpoint file path (overwritten atomically on each save).
     pub path: PathBuf,
@@ -119,8 +121,10 @@ pub struct ScfRunOptions {
     pub resume: Option<ScfCheckpoint>,
     /// Abort with [`ScfError::Killed`] after this many completed iterations
     /// (counted from iteration 0 of the *original* trajectory, so a resumed
-    /// run can be killed again later). Checkpoints due on the final
-    /// iteration are written before the kill fires.
+    /// run can be killed again later). A run with a [`CheckpointPolicy`]
+    /// whose `every` is not 0 saves at the killing iteration, multiple of
+    /// `every` or not, before the kill fires: a serve's quantum boundary
+    /// always has its checkpoint.
     pub kill_after: Option<usize>,
     /// Chaos harness: overwrite `J[(0,0)]` with NaN right after the Fock
     /// build of this iteration, exercising the non-finite containment path
@@ -1275,15 +1279,17 @@ impl<'a> ScfSession<'a> {
             }
         }
 
-        // Periodic checkpoint: the state captured here is exactly what
+        // Periodic checkpoint, and one at the kill so a quantum boundary
+        // always has its own: the state captured here is exactly what
         // iteration `iter + 1` consumes, so a resumed run replays the
         // remaining trajectory bitwise.
+        let killed = !finishing && self.run_opts.kill_after.is_some_and(|n| iter + 1 >= n);
         let save_now = !finishing
             && self
                 .run_opts
                 .checkpoint
                 .as_ref()
-                .is_some_and(|p| p.every > 0 && (iter + 1).is_multiple_of(p.every));
+                .is_some_and(|p| p.every > 0 && (killed || (iter + 1).is_multiple_of(p.every)));
         recovery.checkpoint_saves = save_now as usize;
         self.clock.push_recovery(recovery);
         if save_now {
@@ -1327,12 +1333,10 @@ impl<'a> ScfSession<'a> {
             self.finished = true;
             return Ok(());
         }
-        // The chaos harness's deliberate kill — after the checkpoint,
-        // so the trajectory can be resumed from the latest save.
-        if let Some(n) = self.run_opts.kill_after {
-            if iter + 1 >= n {
-                return Err(ScfError::Killed { iterations: iter + 1 });
-            }
+        // The deliberate kill — after the checkpoint, so the trajectory
+        // resumes from the save just written.
+        if killed {
+            return Err(ScfError::Killed { iterations: iter + 1 });
         }
         self.iter += 1;
         Ok(())
@@ -1982,6 +1986,43 @@ mod tests {
             assert_eq!(counters(&kept), counters(&full), "config {n}");
             assert!(fresh.evaluations_reused < full.evaluations_reused, "config {n}");
         }
+    }
+
+    #[test]
+    fn a_kill_saves_its_checkpoint_whatever_the_cadence() {
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let new_driver = || ScfDriver::new(&builders::water(), &sto3g(), ScfConfig::default());
+        let driver = new_driver();
+        let full = driver.run().expect("uninterrupted run");
+        let path = std::env::temp_dir().join(format!("mako-kill-save-{}.ckpt", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let kill = |every: usize| {
+            driver
+                .run_with(ScfRunOptions {
+                    checkpoint: Some(CheckpointPolicy::new(every, path.clone())),
+                    kill_after: Some(3),
+                    ..ScfRunOptions::default()
+                })
+                .expect_err("the run dies at iteration 3")
+        };
+        // `every = 0` disables saving, the kill's save included.
+        assert_eq!(kill(0), ScfError::Killed { iterations: 3 });
+        assert!(!path.exists(), "a disabled policy wrote a checkpoint");
+        // Iteration 3 is no multiple of 4, and the kill saves it anyway.
+        assert_eq!(kill(4), ScfError::Killed { iterations: 3 });
+        let ck = ScfCheckpoint::load(&path).expect("the kill saved a checkpoint");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(ck.next_iteration, 3);
+        let res = new_driver()
+            .run_with(ScfRunOptions {
+                resume: Some(ck),
+                ..ScfRunOptions::default()
+            })
+            .expect("resumed run");
+        assert_eq!(res.energy.to_bits(), full.energy.to_bits());
+        assert_eq!(bits(res.density.as_slice()), bits(full.density.as_slice()));
+        assert_eq!(bits(&res.iteration_seconds), bits(&full.iteration_seconds));
+        assert_eq!(res.stats, full.stats);
     }
 
     /// Reference for [`occupied_density`]: every `D[μ, ν]` of both

@@ -1,7 +1,8 @@
 //! The write-ahead job journal: every scheduling decision `MakoServer`
-//! makes is appended (and fsync'd) *before* it takes effect, so a crash at
-//! any point leaves a durable prefix of the serve from which
-//! [`MakoServer::recover`] reconstructs the queue and finishes the run.
+//! makes that [`MakoServer::recover`] reads back is appended (and fsync'd)
+//! *before* it takes effect, so a crash at any point leaves a durable prefix
+//! of the serve from which recovery reconstructs the queue and finishes the
+//! run.
 //!
 //! ## Record stream
 //!
@@ -16,6 +17,7 @@
 //!
 //! ## What is journaled
 //!
+//! Only what recovery reads. [`JournalRecord::ServeBegin`] opens a serve.
 //! Admission decisions ([`JournalRecord::Admitted`] /
 //! [`JournalRecord::Rejected`]) are durable: a job admitted before a crash
 //! does not re-run the admission gauntlet on recovery (the quota decision
@@ -24,7 +26,10 @@
 //! [`JournalRecord::Failed`] / [`JournalRecord::DeadlineExceeded`]) carry
 //! everything needed to reconstruct the [`JobOutcome`] without re-running
 //! the job. [`JournalRecord::RecoveryMark`] separates generations so a
-//! journal that survived several crashes still replays unambiguously.
+//! journal that survived several crashes still replays unambiguously, and
+//! [`JournalRecord::ServeEnd`] closes a serve. A job's progress (its first
+//! dispatch, its checkpoints, its yields) is not journaled: the checkpoint
+//! file is the only record of it that recovery uses.
 //!
 //! ## What recovery reads
 //!
@@ -32,11 +37,14 @@
 //! journal of another workload), [`JournalRecord::RecoveryMark`] (to number
 //! its generation), [`JournalRecord::Admitted`] and the terminal outcomes,
 //! rejections included. For every admitted job without an outcome it probes
-//! the job's checkpoint path on the store, whatever the journal says of it:
-//! a checkpoint that validates is salvaged, any other is quarantined. The
-//! progress records ([`JournalRecord::Started`],
-//! [`JournalRecord::Checkpointed`], [`JournalRecord::Yielded`]) are written
-//! but not read back.
+//! the job's checkpoint path on the store: a checkpoint that validates is
+//! salvaged, any other is quarantined.
+//!
+//! Tags 3, 4 and 5 are retired: older binaries wrote `Started`,
+//! `Checkpointed` and `Yielded` progress records under them, each a tag and
+//! two `u64`s. Replay skips such a CRC-valid frame as committed rather than
+//! treating it as corruption, so a journal an older binary wrote still
+//! recovers whole. No tag is ever reused.
 //!
 //! [`MakoServer::recover`]: crate::MakoServer::recover
 
@@ -45,6 +53,12 @@ use mako_store::records::{frame, read_all_framed, Tail};
 use mako_store::{mix, write_durable, ByteReader, ByteWriter, Vfs, VfsError};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Tags of the retired progress records (`Started`, `Checkpointed`,
+/// `Yielded`); reserved, never reused.
+const RETIRED_TAGS: [u8; 3] = [3, 4, 5];
+/// Payload length every retired record had: the tag and two `u64`s.
+const RETIRED_PAYLOAD_LEN: usize = 17;
 
 /// One durable entry in the write-ahead journal.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,27 +92,6 @@ pub enum JournalRecord {
         a: u64,
         /// Second parameter.
         b: u64,
-    },
-    /// The job was dispatched for the first time.
-    Started {
-        /// Job id.
-        job: u64,
-        /// Virtual dispatch time (bits).
-        at: u64,
-    },
-    /// A quantum boundary persisted a checkpoint for the job.
-    Checkpointed {
-        /// Job id.
-        job: u64,
-        /// First iteration the checkpoint's resume executes.
-        next_iteration: u64,
-    },
-    /// The job yielded at a quantum boundary and re-entered the queue.
-    Yielded {
-        /// Job id.
-        job: u64,
-        /// Iterations completed at the yield.
-        iteration: u64,
     },
     /// Terminal: the job completed. Carries the full [`JobReport`] so the
     /// outcome replays without re-running a single SCF iteration.
@@ -181,21 +174,6 @@ impl JournalRecord {
                 out.u64(*a);
                 out.u64(*b);
             }
-            JournalRecord::Started { job, at } => {
-                out.u8(3);
-                out.u64(*job);
-                out.u64(*at);
-            }
-            JournalRecord::Checkpointed { job, next_iteration } => {
-                out.u8(4);
-                out.u64(*job);
-                out.u64(*next_iteration);
-            }
-            JournalRecord::Yielded { job, iteration } => {
-                out.u8(5);
-                out.u64(*job);
-                out.u64(*iteration);
-            }
             JournalRecord::Completed {
                 job,
                 energy,
@@ -256,9 +234,10 @@ impl JournalRecord {
         out.into_bytes()
     }
 
-    /// Decode a payload. `None` on an unknown tag, a short payload, a length
-    /// field the payload cannot hold, or trailing bytes — the caller treats
-    /// it like a corrupt frame and stops replaying.
+    /// Decode a payload. `None` on an unknown or retired tag, a short
+    /// payload, a length field the payload cannot hold, or trailing bytes —
+    /// replay skips a retired progress record (module docs) and treats any
+    /// other such payload like a corrupt frame and stops there.
     pub fn decode(payload: &[u8]) -> Option<JournalRecord> {
         let mut r = ByteReader::new(payload);
         let rec = match r.u8()? {
@@ -275,18 +254,6 @@ impl JournalRecord {
                 code: r.u8()?,
                 a: r.u64()?,
                 b: r.u64()?,
-            },
-            3 => JournalRecord::Started {
-                job: r.u64()?,
-                at: r.u64()?,
-            },
-            4 => JournalRecord::Checkpointed {
-                job: r.u64()?,
-                next_iteration: r.u64()?,
-            },
-            5 => JournalRecord::Yielded {
-                job: r.u64()?,
-                iteration: r.u64()?,
             },
             6 => JournalRecord::Completed {
                 job: r.u64()?,
@@ -323,6 +290,12 @@ impl JournalRecord {
             _ => return None,
         };
         r.done().then_some(rec)
+    }
+
+    /// Whether `payload` is a progress record an older binary wrote (tags
+    /// 3–5, a tag and two `u64`s): committed, but nothing this binary reads.
+    fn is_retired(payload: &[u8]) -> bool {
+        payload.len() == RETIRED_PAYLOAD_LEN && RETIRED_TAGS.contains(&payload[0])
     }
 
     /// The terminal record for a finished job's outcome (`None` for
@@ -440,9 +413,6 @@ impl JournalRecord {
         match self {
             JournalRecord::Admitted { job, .. }
             | JournalRecord::Rejected { job, .. }
-            | JournalRecord::Started { job, .. }
-            | JournalRecord::Checkpointed { job, .. }
-            | JournalRecord::Yielded { job, .. }
             | JournalRecord::Completed { job, .. }
             | JournalRecord::Failed { job, .. }
             | JournalRecord::DeadlineExceeded { job, .. } => Some(*job),
@@ -486,9 +456,9 @@ impl Journal {
     }
 
     /// Replay the journal: every decodable record up to the first torn or
-    /// corrupt frame, plus the tail classification. A missing file is an
-    /// empty, clean journal (the crash happened before the first append
-    /// became durable).
+    /// corrupt frame (retired progress records are skipped, not corrupt),
+    /// plus the tail classification. A missing file is an empty, clean
+    /// journal (the crash happened before the first append became durable).
     pub fn replay(&self) -> Result<(Vec<JournalRecord>, Tail), VfsError> {
         let (records, tail, _) = self.read_valid()?;
         Ok((records, tail))
@@ -531,17 +501,15 @@ impl Journal {
         };
         let (frames, mut tail, mut valid_len) = read_all_framed(&bytes);
         let mut records = Vec::with_capacity(frames.len());
-        for payload in &frames {
+        for (i, payload) in frames.iter().enumerate() {
             match JournalRecord::decode(payload) {
                 Some(rec) => records.push(rec),
+                None if JournalRecord::is_retired(payload) => {}
                 None => {
                     // A CRC-valid frame that doesn't decode is structural
                     // corruption; stop here, keep the prefix.
                     tail = Tail::Corrupt;
-                    valid_len = frames[..records.len()]
-                        .iter()
-                        .map(|f| 8 + f.len())
-                        .sum();
+                    valid_len = frames[..i].iter().map(|f| 8 + f.len()).sum();
                     break;
                 }
             }
@@ -582,9 +550,6 @@ mod tests {
             JournalRecord::ServeBegin { jobs: 4, workload: 0xABCD },
             JournalRecord::Admitted { job: 0, degraded: false },
             JournalRecord::Rejected { job: 1, code: 1, a: 9, b: 8 },
-            JournalRecord::Started { job: 0, at: 1.5f64.to_bits() },
-            JournalRecord::Checkpointed { job: 0, next_iteration: 3 },
-            JournalRecord::Yielded { job: 0, iteration: 3 },
             JournalRecord::Completed {
                 job: 0,
                 energy: (-74.9630287f64).to_bits(),
@@ -614,11 +579,37 @@ mod tests {
         ]
     }
 
+    /// The payloads older binaries wrote for `Started { job: 0, at: 1.5 }`,
+    /// `Checkpointed { job: 0, next_iteration: 3 }` and
+    /// `Yielded { job: 0, iteration: 3 }`.
+    fn retired_payloads() -> Vec<Vec<u8>> {
+        [(3u8, 1.5f64.to_bits()), (4, 3), (5, 3)]
+            .iter()
+            .map(|&(tag, b)| {
+                let mut out = ByteWriter::with_capacity(RETIRED_PAYLOAD_LEN);
+                out.u8(tag);
+                out.u64(0);
+                out.u64(b);
+                out.into_bytes()
+            })
+            .collect()
+    }
+
     #[test]
     fn every_record_roundtrips() {
+        // The pinned image predates the retired tags: their payloads sit
+        // where the records did, after `Rejected`.
         let mut image = Vec::new();
-        for rec in all_records() {
+        for (i, rec) in all_records().into_iter().enumerate() {
+            if i == 3 {
+                for retired in retired_payloads() {
+                    assert!(JournalRecord::is_retired(&retired));
+                    assert_eq!(JournalRecord::decode(&retired), None);
+                    image.extend_from_slice(&retired);
+                }
+            }
             let bytes = rec.encode();
+            assert!(!JournalRecord::is_retired(&bytes));
             let back = JournalRecord::decode(&bytes).expect("decode");
             assert_eq!(back, rec);
             image.extend_from_slice(&bytes);
@@ -660,6 +651,41 @@ mod tests {
         let (records, tail) = j.replay().expect("replay");
         assert_eq!(tail, Tail::Clean);
         assert_eq!(records, all_records());
+    }
+
+    #[test]
+    fn retired_frames_are_skipped_not_truncated() {
+        let vfs = Arc::new(FaultVfs::quiet());
+        let path = PathBuf::from("/serve.wal");
+        let j = Journal::new(vfs.clone(), path.clone());
+        let all = all_records();
+        let (head, rest) = all.split_at(3);
+        for rec in head {
+            j.append(rec).expect("append");
+        }
+        for retired in retired_payloads() {
+            vfs.append(&path, &frame(&retired)).expect("append a retired frame");
+        }
+        for rec in rest {
+            j.append(rec).expect("append");
+        }
+        let written = vfs.raw(&path).unwrap();
+        let (records, tail) = j.replay_and_repair().expect("replay");
+        assert_eq!(tail, Tail::Clean);
+        assert_eq!(records, all);
+        assert_eq!(vfs.raw(&path).unwrap(), written, "replay rewrote the journal");
+
+        // A retired tag at any other length was never written: corruption,
+        // and the valid prefix ends before it.
+        let mut odd = retired_payloads().remove(0);
+        odd.push(0);
+        assert!(!JournalRecord::is_retired(&odd));
+        vfs.append(&path, &frame(&odd)).expect("append");
+        j.append(&all[0]).expect("append");
+        let (records, tail) = j.replay_and_repair().expect("replay");
+        assert_eq!(tail, Tail::Corrupt);
+        assert_eq!(records, all);
+        assert_eq!(vfs.raw(&path).unwrap(), written, "the prefix before the bad frame is kept");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! Batch and best-effort jobs run in **checkpoint-backed quanta**: each
 //! dispatch executes at most `quantum_iterations` SCF iterations (the
 //! degraded quantum under load), persists an [`ScfCheckpoint`] at the
-//! boundary, and requeues. Interactive jobs run to completion. Because a
+//! boundary (and every few iterations in between, for crash salvage), and
+//! requeues. Interactive jobs run to completion. Because a
 //! preempted job resumes from its checkpoint bitwise-identically (the PR-3
 //! contract), preemption is invisible in the numbers — it only moves time.
 //!
@@ -55,6 +56,10 @@ use crate::journal::{workload_hash, Journal, JournalRecord};
 /// The shorter quantum, SCF iterations per dispatch, batch jobs get when
 /// admitted under pressure.
 const DEGRADED_QUANTUM_ITERATIONS: usize = 2;
+/// Iterations between the salvage checkpoints of a running job. A quantum
+/// boundary saves whatever this is (the kill saves), so this only bounds
+/// what a crash mid-quantum, or mid-run for an interactive job, loses.
+const CHECKPOINT_EVERY: usize = 4;
 /// Faulted attempts retried before a job fails.
 const MAX_RETRIES: u32 = 3;
 /// Screening-pair cache bound, entries.
@@ -919,10 +924,6 @@ impl<'a> Sim<'a> {
         }
         if self.jobs[id].started_at.is_none() {
             self.jobs[id].started_at = Some(self.clock);
-            self.jappend(&JournalRecord::Started {
-                job: id as u64,
-                at: self.clock.to_bits(),
-            });
             mako_trace::instant(
                 "job",
                 "start",
@@ -1001,8 +1002,9 @@ impl<'a> Sim<'a> {
         };
         let opts = ScfRunOptions {
             checkpoint: Some(match self.server.store.as_ref() {
-                Some(ctx) => CheckpointPolicy::new(1, job.ckpt_path.clone()).via(ctx.vfs.clone()),
-                None => CheckpointPolicy::new(1, job.ckpt_path.clone()),
+                Some(ctx) => CheckpointPolicy::new(CHECKPOINT_EVERY, job.ckpt_path.clone())
+                    .via(ctx.vfs.clone()),
+                None => CheckpointPolicy::new(CHECKPOINT_EVERY, job.ckpt_path.clone()),
             }),
             resume: job.resume.as_deref().cloned(),
             kill_after: quantum.map(|q| start_iter + q),
@@ -1037,14 +1039,17 @@ impl<'a> Sim<'a> {
                         dt,
                     );
                 }
-                match self.load_valid_ckpt(id, start_iter) {
+                match self
+                    .load_valid_ckpt(id, start_iter)
+                    .filter(|c| c.next_iteration == iterations)
+                {
                     Some(ckpt) => {
-                        debug_assert_eq!(ckpt.next_iteration, iterations);
                         let dt = segment_seconds(&ckpt.iteration_seconds, start_iter);
                         (AttemptEnd::Yield(ckpt), dt)
                     }
                     None => {
-                        // The checkpoint genuinely failed to land; replay the
+                        // The boundary's checkpoint genuinely failed to land
+                        // (an older one is no yield point); replay the
                         // quantum through the standard retry path.
                         let error = JobError::Scf(ScfError::Checkpoint(CheckpointError::Io(
                             "quantum checkpoint missing or invalid".to_string(),
@@ -1132,15 +1137,6 @@ impl<'a> Sim<'a> {
                 self.finish(id, JobOutcome::Completed(report), true);
             }
             AttemptEnd::Yield(ckpt) => {
-                let next_iteration = ckpt.next_iteration as u64;
-                self.jappend(&JournalRecord::Checkpointed {
-                    job: id as u64,
-                    next_iteration,
-                });
-                self.jappend(&JournalRecord::Yielded {
-                    job: id as u64,
-                    iteration: next_iteration,
-                });
                 self.jobs[id].resume = Some(ckpt);
                 if self.clock > self.jobs[id].deadline_at() {
                     let outcome = JobOutcome::DeadlineExceeded {
@@ -1508,6 +1504,43 @@ mod tests {
         let report = sim.into_report();
         assert_eq!(report.ledger.completed, 2);
         assert!(report.ledger.preemptions >= 1, "the batch job must have yielded");
+    }
+
+    #[test]
+    fn a_degraded_batch_job_yields_on_its_own_boundary_checkpoints() {
+        use mako_store::FaultVfs;
+        // A soft cap of 0 admits every batch job degraded: quanta of 2
+        // iterations, boundaries that are no multiple of the cadence.
+        let config = ServerConfig {
+            workers: 1,
+            admission: AdmissionConfig {
+                queue_soft_cap: 0,
+                ..AdmissionConfig::default()
+            },
+            ..tmp_config()
+        };
+        assert!(!DEGRADED_QUANTUM_ITERATIONS.is_multiple_of(CHECKPOINT_EVERY));
+        let server = MakoServer::with_store(
+            config,
+            Arc::new(FaultVfs::quiet()) as Arc<dyn Vfs>,
+            PathBuf::from("/srv"),
+        )
+        .expect("store");
+        let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
+        let report = server.serve_quiet(&specs);
+        let rep = report.outcomes[0].report().expect("the degraded job completed");
+        let solo = server.run_solo(&specs[0]).expect("solo");
+        assert_eq!(rep.retries, 0, "every boundary had its checkpoint");
+        assert_eq!(rep.quanta, solo.iterations.div_ceil(DEGRADED_QUANTUM_ITERATIONS));
+        assert_eq!(rep.energy.to_bits(), solo.energy.to_bits());
+        assert_eq!(rep.iterations, solo.iterations);
+        // The serve adds up the solo run's iteration seconds one quantum at
+        // a time; a yield from an older checkpoint would count some twice.
+        let per_quantum = solo
+            .iteration_seconds
+            .chunks(DEGRADED_QUANTUM_ITERATIONS)
+            .fold(0.0, |t, q| t + q.iter().sum::<f64>());
+        assert_eq!(rep.device_seconds.to_bits(), per_quantum.to_bits());
     }
 
     #[test]

@@ -297,6 +297,7 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "job.retry",
     "job.outcome",
     "store.append",
+    "store.checkpoint",
     "store.artifact",
     "store.quarantine",
     "store.truncate",
@@ -484,6 +485,7 @@ mod tests {
     fn known_event_registry_covers_the_durability_events() {
         for name in [
             "store.append",
+            "store.checkpoint",
             "store.artifact",
             "store.quarantine",
             "store.truncate",

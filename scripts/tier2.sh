@@ -8,6 +8,12 @@
 #   ./scripts/tier2.sh
 #
 # Runs from the workspace root regardless of the caller's cwd.
+#
+# The release integration leg includes durability.rs's
+# `a_journal_with_progress_records_recovers_untruncated`, which recovers a
+# committed journal fixture (tests/fixtures/serve_with_progress_records.wal)
+# that still holds the retired Started/Checkpointed/Yielded records, and
+# `a_quiet_serve_syncs_only_what_recovery_reads`, which pins a serve's syncs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
