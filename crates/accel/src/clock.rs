@@ -123,7 +123,8 @@ impl DeviceClock {
     }
 
     /// Total simulated device seconds across all iterations.
-    pub fn total_seconds(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_seconds(&self) -> f64 {
         self.iterations.iter().map(|l| l.total_seconds).sum()
     }
 

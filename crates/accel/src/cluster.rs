@@ -12,7 +12,7 @@
 
 /// Link classes inside the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterconnectTier {
+pub(crate) enum InterconnectTier {
     /// Intra-node NVLink fabric.
     NvLink,
     /// Inter-node InfiniBand.
@@ -47,13 +47,8 @@ impl ClusterSpec {
         }
     }
 
-    /// Number of nodes needed for `ranks` GPUs.
-    pub fn nodes_for(&self, ranks: usize) -> usize {
-        ranks.div_ceil(self.gpus_per_node)
-    }
-
     /// The slowest link class a ring over `ranks` GPUs must traverse.
-    pub fn bottleneck_tier(&self, ranks: usize) -> InterconnectTier {
+    pub(crate) fn bottleneck_tier(&self, ranks: usize) -> InterconnectTier {
         if ranks <= self.gpus_per_node {
             InterconnectTier::NvLink
         } else {
@@ -129,7 +124,7 @@ pub fn partition_lpt(weights: &[f64], ranks: usize) -> Vec<usize> {
 }
 
 /// Per-rank load totals for an assignment.
-pub fn rank_loads(weights: &[f64], assign: &[usize], ranks: usize) -> Vec<f64> {
+pub(crate) fn rank_loads(weights: &[f64], assign: &[usize], ranks: usize) -> Vec<f64> {
     let mut loads = vec![0.0f64; ranks];
     for (i, &r) in assign.iter().enumerate() {
         loads[r] += weights[i];
@@ -268,14 +263,5 @@ mod tests {
         assert!(e8 > e64, "e8={e8} e64={e64}");
         assert!(e8 <= 1.0 + 1e-9);
         assert!(t64 < t8, "more ranks still reduce wall time");
-    }
-
-    #[test]
-    fn nodes_for_counts() {
-        let spec = ClusterSpec::azure_nd_a100_v4();
-        assert_eq!(spec.nodes_for(1), 1);
-        assert_eq!(spec.nodes_for(8), 1);
-        assert_eq!(spec.nodes_for(9), 2);
-        assert_eq!(spec.nodes_for(64), 8);
     }
 }

@@ -129,7 +129,8 @@ impl DeviceSpec {
 
     /// Tensor-over-CUDA speedup factor for a precision (Table 1's last
     /// column).
-    pub fn tensor_speedup(&self, p: Precision) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn tensor_speedup(&self, p: Precision) -> f64 {
         let c = self.cuda_peak(p);
         if c == 0.0 {
             0.0

@@ -124,7 +124,7 @@ pub struct RankFaults {
 
 impl RankFaults {
     /// A healthy rank.
-    pub fn healthy() -> RankFaults {
+    pub(crate) fn healthy() -> RankFaults {
         RankFaults {
             slowdown: 1.0,
             death_fraction: None,
@@ -252,7 +252,7 @@ impl FaultPlan {
 
     /// Whether attempt `attempt` of `batch` on `rank` fails transiently.
     /// Pure function of the plan seed — replay gives the same answer.
-    pub fn transient_fails(&self, rank: usize, batch: usize, attempt: u32) -> bool {
+    pub(crate) fn transient_fails(&self, rank: usize, batch: usize, attempt: u32) -> bool {
         self.transient_rate > 0.0
             && unit(
                 self.seed,

@@ -71,7 +71,7 @@ impl KernelProfile {
     }
 
     /// Total global-memory traffic in bytes.
-    pub fn total_bytes(&self) -> f64 {
+    pub(crate) fn total_bytes(&self) -> f64 {
         self.global_read + self.global_write
     }
 }

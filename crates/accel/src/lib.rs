@@ -46,8 +46,7 @@ pub mod swizzle;
 
 pub use clock::{DeviceClock, EnsembleLedger, IterationLedger};
 pub use fault::{FaultConfig, FaultPlan, RankFaults, RecoveryLedger};
-pub use cluster::{ClusterSpec, InterconnectTier, RingAllreduce};
+pub use cluster::{ClusterSpec, RingAllreduce};
 pub use device::{DeviceKind, DeviceSpec};
 pub use kernel::{CostModel, KernelProfile, LaunchRecord};
-pub use occupancy::{blocks_per_sm, occupancy_fraction};
-pub use swizzle::{avg_column_conflict, bank_conflict_degree, swizzle_xor, SmemLayout};
+pub use swizzle::{swizzle_xor, SmemLayout};

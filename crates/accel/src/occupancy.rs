@@ -10,7 +10,7 @@ use crate::device::DeviceSpec;
 /// Number of threadblocks resident per SM given the block's shared-memory
 /// footprint and thread count. Returns 0 when the block cannot launch at all
 /// (footprint exceeds the SM).
-pub fn blocks_per_sm(device: &DeviceSpec, smem_per_block: usize, threads_per_block: usize) -> usize {
+pub(crate) fn blocks_per_sm(device: &DeviceSpec, smem_per_block: usize, threads_per_block: usize) -> usize {
     if smem_per_block > device.smem_per_sm || threads_per_block == 0 {
         return 0;
     }
@@ -23,7 +23,7 @@ pub fn blocks_per_sm(device: &DeviceSpec, smem_per_block: usize, threads_per_blo
 }
 
 /// Occupancy as the fraction of the SM's thread capacity kept busy.
-pub fn occupancy_fraction(device: &DeviceSpec, smem_per_block: usize, threads_per_block: usize) -> f64 {
+pub(crate) fn occupancy_fraction(device: &DeviceSpec, smem_per_block: usize, threads_per_block: usize) -> f64 {
     let blocks = blocks_per_sm(device, smem_per_block, threads_per_block);
     if blocks == 0 {
         return 0.0;
@@ -36,7 +36,7 @@ pub fn occupancy_fraction(device: &DeviceSpec, smem_per_block: usize, threads_pe
 /// Empirically, tensor-core GEMMs reach near-peak throughput once ~50%
 /// occupancy provides enough warps to hide latency; below that, throughput
 /// degrades roughly linearly. This is the mapping the cost model applies.
-pub fn throughput_fraction(occupancy: f64) -> f64 {
+pub(crate) fn throughput_fraction(occupancy: f64) -> f64 {
     if occupancy <= 0.0 {
         0.0
     } else if occupancy >= 0.5 {

@@ -36,7 +36,7 @@ pub enum SmemLayout {
 impl SmemLayout {
     /// Slowdown of the r→pq transpose stage under this layout relative to
     /// the swizzled one — the cost model's `bank_conflict_factor`. Defined by
-    /// [`avg_column_conflict`] on the 32×32 f64 tile a warp transposes over
+    /// `avg_column_conflict` on the 32×32 f64 tile a warp transposes over
     /// 32 banks; that simulation runs once per process, so pricing a launch
     /// never repeats it.
     pub fn conflict_ratio(self) -> f64 {
@@ -50,7 +50,7 @@ impl SmemLayout {
 }
 
 /// Most banks [`bank_conflict_degree`] models (NVIDIA hardware has 32).
-pub const MAX_BANKS: usize = 64;
+pub(crate) const MAX_BANKS: usize = 64;
 
 /// Conflict degree for a warp of `warp` threads accessing *column* `col` of a
 /// `width`-wide tile of `elem_bytes`-sized elements under the given layout,
@@ -59,7 +59,7 @@ pub const MAX_BANKS: usize = 64;
 /// Returns the maximum number of threads mapped to the same bank — 1 means
 /// conflict-free, `warp` means fully serialized. Panics if `banks` exceeds
 /// [`MAX_BANKS`] (the counts live on the stack).
-pub fn bank_conflict_degree(
+pub(crate) fn bank_conflict_degree(
     layout: SmemLayout,
     width: usize,
     col: usize,
@@ -86,7 +86,7 @@ pub fn bank_conflict_degree(
 
 /// Average conflict degree over all columns of a tile — the factor by which
 /// an unswizzled transpose stage slows down relative to conflict-free access.
-pub fn avg_column_conflict(layout: SmemLayout, width: usize, warp: usize, elem_bytes: usize, banks: usize) -> f64 {
+pub(crate) fn avg_column_conflict(layout: SmemLayout, width: usize, warp: usize, elem_bytes: usize, banks: usize) -> f64 {
     let total: usize = (0..width)
         .map(|c| bank_conflict_degree(layout, width, c, warp, elem_bytes, banks))
         .sum();

@@ -29,11 +29,11 @@ use mako_chem::Shell;
 use mako_eri::batch::EriClass;
 
 /// A deterministic linear-congruential stream for reproducible workloads.
-pub struct Lcg(pub u64);
+pub(crate) struct Lcg(pub u64);
 
 impl Lcg {
     /// Uniform in [0, 1).
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         self.0 = self
             .0
             .wrapping_mul(6364136223846793005)
@@ -42,7 +42,7 @@ impl Lcg {
     }
 
     /// Uniform in [lo, hi).
-    pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.unit()
     }
 }

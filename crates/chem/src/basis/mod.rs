@@ -96,7 +96,7 @@ pub struct ShellDef {
 /// `N_l (2l−1)!! (π/(a+b))^{3/2} / (2(a+b))^l` with the solid-harmonic norm
 /// factor `N_l = l! 4^l / (2l)! · (2l-1)!!… ` — rather than juggling that
 /// constant we evaluate the 1D moment formula directly.
-pub fn primitive_pair_norm(l: usize, a: f64, b: f64) -> f64 {
+pub(crate) fn primitive_pair_norm(l: usize, a: f64, b: f64) -> f64 {
     // ⟨S_l0 | S_l0⟩ over e^{−(a+b)r²}: equal-norm property means we can use
     // the pure z^l part of S_l0 scaled by the full solid-harmonic Gram, but
     // the cleanest correct route is the radial form:
@@ -121,7 +121,7 @@ mod parking_lot_free_cache {
     static CACHE: OnceLock<Vec<f64>> = OnceLock::new();
     const LMAX: usize = 10;
 
-    pub fn get_or_init(l: usize) -> f64 {
+    pub(crate) fn get_or_init(l: usize) -> f64 {
         let c = CACHE.get_or_init(|| (0..=LMAX).map(gram_compute).collect());
         c[l]
     }
@@ -159,7 +159,7 @@ impl ShellDef {
     /// Produce normalized contraction coefficients: primitive norms folded
     /// into the raw coefficients, then the contracted AO scaled to unit
     /// self-overlap.
-    pub fn normalized_coefs(&self) -> Vec<f64> {
+    pub(crate) fn normalized_coefs(&self) -> Vec<f64> {
         let l = self.l;
         // Primitive normalization: 1/√⟨prim|prim⟩.
         let mut c: Vec<f64> = self
@@ -204,7 +204,7 @@ pub struct BasisSet {
 
 impl BasisSet {
     /// Empty basis set with a name.
-    pub fn new(name: impl Into<String>) -> BasisSet {
+    pub(crate) fn new(name: impl Into<String>) -> BasisSet {
         BasisSet {
             name: name.into(),
             defs: BTreeMap::new(),
@@ -212,22 +212,19 @@ impl BasisSet {
     }
 
     /// Register the shell definitions for an element (replacing existing).
-    pub fn insert(&mut self, element: Element, defs: Vec<ShellDef>) {
+    pub(crate) fn insert(&mut self, element: Element, defs: Vec<ShellDef>) {
         self.defs.insert(element.z(), defs);
     }
 
     /// Shell definitions for an element, if present.
-    pub fn get(&self, element: Element) -> Option<&[ShellDef]> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, element: Element) -> Option<&[ShellDef]> {
         self.defs.get(&element.z()).map(|v| v.as_slice())
     }
 
-    /// Elements the basis covers.
-    pub fn elements(&self) -> impl Iterator<Item = Element> + '_ {
-        self.defs.keys().map(|&z| Element(z))
-    }
-
     /// Maximum angular momentum anywhere in the set.
-    pub fn max_l(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_l(&self) -> usize {
         self.defs
             .values()
             .flat_map(|v| v.iter().map(|d| d.l))
@@ -264,7 +261,8 @@ impl BasisSet {
     }
 
     /// Number of spherical AOs the basis generates on a molecule.
-    pub fn nao_for(&self, mol: &Molecule) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nao_for(&self, mol: &Molecule) -> usize {
         mol.atoms
             .iter()
             .map(|a| {
@@ -313,7 +311,8 @@ impl AoLayout {
     }
 
     /// Number of shells.
-    pub fn nshells(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nshells(&self) -> usize {
         self.shell_offsets.len()
     }
 }

@@ -38,7 +38,7 @@ fn scaled(exps: &[f64; 3], zeta: f64) -> Vec<f64> {
 
 /// Shell definitions for one element, or `None` if STO-3G data is not
 /// embedded for it.
-pub fn element_shells(e: Element) -> Option<Vec<ShellDef>> {
+pub(crate) fn element_shells(e: Element) -> Option<Vec<ShellDef>> {
     let (z1, z2) = zetas(e)?;
     let mut defs = vec![ShellDef {
         l: 0,

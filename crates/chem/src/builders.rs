@@ -100,7 +100,7 @@ pub fn water_cluster(n: usize) -> Molecule {
 
 /// Jitter every atomic coordinate by a seeded uniform offset in
 /// `[-magnitude, +magnitude]` Å. Deterministic (the LCG stream of
-/// [`synthetic_protein`], keyed by `seed`), so the same `(geometry, seed,
+/// `synthetic_protein`, keyed by `seed`), so the same `(geometry, seed,
 /// magnitude)` always yields the same molecule — the supply line for
 /// ensemble conformance tests and the throughput bench, where hundreds of
 /// *distinct but reproducible* near-equilibrium geometries are needed.
@@ -232,7 +232,7 @@ pub fn formaldehyde() -> Molecule {
 /// Substitutes for the ubiquitin PDB structure in the Figure 10 scaling
 /// experiment: the scaling behaviour depends on atom/shell counts and
 /// spatial extent, not on the true fold.
-pub fn synthetic_protein(natoms: usize, seed: u64) -> Molecule {
+pub(crate) fn synthetic_protein(natoms: usize, seed: u64) -> Molecule {
     assert!(natoms >= 2);
     let mut m = Molecule::new(format!("synthetic-protein-{natoms}"));
     // Element sequence honoring ubiquitin fractions, deterministic.
@@ -329,7 +329,8 @@ pub fn accuracy_suite(count: usize) -> Vec<Molecule> {
 }
 
 /// Guard used by tests and builders: no two atoms closer than `min_angstrom`.
-pub fn check_min_distance(m: &Molecule, min_angstrom: f64) -> bool {
+#[cfg(test)]
+pub(crate) fn check_min_distance(m: &Molecule, min_angstrom: f64) -> bool {
     m.min_distance() >= min_angstrom * BOHR_PER_ANGSTROM
 }
 

@@ -71,7 +71,7 @@ pub fn hermite_index_map(l_max: usize) -> std::collections::HashMap<(usize, usiz
 }
 
 /// Double factorial `n!! = n (n−2) (n−4) …` with `(−1)!! = 0!! = 1`.
-pub fn double_factorial(n: i64) -> f64 {
+pub(crate) fn double_factorial(n: i64) -> f64 {
     if n <= 0 {
         1.0
     } else {

@@ -48,20 +48,18 @@ impl Element {
     /// Hydrogen.
     pub const H: Element = Element(1);
     /// Carbon.
-    pub const C: Element = Element(6);
+    pub(crate) const C: Element = Element(6);
     /// Nitrogen.
     pub const N: Element = Element(7);
     /// Oxygen.
     pub const O: Element = Element(8);
-    /// Phosphorus.
-    pub const P: Element = Element(15);
     /// Sulfur.
-    pub const S: Element = Element(16);
+    pub(crate) const S: Element = Element(16);
     /// Iron (transition-metal representative for the tmQM-style suite).
     pub const FE: Element = Element(26);
 
     /// Look up an element by case-sensitive symbol ("H", "Fe", …).
-    pub fn from_symbol(sym: &str) -> Option<Element> {
+    pub(crate) fn from_symbol(sym: &str) -> Option<Element> {
         TABLE
             .iter()
             .position(|&(s, _, _)| s == sym)
@@ -79,12 +77,13 @@ impl Element {
     }
 
     /// Element symbol.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         TABLE[(self.0 - 1) as usize].0
     }
 
     /// Atomic mass in amu.
-    pub fn mass(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mass(self) -> f64 {
         TABLE[(self.0 - 1) as usize].1
     }
 
@@ -94,7 +93,7 @@ impl Element {
     }
 
     /// Number of electrons in the neutral atom.
-    pub fn electrons(self) -> usize {
+    pub(crate) fn electrons(self) -> usize {
         self.0 as usize
     }
 }

@@ -20,7 +20,9 @@
 //! E-coefficient GEMMs so that ERI pipelines emit spherical integrals
 //! directly.
 
-use crate::cart::{cart_components, double_factorial, ncart, nsph};
+#[cfg(test)]
+use crate::cart::double_factorial;
+use crate::cart::{cart_components, ncart, nsph};
 use mako_linalg::Matrix;
 use std::collections::HashMap;
 
@@ -170,7 +172,8 @@ pub fn cart_to_sph_cached(l: usize) -> &'static Matrix {
 ///
 /// Used by the tests to verify solid-harmonic orthogonality, and by the
 /// basis code for primitive normalization.
-pub fn monomial_gaussian_overlap(
+#[cfg(test)]
+pub(crate) fn monomial_gaussian_overlap(
     a: (usize, usize, usize),
     b: (usize, usize, usize),
     alpha: f64,

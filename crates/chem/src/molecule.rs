@@ -108,11 +108,17 @@ impl Molecule {
                     .ok_or_else(|| format!("line {lineno}: missing coordinate"))?
                     .parse()
                     .map_err(|e| format!("line {lineno}: {e}"))?;
-                if !c.is_finite() {
-                    return Err(format!("line {lineno}: non-finite coordinate {c}"));
-                }
             }
-            mol.atoms.push(Atom::new_angstrom(element, coord));
+            // Checked in Bohr: a finite Ångström value such as 1e308
+            // overflows in the conversion.
+            let atom = Atom::new_angstrom(element, coord);
+            if let Some(d) = (0..3).find(|&d| !atom.position[d].is_finite()) {
+                return Err(format!(
+                    "line {lineno}: non-finite coordinate {:e} Å = {:e} Bohr",
+                    coord[d], atom.position[d]
+                ));
+            }
+            mol.atoms.push(atom);
             if mol.atoms.len() == n {
                 break;
             }
@@ -140,7 +146,8 @@ impl Molecule {
 
     /// Smallest interatomic distance, Bohr (sanity guard for generated
     /// geometries).
-    pub fn min_distance(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min_distance(&self) -> f64 {
         let mut m = f64::INFINITY;
         for i in 0..self.atoms.len() {
             for j in 0..i {
@@ -162,6 +169,7 @@ pub fn dist(a: [f64; 3], b: [f64; 3]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn electron_count() {
@@ -216,7 +224,7 @@ mod tests {
         let unknown = Molecule::from_xyz("1\nc\nXq 0 0 0\n").unwrap_err();
         assert!(unknown.contains("line 3"), "{unknown}");
         assert!(Molecule::from_xyz("1\nc\nH 0 0\n").is_err());
-        for bad in ["nan", "inf", "-inf"] {
+        for bad in ["nan", "inf", "-inf", "1e308"] {
             let text = format!("2\nc\nH 0 0 0\nH {bad} 0 0.74\n");
             let err = Molecule::from_xyz(&text).unwrap_err();
             assert!(err.contains("line 4") && err.contains("non-finite"), "{err}");
@@ -227,5 +235,54 @@ mod tests {
     fn elements_deduplicated() {
         let w = crate::builders::water();
         assert_eq!(w.elements(), vec![Element::H, Element::O]);
+    }
+
+    /// Atom-line symbols: three known, one unknown.
+    const XYZ_SYMBOLS: [&str; 4] = ["H", "O", "C", "Xq"];
+    /// Coordinate tokens: eight finite in Bohr, four not (`1e308` Å is
+    /// finite until it is converted).
+    const XYZ_COORDS: [&str; 12] = [
+        "0", "-0", "0.74", "-1.5", "2.5e2", "1e-320", "1.1", "-3", "nan", "inf", "1e308", "-1e308",
+    ];
+    /// How many coordinates an atom line carries: mostly three, sometimes
+    /// a field short or one too many.
+    const XYZ_FIELDS: [usize; 8] = [3, 3, 3, 3, 3, 2, 4, 1];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// Whatever the tokens, `from_xyz` returns rather than panics, and
+        /// a molecule it accepts holds exactly the declared number of
+        /// atoms, each at a finite position in Bohr. A line is blank
+        /// (`kind == 0`) or a symbol followed by some coordinates.
+        #[test]
+        fn from_xyz_accepts_only_whole_finite_molecules(
+            count in 0usize..5,
+            lines in proptest::collection::vec(
+                (0usize..8, 0usize..4, 0usize..8, proptest::collection::vec(0usize..12, 4..5)),
+                0..7,
+            ),
+        ) {
+            let mut text = format!("{count}\nfuzz\n");
+            for (kind, symbol, fields, coords) in &lines {
+                if *kind > 0 {
+                    text.push_str(XYZ_SYMBOLS[*symbol]);
+                    for &c in &coords[..XYZ_FIELDS[*fields]] {
+                        text.push(' ');
+                        text.push_str(XYZ_COORDS[c]);
+                    }
+                }
+                text.push('\n');
+            }
+            if let Ok(mol) = Molecule::from_xyz(&text) {
+                prop_assert_eq!(mol.atoms.len(), count);
+                for a in &mol.atoms {
+                    prop_assert!(
+                        a.position.iter().all(|x| x.is_finite()),
+                        "{text:?} parsed to {:?}",
+                        a.position
+                    );
+                }
+            }
+        }
     }
 }

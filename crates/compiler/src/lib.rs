@@ -22,6 +22,4 @@
 
 pub mod planner;
 pub mod tuner;
-
-pub use planner::{plan_fusion, FusionPlan};
 pub use tuner::{tune_class, KernelCache, TunedKernel};

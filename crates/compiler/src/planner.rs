@@ -8,13 +8,14 @@
 //! SM), and ranks the rest by modeled cost.
 
 use mako_accel::{CostModel, SmemLayout};
+#[cfg(test)]
 use mako_eri::batch::EriClass;
 use mako_kernels::pipeline::{BatchTerms, FusionStrategy, PipelineConfig};
 use mako_precision::{Precision, ScalePolicy};
 
 /// The outcome of planning one ERI class.
 #[derive(Debug, Clone)]
-pub struct FusionPlan {
+pub(crate) struct FusionPlan {
     /// Chosen strategy.
     pub strategy: FusionStrategy,
     /// Live-tensor shared-memory footprint of the chosen strategy, bytes.
@@ -23,6 +24,7 @@ pub struct FusionPlan {
     /// footprints (for diagnostics and the ablation benches).
     pub rejected: Vec<(FusionStrategy, usize)>,
     /// Modeled cost of the chosen strategy for the probe batch size.
+    #[cfg(test)]
     pub cost_s: f64,
 }
 
@@ -39,7 +41,7 @@ const CANDIDATES: [FusionStrategy; 4] = [
 /// feasibility genuinely changes with it: a tile that fits fully-fused on a
 /// V100 at edge 8 can bust the Eq. 13 budget at edge 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockShape {
+pub(crate) struct BlockShape {
     /// Threads per threadblock.
     pub threads_per_block: usize,
     /// Edge of the unified N-dimension tiling (paper Figure 4).
@@ -61,7 +63,8 @@ impl Default for BlockShape {
 /// `probe_batch` is the batch size used to score candidates (the relative
 /// ranking is insensitive to it once batches are large enough to saturate
 /// the device).
-pub fn plan_fusion(
+#[cfg(test)]
+pub(crate) fn plan_fusion(
     class: &EriClass,
     precision: Precision,
     model: &CostModel,
@@ -73,7 +76,8 @@ pub fn plan_fusion(
 /// Plan the fusion strategy for an explicit threadblock shape — the entry
 /// point the tuner sweeps, since the footprint (and therefore which fusion
 /// strategies survive Eq. 13) depends on the candidate tile edge.
-pub fn plan_fusion_with(
+#[cfg(test)]
+pub(crate) fn plan_fusion_with(
     class: &EriClass,
     precision: Precision,
     model: &CostModel,
@@ -124,13 +128,14 @@ pub(crate) fn plan_fusion_terms(terms: &BatchTerms, model: &CostModel, shape: Bl
 
     // Unfused has zero footprint and always satisfies the constraint, so a
     // plan always exists.
-    let (strategy, smem_bytes, cost_s) =
+    let (strategy, smem_bytes, _cost_s) =
         best.expect("Unfused strategy always admissible");
     FusionPlan {
         strategy,
         smem_bytes,
         rejected,
-        cost_s,
+        #[cfg(test)]
+        cost_s: _cost_s,
     }
 }
 

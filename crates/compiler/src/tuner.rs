@@ -72,7 +72,7 @@ pub fn tune_class(class: &EriClass, precision: Precision, model: &CostModel) -> 
             rejected += plan.rejected.len();
             // The footprint moves with (strategy, tile) only — one value
             // for all twelve (layout, ILP) candidates of this shape.
-            let smem = terms.smem_footprint(plan.strategy, tile);
+            let smem = plan.smem_bytes;
             for &layout in &[SmemLayout::Swizzled, SmemLayout::Linear] {
                 for ilp in (0..=5).map(|k| 1usize << k) {
                     let cfg = PipelineConfig {
@@ -175,13 +175,9 @@ impl KernelCache {
     }
 
     /// Number of cached entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.read().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Read-lock hits served so far.
@@ -195,7 +191,8 @@ impl KernelCache {
     }
 
     /// Redundant sweeps avoided by the write-lock double-check.
-    pub fn duplicates_avoided(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn duplicates_avoided(&self) -> usize {
         self.duplicates_avoided.load(Ordering::Relaxed)
     }
 

@@ -118,7 +118,8 @@ impl MakoEngine {
     }
 
     /// Target a different simulated device.
-    pub fn on_device(mut self, device: DeviceSpec) -> MakoEngine {
+    #[cfg(test)]
+    pub(crate) fn on_device(mut self, device: DeviceSpec) -> MakoEngine {
         self.device = device;
         self
     }

@@ -3,7 +3,7 @@
 //! Every Coulomb-type Gaussian integral bottoms out in Boys values. Two
 //! evaluators are provided:
 //!
-//! * [`boys_reference`] — series seed + stable downward recursion (small T)
+//! * `boys_reference` — series seed + stable downward recursion (small T)
 //!   and asymptotic + upward recursion (large T), a data-dependent number of
 //!   series terms per call; the oracle the table is built from and tested
 //!   against, and the evaluator of the one-electron nuclear-attraction path;
@@ -15,14 +15,14 @@
 
 /// Largest Boys order the engine ever needs: (gg|gg) quartets require
 /// `m ≤ 4·4 = 16`; +4 headroom for derivatives/tests.
-pub const M_MAX: usize = 20;
+pub(crate) const M_MAX: usize = 20;
 
 /// Crossover between the series/downward branch and the asymptotic/upward
 /// branch.
 const T_LARGE: f64 = 35.0;
 
 /// Evaluate `F_0..=F_m` into `out[0..=m]` with full double precision.
-pub fn boys_reference(m: usize, t: f64, out: &mut [f64]) {
+pub(crate) fn boys_reference(m: usize, t: f64, out: &mut [f64]) {
     assert!(out.len() > m, "output buffer too small");
     debug_assert!(t >= 0.0, "Boys argument must be non-negative");
     if t > T_LARGE {
@@ -58,7 +58,8 @@ pub fn boys_reference(m: usize, t: f64, out: &mut [f64]) {
 }
 
 /// Convenience: a single `F_m(T)`.
-pub fn boys_single(m: usize, t: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn boys_single(m: usize, t: f64) -> f64 {
     let mut buf = [0.0f64; M_MAX + 1];
     boys_reference(m, t, &mut buf);
     buf[m]
@@ -99,7 +100,7 @@ const INV_K: [f64; TERMS] = {
 ///
 /// — a fixed trip count in every loop, no transcendental call, and all terms
 /// of the recursion positive, so the top order's few-ulp error never grows.
-/// Arguments beyond the grid (`T > 35`) take [`boys_reference`]'s asymptotic
+/// Arguments beyond the grid (`T > 35`) take `boys_reference`'s asymptotic
 /// branch: the two evaluators switch at the same `T`.
 pub struct BoysTable {
     rows: Vec<f64>,
@@ -152,21 +153,10 @@ impl BoysTable {
             out[k] = (two_t * out[k + 1] + et) / (2 * k + 1) as f64;
         }
     }
-
-    /// Evaluate `F_0..=F_m` for a batch of arguments: row `i` of `out`
-    /// (stride `m + 1`) receives `F_0..=F_m` at `ts[i]`.
-    pub fn eval_batch(&self, m: usize, ts: &[f64], out: &mut Vec<f64>) {
-        let stride = m + 1;
-        out.clear();
-        out.resize(ts.len() * stride, 0.0);
-        for (row, &t) in out.chunks_exact_mut(stride).zip(ts) {
-            self.eval(m, t, row);
-        }
-    }
 }
 
 /// The process-wide [`BoysTable`], built on first use (281 calls of
-/// [`boys_reference`]).
+/// `boys_reference`).
 pub fn shared_table() -> &'static BoysTable {
     static TABLE: std::sync::OnceLock<BoysTable> = std::sync::OnceLock::new();
     TABLE.get_or_init(BoysTable::build)
@@ -175,7 +165,6 @@ pub fn shared_table() -> &'static BoysTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     /// Slow but independent check: adaptive Simpson on the defining
     /// integral.
@@ -288,50 +277,6 @@ mod tests {
             .map(|&t| (table_rel_err(t), t))
             .fold((0.0, 0.0), |a, b| if b.0 > a.0 { b } else { a });
         assert!(worst <= 5e-14, "table worst relative error {worst:e} at T = {at}");
-    }
-
-    #[test]
-    fn batch_matches_eval_bitwise() {
-        let table = shared_table();
-        let ts: Vec<f64> = (0..600).map(|i| i as f64 * 0.1).collect();
-        let mut batch = Vec::new();
-        table.eval_batch(10, &ts, &mut batch);
-        assert_eq!(batch.len(), ts.len() * 11);
-        let mut single = [0.0f64; 11];
-        for (row, &t) in batch.chunks_exact(11).zip(&ts) {
-            table.eval(10, t, &mut single);
-            for m in 0..=10 {
-                assert_eq!(
-                    row[m].to_bits(),
-                    single[m].to_bits(),
-                    "batch vs eval diverge at t={t} m={m}"
-                );
-            }
-        }
-    }
-
-    proptest! {
-        /// `eval_batch` stays within the table's accuracy envelope of the
-        /// full-precision reference over the whole argument range (grid
-        /// interior, grid edge, and asymptotic tail) at every order.
-        #[test]
-        fn batch_matches_reference(
-            m in 0usize..M_MAX + 1,
-            ts in proptest::collection::vec(0.0f64..80.0, 1..40)
-        ) {
-            let mut batch = Vec::new();
-            shared_table().eval_batch(m, &ts, &mut batch);
-            let mut refv = [0.0f64; M_MAX + 1];
-            for (row, &t) in batch.chunks_exact(m + 1).zip(&ts) {
-                boys_reference(m, t, &mut refv);
-                for k in 0..=m {
-                    prop_assert!(
-                        (row[k] - refv[k]).abs() <= 5e-14 * refv[k],
-                        "t={} m={} k={}: {} vs {}", t, m, k, row[k], refv[k]
-                    );
-                }
-            }
-        }
     }
 
     #[test]

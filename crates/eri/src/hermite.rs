@@ -43,7 +43,7 @@ impl ETable {
 
     /// [`ETable::new`] into this table's storage: no heap traffic once the
     /// buffer has grown to the largest `(la, lb)` it has held.
-    pub fn fill(&mut self, la: usize, lb: usize, a: f64, b: f64, x_ab: f64) {
+    pub(crate) fn fill(&mut self, la: usize, lb: usize, a: f64, b: f64, x_ab: f64) {
         let p = a + b;
         let mu = a * b / p;
         let x_pa = -b * x_ab / p; // P − A
@@ -104,7 +104,7 @@ impl ETable {
 /// `(t,u,v)` with `t+u+v ≤ la+lb`.
 ///
 /// `E^{ab}_{tuv} = E_t^{i i'} · E_u^{j j'} · E_v^{k k'}`.
-pub fn e_matrix(la: usize, lb: usize, a: f64, b: f64, ab: [f64; 3]) -> Vec<f64> {
+pub(crate) fn e_matrix(la: usize, lb: usize, a: f64, b: f64, ab: [f64; 3]) -> Vec<f64> {
     let ex = ETable::new(la, lb, a, b, ab[0]);
     let ey = ETable::new(la, lb, a, b, ab[1]);
     let ez = ETable::new(la, lb, a, b, ab[2]);
@@ -331,10 +331,10 @@ pub(crate) fn r_plan(l: usize) -> &'static RPlan {
 
 /// Struct-of-arrays workspace of one recursion plan run over independent lanes
 /// (one per primitive-pair combination of a quartet, or one per nucleus of a
-/// one-electron primitive pair): [`HermiteLanes::reset`] sizes it,
-/// [`HermiteLanes::seed`] writes every lane's `α`, `P − Q` and Boys values,
-/// [`HermiteLanes::run`] runs the recursion across all lanes at once, and
-/// [`HermiteLanes::get`] reads `R^{(0)}_{tuv}`. Lane `i` holds exactly the
+/// one-electron primitive pair): `HermiteLanes::reset` sizes it,
+/// `HermiteLanes::seed` writes every lane's `α`, `P − Q` and Boys values,
+/// `HermiteLanes::run` runs the recursion across all lanes at once, and
+/// `HermiteLanes::get` reads `R^{(0)}_{tuv}`. Lane `i` holds exactly the
 /// bits [`r_integrals`] returns for its inputs, whatever the lane count and
 /// its neighbours.
 #[derive(Debug)]
@@ -362,7 +362,7 @@ impl HermiteLanes {
     /// Size the workspace for `lanes` lanes of order `l`: one `resize` per
     /// buffer, so nothing allocates once it has held the largest size. The
     /// old contents stay; every lane must be seeded before [`Self::run`].
-    pub fn reset(&mut self, l: usize, lanes: usize) {
+    pub(crate) fn reset(&mut self, l: usize, lanes: usize) {
         self.plan = r_plan(l);
         self.lanes = lanes;
         self.pq.resize(3 * lanes, 0.0);
@@ -377,7 +377,7 @@ impl HermiteLanes {
     /// Seed lane `lane`: `R^{(n)}_{000} = (−2α)^n F_n` from the Boys values
     /// `boys[..=l]`, and its separation `pq = P − Q`.
     #[inline]
-    pub fn seed(&mut self, lane: usize, alpha: f64, pq: [f64; 3], boys: &[f64]) {
+    pub(crate) fn seed(&mut self, lane: usize, alpha: f64, pq: [f64; 3], boys: &[f64]) {
         let lanes = self.lanes;
         assert!(boys.len() >= self.plan.seeds.len(), "need F_0..F_l");
         for (k, x) in pq.into_iter().enumerate() {
@@ -391,7 +391,7 @@ impl HermiteLanes {
     }
 
     /// Run the recursion across every lane.
-    pub fn run(&mut self) {
+    pub(crate) fn run(&mut self) {
         self.plan.run(self.lanes, &self.pq, &mut self.r);
     }
 
@@ -404,7 +404,7 @@ impl HermiteLanes {
 
     /// `R^{(0)}` of Hermite component `h` in lane `lane`.
     #[inline]
-    pub fn get(&self, h: usize, lane: usize) -> f64 {
+    pub(crate) fn get(&self, h: usize, lane: usize) -> f64 {
         self.r[h * self.lanes + lane]
     }
 }

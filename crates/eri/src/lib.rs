@@ -30,7 +30,7 @@ pub mod screening;
 pub mod tensor;
 
 pub use batch::{batch_quartets, EriClass, QuartetBatch};
-pub use boys::{boys_reference, boys_single, shared_table, BoysTable};
+pub use boys::{shared_table, BoysTable};
 pub use hermite::HermiteLanes;
 pub use mmd::{
     eri_quartet_mmd, eri_quartet_mmd_into, pq_block_into, pq_geometry, pq_index, pq_stacked_into,

@@ -102,14 +102,14 @@ pub const TWO_PI_POW_2_5: f64 = 34.986_836_655_249_725;
 
 /// Cached Kronecker products `C_a ⊗ C_b` of the cart→sph matrices, shared
 /// by every engine that folds the spherical transform into its GEMMs.
-pub fn sph_pair_transform(la: usize, lb: usize) -> &'static Matrix {
+pub(crate) fn sph_pair_transform(la: usize, lb: usize) -> &'static Matrix {
     static CACHE: OnceLock<parking::Cache> = OnceLock::new();
     mod parking {
         use super::Matrix;
         use std::collections::HashMap;
         use std::sync::Mutex;
         #[derive(Default)]
-        pub struct Cache {
+        pub(crate) struct Cache {
             pub map: Mutex<HashMap<(usize, usize), &'static Matrix>>,
         }
     }
@@ -291,7 +291,7 @@ pub fn eri_quartet_mmd(pab: &ShellPairData, pcd: &ShellPairData) -> Tensor4 {
 
 /// `R_tuv` of every primitive-pair combination of a quartet, one lane each
 /// (lane `bi·K_CD + ki` for bra primitive `bi`, ket primitive `ki`): Boys
-/// values from the shared table seed the lanes, then one [`HermiteLanes::run`]
+/// values from the shared table seed the lanes, then one `HermiteLanes::run`
 /// takes them all through the recursion of order `l_bra + l_ket`.
 pub fn r_lanes_into(pab: &ShellPairData, pcd: &ShellPairData, r: &mut HermiteLanes) {
     let l_tot = pab.l_total() + pcd.l_total();

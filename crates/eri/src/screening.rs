@@ -127,7 +127,7 @@ impl DensityBlockMax {
 
     /// `max |D|` over the AO block of shells `(i, j)`.
     #[inline]
-    pub fn block(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn block(&self, i: usize, j: usize) -> f64 {
         self.maxes[i * self.nshell + j]
     }
 
@@ -144,7 +144,8 @@ impl DensityBlockMax {
     }
 
     /// Global max magnitude (the coarse screen older call sites use).
-    pub fn global_max(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn global_max(&self) -> f64 {
         self.maxes.iter().cloned().fold(0.0, f64::max)
     }
 }

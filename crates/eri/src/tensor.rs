@@ -29,7 +29,7 @@ impl Tensor4 {
 
     /// Flat index of `(i, j, k, l)`.
     #[inline]
-    pub fn index(&self, i: usize, j: usize, k: usize, l: usize) -> usize {
+    pub(crate) fn index(&self, i: usize, j: usize, k: usize, l: usize) -> usize {
         debug_assert!(i < self.dims[0] && j < self.dims[1] && k < self.dims[2] && l < self.dims[3]);
         ((i * self.dims[1] + j) * self.dims[2] + k) * self.dims[3] + l
     }
@@ -42,7 +42,7 @@ impl Tensor4 {
 
     /// Write element `(i, j, k, l)`.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, k: usize, l: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, k: usize, l: usize, v: f64) {
         let idx = self.index(i, j, k, l);
         self.data[idx] = v;
     }

@@ -34,7 +34,6 @@ pub mod mixed_gemm;
 pub mod pipeline;
 
 pub use baselines::{gpu4pyscf_like_cost, quick_like_cost, LIBINTX_CONFIG};
-pub use mixed_gemm::round_into;
 pub use pipeline::{
     run_batch, simulate_batch_cost, BatchOutput, FusionStrategy, PipelineConfig,
 };

@@ -18,7 +18,7 @@ use mako_precision::Precision;
 /// pre-round loop-invariant operands once per pair. Delegates to the batched
 /// converter in `mako-precision` (hardware F16C on hosts that have it,
 /// bit-identical to the scalar path).
-pub fn round_into(input: Precision, scale: f64, src: &[f64], dst: &mut Vec<f64>) {
+pub(crate) fn round_into(input: Precision, scale: f64, src: &[f64], dst: &mut Vec<f64>) {
     dst.clear();
     input.round_scaled_extend(scale, src, dst);
 }

@@ -93,7 +93,7 @@ impl PipelineConfig {
 /// Effective efficiency of the non-MatMul operators after implicit-ILP
 /// restructuring (Eq. 8): aligning them to MatMul granularity costs a 4×
 /// parallelism deficit that ILP recovers, until register pressure bites.
-pub fn ilp_efficiency(fusion: FusionStrategy, ilp: usize) -> f64 {
+pub(crate) fn ilp_efficiency(fusion: FusionStrategy, ilp: usize) -> f64 {
     match fusion {
         // Separate kernels run each operator at its own optimal granularity.
         FusionStrategy::Unfused => 1.0,
@@ -200,7 +200,7 @@ impl BatchTerms {
     /// The kernel profiles the batch emits under `cfg` (whose precision must
     /// be the one the terms were derived for), in launch order, held inline.
     /// Multiple profiles = multiple kernel launches whose times add.
-    pub fn profiles(&self, cfg: &PipelineConfig) -> impl Iterator<Item = KernelProfile> {
+    pub(crate) fn profiles(&self, cfg: &PipelineConfig) -> impl Iterator<Item = KernelProfile> {
         debug_assert_eq!(cfg.precision, self.precision);
         let conflict = cfg.layout.conflict_ratio();
         let mut base = KernelProfile::named("");
@@ -301,7 +301,7 @@ pub fn smem_footprint(class: &EriClass, cfg: &PipelineConfig) -> usize {
 }
 
 /// The kernel profiles one batch emits under a configuration.
-pub fn batch_profiles(
+pub(crate) fn batch_profiles(
     class: &EriClass,
     n: usize,
     cfg: &PipelineConfig,

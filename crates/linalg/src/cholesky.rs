@@ -37,7 +37,8 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix, LinalgError> {
 }
 
 /// Solve `A x = b` for symmetric positive-definite `A` via Cholesky.
-pub fn solve_cholesky(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+#[cfg(test)]
+pub(crate) fn solve_cholesky(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let l = cholesky(a)?;
     let n = a.rows();
     if b.len() != n {

@@ -6,14 +6,6 @@
 
 use crate::{eigh, gemm, LinalgError, Matrix, Transpose};
 
-/// Apply a scalar function to the spectrum of a symmetric matrix:
-/// `f(A) = V diag(f(λ)) Vᵀ`.
-pub fn sym_func(a: &Matrix, f: impl Fn(f64) -> f64) -> Result<Matrix, LinalgError> {
-    let ed = eigh(a)?;
-    let fs: Vec<f64> = ed.values.iter().map(|&l| f(l)).collect();
-    Ok(scaled_outer(&ed.vectors, &fs))
-}
-
 /// `V diag(f) Vᵀ`: every column `j` of `V` scaled by `f[j]`, one row at a
 /// time, then one GEMM against `Vᵀ`.
 pub(crate) fn scaled_outer(v: &Matrix, f: &[f64]) -> Matrix {
@@ -83,12 +75,6 @@ pub fn sym_inv_sqrt_diag(a: &Matrix, threshold: f64) -> Result<OrthFactor, Linal
     })
 }
 
-/// `A^{1/2}` for a symmetric positive-semidefinite matrix (negative
-/// eigenvalues from roundoff are clamped to zero).
-pub fn sym_sqrt(a: &Matrix) -> Result<Matrix, LinalgError> {
-    sym_func(a, |l| if l > 0.0 { l.sqrt() } else { 0.0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,21 +100,6 @@ mod tests {
         // X A X = I
         let xax = gemm(&gemm(&x, Transpose::No, &a, Transpose::No), Transpose::No, &x, Transpose::No);
         assert!(xax.sub(&Matrix::identity(10)).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        let a = spd(8, 7);
-        let r = sym_sqrt(&a).unwrap();
-        let rr = gemm(&r, Transpose::No, &r, Transpose::No);
-        assert!(rr.sub(&a).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn identity_function_is_identity() {
-        let a = spd(6, 3);
-        let same = sym_func(&a, |l| l).unwrap();
-        assert!(same.sub(&a).max_abs() < 1e-10);
     }
 
     #[test]

@@ -26,9 +26,9 @@ pub mod gemm;
 pub mod matrix;
 pub mod microkernel;
 
-pub use cholesky::{cholesky, solve_cholesky};
+pub use cholesky::cholesky;
 pub use eigen::{eigh, EigenDecomposition};
-pub use funcs::{sym_func, sym_inv_sqrt, sym_inv_sqrt_diag, sym_sqrt, OrthFactor};
+pub use funcs::{sym_inv_sqrt, sym_inv_sqrt_diag, OrthFactor};
 pub use gemm::{gemm, gemm_into, gemm_naive, Transpose};
 pub use matrix::{transpose_extend, Matrix};
 pub use microkernel::{gemm_rounded_engine, kernel_name, selected_kernel, KernelId};

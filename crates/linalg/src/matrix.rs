@@ -92,7 +92,7 @@ impl Matrix {
     }
 
     /// True when the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -200,7 +200,8 @@ impl Matrix {
     }
 
     /// Trace (sum of diagonal). Panics if not square.
-    pub fn trace(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn trace(&self) -> f64 {
         assert!(self.is_square());
         (0..self.rows).map(|i| self[(i, i)]).sum()
     }
@@ -264,7 +265,8 @@ impl Matrix {
     }
 
     /// Extract the block `[row0..row0+nr) × [col0..col0+nc)`.
-    pub fn block(&self, row0: usize, col0: usize, nr: usize, nc: usize) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn block(&self, row0: usize, col0: usize, nr: usize, nc: usize) -> Matrix {
         assert!(row0 + nr <= self.rows && col0 + nc <= self.cols);
         Matrix::from_fn(nr, nc, |i, j| self[(row0 + i, col0 + j)])
     }

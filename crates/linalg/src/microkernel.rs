@@ -73,9 +73,9 @@ pub const NR: usize = 8;
 /// writeback, and is therefore part of the determinism contract.
 pub const KC: usize = 256;
 /// Row-block height (Loop 3 step).
-pub const MC: usize = 128;
+pub(crate) const MC: usize = 128;
 /// Column-panel width (Loop 5 step).
-pub const NC: usize = 512;
+pub(crate) const NC: usize = 512;
 /// Largest `m·n` output routed to the pack-free direct path (a perf
 /// heuristic only: for `k ≤ KC` the direct path is bitwise-identical to the
 /// packed one — see [`small_direct_offset`] — so moving this threshold can
@@ -95,7 +95,7 @@ pub enum KernelId {
 
 impl KernelId {
     /// Stable lowercase name (`"generic"` / `"avx2"`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             KernelId::Generic => "generic",
             KernelId::Avx2 => "avx2",
@@ -106,7 +106,10 @@ impl KernelId {
 /// Resolve the kernel choice from an optional `MAKO_KERNEL` override and the
 /// host's AVX2 capability. Pure so the policy is unit-testable; returns the
 /// choice and a human-readable reason for the `kernel.dispatch` event.
-pub fn choose_kernel(env_override: Option<&str>, avx2_available: bool) -> (KernelId, &'static str) {
+pub(crate) fn choose_kernel(
+    env_override: Option<&str>,
+    avx2_available: bool,
+) -> (KernelId, &'static str) {
     match env_override {
         Some("generic") => (KernelId::Generic, "MAKO_KERNEL=generic override"),
         Some("avx2") => {
@@ -188,7 +191,12 @@ pub struct View<'a> {
 impl<'a> View<'a> {
     /// View a raw row-major `stored_rows × stored_cols` slice, optionally
     /// transposed. Panics if the slice is too short.
-    pub fn new(data: &'a [f64], stored_rows: usize, stored_cols: usize, t: Transpose) -> View<'a> {
+    pub(crate) fn new(
+        data: &'a [f64],
+        stored_rows: usize,
+        stored_cols: usize,
+        t: Transpose,
+    ) -> View<'a> {
         assert!(data.len() >= stored_rows * stored_cols, "view buffer too short");
         match t {
             Transpose::No => View {
@@ -212,12 +220,12 @@ impl<'a> View<'a> {
     }
 
     /// Logical row count of `op(A)`.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Logical column count of `op(A)`.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 

@@ -6,18 +6,11 @@
 
 /// A bfloat16 value stored as its raw bit pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Bf16(pub u16);
+pub(crate) struct Bf16(pub u16);
 
 impl Bf16 {
-    /// Positive infinity.
-    pub const INFINITY: Bf16 = Bf16(0x7F80);
-    /// One.
-    pub const ONE: Bf16 = Bf16(0x3F80);
-    /// Positive zero.
-    pub const ZERO: Bf16 = Bf16(0x0000);
-
     /// Convert from `f32` with round-to-nearest-even.
-    pub fn from_f32(value: f32) -> Bf16 {
+    pub(crate) fn from_f32(value: f32) -> Bf16 {
         let bits = value.to_bits();
         if value.is_nan() {
             // Quiet NaN with preserved sign.
@@ -34,27 +27,31 @@ impl Bf16 {
     }
 
     /// Widen to `f32` exactly.
-    pub fn to_f32(self) -> f32 {
+    pub(crate) fn to_f32(self) -> f32 {
         f32::from_bits((self.0 as u32) << 16)
     }
 
     /// Raw bit pattern.
-    pub const fn to_bits(self) -> u16 {
+    #[cfg(test)]
+    pub(crate) const fn to_bits(self) -> u16 {
         self.0
     }
 
     /// Construct from a raw bit pattern.
-    pub const fn from_bits(bits: u16) -> Bf16 {
+    #[cfg(test)]
+    pub(crate) const fn from_bits(bits: u16) -> Bf16 {
         Bf16(bits)
     }
 
     /// True for any NaN payload.
-    pub fn is_nan(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_nan(self) -> bool {
         self.to_f32().is_nan()
     }
 
     /// True for ±∞.
-    pub fn is_infinite(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_infinite(self) -> bool {
         self.to_f32().is_infinite()
     }
 }

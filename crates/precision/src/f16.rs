@@ -10,69 +10,57 @@
 /// the GEMM kernels, which keep the partial sums in `f32` and only round the
 /// *inputs*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct F16(pub u16);
+pub(crate) struct F16(pub u16);
 
+#[cfg(test)]
 const EXP_MASK: u16 = 0x7C00;
 const MAN_MASK: u16 = 0x03FF;
 
 impl F16 {
-    /// Positive infinity.
-    pub const INFINITY: F16 = F16(0x7C00);
-    /// Negative infinity.
-    pub const NEG_INFINITY: F16 = F16(0xFC00);
-    /// Largest finite value, 65504.
-    pub const MAX: F16 = F16(0x7BFF);
-    /// Smallest positive normal value, 2^-14.
-    pub const MIN_POSITIVE: F16 = F16(0x0400);
-    /// Positive zero.
-    pub const ZERO: F16 = F16(0x0000);
-    /// One.
-    pub const ONE: F16 = F16(0x3C00);
-
     /// Convert from `f32` with IEEE round-to-nearest-even.
-    pub fn from_f32(value: f32) -> F16 {
+    pub(crate) fn from_f32(value: f32) -> F16 {
         F16(f32_to_f16_bits(value))
     }
 
     /// Widen to `f32` exactly.
-    pub fn to_f32(self) -> f32 {
+    pub(crate) fn to_f32(self) -> f32 {
         f16_bits_to_f32(self.0)
     }
 
     /// Widen to `f64` exactly.
-    pub fn to_f64(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn to_f64(self) -> f64 {
         self.to_f32() as f64
     }
 
     /// Raw bit pattern.
-    pub const fn to_bits(self) -> u16 {
+    #[cfg(test)]
+    pub(crate) const fn to_bits(self) -> u16 {
         self.0
     }
 
     /// Construct from a raw bit pattern.
-    pub const fn from_bits(bits: u16) -> F16 {
+    #[cfg(test)]
+    pub(crate) const fn from_bits(bits: u16) -> F16 {
         F16(bits)
     }
 
     /// True for ±∞.
-    pub const fn is_infinite(self) -> bool {
+    #[cfg(test)]
+    pub(crate) const fn is_infinite(self) -> bool {
         self.0 & 0x7FFF == 0x7C00
     }
 
     /// True for any NaN payload.
-    pub const fn is_nan(self) -> bool {
+    #[cfg(test)]
+    pub(crate) const fn is_nan(self) -> bool {
         (self.0 & EXP_MASK) == EXP_MASK && (self.0 & MAN_MASK) != 0
-    }
-
-    /// True for zero, subnormal, or normal values.
-    pub const fn is_finite(self) -> bool {
-        (self.0 & EXP_MASK) != EXP_MASK
     }
 }
 
 /// Convert an `f32` bit pattern to the nearest `f16` bit pattern
 /// (round-to-nearest, ties-to-even).
-pub fn f32_to_f16_bits(value: f32) -> u16 {
+pub(crate) fn f32_to_f16_bits(value: f32) -> u16 {
     let x = value.to_bits();
     let sign = ((x >> 16) & 0x8000) as u16;
     let abs = x & 0x7FFF_FFFF;
@@ -144,7 +132,7 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 /// finite/Inf equivalence exhaustively over the f16 range and
 /// `nan_inf_payloads_match_scalar_bitwise` pins the NaN/Inf edge cases at
 /// every lane offset.
-pub fn round_scaled_extend_f16(scale: f64, src: &[f64], dst: &mut Vec<f64>) {
+pub(crate) fn round_scaled_extend_f16(scale: f64, src: &[f64], dst: &mut Vec<f64>) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("f16c") && std::arch::is_x86_feature_detected!("avx") {
         // SAFETY: the required target features were just detected.
@@ -204,7 +192,7 @@ unsafe fn round_scaled_extend_f16c(scale: f64, src: &[f64], dst: &mut Vec<f64>) 
 }
 
 /// Convert an `f16` bit pattern to `f32` exactly.
-pub fn f16_bits_to_f32(h: u16) -> f32 {
+pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = (h >> 10) & 0x1F;
     let man = (h & MAN_MASK) as u32;

@@ -24,11 +24,11 @@ pub mod quantize;
 pub mod stats;
 pub mod tf32;
 
-pub use bf16::Bf16;
-pub use f16::F16;
+pub(crate) use bf16::Bf16;
+pub(crate) use f16::F16;
 pub use quantize::ScalePolicy;
-pub use stats::{mae, max_abs_err, rmse, ErrorStats};
-pub use tf32::tf32_round;
+pub use stats::{mae, rmse, ErrorStats};
+pub(crate) use tf32::tf32_round;
 
 /// The numeric formats supported by the (simulated) tensor-core units.
 ///
@@ -62,7 +62,8 @@ impl Precision {
     }
 
     /// Largest finite representable magnitude.
-    pub fn max_finite(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max_finite(self) -> f64 {
         match self {
             Precision::Fp64 => f64::MAX,
             Precision::Fp32 => f32::MAX as f64,
@@ -96,7 +97,7 @@ impl Precision {
     /// case additionally takes a hardware fast path (F16C `VCVTPS2PH`, where
     /// the host has it) that is bit-identical to the software converter for
     /// every input, NaN and Inf included (see
-    /// [`f16::round_scaled_extend_f16`]).
+    /// `f16::round_scaled_extend_f16`).
     pub fn round_scaled_extend(self, scale: f64, src: &[f64], dst: &mut Vec<f64>) {
         match self {
             Precision::Fp16 => f16::round_scaled_extend_f16(scale, src, dst),
@@ -105,7 +106,7 @@ impl Precision {
     }
 
     /// Short lowercase name used in benchmark output rows.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             Precision::Fp64 => "fp64",
             Precision::Fp32 => "fp32",

@@ -16,7 +16,7 @@
 /// Largest magnitude an FP16 GEMM operand is scaled to: `sqrt(65504) / 4`.
 /// Two operands each at most this keep every product ≤ 65504 / 16, safe
 /// inside the MMA before the FP32 accumulator takes over.
-pub const FP16_OPERAND_TARGET: f64 = 63.984_373_092_185_564;
+pub(crate) const FP16_OPERAND_TARGET: f64 = 63.984_373_092_185_564;
 
 /// How scale factors are assigned to data blocks.
 // Explicit discriminants: the tuned-table digest hashes `policy as u64`.
@@ -31,7 +31,7 @@ pub enum ScalePolicy {
 
 impl ScalePolicy {
     /// The factor a group whose largest magnitude is `max_abs` is multiplied
-    /// by before rounding: [`FP16_OPERAND_TARGET`]` / max_abs` under
+    /// by before rounding: `FP16_OPERAND_TARGET / max_abs` under
     /// `PerGroup`, and `1.0` under `Unscaled` or when `max_abs` is not
     /// positive (zero, or NaN).
     #[inline]

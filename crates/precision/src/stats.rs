@@ -34,7 +34,8 @@ pub fn mae(reference: &[f64], approx: &[f64]) -> f64 {
 }
 
 /// Maximum absolute error.
-pub fn max_abs_err(reference: &[f64], approx: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn max_abs_err(reference: &[f64], approx: &[f64]) -> f64 {
     assert_eq!(reference.len(), approx.len(), "max_abs_err length mismatch");
     reference
         .iter()
@@ -68,7 +69,8 @@ impl ErrorStats {
     }
 
     /// Fold a pair of slices.
-    pub fn push_slices(&mut self, reference: &[f64], approx: &[f64]) {
+    #[cfg(test)]
+    pub(crate) fn push_slices(&mut self, reference: &[f64], approx: &[f64]) {
         assert_eq!(reference.len(), approx.len());
         for (r, a) in reference.iter().zip(approx) {
             self.push(*r, *a);
@@ -84,7 +86,8 @@ impl ErrorStats {
     }
 
     /// Number of samples folded so far.
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 

@@ -3,13 +3,13 @@
 //! TF32 is the A100 tensor-core input format for FP32 workloads: an 8-bit
 //! exponent (f32 range) with a 10-bit mantissa (f16 precision), stored in a
 //! 32-bit container. Hardware rounds FP32 operands to TF32 on entry to the
-//! MMA unit and accumulates in full FP32; [`tf32_round`] reproduces the
+//! MMA unit and accumulates in full FP32; `tf32_round` reproduces the
 //! operand rounding with round-to-nearest-even.
 
 /// Round an `f32` to TF32 precision (10 explicit mantissa bits),
 /// round-to-nearest-even. Returns an ordinary `f32` carrying the reduced
 /// mantissa, exactly as the hardware register does.
-pub fn tf32_round(x: f32) -> f32 {
+pub(crate) fn tf32_round(x: f32) -> f32 {
     if !x.is_finite() {
         return x;
     }

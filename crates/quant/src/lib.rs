@@ -21,6 +21,6 @@
 
 pub mod scheduler;
 
-pub use scheduler::{ExecClass, QuantSchedule, SchedulePhase};
+pub use scheduler::{ExecClass, QuantSchedule};
 
 pub use mako_precision::ScalePolicy;

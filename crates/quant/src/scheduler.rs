@@ -25,7 +25,8 @@ pub enum ExecClass {
 
 /// Convergence phase, used for reporting and threshold selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulePhase {
+#[cfg(test)]
+pub(crate) enum SchedulePhase {
     /// Early SCF: relaxed thresholds, quantized kernels dominate.
     Early,
     /// Mid SCF: mixed.
@@ -101,7 +102,8 @@ impl QuantSchedule {
     }
 
     /// Phase label for reporting.
-    pub fn phase(&self) -> SchedulePhase {
+    #[cfg(test)]
+    pub(crate) fn phase(&self) -> SchedulePhase {
         if !self.allow_quantized {
             SchedulePhase::Final
         } else if self.rel_fp64_threshold >= 1e-2 {

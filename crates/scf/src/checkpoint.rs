@@ -49,7 +49,7 @@
 //!
 //! All checkpoint I/O flows through a [`mako_store::Vfs`]:
 //! [`ScfCheckpoint::save`]/[`ScfCheckpoint::load`] run on the real
-//! filesystem, while [`ScfCheckpoint::save_via`]/[`ScfCheckpoint::load_via`]
+//! filesystem, while `ScfCheckpoint::save_via`/[`ScfCheckpoint::load_via`]
 //! take any backend — in the durability bench, the seeded fault injector.
 //! Saves use the shared fsync-then-rename discipline of
 //! [`mako_store::write_durable`] (sibling temp file, `fsync`, atomic
@@ -70,7 +70,7 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MAKOCKPT";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub(crate) const CHECKPOINT_VERSION: u32 = 3;
 /// Byte offset where the CRC-covered region begins (after magic, version,
 /// and the CRC field itself).
 const CRC_REGION_AT: usize = 16;
@@ -137,7 +137,7 @@ pub struct ScfCheckpoint {
 
 impl ScfCheckpoint {
     /// Rebuild the [`DeviceClock`] from the stored ledgers.
-    pub fn clock(&self) -> DeviceClock {
+    pub(crate) fn clock(&self) -> DeviceClock {
         let mut clock = DeviceClock::new();
         for l in &self.ledgers {
             clock.push(*l);
@@ -238,7 +238,7 @@ impl ScfCheckpoint {
     }
 
     /// Write to the real filesystem durably and atomically — see
-    /// [`ScfCheckpoint::save_via`].
+    /// `ScfCheckpoint::save_via`.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         self.save_via(&RealVfs, path)
     }
@@ -258,7 +258,7 @@ impl ScfCheckpoint {
     /// spinning on a dead Vfs would only distort the fault model.
     ///
     /// Traced as a `store.checkpoint` span carrying the checkpoint's `bytes`.
-    pub fn save_via(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), CheckpointError> {
+    pub(crate) fn save_via(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), CheckpointError> {
         let mut span = mako_trace::span("store", "checkpoint");
         let bytes = self.to_bytes();
         if span.is_recording() {

@@ -160,7 +160,7 @@ impl Diis {
     /// Capture the full history for checkpointing. The snapshot is
     /// bit-exact: restoring it and continuing reproduces the uninterrupted
     /// trajectory (extrapolation is a pure function of the stored pairs).
-    pub fn snapshot(&self) -> DiisSnapshot {
+    pub(crate) fn snapshot(&self) -> DiisSnapshot {
         DiisSnapshot {
             max_vectors: self.max_vectors,
             focks: self.focks.clone(),
@@ -173,7 +173,7 @@ impl Diis {
     /// trajectory state (extrapolation is a pure function of the pairs). The
     /// Gram matrix is not part of the snapshot; the next extrapolation
     /// recomputes it.
-    pub fn restore(snapshot: DiisSnapshot) -> Diis {
+    pub(crate) fn restore(snapshot: DiisSnapshot) -> Diis {
         Diis {
             max_vectors: snapshot.max_vectors.max(2),
             focks: snapshot.focks,
@@ -181,12 +181,6 @@ impl Diis {
             gram: Vec::new(),
             stats: DiisStats::default(),
         }
-    }
-
-    /// The stored (Fock, error) history, oldest first — serialized by the
-    /// checkpoint writer.
-    pub fn history(&self) -> (&[Matrix], &[Matrix]) {
-        (&self.focks, &self.errors)
     }
 
     /// Drop the stored history — the DIIS *restart* the incremental SCF
@@ -201,12 +195,14 @@ impl Diis {
     }
 
     /// Number of stored (Fock, error) pairs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.focks.len()
     }
 
     /// Whether the history is empty (fresh or just restarted).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.focks.is_empty()
     }
 }

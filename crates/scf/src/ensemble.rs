@@ -145,16 +145,6 @@ impl EnsembleDriver {
         })
     }
 
-    /// Number of member molecules.
-    pub fn len(&self) -> usize {
-        self.drivers.len()
-    }
-
-    /// True when the ensemble has no members.
-    pub fn is_empty(&self) -> bool {
-        self.drivers.is_empty()
-    }
-
     /// Tuner sweeps the shared cache actually performed (fleet-wide, not
     /// per molecule).
     pub fn cache_tunes(&self) -> usize {

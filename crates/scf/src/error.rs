@@ -114,7 +114,7 @@ pub enum NonFiniteStage {
 
 impl NonFiniteStage {
     /// Stable lowercase label (trace fields).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             NonFiniteStage::Coulomb => "coulomb",
             NonFiniteStage::Exchange => "exchange",

@@ -166,7 +166,7 @@ pub struct FockBuildStats {
 
 impl FockBuildStats {
     /// Quartets that actually ran (either pipeline).
-    pub fn evaluated_quartets(&self) -> usize {
+    pub(crate) fn evaluated_quartets(&self) -> usize {
         self.fp64_quartets + self.quantized_quartets
     }
 
@@ -775,7 +775,7 @@ pub fn slot_axes(s_ab: bool, s_cd: bool, braket: bool) -> [usize; 4] {
 /// The distinct ordered arrangements of one symmetry case, in canonical
 /// enumeration order: each entry is the `slot_axes` mapping of one
 /// arrangement that survives dedup.
-pub type ArrangementTable = Vec<[usize; 4]>;
+pub(crate) type ArrangementTable = Vec<[usize; 4]>;
 
 /// Symmetry case of a quartet `(sa, sb | sc, sd)`: which of the four
 /// equalities that can collapse arrangements hold. Only these four matter —
@@ -795,7 +795,7 @@ pub fn symmetry_case(sa: usize, sb: usize, sc: usize, sd: usize) -> usize {
 /// Dedup table for one representative shell assignment, built with the same
 /// enumeration (braket outer, then bra swap, then ket swap; first occurrence
 /// wins) the original `HashSet` implementation used.
-pub fn build_arrangement_table(shells: &[usize; 4]) -> ArrangementTable {
+pub(crate) fn build_arrangement_table(shells: &[usize; 4]) -> ArrangementTable {
     let mut seen: Vec<[usize; 4]> = Vec::with_capacity(8);
     let mut table = Vec::with_capacity(8);
     for braket in [false, true] {
@@ -904,7 +904,7 @@ fn scatter_quartet(
 /// Where a non-finite Fock build came from: the input density itself, or
 /// the first quartet whose ERI tensor evaluates to NaN/Inf.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct NonFiniteSite {
+pub(crate) struct NonFiniteSite {
     /// The *input* density already carried NaN/Inf — the ERI batches are
     /// innocent.
     pub density_poisoned: bool,
@@ -923,7 +923,7 @@ pub struct NonFiniteSite {
 /// path — the hot assembly loop stays untouched — so the cost (one serial
 /// full build) is irrelevant. A default (all-`None`) site means the
 /// poison appeared downstream of the ERI contraction (e.g. injected).
-pub fn attribute_non_finite(
+pub(crate) fn attribute_non_finite(
     density: &Matrix,
     pairs: &[ScreenedPair],
     batches: &[QuartetBatch],

@@ -82,7 +82,8 @@ impl MolecularGrid {
     }
 
     /// Integrate a scalar field given its values at the grid points.
-    pub fn integrate(&self, values: &[f64]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn integrate(&self, values: &[f64]) -> f64 {
         assert_eq!(values.len(), self.points.len());
         self.points
             .iter()
@@ -130,7 +131,7 @@ fn angular_rule(n_theta: usize) -> Vec<(f64, f64, f64, f64)> {
 }
 
 /// Gauss-Legendre nodes/weights on [−1, 1] via Newton iteration on P_n.
-pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
     let mut nodes = vec![0.0f64; n];
     let mut weights = vec![0.0f64; n];
     for i in 0..n {

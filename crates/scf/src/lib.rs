@@ -47,17 +47,14 @@ pub mod rescue;
 pub mod scf;
 pub mod xc;
 
-pub use checkpoint::{ScfCheckpoint, CHECKPOINT_VERSION};
+pub use checkpoint::ScfCheckpoint;
 pub use diis::{Diis, DiisSnapshot, DiisStats};
 pub use ensemble::{EnsembleConfig, EnsembleDriver, EnsembleResult};
 pub use error::{CheckpointError, FockBuildError, NonFiniteStage, ScfError};
-pub use fock::{
-    attribute_non_finite, build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices,
-    NonFiniteSite,
-};
+pub use fock::{build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices};
 pub use grid::MolecularGrid;
 pub use parallel::{build_jk_distributed, DistributedScf, FtFockOutcome};
-pub use properties::{dipole_moment, mulliken_charges, Dipole};
+pub use properties::{dipole_moment, Dipole};
 pub use rescue::{classify, RescueEvent, RescueLedger, RescueStage, TrajectoryClass};
 pub use scf::{
     CheckpointPolicy, IncrementalPolicy, OrthDiagnostics, ScfConfig, ScfDriver, ScfMethod,

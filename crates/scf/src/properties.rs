@@ -9,6 +9,7 @@
 use mako_chem::cart::cart_components;
 use mako_chem::{AoLayout, Molecule, Shell};
 use mako_eri::hermite::ETable;
+#[cfg(test)]
 use mako_eri::overlap_block;
 use mako_linalg::{gemm, Matrix, Transpose};
 
@@ -21,7 +22,7 @@ pub struct Dipole {
 
 impl Dipole {
     /// Magnitude in atomic units.
-    pub fn magnitude(&self) -> f64 {
+    pub(crate) fn magnitude(&self) -> f64 {
         let [x, y, z] = self.components;
         (x * x + y * y + z * z).sqrt()
     }
@@ -33,7 +34,7 @@ impl Dipole {
 }
 
 /// AO-basis dipole-moment integral matrices `⟨a| r_d |b⟩` for d = x, y, z.
-pub fn dipole_matrices(shells: &[Shell]) -> [Matrix; 3] {
+pub(crate) fn dipole_matrices(shells: &[Shell]) -> [Matrix; 3] {
     let layout = AoLayout::new(shells);
     let n = layout.nao;
     let mut out = [Matrix::zeros(n, n), Matrix::zeros(n, n), Matrix::zeros(n, n)];
@@ -128,7 +129,8 @@ pub fn dipole_moment(mol: &Molecule, shells: &[Shell], density: &Matrix) -> Dipo
 }
 
 /// Mulliken atomic populations: `q_A = Z_A − 2 Σ_{μ∈A} (DS)_{μμ}`.
-pub fn mulliken_charges(mol: &Molecule, shells: &[Shell], density: &Matrix) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn mulliken_charges(mol: &Molecule, shells: &[Shell], density: &Matrix) -> Vec<f64> {
     let layout = AoLayout::new(shells);
     let n = layout.nao;
     let mut s = Matrix::zeros(n, n);

@@ -47,7 +47,7 @@ pub enum TrajectoryClass {
 
 impl TrajectoryClass {
     /// Stable lowercase label (ledger display, trace fields).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             TrajectoryClass::Healthy => "healthy",
             TrajectoryClass::Stagnating => "stagnating",
@@ -76,7 +76,7 @@ pub enum RescueStage {
 
 impl RescueStage {
     /// Stable lowercase label (ledger display, trace fields).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             RescueStage::DiisReset => "diis_reset",
             RescueStage::Damp => "damp",
@@ -268,7 +268,7 @@ impl RescueLedger {
 /// [`shift`](Self::shift), [`quant_backoff`](Self::quant_backoff)) at fixed
 /// points of the iteration; all of them return "off" until a stage fires,
 /// which is what makes the subsystem inert on healthy runs.
-pub struct RescueState {
+pub(crate) struct RescueState {
     e_tol: f64,
     energies: Vec<f64>,
     residuals: Vec<f64>,
@@ -285,7 +285,7 @@ pub struct RescueState {
 
 impl RescueState {
     /// Fresh engine (ladder at level 0, no history).
-    pub fn new(e_tol: f64) -> RescueState {
+    pub(crate) fn new(e_tol: f64) -> RescueState {
         RescueState {
             e_tol,
             energies: Vec::new(),
@@ -303,7 +303,7 @@ impl RescueState {
     }
 
     /// Record one completed iteration and classify the trajectory.
-    pub fn observe(&mut self, energy: f64, residual: f64) -> TrajectoryClass {
+    pub(crate) fn observe(&mut self, energy: f64, residual: f64) -> TrajectoryClass {
         self.energies.push(energy);
         self.residuals.push(residual);
         if self.energies.len() > HISTORY_KEPT {
@@ -317,7 +317,7 @@ impl RescueState {
     /// Offer a good-state snapshot. Called on every healthy iteration; the
     /// engine keeps the snapshot with the best residual seen so far as the
     /// rollback target. The closure runs only when the snapshot is taken.
-    pub fn note_healthy(&mut self, residual: f64, snapshot: impl FnOnce() -> ScfCheckpoint) {
+    pub(crate) fn note_healthy(&mut self, residual: f64, snapshot: impl FnOnce() -> ScfCheckpoint) {
         if residual < self.best_residual {
             self.best_residual = residual;
             self.good = Some(Box::new(snapshot()));
@@ -328,7 +328,11 @@ impl RescueState {
     /// Returns the stage the driver must now apply, or `None` when healthy,
     /// inside the grace period, or the ladder is exhausted. The engine's
     /// own knobs (damping, shift, backoff) are already updated on return.
-    pub fn escalate(&mut self, iteration: usize, class: TrajectoryClass) -> Option<RescueStage> {
+    pub(crate) fn escalate(
+        &mut self,
+        iteration: usize,
+        class: TrajectoryClass,
+    ) -> Option<RescueStage> {
         if class == TrajectoryClass::Healthy {
             self.cooldown = self.cooldown.saturating_sub(1);
             return None;
@@ -374,7 +378,7 @@ impl RescueState {
     /// target exists and has not been spent; the driver then restores from
     /// [`rollback_checkpoint`](Self::rollback_checkpoint). `false` means
     /// the run must fail with `ScfError::NonFinite`.
-    pub fn contain_non_finite(&mut self, iteration: usize) -> bool {
+    pub(crate) fn contain_non_finite(&mut self, iteration: usize) -> bool {
         if self.rollback_done || self.good.is_none() {
             return false;
         }
@@ -404,13 +408,13 @@ impl RescueState {
     /// The checkpoint a just-fired rollback restores. Present exactly when
     /// [`Self::escalate`]/[`Self::contain_non_finite`] returned the rollback
     /// stage.
-    pub fn rollback_checkpoint(&self) -> Option<&ScfCheckpoint> {
+    pub(crate) fn rollback_checkpoint(&self) -> Option<&ScfCheckpoint> {
         self.good.as_deref()
     }
 
     /// Decay the active damping and shift toward "off". Called once per
     /// iteration, after their values were consumed.
-    pub fn decay(&mut self) {
+    pub(crate) fn decay(&mut self) {
         if let Some(a) = self.damping {
             let a = a * DAMPING_DECAY;
             self.damping = (a >= DAMPING_FLOOR).then_some(a);
@@ -423,34 +427,34 @@ impl RescueState {
 
     /// Active density-mixing factor α, if stage 2 has fired and not yet
     /// decayed away.
-    pub fn damping(&self) -> Option<f64> {
+    pub(crate) fn damping(&self) -> Option<f64> {
         self.damping
     }
 
     /// Active virtual-block shift σ, if stage 3 has fired and not yet
     /// decayed away.
-    pub fn shift(&self) -> Option<f64> {
+    pub(crate) fn shift(&self) -> Option<f64> {
         self.shift
     }
 
     /// Whether stage 4 has fired: the driver must use the FP64-reference
     /// schedule and full rebuilds from now on.
-    pub fn quant_backoff(&self) -> bool {
+    pub(crate) fn quant_backoff(&self) -> bool {
         self.backoff
     }
 
     /// Current ladder level (0 = never fired).
-    pub fn level(&self) -> usize {
+    pub(crate) fn level(&self) -> usize {
         self.level
     }
 
     /// The ledger so far.
-    pub fn ledger(&self) -> &RescueLedger {
+    pub(crate) fn ledger(&self) -> &RescueLedger {
         &self.ledger
     }
 
     /// Consume the engine, yielding the final ledger.
-    pub fn into_ledger(self) -> RescueLedger {
+    pub(crate) fn into_ledger(self) -> RescueLedger {
         self.ledger
     }
 }

@@ -10,7 +10,7 @@
 //! Potentials (`∂e/∂ρ`, `∂e/∂γ` with `γ = |∇ρ|²`) are closed forms,
 //! evaluated in one pass per point together with the energy density
 //! ([`XcFunctional::eval`]); the unit tests hold them to central differences
-//! of [`XcFunctional::energy_density`] and to the exchange scaling identity.
+//! of `XcFunctional::energy_density` and to the exchange scaling identity.
 //!
 //! The XC *matrix* is assembled as the paper prescribes (triple-product
 //! projection, §1),
@@ -112,7 +112,8 @@ impl XcFunctional {
     }
 
     /// Energy density per volume, `e(ρ, γ)`. Zero below the density floor.
-    pub fn energy_density(&self, rho: f64, gamma: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn energy_density(&self, rho: f64, gamma: f64) -> f64 {
         self.eval(rho, gamma).0
     }
 }

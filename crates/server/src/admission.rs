@@ -68,7 +68,7 @@ pub enum AdmissionState {
 
 impl AdmissionState {
     /// Stable lowercase label (trace fields, bench JSON).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AdmissionState::Normal => "normal",
             AdmissionState::Degraded => "degraded",

@@ -44,7 +44,7 @@ pub struct ArtifactKey {
 
 impl ArtifactKey {
     /// The key for one job spec.
-    pub fn for_job(spec: &JobSpec) -> ArtifactKey {
+    pub(crate) fn for_job(spec: &JobSpec) -> ArtifactKey {
         let mut h = 0x4D41_4B4F_4D4F_4C00u64; // b"MAKOMOL\0"
         for atom in &spec.molecule.atoms {
             h = mix(h, atom.element.z() as u64);
@@ -66,7 +66,7 @@ impl ArtifactKey {
     /// [`QUARTET_NUMERICS_VERSION`] is part of the key: a store warmed by an
     /// engine whose quartets had other bits misses here and is recomputed,
     /// never adopted.
-    pub fn content_hash(&self) -> u64 {
+    pub(crate) fn content_hash(&self) -> u64 {
         mix(self.inputs_hash(), QUARTET_NUMERICS_VERSION)
     }
 
@@ -112,7 +112,7 @@ pub struct ScreenCache {
 
 impl ScreenCache {
     /// Empty cache bounded to `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> ScreenCache {
+    pub(crate) fn with_capacity(capacity: usize) -> ScreenCache {
         ScreenCache {
             inner: Mutex::new(ScreenMap {
                 map: HashMap::new(),
@@ -126,7 +126,7 @@ impl ScreenCache {
     }
 
     /// Look up the pair list for a key, refreshing its recency.
-    pub fn get(&self, key: &ArtifactKey) -> Option<Vec<ScreenedPair>> {
+    pub(crate) fn get(&self, key: &ArtifactKey) -> Option<Vec<ScreenedPair>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -149,7 +149,7 @@ impl ScreenCache {
 
     /// Insert a freshly screened pair list, evicting the LRU entry when the
     /// bound is hit. Ticks are unique, so the victim is deterministic.
-    pub fn insert(&self, key: ArtifactKey, pairs: Vec<ScreenedPair>) {
+    pub(crate) fn insert(&self, key: ArtifactKey, pairs: Vec<ScreenedPair>) {
         let mut inner = self.inner.lock();
         if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
             if let Some(victim) = inner
@@ -169,13 +169,9 @@ impl ScreenCache {
     }
 
     /// Cached entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Lookups served from the cache.
@@ -189,7 +185,8 @@ impl ScreenCache {
     }
 
     /// Entries evicted by the LRU bound.
-    pub fn evictions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
     }
 }

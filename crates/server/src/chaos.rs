@@ -28,7 +28,7 @@ use crate::job::JobId;
 
 /// How many scheduling quanta the death-point lottery spans: a worker the
 /// plan marks as dying does so within its first `DEATH_HORIZON` quanta.
-pub const DEATH_HORIZON: usize = 16;
+pub(crate) const DEATH_HORIZON: usize = 16;
 
 /// Seeded fault schedule for one [`serve`] call.
 ///
@@ -106,7 +106,7 @@ impl ServerChaos {
     }
 
     /// Workers the schedule covers.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.plan.ranks()
     }
 
@@ -121,7 +121,7 @@ impl ServerChaos {
 
     /// The quantum (0-based, counted per worker) during which `worker`
     /// dies, or `None` if it survives the run.
-    pub fn death_quantum(&self, worker: usize) -> Option<usize> {
+    pub(crate) fn death_quantum(&self, worker: usize) -> Option<usize> {
         self.deaths
             .get(&worker)
             .copied()
@@ -129,14 +129,14 @@ impl ServerChaos {
     }
 
     /// Straggler slowdown multiplier for `worker` (1.0 = healthy).
-    pub fn slowdown(&self, worker: usize) -> f64 {
+    pub(crate) fn slowdown(&self, worker: usize) -> f64 {
         self.plan.slowdown(worker)
     }
 
     /// Whether `worker`'s `save`-th checkpoint persist fails. Independent
     /// hash stream from the device-fault plan, so adding checkpoint chaos
     /// does not reshuffle the death/straggler schedule.
-    pub fn checkpoint_write_fails(&self, worker: usize, save: u64) -> bool {
+    pub(crate) fn checkpoint_write_fails(&self, worker: usize, save: u64) -> bool {
         if self.ckpt_io_rate <= 0.0 {
             return false;
         }
@@ -148,7 +148,7 @@ impl ServerChaos {
 
     /// The absolute iteration at which `job`'s Fock build is poisoned, if
     /// any.
-    pub fn poison_for(&self, job: JobId) -> Option<usize> {
+    pub(crate) fn poison_for(&self, job: JobId) -> Option<usize> {
         self.poison.get(&job).copied()
     }
 }

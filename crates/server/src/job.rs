@@ -13,7 +13,7 @@ use mako_scf::{ScfConfig, ScfError};
 /// Job identifier: the submission index within one [`serve`] call.
 ///
 /// [`serve`]: crate::MakoServer::serve
-pub type JobId = usize;
+pub(crate) type JobId = usize;
 
 /// Scheduling tier of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,7 +126,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Stable lowercase label (trace fields, bench JSON).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             RejectReason::TenantQuotaExceeded { .. } => "tenant_quota",
             RejectReason::QueueFull { .. } => "queue_full",

@@ -154,7 +154,7 @@ pub enum JournalRecord {
 
 impl JournalRecord {
     /// Encode to the tagged little-endian payload (one CRC frame's worth).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = ByteWriter::with_capacity(64);
         match self {
             JournalRecord::ServeBegin { jobs, workload } => {
@@ -300,7 +300,7 @@ impl JournalRecord {
 
     /// The terminal record for a finished job's outcome (`None` for
     /// outcomes that are not journaled per-job this way).
-    pub fn terminal_for(job: u64, outcome: &JobOutcome) -> Option<JournalRecord> {
+    pub(crate) fn terminal_for(job: u64, outcome: &JobOutcome) -> Option<JournalRecord> {
         match outcome {
             JobOutcome::Completed(r) => Some(JournalRecord::Completed {
                 job,
@@ -435,11 +435,6 @@ impl Journal {
         Journal { vfs, path }
     }
 
-    /// The journal file path.
-    pub fn path(&self) -> &PathBuf {
-        &self.path
-    }
-
     /// Durably append one record: frame, append, fsync. The record has
     /// *happened* only once this returns — callers journal the decision
     /// before acting on it (write-ahead discipline).
@@ -522,7 +517,7 @@ impl Journal {
 /// carries it so recovery can refuse to replay a journal against a
 /// *different* resubmitted workload — continuing someone else's serve with
 /// these specs would attribute journaled outcomes to the wrong jobs.
-pub fn workload_hash(specs: &[JobSpec]) -> u64 {
+pub(crate) fn workload_hash(specs: &[JobSpec]) -> u64 {
     let mut h = 0x574C_4F41_4448_5348u64; // salt
     for spec in specs {
         let key = crate::cache::ArtifactKey::for_job(spec);

@@ -60,7 +60,7 @@ pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionState};
 pub use cache::{ArtifactKey, ScreenCache};
-pub use chaos::{ServerChaos, DEATH_HORIZON};
-pub use job::{JobError, JobId, JobOutcome, JobReport, JobSpec, PriorityClass, RejectReason};
-pub use journal::{workload_hash, Journal, JournalRecord};
+pub use chaos::ServerChaos;
+pub use job::{JobError, JobOutcome, JobReport, JobSpec, PriorityClass, RejectReason};
+pub use journal::{Journal, JournalRecord};
 pub use server::{MakoServer, ServeLedger, ServeReport, ServerConfig};

@@ -2,9 +2,8 @@
 //!
 //! One driver-construction artifact survives process restarts through the
 //! [`mako_store::ArtifactStore`]: the **screened shell-pair list**
-//! (`kind = "screen"`, keyed by
-//! [`ArtifactKey::content_hash`](crate::cache::ArtifactKey::content_hash))
-//! — the Schwarz-screening output, including the precomputed
+//! (`kind = "screen"`, keyed by `ArtifactKey::content_hash`) — the
+//! Schwarz-screening output, including the precomputed
 //! [`ShellPairData`] tensors, so a warm restart skips the O(nshell²)
 //! screening pass entirely. (Tuned kernels are not persisted: re-tuning one
 //! costs microseconds.)
@@ -28,7 +27,7 @@ const MIN_PAIR_BYTES: usize = 64;
 const MIN_PRIM_BYTES: usize = 48;
 
 /// Encode a screened pair list.
-pub fn encode_pairs(pairs: &[ScreenedPair]) -> Vec<u8> {
+pub(crate) fn encode_pairs(pairs: &[ScreenedPair]) -> Vec<u8> {
     let mut out = ByteWriter::with_capacity(64 + pairs.len() * 128);
     out.u64(pairs.len() as u64);
     let mut e_sph = Vec::new();
@@ -59,7 +58,7 @@ pub fn encode_pairs(pairs: &[ScreenedPair]) -> Vec<u8> {
 
 /// Decode a screened pair list. `None` on any structural mismatch — the
 /// caller quarantines and recomputes.
-pub fn decode_pairs(bytes: &[u8]) -> Option<Vec<ScreenedPair>> {
+pub(crate) fn decode_pairs(bytes: &[u8]) -> Option<Vec<ScreenedPair>> {
     let mut r = ByteReader::new(bytes);
     let n = r.count(MIN_PAIR_BYTES)?;
     let mut pairs = Vec::with_capacity(n);

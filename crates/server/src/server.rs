@@ -280,7 +280,7 @@ impl MakoServer {
     /// (the clock died with the process).
     ///
     /// `specs` must be the same workload the crashed serve ran
-    /// ([`workload_hash`] is checked against the journal's `ServeBegin`).
+    /// (`workload_hash` is checked against the journal's `ServeBegin`).
     pub fn recover(&self, specs: &[JobSpec], chaos: &ServerChaos) -> Result<ServeReport, VfsError> {
         let ctx = self.store.as_ref().ok_or_else(|| {
             VfsError::Io("recover requires a server opened with_store".to_string())

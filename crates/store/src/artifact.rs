@@ -46,7 +46,7 @@ pub enum ArtifactFault {
 
 impl ArtifactFault {
     /// Stable label for trace events.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ArtifactFault::Truncated => "truncated",
             ArtifactFault::BadMagic => "bad_magic",
@@ -198,7 +198,7 @@ impl ArtifactStore {
 
 /// Validate raw artifact bytes against the expected key; returns the
 /// payload slice on success.
-pub fn validate(bytes: &[u8], key: u64) -> Result<&[u8], ArtifactFault> {
+pub(crate) fn validate(bytes: &[u8], key: u64) -> Result<&[u8], ArtifactFault> {
     let mut r = ByteReader::new(bytes);
     let (Some(magic), Some(stored_key), Some(len), Some(crc)) =
         (r.take(8), r.u64(), r.u32(), r.u32())

@@ -53,7 +53,7 @@ pub struct FaultProfile {
 
 impl FaultProfile {
     /// No faults at all — a pure in-memory filesystem.
-    pub fn quiet() -> FaultProfile {
+    pub(crate) fn quiet() -> FaultProfile {
         FaultProfile {
             seed: 0,
             crash_at: None,

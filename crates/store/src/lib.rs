@@ -39,5 +39,5 @@ pub use artifact::{ArtifactFault, ArtifactStore};
 pub use codec::{ByteReader, ByteWriter};
 pub use crc::crc32;
 pub use fault::{mix, FaultProfile, FaultVfs};
-pub use records::{frame, read_all, read_all_framed, Tail, MAX_RECORD_LEN};
+pub use records::{frame, read_all_framed, Tail};
 pub use vfs::{tmp_path, write_durable, RealVfs, Vfs, VfsError};

@@ -30,7 +30,7 @@ use crate::crc::crc32;
 
 /// Hard sanity bound on a single record (16 MiB). A length field above
 /// this is treated as corruption rather than attempting a huge allocation.
-pub const MAX_RECORD_LEN: u32 = 16 << 20;
+pub(crate) const MAX_RECORD_LEN: u32 = 16 << 20;
 
 /// How the record stream ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,17 +53,18 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Decode a record stream: every valid record up to the first bad frame,
-/// plus how the stream ended.
-pub fn read_all(bytes: &[u8]) -> (Vec<Vec<u8>>, Tail) {
+/// `read_all_framed` without the valid-prefix length.
+#[cfg(test)]
+pub(crate) fn read_all(bytes: &[u8]) -> (Vec<Vec<u8>>, Tail) {
     let (records, tail, _) = read_all_framed(bytes);
     (records, tail)
 }
 
-/// [`read_all`] plus the byte length of the valid prefix — everything past
-/// it is the torn or corrupt tail. A writer resuming an interrupted log
-/// MUST truncate to this length first: appending committed records after
-/// garbage makes them unreachable to every future reader.
+/// Decode a record stream: every valid record up to the first bad frame,
+/// how the stream ended, and the byte length of the valid prefix —
+/// everything past it is the torn or corrupt tail. A writer resuming an
+/// interrupted log MUST truncate to this length first: appending committed
+/// records after garbage makes them unreachable to every future reader.
 pub fn read_all_framed(bytes: &[u8]) -> (Vec<Vec<u8>>, Tail, usize) {
     let mut records = Vec::new();
     let mut r = ByteReader::new(bytes);

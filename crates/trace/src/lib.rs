@@ -201,14 +201,14 @@ pub struct TraceDump {
 
 /// An event collector: a mutex-guarded ring buffer. Recording takes the
 /// lock for one push — the events themselves are built outside it.
-pub struct Collector {
+pub(crate) struct Collector {
     ring: Mutex<Ring>,
     epoch: Instant,
 }
 
 impl Collector {
     /// Collector holding at most `capacity` events.
-    pub fn new(capacity: usize) -> Collector {
+    pub(crate) fn new(capacity: usize) -> Collector {
         Collector {
             ring: Mutex::new(Ring::new(capacity)),
             epoch: Instant::now(),
@@ -216,18 +216,18 @@ impl Collector {
     }
 
     /// Microseconds since this collector was created.
-    pub fn now_us(&self) -> f64 {
+    pub(crate) fn now_us(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64() * 1e6
     }
 
     /// Append one event.
-    pub fn record(&self, e: Event) {
+    pub(crate) fn record(&self, e: Event) {
         let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
         ring.push(e);
     }
 
     /// Copy out everything recorded so far (non-destructive).
-    pub fn snapshot(&self) -> TraceDump {
+    pub(crate) fn snapshot(&self) -> TraceDump {
         let ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
         TraceDump {
             events: ring.in_order(),
@@ -237,7 +237,7 @@ impl Collector {
     }
 
     /// Take everything recorded so far and reset the ring (counters too).
-    pub fn drain(&self) -> TraceDump {
+    pub(crate) fn drain(&self) -> TraceDump {
         let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
         let dump = TraceDump {
             events: ring.in_order(),
@@ -286,7 +286,7 @@ pub fn enabled() -> bool {
 
 /// Turn the global collector on (default ring capacity). Idempotent; once
 /// on it stays on for the life of the process.
-pub fn enable() {
+pub(crate) fn enable() {
     enable_with_capacity(DEFAULT_CAPACITY);
 }
 

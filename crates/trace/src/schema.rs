@@ -27,7 +27,7 @@ pub enum Json {
 
 impl Json {
     /// The key/value pairs if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+    pub(crate) fn as_object(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Object(kv) => Some(kv),
             _ => None,
@@ -64,9 +64,15 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting `parse_json` accepts. Each level is a
+/// stack frame; the exporter and the benchmark's output nest at most 5.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -100,8 +106,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -195,10 +212,14 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-UTF8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading `+`.
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(self.err("bad \\u escape"));
+                            }
+                            let code = hex.iter().fold(0, |code, &h| {
+                                code * 16 + char::from(h).to_digit(16).expect("hex digit")
+                            });
                             // Surrogate pairs are not emitted by our exporter;
                             // map lone surrogates to the replacement char.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -251,6 +272,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -264,7 +286,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// itself is name-agnostic (new subsystems may emit new events before the
 /// docs catch up); this registry is for smoke tests that want to assert a
 /// specific producer ran — e.g. that a rescue run emitted `scf.rescue`.
-pub const KNOWN_EVENTS: &[&str] = &[
+pub(crate) const KNOWN_EVENTS: &[&str] = &[
     "scf.setup",
     "scf.iteration",
     "scf.xc",
@@ -431,6 +453,33 @@ mod tests {
         assert!(parse_json("{\"a\":1} extra").is_err());
         assert!(validate_jsonl("{\"type\":\"span\"}\n").is_err());
         assert!(validate_jsonl("").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
+        assert!(validate_jsonl(&format!("{}\n", "{\"a\":".repeat(100_000))).is_err());
+    }
+
+    #[test]
+    fn u_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            parse_json(r#""\u0041\u00e9""#).unwrap().as_str(),
+            Some("Aé")
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004g""#,
+            r#""\u41""#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]

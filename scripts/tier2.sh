@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-2 gate: the integration suites and the scf and server crates' tests
 # re-proved in release (tier-1 runs them in debug), the microkernel-determinism
-# leg, three traced mako-cli runs, and the benchmark's unit tests and --smoke.
+# leg, three traced mako-cli runs, three refusals that must exit 1, and the
+# benchmark's unit tests and --smoke.
 # Slower than tier-1 (minutes, not seconds) and meant for pre-merge validation
 # rather than the inner edit loop.
 #
@@ -52,17 +53,25 @@ cargo run --release -p mako --bin mako-cli -- \
 cargo run --release -p mako-bench --bin trace_validate -- target/rescue_trace_smoke.jsonl \
     --require scf.rescue --require scf.iteration
 
-echo "== tier2: mako-cli refusals (a trace that cannot be written, an unknown --method: both must exit non-zero) =="
+echo "== tier2: refusals (mako-cli: a trace that cannot be written, an unknown --method; trace_validate: a 100 000-deep JSON line) must exit 1 =="
 # Build first, so a build failure cannot pass for the refusal.
 cargo build --release -q -p mako --bin mako-cli
+cargo build --release -q -p mako-bench --bin trace_validate
+# Every refusal path of both bins returns exit status 1; a panic (101) or an
+# abort such as a stack overflow (134) is a crash, not a refusal.
 must_fail() {
-    if "$@"; then
-        echo "tier2: expected a non-zero exit from: $*" >&2
+    local status=0
+    "$@" || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "tier2: expected exit status 1 (a refusal), got $status from: $*" >&2
         exit 1
     fi
 }
 must_fail cargo run --release -q -p mako --bin mako-cli -- --mol sample/water.xyz --trace /nonexistent/dir/t.jsonl
 must_fail cargo run --release -q -p mako --bin mako-cli -- --mol sample/water.xyz --method pbe
+head -c 100000 /dev/zero | tr '\0' '[' > target/deep_trace.jsonl
+echo >> target/deep_trace.jsonl
+must_fail cargo run --release -q -p mako-bench --bin trace_validate -- target/deep_trace.jsonl
 
 echo "== tier2: mako-benchmark (unit tests + --smoke: all seven workloads at toy size) =="
 # benchmark/ is its own workspace: tier-1 only type-checks it, no leg above
