@@ -46,7 +46,7 @@ pub struct IterationLedger {
 /// [`RecoveryLedger`](crate::fault::RecoveryLedger) per iteration with the
 /// retries / steals / re-runs the recovery machinery performed and their
 /// simulated-seconds cost.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceClock {
     iterations: Vec<IterationLedger>,
     recoveries: Vec<crate::fault::RecoveryLedger>,
@@ -56,6 +56,15 @@ impl DeviceClock {
     /// Fresh, empty clock.
     pub fn new() -> DeviceClock {
         DeviceClock::default()
+    }
+
+    /// A clock holding ledgers charged earlier (a checkpoint's). Emits no
+    /// trace events: each ledger was traced when it was first charged.
+    pub fn from_ledgers(
+        iterations: Vec<IterationLedger>,
+        recoveries: Vec<crate::fault::RecoveryLedger>,
+    ) -> DeviceClock {
+        DeviceClock { iterations, recoveries }
     }
 
     /// Append one completed iteration.

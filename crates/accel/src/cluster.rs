@@ -23,16 +23,16 @@ pub(crate) enum InterconnectTier {
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// GPUs per node (8 on ND A100 v4).
-    pub gpus_per_node: usize,
+    pub(crate) gpus_per_node: usize,
     /// NVLink bandwidth per GPU, bytes/s (A100 NVLink3: 600 GB/s aggregate,
     /// ~300 GB/s effective per direction for collectives).
-    pub nvlink_bw: f64,
+    pub(crate) nvlink_bw: f64,
     /// Inter-node bandwidth per node, bytes/s (HDR InfiniBand 200 Gb/s).
-    pub ib_bw: f64,
+    pub(crate) ib_bw: f64,
     /// Per-message NVLink latency, seconds.
-    pub nvlink_latency: f64,
+    pub(crate) nvlink_latency: f64,
     /// Per-message InfiniBand latency, seconds.
-    pub ib_latency: f64,
+    pub(crate) ib_latency: f64,
 }
 
 impl ClusterSpec {

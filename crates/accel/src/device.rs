@@ -31,9 +31,9 @@ pub struct DeviceSpec {
     /// Shared memory usable per SM, bytes (A100: 164 KiB configurable).
     pub smem_per_sm: usize,
     /// Maximum threads resident per SM.
-    pub max_threads_per_sm: usize,
+    pub(crate) max_threads_per_sm: usize,
     /// Shared-memory banks (32 on all NVIDIA parts).
-    pub smem_banks: usize,
+    pub(crate) smem_banks: usize,
     /// HBM bandwidth, bytes/second.
     pub mem_bandwidth: f64,
     /// Kernel launch latency, seconds.

@@ -80,15 +80,15 @@ impl KernelProfile {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaunchRecord {
     /// Seconds spent in arithmetic (after efficiency factors).
-    pub compute_s: f64,
+    pub(crate) compute_s: f64,
     /// Seconds spent on global-memory traffic.
-    pub memory_s: f64,
+    pub(crate) memory_s: f64,
     /// Seconds of launch overhead.
-    pub launch_s: f64,
+    pub(crate) launch_s: f64,
     /// Simulated wall time: `launch + max(compute, memory)`.
     pub total_s: f64,
     /// Occupancy the launch achieved.
-    pub occupancy: f64,
+    pub(crate) occupancy: f64,
 }
 
 /// The roofline cost model bound to a device.
@@ -99,7 +99,7 @@ pub struct CostModel {
     /// Fraction of peak a well-tuned kernel reaches (CUTLASS-class kernels
     /// hit 85–95% of peak on large GEMMs; irregular code much less — callers
     /// encode that through `ilp_efficiency`).
-    pub tuned_peak_fraction: f64,
+    pub(crate) tuned_peak_fraction: f64,
 }
 
 impl CostModel {

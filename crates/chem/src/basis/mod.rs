@@ -281,7 +281,7 @@ pub struct AoLayout {
     /// First AO index of each shell.
     pub shell_offsets: Vec<usize>,
     /// Angular momentum of each shell.
-    pub shell_l: Vec<usize>,
+    pub(crate) shell_l: Vec<usize>,
     /// Total spherical AO count.
     pub nao: usize,
 }

@@ -39,8 +39,6 @@ pub struct OrthFactor {
     /// Smallest retained eigenvalue — the conditioning of the surviving
     /// basis. `+∞` when everything was dropped.
     pub smallest_kept: f64,
-    /// Smallest eigenvalue overall (dropped or not).
-    pub smallest: f64,
 }
 
 /// [`sym_inv_sqrt`] with linear-dependence diagnostics: how many overlap
@@ -52,12 +50,10 @@ pub fn sym_inv_sqrt_diag(a: &Matrix, threshold: f64) -> Result<OrthFactor, Linal
     let ed = eigh(a)?;
     let mut n_dropped = 0usize;
     let mut smallest_kept = f64::INFINITY;
-    let mut smallest = f64::INFINITY;
     let fs: Vec<f64> = ed
         .values
         .iter()
         .map(|&l| {
-            smallest = smallest.min(l);
             if l > threshold {
                 smallest_kept = smallest_kept.min(l);
                 1.0 / l.sqrt()
@@ -71,7 +67,6 @@ pub fn sym_inv_sqrt_diag(a: &Matrix, threshold: f64) -> Result<OrthFactor, Linal
         matrix: scaled_outer(&ed.vectors, &fs),
         n_dropped,
         smallest_kept,
-        smallest,
     })
 }
 
@@ -111,7 +106,6 @@ mod tests {
         assert_eq!(plain, diag.matrix, "diagnostic form must not perturb X");
         assert_eq!(diag.n_dropped, 0);
         assert!(diag.smallest_kept > 0.0 && diag.smallest_kept.is_finite());
-        assert_eq!(diag.smallest, diag.smallest_kept);
 
         // Rank-1: two directions dropped, the surviving eigenvalue reported.
         let v = [2.0, 0.0, 1.0];
@@ -119,7 +113,6 @@ mod tests {
         let d = sym_inv_sqrt_diag(&r1, 1e-8).unwrap();
         assert_eq!(d.n_dropped, 2);
         assert!((d.smallest_kept - 5.0).abs() < 1e-10, "{}", d.smallest_kept);
-        assert!(d.smallest.abs() < 1e-10);
         assert_eq!(d.matrix, sym_inv_sqrt(&r1, 1e-8).unwrap());
     }
 

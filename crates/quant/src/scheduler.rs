@@ -47,7 +47,7 @@ pub(crate) enum SchedulePhase {
 pub struct QuantSchedule {
     /// Quartets whose estimate exceeds `rel_fp64_threshold · scale` run in
     /// FP64.
-    pub rel_fp64_threshold: f64,
+    pub(crate) rel_fp64_threshold: f64,
     /// Quartets whose absolute estimate falls below this are pruned.
     pub prune_threshold: f64,
     /// Whether quantized kernels are allowed at all (disabled for pure-FP64

@@ -3,17 +3,27 @@
 //!
 //! A production SCF service must survive preemption: a 64-GPU ubiquitin run
 //! is hours of simulated work, and losing the whole trajectory to one node
-//! eviction is not acceptable. The checkpoint captures *everything* the
-//! iteration loop carries between iterations — density, previous energy,
-//! residuals, DIIS history, the incremental engine's accumulators and
-//! rebuild bookkeeping, the device-clock ledgers — so a resumed run replays
-//! the remaining iterations **bitwise identically** to the uninterrupted
-//! one (DESIGN.md §10).
+//! eviction is not acceptable. An SCF session carries one value from each
+//! iteration to the next, its [`CarriedState`], made of four groups:
+//!
+//! * [`RestorePoint`] — density, previous and latest energy, the scheduling
+//!   and divergence-guard residuals, orbital energies: what a rescue
+//!   rollback rewinds to;
+//! * [`IncrementalState`] — the incremental engine's accumulators and its
+//!   rebuild bookkeeping, purged by one `IncrementalState::reset`;
+//! * [`Diis`] — the DIIS history;
+//! * [`Accounting`] — per-iteration seconds, Fock statistics and the device
+//!   clock, which always run forward.
+//!
+//! A checkpoint is the problem fingerprint, the next iteration and that
+//! value, so a resumed run replays the remaining iterations **bitwise
+//! identically** to the uninterrupted one (DESIGN.md §10).
 //!
 //! ## Format (version 3)
 //!
 //! Little-endian binary. `f64` values are serialized via
-//! [`f64::to_bits`], never through text, so restore is bit-exact.
+//! [`f64::to_bits`], never through text, so restore is bit-exact. The
+//! layout predates the grouping above and interleaves the groups' fields.
 //!
 //! ```text
 //! magic   b"MAKOCKPT"            8 bytes
@@ -27,7 +37,7 @@
 //! diis: max_vectors u64, m u64, m × (fock, error) matrix pairs
 //! orbital_energies: len u64, data
 //! iteration_seconds: len u64, data
-//! stats: 5 × u64 + 2 × f64 (FockBuildStats fields)
+//! stats: 4 × u64 + 2 × f64 (FockBuildStats fields)
 //! clock: n_iters u64, n_iters × IterationLedger;
 //!        n_recov u64, n_recov × RecoveryLedger
 //! ```
@@ -60,9 +70,10 @@
 //! [`CheckpointError::Io`]; an injected crash fails fast (the simulated
 //! process is dead — there is nothing to retry on).
 
-use crate::diis::DiisSnapshot;
+use crate::diis::Diis;
 use crate::error::CheckpointError;
 use crate::fock::FockBuildStats;
+use crate::scf::ScfDriver;
 use mako_accel::{DeviceClock, IterationLedger, RecoveryLedger};
 use mako_linalg::Matrix;
 use mako_store::{crc32, write_durable, ByteReader, ByteWriter, RealVfs, Vfs, VfsError};
@@ -97,19 +108,47 @@ pub struct ScfCheckpoint {
     pub problem_hash: u64,
     /// The iteration the resumed run executes next (= completed iterations).
     pub next_iteration: usize,
-    /// Density matrix entering `next_iteration`.
+    /// What the session carries into `next_iteration`.
+    pub state: CarriedState,
+}
+
+/// Everything an SCF session carries from one iteration to the next: the
+/// session holds one, a checkpoint saves a copy and a resume takes it back
+/// whole.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CarriedState {
+    /// The numeric state a rescue rollback rewinds.
+    pub point: RestorePoint,
+    /// The incremental engine's accumulators and rebuild bookkeeping.
+    pub incremental: IncrementalState,
+    /// DIIS history.
+    pub diis: Diis,
+    /// Seconds, statistics and ledgers so far.
+    pub accounting: Accounting,
+}
+
+/// The numeric state a rescue rollback rewinds to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RestorePoint {
+    /// Density matrix entering the next iteration.
     pub density: Matrix,
     /// Energy of the previous iteration (convergence test state).
     pub e_prev: f64,
     /// Last computed total energy.
     pub energy: f64,
-    /// Scheduling residual entering `next_iteration`.
+    /// Scheduling residual entering the next iteration.
     pub residual: f64,
     /// Previous DIIS residual (divergence-guard state).
     pub residual_prev: f64,
-    /// Whether the previous iteration ran the quantized phase.
-    pub was_quantized_phase: bool,
-    /// Incremental accumulators (zeros when not incremental).
+    /// Orbital energies of the last diagonalization.
+    pub orbital_energies: Vec<f64>,
+}
+
+/// The incremental engine's state: the accumulated G matrices, the density
+/// they correspond to, and what the rebuild decision reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IncrementalState {
+    /// Coulomb accumulator (zeros when not incremental).
     pub j_acc: Matrix,
     /// Exchange accumulator.
     pub k_acc: Matrix,
@@ -121,36 +160,98 @@ pub struct ScfCheckpoint {
     pub drift_bound: f64,
     /// Whether the next iteration must be a full rebuild.
     pub force_rebuild: bool,
-    /// DIIS history.
-    pub diis: DiisSnapshot,
-    /// Orbital energies of the last diagonalization.
-    pub orbital_energies: Vec<f64>,
-    /// Per-iteration simulated seconds so far.
+    /// Whether the previous iteration ran the quantized phase.
+    pub was_quantized_phase: bool,
+}
+
+impl IncrementalState {
+    /// No accumulation yet, no rebuild owed, not in a quantized phase.
+    pub(crate) fn new(nao: usize) -> IncrementalState {
+        IncrementalState {
+            j_acc: Matrix::zeros(nao, nao),
+            k_acc: Matrix::zeros(nao, nao),
+            d_ref: Matrix::zeros(nao, nao),
+            since_rebuild: 0,
+            drift_bound: 0.0,
+            force_rebuild: false,
+            was_quantized_phase: false,
+        }
+    }
+
+    /// Purge the accumulators for a full rebuild; the quantized-phase flag
+    /// describes the schedule, not the accumulators, and is kept.
+    pub(crate) fn reset(&mut self) {
+        *self = IncrementalState {
+            was_quantized_phase: self.was_quantized_phase,
+            ..IncrementalState::new(self.d_ref.rows())
+        };
+    }
+}
+
+/// What the iterations so far cost. Accounting runs forward: a rollback
+/// leaves it alone, because the time was really spent.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Accounting {
+    /// Per-iteration simulated seconds.
     pub iteration_seconds: Vec<f64>,
-    /// Accumulated Fock statistics so far.
+    /// Accumulated Fock statistics.
     pub stats: FockBuildStats,
-    /// Per-iteration device-clock ledgers so far.
-    pub ledgers: Vec<IterationLedger>,
-    /// Per-iteration recovery ledgers so far.
-    pub recoveries: Vec<RecoveryLedger>,
+    /// Per-iteration device-clock and recovery ledgers.
+    pub clock: DeviceClock,
+}
+
+impl Accounting {
+    /// Add one Fock build's counters to the running statistics.
+    pub(crate) fn add_build(&mut self, st: &FockBuildStats) {
+        self.stats.fp64_quartets += st.fp64_quartets;
+        self.stats.quantized_quartets += st.quantized_quartets;
+        self.stats.pruned_quartets += st.pruned_quartets;
+        self.stats.skipped_quartets += st.skipped_quartets;
+        self.stats.skipped_bound += st.skipped_bound;
+    }
+
+    /// Charge one iteration that cost `seconds` and ran the build `st`.
+    pub(crate) fn charge(&mut self, st: &FockBuildStats, seconds: f64, rebuild: bool) {
+        self.iteration_seconds.push(seconds);
+        self.clock.push(IterationLedger {
+            eri_seconds: st.device_seconds,
+            total_seconds: seconds,
+            evaluated_quartets: st.evaluated_quartets(),
+            skipped_quartets: st.skipped_quartets,
+            pruned_quartets: st.pruned_quartets,
+            skipped_bound: st.skipped_bound,
+            rebuild,
+        });
+    }
 }
 
 impl ScfCheckpoint {
-    /// Rebuild the [`DeviceClock`] from the stored ledgers.
-    pub(crate) fn clock(&self) -> DeviceClock {
-        let mut clock = DeviceClock::new();
-        for l in &self.ledgers {
-            clock.push(*l);
+    /// A checkpoint of `driver`'s problem whose next iteration is
+    /// `next_iteration`.
+    pub(crate) fn of(
+        driver: &ScfDriver,
+        next_iteration: usize,
+        state: CarriedState,
+    ) -> ScfCheckpoint {
+        ScfCheckpoint {
+            nao: driver.nao(),
+            n_batches: driver.nbatches(),
+            n_quartets: driver.nquartets(),
+            problem_hash: driver.problem_fingerprint(),
+            next_iteration,
+            state,
         }
-        for r in &self.recoveries {
-            clock.push_recovery(*r);
-        }
-        clock
     }
 
     /// Serialize to the version-3 binary format (payload CRC included).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = ByteWriter::with_capacity(64 + self.density.as_slice().len() * 8 * 4);
+        let CarriedState {
+            point,
+            incremental: inc,
+            diis,
+            accounting,
+        } = &self.state;
+        let mut out = ByteWriter::with_capacity(64 + point.density.as_slice().len() * 8 * 4);
         out.bytes(MAGIC);
         out.u32(CHECKPOINT_VERSION);
         out.u32(0); // CRC placeholder, patched below
@@ -159,32 +260,35 @@ impl ScfCheckpoint {
         out.u64(self.n_quartets as u64);
         out.u64(self.problem_hash);
         out.u64(self.next_iteration as u64);
-        out.f64(self.e_prev);
-        out.f64(self.energy);
-        out.f64(self.residual);
-        out.f64(self.residual_prev);
-        out.f64(self.drift_bound);
-        out.u64(self.since_rebuild as u64);
-        out.u8((self.was_quantized_phase as u8) | ((self.force_rebuild as u8) << 1));
-        for m in [&self.density, &self.j_acc, &self.k_acc, &self.d_ref] {
+        out.f64(point.e_prev);
+        out.f64(point.energy);
+        out.f64(point.residual);
+        out.f64(point.residual_prev);
+        out.f64(inc.drift_bound);
+        out.u64(inc.since_rebuild as u64);
+        out.u8((inc.was_quantized_phase as u8) | ((inc.force_rebuild as u8) << 1));
+        for m in [&point.density, &inc.j_acc, &inc.k_acc, &inc.d_ref] {
             put_matrix(&mut out, m);
         }
-        out.u64(self.diis.max_vectors as u64);
-        out.u64(self.diis.focks.len() as u64);
-        for (f, e) in self.diis.focks.iter().zip(&self.diis.errors) {
+        let (max_vectors, focks, errors) = diis.history();
+        out.u64(max_vectors as u64);
+        out.u64(focks.len() as u64);
+        for (f, e) in focks.iter().zip(errors) {
             put_matrix(&mut out, f);
             put_matrix(&mut out, e);
         }
-        out.f64s(&self.orbital_energies);
-        out.f64s(&self.iteration_seconds);
-        out.u64(self.stats.fp64_quartets as u64);
-        out.u64(self.stats.quantized_quartets as u64);
-        out.u64(self.stats.pruned_quartets as u64);
-        out.u64(self.stats.skipped_quartets as u64);
-        out.f64(self.stats.skipped_bound);
-        out.f64(self.stats.device_seconds);
-        out.u64(self.ledgers.len() as u64);
-        for l in &self.ledgers {
+        out.f64s(&point.orbital_energies);
+        out.f64s(&accounting.iteration_seconds);
+        let stats = &accounting.stats;
+        out.u64(stats.fp64_quartets as u64);
+        out.u64(stats.quantized_quartets as u64);
+        out.u64(stats.pruned_quartets as u64);
+        out.u64(stats.skipped_quartets as u64);
+        out.f64(stats.skipped_bound);
+        out.f64(stats.device_seconds);
+        let ledgers = accounting.clock.iterations();
+        out.u64(ledgers.len() as u64);
+        for l in ledgers {
             out.f64(l.eri_seconds);
             out.f64(l.total_seconds);
             out.u64(l.evaluated_quartets as u64);
@@ -193,8 +297,9 @@ impl ScfCheckpoint {
             out.f64(l.skipped_bound);
             out.u8(l.rebuild as u8);
         }
-        out.u64(self.recoveries.len() as u64);
-        for r in &self.recoveries {
+        let recoveries = accounting.clock.recoveries();
+        out.u64(recoveries.len() as u64);
+        for r in recoveries {
             out.u64(r.transient_retries as u64);
             out.f64(r.backoff_seconds);
             out.u64(r.straggler_ranks as u64);
@@ -359,9 +464,15 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
     let since_rebuild = r.usize()?;
     let flags = r.u8()?;
     let density = read_matrix(r)?;
-    let j_acc = read_matrix(r)?;
-    let k_acc = read_matrix(r)?;
-    let d_ref = read_matrix(r)?;
+    let incremental = IncrementalState {
+        j_acc: read_matrix(r)?,
+        k_acc: read_matrix(r)?,
+        d_ref: read_matrix(r)?,
+        since_rebuild,
+        drift_bound,
+        force_rebuild: flags & 2 != 0,
+        was_quantized_phase: flags & 1 != 0,
+    };
     let max_vectors = r.usize()?;
     let m = r.count(32)?;
     let mut focks = Vec::with_capacity(m);
@@ -370,7 +481,14 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
         focks.push(read_matrix(r)?);
         errors.push(read_matrix(r)?);
     }
-    let orbital_energies = r.f64s()?;
+    let point = RestorePoint {
+        density,
+        e_prev,
+        energy,
+        residual,
+        residual_prev,
+        orbital_energies: r.f64s()?,
+    };
     let iteration_seconds = r.f64s()?;
     let stats = FockBuildStats {
         fp64_quartets: r.usize()?,
@@ -416,28 +534,16 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
         n_quartets,
         problem_hash,
         next_iteration,
-        density,
-        e_prev,
-        energy,
-        residual,
-        residual_prev,
-        was_quantized_phase: flags & 1 != 0,
-        j_acc,
-        k_acc,
-        d_ref,
-        since_rebuild,
-        drift_bound,
-        force_rebuild: flags & 2 != 0,
-        diis: DiisSnapshot {
-            max_vectors,
-            focks,
-            errors,
+        state: CarriedState {
+            point,
+            incremental,
+            diis: Diis::from_history(max_vectors, focks, errors),
+            accounting: Accounting {
+                iteration_seconds,
+                stats,
+                clock: DeviceClock::from_ledgers(ledgers, recoveries),
+            },
         },
-        orbital_energies,
-        iteration_seconds,
-        stats,
-        ledgers,
-        recoveries,
     })
 }
 
@@ -453,51 +559,57 @@ mod tests {
             n_quartets: 91,
             problem_hash: 0xDEAD_BEEF_CAFE_F00D,
             next_iteration: 4,
-            density: m(1.0),
-            e_prev: -74.9629,
-            energy: -74.96294,
-            residual: 1.25e-5,
-            residual_prev: 3.5e-5,
-            was_quantized_phase: true,
-            j_acc: m(0.5),
-            k_acc: m(0.25),
-            d_ref: m(0.9),
-            since_rebuild: 2,
-            drift_bound: 1.5e-13,
-            force_rebuild: false,
-            diis: DiisSnapshot {
-                max_vectors: 8,
-                focks: vec![m(2.0), m(2.1)],
-                errors: vec![m(0.01), m(0.005)],
+            state: CarriedState {
+                point: RestorePoint {
+                    density: m(1.0),
+                    e_prev: -74.9629,
+                    energy: -74.96294,
+                    residual: 1.25e-5,
+                    residual_prev: 3.5e-5,
+                    orbital_energies: vec![-20.24, -1.26, 0.6],
+                },
+                incremental: IncrementalState {
+                    j_acc: m(0.5),
+                    k_acc: m(0.25),
+                    d_ref: m(0.9),
+                    since_rebuild: 2,
+                    drift_bound: 1.5e-13,
+                    force_rebuild: false,
+                    was_quantized_phase: true,
+                },
+                diis: Diis::from_history(8, vec![m(2.0), m(2.1)], vec![m(0.01), m(0.005)]),
+                accounting: Accounting {
+                    iteration_seconds: vec![1e-3, 8e-4, 7e-4, 6e-4],
+                    stats: FockBuildStats {
+                        fp64_quartets: 1000,
+                        quantized_quartets: 50,
+                        pruned_quartets: 7,
+                        skipped_quartets: 123,
+                        skipped_bound: 4.2e-11,
+                        device_seconds: 3.1e-3,
+                    },
+                    clock: DeviceClock::from_ledgers(
+                        vec![IterationLedger {
+                            eri_seconds: 9e-4,
+                            total_seconds: 1e-3,
+                            evaluated_quartets: 1000,
+                            skipped_quartets: 3,
+                            pruned_quartets: 1,
+                            skipped_bound: 1e-12,
+                            rebuild: true,
+                        }],
+                        vec![RecoveryLedger {
+                            transient_retries: 2,
+                            backoff_seconds: 3e-3,
+                            rerun_batches: 11,
+                            ranks_lost: 1,
+                            fault_free_seconds: 0.2,
+                            degraded_seconds: 0.31,
+                            ..RecoveryLedger::default()
+                        }],
+                    ),
+                },
             },
-            orbital_energies: vec![-20.24, -1.26, 0.6],
-            iteration_seconds: vec![1e-3, 8e-4, 7e-4, 6e-4],
-            stats: FockBuildStats {
-                fp64_quartets: 1000,
-                quantized_quartets: 50,
-                pruned_quartets: 7,
-                skipped_quartets: 123,
-                skipped_bound: 4.2e-11,
-                device_seconds: 3.1e-3,
-            },
-            ledgers: vec![IterationLedger {
-                eri_seconds: 9e-4,
-                total_seconds: 1e-3,
-                evaluated_quartets: 1000,
-                skipped_quartets: 3,
-                pruned_quartets: 1,
-                skipped_bound: 1e-12,
-                rebuild: true,
-            }],
-            recoveries: vec![RecoveryLedger {
-                transient_retries: 2,
-                backoff_seconds: 3e-3,
-                rerun_batches: 11,
-                ranks_lost: 1,
-                fault_free_seconds: 0.2,
-                degraded_seconds: 0.31,
-                ..RecoveryLedger::default()
-            }],
         }
     }
 
@@ -520,13 +632,13 @@ mod tests {
     fn roundtrip_preserves_nonfinite_and_signed_zero() {
         // f64-via-bits must survive the values text formatting mangles.
         let mut ck = sample();
-        ck.e_prev = f64::INFINITY;
-        ck.residual_prev = f64::NAN;
-        ck.drift_bound = -0.0;
-        let back = ScfCheckpoint::from_bytes(&ck.to_bytes()).expect("roundtrip");
-        assert!(back.e_prev.is_infinite());
-        assert!(back.residual_prev.is_nan());
-        assert_eq!(back.drift_bound.to_bits(), (-0.0f64).to_bits());
+        ck.state.point.e_prev = f64::INFINITY;
+        ck.state.point.residual_prev = f64::NAN;
+        ck.state.incremental.drift_bound = -0.0;
+        let back = ScfCheckpoint::from_bytes(&ck.to_bytes()).expect("roundtrip").state;
+        assert!(back.point.e_prev.is_infinite());
+        assert!(back.point.residual_prev.is_nan());
+        assert_eq!(back.incremental.drift_bound.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

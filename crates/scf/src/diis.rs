@@ -10,7 +10,10 @@
 
 use mako_linalg::{gemm, Matrix, Transpose};
 
-/// DIIS accelerator state.
+/// DIIS accelerator state. Its history — capacity and (Fock, error) pairs —
+/// is what a checkpoint saves and what equality compares; the Gram cache and
+/// the conditioning counters are derived or run-local and stay out of both.
+#[derive(Debug, Clone)]
 pub struct Diis {
     max_vectors: usize,
     focks: Vec<Matrix>,
@@ -24,18 +27,18 @@ pub struct Diis {
 
 /// Conditioning-guard counters of a [`Diis`] accelerator: how often the
 /// augmented B system went singular or ill-conditioned and what it cost.
-/// Observability only — not part of [`DiisSnapshot`], so checkpoints are
+/// Observability only — not part of a checkpoint, so checkpoints are
 /// unaffected and restored accelerators start from zeroed counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiisStats {
     /// Extrapolations that hit a singular or ill-conditioned B system at
     /// least once.
-    pub conditioning_events: usize,
+    pub(crate) conditioning_events: usize,
     /// (Fock, error) pairs dropped (oldest first) to recondition B.
-    pub dropped_pairs: usize,
+    pub(crate) dropped_pairs: usize,
     /// Extrapolations that exhausted the history and fell back to the raw
     /// Fock (distinct from the normal warm-up pass-through).
-    pub raw_fallbacks: usize,
+    pub(crate) raw_fallbacks: usize,
 }
 
 /// DIIS coefficients beyond this magnitude mean the solve amplified noise
@@ -139,7 +142,7 @@ impl Diis {
     }
 
     /// Compute the Gram rows of the errors not yet covered: one new row
-    /// after a push, the whole matrix after [`Diis::restore`]. `eᵢ·eⱼ` and
+    /// after a push, the whole matrix after [`Diis::from_history`]. `eᵢ·eⱼ` and
     /// `eⱼ·eᵢ` multiply the same pairs in the same order, so mirroring a row
     /// into the column gives the bits of computing both.
     fn extend_gram(&mut self) {
@@ -157,29 +160,25 @@ impl Diis {
         self.stats
     }
 
-    /// Capture the full history for checkpointing. The snapshot is
-    /// bit-exact: restoring it and continuing reproduces the uninterrupted
-    /// trajectory (extrapolation is a pure function of the stored pairs).
-    pub(crate) fn snapshot(&self) -> DiisSnapshot {
-        DiisSnapshot {
-            max_vectors: self.max_vectors,
-            focks: self.focks.clone(),
-            errors: self.errors.clone(),
-        }
+    /// The history a checkpoint saves: capacity, then the (Fock, error)
+    /// pairs oldest first.
+    pub(crate) fn history(&self) -> (usize, &[Matrix], &[Matrix]) {
+        (self.max_vectors, &self.focks, &self.errors)
     }
 
-    /// Rebuild an accelerator from a checkpoint snapshot. The conditioning
-    /// counters restart from zero — they are run-local observability, not
-    /// trajectory state (extrapolation is a pure function of the pairs). The
-    /// Gram matrix is not part of the snapshot; the next extrapolation
-    /// recomputes it.
-    pub(crate) fn restore(snapshot: DiisSnapshot) -> Diis {
+    /// An accelerator holding a saved history. Continuing from it
+    /// reproduces the uninterrupted trajectory bit for bit (extrapolation is
+    /// a pure function of the pairs). The conditioning counters restart from
+    /// zero, and the next extrapolation recomputes the Gram matrix.
+    pub(crate) fn from_history(
+        max_vectors: usize,
+        focks: Vec<Matrix>,
+        errors: Vec<Matrix>,
+    ) -> Diis {
         Diis {
-            max_vectors: snapshot.max_vectors.max(2),
-            focks: snapshot.focks,
-            errors: snapshot.errors,
-            gram: Vec::new(),
-            stats: DiisStats::default(),
+            focks,
+            errors,
+            ..Diis::new(max_vectors)
         }
     }
 
@@ -207,16 +206,10 @@ impl Diis {
     }
 }
 
-/// The serializable state of a [`Diis`] accelerator: everything needed to
-/// resume extrapolation mid-trajectory with bit-identical results.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiisSnapshot {
-    /// History capacity.
-    pub max_vectors: usize,
-    /// Stored Fock matrices, oldest first.
-    pub focks: Vec<Matrix>,
-    /// Stored error vectors, oldest first (paired with `focks`).
-    pub errors: Vec<Matrix>,
+impl PartialEq for Diis {
+    fn eq(&self, other: &Diis) -> bool {
+        self.history() == other.history()
+    }
 }
 
 /// Dense Gaussian elimination with partial pivoting (the DIIS B system is
@@ -343,10 +336,10 @@ mod tests {
             e[(1, 2)] = -0.2 * i as f64;
             let _ = diis.extrapolate(f, e);
         }
-        let snap = diis.snapshot();
-        let mut restored = Diis::restore(snap.clone());
+        let (max_vectors, focks, errors) = diis.history();
+        let mut restored = Diis::from_history(max_vectors, focks.to_vec(), errors.to_vec());
         assert_eq!(restored.len(), diis.len());
-        assert_eq!(diis.snapshot(), snap);
+        assert_eq!(restored, diis);
         let f_next = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f64 * 0.01);
         let mut e_next = Matrix::zeros(3, 3);
         e_next[(2, 2)] = 0.05;
@@ -421,7 +414,7 @@ mod tests {
         // `kept` carries its Gram matrix from call to call; `fresh` has it
         // cleared before every call, so it recomputes all m² dot products.
         // The run passes history fill, eviction at `max_vectors`, a
-        // conditioning drop, a reset and a snapshot → restore.
+        // conditioning drop, a reset and a save → reload of the history.
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
@@ -438,8 +431,12 @@ mod tests {
                 fresh.reset();
             }
             if step == 12 {
-                kept = Diis::restore(kept.snapshot());
-                fresh = Diis::restore(fresh.snapshot());
+                let reload = |d: &Diis| {
+                    let (max_vectors, focks, errors) = d.history();
+                    Diis::from_history(max_vectors, focks.to_vec(), errors.to_vec())
+                };
+                kept = reload(&kept);
+                fresh = reload(&fresh);
             }
             let f = Matrix::from_fn(n, n, |_, _| next());
             // Step 6 repeats the previous error to one part in 1e15: B goes

@@ -907,7 +907,7 @@ fn scatter_quartet(
 pub(crate) struct NonFiniteSite {
     /// The *input* density already carried NaN/Inf — the ERI batches are
     /// innocent.
-    pub density_poisoned: bool,
+    pub(crate) density_poisoned: bool,
     /// Index of the first offending batch, when a quartet is to blame.
     pub batch: Option<usize>,
     /// Display label of the offending batch's ERI class.

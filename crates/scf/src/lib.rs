@@ -47,8 +47,8 @@ pub mod rescue;
 pub mod scf;
 pub mod xc;
 
-pub use checkpoint::ScfCheckpoint;
-pub use diis::{Diis, DiisSnapshot, DiisStats};
+pub use checkpoint::{Accounting, CarriedState, IncrementalState, RestorePoint, ScfCheckpoint};
+pub use diis::{Diis, DiisStats};
 pub use ensemble::{EnsembleConfig, EnsembleDriver, EnsembleResult};
 pub use error::{CheckpointError, FockBuildError, NonFiniteStage, ScfError};
 pub use fock::{build_jk_with_configs, FockBuildStats, FockEngineOptions, JkMatrices};

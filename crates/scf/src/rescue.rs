@@ -16,9 +16,9 @@
 //! 4. **quantization backoff** — force the `QuantSchedule` to the FP64
 //!    reference and full (non-incremental) rebuilds, so quantization noise
 //!    and screening drift cannot be what stalls convergence;
-//! 5. **rollback** — restore the last good in-memory [`ScfCheckpoint`]
-//!    (PR 3 infra) with tightened settings (fresh DIIS, damping re-armed,
-//!    FP64 backoff kept).
+//! 5. **rollback** — restore the last good in-memory [`RestorePoint`]
+//!    with tightened settings (fresh DIIS, damping re-armed, FP64 backoff
+//!    kept).
 //!
 //! Every transition is recorded in a [`RescueLedger`] and emitted as a
 //! `scf.rescue` span via `mako-trace`. The whole subsystem is **provably
@@ -27,7 +27,7 @@
 //! so enabled-vs-disabled runs are bitwise identical (DESIGN.md §12 and
 //! the golden inertness suite pin this).
 
-use crate::checkpoint::ScfCheckpoint;
+use crate::checkpoint::RestorePoint;
 
 /// Watchdog classification of the SCF trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,7 +207,7 @@ pub struct RescueEvent {
     /// The ladder stage applied.
     pub stage: RescueStage,
     /// Stage parameter: α for damping, σ for level shifting, 0 otherwise.
-    pub detail: f64,
+    pub(crate) detail: f64,
 }
 
 /// Chronological record of every rescue intervention of a run. Empty on a
@@ -262,7 +262,7 @@ impl RescueLedger {
 }
 
 /// Driver-side rescue engine: owns the trajectory history, the ladder
-/// level, the active damping/shift values, and the last good checkpoint.
+/// level, the active damping/shift values, and the last good restore point.
 ///
 /// The driver consults the accessors ([`damping`](Self::damping),
 /// [`shift`](Self::shift), [`quant_backoff`](Self::quant_backoff)) at fixed
@@ -279,7 +279,7 @@ pub(crate) struct RescueState {
     backoff: bool,
     rollback_done: bool,
     best_residual: f64,
-    good: Option<Box<ScfCheckpoint>>,
+    good: Option<Box<RestorePoint>>,
     ledger: RescueLedger,
 }
 
@@ -317,7 +317,7 @@ impl RescueState {
     /// Offer a good-state snapshot. Called on every healthy iteration; the
     /// engine keeps the snapshot with the best residual seen so far as the
     /// rollback target. The closure runs only when the snapshot is taken.
-    pub(crate) fn note_healthy(&mut self, residual: f64, snapshot: impl FnOnce() -> ScfCheckpoint) {
+    pub(crate) fn note_healthy(&mut self, residual: f64, snapshot: impl FnOnce() -> RestorePoint) {
         if residual < self.best_residual {
             self.best_residual = residual;
             self.good = Some(Box::new(snapshot()));
@@ -376,7 +376,7 @@ impl RescueState {
     /// Non-finite containment: jump straight to rollback (the only stage
     /// that can undo a poisoned state). Returns `true` when a rollback
     /// target exists and has not been spent; the driver then restores from
-    /// [`rollback_checkpoint`](Self::rollback_checkpoint). `false` means
+    /// [`rollback_point`](Self::rollback_point). `false` means
     /// the run must fail with `ScfError::NonFinite`.
     pub(crate) fn contain_non_finite(&mut self, iteration: usize) -> bool {
         if self.rollback_done || self.good.is_none() {
@@ -405,10 +405,10 @@ impl RescueState {
         self.residuals.clear();
     }
 
-    /// The checkpoint a just-fired rollback restores. Present exactly when
-    /// [`Self::escalate`]/[`Self::contain_non_finite`] returned the rollback
-    /// stage.
-    pub(crate) fn rollback_checkpoint(&self) -> Option<&ScfCheckpoint> {
+    /// The restore point a just-fired rollback restores. Present exactly
+    /// when [`Self::escalate`]/[`Self::contain_non_finite`] returned the
+    /// rollback stage.
+    pub(crate) fn rollback_point(&self) -> Option<&RestorePoint> {
         self.good.as_deref()
     }
 
@@ -606,7 +606,7 @@ mod tests {
     fn non_finite_containment_requires_a_snapshot() {
         let mut st = RescueState::new(1e-7);
         assert!(!st.contain_non_finite(3), "no snapshot yet → must fail");
-        st.note_healthy(0.5, sample_checkpoint);
+        st.note_healthy(0.5, sample_point);
         assert!(st.contain_non_finite(4));
         assert!(!st.contain_non_finite(5), "rollback is single-use");
         assert_eq!(st.ledger().stage_sequence(), vec![RescueStage::Rollback]);
@@ -617,19 +617,17 @@ mod tests {
     #[test]
     fn best_residual_snapshot_wins() {
         let mut st = RescueState::new(1e-7);
-        st.note_healthy(0.5, || {
-            let mut ck = sample_checkpoint();
-            ck.next_iteration = 1;
-            ck
+        st.note_healthy(0.5, || RestorePoint {
+            energy: -1.0,
+            ..sample_point()
         });
-        st.note_healthy(0.1, || {
-            let mut ck = sample_checkpoint();
-            ck.next_iteration = 2;
-            ck
+        st.note_healthy(0.1, || RestorePoint {
+            energy: -2.0,
+            ..sample_point()
         });
         // Worse residual: closure must not even run.
         st.note_healthy(0.4, || panic!("worse snapshot must not be captured"));
-        assert_eq!(st.rollback_checkpoint().unwrap().next_iteration, 2);
+        assert_eq!(st.rollback_point().unwrap().energy, -2.0);
     }
 
     #[test]
@@ -641,32 +639,14 @@ mod tests {
         assert!(s.contains("diverging→diis_reset"), "{s}");
     }
 
-    fn sample_checkpoint() -> ScfCheckpoint {
-        use mako_linalg::Matrix;
-        ScfCheckpoint {
-            nao: 2,
-            n_batches: 0,
-            n_quartets: 0,
-            problem_hash: 0,
-            next_iteration: 1,
-            density: Matrix::identity(2),
+    fn sample_point() -> RestorePoint {
+        RestorePoint {
+            density: mako_linalg::Matrix::identity(2),
             e_prev: -1.0,
             energy: -1.0,
             residual: 0.5,
             residual_prev: 0.6,
-            was_quantized_phase: false,
-            j_acc: Matrix::zeros(2, 2),
-            k_acc: Matrix::zeros(2, 2),
-            d_ref: Matrix::zeros(2, 2),
-            since_rebuild: 0,
-            drift_bound: 0.0,
-            force_rebuild: false,
-            diis: crate::diis::Diis::new(2).snapshot(),
             orbital_energies: vec![-0.5, 0.5],
-            iteration_seconds: vec![0.1],
-            stats: Default::default(),
-            ledgers: Vec::new(),
-            recoveries: Vec::new(),
         }
     }
 }

@@ -7,7 +7,7 @@
 //! excluding the first iteration (Figure 8's metric), and scheduling
 //! statistics.
 
-use crate::checkpoint::ScfCheckpoint;
+use crate::checkpoint::{Accounting, CarriedState, IncrementalState, RestorePoint, ScfCheckpoint};
 use crate::diis::Diis;
 use crate::error::{NonFiniteStage, ScfError};
 use crate::fock::{
@@ -19,7 +19,7 @@ use crate::parallel::{build_shares, DistributedScf};
 use crate::rescue::{RescueLedger, RescueStage, RescueState, TrajectoryClass};
 use crate::xc::{evaluate_aos, evaluate_xc, hartree_fock, AoOnGrid, XcFunctional};
 use mako_accel::fault::RecoveryLedger;
-use mako_accel::{CostModel, DeviceClock, DeviceSpec, IterationLedger};
+use mako_accel::{CostModel, DeviceClock, DeviceSpec};
 use mako_chem::{AoLayout, BasisSet, Molecule, Shell};
 use mako_compiler::KernelCache;
 use mako_eri::batch::{batch_quartets, QuartetBatch};
@@ -52,7 +52,7 @@ pub struct IncrementalPolicy {
     pub tau: f64,
     /// Full rebuild every this many iterations (numerical hygiene);
     /// `0` disables the periodic rebuild.
-    pub rebuild_period: usize,
+    pub(crate) rebuild_period: usize,
     /// Drift cap: rebuild as soon as the accumulated analytic bound on the
     /// skipped contributions (`Σ skipped_bound` since the last rebuild)
     /// exceeds this, so screening error can never pile up past it. The
@@ -61,7 +61,7 @@ pub struct IncrementalPolicy {
     /// smaller), so the cap is a loose guardrail — `rebuild_period` is the
     /// primary hygiene. Caps near the energy tolerance would force a
     /// rebuild every iteration and disable the engine entirely.
-    pub drift_cap: f64,
+    pub(crate) drift_cap: f64,
     /// Divergence guard: when the DIIS residual grows by more than this
     /// factor between iterations, restart DIIS and force a full rebuild.
     pub divergence_factor: f64,
@@ -606,10 +606,14 @@ pub(crate) struct PreparedIteration {
 /// bitwise identity hold by construction rather than by parallel maintenance
 /// of two loops.
 ///
-/// All numeric state (density, DIIS history, rescue ladder, incremental
-/// accumulators, watchdog) lives here, one instance per molecule; nothing in
-/// a session is shared, so a diverging ensemble member cannot perturb its
-/// neighbors.
+/// What one iteration hands the next is one [`CarriedState`]: the restore
+/// point a rescue rollback rewinds (density, energies, residuals, orbital
+/// energies), the incremental engine's state, the DIIS history, and the
+/// accounting. A checkpoint saves it whole and a resume takes it back whole.
+/// Everything else here is fixed for the run (one-electron matrices,
+/// orthogonalizer) or deliberately not saved (the rescue ladder, the tensor
+/// store). One instance per molecule; nothing in a session is shared, so a
+/// diverging ensemble member cannot perturb its neighbors.
 pub(crate) struct ScfSession<'a> {
     driver: &'a ScfDriver,
     run_opts: ScfRunOptions,
@@ -621,33 +625,15 @@ pub(crate) struct ScfSession<'a> {
     orth: OrthDiagnostics,
     e_nuc: f64,
     policy: IncrementalPolicy,
-    // Incremental-build state: accumulated G matrices, the density they
-    // correspond to, and the rebuild-policy bookkeeping.
-    j_acc: Matrix,
-    k_acc: Matrix,
-    d_ref: Matrix,
-    was_quantized_phase: bool,
-    since_rebuild: usize,
-    drift_bound: f64,
-    force_rebuild: bool,
-    residual_prev: f64,
-    clock: DeviceClock,
+    state: CarriedState,
     // Self-healing engine. `None` when disabled; when enabled it stays
     // strictly observational until a ladder stage fires, so a healthy
     // enabled run is bitwise identical to a disabled one.
     rescue: Option<RescueState>,
-    diis: Diis,
-    e_prev: f64,
-    residual: f64,
-    iteration_seconds: Vec<f64>,
-    total_stats: FockBuildStats,
     converged: bool,
-    energy: f64,
-    orbital_energies: Vec<f64>,
     // Ledger credit (e.g. a checkpoint load) that lands on the next
     // iteration's recovery record.
     pending_recovery: RecoveryLedger,
-    d: Matrix,
     iter: usize,
     finished: bool,
     // Quartet tensors kept across this session's Fock builds, taken from and
@@ -724,35 +710,15 @@ impl<'a> ScfSession<'a> {
 
         let nao = driver.layout.nao;
         let policy = driver.config.incremental_policy.clone();
-        let mut j_acc = Matrix::zeros(nao, nao);
-        let mut k_acc = Matrix::zeros(nao, nao);
-        let mut d_ref = Matrix::zeros(nao, nao);
-        let mut was_quantized_phase = false;
-        let mut since_rebuild = 0usize;
-        let mut drift_bound = 0.0f64;
-        let mut force_rebuild = false;
-        let mut residual_prev = f64::INFINITY;
-        let mut clock = DeviceClock::new();
-
         let rescue = driver
             .config
             .rescue
             .then(|| RescueState::new(driver.config.e_tol));
 
-        let mut diis = Diis::new(8);
-        let mut e_prev = f64::INFINITY;
-        let mut residual = 1.0f64;
-        let mut iteration_seconds = Vec::new();
-        let mut total_stats = FockBuildStats::default();
-        let mut energy = 0.0;
-        let mut orbital_energies = Vec::new();
-
         // Fresh start (core-Hamiltonian guess) or checkpoint resumption.
         // The resume ledger credit lands on the first new iteration.
         let mut pending_recovery = RecoveryLedger::default();
-        let start_iter;
-        let d;
-        match run_opts.resume.take() {
+        let (state, iter) = match run_opts.resume.take() {
             Some(ck) => {
                 if let Err(e) = ck.validate(
                     nao,
@@ -764,33 +730,30 @@ impl<'a> ScfSession<'a> {
                     driver.park(tensors);
                     return Err(e.into());
                 }
-                clock = ck.clock();
-                d = ck.density;
-                e_prev = ck.e_prev;
-                energy = ck.energy;
-                residual = ck.residual;
-                residual_prev = ck.residual_prev;
-                was_quantized_phase = ck.was_quantized_phase;
-                j_acc = ck.j_acc;
-                k_acc = ck.k_acc;
-                d_ref = ck.d_ref;
-                since_rebuild = ck.since_rebuild;
-                drift_bound = ck.drift_bound;
-                force_rebuild = ck.force_rebuild;
-                diis = Diis::restore(ck.diis);
-                orbital_energies = ck.orbital_energies;
-                iteration_seconds = ck.iteration_seconds;
-                total_stats = ck.stats;
-                start_iter = ck.next_iteration;
                 pending_recovery.checkpoint_loads = 1;
+                (ck.state, ck.next_iteration)
             }
             None => {
-                d = density_from_fock(&h, &x, n_occ)
+                let density = density_from_fock(&h, &x, n_occ)
                     .map_err(|source| ScfError::Diagonalization { iteration: 0, source })?
                     .0;
-                start_iter = 0;
+                let point = RestorePoint {
+                    density,
+                    e_prev: f64::INFINITY,
+                    energy: 0.0,
+                    residual: 1.0,
+                    residual_prev: f64::INFINITY,
+                    orbital_energies: Vec::new(),
+                };
+                let state = CarriedState {
+                    point,
+                    incremental: IncrementalState::new(nao),
+                    diis: Diis::new(8),
+                    accounting: Accounting::default(),
+                };
+                (state, 0)
             }
-        }
+        };
 
         Ok(ScfSession {
             driver,
@@ -803,27 +766,11 @@ impl<'a> ScfSession<'a> {
             orth,
             e_nuc,
             policy,
-            j_acc,
-            k_acc,
-            d_ref,
-            was_quantized_phase,
-            since_rebuild,
-            drift_bound,
-            force_rebuild,
-            residual_prev,
-            clock,
+            state,
             rescue,
-            diis,
-            e_prev,
-            residual,
-            iteration_seconds,
-            total_stats,
             converged: false,
-            energy,
-            orbital_energies,
             pending_recovery,
-            d,
-            iter: start_iter,
+            iter,
             finished: false,
             tensors,
         })
@@ -847,12 +794,12 @@ impl<'a> ScfSession<'a> {
 
     /// Latest total energy (Ha). Trace/diagnostic use only.
     pub(crate) fn energy(&self) -> f64 {
-        self.energy
+        self.state.point.energy
     }
 
     /// Latest scheduling residual. Trace/diagnostic use only.
     pub(crate) fn residual(&self) -> f64 {
-        self.residual
+        self.state.point.residual
     }
 
     /// Stage the next iteration: commit the precision schedule and the
@@ -868,7 +815,7 @@ impl<'a> ScfSession<'a> {
             // the rest of the run.
             QuantSchedule::rescue_backoff(cfg.e_tol)
         } else if cfg.quantized {
-            QuantSchedule::for_iteration(self.residual, cfg.e_tol)
+            QuantSchedule::for_iteration(self.state.point.residual, cfg.e_tol)
         } else {
             QuantSchedule::fp64_reference(cfg.e_tol * 1e-5)
         };
@@ -887,31 +834,23 @@ impl<'a> ScfSession<'a> {
         //    final energy must be certified on drift-free Fock,
         //  * the rescue ladder's quantization backoff is active (the
         //    backed-off trajectory must be free of screening drift too).
-        let leaving_quant_phase = self.was_quantized_phase && !schedule.allow_quantized;
-        self.was_quantized_phase = schedule.allow_quantized;
+        let inc = &mut self.state.incremental;
+        let leaving_quant_phase = inc.was_quantized_phase && !schedule.allow_quantized;
+        inc.was_quantized_phase = schedule.allow_quantized;
         let rebuild = !cfg.incremental
             || self.iter == 0
             || leaving_quant_phase
-            || self.force_rebuild
+            || inc.force_rebuild
             || backoff
-            || (self.policy.rebuild_period > 0 && self.since_rebuild >= self.policy.rebuild_period)
-            || self.drift_bound > self.policy.drift_cap;
+            || (self.policy.rebuild_period > 0 && inc.since_rebuild >= self.policy.rebuild_period)
+            || inc.drift_bound > self.policy.drift_cap;
         if cfg.incremental && rebuild {
-            let nao = self.driver.layout.nao;
-            self.j_acc = Matrix::zeros(nao, nao);
-            self.k_acc = Matrix::zeros(nao, nao);
-            self.d_ref = Matrix::zeros(nao, nao);
-            self.since_rebuild = 0;
-            self.drift_bound = 0.0;
-            self.force_rebuild = false;
+            inc.reset();
         }
-        let build_density = if cfg.incremental {
-            let mut delta = self.d.clone();
-            delta.axpy(-1.0, &self.d_ref);
-            delta
-        } else {
-            self.d.clone()
-        };
+        let mut build_density = self.state.point.density.clone();
+        if cfg.incremental {
+            build_density.axpy(-1.0, &inc.d_ref);
+        }
         // The ΔD screen (phase 0 of the engine) only engages on the
         // incremental path.
         let opts = FockEngineOptions {
@@ -955,6 +894,12 @@ impl<'a> ScfSession<'a> {
             j[(0, 0)] = f64::NAN;
         }
         let mut iter_seconds = st.device_seconds;
+        let CarriedState {
+            point,
+            incremental: inc,
+            diis,
+            accounting,
+        } = &mut self.state;
 
         // Non-finite containment: a NaN/Inf caught at any assembly
         // checkpoint is attributed (J/K only — the one stage with a
@@ -1001,17 +946,8 @@ impl<'a> ScfSession<'a> {
                 }
                 // The poisoned work was still spent: account for it
                 // before unwinding the iteration.
-                self.iteration_seconds.push(iter_seconds);
-                self.clock.push(IterationLedger {
-                    eri_seconds: st.device_seconds,
-                    total_seconds: iter_seconds,
-                    evaluated_quartets: st.evaluated_quartets(),
-                    skipped_quartets: st.skipped_quartets,
-                    pruned_quartets: st.pruned_quartets,
-                    skipped_bound: st.skipped_bound,
-                    rebuild,
-                });
-                self.clock.push_recovery(recovery);
+                accounting.charge(&st, iter_seconds, rebuild);
+                accounting.clock.push_recovery(recovery);
                 iter_span.end();
                 if contained {
                     let level = self
@@ -1026,26 +962,22 @@ impl<'a> ScfSession<'a> {
                         0.0,
                         level,
                     );
-                    self.restore_rollback();
+                    self.rollback();
                     self.iter += 1;
                     return Ok(());
                 }
                 return Err(ScfError::NonFinite { iteration: iter, stage });
             }};
         }
-        self.total_stats.fp64_quartets += st.fp64_quartets;
-        self.total_stats.quantized_quartets += st.quantized_quartets;
-        self.total_stats.pruned_quartets += st.pruned_quartets;
-        self.total_stats.skipped_quartets += st.skipped_quartets;
-        self.total_stats.skipped_bound += st.skipped_bound;
+        accounting.add_build(&st);
         if self.driver.config.incremental {
-            self.j_acc.axpy(1.0, &j);
-            self.k_acc.axpy(1.0, &k);
-            j = self.j_acc.clone();
-            k = self.k_acc.clone();
-            self.d_ref = self.d.clone();
-            self.since_rebuild += 1;
-            self.drift_bound += st.skipped_bound;
+            inc.j_acc.axpy(1.0, &j);
+            inc.k_acc.axpy(1.0, &k);
+            j = inc.j_acc.clone();
+            k = inc.k_acc.clone();
+            inc.d_ref = point.density.clone();
+            inc.since_rebuild += 1;
+            inc.drift_bound += st.skipped_bound;
         }
         if !j.all_finite() {
             contain!(NonFiniteStage::Coulomb);
@@ -1058,7 +990,7 @@ impl<'a> ScfSession<'a> {
         let (e_xc, v_xc, xc_seconds) = match (&self.driver.grid, &self.driver.aos) {
             (Some(grid), Some(aos)) => {
                 let mut span = mako_trace::span("scf", "xc");
-                let res = evaluate_xc(&self.functional, aos, grid, &self.d);
+                let res = evaluate_xc(&self.functional, aos, grid, &point.density);
                 span.add_field("npts", grid.len());
                 span.add_field("nao", self.driver.layout.nao);
                 span.add_field("blocks", aos.blocks().len());
@@ -1083,14 +1015,15 @@ impl<'a> ScfSession<'a> {
         }
 
         // Energy.
-        let e_elec = 2.0 * self.d.dot(&self.h) + 2.0 * self.d.dot(&j)
-            - self.functional.hf_exchange * self.d.dot(&k)
+        let d = &point.density;
+        let e_elec = 2.0 * d.dot(&self.h) + 2.0 * d.dot(&j)
+            - self.functional.hf_exchange * d.dot(&k)
             + e_xc;
-        self.energy = e_elec + self.e_nuc;
+        point.energy = e_elec + self.e_nuc;
         if !f.all_finite() {
             contain!(NonFiniteStage::Fock);
         }
-        if !self.energy.is_finite() {
+        if !point.energy.is_finite() {
             contain!(NonFiniteStage::Energy);
         }
 
@@ -1098,11 +1031,11 @@ impl<'a> ScfSession<'a> {
         // jump by `divergence_factor` means the extrapolation went bad —
         // restart DIIS (drop the stale history) and schedule a full
         // rebuild so accumulated screening drift cannot steer recovery.
-        let err = Diis::error_vector(&f, &self.d, &self.s, &self.x);
-        self.residual = err.norm_fro() / (self.driver.layout.nao as f64);
+        let err = Diis::error_vector(&f, &point.density, &self.s, &self.x);
+        point.residual = err.norm_fro() / (self.driver.layout.nao as f64);
         // The watchdog observes the raw DIIS residual, before the
         // |ΔE|-based scheduling floor below munges it.
-        let residual_diis = self.residual;
+        let residual_diis = point.residual;
         // A rebuild iteration is exempt from the guard: removing the
         // accumulated screening drift legitimately bumps the residual
         // (the frozen phase before it drove the residual toward zero),
@@ -1110,16 +1043,16 @@ impl<'a> ScfSession<'a> {
         // Tripping it here would force a redundant back-to-back rebuild
         // and throw away healthy DIIS history.
         let guard_exempt = self.driver.config.incremental && rebuild;
+        let prev = std::mem::replace(&mut point.residual_prev, point.residual);
         if iter > 0
             && !guard_exempt
-            && self.residual_prev.is_finite()
-            && self.residual > self.policy.divergence_factor * self.residual_prev
+            && prev.is_finite()
+            && point.residual > self.policy.divergence_factor * prev
         {
-            self.diis.reset();
-            self.force_rebuild = true;
+            diis.reset();
+            inc.force_rebuild = true;
         }
-        self.residual_prev = self.residual;
-        let mut f_diis = self.diis.extrapolate(f, err);
+        let mut f_diis = diis.extrapolate(f, err);
 
         // Stage 3 (level shifting): raise the virtual block of the
         // extrapolated Fock by σ. With CᵀSC = I and D = C_occ·C_occᵀ,
@@ -1129,7 +1062,7 @@ impl<'a> ScfSession<'a> {
         // unshifted matrices; strictly gated, so no FP operation runs
         // until the stage fires.
         if let Some(sigma) = self.rescue.as_ref().and_then(|r| r.shift()) {
-            let sd = gemm(&self.s, Transpose::No, &self.d, Transpose::No);
+            let sd = gemm(&self.s, Transpose::No, &point.density, Transpose::No);
             let sds = gemm(&sd, Transpose::No, &self.s, Transpose::No);
             let mut proj = self.s.clone();
             proj.axpy(-1.0, &sds);
@@ -1146,34 +1079,25 @@ impl<'a> ScfSession<'a> {
         if !d_new.all_finite() {
             contain!(NonFiniteStage::Density);
         }
-        self.iteration_seconds.push(iter_seconds);
-        self.clock.push(IterationLedger {
-            eri_seconds: st.device_seconds,
-            total_seconds: iter_seconds,
-            evaluated_quartets: st.evaluated_quartets(),
-            skipped_quartets: st.skipped_quartets,
-            pruned_quartets: st.pruned_quartets,
-            skipped_bound: st.skipped_bound,
-            rebuild,
-        });
+        accounting.charge(&st, iter_seconds, rebuild);
 
-        let de = (self.energy - self.e_prev).abs();
-        self.e_prev = self.energy;
-        let d_prev = std::mem::replace(&mut self.d, d_new);
+        let de = (point.energy - point.e_prev).abs();
+        point.e_prev = point.energy;
+        let d_prev = std::mem::replace(&mut point.density, d_new);
         // Stage 2 (density damping): mix the previous density back in,
         // D ← (1−α)·D_new + α·D_old. Gated — with damping off the
         // replacement above is all that happens.
         if let Some(alpha) = self.rescue.as_ref().and_then(|r| r.damping()) {
-            self.d.scale_mut(1.0 - alpha);
-            self.d.axpy(alpha, &d_prev);
+            point.density.scale_mut(1.0 - alpha);
+            point.density.axpy(alpha, &d_prev);
         }
-        self.orbital_energies = eps;
+        point.orbital_energies = eps;
 
         if iter_span.is_recording() {
             iter_span.add_field("iter", iter);
-            iter_span.add_field("energy", self.energy);
+            iter_span.add_field("energy", point.energy);
             iter_span.add_field("de", de);
-            iter_span.add_field("residual", self.residual);
+            iter_span.add_field("residual", point.residual);
             iter_span.add_field("rebuild", rebuild);
             iter_span.add_field("eri_seconds", st.device_seconds);
             iter_span.add_field("total_seconds", iter_seconds);
@@ -1184,7 +1108,7 @@ impl<'a> ScfSession<'a> {
         iter_span.end();
 
         let mut finishing = false;
-        if de < self.driver.config.e_tol && self.residual < self.driver.config.e_tol.sqrt() {
+        if de < self.driver.config.e_tol && point.residual < self.driver.config.e_tol.sqrt() {
             // Certified convergence: never accept the convergence signal
             // off a screened incremental build. Near convergence the ΔD
             // screen can skip every remaining quartet, freezing the Fock
@@ -1194,7 +1118,7 @@ impl<'a> ScfSession<'a> {
             // one full rebuild and only accept convergence re-confirmed
             // on rebuilt (drift-free) Fock.
             if self.driver.config.incremental && !rebuild {
-                self.force_rebuild = true;
+                inc.force_rebuild = true;
             } else {
                 self.converged = true;
                 // When quantized, require a final FP64-clean iteration:
@@ -1207,7 +1131,7 @@ impl<'a> ScfSession<'a> {
         }
         if !finishing {
             // Use |ΔE| as the scheduling residual for the next iteration.
-            self.residual = self.residual.max(de.min(1.0));
+            point.residual = point.residual.max(de.min(1.0));
         }
 
         // Convergence watchdog + staged rescue ladder. Strictly
@@ -1216,67 +1140,34 @@ impl<'a> ScfSession<'a> {
         // contract the golden suite pins bitwise). Decay runs first —
         // this iteration already consumed the current α/σ — so a stage
         // (re)armed by `escalate` starts the next iteration at full
-        // strength. The engine is taken out of `self` for the block so
-        // the snapshot closure can borrow the session state freely.
-        if !finishing {
-            let mut rescue = self.rescue.take();
-            let mut do_rollback = false;
-            if let Some(r) = rescue.as_mut() {
-                r.decay();
-                let class = r.observe(self.energy, residual_diis);
-                if class == TrajectoryClass::Healthy {
-                    // Offer the current state as a rollback target; the
-                    // engine keeps the best-residual one. Only the
-                    // numeric fields matter to a rollback — accounting
-                    // always runs forward — so those stay empty.
-                    r.note_healthy(residual_diis, || ScfCheckpoint {
-                        nao: self.driver.layout.nao,
-                        n_batches: self.driver.batches.len(),
-                        n_quartets: self.driver.nquartets(),
-                        problem_hash: self.driver.problem_hash,
-                        next_iteration: iter + 1,
-                        density: self.d.clone(),
-                        e_prev: self.e_prev,
-                        energy: self.energy,
-                        residual: self.residual,
-                        residual_prev: self.residual_prev,
-                        was_quantized_phase: self.was_quantized_phase,
-                        j_acc: self.j_acc.clone(),
-                        k_acc: self.k_acc.clone(),
-                        d_ref: self.d_ref.clone(),
-                        since_rebuild: self.since_rebuild,
-                        drift_bound: self.drift_bound,
-                        force_rebuild: self.force_rebuild,
-                        diis: self.diis.snapshot(),
-                        orbital_energies: self.orbital_energies.clone(),
-                        iteration_seconds: Vec::new(),
-                        stats: FockBuildStats::default(),
-                        ledgers: Vec::new(),
-                        recoveries: Vec::new(),
-                    });
-                } else if let Some(stage) = r.escalate(iter, class) {
-                    let detail = r.ledger().events().last().map(|e| e.detail).unwrap_or(0.0);
-                    emit_rescue_span(iter, class, stage, detail, r.level());
-                    match stage {
-                        RescueStage::DiisReset => {
-                            self.diis.reset();
-                            if self.driver.config.incremental {
-                                self.force_rebuild = true;
-                            }
+        // strength.
+        let mut do_rollback = false;
+        if let Some(r) = self.rescue.as_mut().filter(|_| !finishing) {
+            r.decay();
+            let class = r.observe(point.energy, residual_diis);
+            if class == TrajectoryClass::Healthy {
+                // Offer the current state as a rollback target; the
+                // engine keeps the best-residual one.
+                r.note_healthy(residual_diis, || point.clone());
+            } else if let Some(stage) = r.escalate(iter, class) {
+                let detail = r.ledger().events().last().map(|e| e.detail).unwrap_or(0.0);
+                emit_rescue_span(iter, class, stage, detail, r.level());
+                match stage {
+                    RescueStage::DiisReset => {
+                        diis.reset();
+                        if self.driver.config.incremental {
+                            inc.force_rebuild = true;
                         }
-                        // The engine already armed the knob; the driver
-                        // consumes it at its fixed point next iteration.
-                        RescueStage::Damp
-                        | RescueStage::LevelShift
-                        | RescueStage::QuantBackoff => {}
-                        RescueStage::Rollback => do_rollback = true,
                     }
+                    // The engine already armed the knob; the driver
+                    // consumes it at its fixed point next iteration.
+                    RescueStage::Damp | RescueStage::LevelShift | RescueStage::QuantBackoff => {}
+                    RescueStage::Rollback => do_rollback = true,
                 }
             }
-            self.rescue = rescue;
-            if do_rollback {
-                self.restore_rollback();
-            }
+        }
+        if do_rollback {
+            self.rollback();
         }
 
         // Periodic checkpoint, and one at the kill so a quantum boundary
@@ -1291,38 +1182,14 @@ impl<'a> ScfSession<'a> {
                 .as_ref()
                 .is_some_and(|p| p.every > 0 && (killed || (iter + 1).is_multiple_of(p.every)));
         recovery.checkpoint_saves = save_now as usize;
-        self.clock.push_recovery(recovery);
+        self.state.accounting.clock.push_recovery(recovery);
         if save_now {
             let p = self
                 .run_opts
                 .checkpoint
                 .as_ref()
                 .expect("save_now implies a policy");
-            let ck = ScfCheckpoint {
-                nao: self.driver.layout.nao,
-                n_batches: self.driver.batches.len(),
-                n_quartets: self.driver.nquartets(),
-                problem_hash: self.driver.problem_hash,
-                next_iteration: iter + 1,
-                density: self.d.clone(),
-                e_prev: self.e_prev,
-                energy: self.energy,
-                residual: self.residual,
-                residual_prev: self.residual_prev,
-                was_quantized_phase: self.was_quantized_phase,
-                j_acc: self.j_acc.clone(),
-                k_acc: self.k_acc.clone(),
-                d_ref: self.d_ref.clone(),
-                since_rebuild: self.since_rebuild,
-                drift_bound: self.drift_bound,
-                force_rebuild: self.force_rebuild,
-                diis: self.diis.snapshot(),
-                orbital_energies: self.orbital_energies.clone(),
-                iteration_seconds: self.iteration_seconds.clone(),
-                stats: self.total_stats.clone(),
-                ledgers: self.clock.iterations().to_vec(),
-                recoveries: self.clock.recoveries().to_vec(),
-            };
+            let ck = ScfCheckpoint::of(self.driver, iter + 1, self.state.clone());
             match &p.vfs {
                 Some(vfs) => ck.save_via(vfs.as_ref(), &p.path),
                 None => ck.save(&p.path),
@@ -1342,58 +1209,45 @@ impl<'a> ScfSession<'a> {
         Ok(())
     }
 
-    /// Restore the rescue engine's best-residual in-memory checkpoint:
-    /// numeric state rewinds, accounting (clock, stats, iteration
-    /// seconds) keeps running forward — wall time was really spent.
-    /// The accumulators are purged and a full rebuild forced so no
-    /// post-snapshot screening drift survives the rewind.
-    fn restore_rollback(&mut self) {
-        let ck = self
-            .rescue
-            .as_ref()
-            .and_then(|r| r.rollback_checkpoint())
-            .expect("rollback stage implies a snapshot")
-            .clone();
-        let nao = self.driver.layout.nao;
-        self.d = ck.density;
-        self.e_prev = ck.e_prev;
-        self.energy = ck.energy;
-        self.residual = ck.residual;
-        self.residual_prev = ck.residual_prev;
-        self.orbital_energies = ck.orbital_energies;
-        self.j_acc = Matrix::zeros(nao, nao);
-        self.k_acc = Matrix::zeros(nao, nao);
-        self.d_ref = Matrix::zeros(nao, nao);
-        self.since_rebuild = 0;
-        self.drift_bound = 0.0;
-        self.force_rebuild = true;
-        self.was_quantized_phase = false;
-        self.diis.reset();
+    /// Rewind to the rescue engine's best-residual restore point. Accounting
+    /// keeps running forward — the device time was really spent. The
+    /// incremental state starts over with a full rebuild owed, so no
+    /// post-snapshot screening drift survives the rewind, and the DIIS
+    /// history is dropped.
+    fn rollback(&mut self) {
+        let point = self.rescue.as_ref().and_then(|r| r.rollback_point());
+        self.state.point = point.expect("rollback stage implies a snapshot").clone();
+        self.state.incremental = IncrementalState {
+            force_rebuild: true,
+            ..IncrementalState::new(self.driver.layout.nao)
+        };
+        self.state.diis.reset();
     }
 
     /// Everything after the last iteration: the paper's timing metrics and
     /// the assembled [`ScfResult`].
-    pub(crate) fn finish(mut self) -> ScfResult {
-        let avg = if self.iteration_seconds.len() > 1 {
-            self.iteration_seconds[1..].iter().sum::<f64>()
-                / (self.iteration_seconds.len() - 1) as f64
+    pub(crate) fn finish(self) -> ScfResult {
+        let CarriedState { point, accounting, .. } = self.state;
+        let Accounting { iteration_seconds, mut stats, clock } = accounting;
+        let avg = if iteration_seconds.len() > 1 {
+            iteration_seconds[1..].iter().sum::<f64>() / (iteration_seconds.len() - 1) as f64
         } else {
-            self.iteration_seconds.first().copied().unwrap_or(0.0)
+            iteration_seconds.first().copied().unwrap_or(0.0)
         };
-        self.total_stats.device_seconds = self.iteration_seconds.iter().sum();
+        stats.device_seconds = iteration_seconds.iter().sum();
 
         ScfResult {
-            energy: self.energy,
+            energy: point.energy,
             e_nuclear: self.e_nuc,
             converged: self.converged,
-            iterations: self.iteration_seconds.len(),
-            orbital_energies: self.orbital_energies,
-            density: self.d,
+            iterations: iteration_seconds.len(),
+            orbital_energies: point.orbital_energies,
+            density: point.density,
             avg_iteration_seconds: avg,
-            total_seconds: self.iteration_seconds.iter().sum(),
-            iteration_seconds: self.iteration_seconds,
-            stats: self.total_stats,
-            clock: self.clock,
+            total_seconds: iteration_seconds.iter().sum(),
+            iteration_seconds,
+            stats,
+            clock,
             rescue: self.rescue.map(RescueState::into_ledger).unwrap_or_default(),
             orth: self.orth,
             tensor_store_bytes: self.tensors.held_bytes(),

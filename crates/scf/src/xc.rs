@@ -407,7 +407,7 @@ pub struct XcResult {
     pub n_electrons: f64,
     /// Grid points whose density is under the 1e-12 floor (they contribute
     /// nothing to `energy` or `matrix`).
-    pub below_floor: usize,
+    pub(crate) below_floor: usize,
 }
 
 #[inline]

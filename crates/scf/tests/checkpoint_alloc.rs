@@ -8,7 +8,9 @@
 //! harness's own threads cannot disturb them.
 
 use mako_linalg::Matrix;
-use mako_scf::{CheckpointError, DiisSnapshot, FockBuildStats, ScfCheckpoint};
+use mako_scf::{
+    Accounting, CarriedState, CheckpointError, Diis, IncrementalState, RestorePoint, ScfCheckpoint,
+};
 use mako_store::crc32;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -41,34 +43,40 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn sample() -> ScfCheckpoint {
     let m = |s: f64| Matrix::from_fn(3, 3, |i, j| s * (i as f64 + 0.1 * j as f64));
+    // One extrapolation passes the Fock through and leaves one pair in the
+    // history.
+    let mut diis = Diis::new(8);
+    let _ = diis.extrapolate(m(2.0), m(0.01));
     ScfCheckpoint {
         nao: 3,
         n_batches: 7,
         n_quartets: 91,
         problem_hash: 0xDEAD_BEEF_CAFE_F00D,
         next_iteration: 4,
-        density: m(1.0),
-        e_prev: -74.9629,
-        energy: -74.96294,
-        residual: 1.25e-5,
-        residual_prev: 3.5e-5,
-        was_quantized_phase: true,
-        j_acc: m(0.5),
-        k_acc: m(0.25),
-        d_ref: m(0.9),
-        since_rebuild: 2,
-        drift_bound: 1.5e-13,
-        force_rebuild: false,
-        diis: DiisSnapshot {
-            max_vectors: 8,
-            focks: vec![m(2.0)],
-            errors: vec![m(0.01)],
+        state: CarriedState {
+            point: RestorePoint {
+                density: m(1.0),
+                e_prev: -74.9629,
+                energy: -74.96294,
+                residual: 1.25e-5,
+                residual_prev: 3.5e-5,
+                orbital_energies: vec![-20.24, -1.26, 0.6],
+            },
+            incremental: IncrementalState {
+                j_acc: m(0.5),
+                k_acc: m(0.25),
+                d_ref: m(0.9),
+                since_rebuild: 2,
+                drift_bound: 1.5e-13,
+                force_rebuild: false,
+                was_quantized_phase: true,
+            },
+            diis,
+            accounting: Accounting {
+                iteration_seconds: vec![1e-3],
+                ..Accounting::default()
+            },
         },
-        orbital_energies: vec![-20.24, -1.26, 0.6],
-        iteration_seconds: vec![1e-3],
-        stats: FockBuildStats::default(),
-        ledgers: Vec::new(),
-        recoveries: Vec::new(),
     }
 }
 

@@ -57,7 +57,7 @@ impl Default for AdmissionConfig {
 
 /// The load-shedding state (see the module docs for the machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionState {
+pub(crate) enum AdmissionState {
     /// Every class admitted.
     Normal,
     /// Best-effort shed; batch downgraded to the short quantum.

@@ -58,7 +58,7 @@ pub mod journal;
 pub mod persist;
 pub mod server;
 
-pub use admission::{AdmissionConfig, AdmissionState};
+pub use admission::AdmissionConfig;
 pub use cache::{ArtifactKey, ScreenCache};
 pub use chaos::ServerChaos;
 pub use job::{JobError, JobOutcome, JobReport, JobSpec, PriorityClass, RejectReason};

@@ -47,7 +47,7 @@ use mako_scf::{
 };
 use mako_store::{ArtifactStore, Vfs, VfsError};
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionState};
+use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::cache::{ArtifactKey, ScreenCache};
 use crate::chaos::ServerChaos;
 use crate::job::{JobError, JobId, JobOutcome, JobReport, JobSpec, PriorityClass};
@@ -135,8 +135,6 @@ pub struct ServeReport {
     pub ledger: ServeLedger,
     /// Virtual clock when the last event fired (makespan).
     pub makespan: f64,
-    /// Admission state when the run ended.
-    pub final_state: AdmissionState,
     /// The serve was cut short by a storage crash (injected or real).
     /// Unresolved jobs carry [`JobError::Crashed`]; call
     /// [`MakoServer::recover`] to finish the run from the journal.
@@ -1026,7 +1024,9 @@ impl<'a> Sim<'a> {
                     self.fault_event(id, w, "ckpt_write");
                     let dt = self
                         .load_valid_ckpt(id, start_iter)
-                        .map(|c| segment_seconds(&c.iteration_seconds, start_iter))
+                        .map(|c| {
+                            segment_seconds(&c.state.accounting.iteration_seconds, start_iter)
+                        })
                         .unwrap_or(0.0);
                     let error = JobError::Scf(ScfError::Checkpoint(CheckpointError::Io(
                         "simulated checkpoint write failure".to_string(),
@@ -1044,7 +1044,8 @@ impl<'a> Sim<'a> {
                     .filter(|c| c.next_iteration == iterations)
                 {
                     Some(ckpt) => {
-                        let dt = segment_seconds(&ckpt.iteration_seconds, start_iter);
+                        let seconds = &ckpt.state.accounting.iteration_seconds;
+                        let dt = segment_seconds(seconds, start_iter);
                         (AttemptEnd::Yield(ckpt), dt)
                     }
                     None => {
@@ -1075,7 +1076,7 @@ impl<'a> Sim<'a> {
                 let salvage = self.load_valid_ckpt(id, start_iter);
                 let dt = salvage
                     .as_ref()
-                    .map(|c| segment_seconds(&c.iteration_seconds, start_iter))
+                    .map(|c| segment_seconds(&c.state.accounting.iteration_seconds, start_iter))
                     .unwrap_or(0.0);
                 (
                     AttemptEnd::Fault {
@@ -1356,7 +1357,6 @@ impl<'a> Sim<'a> {
             outcomes,
             ledger: self.ledger,
             makespan: self.clock,
-            final_state: self.adm.state(),
             crashed: aborted,
         }
     }

@@ -136,9 +136,9 @@ pub enum EventKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Microseconds since the collector's epoch.
-    pub ts_us: f64,
+    pub(crate) ts_us: f64,
     /// Stable per-thread id (assigned on first record from a thread).
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// Category (crate/subsystem: `"scf"`, `"fock"`, `"compiler"`, ...).
     pub cat: &'static str,
     /// Event name (`"iteration"`, `"tune_class"`, ...).

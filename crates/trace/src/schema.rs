@@ -437,6 +437,7 @@ pub fn validate_jsonl(text: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_values() {
@@ -463,6 +464,60 @@ mod tests {
         assert!(err.contains("nesting deeper than 128 levels"), "{err}");
         assert!(parse_json(&"[".repeat(100_000)).is_err());
         assert!(validate_jsonl(&format!("{}\n", "{\"a\":".repeat(100_000))).is_err());
+    }
+
+    /// Tokens for the parser fuzz: every structural byte, string and escape
+    /// pieces, number pieces, the three literals whole and cut short,
+    /// whitespace, and a few whole arrays and objects so that some draws
+    /// parse to nested values.
+    const JSON_TOKENS: [&str; 36] = [
+        "{", "}", "[", "]", "[", "]", "\"", "\"k\"", "\\", "\\u", "00e9", "\\n", ",", ",", ":",
+        "-", ".", "e", "0", "7", "12", "true", "false", "null", "nul", "tru", " ", "\n", "\t",
+        "\r", "\"s\"", "1.5e-3", "[]", "{}", "[0,[1]]", "{\"k\":[null]}",
+    ];
+
+    /// Array/object levels of a parsed value, counting the value itself.
+    fn nesting(v: &Json) -> usize {
+        match v {
+            Json::Array(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+            Json::Object(kv) => 1 + kv.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// Whatever the tokens, `parse_json` returns rather than panics,
+        /// also under `levels` more arrays. More than `MAX_DEPTH` levels is
+        /// an `Err` whatever is inside; a value that parses still parses
+        /// inside extra arrays as long as the total stays within
+        /// `MAX_DEPTH`, and is then the innermost element.
+        #[test]
+        fn parse_json_returns_and_bounds_nesting_on_any_tokens(
+            tokens in proptest::collection::vec(0usize..36, 0..10),
+            levels in 0usize..2 * MAX_DEPTH + 2,
+        ) {
+            let text: String = tokens.iter().map(|&t| JSON_TOKENS[t]).collect();
+            let bare = parse_json(&text);
+            let wrapped = format!("{}{text}{}", "[".repeat(levels), "]".repeat(levels));
+            let nested = parse_json(&wrapped);
+            if levels > MAX_DEPTH {
+                prop_assert!(nested.is_err(), "{levels} levels around {text:?} parsed");
+            }
+            if let Ok(v) = bare {
+                let fits = levels + nesting(&v) <= MAX_DEPTH;
+                prop_assert!(nested.is_ok() == fits, "{levels} levels around {text:?}: {nested:?}");
+                if let Ok(mut inner) = nested {
+                    for _ in 0..levels {
+                        inner = match inner {
+                            Json::Array(mut items) if items.len() == 1 => items.remove(0),
+                            other => panic!("{levels} levels around {text:?} gave {other:?}"),
+                        };
+                    }
+                    prop_assert_eq!(inner, v);
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,8 +33,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # benchmark/ is its own workspace, so nothing above compiles it: without this
 # a change to a public name it imports breaks BENCHMARK.json's command and is
-# only caught by tier-2.
-echo "== tier1: cargo check benchmark/ =="
-cargo check --offline --manifest-path benchmark/Cargo.toml
+# only caught by tier-2. `--all-targets` takes in its unit tests, which name
+# public items the bin does not.
+echo "== tier1: cargo check --all-targets benchmark/ =="
+cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
 
 echo "== tier1: OK =="

@@ -27,8 +27,8 @@ use mako::linalg::Matrix;
 use mako::quant::QuantSchedule;
 use mako::scf::fock::{FockEngineOptions, JkMatrices};
 use mako::scf::{
-    build_jk_distributed, CheckpointError, CheckpointPolicy, DistributedScf, FtFockOutcome,
-    ScfCheckpoint, ScfConfig, ScfDriver, ScfError, ScfRunOptions,
+    b3lyp, build_jk_distributed, CheckpointError, CheckpointPolicy, DistributedScf,
+    FtFockOutcome, ScfCheckpoint, ScfConfig, ScfDriver, ScfError, ScfMethod, ScfRunOptions,
 };
 use std::path::PathBuf;
 
@@ -268,7 +268,9 @@ fn checkpoint_restart_reproduces_trajectory_bitwise() {
     // land on the uninterrupted run's energy, iteration count, and device
     // clock to the bit (acceptance bar: 1e-12 Ha — bitwise is stricter).
     // The second driver is the seeded chaotic cluster, so a non-quiet
-    // `RecoveryLedger` crosses the checkpoint format as well.
+    // `RecoveryLedger` crosses the checkpoint format as well; the
+    // incremental run carries live accumulators and rebuild bookkeeping
+    // across the kill, and quantized B3LYP the quantized-phase flag.
     let mol = builders::water();
     let solo = ScfConfig {
         e_tol: 1e-9,
@@ -278,7 +280,21 @@ fn checkpoint_restart_reproduces_trajectory_bitwise() {
         distributed: Some(chaotic_cluster()),
         ..solo.clone()
     };
-    for (label, config) in [("solo", solo), ("chaotic cluster", chaotic)] {
+    let incremental = ScfConfig {
+        incremental: true,
+        ..solo.clone()
+    };
+    let quantized_b3lyp = ScfConfig {
+        method: ScfMethod::Rks(b3lyp()),
+        quantized: true,
+        ..solo.clone()
+    };
+    for (label, config) in [
+        ("solo", solo),
+        ("chaotic cluster", chaotic),
+        ("incremental", incremental),
+        ("quantized B3LYP", quantized_b3lyp),
+    ] {
         let driver = ScfDriver::new(&mol, &sto3g(), config);
         let full = driver.run().expect("uninterrupted run");
         assert!(full.converged);

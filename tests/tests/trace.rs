@@ -23,7 +23,10 @@ use mako::linalg::Matrix;
 use mako::prelude::*;
 use mako::quant::QuantSchedule;
 use mako::scf::fock::{build_jk_with_configs, FockEngineOptions, JkMatrices};
-use mako::scf::{b3lyp, DistributedScf, EnsembleConfig, EnsembleDriver, ScfDriver, ScfResult};
+use mako::scf::{
+    b3lyp, CheckpointPolicy, DistributedScf, EnsembleConfig, EnsembleDriver, ScfCheckpoint,
+    ScfDriver, ScfError, ScfResult, ScfRunOptions,
+};
 use mako::server::{Journal, ServeReport, ServerConfig};
 use mako::store::{FaultProfile, FaultVfs, Vfs};
 use std::path::{Path, PathBuf};
@@ -332,4 +335,32 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     let chrome = dump.to_chrome();
     mako::trace::schema::parse_json(&chrome)
         .unwrap_or_else(|e| panic!("Chrome export is not valid JSON: {e}"));
+
+    // A run killed at iteration 3 and resumed from its checkpoint charges
+    // each iteration to the device clock once: the resumed run takes the
+    // saved ledgers over without emitting them again.
+    let water = ScfDriver::new(&mako::chem::builders::water(), &sto3g(), ScfConfig::default());
+    let path = std::env::temp_dir().join(format!("mako_trace_resume_{}.ckpt", std::process::id()));
+    let killed = water.run_with(ScfRunOptions {
+        checkpoint: Some(CheckpointPolicy::new(1, path.clone())),
+        kill_after: Some(3),
+        ..ScfRunOptions::default()
+    });
+    assert_eq!(killed.err(), Some(ScfError::Killed { iterations: 3 }));
+    let resumed = water
+        .run_with(ScfRunOptions {
+            resume: Some(ScfCheckpoint::load(&path).expect("load checkpoint")),
+            ..ScfRunOptions::default()
+        })
+        .expect("resumed run");
+    let _ = std::fs::remove_file(&path);
+    let clock_iterations = mako::trace::drain()
+        .events
+        .iter()
+        .filter(|e| (e.cat, e.name) == ("clock", "iteration"))
+        .count();
+    assert_eq!(
+        clock_iterations, resumed.iterations,
+        "a killed-and-resumed run must emit one clock.iteration per iteration it ran"
+    );
 }
