@@ -7,6 +7,7 @@
 //! caller can match on; binaries and tests may still `expect` at the top
 //! level, where aborting is the right answer.
 
+use crate::checkpoint::ScfCheckpoint;
 use mako_chem::BasisError;
 use mako_linalg::LinalgError;
 
@@ -184,13 +185,17 @@ pub enum ScfError {
     FockBuild(FockBuildError),
     /// Checkpoint save or restore failed.
     Checkpoint(CheckpointError),
-    /// The run was deliberately killed after `iterations` completed
-    /// iterations (the chaos harness's mid-trajectory kill); the latest
-    /// checkpoint, if any, carries the state to resume from.
-    Killed {
-        /// Completed iterations before the kill.
-        iterations: usize,
-    },
+    /// The run was deliberately killed at [`ScfRunOptions::kill_after`]
+    /// (a serve's quantum boundary, the chaos harness's mid-trajectory
+    /// kill). It carries the state the next iteration would have consumed:
+    /// resuming from it replays the rest of the trajectory bitwise, and its
+    /// `next_iteration` is the count of completed iterations. It is the
+    /// same value a [`CheckpointPolicy`] writes at the kill, and is carried
+    /// whether or not one does.
+    ///
+    /// [`ScfRunOptions::kill_after`]: crate::ScfRunOptions::kill_after
+    /// [`CheckpointPolicy`]: crate::CheckpointPolicy
+    Killed(Box<ScfCheckpoint>),
     /// A NaN/Inf poisoned the iteration and could not be contained (rescue
     /// disabled, no good checkpoint to roll back to, or the single rollback
     /// already spent). Garbage is never allowed to propagate silently.
@@ -224,8 +229,8 @@ impl std::fmt::Display for ScfError {
             ScfError::Basis(e) => write!(f, "basis instantiation failed: {e}"),
             ScfError::FockBuild(e) => write!(f, "distributed Fock build failed: {e}"),
             ScfError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
-            ScfError::Killed { iterations } => {
-                write!(f, "run killed after {iterations} iterations (chaos harness)")
+            ScfError::Killed(ck) => {
+                write!(f, "run killed after {} iterations (chaos harness)", ck.next_iteration)
             }
             ScfError::NonFinite { iteration, stage } => {
                 write!(f, "non-finite {stage} at iteration {iteration} (uncontained)")

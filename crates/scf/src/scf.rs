@@ -29,9 +29,10 @@ use mako_kernels::pipeline::PipelineConfig;
 use mako_linalg::{eigh, gemm, sym_inv_sqrt_diag, LinalgError, Matrix, Transpose};
 use mako_precision::Precision;
 use mako_quant::QuantSchedule;
-use mako_store::mix;
+use mako_store::{mix, RealVfs, Vfs};
 use parking_lot::Mutex;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Electronic-structure method.
 #[derive(Debug, Clone)]
@@ -87,21 +88,26 @@ pub struct CheckpointPolicy {
     pub every: usize,
     /// Checkpoint file path (overwritten atomically on each save).
     pub path: PathBuf,
-    /// Storage backend the saves go through. `None` = the real filesystem;
-    /// the durability harness injects its seeded fault backend here so
-    /// every checkpoint write becomes an enumerable crash point.
-    pub vfs: Option<std::sync::Arc<dyn mako_store::Vfs>>,
+    /// Storage backend the saves go through: the real filesystem unless
+    /// [`CheckpointPolicy::via`] put another one here (a server's store,
+    /// or the durability harness's seeded fault backend, where every
+    /// checkpoint write becomes an enumerable crash point).
+    pub vfs: Arc<dyn Vfs>,
 }
 
 impl CheckpointPolicy {
     /// Save every `every` iterations to `path` on the real filesystem.
     pub fn new(every: usize, path: PathBuf) -> CheckpointPolicy {
-        CheckpointPolicy { every, path, vfs: None }
+        CheckpointPolicy {
+            every,
+            path,
+            vfs: Arc::new(RealVfs),
+        }
     }
 
     /// Route saves through an explicit storage backend.
-    pub fn via(mut self, vfs: std::sync::Arc<dyn mako_store::Vfs>) -> CheckpointPolicy {
-        self.vfs = Some(vfs);
+    pub fn via(mut self, vfs: Arc<dyn Vfs>) -> CheckpointPolicy {
+        self.vfs = vfs;
         self
     }
 }
@@ -121,10 +127,11 @@ pub struct ScfRunOptions {
     pub resume: Option<ScfCheckpoint>,
     /// Abort with [`ScfError::Killed`] after this many completed iterations
     /// (counted from iteration 0 of the *original* trajectory, so a resumed
-    /// run can be killed again later). A run with a [`CheckpointPolicy`]
-    /// whose `every` is not 0 saves at the killing iteration, multiple of
-    /// `every` or not, before the kill fires: a serve's quantum boundary
-    /// always has its checkpoint.
+    /// run can be killed again later). The error carries the checkpoint to
+    /// resume from, so a serve's quantum hands its state back in memory. A
+    /// run with a [`CheckpointPolicy`] whose `every` is not 0 also saves
+    /// that checkpoint at the killing iteration, multiple of `every` or
+    /// not, before the kill fires: a crash after the boundary finds it.
     pub kill_after: Option<usize>,
     /// Chaos harness: overwrite `J[(0,0)]` with NaN right after the Fock
     /// build of this iteration, exercising the non-finite containment path
@@ -1170,40 +1177,29 @@ impl<'a> ScfSession<'a> {
             self.rollback();
         }
 
-        // Periodic checkpoint, and one at the kill so a quantum boundary
-        // always has its own: the state captured here is exactly what
+        // Periodic checkpoint, and one at the kill so a crash after a
+        // quantum boundary finds it: the state captured here is exactly what
         // iteration `iter + 1` consumes, so a resumed run replays the
         // remaining trajectory bitwise.
         let killed = !finishing && self.run_opts.kill_after.is_some_and(|n| iter + 1 >= n);
-        let save_now = !finishing
-            && self
-                .run_opts
-                .checkpoint
-                .as_ref()
-                .is_some_and(|p| p.every > 0 && (killed || (iter + 1).is_multiple_of(p.every)));
-        recovery.checkpoint_saves = save_now as usize;
+        let save_to = self.run_opts.checkpoint.as_ref().filter(|p| {
+            !finishing && p.every > 0 && (killed || (iter + 1).is_multiple_of(p.every))
+        });
+        recovery.checkpoint_saves = save_to.is_some() as usize;
         self.state.accounting.clock.push_recovery(recovery);
-        if save_now {
-            let p = self
-                .run_opts
-                .checkpoint
-                .as_ref()
-                .expect("save_now implies a policy");
-            let ck = ScfCheckpoint::of(self.driver, iter + 1, self.state.clone());
-            match &p.vfs {
-                Some(vfs) => ck.save_via(vfs.as_ref(), &p.path),
-                None => ck.save(&p.path),
-            }
-            .map_err(ScfError::Checkpoint)?;
-        }
         if finishing {
             self.finished = true;
             return Ok(());
         }
-        // The deliberate kill — after the checkpoint, so the trajectory
-        // resumes from the save just written.
-        if killed {
-            return Err(ScfError::Killed { iterations: iter + 1 });
+        if save_to.is_some() || killed {
+            let ck = ScfCheckpoint::of(self.driver, iter + 1, self.state.clone());
+            if let Some(p) = save_to {
+                ck.save_via(p.vfs.as_ref(), &p.path).map_err(ScfError::Checkpoint)?;
+            }
+            // The deliberate kill, after the save, carries what it saved.
+            if killed {
+                return Err(ScfError::Killed(Box::new(ck)));
+            }
         }
         self.iter += 1;
         Ok(())
@@ -1798,7 +1794,7 @@ mod tests {
                     ..ScfRunOptions::default()
                 })
                 .expect_err("the run dies at iteration 3");
-            assert_eq!(err, ScfError::Killed { iterations: 3 });
+            assert!(matches!(&err, ScfError::Killed(ck) if ck.next_iteration == 3), "{err}");
             let ck = ScfCheckpoint::load(&path).expect("load checkpoint");
             let _ = std::fs::remove_file(&path);
             {
@@ -1859,14 +1855,22 @@ mod tests {
                 })
                 .expect_err("the run dies at iteration 3")
         };
-        // `every = 0` disables saving, the kill's save included.
-        assert_eq!(kill(0), ScfError::Killed { iterations: 3 });
+        let carried = |err: ScfError| match err {
+            ScfError::Killed(ck) => *ck,
+            err => panic!("expected a kill, got {err}"),
+        };
+        // `every = 0` disables saving, the kill's save included, and the
+        // kill still carries the state.
+        let unsaved = carried(kill(0));
+        assert_eq!(unsaved.next_iteration, 3);
         assert!(!path.exists(), "a disabled policy wrote a checkpoint");
-        // Iteration 3 is no multiple of 4, and the kill saves it anyway.
-        assert_eq!(kill(4), ScfError::Killed { iterations: 3 });
-        let ck = ScfCheckpoint::load(&path).expect("the kill saved a checkpoint");
-        let _ = std::fs::remove_file(&path);
+        // Iteration 3 is no multiple of 4, and the kill saves it anyway:
+        // the very checkpoint it carries.
+        let ck = carried(kill(4));
         assert_eq!(ck.next_iteration, 3);
+        let saved = ScfCheckpoint::load(&path).expect("the kill saved a checkpoint");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(saved, ck);
         let res = new_driver()
             .run_with(ScfRunOptions {
                 resume: Some(ck),

@@ -2,7 +2,10 @@
 //! more than the file holds — with the CRC re-stamped, so the checksum
 //! cannot catch it — is rejected as `Truncated` *before* anything is
 //! reserved for it. The old private reader accepted any count below 2²⁸
-//! and `Vec::with_capacity`'d it first: 2 GiB from a 200-byte file.
+//! and `Vec::with_capacity`'d it first: 2 GiB from a 200-byte file. A
+//! property test then edits and truncates a checkpoint at random, again
+//! re-stamping the CRC: the parser never panics, stays within the same
+//! allocation bound, and whatever it accepts decodes again to itself.
 //!
 //! Bytes requested from the allocator are counted per thread, so the
 //! harness's own threads cannot disturb them.
@@ -12,6 +15,7 @@ use mako_scf::{
     Accounting, CarriedState, CheckpointError, Diis, IncrementalState, RestorePoint, ScfCheckpoint,
 };
 use mako_store::crc32;
+use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -110,5 +114,49 @@ fn an_inflated_length_is_truncated_without_reserving_for_it() {
             "{what} = {claimed}: parsing a {}-byte file requested {reserved} bytes",
             bytes.len()
         );
+    }
+}
+
+/// Re-stamp the CRC over whatever payload `bytes` now holds, so the parse
+/// reaches the structural reader.
+fn restamp(bytes: &mut [u8]) {
+    if bytes.len() >= 16 {
+        let crc = crc32(&bytes[16..]);
+        bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+proptest! {
+    #[test]
+    fn an_edited_checkpoint_parses_within_bounds_or_fails_typed(
+        edits in prop::collection::vec((any::<u64>(), any::<u8>()), 0..8),
+        cut in any::<u64>(),
+        truncate in any::<bool>(),
+    ) {
+        let mut bytes = sample().to_bytes();
+        for (at, byte) in edits {
+            let at = (at % bytes.len() as u64) as usize;
+            bytes[at] = byte;
+        }
+        if truncate {
+            bytes.truncate((cut % (bytes.len() as u64 + 1)) as usize);
+        }
+        restamp(&mut bytes);
+
+        let before = BYTES.with(Cell::get);
+        let parsed = ScfCheckpoint::from_bytes(&bytes);
+        let requested = BYTES.with(Cell::get) - before;
+        prop_assert!(
+            requested <= 4 * bytes.len(),
+            "parsing a {}-byte file requested {requested} bytes",
+            bytes.len()
+        );
+        if let Ok(ck) = parsed {
+            let again = ScfCheckpoint::from_bytes(&ck.to_bytes());
+            // An edit can write a NaN, which is not `==` to itself: such a
+            // value is the same when its bits are.
+            let same = again.as_ref().is_ok_and(|c| *c == ck || c.to_bytes() == ck.to_bytes());
+            prop_assert!(same, "{ck:?} decodes again to {again:?}");
+        }
     }
 }

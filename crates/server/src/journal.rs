@@ -539,6 +539,7 @@ mod tests {
     use crate::job::PriorityClass;
     use mako_chem::builders;
     use mako_store::FaultVfs;
+    use proptest::prelude::*;
 
     fn all_records() -> Vec<JournalRecord> {
         vec![
@@ -786,6 +787,48 @@ mod tests {
                 assert_eq!(limit, 2);
             }
             other => panic!("bad reconstruction: {other:?}"),
+        }
+    }
+
+    /// `payload` decodes to nothing, or to a record that decodes again to
+    /// itself from its own encoding. The bytes need not come back: a bool
+    /// byte reads any non-zero value as `true`, and `Failed`'s description
+    /// is decoded lossily.
+    fn decodes_to_a_fixed_point(payload: &[u8]) -> proptest::TestCaseResult {
+        if let Some(rec) = JournalRecord::decode(payload) {
+            prop_assert_eq!(JournalRecord::decode(&rec.encode()), Some(rec));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn a_random_payload_decodes_to_a_fixed_point_or_none(
+            tag in 0u8..12,
+            body in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&body);
+            decodes_to_a_fixed_point(&payload)?;
+        }
+
+        #[test]
+        fn an_edited_record_decodes_to_a_fixed_point_or_none(
+            edits in prop::collection::vec((any::<u64>(), any::<u8>()), 1..6),
+            cut in any::<u64>(),
+            truncate in any::<bool>(),
+        ) {
+            for rec in all_records() {
+                let mut bytes = rec.encode();
+                for &(at, byte) in &edits {
+                    let at = (at % bytes.len() as u64) as usize;
+                    bytes[at] = byte;
+                }
+                if truncate {
+                    bytes.truncate((cut % (bytes.len() as u64 + 1)) as usize);
+                }
+                decodes_to_a_fixed_point(&bytes)?;
+            }
         }
     }
 }

@@ -17,11 +17,15 @@
 //!
 //! Batch and best-effort jobs run in **checkpoint-backed quanta**: each
 //! dispatch executes at most `quantum_iterations` SCF iterations (the
-//! degraded quantum under load), persists an [`ScfCheckpoint`] at the
-//! boundary (and every few iterations in between, for crash salvage), and
-//! requeues. Interactive jobs run to completion. Because a
-//! preempted job resumes from its checkpoint bitwise-identically (the PR-3
-//! contract), preemption is invisible in the numbers — it only moves time.
+//! degraded quantum under load) and requeues. The quantum ends with its
+//! state in memory: the SCF kill at the boundary hands back the
+//! [`ScfCheckpoint`] the job resumes from. The same checkpoint is also
+//! written to disk at the boundary (and every few iterations in between),
+//! but only for crash salvage: [`MakoServer::recover`] and a faulted
+//! attempt read it, a yield never does. Interactive jobs run to
+//! completion. Because a preempted job resumes from its checkpoint
+//! bitwise-identically, preemption is invisible in the numbers — it only
+//! moves time.
 //!
 //! # Fault containment
 //!
@@ -45,7 +49,7 @@ use mako_scf::{
     CheckpointError, CheckpointPolicy, ScfCheckpoint, ScfDriver, ScfError, ScfResult,
     ScfRunOptions,
 };
-use mako_store::{ArtifactStore, Vfs, VfsError};
+use mako_store::{ArtifactStore, RealVfs, Vfs, VfsError};
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::cache::{ArtifactKey, ScreenCache};
@@ -57,8 +61,9 @@ use crate::journal::{workload_hash, Journal, JournalRecord};
 /// admitted under pressure.
 const DEGRADED_QUANTUM_ITERATIONS: usize = 2;
 /// Iterations between the salvage checkpoints of a running job. A quantum
-/// boundary saves whatever this is (the kill saves), so this only bounds
-/// what a crash mid-quantum, or mid-run for an interactive job, loses.
+/// boundary saves whatever this is (the kill saves, though the yield itself
+/// reads nothing back), so this only bounds what a crash mid-quantum, or
+/// mid-run for an interactive job, loses.
 const CHECKPOINT_EVERY: usize = 4;
 /// Faulted attempts retried before a job fails.
 const MAX_RETRIES: u32 = 3;
@@ -75,7 +80,8 @@ pub struct ServerConfig {
     /// Straggler bar: attempts running longer than this (virtual seconds)
     /// are killed and retried. `INFINITY` disables the bar.
     pub attempt_timeout: f64,
-    /// Directory for preemption checkpoints.
+    /// Directory for the salvage checkpoints of a server without a store
+    /// (a store-backed server writes them under its store root instead).
     pub checkpoint_dir: PathBuf,
     /// Admission control knobs.
     pub admission: AdmissionConfig,
@@ -243,7 +249,6 @@ impl MakoServer {
             run_span.add_field("jobs", specs.len());
             run_span.add_field("workers", self.config.workers);
         }
-        let _ = std::fs::create_dir_all(&self.config.checkpoint_dir);
         let mut sim = Sim::new(self, chaos, specs);
         if let Some(ctx) = self.store.as_ref() {
             // A fresh serve owns the journal: forget any previous run's.
@@ -371,19 +376,9 @@ impl MakoServer {
             let Ok(driver) = self.build_driver(spec) else {
                 continue;
             };
-            let valid = ScfCheckpoint::load_via(ctx.vfs.as_ref(), &path)
-                .ok()
-                .filter(|c| {
-                    c.validate(
-                        driver.nao(),
-                        driver.nbatches(),
-                        driver.nquartets(),
-                        driver.problem_fingerprint(),
-                    )
-                    .is_ok()
-                        && c.next_iteration > 0
-                });
-            match valid {
+            // The driver is the job's whatever its checkpoint says.
+            sim.jobs[id].driver = Some(driver);
+            match sim.load_valid_ckpt(id, 0) {
                 Some(ckpt) => {
                     mako_trace::instant(
                         "recover",
@@ -393,7 +388,7 @@ impl MakoServer {
                             mako_trace::field("next_iteration", ckpt.next_iteration),
                         ],
                     );
-                    sim.jobs[id].resume = Some(Box::new(ckpt));
+                    sim.jobs[id].resume = Some(ckpt);
                     salvaged += 1;
                 }
                 None => {
@@ -416,8 +411,6 @@ impl MakoServer {
                     );
                 }
             }
-            // The driver is the job's whatever its checkpoint said.
-            sim.jobs[id].driver = Some(driver);
         }
         mako_trace::instant(
             "recover",
@@ -521,7 +514,7 @@ impl JobState {
 enum AttemptEnd {
     /// The job ran to its SCF terminus (converged or budget-exhausted).
     Done(Box<ScfResult>),
-    /// Quantum boundary: adopt the checkpoint and requeue.
+    /// Quantum boundary: adopt the checkpoint the kill carried and requeue.
     Yield(Box<ScfCheckpoint>),
     /// The attempt was voided or errored; maybe salvage partial progress.
     Fault {
@@ -567,6 +560,9 @@ struct Sim<'a> {
     adm: AdmissionController,
     ledger: ServeLedger,
     clock: f64,
+    /// Where every checkpoint byte goes: the store's backend, or the real
+    /// filesystem under `checkpoint_dir` for a server without a store.
+    vfs: Arc<dyn Vfs>,
     /// The write-ahead journal (store-backed serves only).
     journal: Option<Journal>,
     /// A storage crash fired: the simulated process is dead. The run loop
@@ -585,12 +581,24 @@ struct Sim<'a> {
 
 impl<'a> Sim<'a> {
     fn new(server: &'a MakoServer, chaos: &'a ServerChaos, specs: &[JobSpec]) -> Sim<'a> {
-        // Process-wide, not per server: two servers in one process share
-        // `checkpoint_dir`, and a serve adopts (and deletes) any checkpoint
-        // at its job's path whose fingerprint matches.
-        static SERVE_SEQ: AtomicUsize = AtomicUsize::new(0);
-        let seq = SERVE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let pid = std::process::id();
+        // Store-backed serves use stable names so recovery can find (and
+        // salvage) the files; a server without a store writes under
+        // `checkpoint_dir` with names that stay collision-proof across
+        // processes.
+        let (vfs, dir, prefix): (Arc<dyn Vfs>, _, _) = match &server.store {
+            Some(ctx) => (ctx.vfs.clone(), ctx.root.clone(), String::new()),
+            None => {
+                // Process-wide, not per server: two servers in one process
+                // share `checkpoint_dir`, and a serve adopts (and deletes)
+                // any checkpoint at its job's path whose fingerprint matches.
+                static SERVE_SEQ: AtomicUsize = AtomicUsize::new(0);
+                let seq = SERVE_SEQ.fetch_add(1, Ordering::Relaxed);
+                let dir = server.config.checkpoint_dir.clone();
+                let _ = RealVfs.create_dir_all(&dir);
+                let prefix = format!("serve{}-{seq}-", std::process::id());
+                (Arc::new(RealVfs), dir, prefix)
+            }
+        };
         let jobs: Vec<JobState> = specs
             .iter()
             .enumerate()
@@ -598,16 +606,7 @@ impl<'a> Sim<'a> {
                 spec: spec.clone(),
                 driver: None,
                 resume: None,
-                // Store-backed serves use stable names so recovery can find
-                // (and salvage) the files; ephemeral serves stay collision-
-                // proof across processes.
-                ckpt_path: match &server.store {
-                    Some(ctx) => ctx.root.join(format!("job{id}.ckpt")),
-                    None => server
-                        .config
-                        .checkpoint_dir
-                        .join(format!("serve{pid}-{seq}-job{id}.ckpt")),
-                },
+                ckpt_path: dir.join(format!("{prefix}job{id}.ckpt")),
                 retries: 0,
                 preemptions: 0,
                 quanta: 0,
@@ -647,6 +646,7 @@ impl<'a> Sim<'a> {
             adm: AdmissionController::new(server.config.admission.clone()),
             ledger: ServeLedger::default(),
             clock: 0.0,
+            vfs,
             journal: None,
             aborted: false,
             journal_dead: false,
@@ -682,11 +682,7 @@ impl<'a> Sim<'a> {
         if self.aborted {
             return true;
         }
-        if let Some(ctx) = self.server.store.as_ref() {
-            if ctx.vfs.crashed() {
-                self.aborted = true;
-            }
-        }
+        self.aborted = self.vfs.crashed();
         self.aborted
     }
 
@@ -861,12 +857,7 @@ impl<'a> Sim<'a> {
             while let Some(pos) = self.pop_best_ready() {
                 let id = self.ready.remove(pos).job;
                 if self.clock > self.jobs[id].deadline_at() {
-                    let outcome = JobOutcome::DeadlineExceeded {
-                        deadline_seconds: self.jobs[id].spec.deadline.unwrap_or(0.0),
-                        completed_iterations: self.jobs[id].completed_iterations(),
-                        retries: self.jobs[id].retries,
-                    };
-                    self.finish(id, outcome, true);
+                    self.finish_past_deadline(id);
                     continue;
                 }
                 if self.dispatch(w, id) {
@@ -999,11 +990,9 @@ impl<'a> Sim<'a> {
             self.chaos.poison_for(id)
         };
         let opts = ScfRunOptions {
-            checkpoint: Some(match self.server.store.as_ref() {
-                Some(ctx) => CheckpointPolicy::new(CHECKPOINT_EVERY, job.ckpt_path.clone())
-                    .via(ctx.vfs.clone()),
-                None => CheckpointPolicy::new(CHECKPOINT_EVERY, job.ckpt_path.clone()),
-            }),
+            checkpoint: Some(
+                CheckpointPolicy::new(CHECKPOINT_EVERY, job.ckpt_path.clone()).via(self.vfs.clone()),
+            ),
             resume: job.resume.as_deref().cloned(),
             kill_after: quantum.map(|q| start_iter + q),
             poison_fock: poison,
@@ -1014,20 +1003,16 @@ impl<'a> Sim<'a> {
                 let dt = segment_seconds(&res.iteration_seconds, start_iter);
                 (AttemptEnd::Done(Box::new(res)), dt)
             }
-            Err(ScfError::Killed { iterations }) => {
-                // Quantum boundary. Adopt the freshly persisted checkpoint —
-                // unless the chaos schedule says this write was lost.
+            Err(ScfError::Killed(ckpt)) => {
+                // Quantum boundary: yield the state the kill carries, unless
+                // the chaos schedule says this quantum's checkpoint write
+                // was lost.
+                let dt = segment_seconds(&ckpt.state.accounting.iteration_seconds, start_iter);
                 let save = self.workers[w].saves;
                 self.workers[w].saves += 1;
                 if self.chaos.checkpoint_write_fails(w, save) {
                     self.ledger.ckpt_write_faults += 1;
                     self.fault_event(id, w, "ckpt_write");
-                    let dt = self
-                        .load_valid_ckpt(id, start_iter)
-                        .map(|c| {
-                            segment_seconds(&c.state.accounting.iteration_seconds, start_iter)
-                        })
-                        .unwrap_or(0.0);
                     let error = JobError::Scf(ScfError::Checkpoint(CheckpointError::Io(
                         "simulated checkpoint write failure".to_string(),
                     )));
@@ -1039,31 +1024,7 @@ impl<'a> Sim<'a> {
                         dt,
                     );
                 }
-                match self
-                    .load_valid_ckpt(id, start_iter)
-                    .filter(|c| c.next_iteration == iterations)
-                {
-                    Some(ckpt) => {
-                        let seconds = &ckpt.state.accounting.iteration_seconds;
-                        let dt = segment_seconds(seconds, start_iter);
-                        (AttemptEnd::Yield(ckpt), dt)
-                    }
-                    None => {
-                        // The boundary's checkpoint genuinely failed to land
-                        // (an older one is no yield point); replay the
-                        // quantum through the standard retry path.
-                        let error = JobError::Scf(ScfError::Checkpoint(CheckpointError::Io(
-                            "quantum checkpoint missing or invalid".to_string(),
-                        )));
-                        (
-                            AttemptEnd::Fault {
-                                error,
-                                salvage: None,
-                            },
-                            0.0,
-                        )
-                    }
-                }
+                (AttemptEnd::Yield(ckpt), dt)
             }
             Err(e) => {
                 if poison.is_some() && matches!(e, ScfError::NonFinite { .. }) {
@@ -1090,14 +1051,12 @@ impl<'a> Sim<'a> {
     }
 
     /// Load the job's on-disk checkpoint if it exists, fingerprints match
-    /// this job's problem, and it is ahead of the in-memory resume point.
+    /// this job's problem, and it is ahead of `start_iter`: the salvage of a
+    /// faulted attempt, and of a crashed serve in [`MakoServer::recover`].
     fn load_valid_ckpt(&self, id: JobId, start_iter: usize) -> Option<Box<ScfCheckpoint>> {
         let job = &self.jobs[id];
         let driver = job.driver.as_ref()?;
-        let ckpt = match self.server.store.as_ref() {
-            Some(ctx) => ScfCheckpoint::load_via(ctx.vfs.as_ref(), &job.ckpt_path).ok()?,
-            None => ScfCheckpoint::load(&job.ckpt_path).ok()?,
-        };
+        let ckpt = ScfCheckpoint::load_via(self.vfs.as_ref(), &job.ckpt_path).ok()?;
         ckpt.validate(
             driver.nao(),
             driver.nbatches(),
@@ -1140,12 +1099,7 @@ impl<'a> Sim<'a> {
             AttemptEnd::Yield(ckpt) => {
                 self.jobs[id].resume = Some(ckpt);
                 if self.clock > self.jobs[id].deadline_at() {
-                    let outcome = JobOutcome::DeadlineExceeded {
-                        deadline_seconds: self.jobs[id].spec.deadline.unwrap_or(0.0),
-                        completed_iterations: self.jobs[id].completed_iterations(),
-                        retries: self.jobs[id].retries,
-                    };
-                    self.finish(id, outcome, true);
+                    self.finish_past_deadline(id);
                     return;
                 }
                 let rank = self.jobs[id].spec.class.rank();
@@ -1203,12 +1157,7 @@ impl<'a> Sim<'a> {
             );
             let ready_at = self.clock + backoff;
             if ready_at > self.jobs[id].deadline_at() {
-                let outcome = JobOutcome::DeadlineExceeded {
-                    deadline_seconds: self.jobs[id].spec.deadline.unwrap_or(0.0),
-                    completed_iterations: self.jobs[id].completed_iterations(),
-                    retries: self.jobs[id].retries,
-                };
-                self.finish(id, outcome, true);
+                self.finish_past_deadline(id);
                 return;
             }
             let rank = self.jobs[id].spec.class.rank();
@@ -1221,6 +1170,17 @@ impl<'a> Sim<'a> {
             let retries = job.retries;
             self.finish(id, JobOutcome::Failed { error, retries }, true);
         }
+    }
+
+    /// End an admitted job that cannot make its deadline.
+    fn finish_past_deadline(&mut self, id: JobId) {
+        let job = &self.jobs[id];
+        let outcome = JobOutcome::DeadlineExceeded {
+            deadline_seconds: job.spec.deadline.unwrap_or(0.0),
+            completed_iterations: job.completed_iterations(),
+            retries: job.retries,
+        };
+        self.finish(id, outcome, true);
     }
 
     /// Record a job's terminal outcome; `admitted` releases its tenant slot.
@@ -1248,14 +1208,7 @@ impl<'a> Sim<'a> {
             let tenant = self.jobs[id].spec.tenant.clone();
             self.adm.release(&tenant);
         }
-        match self.server.store.as_ref() {
-            Some(ctx) => {
-                let _ = ctx.vfs.remove(&self.jobs[id].ckpt_path);
-            }
-            None => {
-                let _ = std::fs::remove_file(&self.jobs[id].ckpt_path);
-            }
-        }
+        let _ = self.vfs.remove(&self.jobs[id].ckpt_path);
         self.outcomes[id] = Some(outcome);
         // Pairs, batches, tuned configurations, grid and any parked tensor
         // store go with the job, not with the serve.
@@ -1541,6 +1494,26 @@ mod tests {
             .chunks(DEGRADED_QUANTUM_ITERATIONS)
             .fold(0.0, |t, q| t + q.iter().sum::<f64>());
         assert_eq!(rep.device_seconds.to_bits(), per_quantum.to_bits());
+    }
+
+    #[test]
+    fn a_store_backed_serve_creates_no_checkpoint_dir() {
+        use mako_store::FaultVfs;
+        let dir = std::env::temp_dir().join(format!("mako-server-unused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServerConfig {
+            checkpoint_dir: dir.clone(),
+            ..ServerConfig::default()
+        };
+        let server = MakoServer::with_store(
+            config,
+            Arc::new(FaultVfs::quiet()) as Arc<dyn Vfs>,
+            PathBuf::from("/srv"),
+        )
+        .expect("store");
+        let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
+        assert_eq!(server.serve_quiet(&specs).ledger.completed, 1);
+        assert!(!dir.exists(), "a store-backed serve created {}", dir.display());
     }
 
     #[test]

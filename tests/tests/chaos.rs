@@ -259,7 +259,7 @@ fn killed_run_reports_killed_error() {
             ..ScfRunOptions::default()
         })
         .expect_err("run must die at iteration 3");
-    assert_eq!(err, ScfError::Killed { iterations: 3 });
+    assert!(matches!(&err, ScfError::Killed(ck) if ck.next_iteration == 3), "{err}");
 }
 
 #[test]
@@ -309,7 +309,7 @@ fn checkpoint_restart_reproduces_trajectory_bitwise() {
                     ..ScfRunOptions::default()
                 })
                 .expect_err("interrupted run must die");
-            assert_eq!(err, ScfError::Killed { iterations: kill_after });
+            assert!(matches!(&err, ScfError::Killed(ck) if ck.next_iteration == kill_after), "{err}");
 
             let ck = ScfCheckpoint::load(&path).expect("load checkpoint");
             assert_eq!(ck.next_iteration, kill_after);
@@ -376,9 +376,12 @@ fn checkpoint_restart_survives_repeated_kills() {
                 finished = Some(res);
                 break;
             }
-            Err(ScfError::Killed { iterations }) => {
-                assert_eq!(iterations, kill_after);
-                resume = Some(ScfCheckpoint::load(&path).expect("load checkpoint"));
+            Err(ScfError::Killed(ck)) => {
+                assert_eq!(ck.next_iteration, kill_after);
+                // The file the kill saved is the state it carries.
+                let saved = ScfCheckpoint::load(&path).expect("load checkpoint");
+                assert_eq!(saved, *ck);
+                resume = Some(saved);
             }
             Err(e) => panic!("unexpected SCF error: {e}"),
         }
@@ -404,7 +407,7 @@ fn checkpoint_rejects_wrong_problem() {
             ..ScfRunOptions::default()
         })
         .expect_err("interrupted run must die");
-    assert_eq!(err, ScfError::Killed { iterations: 2 });
+    assert!(matches!(&err, ScfError::Killed(ck) if ck.next_iteration == 2), "{err}");
 
     let ck = ScfCheckpoint::load(&path).expect("load checkpoint");
     let methane = builders::methane();
@@ -433,7 +436,7 @@ fn checkpoint_from(driver: &ScfDriver, tag: &str) -> ScfCheckpoint {
             ..ScfRunOptions::default()
         })
         .expect_err("interrupted run must die");
-    assert_eq!(err, ScfError::Killed { iterations: 2 });
+    assert!(matches!(&err, ScfError::Killed(ck) if ck.next_iteration == 2), "{err}");
     let ck = ScfCheckpoint::load(&path).expect("load checkpoint");
     let _ = std::fs::remove_file(&path);
     ck

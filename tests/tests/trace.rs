@@ -346,7 +346,7 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         kill_after: Some(3),
         ..ScfRunOptions::default()
     });
-    assert_eq!(killed.err(), Some(ScfError::Killed { iterations: 3 }));
+    assert!(matches!(&killed, Err(ScfError::Killed(ck)) if ck.next_iteration == 3));
     let resumed = water
         .run_with(ScfRunOptions {
             resume: Some(ScfCheckpoint::load(&path).expect("load checkpoint")),
