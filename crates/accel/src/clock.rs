@@ -11,10 +11,12 @@
 //!
 //! [`DeviceClock`] records that trajectory: one [`IterationLedger`] per SCF
 //! iteration with the simulated seconds actually charged and the
-//! evaluated / skipped / pruned quartet populations, so the benchmark's
-//! `scf.quartets_*` metrics can report quartets per iteration alongside the
-//! clock, and tests can assert the two stay consistent (no seconds charged
-//! for skipped work).
+//! evaluated / quantized / skipped / pruned quartet populations. It is an
+//! SCF session's only record of what its iterations cost: the per-iteration
+//! seconds, the run's total and Figure 8's per-iteration mean, and the
+//! run's Fock-build statistics are all derived from these ledgers once, when
+//! the run finishes, and a checkpoint stores the ledgers and nothing derived
+//! from them.
 
 /// What one SCF iteration cost on the simulated device, and how much quartet
 /// work it actually ran.
@@ -28,6 +30,8 @@ pub struct IterationLedger {
     pub total_seconds: f64,
     /// Quartets evaluated (FP64 + quantized pipelines).
     pub evaluated_quartets: usize,
+    /// Of `evaluated_quartets`, those the quantized pipeline ran.
+    pub quantized_quartets: usize,
     /// Quartets skipped by the incremental ΔD Schwarz screen — never priced
     /// on the device clock.
     pub skipped_quartets: usize,
@@ -196,6 +200,7 @@ mod tests {
             eri_seconds: 1e-3,
             total_seconds: 2e-3,
             evaluated_quartets: evaluated,
+            quantized_quartets: 0,
             skipped_quartets: 10,
             pruned_quartets: 1,
             skipped_bound: 1e-12,

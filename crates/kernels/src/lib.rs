@@ -30,7 +30,6 @@
 
 
 pub mod baselines;
-pub mod mixed_gemm;
 pub mod pipeline;
 
 pub use baselines::{gpu4pyscf_like_cost, quick_like_cost, LIBINTX_CONFIG};

@@ -1,7 +1,17 @@
 //! The KernelMako execution pipelines: real quartet numerics + simulated
 //! device cost, per ERI-class batch.
+//!
+//! The numerical model of a tensor-core MMA: a tensor core rounds its
+//! *operands* to the input format (FP16/BF16/TF32) and accumulates the
+//! products in FP32 (or FP64 for the FP64 MMA). The pipelines model that in
+//! two steps. Operands, pre-scaled per QuantMako's fine-grained
+//! quantization, are rounded into reused scratch by
+//! [`Precision::round_scaled_extend`] (the "load into tensor-core
+//! registers" step; loop-invariant operands once per pair rather than once
+//! per product). The rounded slices go to [`gemm_rounded_engine`], which
+//! accumulates in the accumulator precision and de-scales the result — the
+//! first stage of the paper's Dual-Stage Accumulation.
 
-use crate::mixed_gemm::round_into;
 use std::cell::RefCell;
 use mako_accel::{CostModel, KernelProfile, SmemLayout};
 use mako_eri::batch::{EriClass, QuartetBatch};
@@ -445,7 +455,7 @@ impl RoundedPairCache {
             let data = &pair.data;
             let (nh, ns) = (data.nherm, data.nsph_pair);
             let mut stacked = Vec::new();
-            round_into(self.precision, self.e_scale, data.e.as_slice(), &mut stacked);
+            self.precision.round_scaled_extend(self.e_scale, data.e.as_slice(), &mut stacked);
             let mut flat = Vec::with_capacity(stacked.len());
             for block in stacked.chunks_exact(nh * ns) {
                 transpose_extend(block, nh, ns, &mut flat);
@@ -645,7 +655,8 @@ fn quantized_quartet_into(
                 // `Matrix::max_abs`'s fold.
                 let max_abs = block.iter().fold(0.0f64, |m, x| m.max(x.abs()));
                 let sb = cfg.scale_policy.scale(max_abs);
-                round_into(cfg.precision, sb, block, rb);
+                rb.clear();
+                cfg.precision.round_scaled_extend(sb, block, rb);
                 gemm_rounded_engine(
                     m,
                     hb,
@@ -660,7 +671,8 @@ fn quantized_quartet_into(
             }
             // Second transform: (ab|cd) += (ab|q] · E_CDᵀ.
             let sa = cfg.scale_policy.scale(abq.max_abs());
-            round_into(cfg.precision, sa, abq.as_slice(), rabq);
+            rabq.clear();
+            cfg.precision.round_scaled_extend(sa, abq.as_slice(), rabq);
             gemm_rounded_engine(
                 m,
                 hk,
@@ -751,13 +763,15 @@ mod tests {
                     .collect();
                 let pq = Matrix::from_vec(hb, hk, pq);
                 let sb = cfg.scale_policy.scale(pq.max_abs());
-                round_into(cfg.precision, sb, pq.as_slice(), &mut rb);
+                rb.clear();
+                cfg.precision.round_scaled_extend(sb, pq.as_slice(), &mut rb);
                 let (e_ab, descale) = (rounded_bra.block(bi), 1.0 / (e_scale * sb));
                 let c = abq.as_mut_slice();
                 gemm_rounded_engine(m, hb, hk, e_ab, &rb, Transpose::No, true, descale, c);
             }
             let sa = cfg.scale_policy.scale(abq.max_abs());
-            round_into(cfg.precision, sa, abq.as_slice(), &mut rabq);
+            rabq.clear();
+            cfg.precision.round_scaled_extend(sa, abq.as_slice(), &mut rabq);
             let (e_cd, descale) = (rounded_ket.block(ki), 1.0 / (sa * e_scale));
             let c = &mut out;
             gemm_rounded_engine(m, hk, ncd, &rabq, e_cd, Transpose::Yes, true, descale, c);

@@ -127,11 +127,16 @@ pub(crate) fn f32_to_f16_bits(value: f32) -> u16 {
 /// propagates mantissa payload bits, software canonicalizes to `0x7E00`), so
 /// the SIMD body detects NaN lanes *after* the scale multiply and reroutes
 /// that group through the scalar expression — the output is bit-identical to
-/// the `MAKO_KERNEL=generic` software path for **every** input, NaN and Inf
-/// included. The unit test `hardware_path_matches_software_bitwise` pins the
-/// finite/Inf equivalence exhaustively over the f16 range and
-/// `nan_inf_payloads_match_scalar_bitwise` pins the NaN/Inf edge cases at
-/// every lane offset.
+/// the scalar software converter for **every** input, NaN and Inf included.
+///
+/// The branch is chosen by F16C detection alone: `MAKO_KERNEL` selects only
+/// the GEMM microkernel (`mako_linalg::microkernel`), so on an F16C host a
+/// `MAKO_KERNEL=generic` run still takes the hardware path here and never
+/// runs the scalar converter end to end. What pins the two paths to each
+/// other is the unit tests: `hardware_path_matches_software_bitwise` checks
+/// the finite/Inf equivalence exhaustively over the f16 range and
+/// `nan_inf_payloads_match_scalar_bitwise` the NaN/Inf edge cases at every
+/// lane offset.
 pub(crate) fn round_scaled_extend_f16(scale: f64, src: &[f64], dst: &mut Vec<f64>) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("f16c") && std::arch::is_x86_feature_detected!("avx") {

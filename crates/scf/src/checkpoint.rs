@@ -12,37 +12,43 @@
 //! * [`IncrementalState`] — the incremental engine's accumulators and its
 //!   rebuild bookkeeping, purged by one `IncrementalState::reset`;
 //! * [`Diis`] — the DIIS history;
-//! * [`Accounting`] — per-iteration seconds, Fock statistics and the device
-//!   clock, which always run forward.
+//! * [`DeviceClock`] — one iteration ledger and one recovery ledger per
+//!   completed iteration, the session's only record of what the iterations
+//!   cost; it always runs forward.
 //!
 //! A checkpoint is the problem fingerprint, the next iteration and that
 //! value, so a resumed run replays the remaining iterations **bitwise
 //! identically** to the uninterrupted one (DESIGN.md §10).
 //!
-//! ## Format (version 3)
+//! ## Format (version 4)
 //!
 //! Little-endian binary. `f64` values are serialized via
-//! [`f64::to_bits`], never through text, so restore is bit-exact. The
-//! layout predates the grouping above and interleaves the groups' fields.
+//! [`f64::to_bits`], never through text, so restore is bit-exact. After the
+//! header come the fingerprint, the next iteration, and one block per group
+//! of [`CarriedState`], in its field order.
 //!
 //! ```text
 //! magic   b"MAKOCKPT"            8 bytes
-//! version u32                    (currently 3)
+//! version u32                    (currently 4)
 //! crc     u32                    CRC-32 (IEEE) over every byte after this field
 //! fingerprint: nao u64, n_batches u64, n_quartets u64, problem_hash u64
-//! scalars: next_iteration u64, e_prev, energy, residual, residual_prev,
-//!          drift_bound f64; since_rebuild u64;
-//!          flags u8 (bit0 was_quantized_phase, bit1 force_rebuild)
-//! matrices: d, j_acc, k_acc, d_ref        (each: rows u64, cols u64, data)
-//! diis: max_vectors u64, m u64, m × (fock, error) matrix pairs
-//! orbital_energies: len u64, data
-//! iteration_seconds: len u64, data
-//! stats: 4 × u64 + 2 × f64 (FockBuildStats fields)
-//! clock: n_iters u64, n_iters × IterationLedger;
-//!        n_recov u64, n_recov × RecoveryLedger
+//! next_iteration u64
+//! point:       density matrix; e_prev, energy, residual, residual_prev f64;
+//!              orbital_energies (len u64, data)
+//! incremental: j_acc, k_acc, d_ref matrices; since_rebuild u64;
+//!              drift_bound f64; flags u8 (bit0 was_quantized_phase,
+//!              bit1 force_rebuild)
+//! diis:        max_vectors u64, m u64, m × (fock, error) matrix pairs
+//! clock:       n_iters u64, n_iters × IterationLedger;
+//!              n_recov u64, n_recov × RecoveryLedger
 //! ```
 //!
-//! Readers reject wrong magic, versions they don't understand, truncated
+//! A matrix is `rows u64, cols u64, data`. Nothing derived from the clock
+//! (per-iteration seconds, Fock statistics) is stored: the run derives it
+//! when it finishes.
+//!
+//! Readers reject wrong magic, versions they don't understand (a version-3
+//! file included: recovery quarantines it and recomputes), truncated
 //! payloads, payloads failing their CRC ([`CheckpointError::Corrupt`] —
 //! bit rot the fingerprint cannot see), and checkpoints whose fingerprint
 //! disagrees with the run being resumed. Version 2 extended the
@@ -53,7 +59,8 @@
 //! from one tenant's job cannot be resumed against a *different* problem
 //! that happens to have the same matrix shapes (e.g. a slightly perturbed
 //! geometry, or the same molecule priced on a different device); version 3
-//! adds the payload CRC.
+//! added the payload CRC, and version 4 stores the clock once, group by
+//! group.
 //!
 //! ## Durability
 //!
@@ -72,7 +79,6 @@
 
 use crate::diis::Diis;
 use crate::error::CheckpointError;
-use crate::fock::FockBuildStats;
 use crate::scf::ScfDriver;
 use mako_accel::{DeviceClock, IterationLedger, RecoveryLedger};
 use mako_linalg::Matrix;
@@ -81,7 +87,7 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MAKOCKPT";
 /// Current checkpoint format version.
-pub(crate) const CHECKPOINT_VERSION: u32 = 3;
+pub(crate) const CHECKPOINT_VERSION: u32 = 4;
 /// Byte offset where the CRC-covered region begins (after magic, version,
 /// and the CRC field itself).
 const CRC_REGION_AT: usize = 16;
@@ -123,8 +129,9 @@ pub struct CarriedState {
     pub incremental: IncrementalState,
     /// DIIS history.
     pub diis: Diis,
-    /// Seconds, statistics and ledgers so far.
-    pub accounting: Accounting,
+    /// What the iterations so far cost. It runs forward: a rollback leaves
+    /// it alone, because the time was really spent.
+    pub clock: DeviceClock,
 }
 
 /// The numeric state a rescue rollback rewinds to.
@@ -188,43 +195,6 @@ impl IncrementalState {
     }
 }
 
-/// What the iterations so far cost. Accounting runs forward: a rollback
-/// leaves it alone, because the time was really spent.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Accounting {
-    /// Per-iteration simulated seconds.
-    pub iteration_seconds: Vec<f64>,
-    /// Accumulated Fock statistics.
-    pub stats: FockBuildStats,
-    /// Per-iteration device-clock and recovery ledgers.
-    pub clock: DeviceClock,
-}
-
-impl Accounting {
-    /// Add one Fock build's counters to the running statistics.
-    pub(crate) fn add_build(&mut self, st: &FockBuildStats) {
-        self.stats.fp64_quartets += st.fp64_quartets;
-        self.stats.quantized_quartets += st.quantized_quartets;
-        self.stats.pruned_quartets += st.pruned_quartets;
-        self.stats.skipped_quartets += st.skipped_quartets;
-        self.stats.skipped_bound += st.skipped_bound;
-    }
-
-    /// Charge one iteration that cost `seconds` and ran the build `st`.
-    pub(crate) fn charge(&mut self, st: &FockBuildStats, seconds: f64, rebuild: bool) {
-        self.iteration_seconds.push(seconds);
-        self.clock.push(IterationLedger {
-            eri_seconds: st.device_seconds,
-            total_seconds: seconds,
-            evaluated_quartets: st.evaluated_quartets(),
-            skipped_quartets: st.skipped_quartets,
-            pruned_quartets: st.pruned_quartets,
-            skipped_bound: st.skipped_bound,
-            rebuild,
-        });
-    }
-}
-
 impl ScfCheckpoint {
     /// A checkpoint of `driver`'s problem whose next iteration is
     /// `next_iteration`.
@@ -243,13 +213,13 @@ impl ScfCheckpoint {
         }
     }
 
-    /// Serialize to the version-3 binary format (payload CRC included).
+    /// Serialize to the version-4 binary format (payload CRC included).
     pub fn to_bytes(&self) -> Vec<u8> {
         let CarriedState {
             point,
             incremental: inc,
             diis,
-            accounting,
+            clock,
         } = &self.state;
         let mut out = ByteWriter::with_capacity(64 + point.density.as_slice().len() * 8 * 4);
         out.bytes(MAGIC);
@@ -260,16 +230,21 @@ impl ScfCheckpoint {
         out.u64(self.n_quartets as u64);
         out.u64(self.problem_hash);
         out.u64(self.next_iteration as u64);
+
+        put_matrix(&mut out, &point.density);
         out.f64(point.e_prev);
         out.f64(point.energy);
         out.f64(point.residual);
         out.f64(point.residual_prev);
-        out.f64(inc.drift_bound);
-        out.u64(inc.since_rebuild as u64);
-        out.u8((inc.was_quantized_phase as u8) | ((inc.force_rebuild as u8) << 1));
-        for m in [&point.density, &inc.j_acc, &inc.k_acc, &inc.d_ref] {
+        out.f64s(&point.orbital_energies);
+
+        for m in [&inc.j_acc, &inc.k_acc, &inc.d_ref] {
             put_matrix(&mut out, m);
         }
+        out.u64(inc.since_rebuild as u64);
+        out.f64(inc.drift_bound);
+        out.u8((inc.was_quantized_phase as u8) | ((inc.force_rebuild as u8) << 1));
+
         let (max_vectors, focks, errors) = diis.history();
         out.u64(max_vectors as u64);
         out.u64(focks.len() as u64);
@@ -277,29 +252,20 @@ impl ScfCheckpoint {
             put_matrix(&mut out, f);
             put_matrix(&mut out, e);
         }
-        out.f64s(&point.orbital_energies);
-        out.f64s(&accounting.iteration_seconds);
-        let stats = &accounting.stats;
-        out.u64(stats.fp64_quartets as u64);
-        out.u64(stats.quantized_quartets as u64);
-        out.u64(stats.pruned_quartets as u64);
-        out.u64(stats.skipped_quartets as u64);
-        out.f64(stats.skipped_bound);
-        out.f64(stats.device_seconds);
-        let ledgers = accounting.clock.iterations();
-        out.u64(ledgers.len() as u64);
-        for l in ledgers {
+
+        out.u64(clock.iterations().len() as u64);
+        for l in clock.iterations() {
             out.f64(l.eri_seconds);
             out.f64(l.total_seconds);
             out.u64(l.evaluated_quartets as u64);
+            out.u64(l.quantized_quartets as u64);
             out.u64(l.skipped_quartets as u64);
             out.u64(l.pruned_quartets as u64);
             out.f64(l.skipped_bound);
             out.u8(l.rebuild as u8);
         }
-        let recoveries = accounting.clock.recoveries();
-        out.u64(recoveries.len() as u64);
-        for r in recoveries {
+        out.u64(clock.recoveries().len() as u64);
+        for r in clock.recoveries() {
             out.u64(r.transient_retries as u64);
             out.f64(r.backoff_seconds);
             out.u64(r.straggler_ranks as u64);
@@ -318,7 +284,7 @@ impl ScfCheckpoint {
         out
     }
 
-    /// Parse a version-3 checkpoint.
+    /// Parse a version-4 checkpoint.
     pub fn from_bytes(bytes: &[u8]) -> Result<ScfCheckpoint, CheckpointError> {
         let mut r = ByteReader::new(bytes);
         if r.take(8).ok_or(CheckpointError::Truncated)? != MAGIC {
@@ -446,33 +412,42 @@ fn read_matrix(r: &mut ByteReader<'_>) -> Option<Matrix> {
     Some(Matrix::from_vec(rows, cols, data))
 }
 
-/// Everything after the magic/version/CRC header. Every count is checked
-/// against the bytes that remain (two empty matrices, one
-/// `IterationLedger`, one `RecoveryLedger` are 32, 49 and 88 bytes) before
-/// anything is allocated.
+/// Everything after the magic/version/CRC header, one block per group as
+/// `to_bytes` writes them. Every count is checked against the bytes that
+/// remain (two empty matrices, one `IterationLedger`, one `RecoveryLedger`
+/// are 32, 57 and 88 bytes) before anything is allocated. A ledger that
+/// claims more quantized quartets than it evaluated is refused, as nothing
+/// `to_bytes` writes.
 fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
     let nao = r.usize()?;
     let n_batches = r.usize()?;
     let n_quartets = r.usize()?;
     let problem_hash = r.u64()?;
     let next_iteration = r.usize()?;
-    let e_prev = r.f64()?;
-    let energy = r.f64()?;
-    let residual = r.f64()?;
-    let residual_prev = r.f64()?;
-    let drift_bound = r.f64()?;
+
+    let point = RestorePoint {
+        density: read_matrix(r)?,
+        e_prev: r.f64()?,
+        energy: r.f64()?,
+        residual: r.f64()?,
+        residual_prev: r.f64()?,
+        orbital_energies: r.f64s()?,
+    };
+
+    let (j_acc, k_acc, d_ref) = (read_matrix(r)?, read_matrix(r)?, read_matrix(r)?);
     let since_rebuild = r.usize()?;
+    let drift_bound = r.f64()?;
     let flags = r.u8()?;
-    let density = read_matrix(r)?;
     let incremental = IncrementalState {
-        j_acc: read_matrix(r)?,
-        k_acc: read_matrix(r)?,
-        d_ref: read_matrix(r)?,
+        j_acc,
+        k_acc,
+        d_ref,
         since_rebuild,
         drift_bound,
         force_rebuild: flags & 2 != 0,
         was_quantized_phase: flags & 1 != 0,
     };
+
     let max_vectors = r.usize()?;
     let m = r.count(32)?;
     let mut focks = Vec::with_capacity(m);
@@ -481,35 +456,24 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
         focks.push(read_matrix(r)?);
         errors.push(read_matrix(r)?);
     }
-    let point = RestorePoint {
-        density,
-        e_prev,
-        energy,
-        residual,
-        residual_prev,
-        orbital_energies: r.f64s()?,
-    };
-    let iteration_seconds = r.f64s()?;
-    let stats = FockBuildStats {
-        fp64_quartets: r.usize()?,
-        quantized_quartets: r.usize()?,
-        pruned_quartets: r.usize()?,
-        skipped_quartets: r.usize()?,
-        skipped_bound: r.f64()?,
-        device_seconds: r.f64()?,
-    };
-    let n_iters = r.count(49)?;
+
+    let n_iters = r.count(57)?;
     let mut ledgers = Vec::with_capacity(n_iters);
     for _ in 0..n_iters {
-        ledgers.push(IterationLedger {
+        let ledger = IterationLedger {
             eri_seconds: r.f64()?,
             total_seconds: r.f64()?,
             evaluated_quartets: r.usize()?,
+            quantized_quartets: r.usize()?,
             skipped_quartets: r.usize()?,
             pruned_quartets: r.usize()?,
             skipped_bound: r.f64()?,
             rebuild: r.u8()? != 0,
-        });
+        };
+        if ledger.quantized_quartets > ledger.evaluated_quartets {
+            return None;
+        }
+        ledgers.push(ledger);
     }
     let n_recov = r.count(88)?;
     let mut recoveries = Vec::with_capacity(n_recov);
@@ -528,6 +492,7 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
             degraded_seconds: r.f64()?,
         });
     }
+
     Some(ScfCheckpoint {
         nao,
         n_batches,
@@ -538,11 +503,7 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
             point,
             incremental,
             diis: Diis::from_history(max_vectors, focks, errors),
-            accounting: Accounting {
-                iteration_seconds,
-                stats,
-                clock: DeviceClock::from_ledgers(ledgers, recoveries),
-            },
+            clock: DeviceClock::from_ledgers(ledgers, recoveries),
         },
     })
 }
@@ -578,37 +539,27 @@ mod tests {
                     was_quantized_phase: true,
                 },
                 diis: Diis::from_history(8, vec![m(2.0), m(2.1)], vec![m(0.01), m(0.005)]),
-                accounting: Accounting {
-                    iteration_seconds: vec![1e-3, 8e-4, 7e-4, 6e-4],
-                    stats: FockBuildStats {
-                        fp64_quartets: 1000,
+                clock: DeviceClock::from_ledgers(
+                    vec![IterationLedger {
+                        eri_seconds: 9e-4,
+                        total_seconds: 1e-3,
+                        evaluated_quartets: 1000,
                         quantized_quartets: 50,
-                        pruned_quartets: 7,
-                        skipped_quartets: 123,
-                        skipped_bound: 4.2e-11,
-                        device_seconds: 3.1e-3,
-                    },
-                    clock: DeviceClock::from_ledgers(
-                        vec![IterationLedger {
-                            eri_seconds: 9e-4,
-                            total_seconds: 1e-3,
-                            evaluated_quartets: 1000,
-                            skipped_quartets: 3,
-                            pruned_quartets: 1,
-                            skipped_bound: 1e-12,
-                            rebuild: true,
-                        }],
-                        vec![RecoveryLedger {
-                            transient_retries: 2,
-                            backoff_seconds: 3e-3,
-                            rerun_batches: 11,
-                            ranks_lost: 1,
-                            fault_free_seconds: 0.2,
-                            degraded_seconds: 0.31,
-                            ..RecoveryLedger::default()
-                        }],
-                    ),
-                },
+                        skipped_quartets: 3,
+                        pruned_quartets: 1,
+                        skipped_bound: 1e-12,
+                        rebuild: true,
+                    }],
+                    vec![RecoveryLedger {
+                        transient_retries: 2,
+                        backoff_seconds: 3e-3,
+                        rerun_batches: 11,
+                        ranks_lost: 1,
+                        fault_free_seconds: 0.2,
+                        degraded_seconds: 0.31,
+                        ..RecoveryLedger::default()
+                    }],
+                ),
             },
         }
     }
@@ -621,11 +572,11 @@ mod tests {
         assert_eq!(back, ck);
         // Serialization is deterministic.
         assert_eq!(back.to_bytes(), bytes);
-        // The MAKOCKPT v3 byte image is pinned (FNV-1a, generated at c1572ca).
+        // The MAKOCKPT v4 byte image is pinned (FNV-1a).
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv), (1098, 0x06f1_c06e_e956_a023), "checkpoint byte image moved");
+        assert_eq!((bytes.len(), fnv), (1018, 0xcf7a_14ef_585c_d5b3), "checkpoint byte image moved");
     }
 
     #[test]
@@ -659,6 +610,14 @@ mod tests {
             ScfCheckpoint::from_bytes(&newer),
             Err(CheckpointError::UnsupportedVersion { found: 99 })
         );
+        // Version 3 stored derived accounting next to the clock; it is
+        // refused, not half-read.
+        let mut v3 = bytes.clone();
+        v3[8] = 3;
+        assert_eq!(
+            ScfCheckpoint::from_bytes(&v3),
+            Err(CheckpointError::UnsupportedVersion { found: 3 })
+        );
 
         // Truncation inside the CRC region is caught by the checksum
         // (checked before any structural parsing).
@@ -672,6 +631,27 @@ mod tests {
             ScfCheckpoint::from_bytes(&bytes[..10]),
             Err(CheckpointError::Truncated)
         );
+    }
+
+    #[test]
+    fn a_ledger_with_more_quantized_than_evaluated_quartets_is_refused() {
+        let mut bytes = sample().to_bytes();
+        // From the back: the recovery ledger and its count, then the
+        // iteration ledger's rebuild flag, skipped bound, pruned and skipped
+        // counts.
+        let quantized_at = bytes.len() - 88 - 8 - 1 - 8 - 8 - 8 - 8;
+        assert_eq!(bytes[quantized_at..quantized_at + 8], 50u64.to_le_bytes());
+        assert_eq!(bytes[quantized_at - 8..quantized_at], 1000u64.to_le_bytes());
+        bytes[quantized_at..quantized_at + 8].copy_from_slice(&1001u64.to_le_bytes());
+        let crc = crc32(&bytes[CRC_REGION_AT..]);
+        bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(ScfCheckpoint::from_bytes(&bytes), Err(CheckpointError::Truncated));
+        // As many quantized as evaluated is a whole quantized iteration.
+        bytes[quantized_at..quantized_at + 8].copy_from_slice(&1000u64.to_le_bytes());
+        let crc = crc32(&bytes[CRC_REGION_AT..]);
+        bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+        let back = ScfCheckpoint::from_bytes(&bytes).expect("quantized == evaluated parses");
+        assert_eq!(back.state.clock.iterations()[0].quantized_quartets, 1000);
     }
 
     #[test]

@@ -749,9 +749,26 @@ pub fn build_jk_with_configs(
     model: &CostModel,
     opts: FockEngineOptions,
 ) -> (JkMatrices, FockBuildStats) {
+    build_jk(density, pairs, batches, layout, schedule, cfg_for, model, opts, None)
+}
+
+/// The single-device build over every batch: `plan → price → assemble`,
+/// with `store` handed to `assemble` (`None` is integral-direct).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_jk(
+    density: &Matrix,
+    pairs: &[ScreenedPair],
+    batches: &[QuartetBatch],
+    layout: &AoLayout,
+    schedule: &QuantSchedule,
+    cfg_for: impl Fn(usize) -> (PipelineConfig, PipelineConfig),
+    model: &CostModel,
+    opts: FockEngineOptions,
+    store: Option<&mut TensorStore>,
+) -> (JkMatrices, FockBuildStats) {
     let mut plan = plan_jk(density, pairs, batches, 0..batches.len(), schedule, cfg_for, layout, opts);
     plan.price(pairs, batches, model);
-    let jk = plan.assemble(density, pairs, batches, layout, None);
+    let jk = plan.assemble(density, pairs, batches, layout, store);
     (jk, plan.stats)
 }
 

@@ -47,7 +47,7 @@ pub mod rescue;
 pub mod scf;
 pub mod xc;
 
-pub use checkpoint::{Accounting, CarriedState, IncrementalState, RestorePoint, ScfCheckpoint};
+pub use checkpoint::{CarriedState, IncrementalState, RestorePoint, ScfCheckpoint};
 pub use diis::{Diis, DiisStats};
 pub use ensemble::{EnsembleConfig, EnsembleDriver, EnsembleResult};
 pub use error::{CheckpointError, FockBuildError, NonFiniteStage, ScfError};

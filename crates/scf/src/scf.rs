@@ -7,11 +7,11 @@
 //! excluding the first iteration (Figure 8's metric), and scheduling
 //! statistics.
 
-use crate::checkpoint::{Accounting, CarriedState, IncrementalState, RestorePoint, ScfCheckpoint};
+use crate::checkpoint::{CarriedState, IncrementalState, RestorePoint, ScfCheckpoint};
 use crate::diis::Diis;
 use crate::error::{NonFiniteStage, ScfError};
 use crate::fock::{
-    attribute_non_finite, plan_jk, FockBuildStats, FockEngineOptions, JkMatrices, TensorStore,
+    attribute_non_finite, build_jk, FockBuildStats, FockEngineOptions, JkMatrices, TensorStore,
     TENSOR_STORE_BYTES,
 };
 use crate::grid::MolecularGrid;
@@ -19,7 +19,7 @@ use crate::parallel::{build_shares, DistributedScf};
 use crate::rescue::{RescueLedger, RescueStage, RescueState, TrajectoryClass};
 use crate::xc::{evaluate_aos, evaluate_xc, hartree_fock, AoOnGrid, XcFunctional};
 use mako_accel::fault::RecoveryLedger;
-use mako_accel::{CostModel, DeviceClock, DeviceSpec};
+use mako_accel::{CostModel, DeviceClock, DeviceSpec, IterationLedger};
 use mako_chem::{AoLayout, BasisSet, Molecule, Shell};
 use mako_compiler::KernelCache;
 use mako_eri::batch::{batch_quartets, QuartetBatch};
@@ -242,11 +242,13 @@ pub struct ScfResult {
     pub avg_iteration_seconds: f64,
     /// Total simulated device seconds.
     pub total_seconds: f64,
-    /// Accumulated Fock-build statistics.
+    /// Fock-build statistics summed over the iterations. Its
+    /// `device_seconds` is the run's total device time (ERI + XC +
+    /// diagonalization, the same as `total_seconds`), not the ERI share.
     pub stats: FockBuildStats,
     /// Per-iteration device-clock ledger: simulated seconds charged next to
-    /// the evaluated / skipped / pruned quartet populations and the rebuild
-    /// flags of the incremental engine.
+    /// the evaluated / quantized / skipped / pruned quartet populations and
+    /// the rebuild flags of the incremental engine.
     pub clock: DeviceClock,
     /// Every rescue-ladder intervention of the run, oldest first. Empty on
     /// a healthy run (and then the run is bitwise identical to one with
@@ -526,27 +528,18 @@ impl ScfDriver {
                 Ok((out.jk, out.stats, out.recovery))
             }
             None => {
-                // `build_jk_with_configs`'s three calls, with the session's
-                // tensors in place of its integral-direct `None`.
-                let mut plan = plan_jk(
+                let (jk, stats) = build_jk(
                     &prep.build_density,
                     &self.pairs,
                     &self.batches,
-                    0..self.batches.len(),
+                    &self.layout,
                     &prep.schedule,
                     cfg_for,
-                    &self.layout,
+                    &self.model,
                     prep.opts,
-                );
-                plan.price(&self.pairs, &self.batches, &self.model);
-                let jk = plan.assemble(
-                    &prep.build_density,
-                    &self.pairs,
-                    &self.batches,
-                    &self.layout,
                     Some(tensors),
                 );
-                Ok((jk, plan.stats, RecoveryLedger::default()))
+                Ok((jk, stats, RecoveryLedger::default()))
             }
         }
     }
@@ -616,7 +609,10 @@ pub(crate) struct PreparedIteration {
 /// What one iteration hands the next is one [`CarriedState`]: the restore
 /// point a rescue rollback rewinds (density, energies, residuals, orbital
 /// energies), the incremental engine's state, the DIIS history, and the
-/// accounting. A checkpoint saves it whole and a resume takes it back whole.
+/// device clock. A checkpoint saves it whole and a resume takes it back
+/// whole. The clock is the session's only record of what its iterations
+/// cost: [`ScfSession::finish`] derives every timing and statistic of the
+/// [`ScfResult`] from it.
 /// Everything else here is fixed for the run (one-electron matrices,
 /// orthogonalizer) or deliberately not saved (the rescue ladder, the tensor
 /// store). One instance per molecule; nothing in a session is shared, so a
@@ -756,7 +752,7 @@ impl<'a> ScfSession<'a> {
                     point,
                     incremental: IncrementalState::new(nao),
                     diis: Diis::new(8),
-                    accounting: Accounting::default(),
+                    clock: DeviceClock::new(),
                 };
                 (state, 0)
             }
@@ -905,8 +901,19 @@ impl<'a> ScfSession<'a> {
             point,
             incremental: inc,
             diis,
-            accounting,
+            clock,
         } = &mut self.state;
+        // What this iteration cost, pushed once its seconds are complete.
+        let ledger = |seconds: f64| IterationLedger {
+            eri_seconds: st.device_seconds,
+            total_seconds: seconds,
+            evaluated_quartets: st.evaluated_quartets(),
+            quantized_quartets: st.quantized_quartets,
+            skipped_quartets: st.skipped_quartets,
+            pruned_quartets: st.pruned_quartets,
+            skipped_bound: st.skipped_bound,
+            rebuild,
+        };
 
         // Non-finite containment: a NaN/Inf caught at any assembly
         // checkpoint is attributed (J/K only — the one stage with a
@@ -953,8 +960,8 @@ impl<'a> ScfSession<'a> {
                 }
                 // The poisoned work was still spent: account for it
                 // before unwinding the iteration.
-                accounting.charge(&st, iter_seconds, rebuild);
-                accounting.clock.push_recovery(recovery);
+                clock.push(ledger(iter_seconds));
+                clock.push_recovery(recovery);
                 iter_span.end();
                 if contained {
                     let level = self
@@ -976,7 +983,6 @@ impl<'a> ScfSession<'a> {
                 return Err(ScfError::NonFinite { iteration: iter, stage });
             }};
         }
-        accounting.add_build(&st);
         if self.driver.config.incremental {
             inc.j_acc.axpy(1.0, &j);
             inc.k_acc.axpy(1.0, &k);
@@ -1086,7 +1092,7 @@ impl<'a> ScfSession<'a> {
         if !d_new.all_finite() {
             contain!(NonFiniteStage::Density);
         }
-        accounting.charge(&st, iter_seconds, rebuild);
+        clock.push(ledger(iter_seconds));
 
         let de = (point.energy - point.e_prev).abs();
         point.e_prev = point.energy;
@@ -1186,7 +1192,7 @@ impl<'a> ScfSession<'a> {
             !finishing && p.every > 0 && (killed || (iter + 1).is_multiple_of(p.every))
         });
         recovery.checkpoint_saves = save_to.is_some() as usize;
-        self.state.accounting.clock.push_recovery(recovery);
+        self.state.clock.push_recovery(recovery);
         if finishing {
             self.finished = true;
             return Ok(());
@@ -1205,7 +1211,7 @@ impl<'a> ScfSession<'a> {
         Ok(())
     }
 
-    /// Rewind to the rescue engine's best-residual restore point. Accounting
+    /// Rewind to the rescue engine's best-residual restore point. The clock
     /// keeps running forward — the device time was really spent. The
     /// incremental state starts over with a full rebuild owed, so no
     /// post-snapshot screening drift survives the rewind, and the DIIS
@@ -1221,16 +1227,26 @@ impl<'a> ScfSession<'a> {
     }
 
     /// Everything after the last iteration: the paper's timing metrics and
-    /// the assembled [`ScfResult`].
+    /// the Fock statistics, derived from the clock's ledgers in their order,
+    /// and the assembled [`ScfResult`].
     pub(crate) fn finish(self) -> ScfResult {
-        let CarriedState { point, accounting, .. } = self.state;
-        let Accounting { iteration_seconds, mut stats, clock } = accounting;
+        let CarriedState { point, clock, .. } = self.state;
+        let ledgers = clock.iterations();
+        let iteration_seconds: Vec<f64> = ledgers.iter().map(|l| l.total_seconds).collect();
+        let total_seconds: f64 = iteration_seconds.iter().sum();
         let avg = if iteration_seconds.len() > 1 {
             iteration_seconds[1..].iter().sum::<f64>() / (iteration_seconds.len() - 1) as f64
         } else {
             iteration_seconds.first().copied().unwrap_or(0.0)
         };
-        stats.device_seconds = iteration_seconds.iter().sum();
+        let stats = FockBuildStats {
+            fp64_quartets: ledgers.iter().map(|l| l.evaluated_quartets - l.quantized_quartets).sum(),
+            quantized_quartets: ledgers.iter().map(|l| l.quantized_quartets).sum(),
+            pruned_quartets: ledgers.iter().map(|l| l.pruned_quartets).sum(),
+            skipped_quartets: ledgers.iter().map(|l| l.skipped_quartets).sum(),
+            skipped_bound: ledgers.iter().fold(0.0, |b, l| b + l.skipped_bound),
+            device_seconds: total_seconds,
+        };
 
         ScfResult {
             energy: point.energy,
@@ -1240,7 +1256,7 @@ impl<'a> ScfSession<'a> {
             orbital_energies: point.orbital_energies,
             density: point.density,
             avg_iteration_seconds: avg,
-            total_seconds: iteration_seconds.iter().sum(),
+            total_seconds,
             iteration_seconds,
             stats,
             clock,

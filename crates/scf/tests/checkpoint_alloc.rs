@@ -10,10 +10,9 @@
 //! Bytes requested from the allocator are counted per thread, so the
 //! harness's own threads cannot disturb them.
 
+use mako_accel::{DeviceClock, IterationLedger};
 use mako_linalg::Matrix;
-use mako_scf::{
-    Accounting, CarriedState, CheckpointError, Diis, IncrementalState, RestorePoint, ScfCheckpoint,
-};
+use mako_scf::{CarriedState, CheckpointError, Diis, IncrementalState, RestorePoint, ScfCheckpoint};
 use mako_store::crc32;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -76,10 +75,13 @@ fn sample() -> ScfCheckpoint {
                 was_quantized_phase: true,
             },
             diis,
-            accounting: Accounting {
-                iteration_seconds: vec![1e-3],
-                ..Accounting::default()
-            },
+            clock: DeviceClock::from_ledgers(
+                vec![IterationLedger {
+                    total_seconds: 1e-3,
+                    ..IterationLedger::default()
+                }],
+                Vec::new(),
+            ),
         },
     }
 }
@@ -90,11 +92,10 @@ fn an_inflated_length_is_truncated_without_reserving_for_it() {
     let good = ck.to_bytes();
     assert_eq!(ScfCheckpoint::from_bytes(&good).as_ref(), Ok(&ck));
 
-    // From the back: two empty ledger counts, the 48-byte stats block, one
-    // iteration second and three orbital energies, each behind a u64 length.
-    let orbital_len_at = good.len() - 8 - 8 - 48 - (8 + 8) - (8 + 3 * 8);
-    // From the front: header, fingerprint, eight scalars, the flags byte.
-    let density_rows_at = 16 + 32 + 7 * 8 + 1;
+    // From the front: header, fingerprint, next iteration.
+    let density_rows_at = 16 + 32 + 8;
+    // Then the 3 × 3 density behind its two dimensions, and four scalars.
+    let orbital_len_at = density_rows_at + 16 + 9 * 8 + 4 * 8;
     for (what, at, was, claimed) in [
         ("orbital_energies length", orbital_len_at, 3u64, 1u64 << 24),
         ("density rows", density_rows_at, 3, 1 << 23),

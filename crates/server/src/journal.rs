@@ -831,4 +831,59 @@ mod tests {
             }
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A frame tagged like a retired record, at every payload length
+        /// from 1 to 40 and every position among real records: replay
+        /// skips it at the retired length and stops at its start as
+        /// corrupt at any other; after the repair, an appended record
+        /// replays.
+        #[test]
+        fn a_retired_tag_is_skipped_only_at_the_retired_length(
+            tag in 3u8..6,
+            split in 0usize..9,
+            body in prop::collection::vec(any::<u8>(), 39..40),
+        ) {
+            let all = all_records();
+            let (head, rest) = all.split_at(split);
+            let marker = JournalRecord::RecoveryMark { generation: 9 };
+            for len in 1..=40 {
+                let vfs = Arc::new(FaultVfs::quiet());
+                let path = PathBuf::from("/serve.wal");
+                let j = Journal::new(vfs.clone(), path.clone());
+                for rec in head {
+                    j.append(rec).expect("append");
+                }
+                let at = vfs.raw(&path).map_or(0, |b| b.len());
+                let mut payload = vec![tag];
+                payload.extend_from_slice(&body[..len - 1]);
+                vfs.append(&path, &frame(&payload)).expect("append the tagged frame");
+                for rec in rest {
+                    j.append(rec).expect("append");
+                }
+                let written = vfs.raw(&path).unwrap();
+
+                let (records, tail) = j.replay_and_repair().expect("replay");
+                let kept = if len == RETIRED_PAYLOAD_LEN {
+                    prop_assert_eq!(tail, Tail::Clean);
+                    prop_assert_eq!(&records, &all);
+                    prop_assert!(vfs.raw(&path).unwrap() == written, "a clean replay rewrote the journal");
+                    all.clone()
+                } else {
+                    prop_assert_eq!(tail, Tail::Corrupt);
+                    prop_assert_eq!(&records[..], head);
+                    prop_assert!(vfs.raw(&path).unwrap() == written[..at], "length {len}: not cut at the frame's start");
+                    head.to_vec()
+                };
+
+                j.append(&marker).expect("append after the repair");
+                let (records, tail) = j.replay().expect("replay");
+                prop_assert_eq!(tail, Tail::Clean);
+                prop_assert_eq!(&records[..kept.len()], &kept[..]);
+                prop_assert_eq!(&records[kept.len()..], std::slice::from_ref(&marker));
+            }
+        }
+    }
 }

@@ -44,6 +44,7 @@ use std::sync::Arc;
 
 use mako_chem::Element;
 use mako_accel::fault::backoff_seconds;
+use mako_accel::DeviceClock;
 use mako_compiler::KernelCache;
 use mako_scf::{
     CheckpointError, CheckpointPolicy, ScfCheckpoint, ScfDriver, ScfError, ScfResult,
@@ -1000,14 +1001,14 @@ impl<'a> Sim<'a> {
         let driver = job.driver.as_ref().expect("driver built at dispatch");
         match driver.run_with(opts) {
             Ok(res) => {
-                let dt = segment_seconds(&res.iteration_seconds, start_iter);
+                let dt = segment_seconds(&res.clock, start_iter);
                 (AttemptEnd::Done(Box::new(res)), dt)
             }
             Err(ScfError::Killed(ckpt)) => {
                 // Quantum boundary: yield the state the kill carries, unless
                 // the chaos schedule says this quantum's checkpoint write
                 // was lost.
-                let dt = segment_seconds(&ckpt.state.accounting.iteration_seconds, start_iter);
+                let dt = segment_seconds(&ckpt.state.clock, start_iter);
                 let save = self.workers[w].saves;
                 self.workers[w].saves += 1;
                 if self.chaos.checkpoint_write_fails(w, save) {
@@ -1037,7 +1038,7 @@ impl<'a> Sim<'a> {
                 let salvage = self.load_valid_ckpt(id, start_iter);
                 let dt = salvage
                     .as_ref()
-                    .map(|c| segment_seconds(&c.state.accounting.iteration_seconds, start_iter))
+                    .map(|c| segment_seconds(&c.state.clock, start_iter))
                     .unwrap_or(0.0);
                 (
                     AttemptEnd::Fault {
@@ -1316,10 +1317,10 @@ impl<'a> Sim<'a> {
 }
 
 /// Virtual seconds of the trajectory segment starting at `start_iter`
-/// (iteration timings before that belong to earlier attempts).
-fn segment_seconds(iteration_seconds: &[f64], start_iter: usize) -> f64 {
-    let from = start_iter.min(iteration_seconds.len());
-    iteration_seconds[from..].iter().sum()
+/// (iterations before that belong to earlier attempts).
+fn segment_seconds(clock: &DeviceClock, start_iter: usize) -> f64 {
+    let ledgers = clock.iterations();
+    ledgers[start_iter.min(ledgers.len())..].iter().map(|l| l.total_seconds).sum()
 }
 
 /// Whether a fault class is worth retrying. Worker loss, straggler

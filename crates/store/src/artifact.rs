@@ -222,6 +222,7 @@ pub(crate) fn validate(bytes: &[u8], key: u64) -> Result<&[u8], ArtifactFault> {
 mod tests {
     use super::*;
     use crate::fault::FaultVfs;
+    use proptest::prelude::*;
 
     fn fresh() -> (Arc<FaultVfs>, ArtifactStore) {
         let vfs = Arc::new(FaultVfs::quiet());
@@ -299,5 +300,46 @@ mod tests {
         *rot.last_mut().unwrap() ^= 0x80;
         assert_eq!(validate(&rot, 7), Err(ArtifactFault::Corrupt));
         assert_eq!(validate(&good[..25], 7), Err(ArtifactFault::ShortPayload));
+    }
+
+    proptest! {
+        /// A stored image with random bytes rewritten and its tail maybe cut
+        /// loads only when it is still the image stored; any other is moved
+        /// aside whole, counted, and read as a miss.
+        #[test]
+        fn an_edited_artifact_loads_only_while_intact(
+            payload in prop::collection::vec(any::<u8>(), 0..64),
+            edits in prop::collection::vec((any::<u64>(), any::<u8>()), 0..4),
+            cut in any::<u64>(),
+            truncate in any::<bool>(),
+        ) {
+            let (vfs, store) = fresh();
+            let key = 0x5EED;
+            store.store("screen", key, &payload).unwrap();
+            let path = store.path_for("screen", key);
+            let intact = vfs.raw(&path).unwrap();
+            let mut image = intact.clone();
+            for (at, byte) in edits {
+                let at = (at % image.len() as u64) as usize;
+                image[at] = byte;
+            }
+            if truncate {
+                image.truncate((cut % (image.len() as u64 + 1)) as usize);
+            }
+            vfs.write(&path, &image).unwrap();
+
+            let loaded = store.load("screen", key).unwrap();
+            if image == intact {
+                prop_assert_eq!(loaded, Some(payload));
+                prop_assert_eq!(store.quarantined(), 0);
+                prop_assert!(vfs.exists(&path));
+            } else {
+                prop_assert_eq!(loaded, None);
+                prop_assert_eq!(store.quarantined(), 1);
+                prop_assert!(!vfs.exists(&path), "the damaged image still shadows its key");
+                let aside = path.with_file_name("screen-0000000000005eed.art.quarantine");
+                prop_assert_eq!(vfs.raw(&aside), Some(image));
+            }
+        }
     }
 }

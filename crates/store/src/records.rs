@@ -90,6 +90,7 @@ pub fn read_all_framed(bytes: &[u8]) -> (Vec<Vec<u8>>, Tail, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn journal(payloads: &[&[u8]]) -> Vec<u8> {
         let mut bytes = Vec::new();
@@ -155,5 +156,39 @@ mod tests {
         let (records, tail) = read_all(&bytes);
         assert_eq!(records.len(), 1);
         assert_eq!(tail, Tail::Corrupt);
+    }
+
+    proptest! {
+        /// Whatever one flipped bit, cut or junk tail does to a stream, the
+        /// reader returns a prefix of the records framed, says how many
+        /// bytes they span, and calls the tail clean only when nothing is
+        /// left over.
+        #[test]
+        fn a_damaged_stream_reads_as_a_prefix_of_its_records(
+            payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..41), 0..9),
+            damage in 0u8..3,
+            at in any::<u64>(),
+            bit in 0u8..8,
+            junk in prop::collection::vec(any::<u8>(), 1..17),
+        ) {
+            let mut bytes: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+            let len = bytes.len() as u64;
+            match damage {
+                0 if len > 0 => bytes[(at % len) as usize] ^= 1 << bit,
+                1 => bytes.truncate((at % (len + 1)) as usize),
+                _ => bytes.extend_from_slice(&junk),
+            }
+            let (records, tail, valid_len) = read_all_framed(&bytes);
+            let k = records.len();
+            prop_assert!(
+                k <= payloads.len() && records[..] == payloads[..k],
+                "{k} records are not a prefix of the {} framed",
+                payloads.len()
+            );
+            let framed: usize = payloads[..k].iter().map(|p| 8 + p.len()).sum();
+            prop_assert_eq!(valid_len, framed);
+            prop_assert!(valid_len <= bytes.len());
+            prop_assert_eq!(tail == Tail::Clean, valid_len == bytes.len());
+        }
     }
 }

@@ -33,9 +33,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # benchmark/ is its own workspace, so nothing above compiles it: without this
 # a change to a public name it imports breaks BENCHMARK.json's command and is
-# only caught by tier-2. `--all-targets` takes in its unit tests, which name
-# public items the bin does not.
-echo "== tier1: cargo check --all-targets benchmark/ =="
-cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
+# only caught by tier-2, and a change that leaves it with a lint goes unseen.
+# `--all-targets` takes in its unit tests, which name public items the bin
+# does not.
+echo "== tier1: cargo clippy --all-targets benchmark/ -- -D warnings =="
+cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 
 echo "== tier1: OK =="
