@@ -8,6 +8,19 @@
 //!   documented substitution for Lebedev grids — a product rule of order n
 //!   integrates spherical harmonics exactly up to degree n and is
 //!   generatable at any order without coefficient tables);
+//! * **pruning**: each radial shell gets its own angular order, picked from
+//!   r/R (R the atom's size parameter), in the NWChem/SG-1 way (Gill,
+//!   Johnson and Pople, CPL 209, 506 (1993)). Only the valence region keeps
+//!   the configured order n_θ; the nearly spherical core and the diffuse
+//!   tail take fewer points:
+//!
+//!   | r / R | < 0.25 | < 0.5 | < 1 | < 4.5 | ≥ 4.5 |
+//!   |---|---|---|---|---|---|
+//!   | order | n_θ/3 | n_θ/2 | 5n_θ/6 | n_θ | 2n_θ/3 |
+//!
+//!   each rounded to the nearest integer and clamped to `[min(1, n_θ), n_θ]`
+//!   (4 / 6 / 10 / 12 / 8 at n_θ = 12). That halves the points of the
+//!   unpruned product grid at the same quadrature error;
 //! * **partitioning**: Becke's smooth Voronoi weights (k = 3 sharpening
 //!   passes) distribute overlapping atomic grids.
 
@@ -32,11 +45,22 @@ pub struct MolecularGrid {
 }
 
 impl MolecularGrid {
-    /// Build a grid with `n_radial` shells and a `n_theta × 2·n_theta`
-    /// angular rule per atom. `ScfConfig`'s default is (30, 10); tests use
-    /// smaller grids. Either size 0 gives a grid without points.
+    /// Build a grid with `n_radial` shells per atom, each with an
+    /// `n × 2n` angular rule whose order n is pruned by radius (module docs)
+    /// and is at most `n_theta`. `ScfConfig`'s default is (30, 10); tests
+    /// use smaller grids. Either size 0 gives a grid without points.
     pub fn build(mol: &Molecule, n_radial: usize, n_theta: usize) -> MolecularGrid {
-        let angular = angular_rule(n_theta);
+        // One angular rule per order in use, indexed by order.
+        let rules: Vec<Vec<(f64, f64, f64, f64)>> = (0..=n_theta)
+            .map(|n| {
+                let used = PRUNING.iter().any(|&(_, f)| pruned_order(f, n_theta) == n);
+                if used {
+                    angular_rule(n)
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
         // Becke partition inputs: atom–atom distances tabulated once, and one
         // reused buffer each for a point's atom distances and cell products.
         let n = mol.atoms.len();
@@ -49,7 +73,7 @@ impl MolecularGrid {
             // Bragg-Slater-ish size parameter: covalent radius in Bohr.
             let r_m = (atom.element.covalent_radius() * BOHR_PER_ANGSTROM).max(0.4);
             for (r, wr) in radial_rule(n_radial, r_m) {
-                for &(u, v, w, wa) in &angular {
+                for &(u, v, w, wa) in &rules[shell_order(r / r_m, n_theta)] {
                     let p = [
                         atom.position[0] + r * u,
                         atom.position[1] + r * v,
@@ -91,6 +115,30 @@ impl MolecularGrid {
             .map(|(p, v)| p.weight * v)
             .sum()
     }
+}
+
+/// The pruning regions of the module docs: a shell whose r/R is below the
+/// bound takes the fraction of `n_theta` beside it.
+const PRUNING: [(f64, f64); 5] = [
+    (0.25, 1.0 / 3.0),
+    (0.5, 0.5),
+    (1.0, 5.0 / 6.0),
+    (4.5, 1.0),
+    (f64::INFINITY, 2.0 / 3.0),
+];
+
+/// `fraction · n_theta` rounded, clamped to `[min(1, n_theta), n_theta]`.
+fn pruned_order(fraction: f64, n_theta: usize) -> usize {
+    ((fraction * n_theta as f64).round() as usize).clamp(n_theta.min(1), n_theta)
+}
+
+/// The angular order of a shell at `r_over_r_m` = r/R.
+fn shell_order(r_over_r_m: f64, n_theta: usize) -> usize {
+    let &(_, fraction) = PRUNING
+        .iter()
+        .find(|&&(bound, _)| r_over_r_m < bound)
+        .expect("the last region is unbounded");
+    pruned_order(fraction, n_theta)
 }
 
 /// Radial nodes/weights: Gauss-Chebyshev second kind + Becke map.
@@ -215,12 +263,52 @@ mod tests {
 
     #[test]
     fn angular_weights_sum_to_sphere() {
-        let rule = angular_rule(10);
-        let total: f64 = rule.iter().map(|&(_, _, _, w)| w).sum();
-        assert!((total - 4.0 * std::f64::consts::PI).abs() < 1e-10);
-        // Integrates Y_1 components to zero.
-        let sx: f64 = rule.iter().map(|&(x, _, _, w)| w * x).sum();
-        assert!(sx.abs() < 1e-12);
+        // Every order a pruned grid of n_θ ≤ 30 can use.
+        for n in 1..=30 {
+            let rule = angular_rule(n);
+            let total: f64 = rule.iter().map(|&(_, _, _, w)| w).sum();
+            assert!((total - 4.0 * std::f64::consts::PI).abs() < 1e-10, "order {n}: {total}");
+            // Integrates Y_1 components to zero.
+            let sx: f64 = rule.iter().map(|&(x, _, _, w)| w * x).sum();
+            assert!(sx.abs() < 1e-12, "order {n}: {sx}");
+        }
+    }
+
+    /// r/R from deep in the core to far in the tail, and every region edge.
+    fn radii() -> impl Iterator<Item = f64> {
+        let edges = PRUNING.iter().map(|&(bound, _)| bound).filter(|b| b.is_finite());
+        (0..=400).map(|k| 10f64.powf(-3.0 + 6.0 * k as f64 / 400.0)).chain(edges)
+    }
+
+    #[test]
+    fn a_zero_order_or_no_shells_gives_an_empty_grid() {
+        // `ScfDriver::try_new` turns either into `ScfError::EmptyGrid`
+        // (`scf::tests::a_kohn_sham_run_without_grid_points_is_a_typed_error`).
+        let mol = builders::water();
+        assert!(MolecularGrid::build(&mol, 30, 0).is_empty());
+        assert!(MolecularGrid::build(&mol, 0, 10).is_empty());
+        assert!(radii().all(|r| shell_order(r, 0) == 0));
+    }
+
+    #[test]
+    fn order_one_is_kept_on_every_shell() {
+        assert!(radii().all(|r| shell_order(r, 1) == 1));
+        // Two points per shell, on each of water's 3 atoms × 30 shells, less
+        // those the Becke partition gives no weight.
+        let grid = MolecularGrid::build(&builders::water(), 30, 1);
+        assert!(grid.len() <= 3 * 30 * 2 && grid.len() > 3 * 30, "{}", grid.len());
+    }
+
+    #[test]
+    fn no_shell_exceeds_the_configured_order_and_the_valence_keeps_it() {
+        for n_theta in 0..=40 {
+            assert!(radii().all(|r| shell_order(r, n_theta) <= n_theta), "n_θ = {n_theta}");
+            assert_eq!(shell_order(1.0, n_theta), n_theta);
+            assert_eq!(shell_order(4.4, n_theta), n_theta);
+        }
+        // The module docs' table at n_θ = 12: core, inner, valence, outer, tail.
+        let orders: Vec<usize> = [0.1, 0.3, 0.7, 2.0, 9.0].iter().map(|&r| shell_order(r, 12)).collect();
+        assert_eq!(orders, [4, 6, 10, 12, 8]);
     }
 
     #[test]

@@ -168,8 +168,12 @@ pub struct ScfConfig {
     /// Rebuild/screen policy of the incremental engine (ignored unless
     /// `incremental`).
     pub incremental_policy: IncrementalPolicy,
-    /// DFT grid fineness (radial shells, θ points). A Kohn–Sham driver
-    /// refuses a size without grid points ([`ScfError::EmptyGrid`]).
+    /// DFT grid fineness: (radial shells per atom, largest angular order
+    /// n_θ). Each shell carries an `n × 2n` angular rule whose order n is
+    /// pruned by radius ([`crate::grid`]): only the valence region,
+    /// R ≤ r < 4.5 R for an atom of size R, keeps n_θ; the core and the tail
+    /// take down to a third of it. A Kohn–Sham driver refuses a size without
+    /// grid points ([`ScfError::EmptyGrid`]).
     pub grid: (usize, usize),
     /// Simulated device to run on.
     pub device: DeviceSpec,
@@ -376,11 +380,22 @@ impl ScfDriver {
         let (grid, aos) = match &config.method {
             ScfMethod::Rks(_) => {
                 let (radial, angular) = config.grid;
+                let mut span = mako_trace::span("scf", "grid_build");
                 let g = MolecularGrid::build(mol, radial, angular);
+                span.add_field("radial", radial);
+                span.add_field("angular", angular);
+                span.add_field("npts", g.len());
+                span.end();
                 if g.points.is_empty() {
                     return Err(ScfError::EmptyGrid { radial, angular });
                 }
+                let mut span = mako_trace::span("scf", "ao_eval");
                 let a = evaluate_aos(&shells, &g);
+                span.add_field("npts", g.len());
+                span.add_field("nao", a.nao());
+                span.add_field("blocks", a.blocks().len());
+                span.add_field("ao_kept_frac", a.kept_frac());
+                span.end();
                 (Some(g), Some(a))
             }
             ScfMethod::Rhf => (None, None),
@@ -1088,7 +1103,8 @@ impl<'a> ScfSession<'a> {
         // Diagonalize (replicated serial stage — costed separately).
         let (d_new, eps) = density_from_fock(&f_diis, &self.x, self.n_occ)
             .map_err(|source| ScfError::Diagonalization { iteration: iter, source })?;
-        iter_seconds += self.driver.diag_device_seconds();
+        let diag_seconds = self.driver.diag_device_seconds();
+        iter_seconds += diag_seconds;
         if !d_new.all_finite() {
             contain!(NonFiniteStage::Density);
         }
@@ -1113,6 +1129,8 @@ impl<'a> ScfSession<'a> {
             iter_span.add_field("residual", point.residual);
             iter_span.add_field("rebuild", rebuild);
             iter_span.add_field("eri_seconds", st.device_seconds);
+            iter_span.add_field("xc_seconds", xc_seconds);
+            iter_span.add_field("diag_seconds", diag_seconds);
             iter_span.add_field("total_seconds", iter_seconds);
             iter_span.add_field("evaluated_quartets", st.evaluated_quartets());
             iter_span.add_field("skipped_quartets", st.skipped_quartets);

@@ -1,9 +1,9 @@
 //! Bounded memory for the XC layer, on `scf_dft_quant`'s system (water
-//! trimer, STO-3G, the (40, 12) grid of 101 132 points): the tabulated AOs
+//! trimer, STO-3G, the (40, 12) grid of 48 167 points): the tabulated AOs
 //! keep only each block's non-zero columns, and `evaluate_xc` allocates
 //! nothing larger than a block. Before the blocked pass the AOs were four
-//! dense `npts × nao` matrices (68 MB) and `evaluate_xc` allocated a 17 MB
-//! `npts × nao` workspace per call.
+//! dense `npts × nao` matrices (68 MB on the unpruned grid's 101 132 points)
+//! and `evaluate_xc` allocated a 17 MB `npts × nao` workspace per call.
 //!
 //! Bytes are counted per thread, so the harness's own threads cannot
 //! disturb them.
@@ -64,9 +64,13 @@ fn the_blocked_xc_pass_holds_a_screened_tabulation_and_allocates_at_most_a_block
         held as f64 / dense as f64,
         aos.kept_frac()
     );
-    // The heap is the kept columns (0.794 of the dense tabulation on this
+    // The heap is the kept columns (0.817 of the dense tabulation on this
     // grid, an exact-zero screen can drop no more) plus < 1 % bookkeeping.
-    assert!(5 * held <= 4 * dense, "{report}");
+    // The grid prunes mostly far points, whose columns were zero anyway, so
+    // the kept fraction rose from the unpruned grid's 0.794; the cap in
+    // bytes holds the grid's size too (26.4 MB, the unpruned grid 54 MB).
+    assert!(50 * held <= 41 * dense, "{report}");
+    assert!(held <= 28_000_000, "{report}");
     assert!(held as f64 <= 1.01 * aos.kept_frac() * dense as f64, "{report}");
 
     let d = Matrix::from_fn(nao, nao, |i, j| 0.1 / (1.0 + (i as f64 - j as f64).abs()));

@@ -20,7 +20,13 @@
 //! shared `ρ.cbrt()` (B88's `asinh` from `ln_1p`): the lattice digests, the
 //! B3LYP and SVWN5 energy bits (each by one ulp, 4.4e-16 Ha) and the `V_xc`
 //! arrays (≤ 4.4e-16) moved; the electron-count bits and the grid digest did
-//! not. A legitimate change of a functional or of the grid must regenerate
+//! not. The fourth re-pin came when the grid's angular order became pruned
+//! by radius: the trimer grid (101 132 → 48 167 points) and its digest, and
+//! the whole `evaluate_xc` call pin, whose grid is pruned too — energies by
+//! −5.5e-6 (B3LYP) and −5.3e-6 Ha (SVWN5), the electron count by +6.0e-6,
+//! `V_xc` by ≤ 5.5e-6; the lattice digests did not move. Pruning's
+//! quadrature error is held by `xc_quadrature.rs`, not here. A legitimate
+//! change of a functional or of the grid must regenerate
 //! the constants (failure messages print the new values) and say so in
 //! CHANGES.md.
 //!
@@ -36,34 +42,34 @@ use mako_scf::xc::{b3lyp, evaluate_aos, evaluate_xc, svwn, AoOnGrid, XcFunctiona
 
 const B3LYP_LATTICE_DIGEST: u64 = 0x9728_eb02_7b64_088a;
 const SVWN_LATTICE_DIGEST: u64 = 0x4667_3988_adb2_2a99;
-const TRIMER_GRID_DIGEST: u64 = 0xa3fe_b96e_e9e7_4c4d;
-const TRIMER_GRID_POINTS: usize = 101_132;
+const TRIMER_GRID_DIGEST: u64 = 0x6691_b2f5_109e_4d83;
+const TRIMER_GRID_POINTS: usize = 48_167;
 
 /// `evaluate_xc` on water/STO-3G, grid (35, 12), density [`pin_density`]:
 /// `energy` bits, `n_electrons` bits, upper triangle of `V_xc` row by row.
-const B3LYP_ENERGY_BITS: u64 = 0xc004_a692_512d_2a31;
-const B3LYP_N_ELECTRONS_BITS: u64 = 0x4013_cfad_c5e7_7b98;
+const B3LYP_ENERGY_BITS: u64 = 0xc004_a695_31f0_7764;
+const B3LYP_N_ELECTRONS_BITS: u64 = 0x4013_cfaf_5ab2_aa68;
 #[rustfmt::skip]
 const B3LYP_VXC: [f64; 28] = [
-    -1.841623693672063, -0.2627381450126946, -0.012821502472860348, -0.009468192641515901,
-    -0.007790959544372248, -0.06213733610458808, -0.06109068524177519, -0.49911136535917844,
-    -0.042639703898398204, -0.04872744930058523, -0.0311015655280341, -0.21857814605197806,
-    -0.19935806996934985, -0.4834037379782545, -0.021558111309343844, -0.011202604483759992,
-    -0.015970677364860283, -0.013615101117926891, -0.500544075694717, -0.024892869108478852,
-    -0.12432445083091065, -0.10963902635551752, -0.5048109506448145, -0.14795479573713363,
-    0.11184373380219292, -0.3851320134147964, -0.09131492806176245, -0.34357573522874163,
+    -1.8416225918943547, -0.2627364264218077, -0.012823986338713138, -0.009463281767674667,
+    -0.0077925608479097064, -0.062136930980559404, -0.06108994074081282, -0.49911121943648873,
+    -0.04264073322102571, -0.048723928570865896, -0.031102107982523768, -0.21857850703143916,
+    -0.19935837615631352, -0.48340532017346916, -0.021563591141606407, -0.011202656721500642,
+    -0.01597117498480235, -0.013615474215384888, -0.5005457717285317, -0.02489786729802078,
+    -0.12432479682793561, -0.10963896610118604, -0.5048069083313985, -0.1479551344904933,
+    0.11184347209282097, -0.38513445000376867, -0.09131456038772674, -0.34357826086506327,
 ];
-const SVWN_ENERGY_BITS: u64 = 0xc007_a743_0a92_be3d;
-const SVWN_N_ELECTRONS_BITS: u64 = 0x4013_cfad_c5e7_7b98;
+const SVWN_ENERGY_BITS: u64 = 0xc007_a745_d261_73fd;
+const SVWN_N_ELECTRONS_BITS: u64 = 0x4013_cfaf_5ab2_aa68;
 #[rustfmt::skip]
 const SVWN_VXC: [f64; 28] = [
-    -2.0532707333064555, -0.30779298930877996, -0.014804064976342058, -0.011595935927564843,
-    -0.009502254982721298, -0.0726223873335369, -0.07142330015317352, -0.6123680984290829,
-    -0.04863414237603506, -0.06011867103440045, -0.03656894105659136, -0.26754621738768236,
-    -0.2452667447971547, -0.5947560029857435, -0.01991209237105896, -0.010812233351075942,
-    -0.018102589546168217, -0.01540536298974423, -0.6135428920071783, -0.02328648949339535,
-    -0.15155602398596674, -0.13517254600177603, -0.6202441095875786, -0.17970732326266173,
-    0.138117626642032, -0.46408448241116845, -0.11210962942903913, -0.4110320073804798,
+    -2.053270769276243, -0.30779306558518443, -0.014803977521007655, -0.011596065618791404,
+    -0.009502189706187242, -0.07262240025571001, -0.07142333050023256, -0.6123686483736186,
+    -0.04863428746458881, -0.06011981398972809, -0.03656890077023836, -0.26754695278669144,
+    -0.24526752717969114, -0.5947589216299068, -0.019911722202975934, -0.010812559348471319,
+    -0.018102673371640655, -0.015405373448851206, -0.6135435810830896, -0.023285804385238907,
+    -0.15155714703730558, -0.13517377472186282, -0.6202431684540043, -0.17970747379015525,
+    0.13811792989209326, -0.46408757787341265, -0.11210975391934916, -0.4110350380577271,
 ];
 
 /// FNV-1a over little-endian u64 words.

@@ -288,6 +288,8 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// specific producer ran — e.g. that a rescue run emitted `scf.rescue`.
 pub(crate) const KNOWN_EVENTS: &[&str] = &[
     "scf.setup",
+    "scf.grid_build",
+    "scf.ao_eval",
     "scf.iteration",
     "scf.xc",
     "scf.rescue",

@@ -31,14 +31,15 @@ echo "== tier2: microkernel determinism (linalg, eri and kernels suites, then th
 # kernel has to carry the integral engine's own tests too, not only linalg's.
 MAKO_KERNEL=generic cargo test --release -q -p mako-linalg -p mako-eri -p mako-kernels
 # ... and reproduce the pinned J/K, trajectory and XC bits the dispatched kernel
-# produced (`V_xc` is two `gemm_into` calls per grid block).
-MAKO_KERNEL=generic cargo test --release -q -p mako-scf --test fock_seam_pin --test trajectory_pin --test xc_pin
+# produced (`V_xc` is two `gemm_into` calls per grid block), and the grid's
+# quadrature error against its reference (release only, so tier-1 skips it).
+MAKO_KERNEL=generic cargo test --release -q -p mako-scf --test fock_seam_pin --test trajectory_pin --test xc_pin --test xc_quadrature
 
-echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace; scf.xc, eri.one_electron and the Fock-engine events required) =="
+echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace; the grid build, AO tabulation, scf.xc, eri.one_electron and the Fock-engine events required) =="
 cargo run --release -p mako --bin mako-cli -- \
     --mol sample/water.xyz --method b3lyp --trace target/xc_trace_smoke.jsonl
 cargo run --release -p mako-bench --bin trace_validate -- target/xc_trace_smoke.jsonl \
-    --require scf.xc --require eri.one_electron \
+    --require scf.grid_build --require scf.ao_eval --require scf.xc --require eri.one_electron \
     --require scf.iteration --require fock.screen --require fock.launch --require fock.assemble
 
 echo "== tier2: quantized smoke (mako-cli QuantMako B3LYP water under --trace; scf.xc and the Fock-engine events required) =="

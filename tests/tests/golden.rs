@@ -27,8 +27,9 @@ const E_WATER3: f64 = -224.883_558_801_398;
 /// Converged B3LYP/STO-3G total energy of the water monomer on the (35, 12)
 /// grid (Hartree) — the one pin that runs the grid, the AO tabulation and
 /// `evaluate_xc`. Generated before `evaluate_xc` became the two-GEMM
-/// assembly.
-const E_WATER_B3LYP: f64 = -75.275_061_372_847;
+/// assembly; re-pinned by −9.29e-6 Ha, inside `xc_quadrature.rs`'s 1e-4 Ha
+/// quadrature bound, when the grid's angular order became pruned by radius.
+const E_WATER_B3LYP: f64 = -75.275_070_659_299;
 /// Converged RHF/STO-3G energy of 3.5×-stretched water, reachable only
 /// through the full rescue ladder (`e_tol = 1e-8`). Re-pinned (3× → 3.5×)
 /// when the packed-microkernel GEMM regrouped FP64 summation: the 1-ulp

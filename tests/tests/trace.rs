@@ -102,18 +102,20 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         .run_rhf(&mol, BasisFamily::Sto3g)
         .expect("untraced scf run");
     // The B3LYP golden configuration (tests/tests/golden.rs): the one run
-    // that crosses the grid, the AO tabulation and `evaluate_xc`.
-    let dft = ScfDriver::new(
-        &mako::chem::builders::water(),
-        &sto3g(),
-        ScfConfig {
+    // that crosses the grid, the AO tabulation and `evaluate_xc`. Each run
+    // builds its own driver, so a traced one also traces the grid build and
+    // the AO tabulation.
+    let dft = || {
+        let config = ScfConfig {
             method: ScfMethod::Rks(b3lyp()),
             e_tol: 1e-10,
             grid: (35, 12),
             ..ScfConfig::default()
-        },
-    );
-    let dft_ref = dft.run().expect("untraced B3LYP run");
+        };
+        ScfDriver::new(&mako::chem::builders::water(), &sto3g(), config).run()
+    };
+    let dft_base = dft().expect("untraced B3LYP run");
+    let (dft_iterations, dft_ref) = (dft_base.iterations, scf_bits(&dft_base));
     // A QuantMako run: the one that fills and reads the quantized tier.
     let quantized = || {
         MakoEngine::new()
@@ -231,14 +233,13 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
             scf_bits(&cluster_traced) == cluster_ref,
             "traced distributed SCF drifted from the untraced run at {threads} threads"
         );
+        let dft_traced = pool.install(dft).expect("traced B3LYP run");
+        assert!(
+            scf_bits(&dft_traced) == dft_ref,
+            "traced B3LYP SCF drifted from the untraced run at {threads} threads"
+        );
     }
 
-    let dft_traced = dft.run().expect("traced B3LYP run");
-    assert_eq!(
-        (dft_traced.energy.to_bits(), dft_traced.iterations),
-        (dft_ref.energy.to_bits(), dft_ref.iterations),
-        "traced B3LYP energy is not bitwise identical to the untraced run"
-    );
     assert!(scf_bits(&quantized()) == quantized_ref, "traced quantized SCF drifted");
     assert_eq!(fleet_bits(&ensemble.run()), fleet_ref, "traced ensemble drifted");
     assert_eq!(serve(), serve_ref, "traced chaos serve drifted");
@@ -261,6 +262,8 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     let summary = mako::trace::schema::validate_jsonl(&jsonl)
         .unwrap_or_else(|e| panic!("emitted JSONL violates its own schema: {e}"));
     for name in [
+        "scf.grid_build",
+        "scf.ao_eval",
         "scf.iteration",
         "scf.xc",
         "fock.screen",
@@ -303,6 +306,21 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         );
     }
     assert!(summary.spans > 0 && summary.instants > 0);
+    // Every completed `scf.iteration` splits its device seconds into the
+    // terms `advance` adds, in its order, so they sum to the total bit for
+    // bit; the B3LYP runs charge XC.
+    let mut xc_charged = 0;
+    let iterations = dump.events.iter().filter(|e| (e.cat, e.name) == ("scf", "iteration"));
+    for span in iterations.filter(|e| !e.fields.is_empty()) {
+        let seconds = |key: &str| match span.fields.iter().find(|f| f.key == key).map(|f| &f.value) {
+            Some(&mako::trace::FieldValue::F64(v)) => v,
+            other => panic!("scf.iteration {key} is {other:?}, not device seconds"),
+        };
+        let (eri, xc, diag) = (seconds("eri_seconds"), seconds("xc_seconds"), seconds("diag_seconds"));
+        assert_eq!((eri + xc + diag).to_bits(), seconds("total_seconds").to_bits());
+        xc_charged += usize::from(xc > 0.0);
+    }
+    assert!(xc_charged >= 4 * dft_iterations, "the traced B3LYP runs charged no XC");
     // The fleet reports the ranks its fault plan dispatches over.
     let fleet_runs = dump.events.iter().filter(|e| (e.cat, e.name) == ("ensemble", "run"));
     for run in fleet_runs {
