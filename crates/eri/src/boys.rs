@@ -5,13 +5,16 @@
 //!
 //! * `boys_reference` — series seed + stable downward recursion (small T)
 //!   and asymptotic + upward recursion (large T), a data-dependent number of
-//!   series terms per call; the oracle the table is built from and tested
-//!   against, and the evaluator of the one-electron nuclear-attraction path;
+//!   series terms per call. It builds the table and is the oracle the table
+//!   and the block references (`nuclear_block`, the Hermite and MMD tests)
+//!   are checked against; it evaluates nothing in an SCF. Obara–Saika
+//!   (`os.rs`), the independent reference engine, calls it too;
 //! * [`BoysTable`] — the pre-tabulated evaluator the paper uses (§3.1): a
 //!   Taylor expansion about the nearest node of a uniform `T` grid, then the
 //!   downward recursion, every trip count fixed. Accurate to a few ulp
 //!   (≤ 5e-14 relative is what the tests hold) and the evaluator of every
-//!   two-electron quartet, FP64 and quantized alike.
+//!   SCF integral: the two-electron quartets, FP64 and quantized alike, and
+//!   the one-electron nuclear attraction.
 
 /// Largest Boys order the engine ever needs: (gg|gg) quartets require
 /// `m ≤ 4·4 = 16`; +4 headroom for derivatives/tests.
@@ -21,7 +24,12 @@ pub(crate) const M_MAX: usize = 20;
 /// branch.
 const T_LARGE: f64 = 35.0;
 
-/// Evaluate `F_0..=F_m` into `out[0..=m]` with full double precision.
+/// Beyond this argument `e^{−T}` is below half the smallest subnormal,
+/// `2^{−1075} ≈ e^{−745.13}`, so `(-t).exp()` rounds to exactly `+0.0`.
+const EXP_UNDERFLOW: f64 = 746.0;
+
+/// Evaluate `F_0..=F_m` into `out[0..=m]` with full double precision: the
+/// source [`BoysTable`] is built from and the oracle it is tested against.
 pub(crate) fn boys_reference(m: usize, t: f64, out: &mut [f64]) {
     assert!(out.len() > m, "output buffer too small");
     debug_assert!(t >= 0.0, "Boys argument must be non-negative");
@@ -101,7 +109,9 @@ const INV_K: [f64; TERMS] = {
 /// — a fixed trip count in every loop, no transcendental call, and all terms
 /// of the recursion positive, so the top order's few-ulp error never grows.
 /// Arguments beyond the grid (`T > 35`) take `boys_reference`'s asymptotic
-/// branch: the two evaluators switch at the same `T`.
+/// branch: the two evaluators switch at the same `T`, and give the same bits
+/// there. The table's branch skips `exp` where its value is not read (`m = 0`)
+/// or is exactly `+0.0` (`T > 746`).
 pub struct BoysTable {
     rows: Vec<f64>,
 }
@@ -125,8 +135,11 @@ impl BoysTable {
         debug_assert!(t >= 0.0, "Boys argument must be non-negative");
         let out = &mut out[..=m];
         if t > T_LARGE {
-            let et = (-t).exp();
             out[0] = 0.5 * (std::f64::consts::PI / t).sqrt();
+            if m == 0 {
+                return;
+            }
+            let et = if t > EXP_UNDERFLOW { 0.0 } else { (-t).exp() };
             for k in 0..m {
                 out[k + 1] = ((2 * k + 1) as f64 * out[k] - et) / (2.0 * t);
             }
@@ -277,6 +290,28 @@ mod tests {
             .map(|&t| (table_rel_err(t), t))
             .fold((0.0, 0.0), |a, b| if b.0 > a.0 { b } else { a });
         assert!(worst <= 5e-14, "table worst relative error {worst:e} at T = {at}");
+    }
+
+    #[test]
+    fn table_asymptotic_branch_is_the_reference_bit_for_bit() {
+        // The table skips `exp` for m = 0 and beyond `EXP_UNDERFLOW`; neither
+        // shortcut may move a bit against the reference's plain branch.
+        assert_eq!((-EXP_UNDERFLOW).exp().to_bits(), 0.0f64.to_bits());
+        let ulp_up = |t: f64| f64::from_bits(t.to_bits() + 1);
+        let mut ts = vec![ulp_up(T_LARGE), 35.5, 100.0, 745.0, 745.5, 746.0];
+        ts.extend([ulp_up(EXP_UNDERFLOW), 747.0, 1000.0, 2000.0]);
+        ts.extend((0..4000).map(|i| T_LARGE + 0.4912 * (i + 1) as f64));
+        assert!(*ts.last().unwrap() < 2000.0);
+        for t in ts {
+            for m in 0..=M_MAX {
+                let mut fast = [0.0f64; M_MAX + 1];
+                let mut refv = [0.0f64; M_MAX + 1];
+                shared_table().eval(m, t, &mut fast);
+                boys_reference(m, t, &mut refv);
+                let bits = |v: &[f64]| v[..=m].iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&refv), "m = {m}, T = {t}");
+            }
+        }
     }
 
     #[test]

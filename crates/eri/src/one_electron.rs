@@ -6,12 +6,14 @@
 //! shifted overlaps, and `V` from the Hermite Coulomb integrals with a single
 //! composite exponent (`V_ab = −Z · 2π/p · Σ_tuv E^{ab}_{tuv} R_tuv(p, P−C)`).
 //!
-//! [`one_electron_matrices`] builds them in one fused pass per shell pair.
-//! [`overlap_block`], [`kinetic_block`] and [`nuclear_block`] are the slow,
-//! one-quantity-at-a-time reference the fused pass is tested against; nothing
-//! on a hot path calls them.
+//! [`one_electron_matrices`] builds them in one fused pass per shell pair,
+//! with its Boys values from the shared [`BoysTable`](crate::boys::BoysTable)
+//! like every quartet. [`overlap_block`], [`kinetic_block`] and
+//! [`nuclear_block`] are the slow, one-quantity-at-a-time reference the fused
+//! pass is tested against (`nuclear_block` on the series `boys_reference`);
+//! nothing on a hot path calls them.
 
-use crate::boys::{boys_reference, M_MAX};
+use crate::boys::{boys_reference, shared_table, M_MAX};
 use crate::hermite::{r_integrals, ETable, HermiteLanes};
 use mako_chem::cart::{cart_components, hermite_components_cached, ncart};
 use mako_chem::harmonics::cart_to_sph_cached;
@@ -212,6 +214,7 @@ fn fused_cart_blocks(sa: &Shell, sb: &Shell, mol: &Molecule, cut: f64, ws: &mut 
     let (ca, cb) = (cart_components(la), cart_components(lb));
     let herm = hermite_components_cached(la + lb);
     ws.cart.iter_mut().for_each(|m| m.reset(ca.len(), cb.len()));
+    let table = shared_table();
     let mut boys = [0.0f64; M_MAX + 1];
     for (&a, &coef_a) in sa.exps.iter().zip(&sa.coefs) {
         for (&b, &coef_b) in sb.exps.iter().zip(&sb.coefs) {
@@ -230,7 +233,7 @@ fn fused_cart_blocks(sa: &Shell, sb: &Shell, mol: &Molecule, cut: f64, ws: &mut 
             for (lane, atom) in mol.atoms.iter().enumerate() {
                 let pc: [f64; 3] = std::array::from_fn(|k| pp[k] - atom.position[k]);
                 let t = p * (pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2]);
-                boys_reference(la + lb, t, &mut boys);
+                table.eval(la + lb, t, &mut boys);
                 ws.r.seed(lane, p, pc, &boys);
                 ws.pref[lane] = -atom.element.charge() * 2.0 * std::f64::consts::PI / p;
             }

@@ -15,6 +15,10 @@
 //! - V is re-pinned everywhere: the nuclei are summed before the Hermite
 //!   contraction instead of after it. Largest element moves: water 1.8e-15,
 //!   trimer 1.8e-15, synthetic 5.3e-15.
+//! - V was re-pinned once more when the fused pass took its Boys values from
+//!   the shared `BoysTable` instead of the series `boys_reference` (S and T
+//!   did not move). Largest element moves: water 6.7e-16, trimer 1.8e-15,
+//!   synthetic 1.8e-15, and 7.1e-15 on `water_cluster(24)`.
 //!
 //! A later change of summation order must regenerate the affected constants
 //! (failure messages print the new values), state the largest element move
@@ -56,19 +60,19 @@ const FUSED_PINS: Pins = [
         "water",
         REFERENCE_PINS[0].1,
         REFERENCE_PINS[0].2,
-        0xec01_091b_9923_2384,
+        0xc521_a332_c898_c1f0,
     ),
     (
         "water_cluster(3)",
         0x2d70_f1aa_11b1_097a,
         0x9e64_8304_1841_4eca,
-        0x11aa_eae2_4c6b_87f5,
+        0xdaf8_9df5_6d21_b69a,
     ),
     (
         "synthetic",
         REFERENCE_PINS[2].1,
         REFERENCE_PINS[2].2,
-        0xb954_48f6_850e_7a66,
+        0x25ff_4d4b_8a8a_1d7f,
     ),
 ];
 

@@ -1,17 +1,19 @@
-//! Where one iteration of `scf_wide`'s dense host tail spends its time
-//! (ROADMAP item 15).
+//! Where `scf_wide`'s host path outside the Fock build spends its time
+//! (ROADMAP item 15): the one-electron pass once, then one iteration's dense
+//! tail.
 //!
 //! On the benchmark's `scf_wide` input — 24 waters, STO-3G, 168 AOs, 120
 //! occupied orbitals; the geometry here is the unjittered `water_cluster(24)`
-//! — the pieces of one SCF iteration after the Fock build are re-run through
-//! their public entry points:
+//! — each piece is re-run through its public entry point inside a one-thread
+//! pool, as the benchmark runs:
 //!
+//! * **one-electron** — `one_electron_matrices` (S, T and V), once per SCF;
 //! * **eigh**, split into `tred2` (Householder reduction and accumulation of
 //!   `Q`), `tql2` (the transpose of `Q`, then QL on its rows) and the rest
 //!   (sorting and reading the vectors back), beside `eigh` itself;
 //! * **density** — `D = C_occ C_occᵀ` ([`occupied_density`]);
-//! * **DIIS** — `Diis::error_vector` and one `extrapolate` at a full history
-//!   of 8 pairs, the driver's capacity;
+//! * **DIIS** — `Diis::error_vector` (four GEMMs) and one `extrapolate` at a
+//!   full history of 8 pairs, the driver's capacity;
 //! * **orthogonalizer** — `sym_inv_sqrt_diag(S)`, once per SCF.
 //!
 //! The core Hamiltonian `H` stands in for the Fock matrix: the tail's cost
@@ -53,8 +55,15 @@ fn best<T>(mut f: impl FnMut() -> T) -> f64 {
 }
 
 fn main() {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("one-thread pool");
+    pool.install(profile);
+}
+
+fn profile() {
     let mol = builders::water_cluster(24);
-    let (s, t, v) = one_electron_matrices(&sto3g().shells_for(&mol), &mol);
+    let shells = sto3g().shells_for(&mol);
+    let t_one_electron = best(|| one_electron_matrices(&shells, &mol));
+    let (s, t, v) = one_electron_matrices(&shells, &mol);
     let h = t.add(&v);
     let n_occ = mol.n_electrons() / 2;
     let n = h.rows();
@@ -111,7 +120,8 @@ fn main() {
     });
     assert_eq!(diis.stats(), Default::default(), "the conditioning guard fired");
 
-    println!("water24/STO-3G: {n} AOs, {n_occ} occupied, {DIIS_VECTORS} DIIS vectors");
+    println!("water24/STO-3G: {n} AOs, {n_occ} occupied, {DIIS_VECTORS} DIIS vectors, one thread");
+    println!("  one_electron_matrices, ms: {:.2}", t_one_electron * 1e3);
     println!(
         "  eigh per call, ms: tred2 {:.2} | tql2 {:.2} | sort and read-back {:.2} | eigh {:.2}",
         t_tred2 * 1e3,
@@ -121,7 +131,7 @@ fn main() {
     );
     println!("  density per call, ms: {:.3}", t_density * 1e3);
     println!(
-        "  DIIS per call, ms: error_vector {:.2} | extrapolate {:.3}",
+        "  DIIS per call, ms: error_vector (4 GEMMs) {:.2} | extrapolate {:.3}",
         t_error * 1e3,
         t_extrapolate * 1e3
     );

@@ -1,7 +1,8 @@
 //! Pulay DIIS (direct inversion in the iterative subspace) convergence
 //! acceleration.
 //!
-//! The error vector is the orthonormal-basis commutator `Xᵀ(FDS − SDF)X`;
+//! The error vector is the orthonormal-basis commutator `Xᵀ(FDS − SDF)X`,
+//! formed as `A − Aᵀ` from the one product `A = Xᵀ(FDS)X` (four GEMMs);
 //! the extrapolated Fock matrix minimizes the norm of the linear combination
 //! of stored error vectors subject to Σc = 1, solved via the augmented
 //! B-matrix system. The Gram entries `eᵢ·eⱼ` of that system are kept across
@@ -57,13 +58,13 @@ impl Diis {
         }
     }
 
-    /// The DIIS error `Xᵀ (F D S − S D F) X`.
+    /// The DIIS error `Xᵀ (F D S − S D F) X` of symmetric `F`, `D`, `S`.
+    /// Then `S D F = (F D S)ᵀ`, so the error is `A − Aᵀ` with
+    /// `A = Xᵀ (F D S) X`: four GEMMs, and exactly antisymmetric.
     pub fn error_vector(f: &Matrix, d: &Matrix, s: &Matrix, x: &Matrix) -> Matrix {
         let fds = gemm(&gemm(f, Transpose::No, d, Transpose::No), Transpose::No, s, Transpose::No);
-        let sdf = gemm(&gemm(s, Transpose::No, d, Transpose::No), Transpose::No, f, Transpose::No);
-        let comm = fds.sub(&sdf);
-        let half = gemm(x, Transpose::Yes, &comm, Transpose::No);
-        gemm(&half, Transpose::No, x, Transpose::No)
+        let a = gemm(&gemm(x, Transpose::Yes, &fds, Transpose::No), Transpose::No, x, Transpose::No);
+        Matrix::from_fn(a.rows(), a.cols(), |i, j| a[(i, j)] - a[(j, i)])
     }
 
     /// Push a (Fock, error) pair and return the extrapolated Fock matrix.
@@ -469,6 +470,47 @@ mod tests {
                     .collect();
                 assert_eq!(cached, full, "step {step}");
             }
+        }
+    }
+
+    /// The six-GEMM form `Xᵀ (F D S − S D F) X`, each product taken as
+    /// written.
+    fn error_vector_six_gemms(f: &Matrix, d: &Matrix, s: &Matrix, x: &Matrix) -> Matrix {
+        let fds = gemm(&gemm(f, Transpose::No, d, Transpose::No), Transpose::No, s, Transpose::No);
+        let sdf = gemm(&gemm(s, Transpose::No, d, Transpose::No), Transpose::No, f, Transpose::No);
+        let half = gemm(x, Transpose::Yes, &fds.sub(&sdf), Transpose::No);
+        gemm(&half, Transpose::No, x, Transpose::No)
+    }
+
+    #[test]
+    fn error_vector_is_antisymmetric_and_matches_the_six_gemm_form() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        for n in [1, 2, 7, 24, 61] {
+            let mut sym = |scale: f64, shift: f64| {
+                let mut m = Matrix::from_fn(n, n, |_, _| scale * next());
+                m.symmetrize();
+                m.axpy(shift, &Matrix::identity(n));
+                m
+            };
+            let (f, d) = (sym(1.0, 0.0), sym(0.5, 0.0));
+            // Diagonally dominant (Gershgorin), so positive definite: a
+            // valid overlap.
+            let s = sym(0.2, 1.0 + 0.2 * n as f64);
+            let x = mako_linalg::sym_inv_sqrt_diag(&s, 1e-10).expect("overlap").matrix;
+            let e = Diis::error_vector(&f, &d, &s, &x);
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(e[(i, j)], -e[(j, i)], "n = {n} ({i}, {j})");
+                }
+            }
+            let oracle = error_vector_six_gemms(&f, &d, &s, &x);
+            let scale = oracle.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let diff = e.sub(&oracle).as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(diff <= 1e-13 * scale, "n = {n}: |Δ| = {diff:e} of max {scale:e}");
         }
     }
 

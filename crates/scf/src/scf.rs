@@ -701,8 +701,10 @@ impl<'a> ScfSession<'a> {
         }
         one_electron.end();
         let h = t.add(&v);
+        let orthogonalizer = mako_trace::span("linalg", "orthogonalizer");
         let orth_factor = sym_inv_sqrt_diag(&s, driver.config.orth_threshold)
             .map_err(|source| ScfError::OverlapNotPositiveDefinite { source })?;
+        orthogonalizer.end();
         let orth = OrthDiagnostics {
             n_dropped: orth_factor.n_dropped,
             smallest_kept: orth_factor.smallest_kept,
@@ -1059,6 +1061,7 @@ impl<'a> ScfSession<'a> {
         // jump by `divergence_factor` means the extrapolation went bad —
         // restart DIIS (drop the stale history) and schedule a full
         // rebuild so accumulated screening drift cannot steer recovery.
+        let diis_span = mako_trace::span("scf", "diis");
         let err = Diis::error_vector(&f, &point.density, &self.s, &self.x);
         point.residual = err.norm_fro() / (self.driver.layout.nao as f64);
         // The watchdog observes the raw DIIS residual, before the
@@ -1081,6 +1084,7 @@ impl<'a> ScfSession<'a> {
             inc.force_rebuild = true;
         }
         let mut f_diis = diis.extrapolate(f, err);
+        diis_span.end();
 
         // Stage 3 (level shifting): raise the virtual block of the
         // extrapolated Fock by σ. With CᵀSC = I and D = C_occ·C_occᵀ,
@@ -1364,9 +1368,14 @@ fn density_from_fock(
     n_occ: usize,
 ) -> Result<(Matrix, Vec<f64>), LinalgError> {
     let fp = gemm(&gemm(x, Transpose::Yes, f, Transpose::No), Transpose::No, x, Transpose::No);
+    let span = mako_trace::span("linalg", "eigh");
     let ed = eigh(&fp)?;
+    span.end();
     let c = gemm(x, Transpose::No, &ed.vectors, Transpose::No);
-    Ok((occupied_density(&c, n_occ), ed.values))
+    let span = mako_trace::span("scf", "density");
+    let d = occupied_density(&c, n_occ);
+    span.end();
+    Ok((d, ed.values))
 }
 
 /// Accumulators per register block of [`occupied_density`].

@@ -292,9 +292,13 @@ pub(crate) const KNOWN_EVENTS: &[&str] = &[
     "scf.ao_eval",
     "scf.iteration",
     "scf.xc",
+    "scf.diis",
+    "scf.density",
     "scf.rescue",
     "scf.non_finite",
     "eri.one_electron",
+    "linalg.orthogonalizer",
+    "linalg.eigh",
     "fock.screen",
     "fock.launch",
     "fock.assemble",
@@ -561,6 +565,8 @@ mod tests {
             "scf.iteration",
             "scf.xc",
             "eri.one_electron",
+    "linalg.orthogonalizer",
+    "linalg.eigh",
         ] {
             assert!(is_known_event(name), "{name} missing from KNOWN_EVENTS");
         }

@@ -35,12 +35,13 @@ MAKO_KERNEL=generic cargo test --release -q -p mako-linalg -p mako-eri -p mako-k
 # quadrature error against its reference (release only, so tier-1 skips it).
 MAKO_KERNEL=generic cargo test --release -q -p mako-scf --test fock_seam_pin --test trajectory_pin --test xc_pin --test xc_quadrature
 
-echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace; the grid build, AO tabulation, scf.xc, eri.one_electron and the Fock-engine events required) =="
+echo "== tier2: xc trace smoke (mako-cli B3LYP water under --trace; the grid build, AO tabulation, scf.xc, eri.one_electron, the host tail (eigh, DIIS, density) and the Fock-engine events required) =="
 cargo run --release -p mako --bin mako-cli -- \
     --mol sample/water.xyz --method b3lyp --trace target/xc_trace_smoke.jsonl
 cargo run --release -p mako-bench --bin trace_validate -- target/xc_trace_smoke.jsonl \
     --require scf.grid_build --require scf.ao_eval --require scf.xc --require eri.one_electron \
-    --require scf.iteration --require fock.screen --require fock.launch --require fock.assemble
+    --require scf.iteration --require fock.screen --require fock.launch --require fock.assemble \
+    --require linalg.eigh --require scf.diis --require scf.density
 
 echo "== tier2: quantized smoke (mako-cli QuantMako B3LYP water under --trace; scf.xc and the Fock-engine events required) =="
 cargo run --release -p mako --bin mako-cli -- \

@@ -266,6 +266,10 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         "scf.ao_eval",
         "scf.iteration",
         "scf.xc",
+        "scf.diis",
+        "scf.density",
+        "linalg.orthogonalizer",
+        "linalg.eigh",
         "fock.screen",
         "fock.launch",
         "fock.assemble",
@@ -306,6 +310,15 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         );
     }
     assert!(summary.spans > 0 && summary.instants > 0);
+    // The host tail's spans: one `linalg.eigh` and one `scf.density` per
+    // diagonalization, which is every iteration's plus a fresh session's
+    // core guess, so more than the iterations' `scf.diis`.
+    let spans_named = |cat: &str, name: &str| {
+        dump.events.iter().filter(|e| (e.cat, e.name) == (cat, name)).count()
+    };
+    let eighs = spans_named("linalg", "eigh");
+    assert_eq!(eighs, spans_named("scf", "density"));
+    assert!(spans_named("scf", "diis") < eighs);
     // Every completed `scf.iteration` splits its device seconds into the
     // terms `advance` adds, in its order, so they sum to the total bit for
     // bit; the B3LYP runs charge XC.
