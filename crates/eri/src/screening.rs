@@ -76,7 +76,7 @@ pub fn schwarz_estimate(bound_ab: f64, bound_cd: f64, density_max: f64) -> f64 {
 /// AO block of every (shell, shell) pair.
 ///
 /// This is the density side of *density-weighted* Schwarz screening: for a
-/// quartet `(ab|cd)`, the J/K scatter only ever multiplies integrals against
+/// quartet `(ab|cd)`, the J/K digestion only ever multiplies integrals against
 /// the six blocks `D_cd, D_ab, D_ac, D_ad, D_bc, D_bd`, so
 /// `Q_ab · Q_cd · max(those blocks)` bounds every contribution the quartet
 /// can make. Built once per Fock build in O(nao²), it turns the per-quartet
@@ -132,7 +132,7 @@ impl DensityBlockMax {
     }
 
     /// The largest relevant density magnitude for quartet `(ab|cd)`: the max
-    /// over the six blocks the J/K scatter contracts against.
+    /// over the six blocks the J/K digestion contracts against.
     #[inline]
     pub fn quartet_max(&self, sa: usize, sb: usize, sc: usize, sd: usize) -> f64 {
         self.block(sc, sd)

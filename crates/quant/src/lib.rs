@@ -12,7 +12,7 @@
 //! * **Dual-Stage Accumulation** — the FP16 products accumulate in FP32 and
 //!   are dequantized inside `mako_linalg::gemm_rounded_engine`; the integral
 //!   contributions then accumulate into FP64 J/K in `mako-scf`'s
-//!   `fock::scatter_quartet`.
+//!   `fock::digest_quartet`.
 //! * **Convergence-Aware Scheduling** — [`scheduler::QuantSchedule`]:
 //!   density-weighted Schwarz classification of quartet batches into
 //!   FP64 / quantized / pruned, with thresholds that relax in early SCF

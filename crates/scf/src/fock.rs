@@ -4,10 +4,20 @@
 //! `J_{μν} = Σ_{λσ} D_{λσ} (μν|λσ)` and `K_{μλ} = Σ_{νσ} D_{νσ} (μν|λσ)`.
 //!
 //! Quartets are evaluated once per canonical arrangement (bra pair ≥ ket
-//! pair, shell `i ≥ j` within a pair); the full 8-fold permutational sum is
-//! recovered by explicitly scattering every *distinct ordered arrangement*
-//! of the quartet. Contributions accumulate into FP64 buffers regardless of
-//! the kernel precision — stage two of QuantMako's dual-stage accumulation.
+//! pair, shell `i ≥ j` within a pair), and each stored value is *digested*
+//! once: scaled by the quartet's shell-degeneracy factor
+//! `f = ½^[a=b] · ½^[c=d] · ½^[(ab)=(cd)]`, it adds `2·D_cd·v` to `J_ab`,
+//! `2·D_ab·v` to `J_cd` and `D_bd·v`, `D_bc·v`, `D_ad·v`, `D_ac·v` to
+//! `K_ac`, `K_ad`, `K_bc`, `K_bd` of one-sided accumulators, and the build
+//! ends with `J + Jᵀ` and `K + Kᵀ`. That is the full 8-fold permutational
+//! sum, with each value read once instead of once per distinct index
+//! arrangement (GPU4PySCF's digestion). The arrangement scatter it replaced
+//! survives as the test oracle. Contributions accumulate into FP64 buffers
+//! regardless of the kernel precision — stage two of QuantMako's dual-stage
+//! accumulation.
+//!
+//! The digest is scalar loops, not GEMMs: at STO-3G's blocks, 1 to 3 wide,
+//! one `gemm_into` call costs more than the whole block.
 //!
 //! # The engine
 //!
@@ -35,11 +45,11 @@
 //! 2. **device clock** (serial, cheap): each non-empty sub-batch is priced
 //!    as one batched launch via the cost model, and its group scale is
 //!    frozen over the *full* sub-batch;
-//! 3. **assembly** (evaluate what is missing in parallel, scatter all in
+//! 3. **assembly** (evaluate what is missing in parallel, digest all in
 //!    order): in bounded waves, the quartet tensors the store does not hold
 //!    yet — all of them, without a store — are evaluated across the rayon
 //!    pool and copied into their tier's arena; then every quartet of the
-//!    wave is scattered into a single J/K buffer **strictly in canonical
+//!    wave is digested into a single J/K buffer **strictly in canonical
 //!    quartet order**, from the arena or from the wave's scratch.
 //!
 //! # The tensor store
@@ -98,7 +108,7 @@
 //! scale)`; the group scale is frozen over the full sub-batch in phase 2,
 //! so a tensor's bits cannot depend on which thread computes it, how the
 //! waves are cut, or whether it was computed this build or kept from an
-//! earlier one. The scatter stage then replays every FP64 addition in
+//! earlier one. The digestion then replays every FP64 addition in
 //! exactly the order the serial single-buffer pass uses. Parallelism only
 //! changes *when* a tensor is computed, never the order of additions, so
 //! the build matches the serial one-pass oracle (`build_jk_serial`, kept in
@@ -109,9 +119,9 @@
 //! fixed order — is deterministic for a *fixed* chunk partition, but can
 //! never be bitwise-equal to the serial oracle: merging partial sums
 //! regroups the additions, `(a₁+a₂)+(a₃+a₄) ≠ ((a₁+a₂)+a₃)+a₄`, and two
-//! chunks generally touch the same matrix element. Scatter is a few FMAs
-//! per tensor element while evaluation is primitive loops plus GEMMs, so
-//! serializing the scatter costs little and buys an exact contract.)
+//! chunks generally touch the same matrix element. Digestion is six
+//! multiply-adds per tensor element while evaluation is primitive loops plus GEMMs, so
+//! serializing the digestion costs little and buys an exact contract.)
 //!
 //! The simulated `device_seconds` is summed in phase 2 in fixed sub-batch
 //! order, so it is byte-identical too — host parallelism never touches the
@@ -131,7 +141,6 @@ use mako_linalg::Matrix;
 use mako_precision::{Precision, ScalePolicy};
 use mako_quant::{ExecClass, QuantSchedule};
 use rayon::prelude::*;
-use std::sync::OnceLock;
 
 /// The J and K matrices of one Fock build.
 #[derive(Debug, Clone)]
@@ -253,7 +262,7 @@ struct Tier {
     filled: Vec<u64>,
     /// Tensors evaluated and kept, over the tier's lifetime.
     stored: usize,
-    /// Evaluations avoided: quartets scattered from the arena.
+    /// Evaluations avoided: quartets digested from the arena.
     reused: usize,
     /// Arena bytes holding an evaluated tensor.
     held_bytes: usize,
@@ -496,8 +505,9 @@ pub(crate) fn plan_jk(
                 );
                 if est < tau {
                     // A skipped quartet perturbs any one J/K element by at
-                    // most (arrangements ≤ 8) × (contracted elements ≤ n²)
-                    // × est, with n the largest spherical block edge.
+                    // most (permutational images ≤ 8) × (contracted
+                    // elements ≤ n²) × est, with n the largest spherical
+                    // block edge.
                     let nmax = nsph(batch.class.la)
                         .max(nsph(batch.class.lb))
                         .max(nsph(batch.class.lc))
@@ -594,7 +604,7 @@ impl FockPlan {
         self.stats.device_seconds = seconds;
     }
 
-    /// Phase 3: evaluate what `store` does not hold yet in parallel, scatter
+    /// Phase 3: evaluate what `store` does not hold yet in parallel, digest
     /// everything in order (module docs). Requires the group scales to be
     /// frozen ([`FockPlan::price`] or [`FockPlan::freeze_scales`]); `store`
     /// must have been laid out for `batches`. Emits the `fock.assemble`
@@ -634,9 +644,9 @@ impl FockPlan {
         // The wave's positions that have to be evaluated, in wave order.
         let mut missing: Vec<u32> = Vec::new();
         let counts_before = store.as_deref().map_or([0; 4], TensorStore::counts);
-        // Host-side wall timers for the evaluate/scatter phases. Only
-        // sampled when tracing is on, so the untraced hot path pays zero
-        // clock reads.
+        // Host-side wall timers for the evaluate/digest phases (the digest's
+        // field keeps the name `scatter_seconds`). Only sampled when tracing
+        // is on, so the untraced hot path pays zero clock reads.
         let (mut evaluate_seconds, mut scatter_seconds) = (0.0f64, 0.0f64);
         for u in &self.units {
             let quartets = &batches[u.batch].quartets;
@@ -691,7 +701,7 @@ impl FockPlan {
                             .expect("a position not evaluated this wave is held"),
                     };
                     let (pi, qi) = quartets[pos as usize];
-                    scatter_quartet(dims, data, &pairs[pi], &pairs[qi], density, layout, &mut j, &mut k);
+                    digest_quartet(dims, data, &pairs[pi], &pairs[qi], density, layout, &mut j, &mut k);
                 }
                 if let Some(t0) = t_scatter {
                     scatter_seconds += t0.elapsed().as_secs_f64();
@@ -720,8 +730,8 @@ impl FockPlan {
             );
         }
 
-        j.symmetrize();
-        k.symmetrize();
+        add_transpose(&mut j);
+        add_transpose(&mut k);
         JkMatrices { j, k }
     }
 }
@@ -772,98 +782,13 @@ pub(crate) fn build_jk(
     (jk, plan.stats)
 }
 
-/// For an arrangement produced by the three swaps, gives for each
-/// arrangement slot (A', B', C', D') the original tensor axis it reads.
-pub fn slot_axes(s_ab: bool, s_cd: bool, braket: bool) -> [usize; 4] {
-    let mut axes = [0usize, 1, 2, 3];
-    if s_ab {
-        axes.swap(0, 1);
-    }
-    if s_cd {
-        axes.swap(2, 3);
-    }
-    if braket {
-        axes.swap(0, 2);
-        axes.swap(1, 3);
-    }
-    axes
-}
-
-/// The distinct ordered arrangements of one symmetry case, in canonical
-/// enumeration order: each entry is the `slot_axes` mapping of one
-/// arrangement that survives dedup.
-pub(crate) type ArrangementTable = Vec<[usize; 4]>;
-
-/// Symmetry case of a quartet `(sa, sb | sc, sd)`: which of the four
-/// equalities that can collapse arrangements hold. Only these four matter —
-/// an arrangement collision requires the relating permutation to lie in the
-/// dihedral group generated by the three swaps, and every element of that
-/// group fixes the shell tuple iff one of these pair conditions (or their
-/// conjunction) holds. Stray coincidences like `sa == sc` alone relate no
-/// two arrangements and need no case of their own.
-#[inline]
-pub fn symmetry_case(sa: usize, sb: usize, sc: usize, sd: usize) -> usize {
-    usize::from(sa == sb)
-        | usize::from(sc == sd) << 1
-        | usize::from(sa == sc && sb == sd) << 2
-        | usize::from(sa == sd && sb == sc) << 3
-}
-
-/// Dedup table for one representative shell assignment, built with the same
-/// enumeration (braket outer, then bra swap, then ket swap; first occurrence
-/// wins) the original `HashSet` implementation used.
-pub(crate) fn build_arrangement_table(shells: &[usize; 4]) -> ArrangementTable {
-    let mut seen: Vec<[usize; 4]> = Vec::with_capacity(8);
-    let mut table = Vec::with_capacity(8);
-    for braket in [false, true] {
-        for s_ab in [false, true] {
-            for s_cd in [false, true] {
-                let axes = slot_axes(s_ab, s_cd, braket);
-                let tuple = [
-                    shells[axes[0]],
-                    shells[axes[1]],
-                    shells[axes[2]],
-                    shells[axes[3]],
-                ];
-                if seen.contains(&tuple) {
-                    continue;
-                }
-                seen.push(tuple);
-                table.push(axes);
-            }
-        }
-    }
-    table
-}
-
-/// The 16 precomputed arrangement tables, one per symmetry case. Replaces
-/// the per-quartet `HashSet` dedup in the innermost scatter loop with a
-/// table lookup; built once, lazily, from representative assignments.
-pub fn arrangement_tables() -> &'static [ArrangementTable; 16] {
-    static TABLES: OnceLock<[ArrangementTable; 16]> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut tables: [ArrangementTable; 16] = std::array::from_fn(|_| Vec::new());
-        // Sweep all shell assignments over 4 symbols: every feasible case
-        // appears, and the dedup pattern depends only on the case.
-        for code in 0..256usize {
-            let shells = [code & 3, (code >> 2) & 3, (code >> 4) & 3, (code >> 6) & 3];
-            let case = symmetry_case(shells[0], shells[1], shells[2], shells[3]);
-            if tables[case].is_empty() {
-                tables[case] = build_arrangement_table(&shells);
-            }
-        }
-        tables
-    })
-}
-
-/// Scatter one canonical quartet into J and K over all distinct ordered
-/// shell arrangements (the explicit 8-fold permutational sum). The
-/// arrangement set comes from the precomputed symmetry-case table — no
-/// allocation, no hashing in the hot loop — and is traversed in the same
-/// order as the original dedup, so accumulation order (and hence every bit)
-/// is preserved.
+/// Digest one canonical quartet `(ab|cd)` (`a ≥ b`, `c ≥ d`, as
+/// `batch_quartets` emits them) into the one-sided J/K accumulators: each
+/// value once into its six targets (module docs). [`add_transpose`] then
+/// completes the 8-fold permutational sum. `J_ab`, `K_ac` and `K_bc` are
+/// summed in registers across the inner loops.
 #[allow(clippy::too_many_arguments)]
-fn scatter_quartet(
+fn digest_quartet(
     dims: [usize; 4],
     data: &[f64],
     pab: &ScreenedPair,
@@ -874,47 +799,55 @@ fn scatter_quartet(
     k: &mut Matrix,
 ) {
     let (sa, sb, sc, sd) = (pab.i, pab.j, pcd.i, pcd.j);
-    let strides = [
-        dims[1] * dims[2] * dims[3],
-        dims[2] * dims[3],
-        dims[3],
-        1usize,
-    ];
-    let offs = [
-        layout.shell_offsets[sa],
-        layout.shell_offsets[sb],
-        layout.shell_offsets[sc],
-        layout.shell_offsets[sd],
-    ];
-
-    for axes in arrangement_tables()[symmetry_case(sa, sb, sc, sd)].iter() {
-        let (m1, m2, m3, m4) = (dims[axes[0]], dims[axes[1]], dims[axes[2]], dims[axes[3]]);
-        let (st1, st2, st3, st4) = (
-            strides[axes[0]],
-            strides[axes[1]],
-            strides[axes[2]],
-            strides[axes[3]],
-        );
-        let (o1, o2, o3, o4) = (offs[axes[0]], offs[axes[1]], offs[axes[2]], offs[axes[3]]);
-        for i1 in 0..m1 {
-            let b1 = i1 * st1;
-            for i2 in 0..m2 {
-                let b2 = b1 + i2 * st2;
-                for i3 in 0..m3 {
-                    let b3 = b2 + i3 * st3;
-                    for i4 in 0..m4 {
-                        let v = data[b3 + i4 * st4];
-                        if v == 0.0 {
-                            continue;
-                        }
-                        // J_{μν} += D_{λσ} (μν|λσ)
-                        j[(o1 + i1, o2 + i2)] += d[(o3 + i3, o4 + i4)] * v;
-                        // K_{μλ} += D_{νσ} (μν|λσ)
-                        k[(o1 + i1, o3 + i3)] += d[(o2 + i2, o4 + i4)] * v;
+    debug_assert!(sa >= sb && sc >= sd, "quartet ({sa}{sb}|{sc}{sd}) is not canonical");
+    let half = |same: bool| if same { 0.5 } else { 1.0 };
+    let f = half(sa == sb) * half(sc == sd) * half(sa == sc && sb == sd);
+    let n = d.cols();
+    let [na, nb, nc, nd] = dims;
+    let [oa, ob, oc, od] = [sa, sb, sc, sd].map(|s| layout.shell_offsets[s]);
+    let (d, j, k) = (d.as_slice(), j.as_mut_slice(), k.as_mut_slice());
+    let mut rows = data.chunks_exact(nd);
+    for a in oa..oa + na {
+        let (ra, ra_d) = (a * n, a * n + od);
+        for b in ob..ob + nb {
+            let (rb, rb_d) = (b * n, b * n + od);
+            let d_ab = 2.0 * d[ra + b];
+            let mut j_ab = 0.0;
+            for c in oc..oc + nc {
+                let rc_d = c * n + od;
+                let (d_ac, d_bc) = (d[ra + c], d[rb + c]);
+                let (mut k_ac, mut k_bc) = (0.0, 0.0);
+                let row = rows.next().expect("the tensor holds na·nb·nc·nd values");
+                for (s, &v) in row.iter().enumerate() {
+                    if v == 0.0 {
+                        continue;
                     }
+                    let v = f * v;
+                    j_ab += d[rc_d + s] * v;
+                    j[rc_d + s] += d_ab * v;
+                    k_ac += d[rb_d + s] * v;
+                    k_bc += d[ra_d + s] * v;
+                    k[ra_d + s] += d_bc * v;
+                    k[rb_d + s] += d_ac * v;
                 }
+                k[ra + c] += k_ac;
+                k[rb + c] += k_bc;
             }
+            j[ra + b] += 2.0 * j_ab;
         }
+    }
+}
+
+/// `M ← M + Mᵀ`: turns a one-sided [`digest_quartet`] accumulator into the
+/// full, exactly symmetric J or K.
+fn add_transpose(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        for c in 0..r {
+            let s = m[(r, c)] + m[(c, r)];
+            m[(r, c)] = s;
+            m[(c, r)] = s;
+        }
+        m[(r, r)] *= 2.0;
     }
 }
 
@@ -973,15 +906,161 @@ mod tests {
     use super::*;
     use mako_accel::DeviceSpec;
     use mako_chem::basis::sto3g::sto3g;
+    use mako_chem::basis::BasisFamily;
     use mako_chem::builders;
     use mako_eri::batch::batch_quartets;
     use mako_eri::screening::build_screened_pairs;
     use mako_kernels::pipeline::run_batch;
     use std::collections::HashSet;
+    use std::sync::OnceLock;
+
+    /// For an arrangement produced by the three swaps, gives for each
+    /// arrangement slot (A', B', C', D') the original tensor axis it reads.
+    fn slot_axes(s_ab: bool, s_cd: bool, braket: bool) -> [usize; 4] {
+        let mut axes = [0usize, 1, 2, 3];
+        if s_ab {
+            axes.swap(0, 1);
+        }
+        if s_cd {
+            axes.swap(2, 3);
+        }
+        if braket {
+            axes.swap(0, 2);
+            axes.swap(1, 3);
+        }
+        axes
+    }
+
+    /// The distinct ordered arrangements of one symmetry case, in canonical
+    /// enumeration order: each entry is the `slot_axes` mapping of one
+    /// arrangement that survives dedup.
+    type ArrangementTable = Vec<[usize; 4]>;
+
+    /// Symmetry case of a quartet `(sa, sb | sc, sd)`: which of the four
+    /// equalities that can collapse arrangements hold. Only these four matter —
+    /// an arrangement collision requires the relating permutation to lie in the
+    /// dihedral group generated by the three swaps, and every element of that
+    /// group fixes the shell tuple iff one of these pair conditions (or their
+    /// conjunction) holds. Stray coincidences like `sa == sc` alone relate no
+    /// two arrangements and need no case of their own.
+    fn symmetry_case(sa: usize, sb: usize, sc: usize, sd: usize) -> usize {
+        usize::from(sa == sb)
+            | usize::from(sc == sd) << 1
+            | usize::from(sa == sc && sb == sd) << 2
+            | usize::from(sa == sd && sb == sc) << 3
+    }
+
+    /// Dedup table for one representative shell assignment, built with the same
+    /// enumeration (braket outer, then bra swap, then ket swap; first occurrence
+    /// wins) the original `HashSet` implementation used.
+    fn build_arrangement_table(shells: &[usize; 4]) -> ArrangementTable {
+        let mut seen: Vec<[usize; 4]> = Vec::with_capacity(8);
+        let mut table = Vec::with_capacity(8);
+        for braket in [false, true] {
+            for s_ab in [false, true] {
+                for s_cd in [false, true] {
+                    let axes = slot_axes(s_ab, s_cd, braket);
+                    let tuple = [
+                        shells[axes[0]],
+                        shells[axes[1]],
+                        shells[axes[2]],
+                        shells[axes[3]],
+                    ];
+                    if seen.contains(&tuple) {
+                        continue;
+                    }
+                    seen.push(tuple);
+                    table.push(axes);
+                }
+            }
+        }
+        table
+    }
+
+    /// The 16 precomputed arrangement tables, one per symmetry case, built
+    /// once, lazily, from representative assignments.
+    fn arrangement_tables() -> &'static [ArrangementTable; 16] {
+        static TABLES: OnceLock<[ArrangementTable; 16]> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let mut tables: [ArrangementTable; 16] = std::array::from_fn(|_| Vec::new());
+            // Sweep all shell assignments over 4 symbols: every feasible case
+            // appears, and the dedup pattern depends only on the case.
+            for code in 0..256usize {
+                let shells = [code & 3, (code >> 2) & 3, (code >> 4) & 3, (code >> 6) & 3];
+                let case = symmetry_case(shells[0], shells[1], shells[2], shells[3]);
+                if tables[case].is_empty() {
+                    tables[case] = build_arrangement_table(&shells);
+                }
+            }
+            tables
+        })
+    }
+
+    /// The digest's oracle: scatter one canonical quartet into J and K over
+    /// all distinct ordered shell arrangements (the explicit 8-fold
+    /// permutational sum, element by element), from the symmetry-case table in
+    /// the order of the original dedup. Followed by `symmetrize`, it gives the
+    /// J and K that [`digest_quartet`] and [`add_transpose`] give.
+    #[allow(clippy::too_many_arguments)]
+    fn scatter_quartet(
+        dims: [usize; 4],
+        data: &[f64],
+        pab: &ScreenedPair,
+        pcd: &ScreenedPair,
+        d: &Matrix,
+        layout: &AoLayout,
+        j: &mut Matrix,
+        k: &mut Matrix,
+    ) {
+        let (sa, sb, sc, sd) = (pab.i, pab.j, pcd.i, pcd.j);
+        let strides = [
+            dims[1] * dims[2] * dims[3],
+            dims[2] * dims[3],
+            dims[3],
+            1usize,
+        ];
+        let offs = [
+            layout.shell_offsets[sa],
+            layout.shell_offsets[sb],
+            layout.shell_offsets[sc],
+            layout.shell_offsets[sd],
+        ];
+
+        for axes in arrangement_tables()[symmetry_case(sa, sb, sc, sd)].iter() {
+            let (m1, m2, m3, m4) = (dims[axes[0]], dims[axes[1]], dims[axes[2]], dims[axes[3]]);
+            let (st1, st2, st3, st4) = (
+                strides[axes[0]],
+                strides[axes[1]],
+                strides[axes[2]],
+                strides[axes[3]],
+            );
+            let (o1, o2, o3, o4) = (offs[axes[0]], offs[axes[1]], offs[axes[2]], offs[axes[3]]);
+            for i1 in 0..m1 {
+                let b1 = i1 * st1;
+                for i2 in 0..m2 {
+                    let b2 = b1 + i2 * st2;
+                    for i3 in 0..m3 {
+                        let b3 = b2 + i3 * st3;
+                        for i4 in 0..m4 {
+                            let v = data[b3 + i4 * st4];
+                            if v == 0.0 {
+                                continue;
+                            }
+                            // J_{μν} += D_{λσ} (μν|λσ)
+                            j[(o1 + i1, o2 + i2)] += d[(o3 + i3, o4 + i4)] * v;
+                            // K_{μλ} += D_{νσ} (μν|λσ)
+                            k[(o1 + i1, o3 + i3)] += d[(o2 + i2, o4 + i4)] * v;
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// The serial reference assembly: one thread, one pass, one J/K buffer —
-    /// the pre-engine implementation, kept as the determinism oracle.
-    /// [`build_jk_with_configs`] must match it bitwise.
+    /// the pre-engine implementation, kept as the determinism oracle. It
+    /// digests through the engine's own [`digest_quartet`] and
+    /// [`add_transpose`]; [`build_jk_with_configs`] must match it bitwise.
     #[allow(clippy::too_many_arguments)]
     fn build_jk_serial(
         density: &Matrix,
@@ -1027,7 +1106,7 @@ mod tests {
                 let out = run_batch(sub, pairs, cfg, model);
                 stats.device_seconds += out.seconds;
                 for (t, &(pi, qi)) in out.tensors.iter().zip(&sub.quartets) {
-                    scatter_quartet(
+                    digest_quartet(
                         t.dims,
                         &t.data,
                         &pairs[pi],
@@ -1041,8 +1120,8 @@ mod tests {
             }
         }
 
-        j.symmetrize();
-        k.symmetrize();
+        add_transpose(&mut j);
+        add_transpose(&mut k);
         (JkMatrices { j, k }, stats)
     }
 
@@ -1338,6 +1417,82 @@ mod tests {
         assert!(cases_seen.len() >= 4, "want diverse symmetry cases: {cases_seen:?}");
         assert!(bits_equal(&j_new, &j_old), "J diverged from HashSet dedup");
         assert!(bits_equal(&k_new, &k_old), "K diverged from HashSet dedup");
+    }
+
+    #[test]
+    fn digest_matches_the_arrangement_oracle() {
+        // Every pair-pair quartet, digested once into its six J/K targets
+        // and scattered over its distinct arrangements: the two builds sum
+        // the same terms in different orders, so they agree to rounding.
+        let water = builders::water();
+        let tzvp = BasisFamily::Def2TzvpLike.basis_for(&water.elements());
+        for (label, shells) in [
+            ("water4/STO-3G", sto3g().shells_for(&builders::water_cluster(4))),
+            ("water/def2-TZVP-like", tzvp.shells_for(&water)),
+        ] {
+            let layout = AoLayout::new(&shells);
+            let n = layout.nao;
+            let d = test_density(n);
+            let pairs = build_screened_pairs(&shells, 1e-12);
+            let (mut j, mut k) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+            let (mut j_oracle, mut k_oracle) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+            let mut cases_seen = HashSet::new();
+            let mut t = Tensor4::zeros([0; 4]);
+            for (pi, pab) in pairs.iter().enumerate() {
+                for pcd in pairs.iter().take(pi + 1) {
+                    eri_quartet_mmd_into(&pab.data, &pcd.data, &mut t);
+                    cases_seen.insert(symmetry_case(pab.i, pab.j, pcd.i, pcd.j));
+                    digest_quartet(t.dims, &t.data, pab, pcd, &d, &layout, &mut j, &mut k);
+                    scatter_quartet(t.dims, &t.data, pab, pcd, &d, &layout, &mut j_oracle, &mut k_oracle);
+                }
+            }
+            add_transpose(&mut j);
+            add_transpose(&mut k);
+            j_oracle.symmetrize();
+            k_oracle.symmetrize();
+            assert!(cases_seen.len() >= 4, "{label}: want diverse symmetry cases: {cases_seen:?}");
+            for (name, got, oracle) in [("J", &j, &j_oracle), ("K", &k, &k_oracle)] {
+                let diff = got.sub(oracle).max_abs();
+                assert!(
+                    diff <= 1e-14 * oracle.max_abs(),
+                    "{label}: max|Δ{name}| = {diff:e} against max|{name}| = {:e}",
+                    oracle.max_abs()
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arrangement_table_matches_hashset_oracle(
+            sa in 0usize..6, sb in 0usize..6, sc in 0usize..6, sd in 0usize..6,
+        ) {
+            // The 16-case permutation tables are built once from
+            // *representative* shell assignments; the scatter then trusts
+            // that any quartet of the same symmetry case dedups identically.
+            // Oracle: re-run the original HashSet dedup (first occurrence
+            // wins, same enumeration order) on the random assignment itself.
+            // This is exactly the claim that stray coincidences (e.g.
+            // sa == sc alone) never collapse arrangements.
+            let shells = [sa, sb, sc, sd];
+            let mut seen: HashSet<[usize; 4]> = HashSet::new();
+            let mut expect: Vec<[usize; 4]> = Vec::new();
+            for braket in [false, true] {
+                for s_ab in [false, true] {
+                    for s_cd in [false, true] {
+                        let axes = slot_axes(s_ab, s_cd, braket);
+                        let tuple = [shells[axes[0]], shells[axes[1]], shells[axes[2]], shells[axes[3]]];
+                        if seen.insert(tuple) {
+                            expect.push(axes);
+                        }
+                    }
+                }
+            }
+            let table = &arrangement_tables()[symmetry_case(sa, sb, sc, sd)];
+            proptest::prop_assert_eq!(table, &expect);
+        }
     }
 
     #[test]

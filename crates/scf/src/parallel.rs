@@ -266,7 +266,7 @@ pub struct FtFockOutcome {
 /// price → assemble over the *original fault-free share* — re-runs
 /// re-execute the identical engine calls (deterministic by the engine
 /// contract), thieves evaluate on behalf of the owner and ship tensors back
-/// to the owner's ordered scatter, and the final merge stays in logical
+/// to the owner's ordered digestion, and the final merge stays in logical
 /// rank order. No fault can regroup a floating-point sum. What faults *do*
 /// change is the execution timeline, which is simulated on the LPT
 /// load-model clock and reported in [`RecoveryLedger`]

@@ -355,16 +355,30 @@ impl ScfDriver {
                 return Err(ScfError::CoincidentAtoms { first, second });
             }
         }
+        let mut span = mako_trace::span("chem", "shells");
         let shells = basis.try_shells_for(mol)?;
+        span.add_field("shells", shells.len());
+        span.end();
         let layout = AoLayout::new(&shells);
         let pairs = match pairs_override {
             Some(p) => p,
-            None => build_screened_pairs(&shells, config.screening),
+            None => {
+                let mut span = mako_trace::span("eri", "screen_pairs");
+                let p = build_screened_pairs(&shells, config.screening);
+                span.add_field("pairs", shells.len() * (shells.len() + 1) / 2);
+                span.add_field("kept", p.len());
+                span.end();
+                p
+            }
         };
         let quartet_threshold = config
             .quartet_threshold
             .unwrap_or(config.screening * config.screening);
+        let mut span = mako_trace::span("eri", "batch_quartets");
         let batches = batch_quartets(&pairs, quartet_threshold);
+        span.add_field("batches", batches.len());
+        span.add_field("quartets", batches.iter().map(|b| b.quartets.len()).sum::<usize>());
+        span.end();
         let model = CostModel::new(config.device.clone());
 
         // Architecture-tuned configuration per ERI class and precision.

@@ -296,6 +296,9 @@ pub(crate) const KNOWN_EVENTS: &[&str] = &[
     "scf.density",
     "scf.rescue",
     "scf.non_finite",
+    "chem.shells",
+    "eri.screen_pairs",
+    "eri.batch_quartets",
     "eri.one_electron",
     "linalg.orthogonalizer",
     "linalg.eigh",
@@ -564,7 +567,10 @@ mod tests {
             "scf.non_finite",
             "scf.iteration",
             "scf.xc",
-            "eri.one_electron",
+            "chem.shells",
+    "eri.screen_pairs",
+    "eri.batch_quartets",
+    "eri.one_electron",
     "linalg.orthogonalizer",
     "linalg.eigh",
         ] {

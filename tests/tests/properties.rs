@@ -1,8 +1,7 @@
 //! Property-based tests (proptest) on the core invariants of the Mako
 //! stack: quantization round trips, swizzle bijectivity, eigensolver
-//! reconstruction, ERI symmetries, screening conservativeness, the
-//! permutational-scatter arrangement tables, and the incremental (ΔD) Fock
-//! accumulation identity.
+//! reconstruction, ERI symmetries, screening conservativeness, and the
+//! incremental (ΔD) Fock accumulation identity.
 
 use proptest::prelude::*;
 
@@ -17,10 +16,7 @@ use mako::kernels::pipeline::PipelineConfig;
 use mako::linalg::{eigh, gemm, Matrix, Transpose};
 use mako::precision::{Precision, ScalePolicy};
 use mako::quant::QuantSchedule;
-use mako::scf::fock::{
-    arrangement_tables, build_jk_with_configs, slot_axes, symmetry_case, FockEngineOptions,
-};
-use std::collections::HashSet;
+use mako::scf::fock::{build_jk_with_configs, FockEngineOptions};
 
 fn small_f64() -> impl Strategy<Value = f64> {
     // Magnitudes spanning many decades, both signs, no zeros/NaNs.
@@ -171,39 +167,6 @@ proptest! {
         }
         let dd = gemm(&d, Transpose::No, &d, Transpose::No);
         prop_assert!(dd.sub(&d).max_abs() < 1e-10, "D² ≠ D");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn arrangement_table_matches_hashset_oracle(
-        sa in 0usize..6, sb in 0usize..6, sc in 0usize..6, sd in 0usize..6,
-    ) {
-        // The engine's 16-case permutation tables are built once from
-        // *representative* shell assignments; the scatter then trusts that
-        // any quartet of the same symmetry case dedups identically. Oracle:
-        // re-run the original HashSet dedup (first occurrence wins, same
-        // enumeration order) on the random assignment itself. This is
-        // exactly the claim that stray coincidences (e.g. sa == sc alone)
-        // never collapse arrangements.
-        let shells = [sa, sb, sc, sd];
-        let mut seen: HashSet<[usize; 4]> = HashSet::new();
-        let mut expect: Vec<[usize; 4]> = Vec::new();
-        for braket in [false, true] {
-            for s_ab in [false, true] {
-                for s_cd in [false, true] {
-                    let axes = slot_axes(s_ab, s_cd, braket);
-                    let tuple = [shells[axes[0]], shells[axes[1]], shells[axes[2]], shells[axes[3]]];
-                    if seen.insert(tuple) {
-                        expect.push(axes);
-                    }
-                }
-            }
-        }
-        let table = &arrangement_tables()[symmetry_case(sa, sb, sc, sd)];
-        prop_assert_eq!(table, &expect);
     }
 }
 

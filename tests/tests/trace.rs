@@ -262,6 +262,9 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     let summary = mako::trace::schema::validate_jsonl(&jsonl)
         .unwrap_or_else(|e| panic!("emitted JSONL violates its own schema: {e}"));
     for name in [
+        "chem.shells",
+        "eri.screen_pairs",
+        "eri.batch_quartets",
         "scf.grid_build",
         "scf.ao_eval",
         "scf.iteration",
@@ -319,6 +322,22 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     let eighs = spans_named("linalg", "eigh");
     assert_eq!(eighs, spans_named("scf", "density"));
     assert!(spans_named("scf", "diis") < eighs);
+    // The driver's setup spans: every traced driver at each of the 1/2/4/8
+    // thread counts builds its shells, screens its own pairs (no override)
+    // and batches its quartets, and its pair screen keeps at most the
+    // shell pairs it tried.
+    for (cat, name) in [("chem", "shells"), ("eri", "screen_pairs"), ("eri", "batch_quartets")] {
+        assert!(spans_named(cat, name) >= 4 * 3, "{cat}.{name}: too few setup spans");
+    }
+    let field = |e: &mako::trace::Event, key: &str| {
+        match e.fields.iter().find(|f| f.key == key).map(|f| &f.value) {
+            Some(&mako::trace::FieldValue::U64(v)) => v,
+            other => panic!("{}.{} {key} is {other:?}", e.cat, e.name),
+        }
+    };
+    for e in dump.events.iter().filter(|e| (e.cat, e.name) == ("eri", "screen_pairs")) {
+        assert!(0 < field(e, "kept") && field(e, "kept") <= field(e, "pairs"));
+    }
     // Every completed `scf.iteration` splits its device seconds into the
     // terms `advance` adds, in its order, so they sum to the total bit for
     // bit; the B3LYP runs charge XC.
