@@ -15,6 +15,12 @@
 //! Printed per quartet as differences (Boys / R_tuv / fill / transforms /
 //! total), the minimum of nine passes.
 //!
+//! For water₄/STO-3G it then lists every distinct transform shape `m×k×n`
+//! (GEMM 1 `E_ABᵀ·[P|Q]`, A read transposed; GEMM 2 `(ab|Q]·E_CD`), with its
+//! count per build, ns per `gemm_into` call on operands of that shape (the
+//! minimum of nine passes) and Gflop/s, so a kernel change sees which shapes
+//! carry the cost.
+//!
 //! ```sh
 //! cargo run --release -p mako-kernels --example first_eval_profile
 //! ```
@@ -26,7 +32,8 @@ use mako_eri::hermite::HermiteLanes;
 use mako_eri::mmd::{eri_quartet_mmd_into, pq_geometry, pq_stacked_into, r_lanes_into};
 use mako_eri::screening::{build_screened_pairs, ScreenedPair};
 use mako_eri::{shared_table, Tensor4};
-use mako_linalg::Matrix;
+use mako_linalg::{gemm_into, Matrix, Transpose};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -110,12 +117,69 @@ fn profile(name: &str, shells: &[Shell]) {
     );
 }
 
+/// A transform GEMM: which of the two (1 or 2), then `m`, `k`, `n`.
+type Shape = (usize, usize, usize, usize);
+
+/// Per distinct transform shape of the quartets: count, ns per call, Gflop/s.
+fn transform_shapes(name: &str, shells: &[Shell]) {
+    let pairs: Vec<ScreenedPair> = build_screened_pairs(shells, 1e-10);
+    // Shape → calls per build.
+    let mut shapes: BTreeMap<Shape, usize> = BTreeMap::new();
+    for b in batch_quartets(&pairs, 1e-20) {
+        for &(pi, qi) in &b.quartets {
+            let (ab, cd) = (&pairs[pi].data, &pairs[qi].data);
+            let (m, kq) = (ab.nsph_pair, cd.degree() * cd.nherm);
+            *shapes.entry((1, m, ab.degree() * ab.nherm, kq)).or_default() += 1;
+            *shapes.entry((2, m, kq, cd.nsph_pair)).or_default() += 1;
+        }
+    }
+    let mut rows: Vec<(Shape, usize, f64)> = shapes
+        .into_iter()
+        .map(|((gemm, m, k, n), count)| {
+            let fill = |r: usize, c: usize| {
+                Matrix::from_fn(r, c, |i, j| 0.5 + ((i * 7 + j * 3) % 11) as f64 / 11.0)
+            };
+            // GEMM 1 reads the pair's stored E stack transposed.
+            let (a, ta) = match gemm {
+                1 => (fill(k, m), Transpose::Yes),
+                _ => (fill(m, k), Transpose::No),
+            };
+            let b = fill(k, n);
+            let mut c = Matrix::zeros(m, n);
+            let reps = (200_000 / (m * k * n)).max(1);
+            let s = min_seconds(|| {
+                for _ in 0..reps {
+                    gemm_into(1.0, black_box(&a), ta, black_box(&b), Transpose::No, 1.0, &mut c);
+                }
+                black_box(&c);
+            });
+            ((gemm, m, k, n), count, s / reps as f64 * 1e9)
+        })
+        .collect();
+    // Costliest first: count × ns per call.
+    rows.sort_by(|x, y| (y.1 as f64 * y.2).total_cmp(&(x.1 as f64 * x.2)));
+    let total_ms: f64 = rows.iter().map(|&(_, count, ns)| count as f64 * ns * 1e-6).sum();
+    println!(
+        "{name}: {} distinct transform shapes, {total_ms:.2} ms of GEMM calls per build (GEMM 1 reads A transposed)",
+        rows.len()
+    );
+    for ((gemm, m, k, n), count, ns) in rows {
+        println!(
+            "  GEMM {gemm} {m:>2}×{k:>3}×{n:>3}: {count:>5} calls, {ns:>7.1} ns/call, {:>5.2} Gflop/s, {:>5.3} ms",
+            (2 * m * k * n) as f64 / ns,
+            count as f64 * ns * 1e-6
+        );
+    }
+}
+
 fn shells_of(mol: &Molecule, family: BasisFamily) -> Vec<Shell> {
     let elements: Vec<_> = mol.atoms.iter().map(|a| a.element).collect();
     family.basis_for(&elements).shells_for(mol)
 }
 
 fn main() {
-    profile("water4/STO-3G", &sto3g().shells_for(&builders::water_cluster(4)));
+    let water4 = sto3g().shells_for(&builders::water_cluster(4));
+    profile("water4/STO-3G", &water4);
     profile("water/def2-TZVP-like", &shells_of(&builders::water(), BasisFamily::Def2TzvpLike));
+    transform_shapes("water4/STO-3G", &water4);
 }

@@ -268,7 +268,9 @@ mod tests {
     fn random_symmetric(n: usize, seed: u64) -> Matrix {
         let mut state = seed | 1;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         let mut m = Matrix::zeros(n, n);

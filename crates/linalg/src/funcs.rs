@@ -77,7 +77,9 @@ mod tests {
     fn spd(n: usize, seed: u64) -> Matrix {
         let mut state = seed | 1;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         let g = Matrix::from_fn(n, n, |_, _| next());
@@ -93,7 +95,12 @@ mod tests {
         let a = spd(10, 42);
         let x = sym_inv_sqrt(&a, 1e-10).unwrap();
         // X A X = I
-        let xax = gemm(&gemm(&x, Transpose::No, &a, Transpose::No), Transpose::No, &x, Transpose::No);
+        let xax = gemm(
+            &gemm(&x, Transpose::No, &a, Transpose::No),
+            Transpose::No,
+            &x,
+            Transpose::No,
+        );
         assert!(xax.sub(&Matrix::identity(10)).max_abs() < 1e-10);
     }
 
@@ -125,7 +132,12 @@ mod tests {
         // X should be finite (no division by ~0).
         assert!(x.as_slice().iter().all(|v| v.is_finite()));
         // X A X equals the projector onto the nonzero eigenspace (trace 1).
-        let xax = gemm(&gemm(&x, Transpose::No, &a, Transpose::No), Transpose::No, &x, Transpose::No);
+        let xax = gemm(
+            &gemm(&x, Transpose::No, &a, Transpose::No),
+            Transpose::No,
+            &x,
+            Transpose::No,
+        );
         assert!((xax.trace() - 1.0).abs() < 1e-10);
     }
 }

@@ -109,7 +109,9 @@ mod tests {
     fn deterministic(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         Matrix::from_fn(rows, cols, |_, _| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         })
     }

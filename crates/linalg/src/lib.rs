@@ -67,7 +67,10 @@ impl std::fmt::Display for LinalgError {
                 write!(f, "eigensolver failed to converge at index {index}")
             }
             LinalgError::NonFinite { index } => {
-                write!(f, "eigensolver produced a non-finite eigenvalue at index {index}")
+                write!(
+                    f,
+                    "eigensolver produced a non-finite eigenvalue at index {index}"
+                )
             }
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix not positive definite (pivot {pivot})")

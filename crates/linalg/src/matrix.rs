@@ -258,8 +258,8 @@ impl Matrix {
         assert!(row0 + other.rows <= self.rows && col0 + other.cols <= self.cols);
         for i in 0..other.rows {
             let src = other.row(i);
-            let dst =
-                &mut self.data[(row0 + i) * self.cols + col0..(row0 + i) * self.cols + col0 + other.cols];
+            let dst = &mut self.data
+                [(row0 + i) * self.cols + col0..(row0 + i) * self.cols + col0 + other.cols];
             dst.copy_from_slice(src);
         }
     }

@@ -31,6 +31,19 @@
 //! zero-padded so the microkernel always runs full-width; padded lanes are
 //! discarded at writeback.
 //!
+//! # Small path
+//!
+//! An output of at most `SMALL_MN` elements at depth `k ≤ KC` (most
+//! quartet transforms at STO-3G, 1×9×9 … 9×90×9) skips packing: a register
+//! tile of several output elements' chains runs side by side over operands
+//! read in place through their strides, so the chains' adds overlap instead
+//! of each waiting on its own previous add. The portable nest
+//! (`small_direct`) runs 1×4 tiles (4×1 for a one-column output, one
+//! chain for a single element); the AVX2 kernel runs R×8 tiles with masked loads when `op(B)`'s rows are
+//! contiguous and `n ≥ 4`, and the portable nest otherwise. Both run each
+//! element's chain in the packed path's operation order, so which path a
+//! shape takes never changes a bit.
+//!
 //! # Determinism contract
 //!
 //! Results are **bitwise identical** across thread counts and across kernel
@@ -76,12 +89,14 @@ pub const KC: usize = 256;
 pub(crate) const MC: usize = 128;
 /// Column-panel width (Loop 5 step).
 pub(crate) const NC: usize = 512;
-/// Largest `m·n` output routed to the pack-free direct path (a perf
-/// heuristic only: for `k ≤ KC` the direct path is bitwise-identical to the
-/// packed one — see [`small_direct_offset`] — so moving this threshold can
-/// never change results). Sized so every ERI-transform shape of the quartet
-/// pipeline (`nsph_pair × nherm` up to `9 × 10` for d-class brakets) skips
-/// the thread-local packing round-trip.
+/// Largest `m·n` output routed to the small path (with `k ≤ KC`). A speed
+/// choice only: the small path is bitwise identical to the packed one (see
+/// [`small_direct`]), so moving it never changes a result. Every STO-3G
+/// quartet transform falls under it except 3 rows against 50–90 ket
+/// columns and 9 rows against 20–90. Measured on AVX2, the small tiles win
+/// up to ~9 rows at any `n`, and the packed 4×8 tile wins from ~16 rows on
+/// (24×24×24: 26 against 20 Gflop/s), so raising this to cover 9×90×90
+/// would slow small square GEMMs elsewhere.
 const SMALL_MN: usize = 4 * MR * NR;
 
 /// Which microkernel implementation the engine runs.
@@ -116,14 +131,23 @@ pub(crate) fn choose_kernel(
             if avx2_available {
                 (KernelId::Avx2, "MAKO_KERNEL=avx2 override")
             } else {
-                (KernelId::Generic, "MAKO_KERNEL=avx2 requested but host lacks avx2")
+                (
+                    KernelId::Generic,
+                    "MAKO_KERNEL=avx2 requested but host lacks avx2",
+                )
             }
         }
         Some(_) => {
             if avx2_available {
-                (KernelId::Avx2, "unknown MAKO_KERNEL value ignored; detected avx2")
+                (
+                    KernelId::Avx2,
+                    "unknown MAKO_KERNEL value ignored; detected avx2",
+                )
             } else {
-                (KernelId::Generic, "unknown MAKO_KERNEL value ignored; no avx2")
+                (
+                    KernelId::Generic,
+                    "unknown MAKO_KERNEL value ignored; no avx2",
+                )
             }
         }
         None => {
@@ -197,7 +221,10 @@ impl<'a> View<'a> {
         stored_cols: usize,
         t: Transpose,
     ) -> View<'a> {
-        assert!(data.len() >= stored_rows * stored_cols, "view buffer too short");
+        assert!(
+            data.len() >= stored_rows * stored_cols,
+            "view buffer too short"
+        );
         match t {
             Transpose::No => View {
                 data,
@@ -227,6 +254,16 @@ impl<'a> View<'a> {
     /// Logical column count of `op(A)`.
     pub(crate) fn cols(&self) -> usize {
         self.cols
+    }
+
+    /// `(row, column)` strides of `op(A)` in `data`.
+    #[inline(always)]
+    fn strides(&self) -> (usize, usize) {
+        if self.trans {
+            (1, self.rows)
+        } else {
+            (self.cols, 1)
+        }
     }
 
     #[inline(always)]
@@ -361,6 +398,20 @@ trait Kernel {
         nr: usize,
         descale: f64,
     );
+
+    /// The small path on this kernel: [`small_direct`]'s contract and bits.
+    fn small(
+        a: &View<'_>,
+        b: &View<'_>,
+        c: &mut [f64],
+        ldc: usize,
+        row0: usize,
+        shape: (usize, usize, usize),
+        alpha: f64,
+        mode: Acc,
+    ) {
+        small_direct(a, b, c, ldc, row0, shape, alpha, mode);
+    }
 }
 
 /// Portable unrolled kernel. The inner loops are over compile-time `MR`/`NR`
@@ -437,8 +488,113 @@ struct Avx2Kernel;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{MR, NR};
+    use super::{View, MR, NR};
     use std::arch::x86_64::*;
+
+    /// Four side-by-side chains of the AVX2 small path: f64 sums
+    /// (`__m256d`) or f32 sums (`__m128`).
+    pub(super) trait Lanes: Copy {
+        /// Four zero sums.
+        unsafe fn zero() -> Self;
+        /// `self + products` per lane, rounded as the mode rounds (the f32
+        /// sums round each product to f32 first, as `as f32` does).
+        unsafe fn add(self, products: __m256d) -> Self;
+        /// The four sums, widened for the writeback.
+        unsafe fn widen(self) -> [f64; 4];
+    }
+
+    impl Lanes for __m256d {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn add(self, products: __m256d) -> Self {
+            _mm256_add_pd(self, products)
+        }
+        #[inline(always)]
+        unsafe fn widen(self) -> [f64; 4] {
+            let mut out = [0.0; 4];
+            _mm256_storeu_pd(out.as_mut_ptr(), self);
+            out
+        }
+    }
+
+    impl Lanes for __m128 {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn add(self, products: __m256d) -> Self {
+            _mm_add_ps(self, _mm256_cvtpd_ps(products))
+        }
+        #[inline(always)]
+        unsafe fn widen(self) -> [f64; 4] {
+            let mut out = [0.0f32; 4];
+            _mm_storeu_ps(out.as_mut_ptr(), self);
+            out.map(f64::from)
+        }
+    }
+
+    /// The small path's loop nest on AVX2: `R` rows × 8 columns of chains a
+    /// tile, each row's `alpha·a[i,p]` broadcast against 8 elements of
+    /// `op(B)`'s row `p` read in place (masked past the output's last
+    /// column), multiply then add. A tile past the last row repeats it and
+    /// discards the copy, as the portable nest does.
+    ///
+    /// # Safety
+    ///
+    /// The host has AVX2; `op(B)` is row-contiguous (`b.strides().1 == 1`);
+    /// `row0 + m ≤ a.rows`, `k ≤ a.cols`, `k ≤ b.rows`, `n ≤ b.cols` (so
+    /// every unmasked read lies inside its view).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn small_tiles<L: Lanes, const R: usize>(
+        a: &View<'_>,
+        b: &View<'_>,
+        c: &mut [f64],
+        ldc: usize,
+        row0: usize,
+        (m, n, k): (usize, usize, usize),
+        alpha: f64,
+        scale: f64,
+    ) {
+        let (ars, acs) = a.strides();
+        let brs = b.strides().0;
+        let (ap, bp) = (a.data.as_ptr(), b.data.as_ptr());
+        let lane = _mm256_set_epi64x(3, 2, 1, 0);
+        for i0 in (0..m).step_by(R) {
+            let h = R.min(m - i0);
+            let arow: [usize; R] = std::array::from_fn(|r| (row0 + i0 + r.min(h - 1)) * ars);
+            for j0 in (0..n).step_by(8) {
+                let w = 8.min(n - j0);
+                let mask0 = _mm256_cmpgt_epi64(_mm256_set1_epi64x(w as i64), lane);
+                let mask1 = _mm256_cmpgt_epi64(_mm256_set1_epi64x(w as i64 - 4), lane);
+                let mut acc = [[L::zero(); 2]; R];
+                for p in 0..k {
+                    // Lanes j0 + q ≥ n are masked off and not read; the
+                    // second half's address may lie past the slice, hence
+                    // `wrapping_add`.
+                    let bq = bp.wrapping_add(p * brs + j0);
+                    let b0 = _mm256_maskload_pd(bq, mask0);
+                    let b1 = _mm256_maskload_pd(bq.wrapping_add(4), mask1);
+                    for (row, &off) in acc.iter_mut().zip(&arow) {
+                        let x = _mm256_set1_pd(alpha * *ap.add(off + p * acs));
+                        // mul + add, never fmadd (bitwise contract).
+                        row[0] = row[0].add(_mm256_mul_pd(x, b0));
+                        row[1] = row[1].add(_mm256_mul_pd(x, b1));
+                    }
+                }
+                for (r, row) in acc.iter().enumerate().take(h) {
+                    let sums = [row[0].widen(), row[1].widen()];
+                    let crow = &mut c[(i0 + r) * ldc + j0..][..w];
+                    for (q, cq) in crow.iter_mut().enumerate() {
+                        *cq += sums[q / 4][q % 4] * scale;
+                    }
+                }
+            }
+        }
+    }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn tile_f64_avx2(
@@ -553,6 +709,44 @@ impl Kernel for Avx2Kernel {
     ) {
         avx2::tile_f32_avx2(c, ldc, apanel, bpanel, kc, mr, nr, descale);
     }
+
+    fn small(
+        a: &View<'_>,
+        b: &View<'_>,
+        c: &mut [f64],
+        ldc: usize,
+        row0: usize,
+        shape: (usize, usize, usize),
+        alpha: f64,
+        mode: Acc,
+    ) {
+        // A column-strided op(B) has no row to load, and an output under
+        // four columns wide fills under half a vector: the portable nest.
+        let (m, n, k) = shape;
+        if b.strides().1 != 1 || n < 4 {
+            return small_direct(a, b, c, ldc, row0, shape, alpha, mode);
+        }
+        assert!(row0 + m <= a.rows && k <= a.cols && k <= b.rows && n <= b.cols);
+        use std::arch::x86_64::{__m128, __m256d};
+        // SAFETY: this kernel is only selected on an AVX2 host; op(B) is
+        // row-contiguous (checked above) and the shape bounds are asserted.
+        unsafe {
+            match (mode, m == 1) {
+                (Acc::F64 { scale }, true) => {
+                    avx2::small_tiles::<__m256d, 1>(a, b, c, ldc, row0, shape, alpha, scale)
+                }
+                (Acc::F64 { scale }, false) => {
+                    avx2::small_tiles::<__m256d, 3>(a, b, c, ldc, row0, shape, alpha, scale)
+                }
+                (Acc::F32 { descale }, true) => {
+                    avx2::small_tiles::<__m128, 1>(a, b, c, ldc, row0, shape, alpha, descale)
+                }
+                (Acc::F32 { descale }, false) => {
+                    avx2::small_tiles::<__m128, 3>(a, b, c, ldc, row0, shape, alpha, descale)
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -618,7 +812,7 @@ fn run_band<K: Kernel>(
         return;
     }
     if k <= KC && m_band * n <= SMALL_MN {
-        small_direct_offset(a, b, c, ldc, row0, m_band, n, k, alpha, mode);
+        K::small(a, b, c, ldc, row0, (m_band, n, k), alpha, mode);
         note_counters(0, 1);
         return;
     }
@@ -643,13 +837,7 @@ fn run_band<K: Kernel>(
                 let mut ic = 0;
                 while ic < m_band {
                     let mc_h = MC.min(m_band - ic);
-                    pack_a_block(
-                        apack,
-                        a,
-                        row0 + ic..row0 + ic + mc_h,
-                        pc..pc + kc_w,
-                        alpha,
-                    );
+                    pack_a_block(apack, a, row0 + ic..row0 + ic + mc_h, pc..pc + kc_w, alpha);
                     packs += 1;
                     let mut jr = 0;
                     while jr < nc_w {
@@ -702,46 +890,136 @@ fn run_band<K: Kernel>(
     note_counters(packs, tiles);
 }
 
-/// Direct (pack-free) path for small outputs (`m·n ≤ SMALL_MN`), with the
-/// band's row offset applied to the A reads.
+/// One output element's accumulator on the small path: the f64 sum of
+/// [`Acc::F64`] or the f32 sum of [`Acc::F32`].
+trait Chain: Copy {
+    const ZERO: Self;
+    /// `self + product`, rounded as the mode rounds the running sum.
+    fn add(self, product: f64) -> Self;
+    /// The finished sum, widened for the writeback.
+    fn widen(self) -> f64;
+}
+
+impl Chain for f64 {
+    const ZERO: f64 = 0.0;
+    #[inline(always)]
+    fn add(self, product: f64) -> f64 {
+        self + product
+    }
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self
+    }
+}
+
+impl Chain for f32 {
+    const ZERO: f32 = 0.0;
+    #[inline(always)]
+    fn add(self, product: f64) -> f32 {
+        self + product as f32
+    }
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self as f64
+    }
+}
+
+/// Output elements one small-path tile runs side by side: `SMALL_CHAINS`
+/// columns of one row, or of one column's rows when the output is a column.
+const SMALL_CHAINS: usize = 4;
+
+/// Direct (pack-free) path for small outputs (`m·n ≤ SMALL_MN`, `k ≤ KC`),
+/// with the band's row offset applied to the A reads.
 ///
-/// Bitwise-identical to the packed path for any shape with `k ≤ KC`: alpha
-/// folding, ascending-`p` per-element accumulation, and single writeback are
-/// the same operation sequence — only the staging differs. Shared by both
-/// kernels, so it cannot break cross-kernel identity either.
-#[allow(clippy::too_many_arguments)]
-fn small_direct_offset(
+/// Each `C[i,j]` is its own chain `acc += (alpha·a[i,p])·b[p,j]` over
+/// ascending `p` from zero, multiply then add, written back once as
+/// `c += widen(acc)·scale`: the packed path's operation sequence (alpha
+/// folded into A, one K-panel), so the two are bitwise identical. Only the
+/// staging differs: a tile of `SMALL_CHAINS` chains runs side by side so
+/// their adds overlap in the pipeline instead of waiting on one chain's
+/// latency. A tile past the output's edge repeats its last row or column
+/// and discards the copy. This is the generic kernel's small path; the AVX2
+/// kernel runs the same chains in its own tiles where `op(B)`'s rows are
+/// contiguous (`avx2::small_tiles`).
+fn small_direct(
     a: &View<'_>,
     b: &View<'_>,
     c: &mut [f64],
     ldc: usize,
     row0: usize,
-    m: usize,
-    n: usize,
-    k: usize,
+    shape: (usize, usize, usize),
     alpha: f64,
     mode: Acc,
 ) {
     match mode {
-        Acc::F64 { scale } => {
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f64;
-                    for p in 0..k {
-                        acc += (alpha * a.at(row0 + i, p)) * b.at(p, j);
+        Acc::F64 { scale } => small_oriented::<f64>(a, b, c, ldc, row0, shape, alpha, scale),
+        Acc::F32 { descale } => small_oriented::<f32>(a, b, c, ldc, row0, shape, alpha, descale),
+    }
+}
+
+/// [`small_direct`]'s tile orientation: chains along the row, along the
+/// column of a one-column output, and one chain for a single element (whose
+/// copies would only cost issue slots).
+#[inline(always)]
+fn small_oriented<T: Chain>(
+    a: &View<'_>,
+    b: &View<'_>,
+    c: &mut [f64],
+    ldc: usize,
+    row0: usize,
+    shape: (usize, usize, usize),
+    alpha: f64,
+    scale: f64,
+) {
+    match shape {
+        (1, 1, _) => small_tiles::<T, 1, 1>(a, b, c, ldc, row0, shape, alpha, scale),
+        (_, 1, _) => small_tiles::<T, SMALL_CHAINS, 1>(a, b, c, ldc, row0, shape, alpha, scale),
+        _ => small_tiles::<T, 1, SMALL_CHAINS>(a, b, c, ldc, row0, shape, alpha, scale),
+    }
+}
+
+/// [`small_direct`]'s loop nest over `R × C` tiles of the `m × n` output.
+#[inline(always)]
+fn small_tiles<T: Chain, const R: usize, const C: usize>(
+    a: &View<'_>,
+    b: &View<'_>,
+    c: &mut [f64],
+    ldc: usize,
+    row0: usize,
+    (m, n, k): (usize, usize, usize),
+    alpha: f64,
+    scale: f64,
+) {
+    // Every read below is `op(A)[row0 + i, p]` or `op(B)[p, j]` with i < m,
+    // j < n, p < k; `View::new` holds `data.len() ≥ rows·cols`, so these
+    // bounds keep every computed offset inside its slice.
+    assert!(row0 + m <= a.rows && k <= a.cols && k <= b.rows && n <= b.cols);
+    let (ars, acs) = a.strides();
+    let (brs, bcs) = b.strides();
+    let (ap, bp) = (a.data.as_ptr(), b.data.as_ptr());
+    for i0 in (0..m).step_by(R) {
+        let h = R.min(m - i0);
+        let arow: [usize; R] = std::array::from_fn(|r| (row0 + i0 + r.min(h - 1)) * ars);
+        for j0 in (0..n).step_by(C) {
+            let w = C.min(n - j0);
+            let bcol: [usize; C] = std::array::from_fn(|q| (j0 + q.min(w - 1)) * bcs);
+            let mut acc = [[T::ZERO; C]; R];
+            for p in 0..k {
+                // SAFETY: row0 + i0 + r ≤ row0 + m - 1 and j0 + q ≤ n - 1
+                // after the clamps, p < k: in bounds by the assert above.
+                let av: [f64; R] =
+                    std::array::from_fn(|r| alpha * unsafe { *ap.add(arow[r] + p * acs) });
+                let bv: [f64; C] = std::array::from_fn(|q| unsafe { *bp.add(bcol[q] + p * brs) });
+                for (row, &x) in acc.iter_mut().zip(&av) {
+                    for (chain, &y) in row.iter_mut().zip(&bv) {
+                        // Multiply then add, never FMA (bitwise contract).
+                        *chain = chain.add(x * y);
                     }
-                    c[i * ldc + j] += acc * scale;
                 }
             }
-        }
-        Acc::F32 { descale } => {
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for p in 0..k {
-                        acc += ((alpha * a.at(row0 + i, p)) * b.at(p, j)) as f32;
-                    }
-                    c[i * ldc + j] += acc as f64 * descale;
+            for (r, row) in acc.iter().enumerate().take(h) {
+                for (q, chain) in row.iter().enumerate().take(w) {
+                    c[(i0 + r) * ldc + j0 + q] += chain.widen() * scale;
                 }
             }
         }
@@ -752,13 +1030,7 @@ fn small_direct_offset(
 /// `alpha` folded into the packed A panels (bit-compatible with multiplying
 /// each A element first). `beta` pre-scaling is the caller's job (see
 /// [`crate::gemm::gemm_into`]).
-pub(crate) fn gemm_engine(
-    alpha: f64,
-    a: View<'_>,
-    b: View<'_>,
-    c: &mut [f64],
-    ldc: usize,
-) {
+pub(crate) fn gemm_engine(alpha: f64, a: View<'_>, b: View<'_>, c: &mut [f64], ldc: usize) {
     let m = a.rows();
     let mode = Acc::F64 { scale: 1.0 };
     match selected_kernel() {
@@ -794,68 +1066,16 @@ pub fn gemm_rounded_engine(
 ) {
     assert!(a.len() >= m * k, "gemm_rounded_engine: A buffer too short");
     assert!(c.len() >= m * n, "gemm_rounded_engine: C buffer too short");
-    if k <= KC && m * n <= SMALL_MN {
-        // Raw-slice edition of `small_direct_offset` for the quartet hot
-        // loop: same per-element ascending-`p` accumulation and single
-        // writeback (so bit-identical to the packed path — see there), but
-        // without the `View` indirection or the dispatch plumbing, which for
-        // the s/p-class 1×k×1..4 transforms costs more than the math.
-        match tb {
-            Transpose::Yes if b.len() < n * k => {
-                panic!("gemm_rounded_engine: B buffer too short")
-            }
-            Transpose::No if b.len() < k * n => {
-                panic!("gemm_rounded_engine: B buffer too short")
-            }
-            _ => {}
-        }
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                if fp32_acc {
-                    let mut acc = 0.0f32;
-                    match tb {
-                        Transpose::No => {
-                            for (p, &ax) in arow.iter().enumerate() {
-                                acc += (ax * b[p * n + j]) as f32;
-                            }
-                        }
-                        Transpose::Yes => {
-                            let bcol = &b[j * k..(j + 1) * k];
-                            for (&ax, &bx) in arow.iter().zip(bcol) {
-                                acc += (ax * bx) as f32;
-                            }
-                        }
-                    }
-                    c[i * n + j] += acc as f64 * descale;
-                } else {
-                    let mut acc = 0.0f64;
-                    match tb {
-                        Transpose::No => {
-                            for (p, &ax) in arow.iter().enumerate() {
-                                acc += ax * b[p * n + j];
-                            }
-                        }
-                        Transpose::Yes => {
-                            let bcol = &b[j * k..(j + 1) * k];
-                            for (&ax, &bx) in arow.iter().zip(bcol) {
-                                acc += ax * bx;
-                            }
-                        }
-                    }
-                    c[i * n + j] += acc * descale;
-                }
-            }
-        }
-        note_counters(0, 1);
-        return;
-    }
     let av = View::new(a, m, k, Transpose::No);
     let bv = match tb {
         Transpose::No => View::new(b, k, n, Transpose::No),
         Transpose::Yes => View::new(b, n, k, Transpose::Yes),
     };
-    assert_eq!(bv.rows(), k, "gemm_rounded_engine: inner dimension mismatch");
+    assert_eq!(
+        bv.rows(),
+        k,
+        "gemm_rounded_engine: inner dimension mismatch"
+    );
     let mode = if fp32_acc {
         Acc::F32 { descale }
     } else {

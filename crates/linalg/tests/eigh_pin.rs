@@ -44,7 +44,9 @@ impl Digest {
 fn random_symmetric(n: usize, seed: u64) -> Matrix {
     let mut state = seed | 1;
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
     };
     let mut m = Matrix::zeros(n, n);
@@ -89,8 +91,16 @@ fn eigh_bits_are_pinned() {
         ("random_2", random_symmetric(2, 102), 0x123a_b919_2aab_e272),
         ("random_3", random_symmetric(3, 103), 0x7da7_c6b2_707a_d7e0),
         ("random_7", random_symmetric(7, 107), 0xde8e_4b0a_7985_29c3),
-        ("random_43", random_symmetric(43, 143), 0x836f_14a4_799f_9f26),
-        ("random_168", random_symmetric(168, 268), 0xa951_66ba_619e_a363),
+        (
+            "random_43",
+            random_symmetric(43, 143),
+            0x836f_14a4_799f_9f26,
+        ),
+        (
+            "random_168",
+            random_symmetric(168, 268),
+            0xa951_66ba_619e_a363,
+        ),
         ("degenerate_8", degenerate(), 0x4d40_3523_76b9_2cc6),
         ("block_diagonal_12", block_diagonal(), 0x891c_a25e_e9bd_98a9),
         ("diagonal_6", diagonal(), 0xfc98_0a41_3e1f_c2fe),
@@ -102,5 +112,9 @@ fn eigh_bits_are_pinned() {
             moved.push(format!("{name}: {got:#018x}"));
         }
     }
-    assert!(moved.is_empty(), "eigh bits moved; new rows:\n{}", moved.join("\n"));
+    assert!(
+        moved.is_empty(),
+        "eigh bits moved; new rows:\n{}",
+        moved.join("\n")
+    );
 }

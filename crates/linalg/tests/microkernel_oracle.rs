@@ -9,18 +9,24 @@
 //!   is *bitwise* identical to the generic kernel on the same inputs;
 //! * **packing** — `pack_a_block`/`pack_b_block` are lossless: unpacking a
 //!   panel reproduces `alpha·op(A)` / `op(B)` exactly, with zero padding in
-//!   the strip remainders.
+//!   the strip remainders;
+//! * **the seam's contract** — for `k ≤ KC`, `gemm_into` and
+//!   `gemm_rounded_engine` equal one scalar ascending-`p` chain per element
+//!   bit for bit, on the small path and the packed one alike.
 
 use mako_linalg::microkernel::{
     gemm_with_kernel, pack_a_block, pack_b_block, selected_kernel, View, KC, MR, NR,
 };
-use mako_linalg::{gemm_naive, gemm_into, KernelId, Matrix, Transpose};
+use mako_linalg::{gemm_into, gemm_naive, gemm_rounded_engine, KernelId, Matrix, Transpose};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut s = seed | 1;
     Matrix::from_fn(rows, cols, |_, _| {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
     })
 }
@@ -48,7 +54,90 @@ fn op_at(m: &Matrix, t: Transpose, i: usize, j: usize) -> f64 {
     }
 }
 
+/// One scalar chain per element, the seam's contract for `k ≤ KC`:
+/// `C[i,j] += widen(Σ_p (alpha·op(A)[i,p])·op(B)[p,j])·scale`, summed over
+/// ascending `p` from zero, multiply then add; with `f32_acc` each product is
+/// rounded to f32 and the sum kept in f32.
+#[allow(clippy::too_many_arguments)]
+fn ascending_p_reference(
+    alpha: f64,
+    a: &Matrix,
+    ta: Transpose,
+    b: &Matrix,
+    tb: Transpose,
+    f32_acc: bool,
+    scale: f64,
+    c: &mut Matrix,
+) {
+    let k = op_dims(a.rows(), a.cols(), ta).1;
+    for i in 0..c.rows() {
+        for j in 0..c.cols() {
+            let product = |p: usize| (alpha * op_at(a, ta, i, p)) * op_at(b, tb, p, j);
+            let sum = if f32_acc {
+                (0..k).fold(0.0f32, |acc, p| acc + product(p) as f32) as f64
+            } else {
+                (0..k).fold(0.0f64, |acc, p| acc + product(p))
+            };
+            c[(i, j)] += sum * scale;
+        }
+    }
+}
+
+fn assert_bitwise(want: &Matrix, got: &Matrix, what: &str) -> Result<(), TestCaseError> {
+    for (idx, (w, g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+        prop_assert!(
+            w.to_bits() == g.to_bits(),
+            "{}: element {} reference {} vs {}",
+            what,
+            idx,
+            w,
+            g
+        );
+    }
+    Ok(())
+}
+
 proptest! {
+    /// `gemm_into` (α, β ≠ 1, all four transposes) and `gemm_rounded_engine`
+    /// (f64 and f32 accumulators, `tb` No and Yes) against the scalar
+    /// ascending-`p` chain, bit for bit, at every depth `k ≤ KC` and outputs
+    /// on both sides of the small path's `m·n` threshold.
+    #[test]
+    fn seam_matches_scalar_ascending_p_reference_bitwise(
+        m in 1usize..40,
+        k in 1usize..KC + 1,
+        n in 1usize..40,
+        ta in any::<bool>(),
+        tb in any::<bool>(),
+        f32_acc in any::<bool>(),
+        alpha in -2.0f64..2.0,
+        beta in -1.5f64..0.9,
+        descale in 0.01f64..3.0,
+        seed in 1u64..1_000_000,
+    ) {
+        let (ta, tb) = (transpose_of(ta), transpose_of(tb));
+        let (ar, ac) = op_dims(m, k, ta);
+        let (br, bc) = op_dims(k, n, tb);
+        let a = mat(ar, ac, seed);
+        let b = mat(br, bc, seed.wrapping_add(1));
+        let c0 = mat(m, n, seed.wrapping_add(2));
+
+        let mut want = c0.scale(beta);
+        ascending_p_reference(alpha, &a, ta, &b, tb, false, 1.0, &mut want);
+        let mut got = c0.clone();
+        gemm_into(alpha, &a, ta, &b, tb, beta, &mut got);
+        assert_bitwise(&want, &got, "gemm_into")?;
+
+        // The rounded engine's A is row-major m × k; B is k × n, or n × k
+        // read transposed.
+        let a_rows = mat(m, k, seed.wrapping_add(3));
+        let mut want = c0.clone();
+        ascending_p_reference(1.0, &a_rows, Transpose::No, &b, tb, f32_acc, descale, &mut want);
+        let mut got = c0.clone();
+        gemm_rounded_engine(m, k, n, a_rows.as_slice(), b.as_slice(), tb, f32_acc, descale, got.as_mut_slice());
+        assert_bitwise(&want, &got, "gemm_rounded_engine")?;
+    }
+
     /// Engine vs the triple-loop oracle: arbitrary shapes (edge tiles
     /// smaller than MR×NR included via the 1.. lower bound), all four
     /// transpose combinations, nontrivial alpha and beta.
@@ -195,7 +284,10 @@ fn engine_matches_naive_at_blocking_boundaries() {
         gemm_into(1.0, &a, Transpose::No, &b, Transpose::No, 1.0, &mut got);
         let tol = 4.0 * (k as f64) * f64::EPSILON;
         for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
-            assert!((w - g).abs() <= tol, "({m},{k},{n}): naive {w} vs engine {g}");
+            assert!(
+                (w - g).abs() <= tol,
+                "({m},{k},{n}): naive {w} vs engine {g}"
+            );
         }
     }
 }
@@ -224,17 +316,51 @@ fn stacked_quartet_shapes_are_bitwise_across_kernels() {
         let mut want = Matrix::zeros(m, n);
         gemm_naive(1.0, &a, ta, &b, Transpose::No, 1.0, &mut want);
         let mut generic = Matrix::zeros(m, n);
-        assert!(gemm_with_kernel(KernelId::Generic, 1.0, &a, ta, &b, Transpose::No, 1.0, &mut generic));
+        assert!(gemm_with_kernel(
+            KernelId::Generic,
+            1.0,
+            &a,
+            ta,
+            &b,
+            Transpose::No,
+            1.0,
+            &mut generic
+        ));
         let mut dispatched = Matrix::zeros(m, n);
-        assert!(gemm_with_kernel(selected_kernel(), 1.0, &a, ta, &b, Transpose::No, 1.0, &mut dispatched));
+        assert!(gemm_with_kernel(
+            selected_kernel(),
+            1.0,
+            &a,
+            ta,
+            &b,
+            Transpose::No,
+            1.0,
+            &mut dispatched
+        ));
         let mut seam = Matrix::zeros(m, n);
         gemm_into(1.0, &a, ta, &b, Transpose::No, 1.0, &mut seam);
         let tol = 4.0 * (k as f64) * f64::EPSILON;
         for i in 0..m * n {
-            let (w, g, d, s) = (want.as_slice()[i], generic.as_slice()[i], dispatched.as_slice()[i], seam.as_slice()[i]);
-            assert!((w - g).abs() <= tol, "({m},{k},{n}): naive {w} vs engine {g}");
-            assert_eq!(g.to_bits(), d.to_bits(), "({m},{k},{n}): generic {g} vs dispatched {d}");
-            assert_eq!(d.to_bits(), s.to_bits(), "({m},{k},{n}): gemm_into {s} vs dispatched {d}");
+            let (w, g, d, s) = (
+                want.as_slice()[i],
+                generic.as_slice()[i],
+                dispatched.as_slice()[i],
+                seam.as_slice()[i],
+            );
+            assert!(
+                (w - g).abs() <= tol,
+                "({m},{k},{n}): naive {w} vs engine {g}"
+            );
+            assert_eq!(
+                g.to_bits(),
+                d.to_bits(),
+                "({m},{k},{n}): generic {g} vs dispatched {d}"
+            );
+            assert_eq!(
+                d.to_bits(),
+                s.to_bits(),
+                "({m},{k},{n}): gemm_into {s} vs dispatched {d}"
+            );
         }
     }
 }

@@ -39,4 +39,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 echo "== tier1: cargo clippy --all-targets benchmark/ -- -D warnings =="
 cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 
+# Formatting is gated crate by crate as each is made rustfmt-clean; the rest
+# of the tree is not yet.
+echo "== tier1: cargo fmt --check -p mako-linalg =="
+cargo fmt --check -p mako-linalg
+
 echo "== tier1: OK =="

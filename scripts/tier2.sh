@@ -27,8 +27,10 @@ cargo test --release -p mako-integration-tests
 cargo test --release -q -p mako-scf -p mako-server
 
 echo "== tier2: microkernel determinism (linalg, eri and kernels suites, then the scf pins, under MAKO_KERNEL=generic) =="
-# The FP64 quartet's two stacked GEMMs take the packed path, so the generic
-# kernel has to carry the integral engine's own tests too, not only linalg's.
+# The FP64 quartet's two stacked GEMMs mostly take the small path at STO-3G
+# and the packed path for wider kets; each kernel has its own form of both,
+# so the generic kernel has to carry the integral engine's own tests too,
+# not only linalg's.
 MAKO_KERNEL=generic cargo test --release -q -p mako-linalg -p mako-eri -p mako-kernels
 # ... and reproduce the pinned J/K, trajectory and XC bits the dispatched kernel
 # produced (`V_xc` is two `gemm_into` calls per grid block), and the grid's

@@ -31,6 +31,7 @@ use mako::server::{Journal, ServeReport, ServerConfig};
 use mako::store::{FaultProfile, FaultVfs, Vfs};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
     a.as_slice().len() == b.as_slice().len()
@@ -413,4 +414,54 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         clock_iterations, resumed.iterations,
         "a killed-and-resumed run must emit one clock.iteration per iteration it ran"
     );
+
+    // A one-thread run's wall is its top-level spans: every `scf.iteration`,
+    // the setup (`eri.one_electron`, `linalg.orthogonalizer`, `scf.setup`)
+    // and the guess's `linalg.eigh` and `scf.density`, which close before
+    // any iteration's own. What falls between them is bookkeeping, so a
+    // layer that goes untraced shows here as a gap of more than 5 %.
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("build thread pool");
+    let b3lyp_water = ScfConfig {
+        method: ScfMethod::Rks(b3lyp()),
+        e_tol: 1e-10,
+        grid: (35, 12),
+        ..ScfConfig::default()
+    };
+    let drivers = [
+        ("RHF water trimer", mako::chem::builders::water_cluster(3), ScfConfig::default()),
+        ("B3LYP water", mako::chem::builders::water(), b3lyp_water),
+    ];
+    for (name, mol, config) in drivers {
+        let driver = ScfDriver::new(&mol, &sto3g(), config);
+        mako::trace::drain();
+        let wall = one_thread.install(|| {
+            let t0 = Instant::now();
+            driver.run().expect("traced one-thread run");
+            t0.elapsed().as_secs_f64()
+        });
+        let dump = mako::trace::drain();
+        let seconds = |e: &mako::trace::Event| match e.kind {
+            mako::trace::EventKind::Span { dur_us } => dur_us * 1e-6,
+            _ => panic!("{}.{} is not a span", e.cat, e.name),
+        };
+        let named = |cat: &str, name: &str| -> Vec<f64> {
+            let events = dump.events.iter().filter(|e| (e.cat, e.name) == (cat, name));
+            events.map(seconds).collect()
+        };
+        let iterations = named("scf", "iteration");
+        assert!(!iterations.is_empty(), "{name}: no scf.iteration span");
+        let setup = [("eri", "one_electron"), ("linalg", "orthogonalizer"), ("scf", "setup")];
+        let guess = [("linalg", "eigh"), ("scf", "density")];
+        let covered: f64 = iterations.iter().sum::<f64>()
+            + setup.iter().map(|&(cat, n)| named(cat, n).iter().sum::<f64>()).sum::<f64>()
+            + guess.iter().map(|&(cat, n)| named(cat, n)[0]).sum::<f64>();
+        let share = covered / wall;
+        assert!(
+            (0.95..=1.0 + 1e-9).contains(&share),
+            "{name}: top-level spans cover {share:.4} of the {wall:.4} s wall"
+        );
+    }
 }
