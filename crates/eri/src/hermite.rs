@@ -11,7 +11,7 @@
 //! scalar operations of the generic [`r_integrals`], which stays as the
 //! reference.
 
-use crate::boys::M_MAX;
+use crate::boys::{BoysTable, M_MAX};
 use mako_chem::cart::{cart_components, hermite_components};
 use std::sync::OnceLock;
 
@@ -331,9 +331,11 @@ pub(crate) fn r_plan(l: usize) -> &'static RPlan {
 
 /// Struct-of-arrays workspace of one recursion plan run over independent lanes
 /// (one per primitive-pair combination of a quartet, or one per nucleus of a
-/// one-electron primitive pair): `HermiteLanes::reset` sizes it,
-/// `HermiteLanes::seed` writes every lane's `α`, `P − Q` and Boys values,
-/// `HermiteLanes::run` runs the recursion across all lanes at once, and
+/// one-electron primitive pair): `HermiteLanes::reset` sizes it, every lane's
+/// `α`, `P − Q` and Boys values are seeded — per lane by `HermiteLanes::seed`
+/// from the caller's Boys values, or all at once by
+/// `HermiteLanes::set_geometry` per lane and one `HermiteLanes::seed_from_table`
+/// — `HermiteLanes::run` runs the recursion across all lanes at once, and
 /// `HermiteLanes::get` reads `R^{(0)}_{tuv}`. Lane `i` holds exactly the
 /// bits [`r_integrals`] returns for its inputs, whatever the lane count and
 /// its neighbours.
@@ -345,6 +347,12 @@ pub struct HermiteLanes {
     pq: Vec<f64>,
     /// Every slot per lane, slot-major.
     r: Vec<f64>,
+    /// `α` per lane, for [`HermiteLanes::seed_from_table`].
+    alpha: Vec<f64>,
+    /// The Boys argument `T` per lane, then the running power `(−2α)^n`.
+    t: Vec<f64>,
+    /// `F_0..=F_l` per lane, slot-major.
+    boys: Vec<f64>,
 }
 
 impl Default for HermiteLanes {
@@ -354,6 +362,9 @@ impl Default for HermiteLanes {
             lanes: 0,
             pq: Vec::new(),
             r: Vec::new(),
+            alpha: Vec::new(),
+            t: Vec::new(),
+            boys: Vec::new(),
         }
     }
 }
@@ -367,6 +378,8 @@ impl HermiteLanes {
         self.lanes = lanes;
         self.pq.resize(3 * lanes, 0.0);
         self.r.resize(self.plan.slots * lanes, 0.0);
+        self.alpha.resize(lanes, 0.0);
+        self.t.resize(lanes, 0.0);
     }
 
     /// Number of lanes.
@@ -387,6 +400,40 @@ impl HermiteLanes {
         for (&slot, &f) in self.plan.seeds.iter().zip(boys) {
             self.r[slot * lanes + lane] = pow * f;
             pow *= -2.0 * alpha;
+        }
+    }
+
+    /// Lane `lane`'s geometry for [`Self::seed_from_table`]: `α`, `P − Q`
+    /// and the Boys argument `T` (after [`Self::reset`]).
+    #[inline]
+    pub(crate) fn set_geometry(&mut self, lane: usize, alpha: f64, pq: [f64; 3], t: f64) {
+        let lanes = self.lanes;
+        for (k, x) in pq.into_iter().enumerate() {
+            self.pq[k * lanes + lane] = x;
+        }
+        self.alpha[lane] = alpha;
+        self.t[lane] = t;
+    }
+
+    /// Seed every lane from its [`Self::set_geometry`] inputs: `F_0..=F_l`
+    /// of all lanes in one [`BoysTable::eval_lanes`], then
+    /// `R^{(n)}_{000} = (−2α)^n F_n` slot by slot, each lane's power chain
+    /// the one [`Self::seed`] runs.
+    pub(crate) fn seed_from_table(&mut self, table: &BoysTable) {
+        let n = self.lanes;
+        let seeds = &self.plan.seeds;
+        self.boys.resize(seeds.len() * n, 0.0);
+        table.eval_lanes(seeds.len() - 1, &self.t[..n], &mut self.boys);
+        // `t` is read; it holds each lane's power from here on.
+        let pow = &mut self.t[..n];
+        pow.fill(1.0);
+        for (&slot, f) in seeds.iter().zip(self.boys.chunks_exact(n)) {
+            let dst = &mut self.r[slot * n..(slot + 1) * n];
+            for (((r, p), &f), &alpha) in dst.iter_mut().zip(pow.iter_mut()).zip(f).zip(&self.alpha)
+            {
+                *r = *p * f;
+                *p *= -2.0 * alpha;
+            }
         }
     }
 

@@ -17,8 +17,7 @@
 //! ([`hermite`]), one-electron integrals ([`one_electron`]), Schwarz
 //! screening ([`screening`]) and ERI-class batching ([`batch`]).
 #![deny(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod boys;

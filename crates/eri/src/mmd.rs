@@ -22,7 +22,7 @@
 //! This module is the *numerical* engine; `mako-kernels` wraps the same
 //! math in simulated-device pipelines (fused/unfused, quantized, batched).
 
-use crate::boys::{shared_table, M_MAX};
+use crate::boys::shared_table;
 use crate::hermite::{e_matrix, HermiteLanes};
 use crate::tensor::Tensor4;
 use mako_chem::cart::{hermite_components, hermite_index_map, ncart, nherm, nsph};
@@ -168,7 +168,15 @@ pub fn shell_pair(sa: &Shell, sb: &Shell) -> ShellPairData {
                 (a * sa.center[2] + b * sb.center[2]) / p,
             ];
             let e_cart = Matrix::from_vec(ncart_pair, nh, e_matrix(la, lb, a, b, ab));
-            gemm_into(coef, transform, Transpose::No, &e_cart, Transpose::No, 0.0, &mut e_sph);
+            gemm_into(
+                coef,
+                transform,
+                Transpose::No,
+                &e_cart,
+                Transpose::No,
+                0.0,
+                &mut e_sph,
+            );
             transpose_extend(e_sph.as_slice(), nsph_pair, nh, &mut stack);
             prims.push(PrimPair { p, center });
         }
@@ -290,23 +298,22 @@ pub fn eri_quartet_mmd(pab: &ShellPairData, pcd: &ShellPairData) -> Tensor4 {
 }
 
 /// `R_tuv` of every primitive-pair combination of a quartet, one lane each
-/// (lane `bi·K_CD + ki` for bra primitive `bi`, ket primitive `ki`): Boys
-/// values from the shared table seed the lanes, then one `HermiteLanes::run`
-/// takes them all through the recursion of order `l_bra + l_ket`.
+/// (lane `bi·K_CD + ki` for bra primitive `bi`, ket primitive `ki`), in
+/// passes over the lanes: [`pq_geometry`] of every lane, the Boys values of
+/// all lanes from the shared table (`BoysTable::eval_lanes`), the seeds, then
+/// one `HermiteLanes::run` takes them all through the recursion of order
+/// `l_bra + l_ket`.
 pub fn r_lanes_into(pab: &ShellPairData, pcd: &ShellPairData, r: &mut HermiteLanes) {
-    let l_tot = pab.l_total() + pcd.l_total();
-    let table = shared_table();
-    r.reset(l_tot, pab.degree() * pcd.degree());
-    let mut boys = [0.0f64; M_MAX + 1];
+    r.reset(pab.l_total() + pcd.l_total(), pab.degree() * pcd.degree());
     let mut lane = 0;
     for bra in &pab.prims {
         for ket in &pcd.prims {
             let (alpha, sep, t_arg) = pq_geometry(bra, ket);
-            table.eval(l_tot, t_arg, &mut boys);
-            r.seed(lane, alpha, sep, &boys);
+            r.set_geometry(lane, alpha, sep, t_arg);
             lane += 1;
         }
     }
+    r.seed_from_table(shared_table());
     r.run();
 }
 
@@ -351,7 +358,15 @@ pub fn eri_quartet_mmd_into(pab: &ShellPairData, pcd: &ShellPairData, t: &mut Te
         gemm_into(1.0, &pab.e, Transpose::Yes, pq, Transpose::No, 1.0, abq);
         // `t` is row-major over `(ia·nb + ib, ic·nd + id)`: GEMM 2's `C`.
         let mut out = Matrix::from_vec(pab.nsph_pair, pcd.nsph_pair, std::mem::take(&mut t.data));
-        gemm_into(1.0, abq, Transpose::No, &pcd.e, Transpose::No, 1.0, &mut out);
+        gemm_into(
+            1.0,
+            abq,
+            Transpose::No,
+            &pcd.e,
+            Transpose::No,
+            1.0,
+            &mut out,
+        );
         t.data = out.into_vec();
     });
 }
@@ -359,7 +374,7 @@ pub fn eri_quartet_mmd_into(pab: &ShellPairData, pcd: &ShellPairData, t: &mut Te
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boys::boys_reference;
+    use crate::boys::{boys_reference, M_MAX};
     use crate::hermite::r_integrals;
     use mako_chem::Shell;
     use proptest::prelude::*;
@@ -409,13 +424,17 @@ mod tests {
                 let pq = reference_pq_block(bra, ket, idx, &boys);
                 for s in 0..nab {
                     for k in 0..hk {
-                        abq[s * hk + k] += (0..hb).map(|h| e_ab[h * nab + s] * pq[h * hk + k]).sum::<f64>();
+                        abq[s * hk + k] += (0..hb)
+                            .map(|h| e_ab[h * nab + s] * pq[h * hk + k])
+                            .sum::<f64>();
                     }
                 }
             }
             for s in 0..nab {
                 for c in 0..ncd {
-                    out[s * ncd + c] += (0..hk).map(|k| abq[s * hk + k] * e_cd[k * ncd + c]).sum::<f64>();
+                    out[s * ncd + c] += (0..hk)
+                        .map(|k| abq[s * hk + k] * e_cd[k * ncd + c])
+                        .sum::<f64>();
                 }
             }
         }
@@ -471,7 +490,9 @@ mod tests {
         let n = 1 + (u[0] * max_prims as f64) as usize % max_prims;
         mako_chem::basis::ShellDef {
             l,
-            exps: (0..n).map(|i| (0.3 + 2.5 * u[1]) * 2.7f64.powi(i as i32)).collect(),
+            exps: (0..n)
+                .map(|i| (0.3 + 2.5 * u[1]) * 2.7f64.powi(i as i32))
+                .collect(),
             coefs: (0..n).map(|i| 0.3 + u[2] + 0.2 * i as f64).collect(),
         }
         .at(0, [2.0 * u[3] - 1.0, 2.0 * u[4] - 1.0, 2.0 * u[5] - 1.0])

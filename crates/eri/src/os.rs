@@ -142,14 +142,14 @@ pub fn eri_quartet_os(sa: &Shell, sb: &Shell, sc: &Shell, sd: &Shell) -> Result<
                     let mu_cd = c * d / q;
                     let k_cd = (-mu_cd * cd2).exp();
                     let qc = combine(c, sc.center, d, sd.center, q);
-                    let coef =
-                        sa.coefs[ia] * sb.coefs[ib] * sc.coefs[ic] * sd.coefs[id];
+                    let coef = sa.coefs[ia] * sb.coefs[ib] * sc.coefs[ic] * sd.coefs[id];
                     let alpha = p * q / (p + q);
                     let pq = sub(pc, qc);
                     let t = alpha * norm2(pq);
                     boys_reference(l_tot, t, &mut boys);
-                    let pref =
-                        2.0 * std::f64::consts::PI.powf(2.5) / (p * q * (p + q).sqrt()) * k_ab * k_cd;
+                    let pref = 2.0 * std::f64::consts::PI.powf(2.5) / (p * q * (p + q).sqrt())
+                        * k_ab
+                        * k_cd;
                     let ssss: Vec<f64> = boys.iter().map(|&f| pref * f).collect();
                     let ctx = VrrCtx {
                         x_pa: sub(pc, sa.center),
@@ -328,7 +328,11 @@ mod tests {
         let s2 = shell(0, [0.8, -0.4, 0.2], vec![0.6], vec![1.0]);
         let os = eri_quartet_os(&s1, &s2, &s2, &s1).unwrap();
         let mmd = eri_quartet_mmd(&shell_pair(&s1, &s2), &shell_pair(&s2, &s1));
-        assert!(os.max_abs_diff(&mmd) < 1e-13, "diff {}", os.max_abs_diff(&mmd));
+        assert!(
+            os.max_abs_diff(&mmd) < 1e-13,
+            "diff {}",
+            os.max_abs_diff(&mmd)
+        );
     }
 
     #[test]
@@ -351,8 +355,7 @@ mod tests {
                         let sc = shell(lc, centers[2], vec![exps[2]], vec![1.0]);
                         let sd = shell(ld, centers[3], vec![exps[3]], vec![1.0]);
                         let os = eri_quartet_os(&sa, &sb, &sc, &sd).unwrap();
-                        let mmd =
-                            eri_quartet_mmd(&shell_pair(&sa, &sb), &shell_pair(&sc, &sd));
+                        let mmd = eri_quartet_mmd(&shell_pair(&sa, &sb), &shell_pair(&sc, &sd));
                         let diff = os.max_abs_diff(&mmd);
                         let scale = 1.0 + mmd.max_abs();
                         assert!(

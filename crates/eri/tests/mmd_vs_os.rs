@@ -17,20 +17,36 @@ use std::collections::BTreeMap;
 fn every_tzvp_like_water_class_matches_obara_saika() {
     let mol = builders::water();
     let elements: Vec<_> = mol.atoms.iter().map(|a| a.element).collect();
-    let shells = BasisFamily::Def2TzvpLike.basis_for(&elements).shells_for(&mol);
-    assert_eq!(shells.iter().map(|s| s.l).max(), Some(3), "the system must reach f shells");
+    let shells = BasisFamily::Def2TzvpLike
+        .basis_for(&elements)
+        .shells_for(&mol);
+    assert_eq!(
+        shells.iter().map(|s| s.l).max(),
+        Some(3),
+        "the system must reach f shells"
+    );
     let pairs = build_screened_pairs(&shells, 1e-12);
 
     // First (bra, ket) pair of every (la, lb, lc, ld, K_AB, K_CD).
     let mut classes: BTreeMap<[usize; 6], (usize, usize)> = BTreeMap::new();
     for (pi, p) in pairs.iter().enumerate() {
         for (qi, q) in pairs.iter().enumerate().take(pi + 1) {
-            let key = [p.data.la, p.data.lb, q.data.la, q.data.lb, p.data.degree(), q.data.degree()];
+            let key = [
+                p.data.la,
+                p.data.lb,
+                q.data.la,
+                q.data.lb,
+                p.data.degree(),
+                q.data.degree(),
+            ];
             classes.entry(key).or_insert((pi, qi));
         }
     }
     assert!(classes.len() > 500, "only {} classes", classes.len());
-    assert!(classes.contains_key(&[3, 3, 3, 3, 1, 1]), "(ff|ff) must be covered");
+    assert!(
+        classes.contains_key(&[3, 3, 3, 3, 1, 1]),
+        "(ff|ff) must be covered"
+    );
 
     let mut worst = (0.0f64, [0; 6]);
     for (&key, &(pi, qi)) in &classes {

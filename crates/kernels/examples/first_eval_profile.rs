@@ -5,7 +5,10 @@
 //! once through the public pieces of the FP64 routine, stage by stage, each
 //! stage including the ones before it:
 //!
-//! * **Boys** — `pq_geometry` + `BoysTable::eval` per primitive combination;
+//! * **Boys** — `pq_geometry` of every primitive combination into per-lane
+//!   arrays, then one `BoysTable::eval_lanes` over them, under the kernel the
+//!   dispatch selected (`MAKO_KERNEL`); printed beside it, the scalar loop
+//!   of one `BoysTable::eval` per combination that it replaced;
 //! * **R_tuv** — `r_lanes_into`: the same, seeding one lane per combination,
 //!   plus the Eq. (5) recursion run across the lanes;
 //! * **fill** — `pq_stacked_into`: the same plus the `[p|q]` fill of every
@@ -13,7 +16,9 @@
 //! * **total** — `eri_quartet_mmd_into`: the same plus the two transforms.
 //!
 //! Printed per quartet as differences (Boys / R_tuv / fill / transforms /
-//! total), the minimum of nine passes.
+//! total), the minimum of nine passes, then the lanes by Boys order and by
+//! branch: the table (`T ≤ 35`), the asymptotic form (`T > 35`), and of
+//! those the ones that call `exp` (order > 0 and `T ≤ 746`).
 //!
 //! For water₄/STO-3G it then lists every distinct transform shape `m×k×n`
 //! (GEMM 1 `E_ABᵀ·[P|Q]`, A read transposed; GEMM 2 `(ab|Q]·E_CD`), with its
@@ -32,7 +37,7 @@ use mako_eri::hermite::HermiteLanes;
 use mako_eri::mmd::{eri_quartet_mmd_into, pq_geometry, pq_stacked_into, r_lanes_into};
 use mako_eri::screening::{build_screened_pairs, ScreenedPair};
 use mako_eri::{shared_table, Tensor4};
-use mako_linalg::{gemm_into, Matrix, Transpose};
+use mako_linalg::{gemm_into, kernel_name, Matrix, Transpose};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -61,7 +66,7 @@ fn profile(name: &str, shells: &[Shell]) {
         .sum();
     let table = shared_table();
 
-    let boys_s = min_seconds(|| {
+    let boys_scalar_s = min_seconds(|| {
         let mut boys = [0.0f64; 32];
         for &(pi, qi) in &quartets {
             let (ab, cd) = (&pairs[pi].data, &pairs[qi].data);
@@ -75,6 +80,47 @@ fn profile(name: &str, shells: &[Shell]) {
             }
         }
     });
+
+    // Order → lanes on the table, lanes on the asymptotic form, and lanes
+    // of those that call `exp`.
+    let mut branches: BTreeMap<usize, [usize; 3]> = BTreeMap::new();
+    let (mut alpha, mut sep, mut ts, mut boys) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let boys_s = min_seconds(|| {
+        for &(pi, qi) in &quartets {
+            let (ab, cd) = (&pairs[pi].data, &pairs[qi].data);
+            let l_tot = ab.l_total() + cd.l_total();
+            let n = ab.degree() * cd.degree();
+            (alpha.resize(n, 0.0), ts.resize(n, 0.0), sep.resize(3 * n, 0.0));
+            let mut lane = 0;
+            for bra in &ab.prims {
+                for ket in &cd.prims {
+                    let (a, pq, t) = pq_geometry(bra, ket);
+                    for (k, x) in pq.into_iter().enumerate() {
+                        sep[k * n + lane] = x;
+                    }
+                    (alpha[lane], ts[lane]) = (a, t);
+                    lane += 1;
+                }
+            }
+            boys.resize((l_tot + 1) * n, 0.0);
+            table.eval_lanes(l_tot, &ts[..n], &mut boys);
+            black_box((&alpha, &sep, &boys));
+        }
+    });
+    for &(pi, qi) in &quartets {
+        let (ab, cd) = (&pairs[pi].data, &pairs[qi].data);
+        let count = branches.entry(ab.l_total() + cd.l_total()).or_default();
+        for bra in &ab.prims {
+            for ket in &cd.prims {
+                let (_, _, t) = pq_geometry(bra, ket);
+                match t > 35.0 {
+                    false => count[0] += 1,
+                    true => count[1] += 1,
+                }
+                count[2] += usize::from(t > 35.0 && t <= 746.0 && ab.l_total() + cd.l_total() > 0);
+            }
+        }
+    }
 
     let mut lanes = HermiteLanes::default();
     let r_s = min_seconds(|| {
@@ -115,6 +161,17 @@ fn profile(name: &str, shells: &[Shell]) {
         us(total_s - fill_s),
         us(total_s)
     );
+    println!(
+        "  Boys through eval_lanes ({} kernel) {:.2} us a quartet, {:.1} ns a lane; scalar eval loop {:.2} us, {:.1} ns a lane",
+        kernel_name(),
+        us(boys_s),
+        boys_s / combinations as f64 * 1e9,
+        us(boys_scalar_s),
+        boys_scalar_s / combinations as f64 * 1e9
+    );
+    for (order, [table_lanes, asym, exp]) in branches {
+        println!("  Boys order {order:>2}: {table_lanes:>7} table lanes, {asym:>7} asymptotic, {exp:>7} of them calling exp");
+    }
 }
 
 /// A transform GEMM: which of the two (1 or 2), then `m`, `k`, `n`.

@@ -33,8 +33,9 @@
 //!
 //! # Small path
 //!
-//! An output of at most `SMALL_MN` elements at depth `k ≤ KC` (most
-//! quartet transforms at STO-3G, 1×9×9 … 9×90×9) skips packing: a register
+//! An output of at most `SMALL_MN` elements or `SMALL_ROWS` rows at depth
+//! `k ≤ KC` (every quartet transform at STO-3G, 1×9×9 … 9×90×90) skips
+//! packing: a register
 //! tile of several output elements' chains runs side by side over operands
 //! read in place through their strides, so the chains' adds overlap instead
 //! of each waiting on its own previous add. The portable nest
@@ -91,13 +92,16 @@ pub(crate) const MC: usize = 128;
 pub(crate) const NC: usize = 512;
 /// Largest `m·n` output routed to the small path (with `k ≤ KC`). A speed
 /// choice only: the small path is bitwise identical to the packed one (see
-/// [`small_direct`]), so moving it never changes a result. Every STO-3G
-/// quartet transform falls under it except 3 rows against 50–90 ket
-/// columns and 9 rows against 20–90. Measured on AVX2, the small tiles win
-/// up to ~9 rows at any `n`, and the packed 4×8 tile wins from ~16 rows on
-/// (24×24×24: 26 against 20 Gflop/s), so raising this to cover 9×90×90
-/// would slow small square GEMMs elsewhere.
+/// [`small_direct`]), so moving it never changes a result. The packed 4×8
+/// tile wins from ~16 rows on (24×24×24: 26 against 20 Gflop/s), so raising
+/// this would slow small square GEMMs elsewhere.
 const SMALL_MN: usize = 4 * MR * NR;
+/// Outputs of at most this many rows take the small path at any column
+/// count (with `k ≤ KC`): measured on AVX2, the small tiles win up to ~9
+/// rows at any `n`. With [`SMALL_MN`] this covers every STO-3G quartet
+/// transform, 3 rows against 50–90 ket columns and 9 rows against 20–90
+/// included.
+const SMALL_ROWS: usize = 9;
 
 /// Which microkernel implementation the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -811,7 +815,7 @@ fn run_band<K: Kernel>(
     if m_band == 0 || n == 0 || k == 0 {
         return;
     }
-    if k <= KC && m_band * n <= SMALL_MN {
+    if k <= KC && (m_band * n <= SMALL_MN || m_band <= SMALL_ROWS) {
         K::small(a, b, c, ldc, row0, (m_band, n, k), alpha, mode);
         note_counters(0, 1);
         return;
@@ -928,7 +932,8 @@ impl Chain for f32 {
 /// columns of one row, or of one column's rows when the output is a column.
 const SMALL_CHAINS: usize = 4;
 
-/// Direct (pack-free) path for small outputs (`m·n ≤ SMALL_MN`, `k ≤ KC`),
+/// Direct (pack-free) path for small outputs (`m·n ≤ SMALL_MN` or
+/// `m ≤ SMALL_ROWS`, `k ≤ KC`),
 /// with the band's row offset applied to the A reads.
 ///
 /// Each `C[i,j]` is its own chain `acc += (alpha·a[i,p])·b[p,j]` over

@@ -232,7 +232,7 @@ impl EnsembleDriver {
                     &drv.batches,
                     0..drv.batches.len(),
                     &prep.schedule,
-                    |bi| (drv.fp64_cfgs[bi], drv.quant_cfgs[bi]),
+                    |bi| drv.cfgs(bi),
                     &drv.layout,
                     prep.opts,
                 );

@@ -286,6 +286,7 @@ pub struct ScfDriver {
     pub(crate) model: CostModel,
     pub(crate) config: ScfConfig,
     pub(crate) fp64_cfgs: Vec<PipelineConfig>,
+    /// Empty unless `config.quantized`.
     pub(crate) quant_cfgs: Vec<PipelineConfig>,
     pub(crate) problem_hash: u64,
     grid: Option<MolecularGrid>,
@@ -381,15 +382,21 @@ impl ScfDriver {
         span.end();
         let model = CostModel::new(config.device.clone());
 
-        // Architecture-tuned configuration per ERI class and precision.
+        // Architecture-tuned configuration per ERI class and precision. A
+        // session that cannot quantize runs the FP64 reference schedule,
+        // which sends no quartet to a quantized kernel, so only a quantized
+        // session tunes them (`ScfDriver::cfgs`).
         let fp64_cfgs: Vec<PipelineConfig> = batches
             .iter()
             .map(|b| cache.get_or_tune(&b.class, Precision::Fp64, &model).config)
             .collect();
-        let quant_cfgs: Vec<PipelineConfig> = batches
-            .iter()
-            .map(|b| cache.get_or_tune(&b.class, Precision::Fp16, &model).config)
-            .collect();
+        let quant_cfgs: Vec<PipelineConfig> = match config.quantized {
+            true => batches
+                .iter()
+                .map(|b| cache.get_or_tune(&b.class, Precision::Fp16, &model).config)
+                .collect(),
+            false => Vec::new(),
+        };
 
         let (grid, aos) = match &config.method {
             ScfMethod::Rks(_) => {
@@ -524,6 +531,14 @@ impl ScfDriver {
             .unwrap_or_else(|| TensorStore::new(&self.batches, budget_bytes, self.config.quantized))
     }
 
+    /// Batch `bi`'s tuned (FP64, quantized) pipeline configs. A driver that
+    /// cannot quantize tuned no quantized config, and its schedule routes
+    /// no quartet to one, so its FP64 config fills that place.
+    pub(crate) fn cfgs(&self, bi: usize) -> (PipelineConfig, PipelineConfig) {
+        let fp64 = self.fp64_cfgs[bi];
+        (fp64, if self.config.quantized { self.quant_cfgs[bi] } else { fp64 })
+    }
+
     /// Execute one prepared Fock build on this driver's execution path:
     /// single simulated device, or the fault-tolerant multi-rank cluster;
     /// both hand the session's tensors to every `assemble`. The ensemble
@@ -536,7 +551,7 @@ impl ScfDriver {
         iter: usize,
         tensors: &mut TensorStore,
     ) -> Result<(JkMatrices, FockBuildStats, RecoveryLedger), ScfError> {
-        let cfg_for = |bi: usize| (self.fp64_cfgs[bi], self.quant_cfgs[bi]);
+        let cfg_for = |bi: usize| self.cfgs(bi);
         match &self.config.distributed {
             Some(dist) => {
                 // The plan's fault stream is shared across iterations; the

@@ -41,7 +41,8 @@ cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D 
 
 # Formatting is gated crate by crate as each is made rustfmt-clean; the rest
 # of the tree is not yet.
-echo "== tier1: cargo fmt --check -p mako-linalg =="
+echo "== tier1: cargo fmt --check -p mako-linalg -p mako-eri =="
 cargo fmt --check -p mako-linalg
+cargo fmt --check -p mako-eri
 
 echo "== tier1: OK =="
