@@ -90,7 +90,9 @@ fn profile(name: &str, shells: &[Shell]) {
             let (ab, cd) = (&pairs[pi].data, &pairs[qi].data);
             let l_tot = ab.l_total() + cd.l_total();
             let n = ab.degree() * cd.degree();
-            (alpha.resize(n, 0.0), ts.resize(n, 0.0), sep.resize(3 * n, 0.0));
+            alpha.resize(n, 0.0);
+            ts.resize(n, 0.0);
+            sep.resize(3 * n, 0.0);
             let mut lane = 0;
             for bra in &ab.prims {
                 for ket in &cd.prims {
@@ -109,15 +111,13 @@ fn profile(name: &str, shells: &[Shell]) {
     });
     for &(pi, qi) in &quartets {
         let (ab, cd) = (&pairs[pi].data, &pairs[qi].data);
-        let count = branches.entry(ab.l_total() + cd.l_total()).or_default();
+        let order = ab.l_total() + cd.l_total();
+        let count = branches.entry(order).or_default();
         for bra in &ab.prims {
             for ket in &cd.prims {
                 let (_, _, t) = pq_geometry(bra, ket);
-                match t > 35.0 {
-                    false => count[0] += 1,
-                    true => count[1] += 1,
-                }
-                count[2] += usize::from(t > 35.0 && t <= 746.0 && ab.l_total() + cd.l_total() > 0);
+                count[usize::from(t > 35.0)] += 1;
+                count[2] += usize::from(order > 0 && t > 35.0 && t <= 746.0);
             }
         }
     }
