@@ -361,8 +361,9 @@ mod avx2 {
                 }
                 let (mut top, mut ed) = (_mm256_setzero_pd(), _mm256_setzero_pd());
                 for k in (0..TERMS).rev() {
-                    // SAFETY: node ≤ NODES − 1 and 1 + M + k < ROW, so every
-                    // gathered index is below NODES·ROW = rows.len().
+                    // SAFETY: 0 ≤ node ≤ NODES − 1 (clamped above) and
+                    // 1 + M + k < ROW, so every gathered index lies in
+                    // [0, NODES·ROW) = [0, rows.len()).
                     let f = unsafe { _mm256_i32gather_pd::<8>(rows.as_ptr().add(1 + M + k), base) };
                     top = _mm256_add_pd(top, _mm256_mul_pd(c[k], f));
                     ed = _mm256_add_pd(ed, c[k]);

@@ -424,7 +424,7 @@ impl HermiteLanes {
         let seeds = &self.plan.seeds;
         self.boys.resize(seeds.len() * n, 0.0);
         table.eval_lanes(seeds.len() - 1, &self.t[..n], &mut self.boys);
-        // `t` is read; it holds each lane's power from here on.
+        // Every `T` is read by now: `t` holds each lane's power instead.
         let pow = &mut self.t[..n];
         pow.fill(1.0);
         for (&slot, f) in seeds.iter().zip(self.boys.chunks_exact(n)) {
