@@ -331,11 +331,10 @@ pub(crate) fn r_plan(l: usize) -> &'static RPlan {
 
 /// Struct-of-arrays workspace of one recursion plan run over independent lanes
 /// (one per primitive-pair combination of a quartet, or one per nucleus of a
-/// one-electron primitive pair): `HermiteLanes::reset` sizes it, every lane's
-/// `α`, `P − Q` and Boys values are seeded — per lane by `HermiteLanes::seed`
-/// from the caller's Boys values, or all at once by
-/// `HermiteLanes::set_geometry` per lane and one `HermiteLanes::seed_from_table`
-/// — `HermiteLanes::run` runs the recursion across all lanes at once, and
+/// one-electron primitive pair): `HermiteLanes::reset` sizes it,
+/// `HermiteLanes::set_geometry` takes every lane's `α`, `P − Q` and Boys
+/// argument, one `HermiteLanes::seed_from_table` seeds all lanes,
+/// `HermiteLanes::run` runs the recursion across all lanes at once, and
 /// `HermiteLanes::get` reads `R^{(0)}_{tuv}`. Lane `i` holds exactly the
 /// bits [`r_integrals`] returns for its inputs, whatever the lane count and
 /// its neighbours.
@@ -388,8 +387,9 @@ impl HermiteLanes {
     }
 
     /// Seed lane `lane`: `R^{(n)}_{000} = (−2α)^n F_n` from the Boys values
-    /// `boys[..=l]`, and its separation `pq = P − Q`.
-    #[inline]
+    /// `boys[..=l]`, and its separation `pq = P − Q`. The lane tests' oracle
+    /// of [`Self::seed_from_table`].
+    #[cfg(test)]
     pub(crate) fn seed(&mut self, lane: usize, alpha: f64, pq: [f64; 3], boys: &[f64]) {
         let lanes = self.lanes;
         assert!(boys.len() >= self.plan.seeds.len(), "need F_0..F_l");
@@ -418,7 +418,7 @@ impl HermiteLanes {
     /// Seed every lane from its [`Self::set_geometry`] inputs: `F_0..=F_l`
     /// of all lanes in one [`BoysTable::eval_lanes`], then
     /// `R^{(n)}_{000} = (−2α)^n F_n` slot by slot, each lane's power chain
-    /// the one [`Self::seed`] runs.
+    /// the one the test-only `seed` runs.
     pub(crate) fn seed_from_table(&mut self, table: &BoysTable) {
         let n = self.lanes;
         let seeds = &self.plan.seeds;

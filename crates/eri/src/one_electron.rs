@@ -8,12 +8,13 @@
 //!
 //! [`one_electron_matrices`] builds them in one fused pass per shell pair,
 //! with its Boys values from the shared [`BoysTable`](crate::boys::BoysTable)
-//! like every quartet. [`overlap_block`], [`kinetic_block`] and
+//! like every quartet: every nucleus of a primitive pair is one lane of a
+//! single `BoysTable::eval_lanes`. [`overlap_block`], [`kinetic_block`] and
 //! [`nuclear_block`] are the slow, one-quantity-at-a-time reference the fused
 //! pass is tested against (`nuclear_block` on the series `boys_reference`);
 //! nothing on a hot path calls them.
 
-use crate::boys::{boys_reference, shared_table, M_MAX};
+use crate::boys::{boys_reference, shared_table};
 use crate::hermite::{r_integrals, ETable, HermiteLanes};
 use mako_chem::cart::{cart_components, hermite_components_cached, ncart};
 use mako_chem::harmonics::cart_to_sph_cached;
@@ -215,7 +216,6 @@ fn fused_cart_blocks(sa: &Shell, sb: &Shell, mol: &Molecule, cut: f64, ws: &mut 
     let herm = hermite_components_cached(la + lb);
     ws.cart.iter_mut().for_each(|m| m.reset(ca.len(), cb.len()));
     let table = shared_table();
-    let mut boys = [0.0f64; M_MAX + 1];
     for (&a, &coef_a) in sa.exps.iter().zip(&sa.coefs) {
         for (&b, &coef_b) in sb.exps.iter().zip(&sb.coefs) {
             let coef = coef_a * coef_b;
@@ -233,10 +233,10 @@ fn fused_cart_blocks(sa: &Shell, sb: &Shell, mol: &Molecule, cut: f64, ws: &mut 
             for (lane, atom) in mol.atoms.iter().enumerate() {
                 let pc: [f64; 3] = std::array::from_fn(|k| pp[k] - atom.position[k]);
                 let t = p * (pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2]);
-                table.eval(la + lb, t, &mut boys);
-                ws.r.seed(lane, p, pc, &boys);
+                ws.r.set_geometry(lane, p, pc, t);
                 ws.pref[lane] = -atom.element.charge() * 2.0 * std::f64::consts::PI / p;
             }
+            ws.r.seed_from_table(table);
             ws.r.run();
             // Nuclei summed in order: the bits of adding one nucleus at a time.
             ws.r_bar.clear();

@@ -48,13 +48,12 @@
 //! when it finishes.
 //!
 //! Readers reject wrong magic, versions they don't understand (a version-3
-//! file included: recovery quarantines it and recomputes), truncated
-//! payloads, payloads failing their CRC ([`CheckpointError::Corrupt`] —
-//! bit rot the fingerprint cannot see), and checkpoints whose fingerprint
-//! disagrees with the run being resumed. Version 2 extended the
-//! fingerprint beyond gross sizes (basis
-//! size / batch population) with a `problem_hash` — a content hash of the
-//! molecule geometry, contracted shells, device kind, method, and screening
+//! file included), truncated payloads, payloads failing their CRC
+//! ([`CheckpointError::Corrupt`] — bit rot the fingerprint cannot see), and
+//! checkpoints whose fingerprint disagrees with the run being resumed.
+//! Version 2 extended the fingerprint beyond gross sizes (basis size / batch
+//! population) with a `problem_hash` — a content hash of the molecule
+//! geometry, contracted shells, device kind, method, and screening
 //! configuration (see `ScfDriver::problem_fingerprint`) — so a checkpoint
 //! from one tenant's job cannot be resumed against a *different* problem
 //! that happens to have the same matrix shapes (e.g. a slightly perturbed
@@ -64,18 +63,16 @@
 //!
 //! ## Durability
 //!
-//! All checkpoint I/O flows through a [`mako_store::Vfs`]:
 //! [`ScfCheckpoint::save`]/[`ScfCheckpoint::load`] run on the real
-//! filesystem, while `ScfCheckpoint::save_via`/[`ScfCheckpoint::load_via`]
-//! take any backend — in the durability bench, the seeded fault injector.
-//! Saves use the shared fsync-then-rename discipline of
-//! [`mako_store::write_durable`] (sibling temp file, `fsync`, atomic
-//! rename, directory sync, temp cleanup on both the error path and the next
-//! attempt), so a crash mid-save never corrupts the previous checkpoint and
-//! a completed save survives power loss. Transient IO errors are retried up
-//! to three times with capped exponential backoff before surfacing as
-//! [`CheckpointError::Io`]; an injected crash fails fast (the simulated
-//! process is dead — there is nothing to retry on).
+//! filesystem; the crate's tests drive the same save through the seeded
+//! fault backend of [`mako_store`]. Saves use the shared fsync-then-rename
+//! discipline of [`mako_store::write_durable`] (sibling temp file, `fsync`,
+//! atomic rename, directory sync, temp cleanup on both the error path and
+//! the next attempt), so a crash mid-save never corrupts the previous
+//! checkpoint and a completed save survives power loss. Transient IO errors
+//! are retried up to three times with capped exponential backoff before
+//! surfacing as [`CheckpointError::Io`]; an injected crash fails fast (the
+//! simulated process is dead — there is nothing to retry on).
 
 use crate::diis::Diis;
 use crate::error::CheckpointError;
@@ -363,12 +360,7 @@ impl ScfCheckpoint {
 
     /// Read a checkpoint back from the real filesystem.
     pub fn load(path: &Path) -> Result<ScfCheckpoint, CheckpointError> {
-        ScfCheckpoint::load_via(&RealVfs, path)
-    }
-
-    /// Read a checkpoint back from `vfs`.
-    pub fn load_via(vfs: &dyn Vfs, path: &Path) -> Result<ScfCheckpoint, CheckpointError> {
-        let bytes = vfs
+        let bytes = RealVfs
             .read(path)
             .map_err(|e| CheckpointError::Io(e.to_string()))?;
         ScfCheckpoint::from_bytes(&bytes)
@@ -732,7 +724,7 @@ mod tests {
         let path = Path::new("/ck/scf.ckpt");
         vfs.create_dir_all(Path::new("/ck")).expect("mkdir");
         ck.save_via(&vfs, path).expect("save");
-        let back = ScfCheckpoint::load_via(&vfs, path).expect("load");
+        let back = ScfCheckpoint::from_bytes(&vfs.read(path).expect("read")).expect("parse");
         assert_eq!(back, ck);
     }
 

@@ -29,10 +29,9 @@ use mako_kernels::pipeline::PipelineConfig;
 use mako_linalg::{eigh, gemm, sym_inv_sqrt_diag, LinalgError, Matrix, Transpose};
 use mako_precision::Precision;
 use mako_quant::QuantSchedule;
-use mako_store::{mix, RealVfs, Vfs};
+use mako_store::mix;
 use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Electronic-structure method.
 #[derive(Debug, Clone)]
@@ -86,29 +85,15 @@ pub struct CheckpointPolicy {
     /// iteration at which [`ScfRunOptions::kill_after`] fires whatever
     /// `every` is. 0 disables saving, the kill's save included.
     pub every: usize,
-    /// Checkpoint file path (overwritten atomically on each save).
+    /// Checkpoint file path on the real filesystem (overwritten atomically
+    /// on each save).
     pub path: PathBuf,
-    /// Storage backend the saves go through: the real filesystem unless
-    /// [`CheckpointPolicy::via`] put another one here (a server's store,
-    /// or the durability harness's seeded fault backend, where every
-    /// checkpoint write becomes an enumerable crash point).
-    pub vfs: Arc<dyn Vfs>,
 }
 
 impl CheckpointPolicy {
-    /// Save every `every` iterations to `path` on the real filesystem.
+    /// Save every `every` iterations to `path`.
     pub fn new(every: usize, path: PathBuf) -> CheckpointPolicy {
-        CheckpointPolicy {
-            every,
-            path,
-            vfs: Arc::new(RealVfs),
-        }
-    }
-
-    /// Route saves through an explicit storage backend.
-    pub fn via(mut self, vfs: Arc<dyn Vfs>) -> CheckpointPolicy {
-        self.vfs = vfs;
-        self
+        CheckpointPolicy { every, path }
     }
 }
 
@@ -1251,7 +1236,7 @@ impl<'a> ScfSession<'a> {
         if save_to.is_some() || killed {
             let ck = ScfCheckpoint::of(self.driver, iter + 1, self.state.clone());
             if let Some(p) = save_to {
-                ck.save_via(p.vfs.as_ref(), &p.path).map_err(ScfError::Checkpoint)?;
+                ck.save(&p.path).map_err(ScfError::Checkpoint)?;
             }
             // The deliberate kill, after the save, carries what it saved.
             if killed {

@@ -217,9 +217,13 @@ mod tests {
         // Another tenant is unaffected; the override tenant has more room.
         assert!(c.admit(&spec("b", PriorityClass::Batch), 0).is_ok());
         for _ in 0..5 {
-            assert!(c.admit(&spec("whale", PriorityClass::Interactive), 0).is_ok());
+            assert!(c
+                .admit(&spec("whale", PriorityClass::Interactive), 0)
+                .is_ok());
         }
-        assert!(c.admit(&spec("whale", PriorityClass::Interactive), 0).is_err());
+        assert!(c
+            .admit(&spec("whale", PriorityClass::Interactive), 0)
+            .is_err());
         // Releasing frees the slot.
         c.release("a");
         assert!(c.admit(&spec("a", PriorityClass::Batch), 0).is_ok());

@@ -176,7 +176,10 @@ impl std::fmt::Display for JobError {
                 write!(f, "attempt exceeded the {limit_seconds} s straggler bar")
             }
             JobError::Crashed => {
-                write!(f, "serve aborted by a storage crash before the job resolved")
+                write!(
+                    f,
+                    "serve aborted by a storage crash before the job resolved"
+                )
             }
             JobError::Replayed { description } => {
                 write!(f, "replayed from journal: {description}")

@@ -28,17 +28,16 @@
 //! the job. [`JournalRecord::RecoveryMark`] separates generations so a
 //! journal that survived several crashes still replays unambiguously, and
 //! [`JournalRecord::ServeEnd`] closes a serve. A job's progress (its first
-//! dispatch, its checkpoints, its yields) is not journaled: the checkpoint
-//! file is the only record of it that recovery uses.
+//! dispatch, its yields) is not journaled and not stored anywhere: a job
+//! the crash lost is recomputed from its spec, to the same bits.
 //!
 //! ## What recovery reads
 //!
 //! [`MakoServer::recover`] reads [`JournalRecord::ServeBegin`] (to refuse a
 //! journal of another workload), [`JournalRecord::RecoveryMark`] (to number
 //! its generation), [`JournalRecord::Admitted`] and the terminal outcomes,
-//! rejections included. For every admitted job without an outcome it probes
-//! the job's checkpoint path on the store: a checkpoint that validates is
-//! salvaged, any other is quarantined.
+//! rejections included. Every admitted job without an outcome runs again
+//! from iteration 0.
 //!
 //! Tags 3, 4 and 5 are retired: older binaries wrote `Started`,
 //! `Checkpointed` and `Yielded` progress records under them, each a tag and
@@ -480,7 +479,14 @@ impl Journal {
                     vec![
                         mako_trace::field("valid_bytes", valid_len),
                         mako_trace::field("dropped_bytes", bytes.len() - valid_len),
-                        mako_trace::field("tail", if tail == Tail::Torn { "torn" } else { "corrupt" }),
+                        mako_trace::field(
+                            "tail",
+                            if tail == Tail::Torn {
+                                "torn"
+                            } else {
+                                "corrupt"
+                            },
+                        ),
                     ],
                 );
             }
@@ -543,9 +549,20 @@ mod tests {
 
     fn all_records() -> Vec<JournalRecord> {
         vec![
-            JournalRecord::ServeBegin { jobs: 4, workload: 0xABCD },
-            JournalRecord::Admitted { job: 0, degraded: false },
-            JournalRecord::Rejected { job: 1, code: 1, a: 9, b: 8 },
+            JournalRecord::ServeBegin {
+                jobs: 4,
+                workload: 0xABCD,
+            },
+            JournalRecord::Admitted {
+                job: 0,
+                degraded: false,
+            },
+            JournalRecord::Rejected {
+                job: 1,
+                code: 1,
+                a: 9,
+                b: 8,
+            },
             JournalRecord::Completed {
                 job: 0,
                 energy: (-74.9630287f64).to_bits(),
@@ -571,7 +588,9 @@ mod tests {
                 retries: 0,
             },
             JournalRecord::RecoveryMark { generation: 1 },
-            JournalRecord::ServeEnd { makespan: 0.3f64.to_bits() },
+            JournalRecord::ServeEnd {
+                makespan: 0.3f64.to_bits(),
+            },
         ]
     }
 
@@ -614,7 +633,11 @@ mod tests {
         let fnv = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!((image.len(), fnv), (271, 0x2764_0d62_661d_2f1e), "journal record byte images moved");
+        assert_eq!(
+            (image.len(), fnv),
+            (271, 0x2764_0d62_661d_2f1e),
+            "journal record byte images moved"
+        );
     }
 
     #[test]
@@ -630,7 +653,11 @@ mod tests {
         // Every record cut short or padded by a byte, and the empty payload.
         for rec in all_records() {
             let mut bytes = rec.encode();
-            assert_eq!(JournalRecord::decode(&bytes[..bytes.len() - 1]), None, "{rec:?} cut");
+            assert_eq!(
+                JournalRecord::decode(&bytes[..bytes.len() - 1]),
+                None,
+                "{rec:?} cut"
+            );
             bytes.push(0);
             assert_eq!(JournalRecord::decode(&bytes), None, "{rec:?} padded");
         }
@@ -660,7 +687,8 @@ mod tests {
             j.append(rec).expect("append");
         }
         for retired in retired_payloads() {
-            vfs.append(&path, &frame(&retired)).expect("append a retired frame");
+            vfs.append(&path, &frame(&retired))
+                .expect("append a retired frame");
         }
         for rec in rest {
             j.append(rec).expect("append");
@@ -669,7 +697,11 @@ mod tests {
         let (records, tail) = j.replay_and_repair().expect("replay");
         assert_eq!(tail, Tail::Clean);
         assert_eq!(records, all);
-        assert_eq!(vfs.raw(&path).unwrap(), written, "replay rewrote the journal");
+        assert_eq!(
+            vfs.raw(&path).unwrap(),
+            written,
+            "replay rewrote the journal"
+        );
 
         // A retired tag at any other length was never written: corruption,
         // and the valid prefix ends before it.
@@ -681,7 +713,11 @@ mod tests {
         let (records, tail) = j.replay_and_repair().expect("replay");
         assert_eq!(tail, Tail::Corrupt);
         assert_eq!(records, all);
-        assert_eq!(vfs.raw(&path).unwrap(), written, "the prefix before the bad frame is kept");
+        assert_eq!(
+            vfs.raw(&path).unwrap(),
+            written,
+            "the prefix before the bad frame is kept"
+        );
     }
 
     #[test]

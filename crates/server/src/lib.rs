@@ -11,13 +11,14 @@
 //!   preemption quantum before it rejects anything, and never sheds the
 //!   interactive tier.
 //! * **Checkpoint-backed preemption** ([`server`]) — batch jobs run in
-//!   iteration-bounded quanta, persist an [`mako_scf::ScfCheckpoint`] at
-//!   each boundary, and yield the worker; the resumed trajectory is bitwise
-//!   identical to the uninterrupted one, so scheduling policy can never
-//!   change chemistry.
+//!   iteration-bounded quanta, yield the worker at each boundary and keep
+//!   the [`mako_scf::ScfCheckpoint`] the kill hands back in memory; the
+//!   resumed trajectory is bitwise identical to the uninterrupted one, so
+//!   scheduling policy can never change chemistry. A serve writes no
+//!   checkpoint file: a job a crash lost is recomputed from its spec.
 //! * **Deadlines, timeouts, retries** — every job carries an optional
 //!   deadline; straggling attempts are killed at a configurable bar; faulted
-//!   attempts retry from the last acknowledged checkpoint under capped
+//!   attempts retry from the job's last resume point under capped
 //!   exponential backoff. Every failure mode is a typed
 //!   [`JobOutcome`] / [`JobError`] — the serving layer never panics on a
 //!   tenant's job.
@@ -25,10 +26,10 @@
 //!   promoted across requests (size-bounded, LRU, eviction counter) and
 //!   tuned kernels memoized, amortizing cold-start wall time without
 //!   touching results.
-//! * **Chaos harness** ([`chaos`]) — seeded worker deaths, checkpoint-write
-//!   failures, straggler slowdowns, and poisoned Fock builds, with the
-//!   pinned invariant that every *completed* job's energy is bitwise
-//!   identical to a quiet solo run of the same spec.
+//! * **Chaos harness** ([`chaos`]) — seeded worker deaths, straggler
+//!   slowdowns, and poisoned Fock builds, with the pinned invariant that
+//!   every *completed* job's energy is bitwise identical to a quiet solo
+//!   run of the same spec.
 //!
 //! The scheduler itself is a discrete-event simulation on a virtual clock
 //! (simulated device seconds), so an entire multi-tenant, fault-riddled
@@ -43,7 +44,7 @@
 //!     JobSpec::new("alice", PriorityClass::Interactive, mako_chem::builders::water()),
 //!     JobSpec::new("bob", PriorityClass::Batch, mako_chem::builders::methane()),
 //! ];
-//! // A worker dies mid-run; the affected job retries from its checkpoint.
+//! // A worker dies mid-run; the affected job retries from its last resume point.
 //! let chaos = ServerChaos::quiet(2).kill_worker(1, 0.5);
 //! let report = server.serve(&jobs, &chaos);
 //! assert_eq!(report.ledger.completed, 2);

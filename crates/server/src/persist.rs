@@ -126,7 +126,11 @@ mod tests {
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv), (18104, 0xd988_7c30_d254_6599), "screen artifact byte image moved");
+        assert_eq!(
+            (bytes.len(), fnv),
+            (18104, 0xd988_7c30_d254_6599),
+            "screen artifact byte image moved"
+        );
         let back = decode_pairs(&bytes).expect("decode");
         assert_eq!(back.len(), pairs.len());
         for (a, b) in pairs.iter().zip(&back) {
@@ -136,7 +140,10 @@ mod tests {
             for (pa, pb) in a.data.prims.iter().zip(&b.data.prims) {
                 assert_eq!(pa.p.to_bits(), pb.p.to_bits());
             }
-            assert_eq!((a.data.e.rows(), a.data.e.cols()), (b.data.e.rows(), b.data.e.cols()));
+            assert_eq!(
+                (a.data.e.rows(), a.data.e.cols()),
+                (b.data.e.rows(), b.data.e.cols())
+            );
             for (x, y) in a.data.e.as_slice().iter().zip(b.data.e.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "bitwise matrix payload");
             }

@@ -15,42 +15,38 @@
 //!
 //! # Preemption
 //!
-//! Batch and best-effort jobs run in **checkpoint-backed quanta**: each
-//! dispatch executes at most `quantum_iterations` SCF iterations (the
-//! degraded quantum under load) and requeues. The quantum ends with its
-//! state in memory: the SCF kill at the boundary hands back the
-//! [`ScfCheckpoint`] the job resumes from. The same checkpoint is also
-//! written to disk at the boundary (and every few iterations in between),
-//! but only for crash salvage: [`MakoServer::recover`] and a faulted
-//! attempt read it, a yield never does. Interactive jobs run to
-//! completion. Because a preempted job resumes from its checkpoint
-//! bitwise-identically, preemption is invisible in the numbers — it only
-//! moves time.
+//! Batch and best-effort jobs run in quanta: each dispatch executes at
+//! most `quantum_iterations` SCF iterations (the degraded quantum under
+//! load) and requeues. The quantum ends with its state in memory: the SCF
+//! kill at the boundary hands back the [`ScfCheckpoint`] the job resumes
+//! from. Interactive jobs run to completion. Because a preempted job
+//! resumes from its checkpoint bitwise-identically, preemption is invisible
+//! in the numbers — it only moves time.
+//!
+//! A serve writes no checkpoint file. The SCF is a deterministic function
+//! of its spec, so a job a crash lost is recomputed from iteration 0 by
+//! [`MakoServer::recover`], to the same bits.
 //!
 //! # Fault containment
 //!
-//! Worker deaths, straggler timeouts, checkpoint-write failures, and
-//! poisoned Fock builds (all injected by [`ServerChaos`]) void the attempt
-//! they strike: the job's in-memory resume state is untouched, the fault is
-//! recorded as a typed [`JobError`], and the job retries under capped
-//! exponential backoff from the last acknowledged checkpoint. A fault never
-//! panics and never leaks into another job's numbers — the chaos invariant
-//! (completed energy bitwise equal to a quiet solo run) holds because a
-//! voided attempt contributes nothing but virtual time.
+//! Worker deaths, straggler timeouts and poisoned Fock builds (all injected
+//! by [`ServerChaos`]) void the attempt they strike: the job's in-memory
+//! resume state is untouched, the fault is recorded as a typed
+//! [`JobError`], and the job retries under capped exponential backoff from
+//! its last resume point. A fault never panics and never leaks into another
+//! job's numbers — the chaos invariant (completed energy bitwise equal to a
+//! quiet solo run) holds because a voided attempt contributes nothing but
+//! virtual time.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mako_chem::Element;
 use mako_accel::fault::backoff_seconds;
 use mako_accel::DeviceClock;
+use mako_chem::Element;
 use mako_compiler::KernelCache;
-use mako_scf::{
-    CheckpointError, CheckpointPolicy, ScfCheckpoint, ScfDriver, ScfError, ScfResult,
-    ScfRunOptions,
-};
-use mako_store::{ArtifactStore, RealVfs, Vfs, VfsError};
+use mako_scf::{ScfCheckpoint, ScfDriver, ScfError, ScfResult, ScfRunOptions};
+use mako_store::{ArtifactStore, Vfs, VfsError};
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::cache::{ArtifactKey, ScreenCache};
@@ -61,11 +57,6 @@ use crate::journal::{workload_hash, Journal, JournalRecord};
 /// The shorter quantum, SCF iterations per dispatch, batch jobs get when
 /// admitted under pressure.
 const DEGRADED_QUANTUM_ITERATIONS: usize = 2;
-/// Iterations between the salvage checkpoints of a running job. A quantum
-/// boundary saves whatever this is (the kill saves, though the yield itself
-/// reads nothing back), so this only bounds what a crash mid-quantum, or
-/// mid-run for an interactive job, loses.
-const CHECKPOINT_EVERY: usize = 4;
 /// Faulted attempts retried before a job fails.
 const MAX_RETRIES: u32 = 3;
 /// Screening-pair cache bound, entries.
@@ -81,8 +72,9 @@ pub struct ServerConfig {
     /// Straggler bar: attempts running longer than this (virtual seconds)
     /// are killed and retried. `INFINITY` disables the bar.
     pub attempt_timeout: f64,
-    /// Directory for the salvage checkpoints of a server without a store
-    /// (a store-backed server writes them under its store root instead).
+    /// Read by nothing: a serve writes no checkpoint file. The benchmark's
+    /// `server_config` still sets it; ROADMAP item 12's benchmark change
+    /// deletes that and then this field.
     pub checkpoint_dir: PathBuf,
     /// Admission control knobs.
     pub admission: AdmissionConfig,
@@ -123,8 +115,6 @@ pub struct ServeLedger {
     pub quanta: usize,
     /// Workers permanently lost.
     pub worker_deaths: usize,
-    /// Simulated checkpoint-write failures.
-    pub ckpt_write_faults: usize,
     /// Attempts killed at the straggler bar.
     pub timeouts: usize,
     /// Admission state-machine transitions.
@@ -185,8 +175,8 @@ impl MakoServer {
         }
     }
 
-    /// A server whose checkpoints, write-ahead journal, and artifact cache
-    /// all live under `root` on `vfs`. This is what makes a serve
+    /// A server whose write-ahead journal and artifact cache live under
+    /// `root` on `vfs`. This is what makes a serve
     /// *recoverable*: every scheduling decision is journaled before it
     /// takes effect, so a crash at any write leaves a durable prefix
     /// [`MakoServer::recover`] can finish the run from.
@@ -277,11 +267,10 @@ impl MakoServer {
     /// crash, process death). Replays the durable journal prefix, re-seats
     /// every decision it records — admissions stand, rejected jobs stay
     /// rejected, terminal outcomes are reconstructed **bitwise** without
-    /// re-running an iteration — salvages per-job checkpoints where they
-    /// validate (quarantining the ones that don't), and re-runs only the
-    /// work the crash actually lost. Completed energies are bitwise
-    /// identical to a quiet uninterrupted run; virtual timing restarts
-    /// (the clock died with the process).
+    /// re-running an iteration — and re-runs every admitted job without an
+    /// outcome from iteration 0. Completed energies are bitwise identical
+    /// to a quiet uninterrupted run; virtual timing restarts (the clock
+    /// died with the process).
     ///
     /// `specs` must be the same workload the crashed serve ran
     /// (`workload_hash` is checked against the journal's `ServeBegin`).
@@ -362,64 +351,15 @@ impl MakoServer {
         sim.arrivals.retain(|&id| sim.outcomes[id].is_none());
         sim.seed_admitted = seed_admitted;
 
-        // Salvage on-disk checkpoints for admitted-but-unfinished jobs: a
-        // valid one shrinks the replay; a corrupt or mismatched one is
-        // quarantined and the job recomputes from scratch — never consumed.
-        let mut salvaged = 0usize;
-        for (id, spec) in specs.iter().enumerate() {
-            if sim.outcomes[id].is_some() || sim.seed_admitted[id].is_none() {
-                continue;
-            }
-            let path = sim.jobs[id].ckpt_path.clone();
-            if !ctx.vfs.exists(&path) {
-                continue;
-            }
-            let Ok(driver) = self.build_driver(spec) else {
-                continue;
-            };
-            // The driver is the job's whatever its checkpoint says.
-            sim.jobs[id].driver = Some(driver);
-            match sim.load_valid_ckpt(id, 0) {
-                Some(ckpt) => {
-                    mako_trace::instant(
-                        "recover",
-                        "salvage",
-                        vec![
-                            mako_trace::field("job", id),
-                            mako_trace::field("next_iteration", ckpt.next_iteration),
-                        ],
-                    );
-                    sim.jobs[id].resume = Some(ckpt);
-                    salvaged += 1;
-                }
-                None => {
-                    let mut name = path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default();
-                    name.push_str(".quarantine");
-                    let qpath = path.with_file_name(name);
-                    if ctx.vfs.rename(&path, &qpath).is_err() {
-                        let _ = ctx.vfs.remove(&path);
-                    }
-                    mako_trace::instant(
-                        "store",
-                        "quarantine",
-                        vec![
-                            mako_trace::field("kind", "checkpoint"),
-                            mako_trace::field("fault", "invalid"),
-                        ],
-                    );
-                }
-            }
-        }
         mako_trace::instant(
             "recover",
             "serve",
             vec![
                 mako_trace::field("generation", generation),
-                mako_trace::field("resolved", sim.outcomes.iter().filter(|o| o.is_some()).count()),
-                mako_trace::field("salvaged", salvaged),
+                mako_trace::field(
+                    "resolved",
+                    sim.outcomes.iter().filter(|o| o.is_some()).count(),
+                ),
             ],
         );
         sim.run();
@@ -460,8 +400,13 @@ impl MakoServer {
                 }
             }
         }
-        let driver =
-            ScfDriver::try_new_with_artifacts(&spec.molecule, &basis, config, &self.kernels, pairs)?;
+        let driver = ScfDriver::try_new_with_artifacts(
+            &spec.molecule,
+            &basis,
+            config,
+            &self.kernels,
+            pairs,
+        )?;
         if !memory_hit {
             if !disk_hit {
                 if let Some(ctx) = self.store.as_ref() {
@@ -485,7 +430,6 @@ struct JobState {
     /// Last acknowledged checkpoint — the in-memory source of truth a
     /// voided attempt falls back to.
     resume: Option<Box<ScfCheckpoint>>,
-    ckpt_path: PathBuf,
     retries: u32,
     preemptions: usize,
     quanta: usize,
@@ -517,11 +461,8 @@ enum AttemptEnd {
     Done(Box<ScfResult>),
     /// Quantum boundary: adopt the checkpoint the kill carried and requeue.
     Yield(Box<ScfCheckpoint>),
-    /// The attempt was voided or errored; maybe salvage partial progress.
-    Fault {
-        error: JobError,
-        salvage: Option<Box<ScfCheckpoint>>,
-    },
+    /// The attempt was voided or errored; the job retries from `resume`.
+    Fault(JobError),
 }
 
 struct Pending {
@@ -537,8 +478,6 @@ struct Worker {
     pending: Option<Pending>,
     /// Quanta dispatched on this worker (the death-schedule index).
     quanta_run: usize,
-    /// Checkpoint-adoption draws consumed (the ckpt-fault stream index).
-    saves: u64,
 }
 
 struct ReadyEntry {
@@ -561,9 +500,6 @@ struct Sim<'a> {
     adm: AdmissionController,
     ledger: ServeLedger,
     clock: f64,
-    /// Where every checkpoint byte goes: the store's backend, or the real
-    /// filesystem under `checkpoint_dir` for a server without a store.
-    vfs: Arc<dyn Vfs>,
     /// The write-ahead journal (store-backed serves only).
     journal: Option<Journal>,
     /// A storage crash fired: the simulated process is dead. The run loop
@@ -582,32 +518,12 @@ struct Sim<'a> {
 
 impl<'a> Sim<'a> {
     fn new(server: &'a MakoServer, chaos: &'a ServerChaos, specs: &[JobSpec]) -> Sim<'a> {
-        // Store-backed serves use stable names so recovery can find (and
-        // salvage) the files; a server without a store writes under
-        // `checkpoint_dir` with names that stay collision-proof across
-        // processes.
-        let (vfs, dir, prefix): (Arc<dyn Vfs>, _, _) = match &server.store {
-            Some(ctx) => (ctx.vfs.clone(), ctx.root.clone(), String::new()),
-            None => {
-                // Process-wide, not per server: two servers in one process
-                // share `checkpoint_dir`, and a serve adopts (and deletes)
-                // any checkpoint at its job's path whose fingerprint matches.
-                static SERVE_SEQ: AtomicUsize = AtomicUsize::new(0);
-                let seq = SERVE_SEQ.fetch_add(1, Ordering::Relaxed);
-                let dir = server.config.checkpoint_dir.clone();
-                let _ = RealVfs.create_dir_all(&dir);
-                let prefix = format!("serve{}-{seq}-", std::process::id());
-                (Arc::new(RealVfs), dir, prefix)
-            }
-        };
         let jobs: Vec<JobState> = specs
             .iter()
-            .enumerate()
-            .map(|(id, spec)| JobState {
+            .map(|spec| JobState {
                 spec: spec.clone(),
                 driver: None,
                 resume: None,
-                ckpt_path: dir.join(format!("{prefix}job{id}.ckpt")),
                 retries: 0,
                 preemptions: 0,
                 quanta: 0,
@@ -631,7 +547,6 @@ impl<'a> Sim<'a> {
                 dead: false,
                 pending: None,
                 quanta_run: 0,
-                saves: 0,
             })
             .collect();
         Sim {
@@ -647,7 +562,6 @@ impl<'a> Sim<'a> {
             adm: AdmissionController::new(server.config.admission.clone()),
             ledger: ServeLedger::default(),
             clock: 0.0,
-            vfs,
             journal: None,
             aborted: false,
             journal_dead: false,
@@ -683,7 +597,11 @@ impl<'a> Sim<'a> {
         if self.aborted {
             return true;
         }
-        self.aborted = self.vfs.crashed();
+        self.aborted = self
+            .server
+            .store
+            .as_ref()
+            .is_some_and(|ctx| ctx.vfs.crashed());
         self.aborted
     }
 
@@ -743,11 +661,7 @@ impl<'a> Sim<'a> {
             }
         }
         // A backoff expiry only matters if a worker could pick the job up.
-        if self
-            .workers
-            .iter()
-            .any(|w| !w.dead && w.pending.is_none())
-        {
+        if self.workers.iter().any(|w| !w.dead && w.pending.is_none()) {
             for e in &self.ready {
                 if e.ready_at > self.clock {
                     fold(e.ready_at);
@@ -945,20 +859,14 @@ impl<'a> Sim<'a> {
             // The worker dies mid-quantum; the attempt is voided whatever
             // it computed.
             (
-                AttemptEnd::Fault {
-                    error: JobError::WorkerLost { worker: w },
-                    salvage: None,
-                },
+                AttemptEnd::Fault(JobError::WorkerLost { worker: w }),
                 0.5 * dt_slow,
             )
         } else if dt_slow > cfg.attempt_timeout {
             (
-                AttemptEnd::Fault {
-                    error: JobError::AttemptTimeout {
-                        limit_seconds: cfg.attempt_timeout,
-                    },
-                    salvage: None,
-                },
+                AttemptEnd::Fault(JobError::AttemptTimeout {
+                    limit_seconds: cfg.attempt_timeout,
+                }),
                 cfg.attempt_timeout,
             )
         } else {
@@ -991,9 +899,7 @@ impl<'a> Sim<'a> {
             self.chaos.poison_for(id)
         };
         let opts = ScfRunOptions {
-            checkpoint: Some(
-                CheckpointPolicy::new(CHECKPOINT_EVERY, job.ckpt_path.clone()).via(self.vfs.clone()),
-            ),
+            checkpoint: None,
             resume: job.resume.as_deref().cloned(),
             kill_after: quantum.map(|q| start_iter + q),
             poison_fock: poison,
@@ -1005,26 +911,8 @@ impl<'a> Sim<'a> {
                 (AttemptEnd::Done(Box::new(res)), dt)
             }
             Err(ScfError::Killed(ckpt)) => {
-                // Quantum boundary: yield the state the kill carries, unless
-                // the chaos schedule says this quantum's checkpoint write
-                // was lost.
+                // Quantum boundary: yield the state the kill carries.
                 let dt = segment_seconds(&ckpt.state.clock, start_iter);
-                let save = self.workers[w].saves;
-                self.workers[w].saves += 1;
-                if self.chaos.checkpoint_write_fails(w, save) {
-                    self.ledger.ckpt_write_faults += 1;
-                    self.fault_event(id, w, "ckpt_write");
-                    let error = JobError::Scf(ScfError::Checkpoint(CheckpointError::Io(
-                        "simulated checkpoint write failure".to_string(),
-                    )));
-                    return (
-                        AttemptEnd::Fault {
-                            error,
-                            salvage: None,
-                        },
-                        dt,
-                    );
-                }
                 (AttemptEnd::Yield(ckpt), dt)
             }
             Err(e) => {
@@ -1032,40 +920,11 @@ impl<'a> Sim<'a> {
                     self.jobs[id].poison_spent = true;
                 }
                 self.fault_event(id, w, "scf_error");
-                // Salvage: iterations the attempt completed before the error
-                // are on disk; adopting them is safe (same trajectory
-                // prefix) and shrinks the replay.
-                let salvage = self.load_valid_ckpt(id, start_iter);
-                let dt = salvage
-                    .as_ref()
-                    .map(|c| segment_seconds(&c.state.clock, start_iter))
-                    .unwrap_or(0.0);
-                (
-                    AttemptEnd::Fault {
-                        error: JobError::Scf(e),
-                        salvage,
-                    },
-                    dt,
-                )
+                // The iterations the attempt ran are voided: the retry
+                // replays them from the last resume point, to the same bits.
+                (AttemptEnd::Fault(JobError::Scf(e)), 0.0)
             }
         }
-    }
-
-    /// Load the job's on-disk checkpoint if it exists, fingerprints match
-    /// this job's problem, and it is ahead of `start_iter`: the salvage of a
-    /// faulted attempt, and of a crashed serve in [`MakoServer::recover`].
-    fn load_valid_ckpt(&self, id: JobId, start_iter: usize) -> Option<Box<ScfCheckpoint>> {
-        let job = &self.jobs[id];
-        let driver = job.driver.as_ref()?;
-        let ckpt = ScfCheckpoint::load_via(self.vfs.as_ref(), &job.ckpt_path).ok()?;
-        ckpt.validate(
-            driver.nao(),
-            driver.nbatches(),
-            driver.nquartets(),
-            driver.problem_fingerprint(),
-        )
-        .ok()?;
-        (ckpt.next_iteration > start_iter).then(|| Box::new(ckpt))
     }
 
     /// Resolve a worker's pending attempt at its completion instant.
@@ -1128,12 +987,7 @@ impl<'a> Sim<'a> {
                     ready_at: self.clock,
                 });
             }
-            AttemptEnd::Fault { error, salvage } => {
-                if let Some(ckpt) = salvage {
-                    self.jobs[id].resume = Some(ckpt);
-                }
-                self.retry_or_fail(id, error);
-            }
+            AttemptEnd::Fault(error) => self.retry_or_fail(id, error),
         }
     }
 
@@ -1186,8 +1040,7 @@ impl<'a> Sim<'a> {
 
     /// Record a job's terminal outcome; `admitted` releases its tenant slot.
     fn finish(&mut self, id: JobId, outcome: JobOutcome, admitted: bool) {
-        // Write-ahead: the outcome is durable before the checkpoint that
-        // could reproduce it is deleted.
+        // Write-ahead: the outcome is durable before it takes effect.
         if let Some(rec) = JournalRecord::terminal_for(id as u64, &outcome) {
             self.jappend(&rec);
         }
@@ -1209,7 +1062,6 @@ impl<'a> Sim<'a> {
             let tenant = self.jobs[id].spec.tenant.clone();
             self.adm.release(&tenant);
         }
-        let _ = self.vfs.remove(&self.jobs[id].ckpt_path);
         self.outcomes[id] = Some(outcome);
         // Pairs, batches, tuned configurations, grid and any parked tensor
         // store go with the job, not with the serve.
@@ -1320,17 +1172,18 @@ impl<'a> Sim<'a> {
 /// (iterations before that belong to earlier attempts).
 fn segment_seconds(clock: &DeviceClock, start_iter: usize) -> f64 {
     let ledgers = clock.iterations();
-    ledgers[start_iter.min(ledgers.len())..].iter().map(|l| l.total_seconds).sum()
+    ledgers[start_iter.min(ledgers.len())..]
+        .iter()
+        .map(|l| l.total_seconds)
+        .sum()
 }
 
 /// Whether a fault class is worth retrying. Worker loss, straggler
-/// timeouts, checkpoint IO, and non-finite (poisoned) Fock builds are
-/// transient; everything else is a property of the problem and retrying
-/// cannot fix it.
+/// timeouts and non-finite (poisoned) Fock builds are transient; everything
+/// else is a property of the problem and retrying cannot fix it.
 fn retryable(e: &JobError) -> bool {
     match e {
         JobError::Scf(ScfError::NonFinite { .. }) => true,
-        JobError::Scf(ScfError::Checkpoint(_)) => true,
         JobError::Scf(_) => false,
         JobError::WorkerLost { .. } => true,
         JobError::AttemptTimeout { .. } => true,
@@ -1348,13 +1201,6 @@ mod tests {
     use crate::chaos::ServerChaos;
     use crate::job::PriorityClass;
     use mako_chem::builders;
-
-    fn tmp_config() -> ServerConfig {
-        ServerConfig {
-            checkpoint_dir: std::env::temp_dir().join("mako-server-unit"),
-            ..ServerConfig::default()
-        }
-    }
 
     fn energy(outcome: &JobOutcome) -> f64 {
         outcome.energy().expect("completed job")
@@ -1376,17 +1222,8 @@ mod tests {
     }
 
     #[test]
-    fn fresh_servers_in_one_process_get_disjoint_checkpoint_paths() {
-        let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
-        let chaos = ServerChaos::quiet(1);
-        let (a, b) = (MakoServer::new(tmp_config()), MakoServer::new(tmp_config()));
-        let (sim_a, sim_b) = (Sim::new(&a, &chaos, &specs), Sim::new(&b, &chaos, &specs));
-        assert_ne!(sim_a.jobs[0].ckpt_path, sim_b.jobs[0].ckpt_path);
-    }
-
-    #[test]
     fn quiet_serve_matches_solo_bitwise() {
-        let server = MakoServer::new(tmp_config());
+        let server = MakoServer::default();
         let specs = vec![
             JobSpec::new("a", PriorityClass::Batch, builders::water()),
             JobSpec::new("b", PriorityClass::Interactive, builders::methane()).at(0.0),
@@ -1408,7 +1245,7 @@ mod tests {
     fn batch_yields_to_interactive_within_one_quantum() {
         let server = MakoServer::new(ServerConfig {
             workers: 1,
-            ..tmp_config()
+            ..ServerConfig::default()
         });
         // The batch job arrives first and hogs the only worker; the
         // interactive job lands mid-run and must start within a quantum.
@@ -1444,7 +1281,7 @@ mod tests {
     fn a_finished_job_holds_no_driver() {
         let server = MakoServer::new(ServerConfig {
             workers: 1,
-            ..tmp_config()
+            ..ServerConfig::default()
         });
         let specs = vec![
             JobSpec::new("bulk", PriorityClass::Batch, builders::water()),
@@ -1453,27 +1290,35 @@ mod tests {
         let chaos = ServerChaos::quiet(1);
         let mut sim = Sim::new(&server, &chaos, &specs);
         sim.run();
-        assert!(sim.outcomes.iter().all(Option::is_some), "every job finished");
-        assert!(sim.jobs.iter().all(|j| j.driver.is_none()), "a finished job kept its driver");
+        assert!(
+            sim.outcomes.iter().all(Option::is_some),
+            "every job finished"
+        );
+        assert!(
+            sim.jobs.iter().all(|j| j.driver.is_none()),
+            "a finished job kept its driver"
+        );
         let report = sim.into_report();
         assert_eq!(report.ledger.completed, 2);
-        assert!(report.ledger.preemptions >= 1, "the batch job must have yielded");
+        assert!(
+            report.ledger.preemptions >= 1,
+            "the batch job must have yielded"
+        );
     }
 
     #[test]
     fn a_degraded_batch_job_yields_on_its_own_boundary_checkpoints() {
         use mako_store::FaultVfs;
         // A soft cap of 0 admits every batch job degraded: quanta of 2
-        // iterations, boundaries that are no multiple of the cadence.
+        // iterations.
         let config = ServerConfig {
             workers: 1,
             admission: AdmissionConfig {
                 queue_soft_cap: 0,
                 ..AdmissionConfig::default()
             },
-            ..tmp_config()
+            ..ServerConfig::default()
         };
-        assert!(!DEGRADED_QUANTUM_ITERATIONS.is_multiple_of(CHECKPOINT_EVERY));
         let server = MakoServer::with_store(
             config,
             Arc::new(FaultVfs::quiet()) as Arc<dyn Vfs>,
@@ -1482,10 +1327,15 @@ mod tests {
         .expect("store");
         let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
         let report = server.serve_quiet(&specs);
-        let rep = report.outcomes[0].report().expect("the degraded job completed");
+        let rep = report.outcomes[0]
+            .report()
+            .expect("the degraded job completed");
         let solo = server.run_solo(&specs[0]).expect("solo");
-        assert_eq!(rep.retries, 0, "every boundary had its checkpoint");
-        assert_eq!(rep.quanta, solo.iterations.div_ceil(DEGRADED_QUANTUM_ITERATIONS));
+        assert_eq!(rep.retries, 0, "a quiet serve retries nothing");
+        assert_eq!(
+            rep.quanta,
+            solo.iterations.div_ceil(DEGRADED_QUANTUM_ITERATIONS)
+        );
         assert_eq!(rep.energy.to_bits(), solo.energy.to_bits());
         assert_eq!(rep.iterations, solo.iterations);
         // The serve adds up the solo run's iteration seconds one quantum at
@@ -1498,28 +1348,34 @@ mod tests {
     }
 
     #[test]
-    fn a_store_backed_serve_creates_no_checkpoint_dir() {
-        use mako_store::FaultVfs;
+    fn a_storeless_serve_touches_no_file() {
         let dir = std::env::temp_dir().join(format!("mako-server-unused-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = ServerConfig {
+        let server = MakoServer::new(ServerConfig {
+            workers: 1,
             checkpoint_dir: dir.clone(),
             ..ServerConfig::default()
-        };
-        let server = MakoServer::with_store(
-            config,
-            Arc::new(FaultVfs::quiet()) as Arc<dyn Vfs>,
-            PathBuf::from("/srv"),
-        )
-        .expect("store");
-        let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
-        assert_eq!(server.serve_quiet(&specs).ledger.completed, 1);
-        assert!(!dir.exists(), "a store-backed serve created {}", dir.display());
+        });
+        let specs = vec![
+            JobSpec::new("bulk", PriorityClass::Batch, builders::water()),
+            JobSpec::new("ui", PriorityClass::Interactive, builders::methane()).at(1e-6),
+        ];
+        let report = server.serve_quiet(&specs);
+        assert_eq!(report.ledger.completed, 2);
+        assert!(
+            report.ledger.preemptions >= 1,
+            "the batch job must have yielded"
+        );
+        assert!(
+            !dir.exists(),
+            "a store-less serve created {}",
+            dir.display()
+        );
     }
 
     #[test]
     fn worker_death_is_contained_and_bitwise_safe() {
-        let server = MakoServer::new(tmp_config());
+        let server = MakoServer::default();
         let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
         let chaos = ServerChaos::quiet(2).kill_worker(0, 0.0);
         let report = server.serve(&specs, &chaos);
@@ -1532,38 +1388,40 @@ mod tests {
 
     #[test]
     fn poison_is_retried_clean_and_bitwise_safe() {
-        let server = MakoServer::new(tmp_config());
+        let server = MakoServer::default();
         let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
         let chaos = ServerChaos::quiet(2).with_poison(0, 2);
         let report = server.serve(&specs, &chaos);
-        let rep = report.outcomes[0].report().expect("job survived the poison");
+        let rep = report.outcomes[0]
+            .report()
+            .expect("job survived the poison");
         assert!(rep.retries >= 1);
         let solo = server.run_solo(&specs[0]).expect("solo");
         assert_eq!(rep.energy.to_bits(), solo.energy.to_bits());
     }
 
     #[test]
-    fn persistent_ckpt_faults_fail_typed_not_panic() {
-        let server = MakoServer::new(tmp_config());
+    fn persistent_timeouts_fail_typed_after_every_retry() {
+        // A zero straggler bar times out every attempt, the retries included.
+        let server = MakoServer::new(ServerConfig {
+            attempt_timeout: 0.0,
+            ..ServerConfig::default()
+        });
         let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
-        let chaos = ServerChaos::quiet(2).with_ckpt_io_rate(1.0);
-        let report = server.serve(&specs, &chaos);
+        let report = server.serve_quiet(&specs);
         match &report.outcomes[0] {
             JobOutcome::Failed { error, retries } => {
-                assert!(
-                    matches!(error, JobError::Scf(ScfError::Checkpoint(_))),
-                    "expected a typed checkpoint error, got {error:?}"
-                );
+                assert_eq!(*error, JobError::AttemptTimeout { limit_seconds: 0.0 });
                 assert_eq!(*retries, MAX_RETRIES);
             }
             other => panic!("expected typed failure, got {other:?}"),
         }
-        assert!(report.ledger.ckpt_write_faults > 0);
+        assert_eq!(report.ledger.timeouts, MAX_RETRIES as usize + 1);
     }
 
     #[test]
     fn coincident_nuclei_fail_typed_without_a_retry() {
-        let server = MakoServer::new(tmp_config());
+        let server = MakoServer::default();
         let mut mol = builders::water();
         let o = mol.atoms[0];
         mol.atoms.push(o);
@@ -1573,7 +1431,10 @@ mod tests {
             JobOutcome::Failed { error, retries } => {
                 assert_eq!(
                     *error,
-                    JobError::Scf(ScfError::CoincidentAtoms { first: 0, second: 3 })
+                    JobError::Scf(ScfError::CoincidentAtoms {
+                        first: 0,
+                        second: 3
+                    })
                 );
                 assert_eq!(*retries, 0, "a malformed molecule is not a transient fault");
             }
@@ -1584,10 +1445,9 @@ mod tests {
 
     #[test]
     fn impossible_deadline_is_reported_not_run_forever() {
-        let server = MakoServer::new(tmp_config());
-        let specs = vec![
-            JobSpec::new("a", PriorityClass::Batch, builders::water()).with_deadline(1e-12)
-        ];
+        let server = MakoServer::default();
+        let specs =
+            vec![JobSpec::new("a", PriorityClass::Batch, builders::water()).with_deadline(1e-12)];
         let report = server.serve_quiet(&specs);
         match &report.outcomes[0] {
             JobOutcome::DeadlineExceeded {
@@ -1599,13 +1459,15 @@ mod tests {
 
     #[test]
     fn losing_every_worker_fails_queued_jobs_typed() {
-        let server = MakoServer::new(tmp_config());
+        let server = MakoServer::default();
         let specs = vec![
             JobSpec::new("a", PriorityClass::Batch, builders::water()),
             JobSpec::new("a", PriorityClass::Batch, builders::methane()),
             JobSpec::new("b", PriorityClass::Batch, builders::ammonia()).at(1e3),
         ];
-        let chaos = ServerChaos::quiet(2).kill_worker(0, 0.0).kill_worker(1, 0.0);
+        let chaos = ServerChaos::quiet(2)
+            .kill_worker(0, 0.0)
+            .kill_worker(1, 0.0);
         let report = server.serve(&specs, &chaos);
         assert_eq!(report.ledger.completed, 0);
         for outcome in &report.outcomes {
@@ -1630,7 +1492,7 @@ mod tests {
         // crash a fresh one halfway through and recover it.
         let probe_vfs = Arc::new(FaultVfs::quiet());
         let probe = MakoServer::with_store(
-            tmp_config(),
+            ServerConfig::default(),
             probe_vfs.clone() as Arc<dyn Vfs>,
             PathBuf::from("/srv"),
         )
@@ -1643,7 +1505,7 @@ mod tests {
 
         let vfs = Arc::new(FaultVfs::new(FaultProfile::crash_at(7, total_ops / 2)));
         let server = MakoServer::with_store(
-            tmp_config(),
+            ServerConfig::default(),
             vfs.clone() as Arc<dyn Vfs>,
             PathBuf::from("/srv"),
         )
@@ -1669,7 +1531,7 @@ mod tests {
         use mako_store::FaultVfs;
         let vfs = Arc::new(FaultVfs::quiet());
         let server = MakoServer::with_store(
-            tmp_config(),
+            ServerConfig::default(),
             vfs as Arc<dyn Vfs>,
             PathBuf::from("/srv"),
         )
@@ -1693,7 +1555,7 @@ mod tests {
         let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
 
         let first = MakoServer::with_store(
-            tmp_config(),
+            ServerConfig::default(),
             vfs.clone() as Arc<dyn Vfs>,
             PathBuf::from("/srv"),
         )
@@ -1707,7 +1569,7 @@ mod tests {
 
         // A "new process": same storage, fresh in-memory caches.
         let second = MakoServer::with_store(
-            tmp_config(),
+            ServerConfig::default(),
             vfs.clone() as Arc<dyn Vfs>,
             PathBuf::from("/srv"),
         )
@@ -1727,16 +1589,27 @@ mod tests {
         // recomputes — a corrupt artifact is never consumed.
         let key = ArtifactKey::for_job(&specs[0]).content_hash();
         let path = second.artifact_store().unwrap().path_for("screen", key);
-        assert!(vfs.corrupt(&path, 40, 0x10), "artifact exists to rot: {path:?}");
+        assert!(
+            vfs.corrupt(&path, 40, 0x10),
+            "artifact exists to rot: {path:?}"
+        );
         let third = MakoServer::with_store(
-            tmp_config(),
+            ServerConfig::default(),
             vfs.clone() as Arc<dyn Vfs>,
             PathBuf::from("/srv"),
         )
         .expect("store");
-        assert_eq!(third.artifact_store().unwrap().quarantined(), 0, "nothing is read at open");
+        assert_eq!(
+            third.artifact_store().unwrap().quarantined(),
+            0,
+            "nothing is read at open"
+        );
         let healed = third.serve_quiet(&specs);
-        assert_eq!(third.artifact_store().unwrap().quarantined(), 1, "screen rot quarantined");
+        assert_eq!(
+            third.artifact_store().unwrap().quarantined(),
+            1,
+            "screen rot quarantined"
+        );
         assert_eq!(
             energy(&cold.outcomes[0]).to_bits(),
             energy(&healed.outcomes[0]).to_bits(),
@@ -1751,13 +1624,13 @@ mod tests {
     fn a_screen_artifact_of_an_older_engine_is_ignored() {
         use mako_store::FaultVfs;
         let specs = vec![JobSpec::new("a", PriorityClass::Batch, builders::water())];
-        let storeless = MakoServer::new(tmp_config());
+        let storeless = MakoServer::default();
         let reference = storeless.serve_quiet(&specs);
 
         let key = ArtifactKey::for_job(&specs[0]);
         assert_ne!(key.inputs_hash(), key.content_hash());
         let server = MakoServer::with_store(
-            tmp_config(),
+            ServerConfig::default(),
             Arc::new(FaultVfs::quiet()) as Arc<dyn Vfs>,
             PathBuf::from("/srv"),
         )
@@ -1767,7 +1640,11 @@ mod tests {
         let pairs = driver.screened_pairs();
         let artifacts = server.artifact_store().unwrap();
         artifacts
-            .store("screen", key.inputs_hash(), &crate::persist::encode_pairs(&pairs[..pairs.len() / 2]))
+            .store(
+                "screen",
+                key.inputs_hash(),
+                &crate::persist::encode_pairs(&pairs[..pairs.len() / 2]),
+            )
             .expect("plant the stale artifact");
 
         let served = server.serve_quiet(&specs);
@@ -1781,7 +1658,7 @@ mod tests {
 
     #[test]
     fn screen_cache_serves_repeat_submissions() {
-        let server = MakoServer::new(tmp_config());
+        let server = MakoServer::default();
         let spec = JobSpec::new("a", PriorityClass::Interactive, builders::water());
         let r1 = server.serve_quiet(std::slice::from_ref(&spec));
         let misses = server.screen_cache().misses();

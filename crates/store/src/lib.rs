@@ -1,9 +1,9 @@
 //! mako-store — the crash-consistent storage layer under the serving
 //! stack.
 //!
-//! Everything the server persists (SCF checkpoints, the write-ahead job
-//! journal, cached screening artifacts) flows through the [`Vfs`]
-//! trait, with two backends:
+//! Everything the server persists (the write-ahead job journal, cached
+//! screening artifacts) and the SCF's checkpoint saves flow through the
+//! [`Vfs`] trait, with two backends:
 //!
 //! * [`RealVfs`] — `std::fs`, with the fsync-then-rename discipline in
 //!   [`write_durable`] for atomic replacement.

@@ -334,7 +334,6 @@ pub(crate) const KNOWN_EVENTS: &[&str] = &[
     "store.truncate",
     "store.crash",
     "recover.replay",
-    "recover.salvage",
     "recover.serve",
     "clock.iteration",
     "clock.recovery",
@@ -609,7 +608,6 @@ mod tests {
             "store.truncate",
             "store.crash",
             "recover.replay",
-            "recover.salvage",
             "recover.serve",
         ] {
             assert!(is_known_event(name), "{name} missing from KNOWN_EVENTS");

@@ -6,19 +6,15 @@
 //!   run's journal, and recovery finishes the serve with every completed
 //!   job's energy bitwise identical to the quiet run.
 //! * **Composed faults** — the same fixed sweep under a schedule that also
-//!   kills a worker, poisons a Fock build and fails checkpoint writes:
-//!   completed energies stay bitwise, everything else is typed, and a
-//!   second recovery runs nothing.
+//!   kills a worker and poisons a Fock build: completed energies stay
+//!   bitwise, everything else is typed, and a second recovery runs nothing.
 //! * **Double recovery** — recovering a recovered store changes nothing.
-//! * **Checkpoint quarantine** — a salvaged checkpoint that fails
-//!   validation is moved aside and the job re-runs; the rot is never
-//!   consumed.
 //! * **No temp residue** — the fsync-then-rename discipline leaves no
 //!   `.tmp` files behind after a quiet serve.
 //! * **Old journals** — a journal written with the retired progress records
 //!   (tags 3–5) replays clean, untruncated, to its journaled outcomes.
 //! * **Sync budget** — a quiet serve syncs once per journal record and
-//!   twice per checkpoint save and per stored artifact, and journals no
+//!   twice per stored artifact, writes no checkpoint, and journals no
 //!   progress record.
 
 use proptest::prelude::*;
@@ -80,13 +76,10 @@ fn quiet_ref() -> &'static QuietRef {
 }
 
 /// The composed schedule: on top of the storage crash, a worker dies in its
-/// third quantum, the batch job's Fock build is poisoned once and a fifth of
-/// the checkpoint writes fail — under which both jobs still complete.
+/// third quantum and the batch job's Fock build is poisoned once — under
+/// which both jobs still complete.
 fn composed_chaos() -> ServerChaos {
-    ServerChaos::seeded(SEED, 2)
-        .kill_worker(0, 0.13)
-        .with_poison(1, 2)
-        .with_ckpt_io_rate(0.2)
+    ServerChaos::seeded(SEED, 2).kill_worker(0, 0.13).with_poison(1, 2)
 }
 
 /// Run one crash-point trial under `chaos` (startup crashes restart, like a
@@ -170,8 +163,8 @@ proptest! {
         // Ahead of the samples, once: a fixed stride over the whole domain
         // plus its two ends, so the startup crash (op 0) and the last op
         // are checked on every run, not when a sample lands there — first
-        // quiet, then composed with worker death, a poisoned Fock build and
-        // checkpoint-write failures over that schedule's own op count.
+        // quiet, then composed with worker death and a poisoned Fock build
+        // over that schedule's own op count.
         static SWEEP: Once = Once::new();
         SWEEP.call_once(|| {
             sweep_crash_points(domain, &quiet);
@@ -182,8 +175,8 @@ proptest! {
             assert_eq!(energies(&uncrashed), quiet_ref().energies, "both jobs complete under chaos");
             let l = &uncrashed.ledger;
             assert!(
-                l.worker_deaths == 1 && l.ckpt_write_faults >= 1 && l.retries >= 3,
-                "death, checkpoint-write failure and poison must all fire: {l:?}"
+                l.worker_deaths == 1 && l.retries >= 2,
+                "death and poison must both fire: {l:?}"
             );
             sweep_crash_points(vfs.ops(), &chaos);
         });
@@ -225,79 +218,6 @@ fn double_recovery_is_idempotent() {
             "host thread count leaked into a recovered outcome at {threads} threads"
         );
     }
-}
-
-/// Job ids with a terminal record in the journal at `path` — those are
-/// replayed, never salvaged, so their checkpoints are out of scope for
-/// the quarantine path.
-fn terminal_jobs(vfs: &FaultVfs, path: &Path) -> Vec<u64> {
-    let bytes = vfs.raw(path).unwrap_or_default();
-    let (frames, _, _) = read_all_framed(&bytes);
-    frames
-        .iter()
-        .filter_map(|f| JournalRecord::decode(f))
-        .filter_map(|r| match r {
-            JournalRecord::Completed { job, .. }
-            | JournalRecord::Failed { job, .. }
-            | JournalRecord::DeadlineExceeded { job, .. } => Some(job),
-            _ => None,
-        })
-        .collect()
-}
-
-#[test]
-fn a_corrupt_salvaged_checkpoint_is_quarantined_not_consumed() {
-    let quiet = quiet_ref();
-    // Find a crash point that leaves an on-disk checkpoint behind for a
-    // job the journal has NOT resolved (the batch job yields at its
-    // quantum boundary and persists one) — that checkpoint is exactly
-    // what recovery will try to salvage.
-    let mut found = None;
-    for k in (0..quiet.domain).rev() {
-        let (vfs, server, crashed) = crashed_serve(k, &ServerChaos::quiet(2));
-        if !crashed {
-            continue;
-        }
-        vfs.recover_crash();
-        let done = terminal_jobs(&vfs, Path::new("/srv/serve.wal"));
-        let ckpts: Vec<PathBuf> = vfs
-            .list(Path::new(ROOT))
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
-            .filter(|p| {
-                p.file_stem()
-                    .and_then(|s| s.to_string_lossy().strip_prefix("job")?.parse::<u64>().ok())
-                    .is_some_and(|id| !done.contains(&id))
-            })
-            .collect();
-        if !ckpts.is_empty() {
-            found = Some((vfs, server, ckpts));
-            break;
-        }
-    }
-    let (vfs, server, ckpts) =
-        found.expect("some crash point leaves a salvageable checkpoint");
-    // Rot every surviving checkpoint mid-payload.
-    for ckpt in &ckpts {
-        let len = vfs.raw(ckpt).expect("ckpt bytes").len();
-        assert!(vfs.corrupt(ckpt, len / 2, 0x08), "rot {ckpt:?}");
-    }
-    let recovered = server
-        .recover(&workload(), &ServerChaos::quiet(server.config().workers))
-        .expect("recover");
-    assert_eq!(
-        energies(&recovered),
-        quiet.energies,
-        "a rotted checkpoint leaked into the recovered numbers"
-    );
-    // The rot was moved aside as evidence, not silently deleted.
-    let quarantined = vfs
-        .list(Path::new(ROOT))
-        .unwrap_or_default()
-        .into_iter()
-        .any(|p| p.to_string_lossy().ends_with(".quarantine"));
-    assert!(quarantined, "rotted checkpoints must be quarantined");
 }
 
 #[test]
@@ -450,10 +370,6 @@ impl Vfs for CountingVfs {
 
 #[test]
 fn a_quiet_serve_syncs_only_what_recovery_reads() {
-    // The server's checkpoint cadence, which is also the default quantum,
-    // so every quantum boundary falls on a periodic save.
-    const CADENCE: u64 = 4;
-    assert_eq!(ServerConfig::default().quantum_iterations as u64, CADENCE);
     let vfs = Arc::new(CountingVfs {
         inner: FaultVfs::quiet(),
         syncs: AtomicU64::new(0),
@@ -475,19 +391,15 @@ fn a_quiet_serve_syncs_only_what_recovery_reads() {
     );
     // ServeBegin, an admission and an outcome per job, ServeEnd.
     assert_eq!(frames.len(), 2 + 2 * specs.len());
-    // A save after every CADENCE-th iteration short of each job's last.
-    let saves: u64 = report
-        .outcomes
-        .iter()
-        .map(|o| (o.report().expect("completed").iterations as u64 - 1) / CADENCE)
-        .sum();
-    assert!(saves > 0);
-    assert_eq!(vfs.checkpoint_writes.load(Ordering::Relaxed), saves);
+    // The batch job yields at its quantum boundaries, and nothing of it
+    // reaches the store.
+    assert!(report.outcomes[1].report().expect("completed").quanta > 1);
+    assert_eq!(vfs.checkpoint_writes.load(Ordering::Relaxed), 0);
     let artifacts = server.artifact_store().expect("store").stored() as u64;
     assert_eq!(artifacts, specs.len() as u64, "one screen artifact per molecule");
     assert_eq!(
         vfs.syncs.load(Ordering::Relaxed),
-        frames.len() as u64 + 2 * (saves + artifacts),
-        "syncs: one per journal record, two per checkpoint save and per stored artifact"
+        frames.len() as u64 + 2 * artifacts,
+        "syncs: one per journal record, two per stored artifact"
     );
 }

@@ -5,7 +5,7 @@
 //! The contracts under test (DESIGN.md §15):
 //!
 //! * **Chaos invariant** — whatever seeded faults a serve survives (worker
-//!   deaths, checkpoint-write failures, stragglers, poisoned Fock builds),
+//!   deaths, stragglers, poisoned Fock builds),
 //!   every *completed* job's energy is bitwise identical to a quiet solo
 //!   [`mako::scf::ScfDriver`] run of the same spec. Scheduling and fault
 //!   recovery may change *when* chemistry happens, never *what* it computes.
@@ -149,9 +149,8 @@ fn admission_quota_and_shedding_through_facade() {
 #[test]
 fn chaos_serve_contains_faults_and_stays_bitwise() {
     // A worker dies mid-quantum, another straggles 24× — past the attempt
-    // timeout — one job's Fock build is poisoned, and every fifth
-    // checkpoint write fails. None of this may panic, and whatever
-    // completes must match solo to the bit.
+    // timeout — and one job's Fock build is poisoned. None of this may
+    // panic, and whatever completes must match solo to the bit.
     let jobs = workload();
     let quiet = MakoServer::default();
     let solos: Vec<_> = jobs.iter().map(|s| quiet.run_solo(s).expect("solo run")).collect();
@@ -167,8 +166,7 @@ fn chaos_serve_contains_faults_and_stays_bitwise() {
     let chaos = ServerChaos::seeded(11, 3)
         .kill_worker(1, 0.1)
         .slow_worker(2, 24.0)
-        .with_poison(1, 2)
-        .with_ckpt_io_rate(0.2);
+        .with_poison(1, 2);
     let report = server.serve(&jobs, &chaos);
 
     assert_eq!(report.outcomes.len(), jobs.len());
@@ -210,7 +208,7 @@ fn serve_replay_is_deterministic() {
         ..ServerConfig::default()
     });
     let jobs = workload();
-    let chaos = ServerChaos::seeded(7, 2).kill_worker(0, 0.6).with_ckpt_io_rate(0.3);
+    let chaos = ServerChaos::seeded(7, 2).kill_worker(0, 0.6);
     let a = digest(&server.serve(&jobs, &chaos));
     let b = digest(&server.serve(&jobs, &chaos));
     assert_eq!(a, b, "same (specs, config, chaos) must replay identically");
@@ -300,7 +298,6 @@ proptest! {
         seed in any::<u64>(),
         victim in 0usize..2,
         fraction in 0.0f64..1.0,
-        ckpt_rate in 0.0f64..0.6,
     ) {
         let server = MakoServer::new(ServerConfig {
             workers: 2,
@@ -311,9 +308,7 @@ proptest! {
             JobSpec::new("bob", PriorityClass::Batch, builders::methane()).at(1e-4),
             JobSpec::new("carol", PriorityClass::BestEffort, builders::water()).at(2e-4),
         ];
-        let chaos = ServerChaos::seeded(seed, 2)
-            .kill_worker(victim, fraction)
-            .with_ckpt_io_rate(ckpt_rate);
+        let chaos = ServerChaos::seeded(seed, 2).kill_worker(victim, fraction);
         let report = server.serve(&jobs, &chaos);
         prop_assert_eq!(report.outcomes.len(), jobs.len());
         let ledger = &report.ledger;
