@@ -1,17 +1,15 @@
 //! Per-iteration device-clock ledger.
 //!
 //! The simulated `device_seconds` is part of the numerical output of every
-//! experiment (see DESIGN.md §7 "Two clocks"), and with the incremental
-//! (ΔD) SCF engine the *amount of work priced* changes from iteration to
-//! iteration: quartets skipped by the difference-density Schwarz screen are
-//! removed from their sub-batches **before** the cost model prices the
-//! batched launches, so they never reach the device clock — smaller
-//! sub-batches also amortize launch overhead differently, which the pricing
-//! reflects honestly rather than charging `full_cost × fraction`.
+//! experiment (see DESIGN.md §7 "Two clocks"), and the *amount of work
+//! priced* changes from iteration to iteration: quartets the
+//! convergence-aware scheduler prunes are removed from their sub-batches
+//! **before** the cost model prices the batched launches, so they never
+//! reach the device clock.
 //!
 //! [`DeviceClock`] records that trajectory: one [`IterationLedger`] per SCF
 //! iteration with the simulated seconds actually charged and the
-//! evaluated / quantized / skipped / pruned quartet populations. It is an
+//! evaluated / quantized / pruned quartet populations. It is an
 //! SCF session's only record of what its iterations cost: the per-iteration
 //! seconds, the run's total and Figure 8's per-iteration mean, and the
 //! run's Fock-build statistics are all derived from these ledgers once, when
@@ -22,8 +20,7 @@
 /// work it actually ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterationLedger {
-    /// Simulated device seconds of the ERI/Fock stage (the part the
-    /// incremental screen shrinks).
+    /// Simulated device seconds of the ERI/Fock stage.
     pub eri_seconds: f64,
     /// Total simulated device seconds of the iteration (ERI + XC +
     /// diagonalization).
@@ -32,17 +29,9 @@ pub struct IterationLedger {
     pub evaluated_quartets: usize,
     /// Of `evaluated_quartets`, those the quantized pipeline ran.
     pub quantized_quartets: usize,
-    /// Quartets skipped by the incremental ΔD Schwarz screen — never priced
-    /// on the device clock.
-    pub skipped_quartets: usize,
-    /// Quartets pruned by the convergence-aware scheduler.
+    /// Quartets pruned by the convergence-aware scheduler — never priced on
+    /// the device clock.
     pub pruned_quartets: usize,
-    /// Accumulated analytic bound on the Fock perturbation of everything
-    /// skipped this iteration (the drift the rebuild policy caps).
-    pub skipped_bound: f64,
-    /// Whether this iteration was a full rebuild (ΔD = D, fresh
-    /// accumulators).
-    pub rebuild: bool,
 }
 
 /// The device-clock ledger of a whole SCF run: one entry per iteration,
@@ -68,7 +57,10 @@ impl DeviceClock {
         iterations: Vec<IterationLedger>,
         recoveries: Vec<crate::fault::RecoveryLedger>,
     ) -> DeviceClock {
-        DeviceClock { iterations, recoveries }
+        DeviceClock {
+            iterations,
+            recoveries,
+        }
     }
 
     /// Append one completed iteration.
@@ -82,9 +74,7 @@ impl DeviceClock {
                     mako_trace::field("eri_seconds", ledger.eri_seconds),
                     mako_trace::field("total_seconds", ledger.total_seconds),
                     mako_trace::field("evaluated_quartets", ledger.evaluated_quartets),
-                    mako_trace::field("skipped_quartets", ledger.skipped_quartets),
                     mako_trace::field("pruned_quartets", ledger.pruned_quartets),
-                    mako_trace::field("rebuild", ledger.rebuild),
                 ],
             );
         }
@@ -134,22 +124,6 @@ impl DeviceClock {
         }
         total
     }
-
-    /// Total simulated device seconds across all iterations.
-    #[cfg(test)]
-    pub(crate) fn total_seconds(&self) -> f64 {
-        self.iterations.iter().map(|l| l.total_seconds).sum()
-    }
-
-    /// Total quartets evaluated across all iterations.
-    pub fn total_evaluated(&self) -> usize {
-        self.iterations.iter().map(|l| l.evaluated_quartets).sum()
-    }
-
-    /// Total quartets the ΔD screen skipped across all iterations.
-    pub fn total_skipped(&self) -> usize {
-        self.iterations.iter().map(|l| l.skipped_quartets).sum()
-    }
 }
 
 /// Fleet-level accounting of an ensemble (lockstep multi-molecule) run.
@@ -195,28 +169,31 @@ impl EnsembleLedger {
 mod tests {
     use super::*;
 
-    fn ledger(evaluated: usize, rebuild: bool) -> IterationLedger {
+    fn ledger(evaluated: usize) -> IterationLedger {
         IterationLedger {
             eri_seconds: 1e-3,
             total_seconds: 2e-3,
             evaluated_quartets: evaluated,
             quantized_quartets: 0,
-            skipped_quartets: 10,
             pruned_quartets: 1,
-            skipped_bound: 1e-12,
-            rebuild,
         }
     }
 
     #[test]
     fn totals_accumulate() {
         let mut c = DeviceClock::new();
-        c.push(ledger(100, true));
-        c.push(ledger(60, false));
-        c.push(ledger(30, false));
-        assert_eq!(c.iterations().len(), 3);
-        assert_eq!(c.total_evaluated(), 190);
-        assert_eq!(c.total_skipped(), 30);
-        assert!((c.total_seconds() - 6e-3).abs() < 1e-15);
+        for evaluated in [100, 60, 30] {
+            c.push(ledger(evaluated));
+            c.push_recovery(crate::fault::RecoveryLedger {
+                transient_retries: 1,
+                backoff_seconds: 1e-3,
+                ..Default::default()
+            });
+        }
+        let evaluated: usize = c.iterations().iter().map(|l| l.evaluated_quartets).sum();
+        assert_eq!((c.iterations().len(), evaluated), (3, 190));
+        let total = c.total_recovery();
+        assert_eq!(total.transient_retries, 3);
+        assert!((total.backoff_seconds - 3e-3).abs() < 1e-15);
     }
 }

@@ -9,7 +9,6 @@
 //! and (c) the replicated serial work (diagonalization). This module models
 //! exactly those three terms.
 
-
 /// Link classes inside the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum InterconnectTier {
@@ -233,7 +232,10 @@ mod tests {
         let weights = vec![1.0, f64::NAN, 2.0, f64::INFINITY, f64::NEG_INFINITY, 0.5];
         let assign = partition_lpt(&weights, 3);
         assert_eq!(assign.len(), weights.len());
-        assert!(assign.iter().all(|&r| r < 3), "every item gets a valid rank");
+        assert!(
+            assign.iter().all(|&r| r < 3),
+            "every item gets a valid rank"
+        );
         // Sanitized weights: non-finite → 0.0, so assignments must match the
         // explicitly sanitized run (determinism of the fix).
         let sanitized = vec![1.0, 0.0, 2.0, 0.0, 0.0, 0.5];
@@ -254,7 +256,9 @@ mod tests {
     #[test]
     fn efficiency_decreases_with_ranks_under_fixed_overheads() {
         let spec = ClusterSpec::azure_nd_a100_v4();
-        let weights: Vec<f64> = (0..4096).map(|i| 0.001 + 0.0005 * ((i % 7) as f64)).collect();
+        let weights: Vec<f64> = (0..4096)
+            .map(|i| 0.001 + 0.0005 * ((i % 7) as f64))
+            .collect();
         let t1 = simulate_iteration(&weights, 1, 3e8, 0.4, &spec).total;
         let t8 = simulate_iteration(&weights, 8, 3e8, 0.4, &spec).total;
         let t64 = simulate_iteration(&weights, 64, 3e8, 0.4, &spec).total;

@@ -266,8 +266,7 @@ impl FaultPlan {
     /// Whether attempt `attempt` of allreduce call `call` times out.
     pub fn allreduce_times_out(&self, call: u64, attempt: u32) -> bool {
         self.allreduce_timeout_rate > 0.0
-            && unit(self.seed, TAG_ALLREDUCE, call, attempt as u64, 0)
-                < self.allreduce_timeout_rate
+            && unit(self.seed, TAG_ALLREDUCE, call, attempt as u64, 0) < self.allreduce_timeout_rate
     }
 
     /// Walk one dispatch through this plan on the load-model clock, adding
@@ -488,17 +487,23 @@ mod tests {
         };
         for seed in 0..64 {
             let p = FaultPlan::seeded(seed, 4, &cfg);
-            let survivors = (0..4).filter(|&r| p.rank(r).death_fraction.is_none()).count();
+            let survivors = (0..4)
+                .filter(|&r| p.rank(r).death_fraction.is_none())
+                .count();
             assert!(survivors >= 1, "seed {seed} killed every rank");
         }
     }
 
     #[test]
     fn transient_rate_is_roughly_honored() {
-        let p = FaultPlan::seeded(7, 2, &FaultConfig {
-            transient_rate: 0.3,
-            ..FaultConfig::default()
-        });
+        let p = FaultPlan::seeded(
+            7,
+            2,
+            &FaultConfig {
+                transient_rate: 0.3,
+                ..FaultConfig::default()
+            },
+        );
         let n = 20_000;
         let fails = (0..n).filter(|&b| p.transient_fails(0, b, 0)).count();
         let rate = fails as f64 / n as f64;

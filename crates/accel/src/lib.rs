@@ -21,8 +21,8 @@
 //! * [`occupancy`] — threadblock residency derived from the shared-memory
 //!   constraint `S(F) ≤ SMEM_max/2` of CompilerMako §3.3.1;
 //! * [`clock`] — the per-iteration device-clock ledger: simulated seconds
-//!   charged per SCF iteration next to the evaluated / skipped / pruned
-//!   quartet populations, so incremental-SCF savings are accounted honestly;
+//!   charged per SCF iteration next to the evaluated / quantized / pruned
+//!   quartet populations;
 //! * [`cluster`] — the multi-GPU execution model: worklist partitioning,
 //!   NVLink/InfiniBand ring-allreduce timing, and parallel-efficiency
 //!   accounting for Figure 10;
@@ -45,8 +45,8 @@ pub mod occupancy;
 pub mod swizzle;
 
 pub use clock::{DeviceClock, EnsembleLedger, IterationLedger};
-pub use fault::{FaultConfig, FaultPlan, RankFaults, RecoveryLedger};
 pub use cluster::{ClusterSpec, RingAllreduce};
 pub use device::{DeviceKind, DeviceSpec};
+pub use fault::{FaultConfig, FaultPlan, RankFaults, RecoveryLedger};
 pub use kernel::{CostModel, KernelProfile, LaunchRecord};
 pub use swizzle::{swizzle_xor, SmemLayout};

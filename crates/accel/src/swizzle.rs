@@ -20,7 +20,10 @@ use std::sync::OnceLock;
 /// row width so the mapping stays within the tile.
 #[inline]
 pub fn swizzle_xor(x_logical: usize, y_logical: usize, width: usize) -> (usize, usize) {
-    debug_assert!(width.is_power_of_two(), "swizzle width must be a power of two");
+    debug_assert!(
+        width.is_power_of_two(),
+        "swizzle width must be a power of two"
+    );
     ((x_logical ^ y_logical) & (width - 1), y_logical)
 }
 
@@ -67,7 +70,10 @@ pub(crate) fn bank_conflict_degree(
     elem_bytes: usize,
     banks: usize,
 ) -> usize {
-    assert!(banks <= MAX_BANKS, "{banks} banks exceed the modeled {MAX_BANKS}");
+    assert!(
+        banks <= MAX_BANKS,
+        "{banks} banks exceed the modeled {MAX_BANKS}"
+    );
     let words_per_elem = elem_bytes.div_ceil(4);
     let mut counts = [0usize; MAX_BANKS];
     for row in 0..warp {
@@ -86,7 +92,13 @@ pub(crate) fn bank_conflict_degree(
 
 /// Average conflict degree over all columns of a tile — the factor by which
 /// an unswizzled transpose stage slows down relative to conflict-free access.
-pub(crate) fn avg_column_conflict(layout: SmemLayout, width: usize, warp: usize, elem_bytes: usize, banks: usize) -> f64 {
+pub(crate) fn avg_column_conflict(
+    layout: SmemLayout,
+    width: usize,
+    warp: usize,
+    elem_bytes: usize,
+    banks: usize,
+) -> f64 {
     let total: usize = (0..width)
         .map(|c| bank_conflict_degree(layout, width, c, warp, elem_bytes, banks))
         .sum();
@@ -184,7 +196,11 @@ mod tests {
         for layout in [SmemLayout::Linear, SmemLayout::Swizzled] {
             let oracle = avg_column_conflict(layout, 32, 32, 8, 32).max(1.0)
                 / avg_column_conflict(SmemLayout::Swizzled, 32, 32, 8, 32).max(1.0);
-            assert_eq!(layout.conflict_ratio().to_bits(), oracle.to_bits(), "{layout:?}");
+            assert_eq!(
+                layout.conflict_ratio().to_bits(),
+                oracle.to_bits(),
+                "{layout:?}"
+            );
         }
         assert_eq!(SmemLayout::Swizzled.conflict_ratio(), 1.0);
         assert!(SmemLayout::Linear.conflict_ratio() > 4.0);

@@ -40,7 +40,6 @@ pub use one_electron::{
 };
 pub use os::{eri_quartet_os, EriError, OS_MAX_L};
 pub use screening::{
-    build_screened_pairs, classify, schwarz_bound, schwarz_estimate, DensityBlockMax,
-    ImportanceClass, ScreenedPair,
+    build_screened_pairs, classify, schwarz_bound, schwarz_estimate, ImportanceClass, ScreenedPair,
 };
 pub use tensor::Tensor4;

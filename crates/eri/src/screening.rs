@@ -6,8 +6,7 @@
 //! bounds against per-iteration thresholds (paper §3.2.3).
 
 use crate::mmd::{eri_quartet_mmd, shell_pair, ShellPairData};
-use mako_chem::{AoLayout, Shell};
-use mako_linalg::Matrix;
+use mako_chem::Shell;
 use rayon::prelude::*;
 
 /// A shell pair with its Schwarz bound and originating shell indices.
@@ -60,94 +59,15 @@ pub fn build_screened_pairs(shells: &[Shell], threshold: f64) -> Vec<ScreenedPai
 }
 
 /// Density-weighted Schwarz estimate of a quartet:
-/// `Q_ab · Q_cd · max(|D|, 1e-30)` — the quantity the incremental (ΔD)
-/// screen and the convergence-aware scheduler both compare against their
-/// thresholds. The `1e-30` density floor keeps the estimate nonzero (and
-/// threshold comparisons meaningful) for all-zero density blocks, and is
-/// the **single** definition every caller shares — [`classify`], the fock
-/// phase-0 ΔD screen, and the quantization scheduler all see identical
+/// `Q_ab · Q_cd · max(|D|, 1e-30)` — the quantity the convergence-aware
+/// scheduler compares against its thresholds. The `1e-30` density floor
+/// keeps the estimate nonzero (and threshold comparisons meaningful) for
+/// all-zero density blocks, and is the **single** definition every caller
+/// shares — [`classify`] and the quantization scheduler see identical
 /// estimates for identical inputs.
 #[inline]
 pub fn schwarz_estimate(bound_ab: f64, bound_cd: f64, density_max: f64) -> f64 {
     bound_ab * bound_cd * density_max.max(1e-30)
-}
-
-/// Per-shell-block magnitudes of a density matrix: `max |D_{μν}|` over the
-/// AO block of every (shell, shell) pair.
-///
-/// This is the density side of *density-weighted* Schwarz screening: for a
-/// quartet `(ab|cd)`, the J/K digestion only ever multiplies integrals against
-/// the six blocks `D_cd, D_ab, D_ac, D_ad, D_bc, D_bd`, so
-/// `Q_ab · Q_cd · max(those blocks)` bounds every contribution the quartet
-/// can make. Built once per Fock build in O(nao²), it turns the per-quartet
-/// screen into six table lookups. With a *difference* density ΔD = D − D_ref
-/// the block maxima shrink as the SCF converges, which is what makes the
-/// incremental screen dynamic.
-#[derive(Debug, Clone)]
-pub struct DensityBlockMax {
-    nshell: usize,
-    maxes: Vec<f64>,
-}
-
-impl DensityBlockMax {
-    /// Scan `density` once, recording the max magnitude of every shell-pair
-    /// AO block under `layout`.
-    pub fn build(density: &Matrix, layout: &AoLayout) -> DensityBlockMax {
-        let nshell = layout.shell_offsets.len();
-        let nao = layout.nao;
-        let mut maxes = vec![0.0f64; nshell * nshell];
-        // Shell extents: offset..offset+nsph(l).
-        let ext: Vec<(usize, usize)> = (0..nshell)
-            .map(|s| {
-                let lo = layout.shell_offsets[s];
-                let hi = if s + 1 < nshell {
-                    layout.shell_offsets[s + 1]
-                } else {
-                    nao
-                };
-                (lo, hi)
-            })
-            .collect();
-        for si in 0..nshell {
-            for sj in 0..=si {
-                let (ilo, ihi) = ext[si];
-                let (jlo, jhi) = ext[sj];
-                let mut m = 0.0f64;
-                for mu in ilo..ihi {
-                    for nu in jlo..jhi {
-                        m = m.max(density[(mu, nu)].abs());
-                    }
-                }
-                maxes[si * nshell + sj] = m;
-                maxes[sj * nshell + si] = m;
-            }
-        }
-        DensityBlockMax { nshell, maxes }
-    }
-
-    /// `max |D|` over the AO block of shells `(i, j)`.
-    #[inline]
-    pub(crate) fn block(&self, i: usize, j: usize) -> f64 {
-        self.maxes[i * self.nshell + j]
-    }
-
-    /// The largest relevant density magnitude for quartet `(ab|cd)`: the max
-    /// over the six blocks the J/K digestion contracts against.
-    #[inline]
-    pub fn quartet_max(&self, sa: usize, sb: usize, sc: usize, sd: usize) -> f64 {
-        self.block(sc, sd)
-            .max(self.block(sa, sb))
-            .max(self.block(sa, sc))
-            .max(self.block(sa, sd))
-            .max(self.block(sb, sc))
-            .max(self.block(sb, sd))
-    }
-
-    /// Global max magnitude (the coarse screen older call sites use).
-    #[cfg(test)]
-    pub(crate) fn global_max(&self) -> f64 {
-        self.maxes.iter().cloned().fold(0.0, f64::max)
-    }
 }
 
 /// Importance classes for quartet batches (QuantMako §3.2.3).
@@ -172,10 +92,9 @@ pub enum ImportanceClass {
 ///
 /// The same rule holds for every other screening comparison in the
 /// workspace: `build_screened_pairs` keeps pairs with `bound >= threshold`,
-/// `batch_quartets` drops only `bound_ab·bound_cd < threshold`, and the
-/// fock phase-0 ΔD screen skips only `estimate < τ`. Equality never loses
-/// work or precision, so perturbing a threshold to exactly an estimate's
-/// value can only make the calculation *more* accurate.
+/// and `batch_quartets` drops only `bound_ab·bound_cd < threshold`. Equality
+/// never loses work or precision, so perturbing a threshold to exactly an
+/// estimate's value can only make the calculation *more* accurate.
 pub fn classify(
     bound_ab: f64,
     bound_cd: f64,
@@ -251,36 +170,6 @@ mod tests {
         let shells = vec![shell(0, [0.0; 3], 1.0), shell(1, [1.0, 0.0, 0.0], 0.7)];
         let pairs = build_screened_pairs(&shells, 0.0);
         assert_eq!(pairs.len(), 3);
-    }
-
-    #[test]
-    fn density_block_max_matches_brute_force() {
-        // Two s shells + one p shell: blocks of size 1×1, 1×3, 3×3.
-        let shells = vec![
-            shell(0, [0.0; 3], 1.0),
-            shell(0, [1.0, 0.0, 0.0], 0.7),
-            shell(1, [0.0, 1.0, 0.0], 0.9),
-        ];
-        let layout = AoLayout::new(&shells);
-        assert_eq!(layout.nao, 5);
-        let d = Matrix::from_fn(5, 5, |i, j| ((i * 5 + j) as f64 - 12.0) / 7.0);
-        let bm = DensityBlockMax::build(&d, &layout);
-        // Block (2,2) covers AOs 2..5 × 2..5 of the symmetrized scan; the
-        // builder reads the raw matrix, max over both triangles.
-        let mut expect = 0.0f64;
-        for mu in 2..5 {
-            for nu in 2..5 {
-                expect = expect.max(d[(mu, nu)].abs());
-            }
-        }
-        assert_eq!(bm.block(2, 2), expect);
-        assert_eq!(bm.block(0, 2), bm.block(2, 0), "symmetric lookup");
-        assert!((bm.global_max() - d.max_abs()).abs() < 1e-15);
-        // quartet_max dominates each of its six blocks.
-        let q = bm.quartet_max(0, 1, 2, 2);
-        for &(i, j) in &[(2, 2), (0, 1), (0, 2), (1, 2)] {
-            assert!(q >= bm.block(i, j));
-        }
     }
 
     #[test]

@@ -4,13 +4,11 @@
 //! A production SCF service must survive preemption: a 64-GPU ubiquitin run
 //! is hours of simulated work, and losing the whole trajectory to one node
 //! eviction is not acceptable. An SCF session carries one value from each
-//! iteration to the next, its [`CarriedState`], made of four groups:
+//! iteration to the next, its [`CarriedState`], made of three groups:
 //!
 //! * [`RestorePoint`] — density, previous and latest energy, the scheduling
 //!   and divergence-guard residuals, orbital energies: what a rescue
 //!   rollback rewinds to;
-//! * [`IncrementalState`] — the incremental engine's accumulators and its
-//!   rebuild bookkeeping, purged by one `IncrementalState::reset`;
 //! * [`Diis`] — the DIIS history;
 //! * [`DeviceClock`] — one iteration ledger and one recovery ledger per
 //!   completed iteration, the session's only record of what the iterations
@@ -20,7 +18,7 @@
 //! value, so a resumed run replays the remaining iterations **bitwise
 //! identically** to the uninterrupted one (DESIGN.md §10).
 //!
-//! ## Format (version 4)
+//! ## Format (version 5)
 //!
 //! Little-endian binary. `f64` values are serialized via
 //! [`f64::to_bits`], never through text, so restore is bit-exact. After the
@@ -29,15 +27,12 @@
 //!
 //! ```text
 //! magic   b"MAKOCKPT"            8 bytes
-//! version u32                    (currently 4)
+//! version u32                    (currently 5)
 //! crc     u32                    CRC-32 (IEEE) over every byte after this field
 //! fingerprint: nao u64, n_batches u64, n_quartets u64, problem_hash u64
 //! next_iteration u64
 //! point:       density matrix; e_prev, energy, residual, residual_prev f64;
 //!              orbital_energies (len u64, data)
-//! incremental: j_acc, k_acc, d_ref matrices; since_rebuild u64;
-//!              drift_bound f64; flags u8 (bit0 was_quantized_phase,
-//!              bit1 force_rebuild)
 //! diis:        max_vectors u64, m u64, m × (fock, error) matrix pairs
 //! clock:       n_iters u64, n_iters × IterationLedger;
 //!              n_recov u64, n_recov × RecoveryLedger
@@ -47,8 +42,8 @@
 //! (per-iteration seconds, Fock statistics) is stored: the run derives it
 //! when it finishes.
 //!
-//! Readers reject wrong magic, versions they don't understand (a version-3
-//! file included), truncated payloads, payloads failing their CRC
+//! Readers reject wrong magic, versions they don't understand (version-3 and
+//! version-4 files included), truncated payloads, payloads failing their CRC
 //! ([`CheckpointError::Corrupt`] — bit rot the fingerprint cannot see), and
 //! checkpoints whose fingerprint disagrees with the run being resumed.
 //! Version 2 extended the fingerprint beyond gross sizes (basis size / batch
@@ -58,8 +53,10 @@
 //! from one tenant's job cannot be resumed against a *different* problem
 //! that happens to have the same matrix shapes (e.g. a slightly perturbed
 //! geometry, or the same molecule priced on a different device); version 3
-//! added the payload CRC, and version 4 stores the clock once, group by
-//! group.
+//! added the payload CRC, version 4 stores the clock once, group by group,
+//! and version 5 drops the retired incremental engine's group and the
+//! skipped-quartet, skipped-bound and rebuild fields of every iteration
+//! ledger.
 //!
 //! ## Durability
 //!
@@ -84,7 +81,7 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MAKOCKPT";
 /// Current checkpoint format version.
-pub(crate) const CHECKPOINT_VERSION: u32 = 4;
+pub(crate) const CHECKPOINT_VERSION: u32 = 5;
 /// Byte offset where the CRC-covered region begins (after magic, version,
 /// and the CRC field itself).
 const CRC_REGION_AT: usize = 16;
@@ -122,8 +119,6 @@ pub struct ScfCheckpoint {
 pub struct CarriedState {
     /// The numeric state a rescue rollback rewinds.
     pub point: RestorePoint,
-    /// The incremental engine's accumulators and rebuild bookkeeping.
-    pub incremental: IncrementalState,
     /// DIIS history.
     pub diis: Diis,
     /// What the iterations so far cost. It runs forward: a rollback leaves
@@ -148,50 +143,6 @@ pub struct RestorePoint {
     pub orbital_energies: Vec<f64>,
 }
 
-/// The incremental engine's state: the accumulated G matrices, the density
-/// they correspond to, and what the rebuild decision reads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalState {
-    /// Coulomb accumulator (zeros when not incremental).
-    pub j_acc: Matrix,
-    /// Exchange accumulator.
-    pub k_acc: Matrix,
-    /// Reference density of the accumulators.
-    pub d_ref: Matrix,
-    /// Incremental iterations since the last full rebuild.
-    pub since_rebuild: usize,
-    /// Accumulated analytic skip bound since the last rebuild.
-    pub drift_bound: f64,
-    /// Whether the next iteration must be a full rebuild.
-    pub force_rebuild: bool,
-    /// Whether the previous iteration ran the quantized phase.
-    pub was_quantized_phase: bool,
-}
-
-impl IncrementalState {
-    /// No accumulation yet, no rebuild owed, not in a quantized phase.
-    pub(crate) fn new(nao: usize) -> IncrementalState {
-        IncrementalState {
-            j_acc: Matrix::zeros(nao, nao),
-            k_acc: Matrix::zeros(nao, nao),
-            d_ref: Matrix::zeros(nao, nao),
-            since_rebuild: 0,
-            drift_bound: 0.0,
-            force_rebuild: false,
-            was_quantized_phase: false,
-        }
-    }
-
-    /// Purge the accumulators for a full rebuild; the quantized-phase flag
-    /// describes the schedule, not the accumulators, and is kept.
-    pub(crate) fn reset(&mut self) {
-        *self = IncrementalState {
-            was_quantized_phase: self.was_quantized_phase,
-            ..IncrementalState::new(self.d_ref.rows())
-        };
-    }
-}
-
 impl ScfCheckpoint {
     /// A checkpoint of `driver`'s problem whose next iteration is
     /// `next_iteration`.
@@ -210,15 +161,10 @@ impl ScfCheckpoint {
         }
     }
 
-    /// Serialize to the version-4 binary format (payload CRC included).
+    /// Serialize to the version-5 binary format (payload CRC included).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let CarriedState {
-            point,
-            incremental: inc,
-            diis,
-            clock,
-        } = &self.state;
-        let mut out = ByteWriter::with_capacity(64 + point.density.as_slice().len() * 8 * 4);
+        let CarriedState { point, diis, clock } = &self.state;
+        let mut out = ByteWriter::with_capacity(64 + point.density.as_slice().len() * 8);
         out.bytes(MAGIC);
         out.u32(CHECKPOINT_VERSION);
         out.u32(0); // CRC placeholder, patched below
@@ -235,13 +181,6 @@ impl ScfCheckpoint {
         out.f64(point.residual_prev);
         out.f64s(&point.orbital_energies);
 
-        for m in [&inc.j_acc, &inc.k_acc, &inc.d_ref] {
-            put_matrix(&mut out, m);
-        }
-        out.u64(inc.since_rebuild as u64);
-        out.f64(inc.drift_bound);
-        out.u8((inc.was_quantized_phase as u8) | ((inc.force_rebuild as u8) << 1));
-
         let (max_vectors, focks, errors) = diis.history();
         out.u64(max_vectors as u64);
         out.u64(focks.len() as u64);
@@ -256,10 +195,7 @@ impl ScfCheckpoint {
             out.f64(l.total_seconds);
             out.u64(l.evaluated_quartets as u64);
             out.u64(l.quantized_quartets as u64);
-            out.u64(l.skipped_quartets as u64);
             out.u64(l.pruned_quartets as u64);
-            out.f64(l.skipped_bound);
-            out.u8(l.rebuild as u8);
         }
         out.u64(clock.recoveries().len() as u64);
         for r in clock.recoveries() {
@@ -281,7 +217,7 @@ impl ScfCheckpoint {
         out
     }
 
-    /// Parse a version-4 checkpoint.
+    /// Parse a version-5 checkpoint.
     pub fn from_bytes(bytes: &[u8]) -> Result<ScfCheckpoint, CheckpointError> {
         let mut r = ByteReader::new(bytes);
         if r.take(8).ok_or(CheckpointError::Truncated)? != MAGIC {
@@ -407,7 +343,7 @@ fn read_matrix(r: &mut ByteReader<'_>) -> Option<Matrix> {
 /// Everything after the magic/version/CRC header, one block per group as
 /// `to_bytes` writes them. Every count is checked against the bytes that
 /// remain (two empty matrices, one `IterationLedger`, one `RecoveryLedger`
-/// are 32, 57 and 88 bytes) before anything is allocated. A ledger that
+/// are 32, 40 and 88 bytes) before anything is allocated. A ledger that
 /// claims more quantized quartets than it evaluated is refused, as nothing
 /// `to_bytes` writes.
 fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
@@ -426,20 +362,6 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
         orbital_energies: r.f64s()?,
     };
 
-    let (j_acc, k_acc, d_ref) = (read_matrix(r)?, read_matrix(r)?, read_matrix(r)?);
-    let since_rebuild = r.usize()?;
-    let drift_bound = r.f64()?;
-    let flags = r.u8()?;
-    let incremental = IncrementalState {
-        j_acc,
-        k_acc,
-        d_ref,
-        since_rebuild,
-        drift_bound,
-        force_rebuild: flags & 2 != 0,
-        was_quantized_phase: flags & 1 != 0,
-    };
-
     let max_vectors = r.usize()?;
     let m = r.count(32)?;
     let mut focks = Vec::with_capacity(m);
@@ -449,7 +371,7 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
         errors.push(read_matrix(r)?);
     }
 
-    let n_iters = r.count(57)?;
+    let n_iters = r.count(40)?;
     let mut ledgers = Vec::with_capacity(n_iters);
     for _ in 0..n_iters {
         let ledger = IterationLedger {
@@ -457,10 +379,7 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
             total_seconds: r.f64()?,
             evaluated_quartets: r.usize()?,
             quantized_quartets: r.usize()?,
-            skipped_quartets: r.usize()?,
             pruned_quartets: r.usize()?,
-            skipped_bound: r.f64()?,
-            rebuild: r.u8()? != 0,
         };
         if ledger.quantized_quartets > ledger.evaluated_quartets {
             return None;
@@ -493,7 +412,6 @@ fn read_payload(r: &mut ByteReader<'_>) -> Option<ScfCheckpoint> {
         next_iteration,
         state: CarriedState {
             point,
-            incremental,
             diis: Diis::from_history(max_vectors, focks, errors),
             clock: DeviceClock::from_ledgers(ledgers, recoveries),
         },
@@ -521,15 +439,6 @@ mod tests {
                     residual_prev: 3.5e-5,
                     orbital_energies: vec![-20.24, -1.26, 0.6],
                 },
-                incremental: IncrementalState {
-                    j_acc: m(0.5),
-                    k_acc: m(0.25),
-                    d_ref: m(0.9),
-                    since_rebuild: 2,
-                    drift_bound: 1.5e-13,
-                    force_rebuild: false,
-                    was_quantized_phase: true,
-                },
                 diis: Diis::from_history(8, vec![m(2.0), m(2.1)], vec![m(0.01), m(0.005)]),
                 clock: DeviceClock::from_ledgers(
                     vec![IterationLedger {
@@ -537,10 +446,7 @@ mod tests {
                         total_seconds: 1e-3,
                         evaluated_quartets: 1000,
                         quantized_quartets: 50,
-                        skipped_quartets: 3,
                         pruned_quartets: 1,
-                        skipped_bound: 1e-12,
-                        rebuild: true,
                     }],
                     vec![RecoveryLedger {
                         transient_retries: 2,
@@ -564,11 +470,11 @@ mod tests {
         assert_eq!(back, ck);
         // Serialization is deterministic.
         assert_eq!(back.to_bytes(), bytes);
-        // The MAKOCKPT v4 byte image is pinned (FNV-1a).
+        // The MAKOCKPT v5 byte image is pinned (FNV-1a).
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv), (1018, 0xcf7a_14ef_585c_d5b3), "checkpoint byte image moved");
+        assert_eq!((bytes.len(), fnv), (720, 0xd499_d894_efbc_a17d), "checkpoint byte image moved");
     }
 
     #[test]
@@ -577,11 +483,11 @@ mod tests {
         let mut ck = sample();
         ck.state.point.e_prev = f64::INFINITY;
         ck.state.point.residual_prev = f64::NAN;
-        ck.state.incremental.drift_bound = -0.0;
+        ck.state.point.energy = -0.0;
         let back = ScfCheckpoint::from_bytes(&ck.to_bytes()).expect("roundtrip").state;
         assert!(back.point.e_prev.is_infinite());
         assert!(back.point.residual_prev.is_nan());
-        assert_eq!(back.incremental.drift_bound.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back.point.energy.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -610,6 +516,14 @@ mod tests {
             ScfCheckpoint::from_bytes(&v3),
             Err(CheckpointError::UnsupportedVersion { found: 3 })
         );
+        // Version 4 carried the retired incremental engine's group and three
+        // more fields per iteration ledger; it is refused too.
+        let mut v4 = bytes.clone();
+        v4[8] = 4;
+        assert_eq!(
+            ScfCheckpoint::from_bytes(&v4),
+            Err(CheckpointError::UnsupportedVersion { found: 4 })
+        );
 
         // Truncation inside the CRC region is caught by the checksum
         // (checked before any structural parsing).
@@ -629,9 +543,8 @@ mod tests {
     fn a_ledger_with_more_quantized_than_evaluated_quartets_is_refused() {
         let mut bytes = sample().to_bytes();
         // From the back: the recovery ledger and its count, then the
-        // iteration ledger's rebuild flag, skipped bound, pruned and skipped
-        // counts.
-        let quantized_at = bytes.len() - 88 - 8 - 1 - 8 - 8 - 8 - 8;
+        // iteration ledger's pruned count.
+        let quantized_at = bytes.len() - 88 - 8 - 8 - 8;
         assert_eq!(bytes[quantized_at..quantized_at + 8], 50u64.to_le_bytes());
         assert_eq!(bytes[quantized_at - 8..quantized_at], 1000u64.to_le_bytes());
         bytes[quantized_at..quantized_at + 8].copy_from_slice(&1001u64.to_le_bytes());

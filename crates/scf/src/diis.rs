@@ -183,11 +183,10 @@ impl Diis {
         }
     }
 
-    /// Drop the stored history — the DIIS *restart* the incremental SCF
-    /// driver issues when the iteration diverges (residual growth): stale
-    /// Fock/error pairs from before the divergence would otherwise keep
-    /// steering the extrapolation, and the incremental accumulators are
-    /// rebuilt at the same time so drift cannot survive the restart.
+    /// Drop the stored history — the DIIS *restart* the SCF driver issues
+    /// when the iteration diverges (residual growth): stale Fock/error pairs
+    /// from before the divergence would otherwise keep steering the
+    /// extrapolation.
     pub fn reset(&mut self) {
         self.focks.clear();
         self.errors.clear();

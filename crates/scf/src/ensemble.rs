@@ -13,7 +13,7 @@
 //!   so a shared-cache driver is configured identically to a solo one — only
 //!   the tuning wall time is amortized.
 //! * **Launches are fused, pricing only.** Each super-iteration plans every
-//!   live member's Fock build (phases 0–1 of the engine), then groups the
+//!   live member's Fock build (phase 1 of the engine), then groups the
 //!   resulting sub-batches across members by `(EriClass, PipelineConfig)` —
 //!   the launch-identity key — and prices each group as ONE batched launch
 //!   ([`fused_batch_device_seconds`]). The fused cost is apportioned back to
@@ -217,8 +217,8 @@ impl EnsembleDriver {
             let mut iter_span = mako_trace::span("ensemble", "iteration");
 
             // ---- Stage: per-member trajectory decisions + build plans. ----
-            // `prepare` commits every schedule/rebuild decision per member;
-            // `plan_jk` runs phases 0–1 (screen + split); `freeze_scales`
+            // `prepare` commits every schedule decision per member;
+            // `plan_jk` runs phase 1 (the split); `freeze_scales`
             // locks the per-molecule group quantization scales. After this
             // point execution can only change pricing, never numerics.
             let mut staged: Vec<(usize, PreparedIteration, FockPlan)> = Vec::new();
@@ -226,15 +226,14 @@ impl EnsembleDriver {
                 let Some(sess) = slot.as_mut() else { continue };
                 let prep = sess.prepare();
                 let drv = &self.drivers[m];
+                let (density, _) = sess.build_inputs();
                 let mut plan = plan_jk(
-                    &prep.build_density,
+                    density,
                     &drv.pairs,
                     &drv.batches,
                     0..drv.batches.len(),
                     &prep.schedule,
                     |bi| drv.cfgs(bi),
-                    &drv.layout,
-                    prep.opts,
                 );
                 plan.freeze_scales(&drv.pairs, &drv.batches);
                 staged.push((m, prep, plan));
@@ -315,13 +314,8 @@ impl EnsembleDriver {
                 plan.set_device_seconds(share);
                 let drv = &self.drivers[m];
                 let sess = sessions[m].as_mut().expect("staged implies live");
-                let jk = plan.assemble(
-                    &prep.build_density,
-                    &drv.pairs,
-                    &drv.batches,
-                    &drv.layout,
-                    Some(sess.tensors_mut()),
-                );
+                let (density, tensors) = sess.build_inputs();
+                let jk = plan.assemble(density, &drv.pairs, &drv.batches, &drv.layout, Some(tensors));
                 match sess.advance(prep, jk, plan.stats, RecoveryLedger::default()) {
                     Ok(()) => {
                         if mako_trace::enabled() {

@@ -32,14 +32,8 @@
 //! ensemble builds all evaluate their quartets in one place,
 //! `FockPlan::assemble`.
 //!
-//! A build runs in three phases (plus an optional phase 0):
+//! A build runs in three phases:
 //!
-//! 0. **incremental screen** (serial, cheap, optional): with
-//!    [`FockEngineOptions::delta_tau`] set, quartets whose density-weighted
-//!    Schwarz estimate `Q_ab·Q_cd·max|D_block|` falls below τ are dropped
-//!    before scheduling — the direct-SCF difference-density screen. Skipped
-//!    quartets never reach the device clock; their neglected contribution is
-//!    bounded in [`FockBuildStats::skipped_bound`];
 //! 1. **schedule split** (serial, cheap): every batch is split by the
 //!    convergence-aware scheduler into an FP64 and a quantized sub-batch;
 //! 2. **device clock** (serial, cheap): each non-empty sub-batch is priced
@@ -58,7 +52,7 @@
 //! J/K eight times need not evaluate it eight times. `TensorStore` keeps two
 //! tiers per session, each one exactly-sized `f64` arena keyed by *(batch,
 //! position in `batches[bi].quartets`)* — the key a `SubUnit` already
-//! carries — so the scheduler may prune, skip or quantize a different set
+//! carries — so the scheduler may prune or quantize a different set
 //! every iteration. Batch indices are global, and LPT shares are disjoint,
 //! so a multi-rank session's shares all use the one store.
 //!
@@ -131,7 +125,7 @@ use mako_accel::CostModel;
 use mako_chem::cart::nsph;
 use mako_chem::AoLayout;
 use mako_eri::batch::{EriClass, QuartetBatch};
-use mako_eri::screening::{DensityBlockMax, ScreenedPair};
+use mako_eri::screening::ScreenedPair;
 use mako_eri::mmd::eri_quartet_mmd_into;
 use mako_eri::tensor::Tensor4;
 use mako_kernels::pipeline::{
@@ -160,15 +154,6 @@ pub struct FockBuildStats {
     pub quantized_quartets: usize,
     /// Quartets pruned by the scheduler.
     pub pruned_quartets: usize,
-    /// Quartets skipped by the incremental ΔD Schwarz screen (phase 0) —
-    /// dropped before scheduling and before the device clock prices any
-    /// launch, so they cost nothing on either clock.
-    pub skipped_quartets: usize,
-    /// Analytic bound on the max-norm perturbation of J (and of K) from
-    /// everything skipped: `Σ 8·n²·Q_ab·Q_cd·max|D_block|` over the skipped
-    /// quartets, where n bounds the block edge. The incremental driver's
-    /// drift cap and the conformance proptest both key on this.
-    pub skipped_bound: f64,
     /// Simulated device seconds spent in ERI kernels.
     pub device_seconds: f64,
 }
@@ -179,33 +164,22 @@ impl FockBuildStats {
         self.fp64_quartets + self.quantized_quartets
     }
 
-    /// Fold one rank's share into the distributed reduction: counters and
-    /// the skipped bound add up; ranks run concurrently, so the build costs
-    /// what the slowest rank costs and the device clock takes the max.
+    /// Fold one rank's share into the distributed reduction: counters add
+    /// up; ranks run concurrently, so the build costs what the slowest rank
+    /// costs and the device clock takes the max.
     pub(crate) fn merge_rank(&mut self, rank: &FockBuildStats) {
         self.fp64_quartets += rank.fp64_quartets;
         self.quantized_quartets += rank.quantized_quartets;
         self.pruned_quartets += rank.pruned_quartets;
-        self.skipped_quartets += rank.skipped_quartets;
-        self.skipped_bound += rank.skipped_bound;
         self.device_seconds = self.device_seconds.max(rank.device_seconds);
     }
 }
 
-/// Options for the parallel Fock assembly engine.
+/// Read by nothing: the engine has no options. [`build_jk_with_configs`]
+/// still takes one because the benchmark's replay passes it; ROADMAP item
+/// 12's benchmark change deletes that argument and then this type.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FockEngineOptions {
-    /// Incremental (direct-SCF) screen: with `Some(τ)`, any quartet whose
-    /// density-weighted Schwarz estimate `Q_ab·Q_cd·max|D_block|` falls
-    /// below τ is skipped before scheduling (phase 0). Pass the *difference*
-    /// density ΔD = D − D_ref as `density` and the estimates shrink as the
-    /// SCF converges, so quartet work falls iteration over iteration. The
-    /// neglected contributions are bounded in
-    /// [`FockBuildStats::skipped_bound`]. The screen is a pure function of
-    /// (density, bounds, τ), so determinism across thread counts is
-    /// unaffected. `None` (default) disables it.
-    pub delta_tau: Option<f64>,
-}
+pub struct FockEngineOptions {}
 
 /// One schedulable sub-batch: the quartets of one batch that share an
 /// execution class (FP64 or quantized) and therefore one pipeline config.
@@ -352,7 +326,7 @@ struct QuantTier {
 /// The quartet tensors of one SCF session, kept across Fock builds (module
 /// docs, "The tensor store"). Keyed by *(batch, position in
 /// `batches[bi].quartets`)*, so it is indifferent to which quartets a build
-/// prunes, skips or quantizes. FP64 and quantized tensors live in separate
+/// prunes or quantizes. FP64 and quantized tensors live in separate
 /// tiers and never serve each other.
 pub(crate) struct TensorStore {
     fp64: Tier,
@@ -435,8 +409,8 @@ impl TensorStore {
     }
 }
 
-/// A scheduled-but-not-yet-executed Fock build: the output of phases 0–1
-/// (ΔD screen + schedule split), before the device clock prices anything and
+/// A scheduled-but-not-yet-executed Fock build: the output of phase 1
+/// (the schedule split), before the device clock prices anything and
 /// before any quartet is evaluated.
 ///
 /// The split exists for the ensemble driver: it plans every member's build,
@@ -450,14 +424,12 @@ pub(crate) struct FockPlan {
     pub(crate) stats: FockBuildStats,
 }
 
-/// Phases 0–1 of the engine over the batches `share` names (in the order
+/// Phase 1 of the engine over the batches `share` names (in the order
 /// given; every batch for a single-device build, one LPT share for a rank):
-/// the incremental ΔD Schwarz screen and the convergence-aware schedule
-/// split, serial and deterministic. Sub-units keep global batch indices, so
-/// every plan prices and assembles against the one `batches` slice. Emits
-/// the `fock.screen` span. The returned plan's `stats.device_seconds` is
-/// zero until the plan is priced.
-#[allow(clippy::too_many_arguments)]
+/// the convergence-aware schedule split, serial and deterministic. Sub-units
+/// keep global batch indices, so every plan prices and assembles against
+/// the one `batches` slice. Emits the `fock.screen` span. The returned
+/// plan's `stats.device_seconds` is zero until the plan is priced.
 pub(crate) fn plan_jk(
     density: &Matrix,
     pairs: &[ScreenedPair],
@@ -465,8 +437,6 @@ pub(crate) fn plan_jk(
     share: impl IntoIterator<Item = usize>,
     schedule: &QuantSchedule,
     cfg_for: impl Fn(usize) -> (PipelineConfig, PipelineConfig),
-    layout: &AoLayout,
-    opts: FockEngineOptions,
 ) -> FockPlan {
     let mut stats = FockBuildStats::default();
     let mut planned_batches = 0usize;
@@ -476,10 +446,7 @@ pub(crate) fn plan_jk(
     let max_bound = pairs.iter().map(|p| p.bound).fold(0.0f64, f64::max);
     let scale = max_bound * max_bound * d_max.max(1e-30);
 
-    // Phase 0 (incremental screen): per-shell-block density magnitudes,
-    // built once per call. Only paid for when the ΔD screen is on.
     let mut screen_span = mako_trace::span("fock", "screen");
-    let block_max = opts.delta_tau.map(|_| DensityBlockMax::build(density, layout));
 
     // Phase 1: split every batch by scheduling decision (bounds vary by
     // quartet). Serial and deterministic; integer bookkeeping only.
@@ -493,30 +460,6 @@ pub(crate) fn plan_jk(
         let mut quant_q: Vec<u32> = Vec::new();
         for (pos, &(pi, qi)) in batch.quartets.iter().enumerate() {
             let pos = pos as u32;
-            if let (Some(tau), Some(bm)) = (opts.delta_tau, &block_max) {
-                let (pab, pcd) = (&pairs[pi], &pairs[qi]);
-                // Shared estimate definition (incl. the 1e-30 density floor)
-                // and the pinned boundary convention: only a strictly
-                // smaller estimate skips; `est == tau` is still evaluated.
-                let est = mako_eri::screening::schwarz_estimate(
-                    pab.bound,
-                    pcd.bound,
-                    bm.quartet_max(pab.i, pab.j, pcd.i, pcd.j),
-                );
-                if est < tau {
-                    // A skipped quartet perturbs any one J/K element by at
-                    // most (permutational images ≤ 8) × (contracted
-                    // elements ≤ n²) × est, with n the largest spherical
-                    // block edge.
-                    let nmax = nsph(batch.class.la)
-                        .max(nsph(batch.class.lb))
-                        .max(nsph(batch.class.lc))
-                        .max(nsph(batch.class.ld));
-                    stats.skipped_quartets += 1;
-                    stats.skipped_bound += 8.0 * (nmax * nmax) as f64 * est;
-                    continue;
-                }
-            }
             match schedule.decide(pairs[pi].bound, pairs[qi].bound, d_max, scale) {
                 ExecClass::Pruned => stats.pruned_quartets += 1,
                 ExecClass::Fp64 => fp64_q.push(pos),
@@ -543,7 +486,6 @@ pub(crate) fn plan_jk(
         screen_span.add_field("sub_units", units.len());
         screen_span.add_field("fp64_quartets", stats.fp64_quartets);
         screen_span.add_field("quantized_quartets", stats.quantized_quartets);
-        screen_span.add_field("skipped_quartets", stats.skipped_quartets);
         screen_span.add_field("pruned_quartets", stats.pruned_quartets);
     }
     screen_span.end();
@@ -744,7 +686,8 @@ impl FockPlan {
 /// * `cfg_for(bi)` returns the tuned (FP64, quantized) pipeline
 ///   configurations of batch `bi` (typically from `mako-compiler`'s kernel
 ///   cache);
-/// * the returned stats carry the simulated device time.
+/// * the returned stats carry the simulated device time;
+/// * the [`FockEngineOptions`] argument is ignored.
 ///
 /// Assembly runs across the current rayon pool; the result is bitwise
 /// identical for any thread count.
@@ -757,9 +700,9 @@ pub fn build_jk_with_configs(
     schedule: &QuantSchedule,
     cfg_for: impl Fn(usize) -> (PipelineConfig, PipelineConfig),
     model: &CostModel,
-    opts: FockEngineOptions,
+    _opts: FockEngineOptions,
 ) -> (JkMatrices, FockBuildStats) {
-    build_jk(density, pairs, batches, layout, schedule, cfg_for, model, opts, None)
+    build_jk(density, pairs, batches, layout, schedule, cfg_for, model, None)
 }
 
 /// The single-device build over every batch: `plan → price → assemble`,
@@ -773,10 +716,9 @@ pub(crate) fn build_jk(
     schedule: &QuantSchedule,
     cfg_for: impl Fn(usize) -> (PipelineConfig, PipelineConfig),
     model: &CostModel,
-    opts: FockEngineOptions,
     store: Option<&mut TensorStore>,
 ) -> (JkMatrices, FockBuildStats) {
-    let mut plan = plan_jk(density, pairs, batches, 0..batches.len(), schedule, cfg_for, layout, opts);
+    let mut plan = plan_jk(density, pairs, batches, 0..batches.len(), schedule, cfg_for);
     plan.price(pairs, batches, model);
     let jk = plan.assemble(density, pairs, batches, layout, store);
     (jk, plan.stats)
@@ -1543,125 +1485,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_screen_zero_tau_is_bitwise_inert() {
-        // τ = 0 skips nothing (est < 0 is never true), so the build must be
-        // bitwise identical to the default-options engine.
-        let mol = builders::water();
-        let shells = sto3g().shells_for(&mol);
-        let layout = AoLayout::new(&shells);
-        let d = test_density(layout.nao);
-        let pairs = build_screened_pairs(&shells, 1e-12);
-        let batches = batch_quartets(&pairs, 1e-14);
-        let model = CostModel::new(DeviceSpec::a100());
-        let cfg = PipelineConfig::kernel_mako_fp64();
-        let schedule = QuantSchedule::fp64_reference(0.0);
-        let run = |tau: Option<f64>| {
-            build_jk_with_configs(
-                &d,
-                &pairs,
-                &batches,
-                &layout,
-                &schedule,
-                |_| (cfg, cfg),
-                &model,
-                FockEngineOptions { delta_tau: tau },
-            )
-        };
-        let (base, st_base) = run(None);
-        let (zero, st_zero) = run(Some(0.0));
-        assert!(bits_equal(&base.j, &zero.j) && bits_equal(&base.k, &zero.k));
-        assert_eq!(st_zero.skipped_quartets, 0);
-        assert_eq!(st_zero.skipped_bound, 0.0);
-        assert_eq!(st_base, st_zero);
-    }
-
-    #[test]
-    fn delta_screen_error_within_analytic_bound_and_saves_device_time() {
-        let mol = builders::water();
-        let shells = sto3g().shells_for(&mol);
-        let layout = AoLayout::new(&shells);
-        // A small difference-density-like matrix: mid-SCF ΔD magnitudes.
-        let mut d = Matrix::from_fn(layout.nao, layout.nao, |i, j| {
-            1e-4 * ((i * 7 + j * 3) % 11) as f64 / (1.0 + (i as f64 - j as f64).abs())
-        });
-        d.symmetrize();
-        let pairs = build_screened_pairs(&shells, 1e-12);
-        let batches = batch_quartets(&pairs, 1e-14);
-        let model = CostModel::new(DeviceSpec::a100());
-        let cfg = PipelineConfig::kernel_mako_fp64();
-        let schedule = QuantSchedule::fp64_reference(0.0);
-        let run = |tau: Option<f64>| {
-            build_jk_with_configs(
-                &d,
-                &pairs,
-                &batches,
-                &layout,
-                &schedule,
-                |_| (cfg, cfg),
-                &model,
-                FockEngineOptions { delta_tau: tau },
-            )
-        };
-        let (full, st_full) = run(Some(0.0));
-        let tau = 1e-7;
-        let (scr, st_scr) = run(Some(tau));
-        assert!(st_scr.skipped_quartets > 0, "screen must engage");
-        assert!(
-            st_scr.evaluated_quartets() < st_full.evaluated_quartets(),
-            "screened build must run less work"
-        );
-        assert!(
-            st_scr.device_seconds < st_full.device_seconds,
-            "skipped quartets must come off the device clock: {} !< {}",
-            st_scr.device_seconds,
-            st_full.device_seconds
-        );
-        let dj = full.j.sub(&scr.j).max_abs();
-        let dk = full.k.sub(&scr.k).max_abs();
-        assert!(
-            dj <= st_scr.skipped_bound && dk <= st_scr.skipped_bound,
-            "screen error (J {dj:e}, K {dk:e}) exceeds analytic bound {:e}",
-            st_scr.skipped_bound
-        );
-    }
-
-    #[test]
-    fn delta_screen_is_deterministic_across_thread_counts() {
-        let mol = builders::methane();
-        let shells = sto3g().shells_for(&mol);
-        let layout = AoLayout::new(&shells);
-        // Block-sparse ΔD: only the (0,0) AO entry is nonzero, so quartets
-        // not touching shell 0 have an exactly-zero density-weighted
-        // estimate and are guaranteed to skip, while (00|00)-like quartets
-        // are guaranteed to run — a deterministic mix at any τ > 0.
-        let mut d = Matrix::zeros(layout.nao, layout.nao);
-        d[(0, 0)] = 0.5;
-        let pairs = build_screened_pairs(&shells, 1e-12);
-        let batches = batch_quartets(&pairs, 1e-14);
-        let model = CostModel::new(DeviceSpec::a100());
-        let cfg = PipelineConfig::kernel_mako_fp64();
-        let schedule = QuantSchedule::fp64_reference(0.0);
-        let opts = FockEngineOptions { delta_tau: Some(1e-12) };
-        let run = || {
-            build_jk_with_configs(
-                &d, &pairs, &batches, &layout, &schedule, |_| (cfg, cfg), &model, opts,
-            )
-        };
-        let (base, st_base) = run();
-        assert!(st_base.skipped_quartets > 0);
-        for threads in [2usize, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let (jk, st) = pool.install(run);
-            assert!(bits_equal(&jk.j, &base.j), "{threads} threads changed J");
-            assert!(bits_equal(&jk.k, &base.k), "{threads} threads changed K");
-            assert_eq!(st, st_base);
-        }
-    }
-
-    #[test]
     fn chunk_size_never_changes_bits() {
         let mol = builders::water();
         let shells = sto3g().shells_for(&mol);
@@ -1673,13 +1496,13 @@ mod tests {
         let cfg = PipelineConfig::kernel_mako_fp64();
         let schedule = QuantSchedule::fp64_reference(0.0);
 
-        let opts = FockEngineOptions::default();
         let (base, st_base) = build_jk_with_configs(
-            &d, &pairs, &batches, &layout, &schedule, |_| (cfg, cfg), &model, opts,
+            &d, &pairs, &batches, &layout, &schedule, |_| (cfg, cfg), &model,
+            FockEngineOptions::default(),
         );
         for chunk in [1usize, 3, 17, 100_000] {
             let mut plan =
-                plan_jk(&d, &pairs, &batches, 0..batches.len(), &schedule, |_| (cfg, cfg), &layout, opts);
+                plan_jk(&d, &pairs, &batches, 0..batches.len(), &schedule, |_| (cfg, cfg));
             plan.price(&pairs, &batches, &model);
             let jk = plan.assemble_in_waves(&d, &pairs, &batches, &layout, None, chunk);
             assert!(bits_equal(&jk.j, &base.j), "chunk {chunk} changed J bits");
@@ -1723,10 +1546,8 @@ mod tests {
 
         fn plan(&self, d: &Matrix, schedule: &QuantSchedule) -> FockPlan {
             let (fp64, quant) = (PipelineConfig::kernel_mako_fp64(), PipelineConfig::quant_mako());
-            let opts = FockEngineOptions::default();
             let all = 0..self.batches.len();
-            let mut plan =
-                plan_jk(d, &self.pairs, &self.batches, all, schedule, |_| (fp64, quant), &self.layout, opts);
+            let mut plan = plan_jk(d, &self.pairs, &self.batches, all, schedule, |_| (fp64, quant));
             plan.price(&self.pairs, &self.batches, &self.model);
             plan
         }

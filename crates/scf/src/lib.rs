@@ -29,8 +29,7 @@
 //! * [`ensemble`] — the lockstep fleet driver: N independent molecules
 //!   whose same-class quartet sub-batches are fused into shared kernel
 //!   launches (pricing only — every member stays bitwise identical to its
-//!   solo run), with per-member isolation of DIIS, incremental state, and
-//!   the rescue ladder.
+//!   solo run), with per-member isolation of DIIS and the rescue ladder.
 #![deny(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
@@ -47,7 +46,7 @@ pub mod rescue;
 pub mod scf;
 pub mod xc;
 
-pub use checkpoint::{CarriedState, IncrementalState, RestorePoint, ScfCheckpoint};
+pub use checkpoint::{CarriedState, RestorePoint, ScfCheckpoint};
 pub use diis::{Diis, DiisStats};
 pub use ensemble::{EnsembleConfig, EnsembleDriver, EnsembleResult};
 pub use error::{CheckpointError, FockBuildError, NonFiniteStage, ScfError};

@@ -20,7 +20,7 @@
 //! integral-direct.
 
 use crate::error::FockBuildError;
-use crate::fock::{plan_jk, FockBuildStats, FockEngineOptions, JkMatrices, TensorStore};
+use crate::fock::{plan_jk, FockBuildStats, JkMatrices, TensorStore};
 use mako_accel::cluster::{
     parallel_efficiency, partition_lpt, simulate_iteration, ClusterSpec, ParallelTiming,
     RingAllreduce,
@@ -272,11 +272,8 @@ pub struct FtFockOutcome {
 /// load-model clock and reported in [`RecoveryLedger`]
 /// (`fault_free_seconds` vs `degraded_seconds`).
 ///
-/// Every rank applies `opts` to its share (the incremental driver's ΔD
-/// screen is a pure per-quartet function of the density and the Schwarz
-/// bounds, so partitioning does not change what is skipped). Stateless and
-/// integral-direct, like [`crate::fock::build_jk_with_configs`]. Errors with
-/// [`FockBuildError::NoRanks`] on an empty cluster and
+/// Stateless and integral-direct, like [`crate::fock::build_jk_with_configs`].
+/// Errors with [`FockBuildError::NoRanks`] on an empty cluster and
 /// [`FockBuildError::AllRanksLost`] when no rank survives.
 #[allow(clippy::too_many_arguments)]
 pub fn build_jk_distributed(
@@ -287,13 +284,11 @@ pub fn build_jk_distributed(
     schedule: &mako_quant::QuantSchedule,
     cfg_for: impl Fn(usize) -> (PipelineConfig, PipelineConfig),
     model: &CostModel,
-    opts: FockEngineOptions,
     dist: &DistributedScf,
     collective_call: u64,
 ) -> Result<FtFockOutcome, FockBuildError> {
     build_shares(
-        density, pairs, batches, layout, schedule, cfg_for, model, opts, dist, collective_call,
-        None,
+        density, pairs, batches, layout, schedule, cfg_for, model, dist, collective_call, None,
     )
 }
 
@@ -309,7 +304,6 @@ pub(crate) fn build_shares(
     schedule: &mako_quant::QuantSchedule,
     cfg_for: impl Fn(usize) -> (PipelineConfig, PipelineConfig),
     model: &CostModel,
-    opts: FockEngineOptions,
     dist: &DistributedScf,
     collective_call: u64,
     mut store: Option<&mut TensorStore>,
@@ -379,7 +373,7 @@ pub(crate) fn build_shares(
     let mut stats = FockBuildStats::default();
     for share in &shares {
         let mut share_plan =
-            plan_jk(density, pairs, batches, share.iter().copied(), schedule, &cfg_for, layout, opts);
+            plan_jk(density, pairs, batches, share.iter().copied(), schedule, &cfg_for);
         share_plan.price(pairs, batches, model);
         let jk = share_plan.assemble(density, pairs, batches, layout, store.as_deref_mut());
         j.axpy(1.0, &jk.j);
@@ -466,7 +460,7 @@ pub fn scaling_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::build_jk_with_configs;
+    use crate::fock::{build_jk_with_configs, FockEngineOptions};
     use mako_accel::DeviceSpec;
     use mako_chem::basis::BasisFamily;
     use mako_chem::builders;
@@ -574,7 +568,6 @@ mod tests {
             schedule,
             |_| (*cfg, *cfg),
             model,
-            FockEngineOptions::default(),
             dist,
             call,
         )
@@ -784,7 +777,6 @@ mod tests {
             &schedule,
             |_| (cfg, cfg),
             &model,
-            FockEngineOptions::default(),
             &DistributedScf::new(0),
             0,
         )

@@ -8,14 +8,13 @@
 //! chance to act:
 //!
 //! 1. **DIIS reset** — drop the extrapolation history that steered the
-//!    trajectory into trouble (plus a full rebuild on incremental runs);
+//!    trajectory into trouble;
 //! 2. **density damping** — mix `D ← (1−α)·D_new + α·D_old` with α decaying
 //!    geometrically back to zero once the trajectory recovers;
 //! 3. **level shifting** — raise the virtual block by σ via
 //!    `F ← F + σ·(S − S·D·S)` with σ on the same decay schedule;
 //! 4. **quantization backoff** — force the `QuantSchedule` to the FP64
-//!    reference and full (non-incremental) rebuilds, so quantization noise
-//!    and screening drift cannot be what stalls convergence;
+//!    reference, so quantization noise cannot be what stalls convergence;
 //! 5. **rollback** — restore the last good in-memory [`RestorePoint`]
 //!    with tightened settings (fresh DIIS, damping re-armed, FP64 backoff
 //!    kept).
@@ -61,14 +60,13 @@ impl TrajectoryClass {
 /// A rung of the rescue ladder, in escalation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RescueStage {
-    /// Stage 1: drop the DIIS history (and force a full rebuild on
-    /// incremental runs).
+    /// Stage 1: drop the DIIS history.
     DiisReset,
     /// Stage 2: arm density damping at α = 0.7.
     Damp,
     /// Stage 3: arm level shifting of the virtual block at σ = 1 Ha.
     LevelShift,
-    /// Stage 4: force the FP64-reference schedule and full rebuilds.
+    /// Stage 4: force the FP64-reference schedule.
     QuantBackoff,
     /// Stage 5: restore the last good checkpoint with tightened settings.
     Rollback,
@@ -438,7 +436,7 @@ impl RescueState {
     }
 
     /// Whether stage 4 has fired: the driver must use the FP64-reference
-    /// schedule and full rebuilds from now on.
+    /// schedule from now on.
     pub(crate) fn quant_backoff(&self) -> bool {
         self.backoff
     }

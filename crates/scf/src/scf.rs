@@ -7,12 +7,11 @@
 //! excluding the first iteration (Figure 8's metric), and scheduling
 //! statistics.
 
-use crate::checkpoint::{CarriedState, IncrementalState, RestorePoint, ScfCheckpoint};
+use crate::checkpoint::{CarriedState, RestorePoint, ScfCheckpoint};
 use crate::diis::Diis;
 use crate::error::{NonFiniteStage, ScfError};
 use crate::fock::{
-    attribute_non_finite, build_jk, FockBuildStats, FockEngineOptions, JkMatrices, TensorStore,
-    TENSOR_STORE_BYTES,
+    attribute_non_finite, build_jk, FockBuildStats, JkMatrices, TensorStore, TENSOR_STORE_BYTES,
 };
 use crate::grid::MolecularGrid;
 use crate::parallel::{build_shares, DistributedScf};
@@ -42,37 +41,20 @@ pub enum ScfMethod {
     Rks(XcFunctional),
 }
 
-/// Policy knobs of the incremental (direct) SCF engine: when to trust the
-/// accumulated Fock matrix and when to rebuild it from scratch.
+/// The DIIS divergence guard's threshold. It keeps the name it had when it
+/// also held the retired incremental engine's policy, because the
+/// benchmark's replay reads it through [`ScfConfig::incremental_policy`];
+/// ROADMAP item 12's benchmark change renames both.
 #[derive(Debug, Clone)]
 pub struct IncrementalPolicy {
-    /// ΔD Schwarz screen threshold τ: quartets with
-    /// `Q_ab·Q_cd·max|ΔD_block| < τ` are skipped. As the SCF converges
-    /// max|ΔD| falls, so ever more quartets drop below the fixed bar.
-    pub tau: f64,
-    /// Full rebuild every this many iterations (numerical hygiene);
-    /// `0` disables the periodic rebuild.
-    pub(crate) rebuild_period: usize,
-    /// Drift cap: rebuild as soon as the accumulated analytic bound on the
-    /// skipped contributions (`Σ skipped_bound` since the last rebuild)
-    /// exceeds this, so screening error can never pile up past it. The
-    /// bound is extremely conservative (worst case over all 8 arrangements
-    /// of every skipped quartet; the realized error is orders of magnitude
-    /// smaller), so the cap is a loose guardrail — `rebuild_period` is the
-    /// primary hygiene. Caps near the energy tolerance would force a
-    /// rebuild every iteration and disable the engine entirely.
-    pub(crate) drift_cap: f64,
     /// Divergence guard: when the DIIS residual grows by more than this
-    /// factor between iterations, restart DIIS and force a full rebuild.
+    /// factor between iterations, restart DIIS.
     pub divergence_factor: f64,
 }
 
 impl Default for IncrementalPolicy {
     fn default() -> IncrementalPolicy {
         IncrementalPolicy {
-            tau: 1e-11,
-            rebuild_period: 8,
-            drift_cap: 1e-4,
             divergence_factor: 10.0,
         }
     }
@@ -143,15 +125,11 @@ pub struct ScfConfig {
     /// `None` keeps the default `screening²`. Benchmarks on large systems
     /// raise it to bound the workload deterministically.
     pub quartet_threshold: Option<f64>,
-    /// Incremental (direct) SCF: each iteration builds J/K from the density
-    /// *difference* ΔD = D − D_ref under the dynamic ΔD Schwarz screen and
-    /// accumulates onto the retained Fock contribution, with full rebuilds
-    /// governed by [`IncrementalPolicy`]. As the SCF converges ΔD shrinks,
-    /// so quartet work falls iteration over iteration — the classic
-    /// direct-SCF optimization, compounding with QuantMako's scheduling.
+    /// Read by nothing: every iteration builds J/K from the whole density.
+    /// The benchmark's workloads still set it; ROADMAP item 12's benchmark
+    /// change deletes that and then this field.
     pub incremental: bool,
-    /// Rebuild/screen policy of the incremental engine (ignored unless
-    /// `incremental`).
+    /// The DIIS divergence guard's threshold (see [`IncrementalPolicy`]).
     pub incremental_policy: IncrementalPolicy,
     /// DFT grid fineness: (radial shells per atom, largest angular order
     /// n_θ). Each shell carries an `n × 2n` angular rule whose order n is
@@ -236,8 +214,7 @@ pub struct ScfResult {
     /// diagonalization, the same as `total_seconds`), not the ERI share.
     pub stats: FockBuildStats,
     /// Per-iteration device-clock ledger: simulated seconds charged next to
-    /// the evaluated / quantized / skipped / pruned quartet populations and
-    /// the rebuild flags of the incremental engine.
+    /// the evaluated / quantized / pruned quartet populations.
     pub clock: DeviceClock,
     /// Every rescue-ladder intervention of the run, oldest first. Empty on
     /// a healthy run (and then the run is bitwise identical to one with
@@ -436,15 +413,15 @@ impl ScfDriver {
     }
 
     /// Total quartets across all batches — the per-iteration workload of a
-    /// full (non-incremental) build before any dynamic screening.
+    /// Fock build before the scheduler prunes any.
     pub fn nquartets(&self) -> usize {
         self.batches.iter().map(|b| b.quartets.len()).sum()
     }
 
     /// Content hash of the problem this driver solves: molecule geometry,
-    /// contracted shells, device kind, method, quantization/incremental
-    /// mode, and screening thresholds. Drivers for *different* problems that
-    /// happen to share all the gross sizes (nao, batch count, quartet count)
+    /// contracted shells, device kind, method, quantization mode, and
+    /// screening thresholds. Drivers for *different* problems that happen
+    /// to share all the gross sizes (nao, batch count, quartet count)
     /// still get distinct fingerprints, which is the key both for checkpoint
     /// cross-tenant validation and for `mako-server`'s screening-artifact
     /// cache. Convergence *budget* knobs (`e_tol`, `max_iterations`) are
@@ -472,9 +449,8 @@ impl ScfDriver {
     ///
     /// A resumed run replays the remaining trajectory **bitwise
     /// identically** to the uninterrupted one: the checkpoint carries every
-    /// piece of inter-iteration state (density, DIIS history, incremental
-    /// accumulators, residual bookkeeping, ledgers), all serialized through
-    /// `f64::to_bits`.
+    /// piece of inter-iteration state (density, DIIS history, residual
+    /// bookkeeping, ledgers), all serialized through `f64::to_bits`.
     pub fn run_with(&self, run_opts: ScfRunOptions) -> Result<ScfResult, ScfError> {
         self.run_session(ScfSession::new(self, run_opts)?)
     }
@@ -495,8 +471,9 @@ impl ScfDriver {
     fn step_to_end(&self, session: &mut ScfSession<'_>) -> Result<(), ScfError> {
         while session.active() {
             let prep = session.prepare();
-            let (jk, st, recovery) =
-                self.execute_build(&prep, session.iteration(), session.tensors_mut())?;
+            let iter = session.iteration();
+            let (density, tensors) = session.build_inputs();
+            let (jk, st, recovery) = self.execute_build(&prep, density, iter, tensors)?;
             session.advance(prep, jk, st, recovery)?;
         }
         Ok(())
@@ -533,6 +510,7 @@ impl ScfDriver {
     fn execute_build(
         &self,
         prep: &PreparedIteration,
+        density: &Matrix,
         iter: usize,
         tensors: &mut TensorStore,
     ) -> Result<(JkMatrices, FockBuildStats, RecoveryLedger), ScfError> {
@@ -542,14 +520,13 @@ impl ScfDriver {
                 // The plan's fault stream is shared across iterations; the
                 // iteration index keys each iteration's allreduce timeouts.
                 let out = build_shares(
-                    &prep.build_density,
+                    density,
                     &self.pairs,
                     &self.batches,
                     &self.layout,
                     &prep.schedule,
                     cfg_for,
                     &self.model,
-                    prep.opts,
                     dist,
                     iter as u64,
                     Some(tensors),
@@ -558,14 +535,13 @@ impl ScfDriver {
             }
             None => {
                 let (jk, stats) = build_jk(
-                    &prep.build_density,
+                    density,
                     &self.pairs,
                     &self.batches,
                     &self.layout,
                     &prep.schedule,
                     cfg_for,
                     &self.model,
-                    prep.opts,
                     Some(tensors),
                 );
                 Ok((jk, stats, RecoveryLedger::default()))
@@ -607,20 +583,13 @@ impl ScfDriver {
 /// an execution path has run the build. Between the two calls the caller owns
 /// the execution: the solo driver calls [`ScfDriver::execute_build`], the
 /// ensemble driver fuses same-class sub-batches across molecules into shared
-/// launches. `prepare` has already committed every schedule- and
-/// rebuild-policy decision, so execution cannot influence the trajectory —
-/// only how the work is priced.
+/// launches. `prepare` has already committed the schedule decision, so
+/// execution cannot influence the trajectory — only how the work is priced.
+/// The build contracts against the session's density
+/// ([`ScfSession::build_inputs`]).
 pub(crate) struct PreparedIteration {
     /// Precision schedule for this iteration (per-molecule decision).
     pub(crate) schedule: QuantSchedule,
-    /// Whether this is a full rebuild (accumulators purged) or an
-    /// incremental ΔD build.
-    pub(crate) rebuild: bool,
-    /// The density handed to the engine: ΔD on the incremental path, D
-    /// otherwise.
-    pub(crate) build_density: Matrix,
-    /// Engine options (ΔD screen threshold on the incremental path).
-    pub(crate) opts: FockEngineOptions,
     /// The open `scf.iteration` span; `advance` fills its fields and ends it.
     iter_span: mako_trace::Span,
 }
@@ -637,9 +606,8 @@ pub(crate) struct PreparedIteration {
 ///
 /// What one iteration hands the next is one [`CarriedState`]: the restore
 /// point a rescue rollback rewinds (density, energies, residuals, orbital
-/// energies), the incremental engine's state, the DIIS history, and the
-/// device clock. A checkpoint saves it whole and a resume takes it back
-/// whole. The clock is the session's only record of what its iterations
+/// energies), the DIIS history, and the device clock. A checkpoint saves it
+/// whole and a resume takes it back whole. The clock is the session's only record of what its iterations
 /// cost: [`ScfSession::finish`] derives every timing and statistic of the
 /// [`ScfResult`] from it.
 /// Everything else here is fixed for the run (one-electron matrices,
@@ -656,7 +624,6 @@ pub(crate) struct ScfSession<'a> {
     x: Matrix,
     orth: OrthDiagnostics,
     e_nuc: f64,
-    policy: IncrementalPolicy,
     state: CarriedState,
     // Self-healing engine. `None` when disabled; when enabled it stays
     // strictly observational until a ladder stage fires, so a healthy
@@ -743,7 +710,6 @@ impl<'a> ScfSession<'a> {
         let e_nuc = driver.mol.nuclear_repulsion();
 
         let nao = driver.layout.nao;
-        let policy = driver.config.incremental_policy.clone();
         let rescue = driver
             .config
             .rescue
@@ -781,7 +747,6 @@ impl<'a> ScfSession<'a> {
                 };
                 let state = CarriedState {
                     point,
-                    incremental: IncrementalState::new(nao),
                     diis: Diis::new(8),
                     clock: DeviceClock::new(),
                 };
@@ -799,7 +764,6 @@ impl<'a> ScfSession<'a> {
             x,
             orth,
             e_nuc,
-            policy,
             state,
             rescue,
             converged: false,
@@ -810,9 +774,10 @@ impl<'a> ScfSession<'a> {
         })
     }
 
-    /// The session's tensor store, for the execution path's `assemble`.
-    pub(crate) fn tensors_mut(&mut self) -> &mut TensorStore {
-        &mut self.tensors
+    /// The density the next Fock build contracts against, and the session's
+    /// tensor store, for the execution path's `assemble`.
+    pub(crate) fn build_inputs(&mut self) -> (&Matrix, &mut TensorStore) {
+        (&self.state.point.density, &mut self.tensors)
     }
 
     /// True while the trajectory has iterations left to run: not yet
@@ -836,10 +801,9 @@ impl<'a> ScfSession<'a> {
         self.state.point.residual
     }
 
-    /// Stage the next iteration: commit the precision schedule and the
-    /// rebuild decision, purge the incremental accumulators on a rebuild,
-    /// and form the build density. Every trajectory-shaping decision is made
-    /// here — the execution path that follows only prices and evaluates.
+    /// Stage the next iteration: commit the precision schedule. Every
+    /// trajectory-shaping decision is made here — the execution path that
+    /// follows only prices and evaluates.
     pub(crate) fn prepare(&mut self) -> PreparedIteration {
         let iter_span = mako_trace::span("scf", "iteration");
         let cfg = &self.driver.config;
@@ -854,55 +818,13 @@ impl<'a> ScfSession<'a> {
             QuantSchedule::fp64_reference(cfg.e_tol * 1e-5)
         };
 
-        // With the incremental option, integrals contract against ΔD =
-        // D − D_ref under the dynamic ΔD Schwarz screen and accumulate onto
-        // the previous G. The accumulators are purged (full rebuild) when:
-        //  * the run starts (iteration 0, ΔD = D),
-        //  * the quantization phase ends — otherwise early low-precision
-        //    error would persist in G,
-        //  * `rebuild_period` incremental iterations have passed
-        //    (numerical hygiene, the standard direct-SCF reset),
-        //  * the accumulated analytic skip bound exceeds `drift_cap`,
-        //  * the divergence guard tripped last iteration,
-        //  * the convergence signal fired on a screened build and the
-        //    final energy must be certified on drift-free Fock,
-        //  * the rescue ladder's quantization backoff is active (the
-        //    backed-off trajectory must be free of screening drift too).
-        let inc = &mut self.state.incremental;
-        let leaving_quant_phase = inc.was_quantized_phase && !schedule.allow_quantized;
-        inc.was_quantized_phase = schedule.allow_quantized;
-        let rebuild = !cfg.incremental
-            || self.iter == 0
-            || leaving_quant_phase
-            || inc.force_rebuild
-            || backoff
-            || (self.policy.rebuild_period > 0 && inc.since_rebuild >= self.policy.rebuild_period)
-            || inc.drift_bound > self.policy.drift_cap;
-        if cfg.incremental && rebuild {
-            inc.reset();
-        }
-        let mut build_density = self.state.point.density.clone();
-        if cfg.incremental {
-            build_density.axpy(-1.0, &inc.d_ref);
-        }
-        // The ΔD screen (phase 0 of the engine) only engages on the
-        // incremental path.
-        let opts = FockEngineOptions {
-            delta_tau: if cfg.incremental { Some(self.policy.tau) } else { None },
-        };
-        PreparedIteration {
-            schedule,
-            rebuild,
-            build_density,
-            opts,
-            iter_span,
-        }
+        PreparedIteration { schedule, iter_span }
     }
 
-    /// Fold one executed Fock build back into the trajectory: incremental
-    /// accumulation, XC, Fock/energy assembly, DIIS, rescue knobs, the
-    /// non-finite containment checkpoints, diagonalization, convergence
-    /// test, watchdog, and checkpointing. Exactly `run_with`'s former loop
+    /// Fold one executed Fock build back into the trajectory: XC,
+    /// Fock/energy assembly, DIIS, rescue knobs, the non-finite containment
+    /// checkpoints, diagonalization, convergence test, watchdog, and
+    /// checkpointing. Exactly `run_with`'s former loop
     /// body below the build — same operations, same order; that ordering is
     /// the bitwise-identity contract between the solo and ensemble paths.
     pub(crate) fn advance(
@@ -912,38 +834,25 @@ impl<'a> ScfSession<'a> {
         st: FockBuildStats,
         mut recovery: RecoveryLedger,
     ) -> Result<(), ScfError> {
-        let PreparedIteration {
-            rebuild,
-            build_density,
-            mut iter_span,
-            ..
-        } = prep;
+        let PreparedIteration { mut iter_span, .. } = prep;
         let iter = self.iter;
         recovery.absorb(&self.pending_recovery);
         self.pending_recovery = RecoveryLedger::default();
-        let (mut j, mut k) = (jk.j, jk.k);
+        let (mut j, k) = (jk.j, jk.k);
         // Chaos harness: poison the build exactly as a broken kernel
         // would, upstream of the containment checkpoints.
         if self.run_opts.poison_fock == Some(iter) {
             j[(0, 0)] = f64::NAN;
         }
         let mut iter_seconds = st.device_seconds;
-        let CarriedState {
-            point,
-            incremental: inc,
-            diis,
-            clock,
-        } = &mut self.state;
+        let CarriedState { point, diis, clock } = &mut self.state;
         // What this iteration cost, pushed once its seconds are complete.
         let ledger = |seconds: f64| IterationLedger {
             eri_seconds: st.device_seconds,
             total_seconds: seconds,
             evaluated_quartets: st.evaluated_quartets(),
             quantized_quartets: st.quantized_quartets,
-            skipped_quartets: st.skipped_quartets,
             pruned_quartets: st.pruned_quartets,
-            skipped_bound: st.skipped_bound,
-            rebuild,
         };
 
         // Non-finite containment: a NaN/Inf caught at any assembly
@@ -958,7 +867,7 @@ impl<'a> ScfSession<'a> {
                 let site = match stage {
                     NonFiniteStage::Coulomb | NonFiniteStage::Exchange => Some(
                         attribute_non_finite(
-                            &build_density,
+                            &point.density,
                             &self.driver.pairs,
                             &self.driver.batches,
                         ),
@@ -1014,15 +923,6 @@ impl<'a> ScfSession<'a> {
                 return Err(ScfError::NonFinite { iteration: iter, stage });
             }};
         }
-        if self.driver.config.incremental {
-            inc.j_acc.axpy(1.0, &j);
-            inc.k_acc.axpy(1.0, &k);
-            j = inc.j_acc.clone();
-            k = inc.k_acc.clone();
-            inc.d_ref = point.density.clone();
-            inc.since_rebuild += 1;
-            inc.drift_bound += st.skipped_bound;
-        }
         if !j.all_finite() {
             contain!(NonFiniteStage::Coulomb);
         }
@@ -1073,29 +973,17 @@ impl<'a> ScfSession<'a> {
 
         // DIIS extrapolation, with the divergence guard: a residual
         // jump by `divergence_factor` means the extrapolation went bad —
-        // restart DIIS (drop the stale history) and schedule a full
-        // rebuild so accumulated screening drift cannot steer recovery.
+        // restart DIIS (drop the stale history).
         let diis_span = mako_trace::span("scf", "diis");
         let err = Diis::error_vector(&f, &point.density, &self.s, &self.x);
         point.residual = err.norm_fro() / (self.driver.layout.nao as f64);
         // The watchdog observes the raw DIIS residual, before the
         // |ΔE|-based scheduling floor below munges it.
         let residual_diis = point.residual;
-        // A rebuild iteration is exempt from the guard: removing the
-        // accumulated screening drift legitimately bumps the residual
-        // (the frozen phase before it drove the residual toward zero),
-        // and the guard's remedy — a rebuild — is what just happened.
-        // Tripping it here would force a redundant back-to-back rebuild
-        // and throw away healthy DIIS history.
-        let guard_exempt = self.driver.config.incremental && rebuild;
+        let divergence_factor = self.driver.config.incremental_policy.divergence_factor;
         let prev = std::mem::replace(&mut point.residual_prev, point.residual);
-        if iter > 0
-            && !guard_exempt
-            && prev.is_finite()
-            && point.residual > self.policy.divergence_factor * prev
-        {
+        if iter > 0 && prev.is_finite() && point.residual > divergence_factor * prev {
             diis.reset();
-            inc.force_rebuild = true;
         }
         let mut f_diis = diis.extrapolate(f, err);
         diis_span.end();
@@ -1145,37 +1033,23 @@ impl<'a> ScfSession<'a> {
             iter_span.add_field("energy", point.energy);
             iter_span.add_field("de", de);
             iter_span.add_field("residual", point.residual);
-            iter_span.add_field("rebuild", rebuild);
             iter_span.add_field("eri_seconds", st.device_seconds);
             iter_span.add_field("xc_seconds", xc_seconds);
             iter_span.add_field("diag_seconds", diag_seconds);
             iter_span.add_field("total_seconds", iter_seconds);
             iter_span.add_field("evaluated_quartets", st.evaluated_quartets());
-            iter_span.add_field("skipped_quartets", st.skipped_quartets);
             iter_span.add_field("pruned_quartets", st.pruned_quartets);
         }
         iter_span.end();
 
         let mut finishing = false;
         if de < self.driver.config.e_tol && point.residual < self.driver.config.e_tol.sqrt() {
-            // Certified convergence: never accept the convergence signal
-            // off a screened incremental build. Near convergence the ΔD
-            // screen can skip every remaining quartet, freezing the Fock
-            // pieces — |ΔE| then collapses to zero *because nothing was
-            // updated*, not because the energy is right, and the run
-            // would stop carrying the accumulated screening drift. Force
-            // one full rebuild and only accept convergence re-confirmed
-            // on rebuilt (drift-free) Fock.
-            if self.driver.config.incremental && !rebuild {
-                inc.force_rebuild = true;
-            } else {
-                self.converged = true;
-                // When quantized, require a final FP64-clean iteration:
-                // the schedule disables quantization near convergence, so
-                // one more pass confirms the energy at full precision.
-                if !self.driver.config.quantized || iter > 0 {
-                    finishing = true;
-                }
+            self.converged = true;
+            // When quantized, require a final FP64-clean iteration: the
+            // schedule disables quantization near convergence, so one more
+            // pass confirms the energy at full precision.
+            if !self.driver.config.quantized || iter > 0 {
+                finishing = true;
             }
         }
         if !finishing {
@@ -1202,12 +1076,7 @@ impl<'a> ScfSession<'a> {
                 let detail = r.ledger().events().last().map(|e| e.detail).unwrap_or(0.0);
                 emit_rescue_span(iter, class, stage, detail, r.level());
                 match stage {
-                    RescueStage::DiisReset => {
-                        diis.reset();
-                        if self.driver.config.incremental {
-                            inc.force_rebuild = true;
-                        }
-                    }
+                    RescueStage::DiisReset => diis.reset(),
                     // The engine already armed the knob; the driver
                     // consumes it at its fixed point next iteration.
                     RescueStage::Damp | RescueStage::LevelShift | RescueStage::QuantBackoff => {}
@@ -1248,17 +1117,11 @@ impl<'a> ScfSession<'a> {
     }
 
     /// Rewind to the rescue engine's best-residual restore point. The clock
-    /// keeps running forward — the device time was really spent. The
-    /// incremental state starts over with a full rebuild owed, so no
-    /// post-snapshot screening drift survives the rewind, and the DIIS
-    /// history is dropped.
+    /// keeps running forward — the device time was really spent — and the
+    /// DIIS history is dropped.
     fn rollback(&mut self) {
         let point = self.rescue.as_ref().and_then(|r| r.rollback_point());
         self.state.point = point.expect("rollback stage implies a snapshot").clone();
-        self.state.incremental = IncrementalState {
-            force_rebuild: true,
-            ..IncrementalState::new(self.driver.layout.nao)
-        };
         self.state.diis.reset();
     }
 
@@ -1279,8 +1142,6 @@ impl<'a> ScfSession<'a> {
             fp64_quartets: ledgers.iter().map(|l| l.evaluated_quartets - l.quantized_quartets).sum(),
             quantized_quartets: ledgers.iter().map(|l| l.quantized_quartets).sum(),
             pruned_quartets: ledgers.iter().map(|l| l.pruned_quartets).sum(),
-            skipped_quartets: ledgers.iter().map(|l| l.skipped_quartets).sum(),
-            skipped_bound: ledgers.iter().fold(0.0, |b, l| b + l.skipped_bound),
             device_seconds: total_seconds,
         };
 
@@ -1341,7 +1202,6 @@ fn problem_hash(mol: &Molecule, shells: &[Shell], config: &ScfConfig) -> u64 {
         h = mix(h, config.grid.1 as u64);
     }
     h = mix(h, config.quantized as u64);
-    h = mix(h, config.incremental as u64);
     h = mix(h, config.screening.to_bits());
     h = mix(
         h,
@@ -1529,170 +1389,48 @@ mod tests {
     }
 
     #[test]
-    fn incremental_fock_build_matches_direct() {
+    fn the_incremental_switch_changes_nothing() {
+        // `incremental` is read by nothing: the run is the default run, bit
+        // for bit, on the energy, the iteration count and the device clock.
         let mol = builders::water();
-        let direct = ScfDriver::new(&mol, &sto3g(), ScfConfig::default()).run().expect("scf run");
-        let incremental = ScfDriver::new(
-            &mol,
-            &sto3g(),
-            ScfConfig {
-                incremental: true,
-                ..ScfConfig::default()
-            },
-        )
-        .run().expect("scf run");
-        assert!(incremental.converged);
-        assert!(
-            (incremental.energy - direct.energy).abs() < 1e-7,
-            "incremental {} vs direct {}",
-            incremental.energy,
-            direct.energy
-        );
-        // ΔD builds compose with quantization: the converged energy stays
-        // chemically accurate because the accumulators are purged when the
-        // quantized phase ends.
-        let quant_inc = ScfDriver::new(
-            &mol,
-            &sto3g(),
-            ScfConfig {
-                incremental: true,
-                quantized: true,
-                ..ScfConfig::default()
-            },
-        )
-        .run().expect("scf run");
-        assert!(quant_inc.converged);
-        assert!((quant_inc.energy - direct.energy).abs() < 1e-3);
-        assert!(
-            quant_inc.stats.quantized_quartets > 0,
-            "ΔD builds must still engage the quantized pipeline"
-        );
-    }
-
-    #[test]
-    fn incremental_engine_skips_work_and_records_ledger() {
-        // The water dimer has weak inter-monomer shell pairs, giving the
-        // density-weighted estimates the dynamic range the ΔD screen needs.
-        let mol = builders::water_cluster(2);
-        let direct = ScfDriver::new(&mol, &sto3g(), ScfConfig::default()).run().expect("scf run");
-        let cfg = ScfConfig {
+        let base = ScfDriver::new(&mol, &sto3g(), ScfConfig::default()).run().expect("scf run");
+        let config = ScfConfig {
             incremental: true,
-            incremental_policy: IncrementalPolicy {
-                tau: 1e-8,
-                drift_cap: 1e-2,
-                ..IncrementalPolicy::default()
-            },
             ..ScfConfig::default()
         };
-        let inc = ScfDriver::new(&mol, &sto3g(), cfg).run().expect("scf run");
-        assert!(inc.converged);
-        // Both runs stop once |ΔE| < e_tol = 1e-7, so their converged
-        // energies can differ by convergence noise of that order even
-        // before any screening error.
-        assert!(
-            (inc.energy - direct.energy).abs() < 2e-7,
-            "incremental {} vs direct {}",
-            inc.energy,
-            direct.energy
-        );
-        // The ledger covers every iteration and its totals agree with the
-        // flat counters.
-        assert_eq!(inc.clock.iterations().len(), inc.iterations);
-        assert_eq!(inc.clock.total_skipped(), inc.stats.skipped_quartets);
-        assert_eq!(
-            inc.clock.total_evaluated(),
-            inc.stats.fp64_quartets + inc.stats.quantized_quartets
-        );
-        // Iteration 0 is a full rebuild by construction.
-        assert!(inc.clock.iterations()[0].rebuild);
-        // The ΔD screen engages as the density settles, so incremental
-        // iterations must skip quartets and run less work than the full
-        // rebuild of iteration 0.
-        assert!(inc.stats.skipped_quartets > 0, "ΔD screen never engaged");
-        let first = &inc.clock.iterations()[0];
-        let best = inc
-            .clock
-            .iterations()
-            .iter()
-            .filter(|l| !l.rebuild)
-            .min_by_key(|l| l.evaluated_quartets)
-            .expect("at least one incremental iteration");
-        assert!(
-            best.evaluated_quartets < first.evaluated_quartets,
-            "incremental iterations ({}) should evaluate fewer quartets \
-             than the initial full build ({})",
-            best.evaluated_quartets,
-            first.evaluated_quartets
-        );
-        // Skipped work is never priced: the cheapest incremental iteration's
-        // ERI stage undercuts the full rebuild's on the device clock.
-        assert!(best.eri_seconds < first.eri_seconds);
-    }
-
-    #[test]
-    fn convergence_is_certified_on_rebuilt_fock() {
-        // Near convergence the ΔD screen skips essentially everything,
-        // freezing the Fock pieces — |ΔE| then collapses because nothing
-        // was updated. The engine must not accept that signal: the final
-        // iteration has to be a full rebuild, and the certified energy must
-        // match the direct reference to convergence noise (~e_tol), not to
-        // the (much larger) screening drift. τ must stay small enough that
-        // one screened iteration re-accumulates less than e_tol of drift,
-        // or certification (correctly) never passes.
-        let mol = builders::water_cluster(2);
-        let direct = ScfDriver::new(&mol, &sto3g(), ScfConfig::default()).run().expect("scf run");
-        let cfg = ScfConfig {
-            incremental: true,
-            incremental_policy: IncrementalPolicy {
-                tau: 1e-8,
-                rebuild_period: 0,
-                drift_cap: 1e2,
-                divergence_factor: 10.0,
-            },
-            ..ScfConfig::default()
-        };
-        let inc = ScfDriver::new(&mol, &sto3g(), cfg).run().expect("scf run");
-        assert!(inc.converged);
-        assert!(
-            inc.clock.iterations().last().expect("ledger").rebuild,
-            "converged on a screened build without certification"
-        );
-        assert!(
-            (inc.energy - direct.energy).abs() < 1e-6,
-            "certified energy drifted: {} vs {}",
-            inc.energy,
-            direct.energy
-        );
+        let switched = ScfDriver::new(&mol, &sto3g(), config).run().expect("scf run");
+        assert_eq!(switched.energy.to_bits(), base.energy.to_bits());
+        assert_eq!(switched.iterations, base.iterations);
+        assert_eq!(switched.clock, base.clock);
     }
 
     #[test]
     fn divergence_guard_restarts_cleanly() {
-        // A pathological policy (rebuild every iteration, huge τ) still
-        // converges to the right energy because every iteration is a full
-        // rebuild whenever τ-induced drift trips the cap.
+        // A divergence factor of 0.1 trips the guard whenever the DIIS
+        // residual fails to shrink tenfold in one iteration, which water's
+        // does: each trip drops the DIIS history, so the run takes a longer
+        // path, and still lands on the default run's energy.
         let mol = builders::water();
-        let direct = ScfDriver::new(&mol, &sto3g(), ScfConfig::default()).run().expect("scf run");
-        let cfg = ScfConfig {
-            incremental: true,
+        let base = ScfDriver::new(&mol, &sto3g(), ScfConfig::default()).run().expect("scf run");
+        let config = ScfConfig {
             incremental_policy: IncrementalPolicy {
-                tau: 1e-7,
-                rebuild_period: 2,
-                drift_cap: 1e-10,
-                divergence_factor: 2.0,
+                divergence_factor: 0.1,
             },
             ..ScfConfig::default()
         };
-        let inc = ScfDriver::new(&mol, &sto3g(), cfg).run().expect("scf run");
-        assert!(inc.converged);
+        let guarded = ScfDriver::new(&mol, &sto3g(), config).run().expect("scf run");
+        assert!(guarded.converged);
         assert!(
-            (inc.energy - direct.energy).abs() < 1e-6,
-            "aggressive policy drifted: {} vs {}",
-            inc.energy,
-            direct.energy
+            guarded.iterations > base.iterations,
+            "the guard never fired: {} iterations, as the default run",
+            guarded.iterations
         );
-        // With rebuild_period=2 at least half the iterations are rebuilds.
-        let rebuilds = inc.clock.iterations().iter().filter(|l| l.rebuild).count();
-        assert!(rebuilds * 3 >= inc.iterations, "rebuild policy inactive");
+        assert!(
+            (guarded.energy - base.energy).abs() < 1e-6,
+            "guarded run drifted: {} vs {}",
+            guarded.energy,
+            base.energy
+        );
     }
 
     #[test]
@@ -1751,14 +1489,8 @@ mod tests {
                 let mut session =
                     ScfSession::with_store_budget(&driver, ScfRunOptions::default(), budget)
                         .expect("session");
-                while session.active() {
-                    let prep = session.prepare();
-                    let (jk, st, recovery) = driver
-                        .execute_build(&prep, session.iteration(), session.tensors_mut())
-                        .expect("build");
-                    session.advance(prep, jk, st, recovery).expect("iteration");
-                }
-                let tensors = session.tensors_mut();
+                driver.step_to_end(&mut session).expect("run");
+                let tensors = &session.tensors;
                 let (quantized_reused, retags) = (tensors.counts()[3], tensors.quantized_retags());
                 (session.finish(), quantized_reused, retags)
             })

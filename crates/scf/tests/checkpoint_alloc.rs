@@ -12,7 +12,7 @@
 
 use mako_accel::{DeviceClock, IterationLedger};
 use mako_linalg::Matrix;
-use mako_scf::{CarriedState, CheckpointError, Diis, IncrementalState, RestorePoint, ScfCheckpoint};
+use mako_scf::{CarriedState, CheckpointError, Diis, RestorePoint, ScfCheckpoint};
 use mako_store::crc32;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -64,15 +64,6 @@ fn sample() -> ScfCheckpoint {
                 residual: 1.25e-5,
                 residual_prev: 3.5e-5,
                 orbital_energies: vec![-20.24, -1.26, 0.6],
-            },
-            incremental: IncrementalState {
-                j_acc: m(0.5),
-                k_acc: m(0.25),
-                d_ref: m(0.9),
-                since_rebuild: 2,
-                drift_bound: 1.5e-13,
-                force_rebuild: false,
-                was_quantized_phase: true,
             },
             diis,
             clock: DeviceClock::from_ledgers(

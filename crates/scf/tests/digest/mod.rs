@@ -5,9 +5,8 @@
 //! Every pinned row is a [`Pin`]: an *exact* half — counts, device-clock
 //! seconds, ledgers; functions of the schedule and the pricing model alone —
 //! and a *float* half — whatever is computed from integral values (J, K,
-//! densities, energies, and the Schwarz-bound sums `skipped_bound`). A change
-//! of FP64 summation order or of the Boys evaluator regenerates the float
-//! half and may not touch the exact one.
+//! densities, energies). A change of FP64 summation order or of the Boys
+//! evaluator regenerates the float half and may not touch the exact one.
 #![allow(dead_code)]
 
 use mako_accel::fault::RecoveryLedger;
@@ -33,15 +32,11 @@ impl Digest {
         }
     }
 
-    /// The exact part of `st`: everything but `skipped_bound`, which is a sum
-    /// of Schwarz-bound products and belongs to the float half.
+    /// The exact part of `st`. The 0 is where the retired skipped-quartet
+    /// count went, the value it always held on a full rebuild, so the pins
+    /// kept their constants.
     pub fn stats(&mut self, st: &FockBuildStats) {
-        for count in [
-            st.fp64_quartets,
-            st.quantized_quartets,
-            st.pruned_quartets,
-            st.skipped_quartets,
-        ] {
+        for count in [st.fp64_quartets, st.quantized_quartets, st.pruned_quartets, 0] {
             self.word(count as u64);
         }
         self.floats(&[st.device_seconds]);

@@ -15,7 +15,7 @@
 //!
 //! Each row is a [`Pin`] (`digest/mod.rs`): the *exact* half holds the quartet
 //! counts, `device_seconds`, per-rank seconds and the recovery ledger; the
-//! *float* half holds J, K and `skipped_bound`. The halves were split on the
+//! *float* half holds J and K. The halves were split on the
 //! per-primitive `boys_reference` engine (`b9cece2`); the float halves were
 //! then regenerated once, for the table-Boys, contraction-stacked FP64
 //! quartet. With all 120 quartets of this fixture in FP64, J and K move by at
@@ -55,10 +55,6 @@ const SOLO_DEFAULT: Pin = Pin {
     exact: 0x5c1c_20dc_08f8_8eef,
     float: 0xf7d1_6ed1_7c5e_15d3,
 };
-const SOLO_DELTA_TAU: Pin = Pin {
-    exact: 0x6e6d_215f_3a1e_77cd,
-    float: 0xb97d_fc05_e466_eab8,
-};
 const DIST_QUIET: Pin = Pin {
     exact: 0x1f85_1817_eda9_c63d,
     float: 0x93c0_da71_be00_b230,
@@ -68,12 +64,13 @@ const DIST_CHAOS: Pin = Pin {
     float: 0x93c0_da71_be00_b230,
 };
 
-/// The float half of a build: J, K and the skipped-bound sum.
-fn float_digest(jk: &JkMatrices, skipped_bound: f64) -> u64 {
+/// The float half of a build: J and K, then 0.0 where the retired skipped
+/// bound went, as a build without the screen had.
+fn float_digest(jk: &JkMatrices) -> u64 {
     let mut d = Digest::new();
     d.floats(jk.j.as_slice());
     d.floats(jk.k.as_slice());
-    d.floats(&[skipped_bound]);
+    d.floats(&[0.0]);
     d.0
 }
 
@@ -112,24 +109,24 @@ fn fixture() -> Fixture {
     }
 }
 
-/// One solo build on the fixture density times `density_scale`.
-fn solo(density_scale: f64, opts: FockEngineOptions) -> Pin {
+/// One solo build on the fixture.
+fn solo() -> Pin {
     let f = fixture();
     let (jk, st) = build_jk_with_configs(
-        &f.density.scale(density_scale),
+        &f.density,
         &f.pairs,
         &f.batches,
         &f.layout,
         &f.schedule,
         |_| (f.fp64, f.quant),
         &f.model,
-        opts,
+        FockEngineOptions::default(),
     );
     let mut d = Digest::new();
     d.stats(&st);
     Pin {
         exact: d.0,
-        float: float_digest(&jk, st.skipped_bound),
+        float: float_digest(&jk),
     }
 }
 
@@ -143,7 +140,6 @@ fn distributed(plan: FaultPlan) -> Pin {
         &f.schedule,
         |_| (f.fp64, f.quant),
         &f.model,
-        FockEngineOptions::default(),
         &DistributedScf { plan, cluster: None },
         0,
     )
@@ -154,25 +150,13 @@ fn distributed(plan: FaultPlan) -> Pin {
     d.ledger(&out.recovery);
     Pin {
         exact: d.0,
-        float: float_digest(&out.jk, out.stats.skipped_bound),
+        float: float_digest(&out.jk),
     }
 }
 
 #[test]
 fn solo_build_at_default_options_is_pinned() {
-    solo(1.0, FockEngineOptions::default()).assert_eq(SOLO_DEFAULT, "SOLO_DEFAULT");
-}
-
-/// The incremental screen at τ = 1e-9 on a late-SCF difference density
-/// (the fixture density × 1e-7): 14 of the 120 quartets fall under τ and are
-/// skipped; at the full density none does and the build is `SOLO_DEFAULT`'s.
-#[test]
-fn solo_build_with_the_delta_screen_is_pinned() {
-    let opts = FockEngineOptions {
-        delta_tau: Some(1e-9),
-    };
-    solo(1e-7, opts).assert_eq(SOLO_DELTA_TAU, "SOLO_DELTA_TAU");
-    solo(1.0, opts).assert_eq(SOLO_DEFAULT, "SOLO_DEFAULT (τ = 1e-9, nothing under it)");
+    solo().assert_eq(SOLO_DEFAULT, "SOLO_DEFAULT");
 }
 
 /// The fault-free multi-rank build — J/K, merged stats, per-rank seconds, a

@@ -1,13 +1,11 @@
 //! Pins whole SCF trajectories — every field of the `ScfResult`, every
-//! `IterationLedger` — of four runs whose *cross-iteration* behaviour no
+//! `IterationLedger` — of three runs whose *cross-iteration* behaviour no
 //! single-build pin (`fock_seam_pin.rs`) holds:
 //!
 //! * RHF water trimer: the scheduler's pruned set differs from iteration to
 //!   iteration (the dimer prunes the same 3 quartets every time);
 //! * `quantized: true` B3LYP water: sub-units flip quantized → FP64 mid-run,
 //!   so a quartet is first evaluated in FP64 at an iteration k > 0;
-//! * `incremental: true` water trimer: the ΔD screen evaluates a different
-//!   subset of every batch per iteration;
 //! * RHF water killed at iteration 3 and resumed from its checkpoint in a
 //!   fresh session.
 //!
@@ -20,7 +18,7 @@
 //! Each row is a [`Pin`] (`digest/mod.rs`): the *exact* half holds iteration
 //! and quartet counts, `iteration_seconds`, the device-clock totals and every
 //! ledger field that is a count or a device second; the *float* half holds
-//! energies, orbital energies, the density and the `skipped_bound`s. The
+//! energies, orbital energies and the density. The
 //! halves were split on the per-primitive `boys_reference` engine
 //! (`b9cece2`); the float halves were then regenerated once, for the
 //! table-Boys, contraction-stacked FP64 quartet: energies move by at most
@@ -84,10 +82,6 @@ const QUANT_B3LYP_WATER: Pin = Pin {
     exact: 0xf84d_0051_f3b8_70ff,
     float: 0x25c1_c65e_3dbf_308e,
 };
-const INCREMENTAL_TRIMER: Pin = Pin {
-    exact: 0xc2fb_b5d7_48e5_7990,
-    float: 0xc50b_ea7e_6c0b_a2c7,
-};
 const RESUMED_WATER: Pin = Pin {
     exact: 0xb7da_a7af_be34_a102,
     float: 0xe0c9_4717_1522_2f8b,
@@ -103,10 +97,12 @@ fn digest(res: &ScfResult) -> Pin {
     exact.word(res.clock.iterations().len() as u64);
     for l in res.clock.iterations() {
         exact.floats(&[l.eri_seconds, l.total_seconds]);
-        for count in [l.evaluated_quartets, l.skipped_quartets, l.pruned_quartets] {
+        // 0 skipped quartets and the rebuild flag 1: a full-rebuild run's
+        // values of the retired ledger fields, so the pins did not move.
+        for count in [l.evaluated_quartets, 0, l.pruned_quartets] {
             exact.word(count as u64);
         }
-        exact.word(l.rebuild as u64);
+        exact.word(1);
     }
     exact.word(res.clock.recoveries().len() as u64);
     for r in res.clock.recoveries() {
@@ -114,11 +110,12 @@ fn digest(res: &ScfResult) -> Pin {
     }
 
     let mut float = Digest::new();
-    float.floats(&[res.energy, res.stats.skipped_bound]);
+    // 0.0 where the retired skipped bounds went, as a full-rebuild run had.
+    float.floats(&[res.energy, 0.0]);
     float.floats(&res.orbital_energies);
     float.floats(res.density.as_slice());
-    for l in res.clock.iterations() {
-        float.floats(&[l.skipped_bound]);
+    for _ in res.clock.iterations() {
+        float.floats(&[0.0]);
     }
     Pin {
         exact: exact.0,
@@ -163,17 +160,6 @@ fn quantized_b3lyp_water_flipping_to_fp64_mid_run_is_pinned() {
         res.stats
     );
     assert_pinned(&res, QUANT_B3LYP_WATER, "QUANT_B3LYP_WATER");
-}
-
-#[test]
-fn incremental_trimer_under_the_delta_screen_is_pinned() {
-    let config = ScfConfig {
-        incremental: true,
-        ..ScfConfig::default()
-    };
-    let res = driver(&builders::water_cluster(3), config).run().expect("scf run");
-    assert!(res.stats.skipped_quartets > 0, "the ΔD screen must engage");
-    assert_pinned(&res, INCREMENTAL_TRIMER, "INCREMENTAL_TRIMER");
 }
 
 #[test]

@@ -863,6 +863,7 @@ impl<'a> Sim<'a> {
                 0.5 * dt_slow,
             )
         } else if dt_slow > cfg.attempt_timeout {
+            self.fault_event(id, w, "attempt_timeout");
             (
                 AttemptEnd::Fault(JobError::AttemptTimeout {
                     limit_seconds: cfg.attempt_timeout,

@@ -51,7 +51,7 @@ pub enum FieldValue {
     I64(i64),
     /// Floating point (energies, residuals, simulated seconds).
     F64(f64),
-    /// Boolean (rebuild decisions, convergence flags).
+    /// Boolean (convergence and containment flags).
     Bool(bool),
     /// Short string (class labels, device kinds, precisions).
     Str(String),

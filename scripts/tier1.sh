@@ -41,9 +41,10 @@ cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D 
 
 # Formatting is gated crate by crate as each is made rustfmt-clean; the rest
 # of the tree is not yet.
-echo "== tier1: cargo fmt --check -p mako-linalg -p mako-eri -p mako-server =="
+echo "== tier1: cargo fmt --check -p mako-linalg -p mako-eri -p mako-server -p mako-accel =="
 cargo fmt --check -p mako-linalg
 cargo fmt --check -p mako-eri
 cargo fmt --check -p mako-server
+cargo fmt --check -p mako-accel
 
 echo "== tier1: OK =="

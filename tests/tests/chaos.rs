@@ -25,7 +25,7 @@ use mako::eri::screening::build_screened_pairs;
 use mako::kernels::pipeline::PipelineConfig;
 use mako::linalg::Matrix;
 use mako::quant::QuantSchedule;
-use mako::scf::fock::{FockEngineOptions, JkMatrices};
+use mako::scf::fock::JkMatrices;
 use mako::scf::{
     b3lyp, build_jk_distributed, CheckpointError, CheckpointPolicy, DistributedScf,
     FtFockOutcome, ScfCheckpoint, ScfConfig, ScfDriver, ScfError, ScfMethod, ScfRunOptions,
@@ -71,7 +71,6 @@ fn build_under(fx: &FockFixture, plan: FaultPlan) -> FtFockOutcome {
         schedule,
         |_| (*cfg, *cfg),
         model,
-        FockEngineOptions::default(),
         &DistributedScf { plan, cluster: None },
         0,
     )
@@ -268,9 +267,8 @@ fn checkpoint_restart_reproduces_trajectory_bitwise() {
     // land on the uninterrupted run's energy, iteration count, and device
     // clock to the bit (acceptance bar: 1e-12 Ha — bitwise is stricter).
     // The second driver is the seeded chaotic cluster, so a non-quiet
-    // `RecoveryLedger` crosses the checkpoint format as well; the
-    // incremental run carries live accumulators and rebuild bookkeeping
-    // across the kill, and quantized B3LYP the quantized-phase flag.
+    // `RecoveryLedger` crosses the checkpoint format as well, and quantized
+    // B3LYP resumes on the precision schedule its carried residual picks.
     let mol = builders::water();
     let solo = ScfConfig {
         e_tol: 1e-9,
@@ -278,10 +276,6 @@ fn checkpoint_restart_reproduces_trajectory_bitwise() {
     };
     let chaotic = ScfConfig {
         distributed: Some(chaotic_cluster()),
-        ..solo.clone()
-    };
-    let incremental = ScfConfig {
-        incremental: true,
         ..solo.clone()
     };
     let quantized_b3lyp = ScfConfig {
@@ -292,7 +286,6 @@ fn checkpoint_restart_reproduces_trajectory_bitwise() {
     for (label, config) in [
         ("solo", solo),
         ("chaotic cluster", chaotic),
-        ("incremental", incremental),
         ("quantized B3LYP", quantized_b3lyp),
     ] {
         let driver = ScfDriver::new(&mol, &sto3g(), config);

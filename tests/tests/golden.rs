@@ -5,7 +5,7 @@
 //! The pins protect two different things at once:
 //!
 //! * **Conformance** — any change anywhere in the stack (integrals,
-//!   screening, scatter, DIIS, incremental engine) that shifts a converged
+//!   screening, scatter, DIIS) that shifts a converged
 //!   total energy by more than 1e-9 Ha fails loudly, with the drift in the
 //!   message. Intentional physics changes must update the constants.
 //! * **Determinism** — the same run repeated inside 1/2/4-thread rayon
@@ -136,15 +136,10 @@ fn golden_energies_identical_across_thread_counts() {
         grid: (35, 12),
         ..tight_config()
     };
-    let incremental_config = ScfConfig {
-        incremental: true,
-        ..tight_config()
-    };
     for (mol, config, golden, label) in [
         (builders::water(), tight_config(), E_WATER, "water"),
         (builders::water_cluster(3), tight_config(), E_WATER3, "water trimer"),
         (builders::water(), b3lyp_config, E_WATER_B3LYP, "B3LYP water"),
-        (builders::water_cluster(3), incremental_config, E_WATER3, "incremental trimer"),
     ] {
         let driver = ScfDriver::new(&mol, &sto3g(), config);
         let base = driver.run().expect("scf run");
@@ -177,8 +172,8 @@ fn golden_energies_identical_across_thread_counts() {
                 base.total_seconds.to_bits(),
                 "{label} device clock changed bits at {threads} threads"
             );
-            // The whole trajectory, not just its end: quartets evaluated,
-            // skipped and pruned, skip bound and rebuild flag per iteration.
+            // The whole trajectory, not just its end: seconds and quartets
+            // evaluated, quantized and pruned per iteration.
             assert_eq!(
                 res.clock.iterations(),
                 base.clock.iterations(),
@@ -359,22 +354,3 @@ fn golden_pathological_stretch_recovers_only_with_full_ladder() {
     }
 }
 
-#[test]
-fn golden_incremental_engine_stays_inside_window() {
-    // The incremental (ΔD) engine with its default policy must land inside
-    // the same golden window as the full-rebuild reference — screening
-    // drift is capped below the conformance tolerance.
-    let cfg = ScfConfig {
-        e_tol: 1e-10,
-        incremental: true,
-        ..ScfConfig::default()
-    };
-    let res = ScfDriver::new(&builders::water_cluster(3), &sto3g(), cfg).run().expect("scf run");
-    assert!(res.converged);
-    assert!(
-        (res.energy - E_WATER3).abs() < TOL,
-        "incremental trimer drifted from golden reference: {:.12} (Δ = {:.3e} Ha)",
-        res.energy,
-        res.energy - E_WATER3
-    );
-}

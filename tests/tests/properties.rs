@@ -1,22 +1,15 @@
 //! Property-based tests (proptest) on the core invariants of the Mako
 //! stack: quantization round trips, swizzle bijectivity, eigensolver
-//! reconstruction, ERI symmetries, screening conservativeness, and the
-//! incremental (ΔD) Fock accumulation identity.
+//! reconstruction, ERI symmetries, and screening conservativeness.
 
 use proptest::prelude::*;
 
-use mako::accel::{swizzle_xor, CostModel, DeviceSpec, SmemLayout};
-use mako::chem::basis::sto3g::sto3g;
+use mako::accel::{swizzle_xor, SmemLayout};
 use mako::chem::basis::ShellDef;
-use mako::chem::{builders, AoLayout};
-use mako::eri::batch::batch_quartets;
-use mako::eri::screening::build_screened_pairs;
 use mako::eri::{eri_quartet_mmd, schwarz_bound, shell_pair};
 use mako::kernels::pipeline::PipelineConfig;
 use mako::linalg::{eigh, gemm, Matrix, Transpose};
 use mako::precision::{Precision, ScalePolicy};
-use mako::quant::QuantSchedule;
-use mako::scf::fock::{build_jk_with_configs, FockEngineOptions};
 
 fn small_f64() -> impl Strategy<Value = f64> {
     // Magnitudes spanning many decades, both signs, no zeros/NaNs.
@@ -167,88 +160,6 @@ proptest! {
         }
         let dd = gemm(&d, Transpose::No, &d, Transpose::No);
         prop_assert!(dd.sub(&d).max_abs() < 1e-10, "D² ≠ D");
-    }
-}
-
-/// Deterministic symmetric matrix from a seed, entries in `[-scale, scale]`.
-fn seeded_symmetric(n: usize, seed: u64, scale: f64) -> Matrix {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0) * scale
-    };
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let v = next();
-            m[(i, j)] = v;
-            m[(j, i)] = v;
-        }
-    }
-    m
-}
-
-proptest! {
-    // Each case runs ~k+2 full Fock builds on water/STO-3G; keep the case
-    // count modest so the suite stays fast.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn incremental_fock_accumulation_matches_from_scratch(
-        k in 1usize..5, seed in any::<u64>(), with_tau in any::<bool>(),
-    ) {
-        // The incremental-SCF identity: after k density perturbations, the
-        // accumulated Σ G(ΔD_i) equals the from-scratch G(D_k) — exactly
-        // (to FP addition reordering, ≤ 1e-12) when τ = 0, and within the
-        // engine's accumulated analytic skip bound when τ > 0.
-        let shells = sto3g().shells_for(&builders::water());
-        let layout = AoLayout::new(&shells);
-        let pairs = build_screened_pairs(&shells, 1e-12);
-        let batches = batch_quartets(&pairs, 1e-14);
-        let model = CostModel::new(DeviceSpec::a100());
-        let cfg = PipelineConfig::kernel_mako_fp64();
-        let schedule = QuantSchedule::fp64_reference(0.0);
-        let tau = if with_tau { 1e-9 } else { 0.0 };
-        let build = |density: &Matrix, tau: f64| {
-            build_jk_with_configs(
-                density,
-                &pairs,
-                &batches,
-                &layout,
-                &schedule,
-                |_| (cfg, cfg),
-                &model,
-                FockEngineOptions { delta_tau: Some(tau) },
-            )
-        };
-
-        let n = layout.nao;
-        let mut d = seeded_symmetric(n, seed, 0.4);
-        let mut d_ref = Matrix::zeros(n, n);
-        let mut j_acc = Matrix::zeros(n, n);
-        let mut k_acc = Matrix::zeros(n, n);
-        let mut bound = 0.0f64;
-        for step in 0..k {
-            // Shrinking perturbations, like a converging SCF's ΔD.
-            let scale = 0.05 * 0.1f64.powi(step as i32);
-            d.axpy(1.0, &seeded_symmetric(n, seed ^ (step as u64 + 1), scale));
-            let mut delta = d.clone();
-            delta.axpy(-1.0, &d_ref);
-            let (jk, st) = build(&delta, tau);
-            j_acc.axpy(1.0, &jk.j);
-            k_acc.axpy(1.0, &jk.k);
-            d_ref = d.clone();
-            bound += st.skipped_bound;
-        }
-
-        let (full, _) = build(&d, 0.0);
-        let dj = full.j.sub(&j_acc).max_abs();
-        let dk = full.k.sub(&k_acc).max_abs();
-        let tol = if with_tau { bound + 1e-12 } else { 1e-12 };
-        prop_assert!(
-            dj <= tol && dk <= tol,
-            "accumulated J/K drifted: ΔJ {dj:e}, ΔK {dk:e}, bound {bound:e}, τ {tau:e}, k {k}"
-        );
     }
 }
 

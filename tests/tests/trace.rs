@@ -124,7 +124,7 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
             .run_rhf(&mol, BasisFamily::Sto3g)
             .expect("quantized scf run")
     };
-    let quantized_ref = scf_bits(&quantized());
+    let quant_ref = scf_bits(&quantized());
     // The multi-rank build: a water trimer on a seeded chaotic 2-rank cluster.
     let cluster = ScfDriver::new(
         &mako::chem::builders::water_cluster(3),
@@ -168,7 +168,7 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     };
     let serve_ref = serve();
     let quiet_vfs = Arc::new(FaultVfs::quiet());
-    let stored_ref = energy_bits(&store_backed(&quiet_vfs).serve_quiet(&jobs));
+    let store_ref = energy_bits(&store_backed(&quiet_vfs).serve_quiet(&jobs));
     // The latest crash point that leaves the batch job unresolved in the
     // journal — what recovery will run again.
     let crashed_at = |k: u64| {
@@ -241,7 +241,7 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
         );
     }
 
-    assert!(scf_bits(&quantized()) == quantized_ref, "traced quantized SCF drifted");
+    assert!(scf_bits(&quantized()) == quant_ref, "traced quantized SCF drifted");
     assert_eq!(fleet_bits(&ensemble.run()), fleet_ref, "traced ensemble drifted");
     assert_eq!(serve(), serve_ref, "traced chaos serve drifted");
     // Crash → rot every persisted artifact → recover in a new process: the
@@ -253,7 +253,7 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     let recovered = store_backed(&vfs)
         .recover(&jobs, &ServerChaos::quiet(ServerConfig::default().workers))
         .expect("recover");
-    assert_eq!(energy_bits(&recovered), stored_ref, "traced crash recovery drifted");
+    assert_eq!(energy_bits(&recovered), store_ref, "traced crash recovery drifted");
 
     // ---- Phase 3: the captured events carry the documented schema. ----
     let dump = mako::trace::drain();
@@ -412,6 +412,27 @@ fn tracing_is_numerically_inert_and_emits_the_documented_spans() {
     assert_eq!(
         clock_iterations, resumed.iterations,
         "a killed-and-resumed run must emit one clock.iteration per iteration it ran"
+    );
+
+    // A zero straggler bar times out every attempt, each one a
+    // `server.fault` of kind `attempt_timeout`: as many as the ledger counts.
+    let timed_out = MakoServer::new(ServerConfig {
+        attempt_timeout: 0.0,
+        ..ServerConfig::default()
+    })
+    .serve_quiet(&jobs);
+    let is_timeout = |e: &mako::trace::Event| {
+        (e.cat, e.name) == ("server", "fault")
+            && e.fields.iter().any(|f| {
+                f.key == "kind"
+                    && matches!(&f.value, mako::trace::FieldValue::Str(k) if k == "attempt_timeout")
+            })
+    };
+    let timeout_faults = mako::trace::drain().events.iter().filter(|e| is_timeout(e)).count();
+    assert!(timed_out.ledger.timeouts > 0, "a zero straggler bar timed nothing out");
+    assert_eq!(
+        timeout_faults, timed_out.ledger.timeouts,
+        "every straggler timeout must emit one server.fault of kind attempt_timeout"
     );
 
     // A one-thread run's wall is its top-level spans: every `scf.iteration`,
